@@ -7,69 +7,4 @@ heads whose logits are summed before one softmax. All gradients are
 hand-written and training is bit-exactly reproducible from a seed.
 """
 
-from .analysis import CostBreakdown, CostReport, cost_report, count_parameters, estimate_flops
-from .classifier import ClassScores, ScaleHead, fuse_and_score, head_forward, predict
-from .data_io import (
-    DatasetManifest,
-    FormatError,
-    ManifestError,
-    Sample,
-    SyntheticTaskConfig,
-    load_checkpoint,
-    load_manifest,
-    load_split,
-    read_feature_file,
-    save_checkpoint,
-    synth_order_task,
-    write_feature_file,
-    write_synth_dataset,
-)
-from .denseimage import (
-    DenseImage,
-    FrameFeatureSequence,
-    ReductionLayer,
-    SamplingMode,
-    encode,
-    sample_segments,
-)
-from .model import (
-    ModelParams,
-    ModelShapeSpec,
-    forward_sample,
-    init_model,
-    named_parameters,
-    predict_sample,
-    sample_loss_and_grads,
-)
-from .numerics import (
-    DropoutMask,
-    cross_entropy_from_logits,
-    glorot_uniform,
-    make_rng,
-    relu,
-    sample_dropout_mask,
-    softmax,
-)
-from .temporal_conv import (
-    PooledScaleFeature,
-    ScaleFeatureMap,
-    TemporalFilterBank,
-    conv_scale_forward,
-    multiscale_backward,
-    multiscale_forward,
-    response_profile,
-    temporal_max_pool,
-)
-from .trainer import (
-    EpochReport,
-    OptimizerState,
-    TrainConfig,
-    TrainState,
-    evaluate,
-    fit,
-    plateau_update,
-    sgd_momentum_step,
-    train_epoch,
-)
-
 __version__ = "0.1.0"

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .data_io import Sample, atomic_write_bytes
-from .denseimage import FrameFeatureSequence, SamplingMode, encode
+from .denseimage import SamplingMode, encode
 from .model import ModelParams, ModelShapeSpec
-from .temporal_conv import multiscale_forward, response_profile
+from .temporal_conv import conv_scale_forward, multiscale_forward, response_profile
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,6 @@ def cost_report(shape: ModelShapeSpec, reference: dict[str, dict] | None = None)
     return CostReport(count_parameters(shape), estimate_flops(shape), dict(reference or {}))
 
 
-def _encode_eval(params: ModelParams, sample: Sample):
-    seq = FrameFeatureSequence(sample.features)
-    return encode(seq, params.reduction, params.shape.num_frames, SamplingMode.EVAL_CENTER)
-
-
 def export_responses(
     params: ModelParams, samples: Sequence[Sample], h: int, out_path: str | Path
 ) -> Path:
@@ -97,7 +92,11 @@ def export_responses(
     )
     rows = [",".join(header)]
     for sample in sorted(samples, key=lambda s: s.id):
-        profile = response_profile(_encode_eval(params, sample), params.bank, h)
+        _, dense = encode(sample.features, params.reduction, params.shape.num_frames,
+                          SamplingMode.EVAL_CENTER)
+        profile = response_profile(
+            conv_scale_forward(dense, params.bank.weights[h], params.bank.biases[h])
+        )
         first, last = profile.frame_range
         cells = [sample.id]
         cells += [repr(float(v)) for v in profile.intensities]
@@ -124,7 +123,8 @@ def export_pooled_features(
     header += [f"mean_{j}" for j in range(shape.feat_dim)]
     rows = [",".join(header)]
     for sample in sorted(samples, key=lambda s: s.id):
-        dense = _encode_eval(params, sample)
+        _, dense = encode(sample.features, params.reduction, shape.num_frames,
+                          SamplingMode.EVAL_CENTER)
         pooled, _ = multiscale_forward(dense, params.bank)
         vector = np.concatenate([pooled[h].values for h in shape.widths])
         baseline = dense.values.mean(axis=0)

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-One JSON configuration file drives every command; command-line flags
-override individual fields. Primary artifacts (datasets, checkpoints,
-history, exports) are byte-deterministic given (config, seed); wall-clock
-metadata is quarantined into a separate run_meta.json that no result
-depends on.
+One JSON configuration file drives the commands that build a dataset or a
+model (synth, train, inspect-params); command-line flags override
+individual fields. The commands that read a checkpoint take the model
+from it. Primary artifacts (datasets, checkpoints, history, exports) are
+byte-deterministic given (config, seed); wall-clock metadata is
+quarantined into a separate run_meta.json that no result depends on.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 selftest
 failure.
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import analysis, data_io, selftest, trainer
@@ -32,8 +33,8 @@ DEFAULT_SHAPE = ModelShapeSpec(
 )
 
 _SHAPE_KEYS = ("raw_dim", "feat_dim", "num_frames", "widths", "num_filters", "num_classes")
-_TRAIN_KEYS = tuple(trainer.TrainConfig().to_dict())
-_SYNTH_KEYS = tuple(data_io.SyntheticTaskConfig().to_dict())
+_TRAIN_KEYS = tuple(asdict(trainer.TrainConfig()))
+_SYNTH_KEYS = tuple(asdict(data_io.SyntheticTaskConfig()))
 
 
 class UsageError(Exception):
@@ -53,13 +54,6 @@ class RunConfig:
     train: trainer.TrainConfig
     synth: data_io.SyntheticTaskConfig
 
-    def to_dict(self) -> dict:
-        return {
-            "shape": self.shape.to_dict(),
-            "train": self.train.to_dict(),
-            "synth": self.synth.to_dict(),
-        }
-
 
 def _merge_section(defaults: dict, file_section: dict, args, keys, prefix="") -> dict:
     merged = dict(defaults)
@@ -76,7 +70,7 @@ def _merge_section(defaults: dict, file_section: dict, args, keys, prefix="") ->
 
 def build_run_config(args) -> RunConfig:
     file_doc = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ValueError(f"config file not found: {path}")
@@ -84,12 +78,12 @@ def build_run_config(args) -> RunConfig:
         unknown = set(file_doc) - {"shape", "train", "synth"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    shape_d = _merge_section(DEFAULT_SHAPE.to_dict(), file_doc.get("shape"), args, _SHAPE_KEYS)
+    shape_d = _merge_section(asdict(DEFAULT_SHAPE), file_doc.get("shape"), args, _SHAPE_KEYS)
     train_d = _merge_section(
-        trainer.TrainConfig().to_dict(), file_doc.get("train"), args, _TRAIN_KEYS
+        asdict(trainer.TrainConfig()), file_doc.get("train"), args, _TRAIN_KEYS
     )
     synth_d = _merge_section(
-        data_io.SyntheticTaskConfig().to_dict(), file_doc.get("synth"), args, _SYNTH_KEYS,
+        asdict(data_io.SyntheticTaskConfig()), file_doc.get("synth"), args, _SYNTH_KEYS,
         prefix="synth.",
     )
     return RunConfig(
@@ -140,19 +134,19 @@ def _load_model_for_inference(args):
         raise ValueError("--checkpoint is required")
     ckpt = data_io.load_checkpoint(args.checkpoint)
     params = ckpt.model
-    if getattr(args, "use_best", False):
+    if args.use_best:
         if ckpt.state.best_params is None:
             raise ValueError("checkpoint has no best-model snapshot")
         params = ckpt.state.best_params
     return params, ckpt
 
 
-def _load_samples(args, split=None):
+def _load_samples(args, raw_dim, split=None):
     if not args.manifest:
         raise ValueError("--manifest is required")
     manifest = data_io.load_manifest(args.manifest)
     split = split or args.split
-    samples = data_io.load_split(manifest, split)
+    samples = data_io.load_split(manifest, split, raw_dim)
     if not samples:
         raise ValueError(f"split {split!r} is empty in {args.manifest}")
     return manifest, samples
@@ -163,10 +157,9 @@ def cmd_synth(args) -> int:
     if not args.out_dir:
         raise ValueError("--out-dir is required")
     manifest_path = data_io.write_synth_dataset(cfg.synth, args.out_dir)
-    counts = {}
-    for split, samples in data_io.synth_order_task(cfg.synth).items():
-        counts[split] = len(samples)
-    print(f"wrote {manifest_path} ({counts['train']} train / {counts['val']} val samples)")
+    classes = len(data_io.SYNTH_CLASSES)
+    print(f"wrote {manifest_path} ({classes * cfg.synth.samples_per_class} train / "
+          f"{classes * cfg.synth.val_count} val samples)")
     return 0
 
 
@@ -176,15 +169,10 @@ def cmd_train(args) -> int:
         raise ValueError("--out-dir is required")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest, train_split = _load_samples(args, "train")
-    val_split = data_io.load_split(manifest, "val")
+    manifest, train_split = _load_samples(args, cfg.shape.raw_dim, "train")
+    val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim)
     if not val_split:
         raise ValueError("validation split is empty")
-    if train_split[0].features.shape[1] != cfg.shape.raw_dim:
-        raise ValueError(
-            f"feature dim {train_split[0].features.shape[1]} does not match "
-            f"configured raw_dim {cfg.shape.raw_dim}"
-        )
     if len(manifest.classes) != cfg.shape.num_classes:
         raise ValueError(
             f"manifest has {len(manifest.classes)} classes, config says {cfg.shape.num_classes}"
@@ -206,7 +194,7 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "checkpoint.ckpt"
     data_io.save_checkpoint(ckpt_path, params, state, cfg.train)
     history_doc = {
-        "reports": [r.to_dict() for r in state.history],
+        "reports": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,
         "best_val_accuracy": state.best_val_accuracy,
     }
@@ -214,7 +202,7 @@ def cmd_train(args) -> int:
         out_dir / "history.json", json.dumps(history_doc, indent=2, sort_keys=True).encode()
     )
     data_io.atomic_write_bytes(
-        out_dir / "config.json", json.dumps(cfg.to_dict(), indent=2, sort_keys=True).encode()
+        out_dir / "config.json", json.dumps(asdict(cfg), indent=2, sort_keys=True).encode()
     )
     # Wall-clock data stays out of the deterministic artifacts.
     meta = {"elapsed_seconds": time.time() - started, "finished_unix": time.time()}
@@ -226,7 +214,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, _ = _load_model_for_inference(args)
-    _, samples = _load_samples(args)
+    _, samples = _load_samples(args, params.shape.raw_dim)
     loss, accuracy = trainer.evaluate(params, samples)
     print(f"split={args.split} samples={len(samples)} loss={loss!r} accuracy={accuracy!r}")
     return 0
@@ -234,7 +222,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params, _ = _load_model_for_inference(args)
-    _, samples = _load_samples(args)
+    _, samples = _load_samples(args, params.shape.raw_dim)
     lines = ["id,label,predicted," + ",".join(f"p_{c}" for c in range(params.shape.num_classes))]
     for sample in sorted(samples, key=lambda s: s.id):
         predicted, probs = predict_sample(params, sample.features)
@@ -272,7 +260,7 @@ def cmd_inspect_params(args) -> int:
 
 def cmd_export_responses(args) -> int:
     params, _ = _load_model_for_inference(args)
-    _, samples = _load_samples(args)
+    _, samples = _load_samples(args, params.shape.raw_dim)
     if not args.out:
         raise ValueError("--out is required")
     path = analysis.export_responses(params, samples, args.width, args.out)
@@ -282,7 +270,7 @@ def cmd_export_responses(args) -> int:
 
 def cmd_export_features(args) -> int:
     params, _ = _load_model_for_inference(args)
-    _, samples = _load_samples(args)
+    _, samples = _load_samples(args, params.shape.raw_dim)
     if not args.out:
         raise ValueError("--out is required")
     path = analysis.export_pooled_features(params, samples, args.out)
@@ -299,49 +287,48 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="din", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help_text):
+    def command(name, fn, help_text, configurable=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        _add_config_flags(p)
+        if configurable:
+            _add_config_flags(p)
         return p
 
-    p = command("synth", cmd_synth, "generate the synthetic temporal-order dataset")
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = command("train", cmd_train, "train a model on a manifest dataset")
-    p.add_argument("--manifest")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--resume", help="checkpoint to resume from")
-
-    for name, fn in (("eval", cmd_eval), ("predict", cmd_predict)):
-        p = command(name, fn, f"{name} a checkpoint on one split")
+    def checkpoint_command(name, fn, help_text):
+        p = command(name, fn, help_text)
         p.add_argument("--checkpoint")
         p.add_argument("--manifest")
         p.add_argument("--split", default="val", choices=data_io.SPLITS)
         p.add_argument("--use-best", dest="use_best", action="store_true",
                        help="use the best-validation snapshot instead of the final model")
-        if name == "predict":
-            p.add_argument("--out", help="write CSV here instead of stdout")
+        return p
 
-    p = command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting")
+    p = command("synth", cmd_synth, "generate the synthetic temporal-order dataset",
+                configurable=True)
+    p.add_argument("--out-dir", dest="out_dir")
+
+    p = command("train", cmd_train, "train a model on a manifest dataset",
+                configurable=True)
+    p.add_argument("--manifest")
+    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--resume", help="checkpoint to resume from")
+
+    checkpoint_command("eval", cmd_eval, "eval a checkpoint on one split")
+    p = checkpoint_command("predict", cmd_predict, "predict a checkpoint on one split")
+    p.add_argument("--out", help="write CSV here instead of stdout")
+
+    p = command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting",
+                configurable=True)
     p.add_argument("--reference",
                    help="JSON file of external model costs to echo alongside")
 
-    p = command("export-responses", cmd_export_responses,
-                "export per-window filter responses for one width")
-    p.add_argument("--checkpoint")
-    p.add_argument("--manifest")
-    p.add_argument("--split", default="val", choices=data_io.SPLITS)
+    p = checkpoint_command("export-responses", cmd_export_responses,
+                           "export per-window filter responses for one width")
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--use-best", dest="use_best", action="store_true")
     p.add_argument("--out")
 
-    p = command("export-features", cmd_export_features,
-                "export pooled feature vectors plus the mean-frame baseline")
-    p.add_argument("--checkpoint")
-    p.add_argument("--manifest")
-    p.add_argument("--split", default="val", choices=data_io.SPLITS)
-    p.add_argument("--use-best", dest="use_best", action="store_true")
+    p = checkpoint_command("export-features", cmd_export_features,
+                           "export pooled feature vectors plus the mean-frame baseline")
     p.add_argument("--out")
 
     command("selftest", cmd_selftest, "run the built-in oracle and gradient checks")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -169,7 +169,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise ManifestError(f"{path}: duplicate sample id {sid!r}")
         seen.add(sid)
         label = record.get("label")
-        if not isinstance(label, int) or not 0 <= label < len(classes):
+        if isinstance(label, bool) or not isinstance(label, int) or not 0 <= label < len(classes):
             raise ManifestError(f"{path}: sample {sid!r} label {label!r} outside [0, {len(classes)})")
         split = record.get("split")
         if split not in SPLITS:
@@ -181,14 +181,22 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     return DatasetManifest(list(classes), entries, root)
 
 
-def load_split(manifest: DatasetManifest, split: str) -> list[Sample]:
-    """Read every feature file of one split, in manifest order."""
+def load_split(manifest: DatasetManifest, split: str, raw_dim: int) -> list[Sample]:
+    """Read every feature file of one split, in manifest order; every
+    sample's feature dim must equal the model's raw_dim."""
     if split not in SPLITS:
         raise ManifestError(f"unknown split {split!r}")
-    return [
-        Sample(e.id, read_feature_file(manifest.root / e.feature_path).features, e.label)
-        for e in manifest.split(split)
-    ]
+    samples = []
+    for e in manifest.split(split):
+        path = manifest.root / e.feature_path
+        features = read_feature_file(path).features
+        if features.shape[1] != raw_dim:
+            raise ManifestError(
+                f"{path}: sample {e.id!r} has feature dim {features.shape[1]}, "
+                f"the model's raw_dim is {raw_dim}"
+            )
+        samples.append(Sample(e.id, features, e.label))
+    return samples
 
 
 @dataclass(frozen=True)
@@ -225,17 +233,6 @@ class SyntheticTaskConfig:
         if self.val_samples_per_class is not None:
             return self.val_samples_per_class
         return max(1, self.samples_per_class // 2)
-
-    def to_dict(self) -> dict:
-        return {
-            "num_prototypes": self.num_prototypes,
-            "feature_dim": self.feature_dim,
-            "noise_sigma": self.noise_sigma,
-            "sequence_length": self.sequence_length,
-            "samples_per_class": self.samples_per_class,
-            "val_samples_per_class": self.val_samples_per_class,
-            "seed": self.seed,
-        }
 
 
 SYNTH_CLASSES = ["ascending", "descending"]
@@ -306,15 +303,15 @@ def save_checkpoint(
     """Serialize model, optimizer and training bookkeeping, atomically."""
     opt = state.optimizer
     meta = {
-        "config": config.to_dict(),
-        "shape": model.shape.to_dict(),
+        "config": asdict(config),
+        "shape": asdict(model.shape),
         "optimizer": {
             "current_lr": opt.current_lr,
             "best_val_error": opt.best_val_error,
             "epochs_since_improvement": opt.epochs_since_improvement,
             "epochs_completed": opt.epochs_completed,
         },
-        "history": [r.to_dict() for r in state.history],
+        "history": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,
         "best_val_accuracy": state.best_val_accuracy,
         "has_best": state.best_params is not None,
@@ -403,9 +400,14 @@ def load_checkpoint(
         raise FormatError(f"{path}: invalid meta block: {exc}") from exc
     if expect_shape is not None and shape != expect_shape:
         raise FormatError(
-            f"{path}: checkpoint shape {shape.to_dict()} does not match expected {expect_shape.to_dict()}"
+            f"{path}: checkpoint shape {shape} does not match expected {expect_shape}"
         )
     expected_shapes = parameter_shapes(shape)
+    prefixes = ("param", "velocity", "best") if meta.get("has_best") else ("param", "velocity")
+    known = {f"{prefix}/{name}" for prefix in prefixes for name in expected_shapes}
+    for key in tensors:
+        if key not in known:
+            raise FormatError(f"{path}: unexpected tensor {key!r}")
 
     def take(prefix: str) -> dict[str, Array]:
         group = {}

@@ -120,44 +120,24 @@ def sample_segments(
     return indices
 
 
-def reduce_frame(raw: Array, layer: ReductionLayer) -> Array:
-    """Linear reduction of one raw frame vector: raw @ W + b."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (layer.raw_dim,):
-        raise ValueError(f"expected raw vector of length {layer.raw_dim}")
-    return raw @ layer.weights + layer.bias
-
-
-def reduce_backward(
-    raw: Array, layer: ReductionLayer, grad_out: Array
-) -> tuple[Array, Array, Array]:
-    """Gradients of the linear reduction for one frame.
-
-    Returns (grad_weights, grad_bias, grad_raw) for upstream gradient
-    grad_out on the reduced vector.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if raw.shape != (layer.raw_dim,) or grad_out.shape != (layer.feat_dim,):
-        raise ValueError("reduce_backward shape mismatch")
-    grad_weights = np.outer(raw, grad_out)
-    grad_bias = grad_out.copy()
-    grad_raw = layer.weights @ grad_out
-    return grad_weights, grad_bias, grad_raw
-
-
 def encode(
-    seq: FrameFeatureSequence,
+    features: Array,
     layer: ReductionLayer,
     n: int,
     mode: SamplingMode,
     rng: np.random.Generator | None = None,
-) -> DenseImage:
-    """Sample n frames, reduce each one, stack rows in temporal order."""
+) -> tuple[Array, DenseImage]:
+    """Sample n frames, reduce each one, stack rows in temporal order.
+
+    The single sample-gather-reduce path of the package. Returns the n x D
+    raw rows that were sampled (the reduction backward needs them) and
+    the n x k DenseImage.
+    """
+    seq = FrameFeatureSequence(np.asarray(features, dtype=np.float64))
     if seq.dim != layer.raw_dim:
         raise ValueError(
             f"sequence dim {seq.dim} does not match reduction input {layer.raw_dim}"
         )
     indices = sample_segments(seq.num_frames, n, mode, rng)
     rows = seq.features[indices]
-    return DenseImage(rows @ layer.weights + layer.bias)
+    return rows, DenseImage(rows @ layer.weights + layer.bias)

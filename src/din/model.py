@@ -43,16 +43,6 @@ class ModelShapeSpec:
         if any(not 2 <= h <= self.num_frames for h in self.widths):
             raise ValueError("every width must satisfy 2 <= h <= num_frames")
 
-    def to_dict(self) -> dict:
-        return {
-            "raw_dim": self.raw_dim,
-            "feat_dim": self.feat_dim,
-            "num_frames": self.num_frames,
-            "widths": list(self.widths),
-            "num_filters": self.num_filters,
-            "num_classes": self.num_classes,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelShapeSpec":
         return cls(
@@ -172,13 +162,9 @@ def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:
 class SampleCache:
     """Forward-pass intermediates for one sample, consumed by backward."""
 
-    indices: Array  # n sampled frame indices
     raw_rows: Array  # n x D raw features of the sampled frames
-    dense: di.DenseImage
     ms_cache: tc.MultiscaleCache
-    pooled: dict[int, tc.PooledScaleFeature]
     masks: dict[int, DropoutMask] | None
-    scores: clf.ClassScores
 
 
 def forward_sample(
@@ -189,19 +175,16 @@ def forward_sample(
     masks: dict[int, DropoutMask] | None = None,
 ) -> tuple[clf.ClassScores, SampleCache]:
     """Run one raw feature sequence through the whole model."""
-    seq = di.FrameFeatureSequence(np.asarray(features, dtype=np.float64))
-    indices = di.sample_segments(seq.num_frames, params.shape.num_frames, mode, rng)
-    raw_rows = seq.features[indices]
-    dense = di.DenseImage(raw_rows @ params.reduction.weights + params.reduction.bias)
+    raw_rows, dense = di.encode(
+        features, params.reduction, params.shape.num_frames, mode, rng
+    )
     pooled, ms_cache = tc.multiscale_forward(dense, params.bank)
     per_scale = {
         h: clf.head_forward(pooled[h].values, params.heads[h],
                             masks.get(h) if masks else None)
         for h in params.shape.widths
     }
-    scores = clf.fuse_and_score(per_scale)
-    cache = SampleCache(indices, raw_rows, dense, ms_cache, pooled, masks, scores)
-    return scores, cache
+    return clf.fuse_and_score(per_scale), SampleCache(raw_rows, ms_cache, masks)
 
 
 def backward_sample(
@@ -209,7 +192,7 @@ def backward_sample(
 ) -> dict[str, Array]:
     """Gradients of a scalar loss wrt every named parameter, given the
     loss gradient on the fused logits."""
-    pooled_values = {h: p.values for h, p in cache.pooled.items()}
+    pooled_values = {h: p.values for h, p in cache.ms_cache.pooled.items()}
     head_grads, grad_c = clf.classifier_backward(
         pooled_values, params.heads, cache.masks, grad_fused
     )

@@ -27,11 +27,6 @@ def make_rng(seed: int, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *keys])))
 
 
-def relu(x: Array) -> Array:
-    """Elementwise max(0, x)."""
-    return np.maximum(x, 0.0)
-
-
 def softmax(logits: Array) -> Array:
     """Stable softmax of a 1-D logit vector (max-subtraction)."""
     logits = np.asarray(logits, dtype=np.float64)

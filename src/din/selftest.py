@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis
-from .denseimage import DenseImage, SamplingMode, sample_segments
+from .denseimage import DenseImage, SamplingMode, encode, sample_segments
 from .model import (
     ModelParams,
     ModelShapeSpec,
@@ -44,6 +44,24 @@ def naive_scale_responses(X: np.ndarray, W_h: np.ndarray, b_h: np.ndarray) -> np
     return out
 
 
+def kink_free(X: np.ndarray, bank: TemporalFilterBank) -> bool:
+    """False when a pre-activation of X (n x k) lies within 1e-3 of the
+    rectifier kink or two top window responses of a channel lie within
+    1e-3 of a pool tie; finite differences are only valid away from both."""
+    n = X.shape[0]
+    for h in bank.widths:
+        windows = np.stack([X[i : i + h].ravel() for i in range(n - h + 1)])
+        pre = bank.weights[h] @ windows.T + bank.biases[h][:, None]
+        if np.abs(pre).min() < 1e-3:
+            return False
+        post = np.maximum(pre, 0.0)
+        if post.shape[1] >= 2:
+            top2 = np.sort(post, axis=1)[:, -2:]
+            if (top2[:, 1] - top2[:, 0]).min() < 1e-3:
+                return False
+    return True
+
+
 def _random_bank(rng, widths, M, k) -> TemporalFilterBank:
     return TemporalFilterBank(
         {h: rng.normal(size=(M, h * k)) for h in widths},
@@ -70,26 +88,6 @@ def _check_conv_oracle() -> None:
                 raise AssertionError(f"pool mismatch at h={h}")
 
 
-def _pre_activations(X, bank, h):
-    n, k = X.shape
-    windows = np.stack([X[i : i + h].ravel() for i in range(n - h + 1)])
-    return bank.weights[h] @ windows.T + bank.biases[h][:, None]
-
-
-def _kink_free(X, bank) -> bool:
-    """Reject configurations too close to a rectifier kink or a pool tie."""
-    for h in bank.widths:
-        pre = _pre_activations(X, bank, h)
-        if np.abs(pre).min() < 1e-3:
-            return False
-        post = np.maximum(pre, 0.0)
-        if post.shape[1] >= 2:
-            top2 = np.sort(post, axis=1)[:, -2:]
-            if (top2[:, 1] - top2[:, 0]).min() < 1e-3:
-                return False
-    return True
-
-
 def _check_multiscale_gradients() -> None:
     rng = make_rng(12)
     eps = 1e-4
@@ -99,7 +97,7 @@ def _check_multiscale_gradients() -> None:
         widths = (2, 3)
         bank = _random_bank(rng, widths, M, k)
         X = rng.normal(size=(n, k))
-        if not _kink_free(X, bank):
+        if not kink_free(X, bank):
             continue
         done += 1
         grad_up = {h: rng.normal(size=M) for h in widths}
@@ -138,19 +136,15 @@ def _tiny_model(rng) -> tuple[ModelParams, np.ndarray, int]:
     return params, features, label
 
 
-def _model_kink_free(params: ModelParams, features) -> bool:
-    rows = features  # T == n, center sampling is the identity
-    X = rows @ params.reduction.weights + params.reduction.bias
-    return _kink_free(X, params.bank)
-
-
 def _check_end_to_end_gradients() -> None:
     rng = make_rng(13)
     eps = 1e-4
     done = 0
     while done < 5:
         params, features, label = _tiny_model(rng)
-        if not _model_kink_free(params, features):
+        _, dense = encode(features, params.reduction, params.shape.num_frames,
+                          SamplingMode.EVAL_CENTER)
+        if not kink_free(dense.values, params.bank):
             continue
         done += 1
         loss, grads = sample_loss_and_grads(params, features, label)

@@ -89,8 +89,8 @@ def _window_matrix(X: Array, h: int) -> Array:
     return sliding_window_view(X, (h, k))[:, 0].reshape(n - h + 1, h * k)
 
 
-def conv_scale_forward(X: DenseImage, W_h: Array, b_h: Array) -> ScaleFeatureMap:
-    """Rectified width-h responses at every window position (stride 1, no padding)."""
+def _conv_windows(X: DenseImage, W_h: Array, b_h: Array) -> tuple[Array, ScaleFeatureMap]:
+    """The window matrix of X for W_h's width and the rectified responses over it."""
     n, k = X.values.shape
     if W_h.shape[1] % k != 0:
         raise ValueError("filter length must be a multiple of the feature dim")
@@ -101,7 +101,12 @@ def conv_scale_forward(X: DenseImage, W_h: Array, b_h: Array) -> ScaleFeatureMap
         raise ValueError("bias length must equal the channel count")
     windows = _window_matrix(X.values, h)
     pre = W_h @ windows.T + b_h[:, None]
-    return ScaleFeatureMap(h, np.maximum(pre, 0.0))
+    return windows, ScaleFeatureMap(h, np.maximum(pre, 0.0))
+
+
+def conv_scale_forward(X: DenseImage, W_h: Array, b_h: Array) -> ScaleFeatureMap:
+    """Rectified width-h responses at every window position (stride 1, no padding)."""
+    return _conv_windows(X, W_h, b_h)[1]
 
 
 def temporal_max_pool(fmap: ScaleFeatureMap) -> PooledScaleFeature:
@@ -138,10 +143,8 @@ def multiscale_forward(
     fmaps = {}
     pooled = {}
     for h in bank.widths:
-        fmap = conv_scale_forward(X, bank.weights[h], bank.biases[h])
-        windows[h] = _window_matrix(X.values, h)
-        fmaps[h] = fmap
-        pooled[h] = temporal_max_pool(fmap)
+        windows[h], fmaps[h] = _conv_windows(X, bank.weights[h], bank.biases[h])
+        pooled[h] = temporal_max_pool(fmaps[h])
     return pooled, MultiscaleCache(bank, X.values, windows, fmaps, pooled)
 
 
@@ -196,23 +199,15 @@ class ResponseProfile:
         return self.argmax_window, self.argmax_window + self.width - 1
 
 
-def response_profile(
-    X: DenseImage,
-    bank: TemporalFilterBank,
-    h: int,
-    channel: int | None = None,
-) -> ResponseProfile:
-    """Row m of the width-h feature map, or the channel mean when channel is None.
+def response_profile(fmap: ScaleFeatureMap, channel: int | None = None) -> ResponseProfile:
+    """Row m of a width-h feature map, or the channel mean when channel is None.
 
     Window i of the profile covers sampled frames i .. i+h-1.
     """
-    if h not in bank.weights:
-        raise ValueError(f"width {h} not in the filter bank")
-    fmap = conv_scale_forward(X, bank.weights[h], bank.biases[h])
     if channel is None:
         intensities = fmap.values.mean(axis=0)
     else:
-        if not 0 <= channel < bank.channels:
+        if not 0 <= channel < fmap.values.shape[0]:
             raise ValueError(f"channel {channel} out of range")
         intensities = fmap.values[channel].copy()
-    return ResponseProfile(h, intensities, int(np.argmax(intensities)))
+    return ResponseProfile(fmap.width, intensities, int(np.argmax(intensities)))

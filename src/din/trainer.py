@@ -15,7 +15,7 @@ that a dataset actually requires temporal-order modeling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -67,22 +67,9 @@ class TrainConfig:
         if self.plateau_patience < 1 or self.max_epochs < 0:
             raise ValueError("plateau_patience >= 1 and max_epochs >= 0 required")
 
-    def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "initial_lr": self.initial_lr,
-            "lr_decay_factor": self.lr_decay_factor,
-            "plateau_patience": self.plateau_patience,
-            "max_epochs": self.max_epochs,
-            "dropout_keep": self.dropout_keep,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**{k: d[k] for k in cls().to_dict()})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -118,15 +105,6 @@ class EpochReport:
     val_loss: float
     val_accuracy: float
     current_lr: float
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-            "current_lr": self.current_lr,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpochReport":

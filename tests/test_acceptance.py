@@ -17,9 +17,10 @@ from din.data_io import (
     save_checkpoint,
     synth_order_task,
 )
-from din.denseimage import DenseImage
+from din.denseimage import DenseImage, SamplingMode, encode
 from din.model import ModelShapeSpec, init_model, named_parameters, sample_loss_and_grads
 from din.numerics import make_rng, softmax
+from din.selftest import kink_free, naive_scale_responses
 from din.temporal_conv import TemporalFilterBank, conv_scale_forward, multiscale_forward
 from din.trainer import TrainConfig, TrainState, fit, init_rng, train_baseline
 
@@ -42,21 +43,6 @@ def criterion(number, name):
     return wrap
 
 
-def kink_free(params, features):
-    X = features @ params.reduction.weights + params.reduction.bias
-    n = X.shape[0]
-    for h in params.shape.widths:
-        windows = np.stack([X[i : i + h].ravel() for i in range(n - h + 1)])
-        pre = params.bank.weights[h] @ windows.T + params.bank.biases[h][:, None]
-        if np.abs(pre).min() < 1e-3:
-            return False
-        post = np.maximum(pre, 0.0)
-        top2 = np.sort(post, axis=1)[:, -2:]
-        if (top2[:, 1] - top2[:, 0]).min() < 1e-3:
-            return False
-    return True
-
-
 @criterion(1, "end-to-end gradients match finite differences (rel err 1e-5)")
 def test_gradient_correctness():
     shape = ModelShapeSpec(
@@ -70,7 +56,8 @@ def test_gradient_correctness():
         params = init_model(shape, rng)
         features = rng.uniform(-1.0, 1.0, size=(shape.num_frames, shape.raw_dim))
         label = int(rng.integers(shape.num_classes))
-        if not kink_free(params, features):
+        _, dense = encode(features, params.reduction, shape.num_frames, SamplingMode.EVAL_CENTER)
+        if not kink_free(dense.values, params.bank):
             continue
         accepted += 1
         _, grads = sample_loss_and_grads(params, features, label)
@@ -90,20 +77,6 @@ def test_gradient_correctness():
 
 @criterion(2, "multiscale forward equals the brute-force oracle (1e-12)")
 def test_convolution_oracle():
-    def naive(X, W_h, b_h):
-        n, k = X.shape
-        M = W_h.shape[0]
-        h = W_h.shape[1] // k
-        out = np.zeros((M, n - h + 1))
-        for m in range(M):
-            for i in range(n - h + 1):
-                acc = b_h[m]
-                for a in range(h):
-                    for b in range(k):
-                        acc += W_h[m, a * k + b] * X[i + a, b]
-                out[m, i] = max(acc, 0.0)
-        return out
-
     rng = make_rng(102)
     started = time.perf_counter()
     for _ in range(100):
@@ -118,7 +91,7 @@ def test_convolution_oracle():
         X = DenseImage(rng.normal(size=(n, k)))
         pooled, cache = multiscale_forward(X, bank)
         for h in widths:
-            want = naive(X.values, bank.weights[h], bank.biases[h])
+            want = naive_scale_responses(X.values, bank.weights[h], bank.biases[h])
             assert np.abs(cache.fmaps[h].values - want).max() <= 1e-12
             assert np.abs(pooled[h].values - want.max(axis=1)).max() <= 1e-12
     elapsed = time.perf_counter() - started

@@ -9,10 +9,10 @@ from din.analysis import (
     export_responses,
 )
 from din.data_io import Sample, save_checkpoint, read_checkpoint_tensors
-from din.denseimage import FrameFeatureSequence, SamplingMode, encode
+from din.denseimage import SamplingMode, encode
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
-from din.temporal_conv import multiscale_forward, response_profile
+from din.temporal_conv import conv_scale_forward, multiscale_forward, response_profile
 from din.trainer import TrainConfig, TrainState
 
 from conftest import TINY_SHAPE
@@ -139,11 +139,12 @@ class TestExports:
         rows = out.read_text().strip().splitlines()[1:]
         for row, sample in zip(rows, sorted(samples, key=lambda s: s.id)):
             cells = row.split(",")
-            dense = encode(
-                FrameFeatureSequence(sample.features), tiny_params.reduction,
+            _, dense = encode(
+                sample.features, tiny_params.reduction,
                 tiny_params.shape.num_frames, SamplingMode.EVAL_CENTER,
             )
-            profile = response_profile(dense, tiny_params.bank, 2)
+            bank = tiny_params.bank
+            profile = response_profile(conv_scale_forward(dense, bank.weights[2], bank.biases[2]))
             assert int(cells[-3]) == profile.argmax_window
             assert int(cells[-3]) == int(np.argmax(profile.intensities))
             assert (int(cells[-2]), int(cells[-1])) == profile.frame_range
@@ -193,9 +194,8 @@ class TestExports:
         shape = tiny_params.shape
         for row, sample in zip(rows, sorted(samples, key=lambda s: s.id)):
             cells = row.split(",")
-            dense = encode(
-                FrameFeatureSequence(sample.features), tiny_params.reduction,
-                shape.num_frames, SamplingMode.EVAL_CENTER,
+            _, dense = encode(
+                sample.features, tiny_params.reduction, shape.num_frames, SamplingMode.EVAL_CENTER
             )
             got = np.array([float(v) for v in cells[-shape.feat_dim:]])
             assert np.array_equal(got, dense.values.mean(axis=0))

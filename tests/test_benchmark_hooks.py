@@ -1,0 +1,45 @@
+"""Every din function the benchmark harness hooks or imports still exists.
+
+perfbench/child.py wraps the functions named in its BOUNDARIES tuple by
+their defining module, and perfbench/run.py imports a few more for its
+reference checks and reads the spans of others. A rename must fail here,
+not inside a benchmark run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+# Imported by perfbench/run.py, or read from its traces by name.
+HARNESS_NAMES = (
+    "selftest.naive_scale_responses",
+    "data_io.read_checkpoint_tensors",
+    "analysis.estimate_flops",
+    "model.ModelShapeSpec",
+    "temporal_conv.multiscale_forward",
+    "model.forward_sample",
+    "denseimage.sample_segments",
+    "numerics.cross_entropy_from_logits",
+    "data_io.read_feature_file",
+    "data_io.save_checkpoint",
+    "data_io.load_checkpoint",
+)
+
+
+def boundaries():
+    for node in ast.parse(CHILD.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BOUNDARIES":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no BOUNDARIES in {CHILD}")
+
+
+@pytest.mark.parametrize("name", sorted(set(boundaries()) | set(HARNESS_NAMES)))
+def test_name_resolves_in_its_defining_module(name):
+    module_name, function_name = name.split(".")
+    fn = getattr(importlib.import_module(f"din.{module_name}"), function_name)
+    assert callable(fn)
+    assert fn.__module__ == f"din.{module_name}"

@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from din.cli import main
+from din.data_io import write_feature_file
 
 
 def base_config(tmp_path, **train_overrides):
@@ -47,6 +51,14 @@ def synth_and_train(tmp_path, capsys, extra_train_args=()):
     assert rc == 0
     capsys.readouterr()
     return cfg, data_dir, run_dir
+
+
+def widen_first_sample(data_dir, split):
+    """Rewrite the first sample of `split` with one feature column too many."""
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    record = next(r for r in manifest["samples"] if r["split"] == split)
+    write_feature_file(data_dir / record["feature_path"], np.ones((8, 7)))
+    return record["id"], record["feature_path"]
 
 
 class TestSelftest:
@@ -153,6 +165,23 @@ class TestTrain:
         assert "raw_dim" in capsys.readouterr().err
 
 
+    def test_wrong_dim_val_sample_fails_before_training(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        run_dir = tmp_path / "run"
+        main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)])
+        sample_id, feature_path = widen_first_sample(data_dir, "val")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg),
+                   "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(run_dir)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert repr(sample_id) in captured.err and feature_path in captured.err
+        assert "epoch" not in captured.out
+        assert not (run_dir / "checkpoint.ckpt").exists()
+
+
 class TestEvalPredict:
     def test_eval_on_best_reproduces_logged_accuracy(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
@@ -178,6 +207,15 @@ class TestEvalPredict:
         for row in lines[1:]:
             cells = row.split(",")
             assert abs(float(cells[3]) + float(cells[4]) - 1.0) < 1e-9
+
+    def test_wrong_dim_sample_is_validation_error(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        sample_id, feature_path = widen_first_sample(data_dir, "val")
+        rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                   "--manifest", str(data_dir / "manifest.json"), "--split", "val"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert repr(sample_id) in err and feature_path in err and "raw_dim" in err
 
     def test_missing_checkpoint_is_validation_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -249,6 +287,17 @@ class TestUsageAndConfig:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["selftest", "--bogus"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--initial-lr", "1", "--checkpoint", "c.ckpt", "--manifest", "m.json"],
+        ["predict", "--widths", "7", "--checkpoint", "c.ckpt", "--manifest", "m.json"],
+        ["export-features", "--synth-seed", "1", "--checkpoint", "c.ckpt"],
+        ["export-responses", "--raw-dim", "3", "--width", "2"],
+        ["selftest", "--config", "x.json"],
+    ])
+    def test_config_flags_only_where_they_apply(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

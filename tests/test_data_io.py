@@ -148,7 +148,7 @@ class TestManifest:
         )
         manifest = load_manifest(path)
         assert [e.id for e in manifest.entries] == ["s2", "s0", "s1"]
-        train = load_split(manifest, "train")
+        train = load_split(manifest, "train", 2)
         assert [s.id for s in train] == ["s2", "s0"]
         assert [s.label for s in train] == [0, 1]
 
@@ -167,6 +167,14 @@ class TestManifest:
         doc["samples"][0]["label"] = 5
         path.write_text(json.dumps(doc))
         with pytest.raises(ManifestError, match="good"):
+            load_manifest(path)
+
+    def test_bool_label_cites_sample(self, tmp_path):
+        path = write_dataset(tmp_path, [("flag", 0, "train")])
+        doc = json.loads(path.read_text())
+        doc["samples"][0]["label"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="flag"):
             load_manifest(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -294,7 +302,7 @@ class TestSynthTask:
         manifest_path = write_synth_dataset(cfg, tmp_path)
         manifest = load_manifest(manifest_path)
         assert manifest.classes == ["ascending", "descending"]
-        train = load_split(manifest, "train")
+        train = load_split(manifest, "train", 8)
         assert len(train) == 6
         in_memory = synth_order_task(cfg)["train"]
         by_id = {s.id: s for s in in_memory}
@@ -316,6 +324,17 @@ def small_training_setup(seed=21):
                       dropout_keep=0.8, seed=seed)
     params = init_model(TINY_SHAPE, init_rng(cfg.seed))
     return splits, cfg, params
+
+
+def append_tensor(blob, name, arr):
+    """Checkpoint bytes with one more tensor at the end of the directory."""
+    (meta_len,) = struct.unpack_from("<I", blob, 6)
+    at = 10 + meta_len
+    (count,) = struct.unpack_from("<I", blob, at)
+    encoded = name.encode()
+    extra = (struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", arr.ndim)
+             + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes())
+    return blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + extra
 
 
 class TestCheckpoints:
@@ -369,6 +388,22 @@ class TestCheckpoints:
         (tmp_path / "trail.ckpt").write_bytes(blob + b"\x01")
         with pytest.raises(FormatError):
             load_checkpoint(tmp_path / "trail.ckpt")
+
+    def test_unknown_tensors_rejected(self, tmp_path):
+        splits, cfg, params = small_training_setup()
+        with_best = TrainState.fresh(params, cfg)
+        without_best = TrainState(with_best.optimizer)
+        cases = (
+            (with_best, "param/bogus"),
+            (with_best, "stray/reduction/bias"),
+            (without_best, "best/reduction/bias"),
+        )
+        for state, name in cases:
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(path, params, state, cfg)
+            path.write_bytes(append_tensor(path.read_bytes(), name, np.zeros(3)))
+            with pytest.raises(FormatError, match=name):
+                load_checkpoint(path)
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         splits, cfg, params_a = small_training_setup(seed=22)

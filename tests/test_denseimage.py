@@ -12,13 +12,10 @@ from din.denseimage import (
     SamplingMode,
     encode,
     init_reduction_layer,
-    reduce_backward,
-    reduce_frame,
     sample_segments,
 )
 from din.numerics import make_rng
 
-from conftest import central_diff, rel_err
 
 
 def segment_bounds(T, n, s):
@@ -84,6 +81,17 @@ def identity_reduction(dim):
     return ReductionLayer(np.eye(dim), np.zeros(dim))
 
 
+def reduce_frame(raw, layer):
+    """The reduced row of one raw frame, taken through encode."""
+    _, dense = encode(raw[None, :], layer, 1, SamplingMode.EVAL_CENTER)
+    return dense.values[0]
+
+
+def eval_encode(frames, layer, n):
+    _, dense = encode(frames, layer, n, SamplingMode.EVAL_CENTER)
+    return dense.values
+
+
 class TestReduceFrame:
     def test_zero_weights_give_bias(self):
         layer = ReductionLayer(np.zeros((3, 2)), np.array([4.0, -1.0]))
@@ -112,91 +120,68 @@ class TestReduceFrame:
             ReductionLayer(np.zeros((2, 3)), np.zeros(3))
 
 
-class TestReduceBackward:
-    def test_zero_upstream(self):
-        layer = ReductionLayer(np.ones((3, 2)), np.zeros(2))
-        gw, gb, gr = reduce_backward(np.ones(3), layer, np.zeros(2))
-        assert not gw.any() and not gb.any() and not gr.any()
-
-    def test_hand_outer_product(self):
-        layer = ReductionLayer(np.array([[2.0], [5.0]]), np.zeros(1))
-        gw, gb, gr = reduce_backward(np.array([3.0, 4.0]), layer, np.array([1.0]))
-        assert np.array_equal(gw, [[3.0], [4.0]])
-        assert np.array_equal(gb, [1.0])
-        assert np.array_equal(gr, [2.0, 5.0])
-
-    def test_matches_finite_differences_on_scalar_probe(self):
-        rng = make_rng(12)
-        eps = 1e-5
-        layer = ReductionLayer(rng.normal(size=(4, 3)), rng.normal(size=3))
-        raw = rng.normal(size=4)
-        probe = rng.normal(size=3)  # scalar objective: probe . reduce_frame(raw)
-
-        def objective():
-            return float(probe @ reduce_frame(raw, layer))
-
-        gw, gb, gr = reduce_backward(raw, layer, probe)
-        for idx in np.ndindex(layer.weights.shape):
-            assert rel_err(central_diff(objective, layer.weights, idx, eps), gw[idx]) < 1e-6
-        for j in range(3):
-            assert rel_err(central_diff(objective, layer.bias, (j,), eps), gb[j]) < 1e-6
-        for i in range(4):
-            assert rel_err(central_diff(objective, raw, (i,), eps), gr[i]) < 1e-6
-
-
 class TestEncode:
     def test_identity_reduction_passthrough(self):
-        seq = FrameFeatureSequence(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = encode(seq, identity_reduction(2), 2, SamplingMode.EVAL_CENTER)
-        assert np.array_equal(out.values, [[1.0, 2.0], [3.0, 4.0]])
+        frames = np.array([[1.0, 2.0], [3.0, 4.0]])
+        rows, dense = encode(frames, identity_reduction(2), 2, SamplingMode.EVAL_CENTER)
+        assert np.array_equal(dense.values, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(rows, frames)
+
+    def test_returns_the_sampled_raw_rows(self):
+        rng = make_rng(18)
+        frames = rng.normal(size=(16, 4))
+        layer = init_reduction_layer(make_rng(19), 4, 3)
+        rows, dense = encode(frames, layer, 8, SamplingMode.EVAL_CENTER)
+        assert np.array_equal(rows, frames[::2])
+        assert np.array_equal(dense.values, rows @ layer.weights + layer.bias)
 
     def test_reversing_frames_reverses_rows(self):
         rng = make_rng(13)
         frames = rng.normal(size=(6, 4))
         layer = identity_reduction(4)
-        fwd = encode(FrameFeatureSequence(frames), layer, 6, SamplingMode.EVAL_CENTER)
-        rev = encode(FrameFeatureSequence(frames[::-1].copy()), layer, 6, SamplingMode.EVAL_CENTER)
-        assert np.array_equal(rev.values, fwd.values[::-1])
+        fwd = eval_encode(frames, layer, 6)
+        rev = eval_encode(frames[::-1].copy(), layer, 6)
+        assert np.array_equal(rev, fwd[::-1])
 
     def test_permutation_equivariance(self):
         rng = make_rng(14)
         frames = rng.normal(size=(7, 3))
         layer = identity_reduction(3)
-        base = encode(FrameFeatureSequence(frames), layer, 7, SamplingMode.EVAL_CENTER).values
+        base = eval_encode(frames, layer, 7)
         for _ in range(10):
             perm = rng.permutation(7)
-            shuffled = encode(
-                FrameFeatureSequence(frames[perm].copy()), layer, 7, SamplingMode.EVAL_CENTER
-            ).values
+            shuffled = eval_encode(frames[perm].copy(), layer, 7)
             assert np.array_equal(shuffled, base[perm])
 
     def test_standard_configuration_shape(self):
         rng = make_rng(15)
-        seq = FrameFeatureSequence(rng.normal(size=(20, 1024)))
+        frames = rng.normal(size=(20, 1024))
         layer = init_reduction_layer(make_rng(16), 1024, 256)
-        out = encode(seq, layer, 8, SamplingMode.EVAL_CENTER)
-        assert out.values.shape == (8, 256)
+        rows, dense = encode(frames, layer, 8, SamplingMode.EVAL_CENTER)
+        assert rows.shape == (8, 1024)
+        assert dense.values.shape == (8, 256)
 
     def test_rows_never_mix_frames(self):
         rng = make_rng(17)
         frames = rng.normal(size=(5, 3))
         layer = identity_reduction(3)
-        base = encode(FrameFeatureSequence(frames), layer, 5, SamplingMode.EVAL_CENTER).values
+        base = eval_encode(frames, layer, 5)
         for t in range(5):
             bumped = frames.copy()
             bumped[t, 1] += 1.0
-            out = encode(FrameFeatureSequence(bumped), layer, 5, SamplingMode.EVAL_CENTER).values
+            out = eval_encode(bumped, layer, 5)
             changed = [i for i in range(5) if not np.array_equal(out[i], base[i])]
             assert changed == [t]
 
     def test_dim_mismatch_rejected(self):
-        seq = FrameFeatureSequence(np.ones((4, 3)))
         with pytest.raises(ValueError):
-            encode(seq, identity_reduction(2), 2, SamplingMode.EVAL_CENTER)
+            encode(np.ones((4, 3)), identity_reduction(2), 2, SamplingMode.EVAL_CENTER)
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(ValueError):
             FrameFeatureSequence(np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError):
+            encode(np.array([[np.nan, 1.0]]), identity_reduction(2), 1, SamplingMode.EVAL_CENTER)
 
 
 class TestDenseImage:

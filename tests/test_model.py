@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from din.denseimage import SamplingMode
+from din.denseimage import SamplingMode, encode
 from din.model import (
     ModelShapeSpec,
     backward_sample,
@@ -15,6 +17,7 @@ from din.model import (
     sample_loss_and_grads,
 )
 from din.numerics import cross_entropy_from_logits, make_rng
+from din.selftest import kink_free
 
 from conftest import TINY_SHAPE, rel_err
 
@@ -31,7 +34,7 @@ class TestShapeSpec:
             ModelShapeSpec(2, 3, 5, (2,), 4, 2)  # widening reduction
 
     def test_dict_round_trip(self):
-        assert ModelShapeSpec.from_dict(TINY_SHAPE.to_dict()) == TINY_SHAPE
+        assert ModelShapeSpec.from_dict(dataclasses.asdict(TINY_SHAPE)) == TINY_SHAPE
 
 
 class TestParams:
@@ -91,21 +94,6 @@ class TestForward:
             )
 
 
-def kink_free(params, features):
-    X = features @ params.reduction.weights + params.reduction.bias
-    for h in params.shape.widths:
-        n, k = X.shape
-        windows = np.stack([X[i : i + h].ravel() for i in range(n - h + 1)])
-        pre = params.bank.weights[h] @ windows.T + params.bank.biases[h][:, None]
-        if np.abs(pre).min() < 1e-3:
-            return False
-        post = np.maximum(pre, 0.0)
-        top2 = np.sort(post, axis=1)[:, -2:]
-        if (top2[:, 1] - top2[:, 0]).min() < 1e-3:
-            return False
-    return True
-
-
 class TestEndToEndGradients:
     def test_full_chain_matches_finite_differences(self):
         # Loss through encode -> temporal conv -> heads -> cross-entropy,
@@ -117,7 +105,9 @@ class TestEndToEndGradients:
             params = init_model(TINY_SHAPE, rng)
             features = rng.uniform(-1.0, 1.0, size=(TINY_SHAPE.num_frames, TINY_SHAPE.raw_dim))
             label = int(rng.integers(TINY_SHAPE.num_classes))
-            if not kink_free(params, features):
+            _, dense = encode(features, params.reduction, TINY_SHAPE.num_frames,
+                              SamplingMode.EVAL_CENTER)
+            if not kink_free(dense.values, params.bank):
                 continue
             accepted += 1
             loss, grads = sample_loss_and_grads(params, features, label)

@@ -7,7 +7,6 @@ from din.numerics import (
     cross_entropy_from_logits,
     glorot_uniform,
     make_rng,
-    relu,
     sample_dropout_mask,
     softmax,
 )
@@ -29,19 +28,6 @@ class TestRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             make_rng(-1)
-
-
-class TestRelu:
-    def test_examples(self):
-        got = relu(np.array([[-1.0, 0.0], [2.0, -3.0]]))
-        assert np.array_equal(got, [[0.0, 0.0], [2.0, 0.0]])
-        assert np.array_equal(relu(np.zeros((3, 3))), np.zeros((3, 3)))
-        assert np.array_equal(relu(np.array([[0.5]])), [[0.5]])
-
-    def test_idempotent(self):
-        x = make_rng(0).normal(size=(17, 9))
-        once = relu(x)
-        assert np.array_equal(relu(once), once)
 
 
 class TestSoftmax:

@@ -3,6 +3,7 @@ import pytest
 
 from din.denseimage import DenseImage
 from din.numerics import make_rng
+from din.selftest import kink_free, naive_scale_responses
 from din.temporal_conv import (
     ScaleFeatureMap,
     TemporalFilterBank,
@@ -17,34 +18,11 @@ from din.temporal_conv import (
 from conftest import rel_err
 
 
-def naive_feature_map(X, W_h, b_h):
-    """Brute-force oracle: explicit loops over channels, windows and taps."""
-    n, k = X.shape
-    M = W_h.shape[0]
-    h = W_h.shape[1] // k
-    out = np.zeros((M, n - h + 1))
-    for m in range(M):
-        for i in range(n - h + 1):
-            acc = b_h[m]
-            for a in range(h):
-                for b in range(k):
-                    acc += W_h[m, a * k + b] * X[i + a, b]
-            out[m, i] = max(acc, 0.0)
-    return out
-
-
 def random_bank(rng, widths, M, k, bias_scale=0.1):
     return TemporalFilterBank(
         {h: rng.normal(size=(M, h * k)) for h in widths},
         {h: rng.normal(size=M) * bias_scale for h in widths},
     )
-
-
-def pre_activations(X, W_h, b_h):
-    n, k = X.shape
-    h = W_h.shape[1] // k
-    windows = np.stack([X[i : i + h].ravel() for i in range(n - h + 1)])
-    return W_h @ windows.T + b_h[:, None]
 
 
 class TestConvForward:
@@ -67,7 +45,7 @@ class TestConvForward:
         W = rng.normal(size=(2, 2 * 3))
         b = rng.normal(size=2)
         got = conv_scale_forward(X, W, b).values
-        assert np.abs(got - naive_feature_map(X.values, W, b)).max() < 1e-12
+        assert np.abs(got - naive_scale_responses(X.values, W, b)).max() < 1e-12
 
     def test_width_larger_than_frames_rejected(self):
         X = DenseImage(np.ones((3, 2)))
@@ -138,7 +116,7 @@ class TestMultiscaleForward:
             X = DenseImage(rng.normal(size=(n, k)))
             pooled, cache = multiscale_forward(X, bank)
             for h in widths:
-                want_map = naive_feature_map(X.values, bank.weights[h], bank.biases[h])
+                want_map = naive_scale_responses(X.values, bank.weights[h], bank.biases[h])
                 assert np.abs(cache.fmaps[h].values - want_map).max() < 1e-12
                 assert np.abs(pooled[h].values - want_map.max(axis=1)).max() < 1e-12
 
@@ -244,19 +222,7 @@ class TestMultiscaleBackward:
             widths = (2, 3)
             bank = random_bank(rng, widths, M, k)
             X = rng.normal(size=(n, k))
-            # Reject instances near a rectifier kink or a pooling tie.
-            clean = True
-            for h in widths:
-                pre = pre_activations(X, bank.weights[h], bank.biases[h])
-                if np.abs(pre).min() < 1e-3:
-                    clean = False
-                    break
-                post = np.maximum(pre, 0.0)
-                top2 = np.sort(post, axis=1)[:, -2:]
-                if (top2[:, 1] - top2[:, 0]).min() < 1e-3:
-                    clean = False
-                    break
-            if not clean:
+            if not kink_free(X, bank):
                 continue
             accepted += 1
             upstream = {h: rng.normal(size=M) for h in widths}
@@ -286,15 +252,16 @@ class TestMultiscaleBackward:
 
 class TestResponseProfile:
     def test_dead_filter_is_flat_zero(self):
-        bank = TemporalFilterBank({2: np.zeros((3, 4))}, {2: np.zeros(3)})
-        profile = response_profile(DenseImage(np.ones((6, 2))), bank, 2)
+        fmap = conv_scale_forward(DenseImage(np.ones((6, 2))), np.zeros((3, 4)), np.zeros(3))
+        profile = response_profile(fmap)
         assert np.array_equal(profile.intensities, np.zeros(5))
         assert profile.argmax_window == 0
 
     def test_profile_length_for_eight_frames(self):
         rng = make_rng(13)
         bank = random_bank(rng, (2,), 3, 2)
-        profile = response_profile(DenseImage(rng.normal(size=(8, 2))), bank, 2)
+        X = DenseImage(rng.normal(size=(8, 2)))
+        profile = response_profile(conv_scale_forward(X, bank.weights[2], bank.biases[2]))
         assert profile.intensities.shape == (7,)
 
     def test_channel_profile_equals_feature_map_row(self):
@@ -303,13 +270,14 @@ class TestResponseProfile:
         X = DenseImage(rng.normal(size=(6, 2)))
         fmap = conv_scale_forward(X, bank.weights[3], bank.biases[3])
         for m in range(4):
-            profile = response_profile(X, bank, 3, channel=m)
+            profile = response_profile(fmap, channel=m)
             assert np.array_equal(profile.intensities, fmap.values[m])
 
     def test_frame_range_maps_argmax_window(self):
         rng = make_rng(15)
         bank = random_bank(rng, (3,), 2, 2)
-        profile = response_profile(DenseImage(rng.normal(size=(8, 2))), bank, 3)
+        X = DenseImage(rng.normal(size=(8, 2)))
+        profile = response_profile(conv_scale_forward(X, bank.weights[3], bank.biases[3]))
         first, last = profile.frame_range
         assert first == profile.argmax_window
         assert last == first + 2
@@ -318,7 +286,8 @@ class TestResponseProfile:
         rng = make_rng(16)
         bank = random_bank(rng, (2,), 2, 2)
         X = DenseImage(rng.normal(size=(5, 2)))
+        fmap = conv_scale_forward(X, bank.weights[2], bank.biases[2])
         with pytest.raises(ValueError):
-            response_profile(X, bank, 4)
+            response_profile(fmap, channel=2)
         with pytest.raises(ValueError):
-            response_profile(X, bank, 2, channel=2)
+            response_profile(fmap, channel=-1)

@@ -59,7 +59,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(seed=9, initial_lr=0.01)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 class TestSgdStep:
