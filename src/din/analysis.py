@@ -1,11 +1,10 @@
 """Model accounting and introspection exports.
 
-Parameter counts come straight from the shape constants, and a test
-elsewhere pins them to the scalar count of a real serialized checkpoint
-so the accounting can never drift from the live model. FLOP totals use a
-fixed convention: one multiply-add counts as 2 operations, elementwise
-operations (pooling comparisons, softmax terms) as 1 per element, and
-bias additions are not counted.
+Parameter counts sum the model's parameter table, the same table the
+live model and its checkpoints are built from, so the accounting cannot
+drift from them. FLOP totals use a fixed convention: one multiply-add
+counts as 2 operations, elementwise operations (pooling comparisons,
+softmax terms) as 1 per element, and bias additions are not counted.
 
 Exports are delimited text with a header row, one row per sample, rows
 ordered by sample id; floats are written with repr so files are
@@ -14,6 +13,7 @@ byte-stable across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +22,7 @@ import numpy as np
 
 from .data_io import Sample, atomic_write_bytes
 from .denseimage import SamplingMode, encode
-from .model import ModelParams, ModelShapeSpec
+from .model import ModelParams, ModelShapeSpec, parameter_shapes
 from .temporal_conv import conv_scale_forward, multiscale_forward, response_profile
 
 
@@ -44,14 +44,12 @@ class CostReport:
 
 
 def count_parameters(shape: ModelShapeSpec) -> CostBreakdown:
-    """Exact trainable-scalar count with a per-layer breakdown."""
-    lines: dict[str, int] = {
-        "reduction": shape.raw_dim * shape.feat_dim + shape.feat_dim
-    }
-    for h in shape.widths:
-        lines[f"conv/h{h}"] = shape.num_filters * h * shape.feat_dim + shape.num_filters
-    for h in shape.widths:
-        lines[f"head/h{h}"] = shape.num_classes * shape.num_filters + shape.num_classes
+    """Exact trainable-scalar count of the parameter table, one line per
+    layer (the tensor names up to their last "/")."""
+    lines: dict[str, int] = {}
+    for name, dims in parameter_shapes(shape).items():
+        layer = name.rsplit("/", 1)[0]
+        lines[layer] = lines.get(layer, 0) + math.prod(dims)
     return CostBreakdown(sum(lines.values()), lines)
 
 
@@ -94,9 +92,7 @@ def export_responses(
     for sample in sorted(samples, key=lambda s: s.id):
         _, dense = encode(sample.features, params.reduction, params.shape.num_frames,
                           SamplingMode.EVAL_CENTER)
-        profile = response_profile(
-            conv_scale_forward(dense, params.bank.weights[h], params.bank.biases[h])
-        )
+        profile = response_profile(conv_scale_forward(dense, *params.bank[h]))
         first, last = profile.frame_range
         cells = [sample.id]
         cells += [repr(float(v)) for v in profile.intensities]

@@ -2,7 +2,8 @@
 
 Each pooled scale feature gets its own fully connected head; the per-scale
 logits are summed elementwise and softmaxed once. Because the fusion is a
-plain sum, every head sees the identical upstream gradient.
+plain sum, every head sees the identical upstream gradient. A head is a
+(C x M weights, C bias) pair.
 """
 
 from __future__ import annotations
@@ -11,35 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, DropoutMask, glorot_uniform, softmax
-
-
-@dataclass
-class ScaleHead:
-    """Fully connected layer from one pooled scale feature to class logits."""
-
-    width: int
-    weights: Array  # C x M
-    bias: Array  # C
-
-    def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("head bias length must equal the class count")
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-
-def init_scale_head(
-    rng: np.random.Generator, width: int, channels: int, num_classes: int
-) -> ScaleHead:
-    weights = glorot_uniform(rng, channels, num_classes, num_classes, channels)
-    return ScaleHead(width, weights, np.zeros(num_classes))
+from .numerics import Array, DropoutMask, softmax
 
 
 @dataclass(frozen=True)
@@ -50,21 +23,22 @@ class ClassScores:
 
 
 def head_forward(
-    c_h: Array, head: ScaleHead, mask: DropoutMask | None = None
+    c_h: Array, head: tuple[Array, Array], mask: DropoutMask | None = None
 ) -> Array:
     """Class logits for one scale: weights @ (mask * c_h) + bias.
 
     The mask is the training-time dropout on the head input; omitting it
     is evaluation mode.
     """
+    weights, bias = head
     c_h = np.asarray(c_h, dtype=np.float64)
-    if c_h.shape != (head.in_dim,):
-        raise ValueError(f"expected pooled feature of length {head.in_dim}")
+    if c_h.shape != (weights.shape[1],):
+        raise ValueError(f"expected pooled feature of length {weights.shape[1]}")
     if mask is not None:
         if mask.values.shape != c_h.shape:
             raise ValueError("dropout mask length must match the pooled feature")
         c_h = mask.values * c_h
-    return head.weights @ c_h + head.bias
+    return weights @ c_h + bias
 
 
 def fuse_and_score(per_scale_logits: dict[int, Array]) -> ClassScores:
@@ -87,7 +61,7 @@ def predict(scores: ClassScores) -> int:
 
 def classifier_backward(
     c_h: dict[int, Array],
-    heads: dict[int, ScaleHead],
+    heads: dict[int, tuple[Array, Array]],
     masks: dict[int, DropoutMask] | None,
     grad_fused: Array,
 ) -> tuple[dict[int, tuple[Array, Array]], dict[int, Array]]:
@@ -101,17 +75,17 @@ def classifier_backward(
     grad_fused = np.asarray(grad_fused, dtype=np.float64)
     head_grads: dict[int, tuple[Array, Array]] = {}
     grad_c: dict[int, Array] = {}
-    for h, head in heads.items():
-        if grad_fused.shape != (head.num_classes,):
+    for h, (weights, _) in heads.items():
+        if grad_fused.shape != (weights.shape[0],):
             raise ValueError("grad_fused length must equal the class count")
         feat = np.asarray(c_h[h], dtype=np.float64)
-        if feat.shape != (head.in_dim,):
+        if feat.shape != (weights.shape[1],):
             raise ValueError(f"pooled feature for width {h} has the wrong length")
         mask = masks.get(h) if masks else None
         inp = mask.values * feat if mask is not None else feat
         grad_weights = np.outer(grad_fused, inp)
         grad_bias = grad_fused.copy()
-        grad_inp = head.weights.T @ grad_fused
+        grad_inp = weights.T @ grad_fused
         grad_c[h] = mask.values * grad_inp if mask is not None else grad_inp
         head_grads[h] = (grad_weights, grad_bias)
     return head_grads, grad_c

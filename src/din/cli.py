@@ -238,11 +238,25 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _load_reference(path: Path) -> dict[str, dict]:
+    """An object of name -> {"parameters": int, "flops": int}."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: cannot parse reference costs: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: reference costs must be an object of name -> costs")
+    for name, costs in doc.items():
+        if not (isinstance(costs, dict) and set(costs) == {"parameters", "flops"}
+                and all(type(v) is int for v in costs.values())):
+            raise ValueError(f'{path}: reference {name!r} must be {{"parameters": int, '
+                             f'"flops": int}}, got {costs!r}')
+    return doc
+
+
 def cmd_inspect_params(args) -> int:
     cfg = build_run_config(args)
-    reference = None
-    if args.reference:
-        reference = json.loads(Path(args.reference).read_text())
+    reference = _load_reference(Path(args.reference)) if args.reference else None
     report = analysis.cost_report(cfg.shape, reference)
     print("parameters:")
     for name, value in report.parameters.lines.items():
@@ -253,8 +267,8 @@ def cmd_inspect_params(args) -> int:
         print(f"  {name:<12} {value:>12,}")
     print(f"total flops per video: {report.flops.total:,}")
     for name, costs in report.reference.items():
-        print(f"reference {name}: parameters={costs.get('parameters'):,} "
-              f"flops={costs.get('flops'):,}")
+        print(f"reference {name}: parameters={costs['parameters']:,} "
+              f"flops={costs['flops']:,}")
     return 0
 
 

@@ -29,6 +29,7 @@ widened back to float64 in memory; checkpoints round-trip float64 exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .denseimage import FrameFeatureSequence
-from .model import ModelParams, ModelShapeSpec, named_parameters, parameter_shapes, params_from_tensors
+from .model import ModelParams, ModelShapeSpec
 from .numerics import Array, make_rng
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
 
@@ -109,6 +110,8 @@ def read_feature_file(path: str | Path) -> FrameFeatureSequence:
     if len(blob) != expected:
         raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", offset=_FEATURE_HEADER.size)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite feature values")
     return FrameFeatureSequence(data.astype(np.float64).reshape(T, D))
 
 
@@ -324,12 +327,12 @@ def save_checkpoint(
         meta_bytes,
     ]
     tensors: list[tuple[str, Array]] = []
-    for name, arr in named_parameters(model).items():
+    for name, arr in model.tensors.items():
         tensors.append((f"param/{name}", arr))
     for name, arr in opt.velocity.items():
         tensors.append((f"velocity/{name}", arr))
     if state.best_params is not None:
-        for name, arr in named_parameters(state.best_params).items():
+        for name, arr in state.best_params.tensors.items():
             tensors.append((f"best/{name}", arr))
     parts.append(struct.pack("<I", len(tensors)))
     for name, arr in tensors:
@@ -363,12 +366,14 @@ def read_checkpoint_tensors(path: str | Path) -> tuple[dict, dict[str, Array]]:
             if offset + name_len > len(blob):
                 raise FormatError(f"{path}: truncated tensor directory")
             name = blob[offset : offset + name_len].decode()
+            if name in tensors:
+                raise FormatError(f"{path}: duplicate tensor {name!r}")
             offset += name_len
             (ndim,) = struct.unpack_from("<B", blob, offset)
             offset += 1
             dims = struct.unpack_from(f"<{ndim}I", blob, offset)
             offset += 4 * ndim
-            size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+            size = math.prod(dims)
             end = offset + 8 * size
             if end > len(blob):
                 raise FormatError(f"{path}: truncated payload for tensor {name!r}")
@@ -395,50 +400,43 @@ def load_checkpoint(
         shape = ModelShapeSpec.from_dict(meta["shape"])
         config = TrainConfig.from_dict(meta["config"])
         opt_meta = meta["optimizer"]
+        scalars = (
+            float(opt_meta["current_lr"]),
+            float(opt_meta["best_val_error"]),
+            int(opt_meta["epochs_since_improvement"]),
+            int(opt_meta["epochs_completed"]),
+        )
         history = [EpochReport.from_dict(r) for r in meta["history"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        best_epoch = int(meta["best_epoch"])
+        best_val_accuracy = float(meta["best_val_accuracy"])
+        has_best = meta["has_best"]
+        if not isinstance(has_best, bool):
+            raise ValueError(f"has_best must be a bool, got {has_best!r}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: invalid meta block: {exc}") from exc
     if expect_shape is not None and shape != expect_shape:
         raise FormatError(
             f"{path}: checkpoint shape {shape} does not match expected {expect_shape}"
         )
-    expected_shapes = parameter_shapes(shape)
-    prefixes = ("param", "velocity", "best") if meta.get("has_best") else ("param", "velocity")
-    known = {f"{prefix}/{name}" for prefix in prefixes for name in expected_shapes}
-    for key in tensors:
-        if key not in known:
+    groups: dict[str, dict[str, Array]] = {"param": {}, "velocity": {}}
+    if has_best:
+        groups["best"] = {}
+    for key, arr in tensors.items():
+        prefix, _, name = key.partition("/")
+        if prefix not in groups:
             raise FormatError(f"{path}: unexpected tensor {key!r}")
-
-    def take(prefix: str) -> dict[str, Array]:
-        group = {}
-        for name, dims in expected_shapes.items():
-            key = f"{prefix}/{name}"
-            if key not in tensors:
-                raise FormatError(f"{path}: missing tensor {key!r}")
-            if tensors[key].shape != dims:
-                raise FormatError(
-                    f"{path}: tensor {key!r} has shape {tensors[key].shape}, expected {dims}"
-                )
-            group[name] = tensors[key]
-        return group
-
-    model = params_from_tensors(shape, take("param"))
-    velocity = take("velocity")
-    best_params = None
-    if meta.get("has_best"):
-        best_params = params_from_tensors(shape, take("best"))
-    optimizer = OptimizerState(
-        velocity,
-        float(opt_meta["current_lr"]),
-        float(opt_meta["best_val_error"]),
-        int(opt_meta["epochs_since_improvement"]),
-        int(opt_meta["epochs_completed"]),
-    )
+        groups[prefix][name] = arr
+    validated = {}
+    for prefix, group in groups.items():
+        try:
+            validated[prefix] = ModelParams(shape, group)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {prefix}/{exc}") from exc
     state = TrainState(
-        optimizer,
+        OptimizerState(validated["velocity"].tensors, *scalars),
         history,
-        best_params,
-        int(meta["best_epoch"]),
-        float(meta["best_val_accuracy"]),
+        validated.get("best"),
+        best_epoch,
+        best_val_accuracy,
     )
-    return CheckpointData(model, state, config)
+    return CheckpointData(validated["param"], state, config)

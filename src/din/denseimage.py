@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, glorot_uniform
+from .numerics import Array
 
 
 class SamplingMode(enum.Enum):
@@ -40,37 +40,6 @@ class FrameFeatureSequence:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass
-class ReductionLayer:
-    """Trainable linear map from raw frame features (D) down to k dims."""
-
-    weights: Array  # D x k
-    bias: Array  # k
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise ValueError("reduction weights must be 2-D")
-        if self.bias.shape != (self.weights.shape[1],):
-            raise ValueError("reduction bias length must equal output dim")
-        if self.weights.shape[1] > self.weights.shape[0]:
-            raise ValueError("reduction must not widen: k <= D")
-
-    @property
-    def raw_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.weights.shape[1]
-
-
-def init_reduction_layer(
-    rng: np.random.Generator, raw_dim: int, feat_dim: int
-) -> ReductionLayer:
-    weights = glorot_uniform(rng, raw_dim, feat_dim, raw_dim, feat_dim)
-    return ReductionLayer(weights, np.zeros(feat_dim))
 
 
 @dataclass(frozen=True)
@@ -122,22 +91,23 @@ def sample_segments(
 
 def encode(
     features: Array,
-    layer: ReductionLayer,
+    reduction: tuple[Array, Array],
     n: int,
     mode: SamplingMode,
     rng: np.random.Generator | None = None,
 ) -> tuple[Array, DenseImage]:
     """Sample n frames, reduce each one, stack rows in temporal order.
 
-    The single sample-gather-reduce path of the package. Returns the n x D
-    raw rows that were sampled (the reduction backward needs them) and
-    the n x k DenseImage.
+    The single sample-gather-reduce path of the package. `reduction` is
+    the (D x k weights, k bias) pair. Returns the n x D raw rows that were
+    sampled (the reduction backward needs them) and the n x k DenseImage.
     """
+    weights, bias = reduction
     seq = FrameFeatureSequence(np.asarray(features, dtype=np.float64))
-    if seq.dim != layer.raw_dim:
+    if seq.dim != weights.shape[0]:
         raise ValueError(
-            f"sequence dim {seq.dim} does not match reduction input {layer.raw_dim}"
+            f"sequence dim {seq.dim} does not match reduction input {weights.shape[0]}"
         )
     indices = sample_segments(seq.num_frames, n, mode, rng)
     rows = seq.features[indices]
-    return rows, DenseImage(rows @ layer.weights + layer.bias)
+    return rows, DenseImage(rows @ weights + bias)

@@ -3,9 +3,10 @@
 The trainable chain is: raw frame features (D) -> linear reduction (k)
 -> DenseImage rows -> multi-width temporal convolution + max pooling
 -> per-scale heads -> fused logits. Gradients are hand-written in each
-layer module; this file only wires them together and flattens parameters
-into a stable name -> array mapping shared by the optimizer, checkpoints
-and the parameter accounting.
+layer module. This file holds the parameter table, the one description
+of every trainable tensor's name, shape and order that the optimizer,
+checkpoints and the parameter accounting share, and wires the layers
+together.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import classifier as clf
 from . import denseimage as di
 from . import temporal_conv as tc
-from .numerics import Array, DropoutMask, cross_entropy_from_logits
+from .numerics import Array, DropoutMask, cross_entropy_from_logits, glorot_uniform
 
 
 @dataclass(frozen=True)
@@ -55,96 +56,13 @@ class ModelShapeSpec:
         )
 
 
-@dataclass
-class ModelParams:
-    """All trainable state: reduction layer, filter bank, per-scale heads."""
-
-    shape: ModelShapeSpec
-    reduction: di.ReductionLayer
-    bank: tc.TemporalFilterBank
-    heads: dict[int, clf.ScaleHead]
-
-    def __post_init__(self):
-        s = self.shape
-        if (self.reduction.raw_dim, self.reduction.feat_dim) != (s.raw_dim, s.feat_dim):
-            raise ValueError("reduction shape does not match the spec")
-        if self.bank.widths != s.widths or self.bank.channels != s.num_filters:
-            raise ValueError("filter bank shape does not match the spec")
-        if tuple(sorted(self.heads)) != s.widths:
-            raise ValueError("heads must cover exactly the bank widths")
-        for h, head in self.heads.items():
-            if (head.num_classes, head.in_dim) != (s.num_classes, s.num_filters):
-                raise ValueError(f"head for width {h} does not match the spec")
-
-
-def init_model(shape: ModelShapeSpec, rng: np.random.Generator) -> ModelParams:
-    """Glorot-initialized weights, zero biases, in a fixed draw order."""
-    reduction = di.init_reduction_layer(rng, shape.raw_dim, shape.feat_dim)
-    bank = tc.init_filter_bank(rng, shape.widths, shape.num_filters, shape.feat_dim)
-    heads = {
-        h: clf.init_scale_head(rng, h, shape.num_filters, shape.num_classes)
-        for h in shape.widths
-    }
-    return ModelParams(shape, reduction, bank, heads)
-
-
-def named_parameters(params: ModelParams) -> dict[str, Array]:
-    """Stable name -> array view of every trainable tensor.
-
-    The arrays are the live parameter buffers, not copies; the optimizer
-    mutates them in place. Names ending in "/bias" are exempt from weight
-    decay and the ordering here is the serialization order.
-    """
-    named: dict[str, Array] = {
-        "reduction/weights": params.reduction.weights,
-        "reduction/bias": params.reduction.bias,
-    }
-    for h in params.bank.widths:
-        named[f"conv/h{h}/weights"] = params.bank.weights[h]
-        named[f"conv/h{h}/bias"] = params.bank.biases[h]
-    for h in params.shape.widths:
-        named[f"head/h{h}/weights"] = params.heads[h].weights
-        named[f"head/h{h}/bias"] = params.heads[h].bias
-    return named
-
-
-def clone_params(params: ModelParams) -> ModelParams:
-    """Deep copy of all parameter arrays (snapshot for best-model tracking)."""
-    reduction = di.ReductionLayer(
-        params.reduction.weights.copy(), params.reduction.bias.copy()
-    )
-    bank = tc.TemporalFilterBank(
-        {h: w.copy() for h, w in params.bank.weights.items()},
-        {h: b.copy() for h, b in params.bank.biases.items()},
-    )
-    heads = {
-        h: clf.ScaleHead(h, head.weights.copy(), head.bias.copy())
-        for h, head in params.heads.items()
-    }
-    return ModelParams(params.shape, reduction, bank, heads)
-
-
-def params_from_tensors(shape: ModelShapeSpec, tensors: dict[str, Array]) -> ModelParams:
-    """Rebuild a ModelParams from the named-tensor mapping (checkpoint load)."""
-    expected = set(parameter_shapes(shape))
-    if set(tensors) != expected:
-        missing = expected - set(tensors)
-        extra = set(tensors) - expected
-        raise ValueError(f"tensor names mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    reduction = di.ReductionLayer(tensors["reduction/weights"], tensors["reduction/bias"])
-    bank = tc.TemporalFilterBank(
-        {h: tensors[f"conv/h{h}/weights"] for h in shape.widths},
-        {h: tensors[f"conv/h{h}/bias"] for h in shape.widths},
-    )
-    heads = {
-        h: clf.ScaleHead(h, tensors[f"head/h{h}/weights"], tensors[f"head/h{h}/bias"])
-        for h in shape.widths
-    }
-    return ModelParams(shape, reduction, bank, heads)
-
-
 def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:
-    """Expected shape of every named tensor for a given model spec."""
+    """The parameter table: every trainable tensor's name and shape.
+
+    The order is the serialization order and the init draw order. Names
+    ending in "/bias" are exempt from weight decay; the part before the
+    last "/" names the layer.
+    """
     shapes: dict[str, tuple[int, ...]] = {
         "reduction/weights": (shape.raw_dim, shape.feat_dim),
         "reduction/bias": (shape.feat_dim,),
@@ -156,6 +74,63 @@ def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:
         shapes[f"head/h{h}/weights"] = (shape.num_classes, shape.num_filters)
         shapes[f"head/h{h}/bias"] = (shape.num_classes,)
     return shapes
+
+
+@dataclass
+class ModelParams:
+    """All trainable state: the live name -> array dict of the parameter
+    table, in table order. The optimizer mutates these arrays in place."""
+
+    shape: ModelShapeSpec
+    tensors: dict[str, Array]
+
+    def __post_init__(self):
+        expected = parameter_shapes(self.shape)
+        for name in self.tensors:
+            if name not in expected:
+                raise ValueError(f"{name}: unexpected tensor")
+        for name, dims in expected.items():
+            if name not in self.tensors:
+                raise ValueError(f"{name}: missing tensor")
+            got = np.shape(self.tensors[name])
+            if got != dims:
+                raise ValueError(f"{name}: shape {got}, expected {dims}")
+        self.tensors = {name: self.tensors[name] for name in expected}
+
+    def _pair(self, layer: str) -> tuple[Array, Array]:
+        return self.tensors[f"{layer}/weights"], self.tensors[f"{layer}/bias"]
+
+    @property
+    def reduction(self) -> tuple[Array, Array]:
+        """(D x k weights, k bias)."""
+        return self._pair("reduction")
+
+    @property
+    def bank(self) -> dict[int, tuple[Array, Array]]:
+        """width -> (M x h*k filters, M biases)."""
+        return {h: self._pair(f"conv/h{h}") for h in self.shape.widths}
+
+    @property
+    def heads(self) -> dict[int, tuple[Array, Array]]:
+        """width -> (C x M weights, C bias)."""
+        return {h: self._pair(f"head/h{h}") for h in self.shape.widths}
+
+
+def init_model(shape: ModelShapeSpec, rng: np.random.Generator) -> ModelParams:
+    """Glorot-uniform weights, zero biases, drawn in table order."""
+    tensors = {}
+    for name, dims in parameter_shapes(shape).items():
+        if name.endswith("/weights"):
+            rows, cols = dims
+            tensors[name] = glorot_uniform(rng, rows, cols, rows, cols)
+        else:
+            tensors[name] = np.zeros(dims)
+    return ModelParams(shape, tensors)
+
+
+def clone_params(params: ModelParams) -> ModelParams:
+    """Deep copy of all parameter arrays (snapshot for best-model tracking)."""
+    return ModelParams(params.shape, {name: arr.copy() for name, arr in params.tensors.items()})
 
 
 @dataclass
@@ -180,9 +155,8 @@ def forward_sample(
     )
     pooled, ms_cache = tc.multiscale_forward(dense, params.bank)
     per_scale = {
-        h: clf.head_forward(pooled[h].values, params.heads[h],
-                            masks.get(h) if masks else None)
-        for h in params.shape.widths
+        h: clf.head_forward(pooled[h].values, head, masks.get(h) if masks else None)
+        for h, head in params.heads.items()
     }
     return clf.fuse_and_score(per_scale), SampleCache(raw_rows, ms_cache, masks)
 

@@ -12,20 +12,9 @@ import numpy as np
 
 from . import analysis
 from .denseimage import DenseImage, SamplingMode, encode, sample_segments
-from .model import (
-    ModelParams,
-    ModelShapeSpec,
-    init_model,
-    named_parameters,
-    sample_loss_and_grads,
-)
+from .model import ModelParams, ModelShapeSpec, init_model, sample_loss_and_grads
 from .numerics import cross_entropy_from_logits, make_rng, softmax
-from .temporal_conv import (
-    TemporalFilterBank,
-    conv_scale_forward,
-    multiscale_backward,
-    multiscale_forward,
-)
+from .temporal_conv import conv_scale_forward, multiscale_backward, multiscale_forward
 
 
 def naive_scale_responses(X: np.ndarray, W_h: np.ndarray, b_h: np.ndarray) -> np.ndarray:
@@ -44,14 +33,15 @@ def naive_scale_responses(X: np.ndarray, W_h: np.ndarray, b_h: np.ndarray) -> np
     return out
 
 
-def kink_free(X: np.ndarray, bank: TemporalFilterBank) -> bool:
-    """False when a pre-activation of X (n x k) lies within 1e-3 of the
-    rectifier kink or two top window responses of a channel lie within
-    1e-3 of a pool tie; finite differences are only valid away from both."""
+def kink_free(X: np.ndarray, bank: dict[int, tuple[np.ndarray, np.ndarray]]) -> bool:
+    """False when a pre-activation of X (n x k) under the width -> (weights,
+    bias) bank lies within 1e-3 of the rectifier kink or two top window
+    responses of a channel lie within 1e-3 of a pool tie; finite
+    differences are only valid away from both."""
     n = X.shape[0]
-    for h in bank.widths:
+    for h, (W_h, b_h) in bank.items():
         windows = np.stack([X[i : i + h].ravel() for i in range(n - h + 1)])
-        pre = bank.weights[h] @ windows.T + bank.biases[h][:, None]
+        pre = W_h @ windows.T + b_h[:, None]
         if np.abs(pre).min() < 1e-3:
             return False
         post = np.maximum(pre, 0.0)
@@ -62,11 +52,9 @@ def kink_free(X: np.ndarray, bank: TemporalFilterBank) -> bool:
     return True
 
 
-def _random_bank(rng, widths, M, k) -> TemporalFilterBank:
-    return TemporalFilterBank(
-        {h: rng.normal(size=(M, h * k)) for h in widths},
-        {h: rng.normal(size=M) * 0.1 for h in widths},
-    )
+def _random_bank(rng, widths, M, k) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    weights = {h: rng.normal(size=(M, h * k)) for h in widths}
+    return {h: (weights[h], rng.normal(size=M) * 0.1) for h in widths}
 
 
 def _check_conv_oracle() -> None:
@@ -80,8 +68,8 @@ def _check_conv_oracle() -> None:
         X = DenseImage(rng.normal(size=(n, k)))
         pooled, _ = multiscale_forward(X, bank)
         for h in widths:
-            want = naive_scale_responses(X.values, bank.weights[h], bank.biases[h])
-            got = conv_scale_forward(X, bank.weights[h], bank.biases[h]).values
+            want = naive_scale_responses(X.values, *bank[h])
+            got = conv_scale_forward(X, *bank[h]).values
             if np.abs(got - want).max() > 1e-12:
                 raise AssertionError(f"conv mismatch at h={h}")
             if np.abs(pooled[h].values - want.max(axis=1)).max() > 1e-12:
@@ -121,8 +109,8 @@ def _check_multiscale_gradients() -> None:
                     raise AssertionError(f"{what} mismatch at {idx}")
 
         for h in widths:
-            probe(bank.weights[h], grad_W[h], f"dW[h={h}]")
-            probe(bank.biases[h], grad_b[h], f"db[h={h}]")
+            probe(bank[h][0], grad_W[h], f"dW[h={h}]")
+            probe(bank[h][1], grad_b[h], f"db[h={h}]")
         probe(X, grad_X, "dX")
 
 
@@ -148,7 +136,7 @@ def _check_end_to_end_gradients() -> None:
             continue
         done += 1
         loss, grads = sample_loss_and_grads(params, features, label)
-        for name, arr in named_parameters(params).items():
+        for name, arr in params.tensors.items():
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
@@ -167,7 +155,7 @@ def _check_shape_law() -> None:
     bank = _random_bank(rng, (2, 3, 4), M, k)
     X = DenseImage(rng.normal(size=(8, k)))
     for h, want in ((2, 7), (3, 6), (4, 5)):
-        fmap = conv_scale_forward(X, bank.weights[h], bank.biases[h])
+        fmap = conv_scale_forward(X, *bank[h])
         if fmap.values.shape != (M, want):
             raise AssertionError(f"h={h}: expected {want} windows, got {fmap.values.shape}")
 
@@ -205,7 +193,7 @@ def _check_parameter_accounting() -> None:
         raise AssertionError(f"parameter count {total} != 1,609,095")
     small = ModelShapeSpec(4, 3, 5, (2, 3), 4, 3)
     params = init_model(small, make_rng(16))
-    live = sum(arr.size for arr in named_parameters(params).values())
+    live = sum(arr.size for arr in params.tensors.values())
     if live != analysis.count_parameters(small).total:
         raise AssertionError("live parameter count disagrees with the accounting")
 
@@ -214,9 +202,7 @@ def _check_order_sensitivity() -> None:
     # A filter keyed to one ordered pair must react when two rows swap.
     A, B, C = np.eye(3)
     X = np.stack([A, B, C])
-    bank = TemporalFilterBank(
-        {2: np.concatenate([A, B])[None, :]}, {2: np.zeros(1)}
-    )
+    bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
     pooled, _ = multiscale_forward(DenseImage(X), bank)
     swapped, _ = multiscale_forward(DenseImage(X[[0, 2, 1]]), bank)
     if pooled[2].values[0] == swapped[2].values[0]:

@@ -7,6 +7,10 @@ on exactly h adjacent frames and the map keeps their order. Max pooling
 over window positions then picks, per channel, the strongest local
 evolution wherever it happened in time.
 
+A filter bank is a width -> (weights, bias) dict. weights[h] has shape
+M x (h*k): filter m's row is its h-frame window template flattened
+frame-major, so the window response is a single contiguous inner product.
+
 The backward pass is hand-written: the pool routes the upstream gradient
 to its (tie-broken) argmax window only, the rectifier gates it, and the
 window scatters it back onto the h DenseImage rows it covered.
@@ -20,49 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .denseimage import DenseImage
-from .numerics import Array, glorot_uniform
-
-
-@dataclass
-class TemporalFilterBank:
-    """Per-width filter weights and biases sharing one channel count M.
-
-    weights[h] has shape M x (h*k): filter m's row is its h-frame window
-    template flattened frame-major, so the window response is a single
-    contiguous inner product.
-    """
-
-    weights: dict[int, Array]
-    biases: dict[int, Array]
-
-    def __post_init__(self):
-        if not self.weights or set(self.weights) != set(self.biases):
-            raise ValueError("weights and biases must cover the same widths")
-        channels = {w.shape[0] for w in self.weights.values()}
-        channels |= {b.shape[0] for b in self.biases.values()}
-        if len(channels) != 1:
-            raise ValueError("all widths must share the same channel count")
-        if any(h < 2 for h in self.weights):
-            raise ValueError("filter widths must be >= 2")
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(sorted(self.weights))
-
-    @property
-    def channels(self) -> int:
-        return next(iter(self.weights.values())).shape[0]
-
-
-def init_filter_bank(
-    rng: np.random.Generator, widths: tuple[int, ...], channels: int, feat_dim: int
-) -> TemporalFilterBank:
-    weights = {}
-    biases = {}
-    for h in sorted(widths):
-        weights[h] = glorot_uniform(rng, h * feat_dim, channels, channels, h * feat_dim)
-        biases[h] = np.zeros(channels)
-    return TemporalFilterBank(weights, biases)
+from .numerics import Array
 
 
 @dataclass(frozen=True)
@@ -128,7 +90,7 @@ class MultiscaleCache:
     valid for exactly one backward call against unmodified parameters.
     """
 
-    bank: TemporalFilterBank
+    bank: dict[int, tuple[Array, Array]]
     X: Array  # n x k
     windows: dict[int, Array]  # h -> (n-h+1) x (h*k)
     fmaps: dict[int, ScaleFeatureMap]
@@ -136,14 +98,15 @@ class MultiscaleCache:
 
 
 def multiscale_forward(
-    X: DenseImage, bank: TemporalFilterBank
+    X: DenseImage, bank: dict[int, tuple[Array, Array]]
 ) -> tuple[dict[int, PooledScaleFeature], MultiscaleCache]:
-    """Convolve and pool every width in the bank over one DenseImage."""
+    """Convolve and pool every width of a width -> (weights, bias) bank
+    over one DenseImage."""
     windows = {}
     fmaps = {}
     pooled = {}
-    for h in bank.widths:
-        windows[h], fmaps[h] = _conv_windows(X, bank.weights[h], bank.biases[h])
+    for h in sorted(bank):
+        windows[h], fmaps[h] = _conv_windows(X, *bank[h])
         pooled[h] = temporal_max_pool(fmaps[h])
     return pooled, MultiscaleCache(bank, X.values, windows, fmaps, pooled)
 
@@ -179,7 +142,7 @@ def multiscale_backward(
         grad_b[h] = grad_map.sum(axis=1)
         # Back through the windows: place each window's gradient onto the
         # h rows it covers.
-        grad_windows = grad_map.T @ cache.bank.weights[h]
+        grad_windows = grad_map.T @ cache.bank[h][0]
         for i in range(num_windows):
             grad_X[i : i + h] += grad_windows[i].reshape(h, k)
     return grad_W, grad_b, grad_X

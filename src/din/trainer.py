@@ -22,13 +22,7 @@ import numpy as np
 
 from .denseimage import SamplingMode
 from .classifier import predict
-from .model import (
-    ModelParams,
-    clone_params,
-    forward_sample,
-    named_parameters,
-    sample_loss_and_grads,
-)
+from .model import ModelParams, clone_params, forward_sample, sample_loss_and_grads
 from .numerics import (
     Array,
     cross_entropy_from_logits,
@@ -94,7 +88,7 @@ class OptimizerState:
 
     @classmethod
     def init(cls, params: ModelParams, config: TrainConfig) -> "OptimizerState":
-        velocity = {name: np.zeros_like(arr) for name, arr in named_parameters(params).items()}
+        velocity = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
         return cls(velocity, config.initial_lr)
 
 
@@ -127,12 +121,18 @@ class TrainState:
         return cls(OptimizerState.init(params, config), [], clone_params(params))
 
 
-def _sgd_update(
+def sgd_momentum_step(
     named: dict[str, Array],
     grads: dict[str, Array],
     state: OptimizerState,
     config: TrainConfig,
 ) -> None:
+    """One in-place update of every array in `named`:
+    v <- momentum*v + (grad + wd*param); param -= lr*v.
+
+    Weight decay enters as an additive L2 gradient term and never touches
+    tensors whose name ends in "/bias".
+    """
     if set(grads) != set(named):
         raise ValueError("gradient names do not match the parameters")
     for name, param in named.items():
@@ -145,20 +145,6 @@ def _sgd_update(
         vel *= config.momentum
         vel += grad
         param -= state.current_lr * vel
-
-
-def sgd_momentum_step(
-    params: ModelParams,
-    grads: dict[str, Array],
-    state: OptimizerState,
-    config: TrainConfig,
-) -> None:
-    """One in-place update: v <- momentum*v + (grad + wd*param); param -= lr*v.
-
-    Weight decay enters as an additive L2 gradient term and never touches
-    bias tensors.
-    """
-    _sgd_update(named_parameters(params), grads, state, config)
 
 
 def plateau_update(state: OptimizerState, val_error: float, config: TrainConfig) -> None:
@@ -224,7 +210,7 @@ def train_epoch(
                     grad_sum[name] += grads[name]
         scale = 1.0 / len(batch)
         mean_grads = {name: g * scale for name, g in grad_sum.items()}
-        sgd_momentum_step(params, mean_grads, state, config)
+        sgd_momentum_step(params.tensors, mean_grads, state, config)
     return total_loss / len(samples)
 
 
@@ -266,7 +252,7 @@ def fit(
         rng = epoch_rng(config.seed, epoch)
         train_loss = train_epoch(params, train_split, config, opt, rng)
         val_loss, val_accuracy = evaluate(params, val_split)
-        _check_finite(named_parameters(params), "parameter")
+        _check_finite(params.tensors, "parameter")
         _check_finite(opt.velocity, "velocity")
         if val_accuracy > state.best_val_accuracy:
             state.best_params = clone_params(params)
@@ -344,7 +330,7 @@ def train_baseline(
                 grad_w += np.outer(grad_logits, mean_feat)
                 grad_b += grad_logits
             scale = 1.0 / len(batch)
-            _sgd_update(
+            sgd_momentum_step(
                 named,
                 {"baseline/weights": grad_w * scale, "baseline/bias": grad_b * scale},
                 opt,

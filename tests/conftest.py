@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 
 from din.model import ModelShapeSpec, init_model
@@ -25,3 +28,12 @@ def central_diff(fn, arr, idx, eps):
     down = fn()
     arr[idx] = orig
     return (up - down) / (2.0 * eps)
+
+
+def edit_checkpoint_meta(blob, edit):
+    """Checkpoint bytes whose JSON meta block went through edit(meta) in place."""
+    (meta_len,) = struct.unpack_from("<I", blob, 6)
+    meta = json.loads(blob[10 : 10 + meta_len])
+    edit(meta)
+    encoded = json.dumps(meta, sort_keys=True).encode()
+    return blob[:6] + struct.pack("<I", len(encoded)) + encoded + blob[10 + meta_len :]

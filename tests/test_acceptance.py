@@ -18,10 +18,10 @@ from din.data_io import (
     synth_order_task,
 )
 from din.denseimage import DenseImage, SamplingMode, encode
-from din.model import ModelShapeSpec, init_model, named_parameters, sample_loss_and_grads
+from din.model import ModelShapeSpec, init_model, sample_loss_and_grads
 from din.numerics import make_rng, softmax
 from din.selftest import kink_free, naive_scale_responses
-from din.temporal_conv import TemporalFilterBank, conv_scale_forward, multiscale_forward
+from din.temporal_conv import conv_scale_forward, multiscale_forward
 from din.trainer import TrainConfig, TrainState, fit, init_rng, train_baseline
 
 from conftest import rel_err
@@ -61,7 +61,7 @@ def test_gradient_correctness():
             continue
         accepted += 1
         _, grads = sample_loss_and_grads(params, features, label)
-        for name, arr in named_parameters(params).items():
+        for name, arr in params.tensors.items():
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
@@ -84,14 +84,12 @@ def test_convolution_oracle():
         k = int(rng.integers(1, 5))
         M = int(rng.integers(1, 5))
         widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
-        bank = TemporalFilterBank(
-            {h: rng.normal(size=(M, h * k)) for h in widths},
-            {h: rng.normal(size=M) for h in widths},
-        )
+        weights = {h: rng.normal(size=(M, h * k)) for h in widths}
+        bank = {h: (weights[h], rng.normal(size=M)) for h in widths}
         X = DenseImage(rng.normal(size=(n, k)))
         pooled, cache = multiscale_forward(X, bank)
         for h in widths:
-            want = naive_scale_responses(X.values, bank.weights[h], bank.biases[h])
+            want = naive_scale_responses(X.values, *bank[h])
             assert np.abs(cache.fmaps[h].values - want).max() <= 1e-12
             assert np.abs(pooled[h].values - want.max(axis=1)).max() <= 1e-12
     elapsed = time.perf_counter() - started

@@ -123,9 +123,9 @@ class TestExports:
 
     def test_zero_model_profiles_are_flat(self, tmp_path):
         params = init_model(TINY_SHAPE, make_rng(3))
-        for h in params.shape.widths:
-            params.bank.weights[h][:] = 0.0
-            params.bank.biases[h][:] = 0.0
+        for weights, bias in params.bank.values():
+            weights[:] = 0.0
+            bias[:] = 0.0
         samples = make_samples(make_rng(4), 2, 5, 4)
         out = export_responses(params, samples, 2, tmp_path / "zero.csv")
         for row in out.read_text().strip().splitlines()[1:]:
@@ -143,8 +143,7 @@ class TestExports:
                 sample.features, tiny_params.reduction,
                 tiny_params.shape.num_frames, SamplingMode.EVAL_CENTER,
             )
-            bank = tiny_params.bank
-            profile = response_profile(conv_scale_forward(dense, bank.weights[2], bank.biases[2]))
+            profile = response_profile(conv_scale_forward(dense, *tiny_params.bank[2]))
             assert int(cells[-3]) == profile.argmax_window
             assert int(cells[-3]) == int(np.argmax(profile.intensities))
             assert (int(cells[-2]), int(cells[-1])) == profile.frame_range

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from din.classifier import (
-    ScaleHead,
     classifier_backward,
     fuse_and_score,
     head_forward,
@@ -14,27 +13,27 @@ from conftest import central_diff, rel_err
 
 
 def random_heads(rng, widths, M, C):
-    return {h: ScaleHead(h, rng.normal(size=(C, M)), rng.normal(size=C)) for h in widths}
+    return {h: (rng.normal(size=(C, M)), rng.normal(size=C)) for h in widths}
 
 
 class TestHeadForward:
     def test_zero_weights_give_bias(self):
-        head = ScaleHead(2, np.zeros((3, 4)), np.array([1.0, 2.0, 3.0]))
+        head = (np.zeros((3, 4)), np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(head_forward(np.ones(4), head), [1.0, 2.0, 3.0])
 
     def test_hand_dot_product(self):
-        head = ScaleHead(2, np.array([[1.0, -1.0]]), np.zeros(1))
+        head = (np.array([[1.0, -1.0]]), np.zeros(1))
         assert np.array_equal(head_forward(np.array([3.0, 1.0]), head), [2.0])
 
     def test_keep_one_mask_is_identity(self):
         rng = make_rng(1)
-        head = ScaleHead(2, rng.normal(size=(3, 5)), rng.normal(size=3))
+        head = (rng.normal(size=(3, 5)), rng.normal(size=3))
         c = rng.normal(size=5)
         mask = sample_dropout_mask(rng, 5, 1.0)
         assert np.array_equal(head_forward(c, head, mask), head_forward(c, head))
 
     def test_dimension_mismatch_rejected(self):
-        head = ScaleHead(2, np.zeros((2, 3)), np.zeros(2))
+        head = (np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
             head_forward(np.zeros(4), head)
         with pytest.raises(ValueError):
@@ -101,8 +100,8 @@ class TestScaleAdditivity:
         heads = random_heads(rng, widths, M, C)
         c = {h: rng.normal(size=M) for h in widths}
         fused = fuse_and_score({h: head_forward(c[h], heads[h]) for h in widths}).fused_logits
-        big_w = np.hstack([heads[h].weights for h in widths])
-        big_b = sum(heads[h].bias for h in widths)
+        big_w = np.hstack([heads[h][0] for h in widths])
+        big_b = sum(heads[h][1] for h in widths)
         big_c = np.concatenate([c[h] for h in widths])
         assert np.abs(fused - (big_w @ big_c + big_b)).max() < 1e-12
 
@@ -116,7 +115,7 @@ class TestClassifierBackward:
         assert not gw.any() and not gb.any() and not grad_c[2].any()
 
     def test_hand_chain_rule(self):
-        heads = {2: ScaleHead(2, np.array([[1.0, -1.0]]), np.zeros(1))}
+        heads = {2: (np.array([[1.0, -1.0]]), np.zeros(1))}
         grads, grad_c = classifier_backward(
             {2: np.array([3.0, 1.0])}, heads, None, np.array([2.0])
         )
@@ -150,11 +149,12 @@ class TestClassifierBackward:
         grads, grad_c = classifier_backward(c, heads, masks, probe)
         for h in widths:
             gw, gb = grads[h]
-            for idx in np.ndindex(heads[h].weights.shape):
-                fd = central_diff(objective, heads[h].weights, idx, eps)
+            weights, bias = heads[h]
+            for idx in np.ndindex(weights.shape):
+                fd = central_diff(objective, weights, idx, eps)
                 assert rel_err(fd, gw[idx]) < 1e-6
             for j in range(C):
-                fd = central_diff(objective, heads[h].bias, (j,), eps)
+                fd = central_diff(objective, bias, (j,), eps)
                 assert rel_err(fd, gb[j]) < 1e-6
             for j in range(M):
                 fd = central_diff(objective, c[h], (j,), eps)

@@ -8,6 +8,8 @@ import pytest
 from din.cli import main
 from din.data_io import write_feature_file
 
+from conftest import edit_checkpoint_meta
+
 
 def base_config(tmp_path, **train_overrides):
     cfg = {
@@ -217,6 +219,16 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert repr(sample_id) in err and feature_path in err and "raw_dim" in err
 
+    def test_checkpoint_meta_without_best_epoch_is_validation_error(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        ckpt = run_dir / "checkpoint.ckpt"
+        ckpt.write_bytes(edit_checkpoint_meta(ckpt.read_bytes(), lambda m: m.pop("best_epoch")))
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--manifest", str(data_dir / "manifest.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "best_epoch" in err
+
     def test_missing_checkpoint_is_validation_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -279,6 +291,23 @@ class TestInspectParams:
         assert main(["inspect-params", "--reference", str(ref)]) == 0
         out = capsys.readouterr().out
         assert "reference bignet: parameters=25,000,000" in out
+
+
+    @pytest.mark.parametrize("text, cited", [
+        ('{"bignet": {"flops": 10}}', "'bignet'"),
+        ('{"bignet": {"parameters": "many", "flops": 10}}', "'bignet'"),
+        ('{"ok": {"parameters": 1, "flops": 2}, "bad": {"parameters": true, "flops": 2}}',
+         "'bad'"),
+        ('{"bignet": 5}', "'bignet'"),
+        ('[["bignet", {"parameters": 1, "flops": 2}]]', "must be an object"),
+        ('{bignet', "cannot parse"),
+    ])
+    def test_malformed_reference_is_validation_error(self, tmp_path, capsys, text, cited):
+        ref = tmp_path / "ref.json"
+        ref.write_text(text)
+        assert main(["inspect-params", "--reference", str(ref)]) == 2
+        err = capsys.readouterr().err
+        assert str(ref) in err and cited in err
 
 
 class TestUsageAndConfig:

@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -24,11 +27,11 @@ from din.data_io import (
     write_feature_file,
     write_synth_dataset,
 )
-from din.model import ModelShapeSpec, init_model, named_parameters
+from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.trainer import TrainConfig, TrainState, fit, init_rng, train_baseline
 
-from conftest import TINY_SHAPE
+from conftest import TINY_SHAPE, edit_checkpoint_meta
 
 
 class TestFeatureFiles:
@@ -87,6 +90,15 @@ class TestFeatureFiles:
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             write_feature_file(tmp_path / "inf.difx", np.array([[np.inf]]))
+
+    def test_nonfinite_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "nan.difx"
+        write_feature_file(path, np.ones((2, 3)))
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            read_feature_file(path)
 
     def test_oversized_dim_rejected(self, tmp_path):
         with pytest.raises(FormatError):
@@ -337,6 +349,9 @@ def append_tensor(blob, name, arr):
     return blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + extra
 
 
+DROP = "<drop>"  # marks a meta field the test deletes
+
+
 class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path):
         splits, cfg, params = small_training_setup()
@@ -346,14 +361,14 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         assert isinstance(loaded, CheckpointData)
         assert loaded.config == cfg
-        for name, arr in named_parameters(params).items():
-            assert np.array_equal(arr, named_parameters(loaded.model)[name])
+        for name, arr in params.tensors.items():
+            assert np.array_equal(arr, loaded.model.tensors[name])
             assert np.array_equal(
                 state.optimizer.velocity[name], loaded.state.optimizer.velocity[name]
             )
             assert np.array_equal(
-                named_parameters(state.best_params)[name],
-                named_parameters(loaded.state.best_params)[name],
+                state.best_params.tensors[name],
+                loaded.state.best_params.tensors[name],
             )
         assert loaded.state.history == state.history
         assert loaded.state.best_epoch == state.best_epoch
@@ -405,6 +420,44 @@ class TestCheckpoints:
             with pytest.raises(FormatError, match=name):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [
+        (field, DROP) for field in (
+            "config", "shape", "optimizer", "history", "best_epoch", "best_val_accuracy",
+            "has_best", "optimizer.current_lr", "optimizer.best_val_error",
+            "optimizer.epochs_since_improvement", "optimizer.epochs_completed",
+        )
+    ] + [("best_epoch", math.inf), ("has_best", "yes")])
+    def test_bad_meta_field_names_the_file(self, tmp_path, field, value):
+        splits, cfg, params = small_training_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TrainState.fresh(params, cfg), cfg)
+
+        def edit(meta):
+            *parents, key = field.split(".")
+            for parent in parents:
+                meta = meta[parent]
+            if value == DROP:
+                del meta[key]
+            else:
+                meta[key] = value
+
+        path.write_bytes(edit_checkpoint_meta(path.read_bytes(), edit))
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_tensor_errors_name_the_group_and_tensor(self, tmp_path):
+        splits, cfg, params = small_training_setup()
+        state = TrainState.fresh(params, cfg)
+        state.optimizer.velocity["conv/h3/bias"] = np.zeros(2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, state, cfg)
+        with pytest.raises(FormatError, match=r"velocity/conv/h3/bias: shape \(2,\)"):
+            load_checkpoint(path)
+        blob = append_tensor(path.read_bytes(), "param/reduction/bias", np.zeros(3))
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="duplicate tensor 'param/reduction/bias'"):
+            load_checkpoint(path)
+
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         splits, cfg, params_a = small_training_setup(seed=22)
         four = dataclasses.replace(cfg, max_epochs=4)
@@ -419,5 +472,64 @@ class TestCheckpoints:
             loaded.model, splits["train"], splits["val"], four, loaded.state
         )
         assert resumed.history == state_a.history
-        for name, arr in named_parameters(params_a).items():
-            assert np.array_equal(arr, named_parameters(loaded.model)[name])
+        for name, arr in params_a.tensors.items():
+            assert np.array_equal(arr, loaded.model.tensors[name])
+
+
+def pinned_checkpoint(path):
+    params = init_model(TINY_SHAPE, make_rng(123))
+    save_checkpoint(path, params, TrainState.fresh(params, TrainConfig()), TrainConfig())
+    return path.read_bytes()
+
+
+class TestLayoutPin:
+    def test_fresh_tiny_checkpoint_bytes(self, tmp_path):
+        # Pins tensor names, order, shapes and the init draw order at once.
+        blob = pinned_checkpoint(tmp_path / "pin.ckpt")
+        assert len(blob) == 4111
+        assert hashlib.sha256(blob).hexdigest() == (
+            "d4c15089c059eff6b0d19886174876eae4eb3b706e4bb1450c7f403d3e8a972d"
+        )
+
+
+def format_error_or_valid_load(load, path, blob):
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except FormatError:
+        pass
+
+
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+class TestFuzz:
+    """Truncated or single-byte-flipped files give FormatError or a valid load."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        write_feature_file(root / "valid.difx", make_rng(3).uniform(-2.0, 2.0, size=(3, 4)))
+        return {
+            "difx": (root / "fuzz.difx", (root / "valid.difx").read_bytes(), read_feature_file),
+            "ckpt": (root / "fuzz.ckpt", pinned_checkpoint(root / "valid.ckpt"), load_checkpoint),
+        }
+
+    @pytest.mark.parametrize("kind", ["difx", "ckpt"])
+    @given(data=st.data())
+    @FUZZ
+    def test_truncation(self, files, kind, data):
+        path, blob, load = files[kind]
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        format_error_or_valid_load(load, path, blob[:cut])
+
+    @pytest.mark.parametrize("kind", ["difx", "ckpt"])
+    @given(data=st.data())
+    @FUZZ
+    def test_single_byte_flip(self, files, kind, data):
+        path, blob, load = files[kind]
+        at = data.draw(st.integers(0, len(blob) - 1))
+        flipped = bytearray(blob)
+        # Single-bit flips reach float exponents (inf/NaN) far more often.
+        flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
+        format_error_or_valid_load(load, path, bytes(flipped))

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from din.denseimage import (
     DenseImage,
     FrameFeatureSequence,
-    ReductionLayer,
     SamplingMode,
     encode,
-    init_reduction_layer,
     sample_segments,
 )
-from din.numerics import make_rng
+from din.numerics import glorot_uniform, make_rng
 
 
 
@@ -78,7 +76,13 @@ class TestSampleSegments:
 
 
 def identity_reduction(dim):
-    return ReductionLayer(np.eye(dim), np.zeros(dim))
+    return np.eye(dim), np.zeros(dim)
+
+
+def glorot_reduction(seed, raw_dim, feat_dim):
+    """The (weights, bias) pair init_model draws for a reduction layer."""
+    weights = glorot_uniform(make_rng(seed), raw_dim, feat_dim, raw_dim, feat_dim)
+    return weights, np.zeros(feat_dim)
 
 
 def reduce_frame(raw, layer):
@@ -94,30 +98,26 @@ def eval_encode(frames, layer, n):
 
 class TestReduceFrame:
     def test_zero_weights_give_bias(self):
-        layer = ReductionLayer(np.zeros((3, 2)), np.array([4.0, -1.0]))
+        layer = (np.zeros((3, 2)), np.array([4.0, -1.0]))
         assert np.array_equal(reduce_frame(np.array([9.0, 9.0, 9.0]), layer), [4.0, -1.0])
 
     def test_hand_sum(self):
-        layer = ReductionLayer(np.array([[1.0], [1.0]]), np.zeros(1))
+        layer = (np.array([[1.0], [1.0]]), np.zeros(1))
         assert np.array_equal(reduce_frame(np.array([3.0, 4.0]), layer), [7.0])
 
     def test_matches_naive_dot_loop(self):
         rng = make_rng(11)
-        layer = ReductionLayer(rng.normal(size=(5, 3)), rng.normal(size=3))
+        weights, bias = layer = (rng.normal(size=(5, 3)), rng.normal(size=3))
         raw = rng.normal(size=5)
         want = np.array(
-            [sum(raw[i] * layer.weights[i, j] for i in range(5)) + layer.bias[j] for j in range(3)]
+            [sum(raw[i] * weights[i, j] for i in range(5)) + bias[j] for j in range(3)]
         )
         assert np.abs(reduce_frame(raw, layer) - want).max() < 1e-12
 
     def test_dim_mismatch_rejected(self):
-        layer = ReductionLayer(np.zeros((3, 2)), np.zeros(2))
+        layer = (np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             reduce_frame(np.zeros(4), layer)
-
-    def test_widening_layer_rejected(self):
-        with pytest.raises(ValueError):
-            ReductionLayer(np.zeros((2, 3)), np.zeros(3))
 
 
 class TestEncode:
@@ -130,10 +130,10 @@ class TestEncode:
     def test_returns_the_sampled_raw_rows(self):
         rng = make_rng(18)
         frames = rng.normal(size=(16, 4))
-        layer = init_reduction_layer(make_rng(19), 4, 3)
+        weights, bias = layer = glorot_reduction(19, 4, 3)
         rows, dense = encode(frames, layer, 8, SamplingMode.EVAL_CENTER)
         assert np.array_equal(rows, frames[::2])
-        assert np.array_equal(dense.values, rows @ layer.weights + layer.bias)
+        assert np.array_equal(dense.values, rows @ weights + bias)
 
     def test_reversing_frames_reverses_rows(self):
         rng = make_rng(13)
@@ -156,7 +156,7 @@ class TestEncode:
     def test_standard_configuration_shape(self):
         rng = make_rng(15)
         frames = rng.normal(size=(20, 1024))
-        layer = init_reduction_layer(make_rng(16), 1024, 256)
+        layer = glorot_reduction(16, 1024, 256)
         rows, dense = encode(frames, layer, 8, SamplingMode.EVAL_CENTER)
         assert rows.shape == (8, 1024)
         assert dense.values.shape == (8, 256)

@@ -5,14 +5,13 @@ import pytest
 
 from din.denseimage import SamplingMode, encode
 from din.model import (
+    ModelParams,
     ModelShapeSpec,
     backward_sample,
     clone_params,
     forward_sample,
     init_model,
-    named_parameters,
     parameter_shapes,
-    params_from_tensors,
     predict_sample,
     sample_loss_and_grads,
 )
@@ -41,29 +40,63 @@ class TestParams:
     def test_init_is_deterministic(self):
         a = init_model(TINY_SHAPE, make_rng(1))
         b = init_model(TINY_SHAPE, make_rng(1))
-        for name, arr in named_parameters(a).items():
-            assert np.array_equal(arr, named_parameters(b)[name])
+        for name, arr in a.tensors.items():
+            assert np.array_equal(arr, b.tensors[name])
 
     def test_named_parameters_match_declared_shapes(self, tiny_params):
-        named = named_parameters(tiny_params)
+        named = tiny_params.tensors
         assert {k: v.shape for k, v in named.items()} == parameter_shapes(TINY_SHAPE)
+        assert list(named) == list(parameter_shapes(TINY_SHAPE))
 
     def test_biases_start_at_zero(self, tiny_params):
-        for name, arr in named_parameters(tiny_params).items():
+        for name, arr in tiny_params.tensors.items():
             if name.endswith("/bias"):
                 assert not arr.any()
 
+    def test_views_share_the_table_arrays(self, tiny_params):
+        weights, bias = tiny_params.reduction
+        assert weights is tiny_params.tensors["reduction/weights"]
+        assert bias is tiny_params.tensors["reduction/bias"]
+        for view, layer in ((tiny_params.bank, "conv"), (tiny_params.heads, "head")):
+            assert list(view) == list(TINY_SHAPE.widths)
+            for h, (w, b) in view.items():
+                assert w is tiny_params.tensors[f"{layer}/h{h}/weights"]
+                assert b is tiny_params.tensors[f"{layer}/h{h}/bias"]
+
     def test_clone_is_independent(self, tiny_params):
         copy = clone_params(tiny_params)
-        copy.reduction.weights[0, 0] += 1.0
-        assert tiny_params.reduction.weights[0, 0] != copy.reduction.weights[0, 0]
+        copy.reduction[0][0, 0] += 1.0
+        assert tiny_params.reduction[0][0, 0] != copy.reduction[0][0, 0]
 
     def test_tensor_round_trip(self, tiny_params):
-        rebuilt = params_from_tensors(TINY_SHAPE, dict(named_parameters(tiny_params)))
-        for name, arr in named_parameters(rebuilt).items():
-            assert np.array_equal(arr, named_parameters(tiny_params)[name])
+        reordered = dict(reversed(list(tiny_params.tensors.items())))
+        rebuilt = ModelParams(TINY_SHAPE, reordered)
+        assert list(rebuilt.tensors) == list(tiny_params.tensors)
+        for name, arr in rebuilt.tensors.items():
+            assert arr is tiny_params.tensors[name]
         with pytest.raises(ValueError):
-            params_from_tensors(TINY_SHAPE, {})
+            ModelParams(TINY_SHAPE, {})
+
+    def test_constructor_names_the_bad_tensor(self, tiny_params):
+        tensors = dict(tiny_params.tensors)
+        del tensors["conv/h3/bias"]
+        with pytest.raises(ValueError, match="conv/h3/bias: missing"):
+            ModelParams(TINY_SHAPE, tensors)
+        with pytest.raises(ValueError, match="head/h9/bias: unexpected"):
+            ModelParams(TINY_SHAPE, {**tiny_params.tensors, "head/h9/bias": np.zeros(3)})
+
+    def test_mixed_channel_counts_rejected(self, tiny_params):
+        # Every width of the filter bank has TINY_SHAPE.num_filters channels.
+        tensors = {**tiny_params.tensors, "conv/h3/weights": np.zeros((2, 9))}
+        with pytest.raises(ValueError, match=r"conv/h3/weights: shape \(2, 9\)"):
+            ModelParams(TINY_SHAPE, tensors)
+
+    def test_widening_layer_rejected(self, tiny_params):
+        with pytest.raises(ValueError):
+            ModelShapeSpec(3, 4, 5, (2, 3), 4, 3)
+        tensors = {**tiny_params.tensors, "reduction/weights": np.zeros((3, 4))}
+        with pytest.raises(ValueError, match="reduction/weights: shape"):
+            ModelParams(TINY_SHAPE, tensors)
 
 
 class TestForward:
@@ -112,7 +145,7 @@ class TestEndToEndGradients:
             accepted += 1
             loss, grads = sample_loss_and_grads(params, features, label)
             assert loss > 0.0
-            for name, arr in named_parameters(params).items():
+            for name, arr in params.tensors.items():
                 for idx in np.ndindex(arr.shape):
                     orig = arr[idx]
                     arr[idx] = orig + eps

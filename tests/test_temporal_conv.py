@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from din.denseimage import DenseImage
+from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.selftest import kink_free, naive_scale_responses
 from din.temporal_conv import (
     ScaleFeatureMap,
-    TemporalFilterBank,
     conv_scale_forward,
-    init_filter_bank,
     multiscale_backward,
     multiscale_forward,
     response_profile,
@@ -19,10 +18,8 @@ from conftest import rel_err
 
 
 def random_bank(rng, widths, M, k, bias_scale=0.1):
-    return TemporalFilterBank(
-        {h: rng.normal(size=(M, h * k)) for h in widths},
-        {h: rng.normal(size=M) * bias_scale for h in widths},
-    )
+    weights = {h: rng.normal(size=(M, h * k)) for h in widths}
+    return {h: (weights[h], rng.normal(size=M) * bias_scale) for h in widths}
 
 
 class TestConvForward:
@@ -90,17 +87,14 @@ class TestMaxPool:
 
 class TestMultiscaleForward:
     def test_zero_network_pools_to_zero(self):
-        bank = TemporalFilterBank(
-            {2: np.zeros((3, 2 * 2)), 3: np.zeros((3, 3 * 2))},
-            {2: np.zeros(3), 3: np.zeros(3)},
-        )
+        bank = {2: (np.zeros((3, 2 * 2)), np.zeros(3)), 3: (np.zeros((3, 3 * 2)), np.zeros(3))}
         pooled, _ = multiscale_forward(DenseImage(np.ones((5, 2))), bank)
         assert not pooled[2].values.any()
         assert not pooled[3].values.any()
 
     def test_standard_configuration_sizes(self):
         rng = make_rng(5)
-        bank = init_filter_bank(rng, (2, 3, 4, 5, 6), 256, 8)
+        bank = init_model(ModelShapeSpec(8, 8, 8, (2, 3, 4, 5, 6), 256, 2), rng).bank
         pooled, _ = multiscale_forward(DenseImage(rng.normal(size=(8, 8))), bank)
         assert sorted(pooled) == [2, 3, 4, 5, 6]
         assert all(p.values.shape == (256,) for p in pooled.values())
@@ -116,16 +110,9 @@ class TestMultiscaleForward:
             X = DenseImage(rng.normal(size=(n, k)))
             pooled, cache = multiscale_forward(X, bank)
             for h in widths:
-                want_map = naive_scale_responses(X.values, bank.weights[h], bank.biases[h])
+                want_map = naive_scale_responses(X.values, *bank[h])
                 assert np.abs(cache.fmaps[h].values - want_map).max() < 1e-12
                 assert np.abs(pooled[h].values - want_map.max(axis=1)).max() < 1e-12
-
-    def test_mixed_channel_counts_rejected(self):
-        with pytest.raises(ValueError):
-            TemporalFilterBank(
-                {2: np.zeros((3, 4)), 3: np.zeros((2, 6))},
-                {2: np.zeros(3), 3: np.zeros(2)},
-            )
 
 
 class TestLocality:
@@ -159,7 +146,7 @@ class TestOrderSensitivity:
         # pair and the pooled response drops.
         A, B, C = np.eye(3)
         X = np.stack([A, B, C])
-        bank = TemporalFilterBank({2: np.concatenate([A, B])[None, :]}, {2: np.zeros(1)})
+        bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
         pooled, _ = multiscale_forward(DenseImage(X), bank)
         swapped, _ = multiscale_forward(DenseImage(X[[0, 2, 1]]), bank)
         assert pooled[2].values[0] == 2.0
@@ -245,8 +232,8 @@ class TestMultiscaleBackward:
                     assert rel_err(fd, grad[idx]) < 1e-5
 
             for h in widths:
-                check(bank.weights[h], gW[h])
-                check(bank.biases[h], gb[h])
+                check(bank[h][0], gW[h])
+                check(bank[h][1], gb[h])
             check(X, gX)
 
 
@@ -261,14 +248,14 @@ class TestResponseProfile:
         rng = make_rng(13)
         bank = random_bank(rng, (2,), 3, 2)
         X = DenseImage(rng.normal(size=(8, 2)))
-        profile = response_profile(conv_scale_forward(X, bank.weights[2], bank.biases[2]))
+        profile = response_profile(conv_scale_forward(X, *bank[2]))
         assert profile.intensities.shape == (7,)
 
     def test_channel_profile_equals_feature_map_row(self):
         rng = make_rng(14)
         bank = random_bank(rng, (3,), 4, 2)
         X = DenseImage(rng.normal(size=(6, 2)))
-        fmap = conv_scale_forward(X, bank.weights[3], bank.biases[3])
+        fmap = conv_scale_forward(X, *bank[3])
         for m in range(4):
             profile = response_profile(fmap, channel=m)
             assert np.array_equal(profile.intensities, fmap.values[m])
@@ -277,7 +264,7 @@ class TestResponseProfile:
         rng = make_rng(15)
         bank = random_bank(rng, (3,), 2, 2)
         X = DenseImage(rng.normal(size=(8, 2)))
-        profile = response_profile(conv_scale_forward(X, bank.weights[3], bank.biases[3]))
+        profile = response_profile(conv_scale_forward(X, *bank[3]))
         first, last = profile.frame_range
         assert first == profile.argmax_window
         assert last == first + 2
@@ -286,7 +273,7 @@ class TestResponseProfile:
         rng = make_rng(16)
         bank = random_bank(rng, (2,), 2, 2)
         X = DenseImage(rng.normal(size=(5, 2)))
-        fmap = conv_scale_forward(X, bank.weights[2], bank.biases[2])
+        fmap = conv_scale_forward(X, *bank[2])
         with pytest.raises(ValueError):
             response_profile(fmap, channel=2)
         with pytest.raises(ValueError):

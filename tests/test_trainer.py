@@ -5,7 +5,7 @@ import pytest
 
 import din.trainer as trainer_mod
 from din.data_io import Sample, SyntheticTaskConfig, synth_order_task
-from din.model import init_model, named_parameters
+from din.model import init_model
 from din.numerics import make_rng
 from din.trainer import (
     OptimizerState,
@@ -37,7 +37,7 @@ def tiny_dataset(num_per_class=8, sigma=0.1, seed=5, dim=4, length=5):
 
 
 def snapshot(params):
-    return {name: arr.copy() for name, arr in named_parameters(params).items()}
+    return {name: arr.copy() for name, arr in params.tensors.items()}
 
 
 class TestTrainConfig:
@@ -68,8 +68,8 @@ class TestSgdStep:
         state = OptimizerState.init(tiny_params, cfg)
         before = snapshot(tiny_params)
         zero = {name: np.zeros_like(arr) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params, zero, state, cfg)
-        for name, arr in named_parameters(tiny_params).items():
+        sgd_momentum_step(tiny_params.tensors, zero, state, cfg)
+        for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name])
 
     def test_momentum_zero_equals_vanilla_descent(self, tiny_params):
@@ -78,8 +78,8 @@ class TestSgdStep:
         before = snapshot(tiny_params)
         rng = make_rng(1)
         grads = {name: rng.normal(size=arr.shape) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params, grads, state, cfg)
-        for name, arr in named_parameters(tiny_params).items():
+        sgd_momentum_step(tiny_params.tensors, grads, state, cfg)
+        for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name] - grads[name])
 
     def test_weight_decay_hand_value(self, tiny_params):
@@ -87,28 +87,28 @@ class TestSgdStep:
         # -> param = 1 - 5e-4 * 5e-4 = 0.99999975
         cfg = TrainConfig(momentum=0.0, weight_decay=5e-4, initial_lr=5e-4)
         state = OptimizerState.init(tiny_params, cfg)
-        tiny_params.reduction.weights[0, 0] = 1.0
-        zero = {name: np.zeros_like(arr) for name, arr in named_parameters(tiny_params).items()}
-        sgd_momentum_step(tiny_params, zero, state, cfg)
-        assert abs(tiny_params.reduction.weights[0, 0] - 0.99999975) < 1e-15
+        tiny_params.tensors["reduction/weights"][0, 0] = 1.0
+        zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
+        sgd_momentum_step(tiny_params.tensors, zero, state, cfg)
+        assert abs(tiny_params.tensors["reduction/weights"][0, 0] - 0.99999975) < 1e-15
 
     def test_weight_decay_skips_biases(self, tiny_params):
         cfg = TrainConfig(momentum=0.0, weight_decay=0.1, initial_lr=1.0)
         state = OptimizerState.init(tiny_params, cfg)
-        tiny_params.reduction.bias[:] = 3.0
-        zero = {name: np.zeros_like(arr) for name, arr in named_parameters(tiny_params).items()}
-        sgd_momentum_step(tiny_params, zero, state, cfg)
-        assert np.array_equal(tiny_params.reduction.bias, np.full(3, 3.0))
+        tiny_params.tensors["reduction/bias"][:] = 3.0
+        zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
+        sgd_momentum_step(tiny_params.tensors, zero, state, cfg)
+        assert np.array_equal(tiny_params.tensors["reduction/bias"], np.full(3, 3.0))
 
     def test_shape_mismatch_rejected(self, tiny_params):
         cfg = TrainConfig()
         state = OptimizerState.init(tiny_params, cfg)
-        grads = {name: np.zeros_like(arr) for name, arr in named_parameters(tiny_params).items()}
+        grads = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
         grads["reduction/bias"] = np.zeros(99)
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params, grads, state, cfg)
+            sgd_momentum_step(tiny_params.tensors, grads, state, cfg)
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params, {}, state, cfg)
+            sgd_momentum_step(tiny_params.tensors, {}, state, cfg)
 
 
 class TestPlateau:
@@ -198,7 +198,7 @@ class TestTrainEpoch:
         per_sample = [sample_loss_and_grads(params, s.features, s.label)[1] for s in batch]
         state = OptimizerState.init(params, cfg)
         train_epoch(params, batch, cfg, state, epoch_rng(cfg.seed, 0))
-        for name, arr in named_parameters(params).items():
+        for name, arr in params.tensors.items():
             step = before[name] - arr  # lr == 1, momentum == 0
             mean = sum(g[name] for g in per_sample) / 3.0
             assert np.abs(step - mean).max() < 1e-12
@@ -214,9 +214,9 @@ class TestEvaluate:
     def test_zero_heads_give_chance_accuracy_and_log_c_loss(self):
         splits = tiny_dataset(num_per_class=10)
         params = init_model(TINY_SHAPE, make_rng(7))
-        for h in params.shape.widths:
-            params.heads[h].weights[:] = 0.0
-            params.heads[h].bias[:] = 0.0
+        for weights, bias in params.heads.values():
+            weights[:] = 0.0
+            bias[:] = 0.0
         # 3-class model on 2-class balanced data predicting class 0 always.
         loss, acc = evaluate(params, splits["val"])
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
@@ -241,7 +241,7 @@ class TestFit:
         state = fit(params, splits["train"], splits["val"], cfg)
         assert state.history == []
         assert state.best_epoch == -1
-        for name, arr in named_parameters(params).items():
+        for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
 
     def test_lr_zero_keeps_params_bit_identical(self):
@@ -250,7 +250,7 @@ class TestFit:
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
         state = fit(params, splits["train"], splits["val"], cfg)
-        for name, arr in named_parameters(params).items():
+        for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
         # Validation losses are bit-identical (fixed eval order); train
         # losses only agree to summation-order noise because each epoch
@@ -287,8 +287,8 @@ class TestFit:
         state_b = fit(params_b, splits["train"], splits["val"], base, state_b)
 
         assert state_a.history == state_b.history
-        for name, arr in named_parameters(params_a).items():
-            assert np.array_equal(arr, named_parameters(params_b)[name])
+        for name, arr in params_a.tensors.items():
+            assert np.array_equal(arr, params_b.tensors[name])
         for name, arr in state_a.optimizer.velocity.items():
             assert np.array_equal(arr, state_b.optimizer.velocity[name])
 
@@ -297,7 +297,7 @@ class TestFit:
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.1, seed=13)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         state = fit(params, splits["train"], splits["val"], cfg)
-        for arr in named_parameters(params).values():
+        for arr in params.tensors.values():
             assert np.isfinite(arr).all()
         for arr in state.optimizer.velocity.values():
             assert np.isfinite(arr).all()
