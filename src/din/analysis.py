@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .data_io import Sample, atomic_write_bytes
-from .denseimage import SamplingMode, encode
-from .model import ModelParams, ModelShapeSpec, parameter_shapes
-from .temporal_conv import conv_scale_forward, multiscale_forward, response_profile
+from .denseimage import encode
+from .model import ModelParams, ModelShapeSpec, eval_batches, forward_sample, parameter_shapes
+from .temporal_conv import conv_scale_forward, response_profiles
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,12 @@ def cost_report(shape: ModelShapeSpec, reference: dict[str, dict] | None = None)
     return CostReport(count_parameters(shape), estimate_flops(shape), dict(reference or {}))
 
 
+def _write_lines(rows: list[str], out_path: str | Path) -> Path:
+    out_path = Path(out_path)
+    atomic_write_bytes(out_path, ("\n".join(rows) + "\n").encode())
+    return out_path
+
+
 def export_responses(
     params: ModelParams, samples: Sequence[Sample], h: int, out_path: str | Path
 ) -> Path:
@@ -89,18 +95,15 @@ def export_responses(
         + ["argmax_window", "frame_start", "frame_end"]
     )
     rows = [",".join(header)]
-    for sample in sorted(samples, key=lambda s: s.id):
-        _, dense = encode(sample.features, params.reduction, params.shape.num_frames,
-                          SamplingMode.EVAL_CENTER)
-        profile = response_profile(conv_scale_forward(dense, *params.bank[h]))
-        first, last = profile.frame_range
-        cells = [sample.id]
-        cells += [repr(float(v)) for v in profile.intensities]
-        cells += [str(profile.argmax_window), str(first), str(last)]
-        rows.append(",".join(cells))
-    out_path = Path(out_path)
-    atomic_write_bytes(out_path, ("\n".join(rows) + "\n").encode())
-    return out_path
+    for chunk, batch_rows in eval_batches(params.shape, sorted(samples, key=lambda s: s.id)):
+        fmap = conv_scale_forward(encode(batch_rows, params.reduction), *params.bank[h])
+        for sample, profile in zip(chunk, response_profiles(fmap)):
+            first, last = profile.frame_range
+            cells = [sample.id]
+            cells += [repr(float(v)) for v in profile.intensities]
+            cells += [str(profile.argmax_window), str(first), str(last)]
+            rows.append(",".join(cells))
+    return _write_lines(rows, out_path)
 
 
 def export_pooled_features(
@@ -118,16 +121,13 @@ def export_pooled_features(
         header += [f"c{h}_{m}" for m in range(shape.num_filters)]
     header += [f"mean_{j}" for j in range(shape.feat_dim)]
     rows = [",".join(header)]
-    for sample in sorted(samples, key=lambda s: s.id):
-        _, dense = encode(sample.features, params.reduction, shape.num_frames,
-                          SamplingMode.EVAL_CENTER)
-        pooled, _ = multiscale_forward(dense, params.bank)
-        vector = np.concatenate([pooled[h].values for h in shape.widths])
-        baseline = dense.values.mean(axis=0)
-        cells = [sample.id, str(sample.label)]
-        cells += [repr(float(v)) for v in vector]
-        cells += [repr(float(v)) for v in baseline]
-        rows.append(",".join(cells))
-    out_path = Path(out_path)
-    atomic_write_bytes(out_path, ("\n".join(rows) + "\n").encode())
-    return out_path
+    for chunk, batch_rows in eval_batches(params.shape, sorted(samples, key=lambda s: s.id)):
+        fwd = forward_sample(params, batch_rows)
+        vectors = np.concatenate([fwd.conv.pooled[h].values for h in shape.widths], axis=1)
+        baselines = fwd.dense.mean(axis=1)
+        for sample, vector, baseline in zip(chunk, vectors, baselines):
+            cells = [sample.id, str(sample.label)]
+            cells += [repr(float(v)) for v in vector]
+            cells += [repr(float(v)) for v in baseline]
+            rows.append(",".join(cells))
+    return _write_lines(rows, out_path)

@@ -1,9 +1,10 @@
-"""Per-scale classification heads and score fusion.
+"""Per-scale classification heads and score fusion, over a batch.
 
 Each pooled scale feature gets its own fully connected head; the per-scale
 logits are summed elementwise and softmaxed once. Because the fusion is a
 plain sum, every head sees the identical upstream gradient. A head is a
-(C x M weights, C bias) pair.
+(C x M weights, C bias) pair and runs as one GEMM over the B x M pooled
+features of the batch.
 """
 
 from __future__ import annotations
@@ -12,63 +13,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, DropoutMask, softmax
+from .numerics import Array, softmax
 
 
 @dataclass(frozen=True)
 class ClassScores:
-    fused_logits: Array
-    probabilities: Array
-    per_scale_logits: dict[int, Array]
+    fused_logits: Array  # B x C
+    probabilities: Array  # B x C
 
 
-def head_forward(
-    c_h: Array, head: tuple[Array, Array], mask: DropoutMask | None = None
-) -> Array:
-    """Class logits for one scale: weights @ (mask * c_h) + bias.
+def head_forward(c_h: Array, head: tuple[Array, Array], mask: Array | None = None) -> Array:
+    """B x C class logits for one scale: (mask * c_h) @ weights^T + bias.
 
-    The mask is the training-time dropout on the head input; omitting it
-    is evaluation mode.
+    c_h is B x M. The mask holds the B x M training-time inverted-dropout
+    scales of the head input; omitting it is evaluation mode.
     """
     weights, bias = head
     c_h = np.asarray(c_h, dtype=np.float64)
-    if c_h.shape != (weights.shape[1],):
-        raise ValueError(f"expected pooled feature of length {weights.shape[1]}")
+    if c_h.ndim != 2 or c_h.shape[1] != weights.shape[1]:
+        raise ValueError(f"expected B x {weights.shape[1]} pooled features")
     if mask is not None:
-        if mask.values.shape != c_h.shape:
-            raise ValueError("dropout mask length must match the pooled feature")
-        c_h = mask.values * c_h
-    return weights @ c_h + bias
+        if mask.shape != c_h.shape:
+            raise ValueError("dropout mask shape must match the pooled features")
+        c_h = mask * c_h
+    logits = c_h @ weights.T
+    logits += bias
+    return logits
 
 
 def fuse_and_score(per_scale_logits: dict[int, Array]) -> ClassScores:
-    """Sum per-scale logits elementwise, then softmax the fused vector."""
+    """Sum per-scale logits elementwise, then softmax each fused row."""
     if not per_scale_logits:
         raise ValueError("need at least one scale")
-    lengths = {v.shape for v in per_scale_logits.values()}
-    if len(lengths) != 1:
-        raise ValueError("per-scale logits must all have the same length")
-    fused = np.zeros(next(iter(lengths))[0])
+    shapes = {v.shape for v in per_scale_logits.values()}
+    if len(shapes) != 1:
+        raise ValueError("per-scale logits must all have the same shape")
+    fused = np.zeros(next(iter(shapes)))
     for h in sorted(per_scale_logits):
         fused += per_scale_logits[h]
-    return ClassScores(fused, softmax(fused), dict(per_scale_logits))
+    return ClassScores(fused, softmax(fused))
 
 
-def predict(scores: ClassScores) -> int:
-    """Most probable class; ties break to the smallest index."""
-    return int(np.argmax(scores.probabilities))
+def predict(scores: ClassScores) -> Array:
+    """Most probable class of each row; ties break to the smallest index."""
+    return np.argmax(scores.probabilities, axis=-1)
 
 
 def classifier_backward(
     c_h: dict[int, Array],
     heads: dict[int, tuple[Array, Array]],
-    masks: dict[int, DropoutMask] | None,
+    masks: dict[int, Array] | None,
     grad_fused: Array,
 ) -> tuple[dict[int, tuple[Array, Array]], dict[int, Array]]:
-    """Gradients through fusion, heads and dropout masks.
+    """Gradients through fusion, heads and dropout masks, summed over the batch.
 
-    The fused sum fans grad_fused unchanged to every scale. Returns
-    ({h: (grad_weights, grad_bias)}, {h: grad_c_h}).
+    The fused sum fans the B x C grad_fused unchanged to every scale.
+    Returns ({h: (grad_weights, grad_bias)}, {h: B x M grad_c_h}).
     """
     if set(c_h) != set(heads):
         raise ValueError("pooled features and heads must cover the same widths")
@@ -76,16 +76,14 @@ def classifier_backward(
     head_grads: dict[int, tuple[Array, Array]] = {}
     grad_c: dict[int, Array] = {}
     for h, (weights, _) in heads.items():
-        if grad_fused.shape != (weights.shape[0],):
-            raise ValueError("grad_fused length must equal the class count")
+        if grad_fused.shape != (len(grad_fused), weights.shape[0]):
+            raise ValueError("grad_fused must be B x (class count)")
         feat = np.asarray(c_h[h], dtype=np.float64)
-        if feat.shape != (weights.shape[1],):
-            raise ValueError(f"pooled feature for width {h} has the wrong length")
+        if feat.shape != (grad_fused.shape[0], weights.shape[1]):
+            raise ValueError(f"pooled features for width {h} have the wrong shape")
         mask = masks.get(h) if masks else None
-        inp = mask.values * feat if mask is not None else feat
-        grad_weights = np.outer(grad_fused, inp)
-        grad_bias = grad_fused.copy()
-        grad_inp = weights.T @ grad_fused
-        grad_c[h] = mask.values * grad_inp if mask is not None else grad_inp
-        head_grads[h] = (grad_weights, grad_bias)
+        inp = mask * feat if mask is not None else feat
+        grad_inp = grad_fused @ weights
+        grad_c[h] = mask * grad_inp if mask is not None else grad_inp
+        head_grads[h] = (grad_fused.T @ inp, grad_fused.sum(axis=0))
     return head_grads, grad_c

@@ -74,7 +74,12 @@ def build_run_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ValueError(f"config file not found: {path}")
-        file_doc = json.loads(path.read_text())
+        try:
+            file_doc = json.loads(path.read_text())
+        except ValueError as exc:  # JSON syntax or text decoding
+            raise ValueError(f"{path}: cannot parse config: {exc}") from exc
+        if not (isinstance(file_doc, dict) and all(isinstance(v, dict) for v in file_doc.values())):
+            raise ValueError(f"{path}: config must be an object of section objects")
         unknown = set(file_doc) - {"shape", "train", "synth"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")

@@ -1,9 +1,10 @@
 """Frame sequences into fixed-size DenseImage matrices.
 
-A video arrives as one feature vector per frame. Encoding picks n frames
-by segment sampling, pushes each through a trainable linear reduction,
-and stacks the results row by row. Row order always equals temporal
-order; nothing here may permute or mix rows.
+A video arrives as one feature vector per frame. Gathering picks n
+frames by segment sampling; encoding pushes a whole batch of gathered
+rows through the trainable linear reduction at once. Row i of a
+DenseImage is always sampled frame i: nothing here may permute or mix
+rows.
 """
 
 from __future__ import annotations
@@ -42,25 +43,6 @@ class FrameFeatureSequence:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class DenseImage:
-    """n x k matrix of reduced frame features; row i is sampled frame i."""
-
-    values: Array
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("DenseImage must be 2-D")
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def feat_dim(self) -> int:
-        return self.values.shape[1]
-
-
 def sample_segments(
     T: int, n: int, mode: SamplingMode, rng: np.random.Generator | None = None
 ) -> Array:
@@ -89,25 +71,29 @@ def sample_segments(
     return indices
 
 
-def encode(
+def gather(
     features: Array,
-    reduction: tuple[Array, Array],
     n: int,
-    mode: SamplingMode,
+    mode: SamplingMode = SamplingMode.EVAL_CENTER,
     rng: np.random.Generator | None = None,
-) -> tuple[Array, DenseImage]:
-    """Sample n frames, reduce each one, stack rows in temporal order.
+) -> Array:
+    """The n x D raw rows of the frames segment sampling picks, in temporal order."""
+    seq = FrameFeatureSequence(np.asarray(features, dtype=np.float64))
+    return seq.features[sample_segments(seq.num_frames, n, mode, rng)]
 
-    The single sample-gather-reduce path of the package. `reduction` is
-    the (D x k weights, k bias) pair. Returns the n x D raw rows that were
-    sampled (the reduction backward needs them) and the n x k DenseImage.
+
+def encode(rows: Array, reduction: tuple[Array, Array]) -> Array:
+    """Reduce a B x n x D batch of sampled rows to B x n x k DenseImages.
+
+    One (B*n) x D GEMM against the (D x k weights, k bias) pair; row i of
+    DenseImage b is still sampled frame i of video b.
     """
     weights, bias = reduction
-    seq = FrameFeatureSequence(np.asarray(features, dtype=np.float64))
-    if seq.dim != weights.shape[0]:
+    if rows.ndim != 3 or rows.shape[2] != weights.shape[0]:
         raise ValueError(
-            f"sequence dim {seq.dim} does not match reduction input {weights.shape[0]}"
+            f"rows of shape {rows.shape} do not match reduction input {weights.shape[0]}"
         )
-    indices = sample_segments(seq.num_frames, n, mode, rng)
-    rows = seq.features[indices]
-    return rows, DenseImage(rows @ weights + bias)
+    B, n, D = rows.shape
+    dense = rows.reshape(B * n, D) @ weights
+    dense += bias
+    return dense.reshape(B, n, weights.shape[1])

@@ -1,4 +1,4 @@
-"""Full model state and the per-sample forward/backward composition.
+"""Full model state and the batched forward/backward engine.
 
 The trainable chain is: raw frame features (D) -> linear reduction (k)
 -> DenseImage rows -> multi-width temporal convolution + max pooling
@@ -7,18 +7,30 @@ layer module. This file holds the parameter table, the one description
 of every trainable tensor's name, shape and order that the optimizer,
 checkpoints and the parameter accounting share, and wires the layers
 together.
+
+The engine runs B videos at once: their sampled rows are gathered to
+B x n x D and every layer is one GEMM (per width) over the batch.
+Training, evaluation, prediction (B=1), exports and gradient checks all
+go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from . import classifier as clf
 from . import denseimage as di
 from . import temporal_conv as tc
-from .numerics import Array, DropoutMask, cross_entropy_from_logits, glorot_uniform
+from .numerics import (
+    Array,
+    cross_entropy_from_logits,
+    glorot_uniform,
+    require_number,
+    sample_dropout_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -33,6 +45,11 @@ class ModelShapeSpec:
     num_classes: int
 
     def __post_init__(self):
+        if not isinstance(self.widths, (list, tuple)):
+            raise ValueError(f"widths must be a list of integers, got {self.widths!r}")
+        for f in fields(self):
+            for value in self.widths if f.name == "widths" else [getattr(self, f.name)]:
+                require_number(f.name, value, integral=True)
         object.__setattr__(self, "widths", tuple(sorted(self.widths)))
         if min(self.raw_dim, self.feat_dim, self.num_frames, self.num_filters,
                self.num_classes) < 1:
@@ -46,14 +63,7 @@ class ModelShapeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelShapeSpec":
-        return cls(
-            raw_dim=int(d["raw_dim"]),
-            feat_dim=int(d["feat_dim"]),
-            num_frames=int(d["num_frames"]),
-            widths=tuple(int(h) for h in d["widths"]),
-            num_filters=int(d["num_filters"]),
-            num_classes=int(d["num_classes"]),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:
@@ -133,72 +143,99 @@ def clone_params(params: ModelParams) -> ModelParams:
     return ModelParams(params.shape, {name: arr.copy() for name, arr in params.tensors.items()})
 
 
-@dataclass
-class SampleCache:
-    """Forward-pass intermediates for one sample, consumed by backward."""
+def sample_batch(
+    shape: ModelShapeSpec,
+    videos: Sequence[Array],
+    rng: np.random.Generator | None = None,
+    dropout_keep: float = 1.0,
+) -> tuple[Array, dict[int, Array] | None]:
+    """(B x n x D sampled rows, width -> B x M dropout masks or None).
 
-    raw_rows: Array  # n x D raw features of the sampled frames
-    ms_cache: tc.MultiscaleCache
-    masks: dict[int, DropoutMask] | None
+    Without an rng this is evaluation: center sampling and no masks. With
+    one, each video in turn draws its masks, one per width in ascending
+    order (only when dropout_keep < 1), then its random segment indices;
+    reruns and resumed runs are bit-exact because that order is fixed.
+    """
+    mode = di.SamplingMode.EVAL_CENTER if rng is None else di.SamplingMode.TRAIN_RANDOM
+    masks = None
+    if rng is not None and dropout_keep < 1.0:
+        masks = {h: np.empty((len(videos), shape.num_filters)) for h in shape.widths}
+    rows = []
+    for b, features in enumerate(videos):
+        for h in masks or ():
+            masks[h][b] = sample_dropout_mask(rng, shape.num_filters, dropout_keep)
+        rows.append(di.gather(features, shape.num_frames, mode, rng))
+    return np.stack(rows), masks
+
+
+# Videos per evaluation forward pass: a few MB of intermediates at the paper shape.
+EVAL_BATCH = 32
+
+
+def eval_batches(shape: ModelShapeSpec, samples: Sequence):
+    """(chunk, its B x n x D center-sampled rows) for consecutive chunks of
+    EVAL_BATCH samples (anything with a .features array)."""
+    for start in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[start : start + EVAL_BATCH]
+        yield chunk, sample_batch(shape, [s.features for s in chunk])[0]
+
+
+@dataclass
+class BatchForward:
+    """Intermediates of one batched forward pass, consumed by backward_sample."""
+
+    rows: Array  # B x n x D sampled raw frames
+    dense: Array  # B x n x k DenseImages
+    conv: tc.MultiscaleCache
+    masks: dict[int, Array] | None  # width -> B x M dropout scales
+    scores: clf.ClassScores  # B x C logits and probabilities
 
 
 def forward_sample(
-    params: ModelParams,
-    features: Array,
-    mode: di.SamplingMode = di.SamplingMode.EVAL_CENTER,
-    rng: np.random.Generator | None = None,
-    masks: dict[int, DropoutMask] | None = None,
-) -> tuple[clf.ClassScores, SampleCache]:
-    """Run one raw feature sequence through the whole model."""
-    raw_rows, dense = di.encode(
-        features, params.reduction, params.shape.num_frames, mode, rng
-    )
-    pooled, ms_cache = tc.multiscale_forward(dense, params.bank)
+    params: ModelParams, rows: Array, masks: dict[int, Array] | None = None
+) -> BatchForward:
+    """Run a B x n x D batch of sampled rows through the whole model."""
+    dense = di.encode(rows, params.reduction)
+    pooled, conv = tc.multiscale_forward(dense, params.bank)
     per_scale = {
-        h: clf.head_forward(pooled[h].values, head, masks.get(h) if masks else None)
+        h: clf.head_forward(pooled[h].values, head, masks[h] if masks else None)
         for h, head in params.heads.items()
     }
-    return clf.fuse_and_score(per_scale), SampleCache(raw_rows, ms_cache, masks)
+    return BatchForward(rows, dense, conv, masks, clf.fuse_and_score(per_scale))
 
 
 def backward_sample(
-    params: ModelParams, cache: SampleCache, grad_fused: Array
+    params: ModelParams, fwd: BatchForward, grad_fused: Array
 ) -> dict[str, Array]:
-    """Gradients of a scalar loss wrt every named parameter, given the
-    loss gradient on the fused logits."""
-    pooled_values = {h: p.values for h, p in cache.ms_cache.pooled.items()}
-    head_grads, grad_c = clf.classifier_backward(
-        pooled_values, params.heads, cache.masks, grad_fused
-    )
-    grad_W, grad_b, grad_X = tc.multiscale_backward(cache.ms_cache, grad_c)
+    """Gradients of a scalar loss wrt every named parameter, summed over the
+    batch, given the B x C loss gradient on the fused logits."""
+    pooled = {h: p.values for h, p in fwd.conv.pooled.items()}
+    head_grads, grad_c = clf.classifier_backward(pooled, params.heads, fwd.masks, grad_fused)
+    grad_W, grad_b, grad_X = tc.multiscale_backward(fwd.conv, grad_c)
+    B, n, D = fwd.rows.shape
+    grad_X = grad_X.reshape(B * n, -1)
     grads: dict[str, Array] = {
-        "reduction/weights": cache.raw_rows.T @ grad_X,
+        "reduction/weights": fwd.rows.reshape(B * n, D).T @ grad_X,
         "reduction/bias": grad_X.sum(axis=0),
     }
     for h in params.shape.widths:
-        grads[f"conv/h{h}/weights"] = grad_W[h]
-        grads[f"conv/h{h}/bias"] = grad_b[h]
-        gw, gb = head_grads[h]
-        grads[f"head/h{h}/weights"] = gw
-        grads[f"head/h{h}/bias"] = gb
+        grads[f"conv/h{h}/weights"], grads[f"conv/h{h}/bias"] = grad_W[h], grad_b[h]
+        grads[f"head/h{h}/weights"], grads[f"head/h{h}/bias"] = head_grads[h]
     return grads
 
 
 def sample_loss_and_grads(
-    params: ModelParams,
-    features: Array,
-    label: int,
-    mode: di.SamplingMode = di.SamplingMode.EVAL_CENTER,
-    rng: np.random.Generator | None = None,
-    masks: dict[int, DropoutMask] | None = None,
+    params: ModelParams, rows: Array, labels, masks: dict[int, Array] | None = None
 ) -> tuple[float, dict[str, Array]]:
-    """Cross-entropy loss and parameter gradients for one labeled sample."""
-    scores, cache = forward_sample(params, features, mode, rng, masks)
-    loss, grad_fused = cross_entropy_from_logits(scores.fused_logits, label)
-    return loss, backward_sample(params, cache, grad_fused)
+    """Cross-entropy loss and parameter gradients of a labeled batch, both
+    summed over its B samples."""
+    fwd = forward_sample(params, rows, masks)
+    losses, grad_fused = cross_entropy_from_logits(fwd.scores.fused_logits, labels)
+    return float(losses.sum()), backward_sample(params, fwd, grad_fused)
 
 
 def predict_sample(params: ModelParams, features: Array) -> tuple[int, Array]:
-    """Evaluation-mode class prediction and probabilities for one sample."""
-    scores, _ = forward_sample(params, features)
-    return clf.predict(scores), scores.probabilities
+    """Evaluation-mode class prediction and probabilities for one video (B=1)."""
+    rows, _ = sample_batch(params.shape, [features])
+    scores = forward_sample(params, rows).scores
+    return int(clf.predict(scores)[0]), scores.probabilities[0]

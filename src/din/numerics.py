@@ -8,11 +8,17 @@ is no module-level RNG state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
 Array = np.ndarray
+
+
+def require_number(name: str, value, integral: bool) -> None:
+    """Reject a config value that is not an integer (integral=True) or a number; bools are neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
 
 
 def make_rng(seed: int, *keys: int) -> np.random.Generator:
@@ -28,35 +34,40 @@ def make_rng(seed: int, *keys: int) -> np.random.Generator:
 
 
 def softmax(logits: Array) -> Array:
-    """Stable softmax of a 1-D logit vector (max-subtraction)."""
+    """Stable softmax over the last axis (max-subtraction); a 1-D vector or
+    a B x C matrix of rows."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D vector")
+    if logits.ndim not in (1, 2) or logits.shape[-1] == 0:
+        raise ValueError("softmax expects a non-empty vector or a matrix of rows")
     if not np.all(np.isfinite(logits)):
         raise ValueError("softmax expects finite logits")
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_from_logits(logits: Array, label: int) -> tuple[float, Array]:
-    """Negative log-likelihood of `label` under softmax(logits).
+def cross_entropy_from_logits(logits: Array, labels) -> tuple[Array, Array]:
+    """Row-wise negative log-likelihood of labels[b] under softmax(logits[b]).
 
-    Returns (loss, grad wrt logits). The loss is computed through
-    log-sum-exp and the gradient is softmax(logits) - onehot(label),
-    both stable for logits of any magnitude.
+    logits is B x C and labels holds B class indices. Returns (the B
+    losses, grad wrt logits). Each loss is computed through log-sum-exp
+    and each gradient row is softmax(logits[b]) - onehot(labels[b]), both
+    stable for logits of any magnitude.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ValueError("cross_entropy_from_logits expects a non-empty 1-D vector")
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range for {logits.size} classes")
-    shifted = logits - logits.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    loss = float(log_norm - shifted[label])
-    grad = np.exp(shifted - log_norm)
-    grad[label] -= 1.0
-    return loss, grad
+    if logits.ndim != 2 or 0 in logits.shape:
+        raise ValueError("cross_entropy_from_logits expects a non-empty B x C logit matrix")
+    labels = np.asarray(labels)
+    if labels.shape != logits.shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"expected {logits.shape[0]} integer labels, got {labels!r}")
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise ValueError(f"labels {labels} out of range for {logits.shape[1]} classes")
+    rows = np.arange(logits.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    losses = log_norm - shifted[rows, labels]
+    grad = np.exp(shifted - log_norm[:, None])
+    grad[rows, labels] -= 1.0
+    return losses, grad
 
 
 def glorot_uniform(
@@ -69,19 +80,12 @@ def glorot_uniform(
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-@dataclass(frozen=True)
-class DropoutMask:
-    """Inverted-dropout scaling vector: elements are 0 or 1/keep_probability."""
-
-    keep_probability: float
-    values: Array
-
-
 def sample_dropout_mask(
     rng: np.random.Generator, length: int, keep_probability: float
-) -> DropoutMask:
-    """Bernoulli keep mask scaled so masked activations keep their expectation."""
+) -> Array:
+    """Inverted-dropout scaling vector: Bernoulli keeps scaled by
+    1/keep_probability, so masked activations keep their expectation."""
     if not 0.0 < keep_probability <= 1.0:
         raise ValueError("keep_probability must be in (0, 1]")
     kept = rng.random(length) < keep_probability
-    return DropoutMask(keep_probability, kept / keep_probability)
+    return kept / keep_probability

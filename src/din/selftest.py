@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis
-from .denseimage import DenseImage, SamplingMode, encode, sample_segments
+from .denseimage import SamplingMode, encode, gather, sample_segments
 from .model import ModelParams, ModelShapeSpec, init_model, sample_loss_and_grads
 from .numerics import cross_entropy_from_logits, make_rng, softmax
 from .temporal_conv import conv_scale_forward, multiscale_backward, multiscale_forward
@@ -65,14 +65,13 @@ def _check_conv_oracle() -> None:
         M = int(rng.integers(1, 5))
         widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(2)))
         bank = _random_bank(rng, widths, M, k)
-        X = DenseImage(rng.normal(size=(n, k)))
-        pooled, _ = multiscale_forward(X, bank)
+        X = rng.normal(size=(n, k))
+        pooled, cache = multiscale_forward(X[None], bank)
         for h in widths:
-            want = naive_scale_responses(X.values, *bank[h])
-            got = conv_scale_forward(X, *bank[h]).values
-            if np.abs(got - want).max() > 1e-12:
+            want = naive_scale_responses(X, *bank[h])
+            if np.abs(cache.fmaps[h].values[0].T - want).max() > 1e-12:
                 raise AssertionError(f"conv mismatch at h={h}")
-            if np.abs(pooled[h].values - want.max(axis=1)).max() > 1e-12:
+            if np.abs(pooled[h].values[0] - want.max(axis=1)).max() > 1e-12:
                 raise AssertionError(f"pool mismatch at h={h}")
 
 
@@ -84,17 +83,17 @@ def _check_multiscale_gradients() -> None:
         n, k, M = 5, 3, 4
         widths = (2, 3)
         bank = _random_bank(rng, widths, M, k)
-        X = rng.normal(size=(n, k))
-        if not kink_free(X, bank):
+        X = rng.normal(size=(1, n, k))
+        if not kink_free(X[0], bank):
             continue
         done += 1
-        grad_up = {h: rng.normal(size=M) for h in widths}
-        _, cache = multiscale_forward(DenseImage(X), bank)
+        grad_up = {h: rng.normal(size=(1, M)) for h in widths}
+        _, cache = multiscale_forward(X, bank)
         grad_W, grad_b, grad_X = multiscale_backward(cache, grad_up)
 
         def objective():
-            p, _ = multiscale_forward(DenseImage(X), bank)
-            return sum(float(grad_up[h] @ p[h].values) for h in widths)
+            p, _ = multiscale_forward(X, bank)
+            return sum(float((grad_up[h] * p[h].values).sum()) for h in widths)
 
         def probe(arr, grad, what):
             for idx in np.ndindex(arr.shape):
@@ -130,19 +129,18 @@ def _check_end_to_end_gradients() -> None:
     done = 0
     while done < 5:
         params, features, label = _tiny_model(rng)
-        _, dense = encode(features, params.reduction, params.shape.num_frames,
-                          SamplingMode.EVAL_CENTER)
-        if not kink_free(dense.values, params.bank):
+        rows = gather(features, params.shape.num_frames)[None]
+        if not kink_free(encode(rows, params.reduction)[0], params.bank):
             continue
         done += 1
-        loss, grads = sample_loss_and_grads(params, features, label)
+        loss, grads = sample_loss_and_grads(params, rows, [label])
         for name, arr in params.tensors.items():
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                up, _ = sample_loss_and_grads(params, features, label)
+                up, _ = sample_loss_and_grads(params, rows, [label])
                 arr[idx] = orig - eps
-                down, _ = sample_loss_and_grads(params, features, label)
+                down, _ = sample_loss_and_grads(params, rows, [label])
                 arr[idx] = orig
                 fd = (up - down) / (2 * eps)
                 if abs(fd - grads[name][idx]) > 1e-5 * max(1.0, abs(fd)):
@@ -153,10 +151,10 @@ def _check_shape_law() -> None:
     rng = make_rng(14)
     k, M = 3, 2
     bank = _random_bank(rng, (2, 3, 4), M, k)
-    X = DenseImage(rng.normal(size=(8, k)))
+    X = rng.normal(size=(1, 8, k))
     for h, want in ((2, 7), (3, 6), (4, 5)):
         fmap = conv_scale_forward(X, *bank[h])
-        if fmap.values.shape != (M, want):
+        if fmap.values.shape != (1, want, M):
             raise AssertionError(f"h={h}: expected {want} windows, got {fmap.values.shape}")
 
 
@@ -203,9 +201,8 @@ def _check_order_sensitivity() -> None:
     A, B, C = np.eye(3)
     X = np.stack([A, B, C])
     bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
-    pooled, _ = multiscale_forward(DenseImage(X), bank)
-    swapped, _ = multiscale_forward(DenseImage(X[[0, 2, 1]]), bank)
-    if pooled[2].values[0] == swapped[2].values[0]:
+    pooled, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)
+    if pooled[2].values[0, 0] == pooled[2].values[1, 0]:
         raise AssertionError("row swap left the pooled output unchanged")
 
 
@@ -213,17 +210,17 @@ def _check_cross_entropy() -> None:
     rng = make_rng(17)
     eps = 1e-5
     for _ in range(20):
-        logits = rng.normal(size=int(rng.integers(2, 10)))
-        label = int(rng.integers(len(logits)))
-        _, grad = cross_entropy_from_logits(logits, label)
-        for j in range(len(logits)):
+        logits = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(2, 10))))
+        labels = rng.integers(logits.shape[1], size=logits.shape[0])
+        _, grad = cross_entropy_from_logits(logits, labels)
+        for idx in np.ndindex(logits.shape):
             probe = logits.copy()
-            probe[j] += eps
-            up, _ = cross_entropy_from_logits(probe, label)
-            probe[j] -= 2 * eps
-            down, _ = cross_entropy_from_logits(probe, label)
+            probe[idx] += eps
+            up = cross_entropy_from_logits(probe, labels)[0].sum()
+            probe[idx] -= 2 * eps
+            down = cross_entropy_from_logits(probe, labels)[0].sum()
             fd = (up - down) / (2 * eps)
-            if abs(fd - grad[j]) > 1e-6 * max(1.0, abs(fd)):
+            if abs(fd - grad[idx]) > 1e-6 * max(1.0, abs(fd)):
                 raise AssertionError("cross-entropy gradient mismatch")
 
 

@@ -20,16 +20,16 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .denseimage import SamplingMode
 from .classifier import predict
-from .model import ModelParams, clone_params, forward_sample, sample_loss_and_grads
-from .numerics import (
-    Array,
-    cross_entropy_from_logits,
-    glorot_uniform,
-    make_rng,
-    sample_dropout_mask,
+from .model import (
+    ModelParams,
+    clone_params,
+    eval_batches,
+    forward_sample,
+    sample_batch,
+    sample_loss_and_grads,
 )
+from .numerics import Array, cross_entropy_from_logits, glorot_uniform, make_rng, require_number
 
 if TYPE_CHECKING:
     from .data_io import Sample
@@ -48,6 +48,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            require_number(f.name, getattr(self, f.name), integral=f.type == "int")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
@@ -168,6 +170,10 @@ def _check_finite(named: dict[str, Array], what: str) -> None:
             raise ArithmeticError(f"non-finite values in {what} tensor {name}")
 
 
+def _labels(samples: Sequence["Sample"]) -> Array:
+    return np.array([s.label for s in samples], dtype=np.int64)
+
+
 def train_epoch(
     params: ModelParams,
     samples: Sequence["Sample"],
@@ -175,58 +181,41 @@ def train_epoch(
     state: OptimizerState,
     rng: np.random.Generator,
 ) -> float:
-    """One pass over the split in a fresh shuffled order; one momentum step
-    per mini-batch with the batch-mean gradient. Returns the mean loss."""
+    """One pass over the split in a fresh shuffled order; one batched
+    forward/backward and one momentum step per mini-batch with the
+    batch-mean gradient. Returns the mean loss."""
     if len(samples) == 0:
         raise ValueError("training split is empty")
     order = rng.permutation(len(samples))
-    widths = params.shape.widths
-    channels = params.shape.num_filters
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
-        batch = order[start : start + config.batch_size]
-        grad_sum: dict[str, Array] | None = None
-        for idx in batch:
-            sample = samples[idx]
-            masks = None
-            if config.dropout_keep < 1.0:
-                masks = {
-                    h: sample_dropout_mask(rng, channels, config.dropout_keep)
-                    for h in widths
-                }
-            loss, grads = sample_loss_and_grads(
-                params,
-                sample.features,
-                sample.label,
-                mode=SamplingMode.TRAIN_RANDOM,
-                rng=rng,
-                masks=masks,
-            )
-            total_loss += loss
-            if grad_sum is None:
-                grad_sum = grads
-            else:
-                for name in grad_sum:
-                    grad_sum[name] += grads[name]
-        scale = 1.0 / len(batch)
-        mean_grads = {name: g * scale for name, g in grad_sum.items()}
-        sgd_momentum_step(params.tensors, mean_grads, state, config)
+        batch = [samples[i] for i in order[start : start + config.batch_size]]
+        rows, masks = sample_batch(
+            params.shape, [s.features for s in batch], rng, config.dropout_keep
+        )
+        loss, grads = sample_loss_and_grads(params, rows, _labels(batch), masks)
+        total_loss += loss
+        for g in grads.values():  # fresh arrays: scale to the batch mean in place
+            g *= 1.0 / len(batch)
+        sgd_momentum_step(params.tensors, grads, state, config)
     return total_loss / len(samples)
 
 
 def evaluate(
     params: ModelParams, samples: Sequence["Sample"]
 ) -> tuple[float, float]:
-    """Center-sampled, dropout-free loss and accuracy over a split."""
+    """Center-sampled, dropout-free loss and accuracy over a split, run
+    model.EVAL_BATCH samples at a time."""
     if len(samples) == 0:
         raise ValueError("evaluation split is empty")
     total_loss = 0.0
     correct = 0
-    for sample in samples:
-        scores, _ = forward_sample(params, sample.features)
-        loss, _ = cross_entropy_from_logits(scores.fused_logits, sample.label)
-        total_loss += loss
-        correct += int(predict(scores) == sample.label)
+    for chunk, rows in eval_batches(params.shape, samples):
+        scores = forward_sample(params, rows).scores
+        labels = _labels(chunk)
+        losses, _ = cross_entropy_from_logits(scores.fused_logits, labels)
+        total_loss += float(losses.sum())
+        correct += int((predict(scores) == labels).sum())
     return total_loss / len(samples), correct / len(samples)
 
 
@@ -279,8 +268,8 @@ def init_baseline(rng: np.random.Generator, raw_dim: int, num_classes: int) -> M
     return MeanPoolBaseline(weights, np.zeros(num_classes))
 
 
-def baseline_logits(model: MeanPoolBaseline, features: Array) -> Array:
-    return model.weights @ features.mean(axis=0) + model.bias
+def _frame_means(samples: Sequence["Sample"]) -> Array:
+    return np.stack([s.features.mean(axis=0) for s in samples])
 
 
 def evaluate_baseline(
@@ -288,14 +277,11 @@ def evaluate_baseline(
 ) -> tuple[float, float]:
     if len(samples) == 0:
         raise ValueError("evaluation split is empty")
-    total_loss = 0.0
-    correct = 0
-    for sample in samples:
-        logits = baseline_logits(model, sample.features)
-        loss, _ = cross_entropy_from_logits(logits, sample.label)
-        total_loss += loss
-        correct += int(np.argmax(logits) == sample.label)
-    return total_loss / len(samples), correct / len(samples)
+    logits = _frame_means(samples) @ model.weights.T + model.bias
+    labels = _labels(samples)
+    losses, _ = cross_entropy_from_logits(logits, labels)
+    correct = int((np.argmax(logits, axis=1) == labels).sum())
+    return float(losses.sum()) / len(samples), correct / len(samples)
 
 
 def train_baseline(
@@ -318,21 +304,16 @@ def train_baseline(
         order = rng.permutation(len(train_split))
         total_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grad_w = np.zeros_like(model.weights)
-            grad_b = np.zeros_like(model.bias)
-            for idx in batch:
-                sample = train_split[idx]
-                mean_feat = sample.features.mean(axis=0)
-                logits = model.weights @ mean_feat + model.bias
-                loss, grad_logits = cross_entropy_from_logits(logits, sample.label)
-                total_loss += loss
-                grad_w += np.outer(grad_logits, mean_feat)
-                grad_b += grad_logits
+            batch = [train_split[i] for i in order[start : start + config.batch_size]]
+            means = _frame_means(batch)
+            logits = means @ model.weights.T + model.bias
+            losses, grad_logits = cross_entropy_from_logits(logits, _labels(batch))
+            total_loss += float(losses.sum())
             scale = 1.0 / len(batch)
             sgd_momentum_step(
                 named,
-                {"baseline/weights": grad_w * scale, "baseline/bias": grad_b * scale},
+                {"baseline/weights": grad_logits.T @ means * scale,
+                 "baseline/bias": grad_logits.sum(axis=0) * scale},
                 opt,
                 config,
             )

@@ -17,7 +17,7 @@ from din.data_io import (
     save_checkpoint,
     synth_order_task,
 )
-from din.denseimage import DenseImage, SamplingMode, encode
+from din.denseimage import encode, gather
 from din.model import ModelShapeSpec, init_model, sample_loss_and_grads
 from din.numerics import make_rng, softmax
 from din.selftest import kink_free, naive_scale_responses
@@ -56,18 +56,18 @@ def test_gradient_correctness():
         params = init_model(shape, rng)
         features = rng.uniform(-1.0, 1.0, size=(shape.num_frames, shape.raw_dim))
         label = int(rng.integers(shape.num_classes))
-        _, dense = encode(features, params.reduction, shape.num_frames, SamplingMode.EVAL_CENTER)
-        if not kink_free(dense.values, params.bank):
+        rows = gather(features, shape.num_frames)[None]
+        if not kink_free(encode(rows, params.reduction)[0], params.bank):
             continue
         accepted += 1
-        _, grads = sample_loss_and_grads(params, features, label)
+        _, grads = sample_loss_and_grads(params, rows, [label])
         for name, arr in params.tensors.items():
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                up, _ = sample_loss_and_grads(params, features, label)
+                up, _ = sample_loss_and_grads(params, rows, [label])
                 arr[idx] = orig - eps
-                down, _ = sample_loss_and_grads(params, features, label)
+                down, _ = sample_loss_and_grads(params, rows, [label])
                 arr[idx] = orig
                 fd = (up - down) / (2 * eps)
                 assert rel_err(fd, grads[name][idx]) < 1e-5, f"{name}[{idx}]"
@@ -86,12 +86,12 @@ def test_convolution_oracle():
         widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
         weights = {h: rng.normal(size=(M, h * k)) for h in widths}
         bank = {h: (weights[h], rng.normal(size=M)) for h in widths}
-        X = DenseImage(rng.normal(size=(n, k)))
-        pooled, cache = multiscale_forward(X, bank)
+        X = rng.normal(size=(n, k))
+        pooled, cache = multiscale_forward(X[None], bank)
         for h in widths:
-            want = naive_scale_responses(X.values, *bank[h])
-            assert np.abs(cache.fmaps[h].values - want).max() <= 1e-12
-            assert np.abs(pooled[h].values - want.max(axis=1)).max() <= 1e-12
+            want = naive_scale_responses(X, *bank[h])
+            assert np.abs(cache.fmaps[h].values[0].T - want).max() <= 1e-12
+            assert np.abs(pooled[h].values[0] - want.max(axis=1)).max() <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
 
@@ -99,10 +99,10 @@ def test_convolution_oracle():
 @criterion(3, "feature-map lengths are 7/6/5 for widths 2/3/4 at 8 frames")
 def test_shape_law():
     rng = make_rng(103)
-    X = DenseImage(rng.normal(size=(8, 4)))
+    X = rng.normal(size=(1, 8, 4))
     for h, want in ((2, 7), (3, 6), (4, 5)):
         fmap = conv_scale_forward(X, rng.normal(size=(3, h * 4)), rng.normal(size=3))
-        assert fmap.values.shape == (3, want)
+        assert fmap.values.shape == (1, want, 3)
 
 
 @criterion(4, "temporal-order task: head >= 98% accuracy, mean-pool baseline <= 60%")
@@ -214,13 +214,13 @@ def test_locality():
     for h in (2, 3, 4, 5, 6):
         W = np.abs(rng.normal(size=(M, h * k))) + 0.1
         b = np.full(M, 0.5)
-        base = conv_scale_forward(DenseImage(X), W, b).values
+        base = conv_scale_forward(X[None], W, b).values[0]
         for j in range(n):
             bumped = X.copy()
             bumped[j] += 0.5
-            out = conv_scale_forward(DenseImage(bumped), W, b).values
+            out = conv_scale_forward(bumped[None], W, b).values[0]
             changed = {
-                i for i in range(n - h + 1) if not np.array_equal(out[:, i], base[:, i])
+                i for i in range(n - h + 1) if not np.array_equal(out[i], base[i])
             }
             covering = {i for i in range(n - h + 1) if i <= j <= i + h - 1}
             assert changed == covering, f"h={h} row={j}"

@@ -9,10 +9,10 @@ from din.analysis import (
     export_responses,
 )
 from din.data_io import Sample, save_checkpoint, read_checkpoint_tensors
-from din.denseimage import SamplingMode, encode
-from din.model import ModelShapeSpec, init_model
+from din.denseimage import encode
+from din.model import ModelShapeSpec, forward_sample, init_model, sample_batch
 from din.numerics import make_rng
-from din.temporal_conv import conv_scale_forward, multiscale_forward, response_profile
+from din.temporal_conv import conv_scale_forward, response_profiles
 from din.trainer import TrainConfig, TrainState
 
 from conftest import TINY_SHAPE
@@ -139,11 +139,9 @@ class TestExports:
         rows = out.read_text().strip().splitlines()[1:]
         for row, sample in zip(rows, sorted(samples, key=lambda s: s.id)):
             cells = row.split(",")
-            _, dense = encode(
-                sample.features, tiny_params.reduction,
-                tiny_params.shape.num_frames, SamplingMode.EVAL_CENTER,
-            )
-            profile = response_profile(conv_scale_forward(dense, *tiny_params.bank[2]))
+            batch_rows, _ = sample_batch(tiny_params.shape, [sample.features])
+            dense = encode(batch_rows, tiny_params.reduction)
+            (profile,) = response_profiles(conv_scale_forward(dense, *tiny_params.bank[2]))
             assert int(cells[-3]) == profile.argmax_window
             assert int(cells[-3]) == int(np.argmax(profile.intensities))
             assert (int(cells[-2]), int(cells[-1])) == profile.frame_range
@@ -193,13 +191,10 @@ class TestExports:
         shape = tiny_params.shape
         for row, sample in zip(rows, sorted(samples, key=lambda s: s.id)):
             cells = row.split(",")
-            _, dense = encode(
-                sample.features, tiny_params.reduction, shape.num_frames, SamplingMode.EVAL_CENTER
-            )
+            fwd = forward_sample(tiny_params, sample_batch(shape, [sample.features])[0])
             got = np.array([float(v) for v in cells[-shape.feat_dim:]])
-            assert np.array_equal(got, dense.values.mean(axis=0))
-            pooled, _ = multiscale_forward(dense, tiny_params.bank)
-            vec = np.concatenate([pooled[h].values for h in shape.widths])
+            assert np.array_equal(got, fwd.dense[0].mean(axis=0))
+            vec = np.concatenate([fwd.conv.pooled[h].values[0] for h in shape.widths])
             got_vec = np.array(
                 [float(v) for v in cells[2 : 2 + vec.size]]
             )

@@ -7,7 +7,7 @@ from din.classifier import (
     head_forward,
     predict,
 )
-from din.numerics import DropoutMask, make_rng, sample_dropout_mask, softmax
+from din.numerics import make_rng, sample_dropout_mask, softmax
 
 from conftest import central_diff, rel_err
 
@@ -16,77 +16,85 @@ def random_heads(rng, widths, M, C):
     return {h: (rng.normal(size=(C, M)), rng.normal(size=C)) for h in widths}
 
 
+def row(values):
+    """A batch of one: the 1 x len(values) matrix."""
+    return np.array(values, dtype=float)[None]
+
+
 class TestHeadForward:
     def test_zero_weights_give_bias(self):
         head = (np.zeros((3, 4)), np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(head_forward(np.ones(4), head), [1.0, 2.0, 3.0])
+        assert np.array_equal(head_forward(np.ones((2, 4)), head), [[1.0, 2.0, 3.0]] * 2)
 
     def test_hand_dot_product(self):
         head = (np.array([[1.0, -1.0]]), np.zeros(1))
-        assert np.array_equal(head_forward(np.array([3.0, 1.0]), head), [2.0])
+        assert np.array_equal(head_forward(np.array([[3.0, 1.0], [1.0, 3.0]]), head),
+                              [[2.0], [-2.0]])
 
     def test_keep_one_mask_is_identity(self):
         rng = make_rng(1)
         head = (rng.normal(size=(3, 5)), rng.normal(size=3))
-        c = rng.normal(size=5)
-        mask = sample_dropout_mask(rng, 5, 1.0)
+        c = rng.normal(size=(1, 5))
+        mask = sample_dropout_mask(rng, 5, 1.0)[None]
         assert np.array_equal(head_forward(c, head, mask), head_forward(c, head))
 
     def test_dimension_mismatch_rejected(self):
         head = (np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
-            head_forward(np.zeros(4), head)
+            head_forward(np.zeros((1, 4)), head)
         with pytest.raises(ValueError):
-            head_forward(np.zeros(3), head, DropoutMask(0.5, np.ones(4)))
+            head_forward(np.zeros(3), head)
+        with pytest.raises(ValueError):
+            head_forward(np.zeros((1, 3)), head, np.ones((1, 4)))
 
 
 class TestFuseAndScore:
     def test_single_scale_uniform(self):
-        scores = fuse_and_score({2: np.zeros(2)})
-        assert np.allclose(scores.probabilities, [0.5, 0.5], atol=1e-15)
+        scores = fuse_and_score({2: np.zeros((1, 2))})
+        assert np.allclose(scores.probabilities, [[0.5, 0.5]], atol=1e-15)
 
     def test_symmetric_cancellation(self):
-        scores = fuse_and_score({2: np.array([1.0, 0.0]), 3: np.array([0.0, 1.0])})
-        assert np.array_equal(scores.fused_logits, [1.0, 1.0])
-        assert np.allclose(scores.probabilities, [0.5, 0.5], atol=1e-15)
+        scores = fuse_and_score({2: row([1.0, 0.0]), 3: row([0.0, 1.0])})
+        assert np.array_equal(scores.fused_logits, [[1.0, 1.0]])
+        assert np.allclose(scores.probabilities, [[0.5, 0.5]], atol=1e-15)
 
     def test_27_class_output(self):
         rng = make_rng(2)
-        scores = fuse_and_score({h: rng.normal(size=27) for h in (2, 3, 4, 5, 6)})
-        assert scores.probabilities.shape == (27,)
-        assert abs(scores.probabilities.sum() - 1.0) < 1e-9
+        scores = fuse_and_score({h: rng.normal(size=(4, 27)) for h in (2, 3, 4, 5, 6)})
+        assert scores.probabilities.shape == (4, 27)
+        assert np.abs(scores.probabilities.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_fused_equals_sum(self):
         rng = make_rng(3)
-        per_scale = {h: rng.normal(size=4) for h in (2, 3)}
+        per_scale = {h: rng.normal(size=(3, 4)) for h in (2, 3)}
         scores = fuse_and_score(per_scale)
         assert np.array_equal(scores.fused_logits, per_scale[2] + per_scale[3])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            fuse_and_score({2: np.zeros(3), 3: np.zeros(4)})
+            fuse_and_score({2: np.zeros((1, 3)), 3: np.zeros((1, 4))})
         with pytest.raises(ValueError):
             fuse_and_score({})
 
 
 class TestPredict:
     def test_argmax(self):
-        scores = fuse_and_score({2: np.log(np.array([0.1, 0.7, 0.2]))})
-        assert predict(scores) == 1
+        scores = fuse_and_score({2: np.log(np.array([[0.1, 0.7, 0.2], [0.5, 0.2, 0.3]]))})
+        assert np.array_equal(predict(scores), [1, 0])
 
     def test_uniform_ties_to_zero(self):
-        assert predict(fuse_and_score({2: np.zeros(4)})) == 0
+        assert np.array_equal(predict(fuse_and_score({2: np.zeros((2, 4))})), [0, 0])
 
     def test_matches_fused_logits_argmax(self):
         rng = make_rng(4)
         for _ in range(20):
-            scores = fuse_and_score({2: rng.normal(size=6), 4: rng.normal(size=6)})
-            assert predict(scores) == int(np.argmax(scores.fused_logits))
+            scores = fuse_and_score({2: rng.normal(size=(1, 6)), 4: rng.normal(size=(1, 6))})
+            assert predict(scores)[0] == int(np.argmax(scores.fused_logits[0]))
 
     def test_invariant_to_constant_shift(self):
         rng = make_rng(5)
         for _ in range(20):
-            logits = rng.normal(size=5)
+            logits = rng.normal(size=(1, 5))
             shift = float(rng.normal()) * 50.0
             assert predict(fuse_and_score({2: logits})) == predict(
                 fuse_and_score({2: logits + shift})
@@ -98,53 +106,57 @@ class TestScaleAdditivity:
         rng = make_rng(6)
         widths, M, C = (2, 3, 5), 4, 3
         heads = random_heads(rng, widths, M, C)
-        c = {h: rng.normal(size=M) for h in widths}
+        c = {h: rng.normal(size=(1, M)) for h in widths}
         fused = fuse_and_score({h: head_forward(c[h], heads[h]) for h in widths}).fused_logits
         big_w = np.hstack([heads[h][0] for h in widths])
         big_b = sum(heads[h][1] for h in widths)
-        big_c = np.concatenate([c[h] for h in widths])
-        assert np.abs(fused - (big_w @ big_c + big_b)).max() < 1e-12
+        big_c = np.concatenate([c[h][0] for h in widths])
+        assert np.abs(fused[0] - (big_w @ big_c + big_b)).max() < 1e-12
 
 
 class TestClassifierBackward:
     def test_zero_upstream(self):
         rng = make_rng(7)
         heads = random_heads(rng, (2,), 3, 2)
-        grads, grad_c = classifier_backward({2: rng.normal(size=3)}, heads, None, np.zeros(2))
+        grads, grad_c = classifier_backward(
+            {2: rng.normal(size=(1, 3))}, heads, None, np.zeros((1, 2))
+        )
         gw, gb = grads[2]
         assert not gw.any() and not gb.any() and not grad_c[2].any()
 
     def test_hand_chain_rule(self):
         heads = {2: (np.array([[1.0, -1.0]]), np.zeros(1))}
         grads, grad_c = classifier_backward(
-            {2: np.array([3.0, 1.0])}, heads, None, np.array([2.0])
+            {2: row([3.0, 1.0])}, heads, None, row([2.0])
         )
         gw, gb = grads[2]
         assert np.array_equal(gw, [[6.0, 2.0]])
         assert np.array_equal(gb, [2.0])
-        assert np.array_equal(grad_c[2], [2.0, -2.0])
+        assert np.array_equal(grad_c[2], [[2.0, -2.0]])
 
     def test_every_scale_gets_identical_upstream(self):
         rng = make_rng(8)
         heads = random_heads(rng, (2, 3, 4), 4, 3)
-        c = {h: rng.normal(size=4) for h in heads}
-        upstream = rng.normal(size=3)
+        c = {h: rng.normal(size=(1, 4)) for h in heads}
+        upstream = rng.normal(size=(1, 3))
         grads, _ = classifier_backward(c, heads, None, upstream)
         for h in heads:
-            assert np.array_equal(grads[h][1], upstream)
+            assert np.array_equal(grads[h][1], upstream[0])
 
     def test_matches_finite_differences_two_scales(self):
         rng = make_rng(9)
         eps = 1e-5
         widths, M, C = (2, 3), 4, 3
         heads = random_heads(rng, widths, M, C)
-        c = {h: rng.normal(size=M) for h in widths}
-        masks = {h: sample_dropout_mask(rng, M, 0.7) for h in widths}
-        probe = rng.normal(size=C)
+        B = 2
+        c = {h: rng.normal(size=(B, M)) for h in widths}
+        masks = {h: np.stack([sample_dropout_mask(rng, M, 0.7) for _ in range(B)])
+                 for h in widths}
+        probe = rng.normal(size=(B, C))
 
         def objective():
             logits = {h: head_forward(c[h], heads[h], masks[h]) for h in widths}
-            return float(probe @ fuse_and_score(logits).fused_logits)
+            return float((probe * fuse_and_score(logits).fused_logits).sum())
 
         grads, grad_c = classifier_backward(c, heads, masks, probe)
         for h in widths:
@@ -156,21 +168,23 @@ class TestClassifierBackward:
             for j in range(C):
                 fd = central_diff(objective, bias, (j,), eps)
                 assert rel_err(fd, gb[j]) < 1e-6
-            for j in range(M):
-                fd = central_diff(objective, c[h], (j,), eps)
-                assert rel_err(fd, grad_c[h][j]) < 1e-6
+            for idx in np.ndindex(c[h].shape):
+                fd = central_diff(objective, c[h], idx, eps)
+                assert rel_err(fd, grad_c[h][idx]) < 1e-6
 
     def test_shape_mismatch_rejected(self):
         rng = make_rng(10)
         heads = random_heads(rng, (2,), 3, 2)
         with pytest.raises(ValueError):
-            classifier_backward({2: np.zeros(3)}, heads, None, np.zeros(5))
+            classifier_backward({2: np.zeros((1, 3))}, heads, None, np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            classifier_backward({3: np.zeros(3)}, heads, None, np.zeros(2))
+            classifier_backward({2: np.zeros((2, 3))}, heads, None, np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            classifier_backward({3: np.zeros((1, 3))}, heads, None, np.zeros((1, 2)))
 
 
 class TestClassScores:
     def test_probabilities_consistent_with_softmax(self):
         rng = make_rng(11)
-        scores = fuse_and_score({2: rng.normal(size=9)})
+        scores = fuse_and_score({2: rng.normal(size=(3, 9))})
         assert np.array_equal(scores.probabilities, softmax(scores.fused_logits))

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import din
 from din.cli import main
 from din.data_io import write_feature_file
 
@@ -184,6 +187,40 @@ class TestTrain:
         assert not (run_dir / "checkpoint.ckpt").exists()
 
 
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+        # Big enough that OpenBLAS threads the batched GEMMs (m*n*k above
+        # its 262,144 single-thread limit: a 16-video batch makes the
+        # width-2 conv a 112 x 128 x 64 GEMM). The thread count is set only
+        # in the environment of the two child processes.
+        cfg = {
+            "shape": {"raw_dim": 128, "feat_dim": 64, "num_frames": 8,
+                      "widths": [2, 3, 4], "num_filters": 64, "num_classes": 2},
+            "train": {"batch_size": 16, "max_epochs": 2, "initial_lr": 0.05,
+                      "dropout_keep": 0.5, "seed": 5},
+            "synth": {"feature_dim": 128, "samples_per_class": 16,
+                      "val_samples_per_class": 8, "seed": 5},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(path), "--out-dir", str(data_dir)]) == 0
+        src = str(Path(din.__file__).resolve().parents[1])
+        blobs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"run-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "din.cli", "train", "--config", str(path),
+                 "--manifest", str(data_dir / "manifest.json"), "--out-dir", str(run_dir)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(((run_dir / "checkpoint.ckpt").read_bytes(),
+                          (run_dir / "history.json").read_bytes()))
+        assert blobs[0] == blobs[1]
+
+
 class TestEvalPredict:
     def test_eval_on_best_reproduces_logged_accuracy(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
@@ -228,6 +265,25 @@ class TestEvalPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "best_epoch" in err
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("config", "batch_size", 2.5),
+        ("config", "seed", "3"),
+        ("shape", "raw_dim", 6.9),
+        ("shape", "num_classes", True),
+    ])
+    def test_mistyped_checkpoint_meta_names_file_and_field(
+        self, tmp_path, capsys, section, field, value
+    ):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        ckpt = run_dir / "checkpoint.ckpt"
+        ckpt.write_bytes(edit_checkpoint_meta(
+            ckpt.read_bytes(), lambda m: m[section].__setitem__(field, value)))
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--manifest", str(data_dir / "manifest.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and field in err
 
     def test_missing_checkpoint_is_validation_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -332,6 +388,44 @@ class TestUsageAndConfig:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"train": {"nope": 1}}))
         assert main(["inspect-params", "--config", str(path)]) == 2
+
+    def test_unparseable_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"train": {\n}')
+        for command in ("synth", "train", "inspect-params"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "cannot parse config" in err
+
+    def test_config_that_is_not_an_object_of_sections(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        for doc in ([1], {"train": 3}):
+            path.write_text(json.dumps(doc))
+            assert main(["inspect-params", "--config", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, field, value", [
+        ("train", "train", "batch_size", 2.5),
+        ("train", "train", "seed", "3"),
+        ("inspect-params", "train", "dropout_keep", "0.5"),
+        ("inspect-params", "train", "max_epochs", True),
+        ("inspect-params", "shape", "raw_dim", 16.9),
+        ("train", "shape", "num_filters", False),
+        ("inspect-params", "shape", "widths", [2, 3.5]),
+    ])
+    def test_mistyped_config_value_is_validation_error(
+        self, tmp_path, capsys, command, section, field, value
+    ):
+        cfg = base_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc[section][field] = value
+        cfg.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg)]
+        if command == "train":
+            argv += ["--manifest", str(tmp_path / "m.json"), "--out-dir", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

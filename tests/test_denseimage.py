@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from din.denseimage import (
-    DenseImage,
     FrameFeatureSequence,
     SamplingMode,
     encode,
+    gather,
     sample_segments,
 )
 from din.numerics import glorot_uniform, make_rng
@@ -87,13 +87,12 @@ def glorot_reduction(seed, raw_dim, feat_dim):
 
 def reduce_frame(raw, layer):
     """The reduced row of one raw frame, taken through encode."""
-    _, dense = encode(raw[None, :], layer, 1, SamplingMode.EVAL_CENTER)
-    return dense.values[0]
+    return encode(raw[None, None, :], layer)[0, 0]
 
 
 def eval_encode(frames, layer, n):
-    _, dense = encode(frames, layer, n, SamplingMode.EVAL_CENTER)
-    return dense.values
+    """The DenseImage of one video: center-gathered rows, then encode."""
+    return encode(gather(frames, n)[None], layer)[0]
 
 
 class TestReduceFrame:
@@ -123,17 +122,17 @@ class TestReduceFrame:
 class TestEncode:
     def test_identity_reduction_passthrough(self):
         frames = np.array([[1.0, 2.0], [3.0, 4.0]])
-        rows, dense = encode(frames, identity_reduction(2), 2, SamplingMode.EVAL_CENTER)
-        assert np.array_equal(dense.values, [[1.0, 2.0], [3.0, 4.0]])
+        rows = gather(frames, 2)
         assert np.array_equal(rows, frames)
+        assert np.array_equal(encode(rows[None], identity_reduction(2))[0], frames)
 
     def test_returns_the_sampled_raw_rows(self):
         rng = make_rng(18)
         frames = rng.normal(size=(16, 4))
         weights, bias = layer = glorot_reduction(19, 4, 3)
-        rows, dense = encode(frames, layer, 8, SamplingMode.EVAL_CENTER)
+        rows = gather(frames, 8)
         assert np.array_equal(rows, frames[::2])
-        assert np.array_equal(dense.values, rows @ weights + bias)
+        assert np.array_equal(encode(rows[None], layer)[0], rows @ weights + bias)
 
     def test_reversing_frames_reverses_rows(self):
         rng = make_rng(13)
@@ -157,9 +156,9 @@ class TestEncode:
         rng = make_rng(15)
         frames = rng.normal(size=(20, 1024))
         layer = glorot_reduction(16, 1024, 256)
-        rows, dense = encode(frames, layer, 8, SamplingMode.EVAL_CENTER)
+        rows = gather(frames, 8)
         assert rows.shape == (8, 1024)
-        assert dense.values.shape == (8, 256)
+        assert encode(rows[None], layer).shape == (1, 8, 256)
 
     def test_rows_never_mix_frames(self):
         rng = make_rng(17)
@@ -175,17 +174,27 @@ class TestEncode:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            encode(np.ones((4, 3)), identity_reduction(2), 2, SamplingMode.EVAL_CENTER)
+            encode(np.ones((1, 2, 3)), identity_reduction(2))
+        with pytest.raises(ValueError):
+            encode(np.ones((2, 2)), identity_reduction(2))  # not a batch
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(ValueError):
             FrameFeatureSequence(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError):
-            encode(np.array([[np.nan, 1.0]]), identity_reduction(2), 1, SamplingMode.EVAL_CENTER)
+            gather(np.array([[np.nan, 1.0]]), 1)
 
 
 class TestDenseImage:
     def test_properties(self):
-        img = DenseImage(np.zeros((8, 256)))
-        assert img.num_frames == 8
-        assert img.feat_dim == 256
+        # A batch of B videos encodes to B DenseImages of n rows by k columns.
+        layer = glorot_reduction(20, 1024, 256)
+        assert encode(np.zeros((2, 8, 1024)), layer).shape == (2, 8, 256)
+
+    def test_batch_rows_equal_per_video_rows(self):
+        rng = make_rng(21)
+        layer = glorot_reduction(22, 6, 4)
+        videos = [rng.normal(size=(T, 6)) for T in (3, 8, 20)]
+        batch = encode(np.stack([gather(v, 5) for v in videos]), layer)
+        for b, video in enumerate(videos):
+            assert np.abs(batch[b] - eval_encode(video, layer, 5)).max() < 1e-15

@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from din.denseimage import SamplingMode, encode
+from din.denseimage import SamplingMode, encode, gather
 from din.model import (
     ModelParams,
     ModelShapeSpec,
@@ -13,9 +14,10 @@ from din.model import (
     init_model,
     parameter_shapes,
     predict_sample,
+    sample_batch,
     sample_loss_and_grads,
 )
-from din.numerics import cross_entropy_from_logits, make_rng
+from din.numerics import cross_entropy_from_logits, make_rng, sample_dropout_mask
 from din.selftest import kink_free
 
 from conftest import TINY_SHAPE, rel_err
@@ -34,6 +36,21 @@ class TestShapeSpec:
 
     def test_dict_round_trip(self):
         assert ModelShapeSpec.from_dict(dataclasses.asdict(TINY_SHAPE)) == TINY_SHAPE
+
+    @pytest.mark.parametrize("field, value", [
+        ("raw_dim", 16.9), ("raw_dim", 4.0), ("feat_dim", True), ("num_frames", "5"),
+        ("num_filters", None), ("num_classes", 3.5), ("widths", [2, 2.5]),
+        ("widths", [True]), ("widths", 3), ("widths", "23"),
+    ])
+    def test_non_integer_fields_rejected_by_name(self, field, value):
+        d = {**dataclasses.asdict(TINY_SHAPE), field: value}
+        with pytest.raises(ValueError, match=field):
+            ModelShapeSpec.from_dict(d)
+
+    def test_json_integers_still_load(self):
+        d = json.loads(json.dumps(dataclasses.asdict(TINY_SHAPE)))
+        assert ModelShapeSpec.from_dict(d) == TINY_SHAPE
+        assert ModelShapeSpec.from_dict({**d, "raw_dim": np.int64(4)}) == TINY_SHAPE
 
 
 class TestParams:
@@ -99,32 +116,85 @@ class TestParams:
             ModelParams(TINY_SHAPE, tensors)
 
 
+def eval_rows(features):
+    """The B x n x D center-sampled rows of a list of videos."""
+    return sample_batch(TINY_SHAPE, features)[0]
+
+
 class TestForward:
     def test_probabilities_normalized(self, tiny_params):
         rng = make_rng(2)
-        scores, _ = forward_sample(tiny_params, rng.normal(size=(9, 4)))
-        assert abs(scores.probabilities.sum() - 1.0) < 1e-9
+        fwd = forward_sample(tiny_params, eval_rows([rng.normal(size=(9, 4))]))
+        assert abs(fwd.scores.probabilities.sum() - 1.0) < 1e-9
 
     def test_eval_forward_is_deterministic(self, tiny_params):
         rng = make_rng(3)
-        features = rng.normal(size=(11, 4))
-        a, _ = forward_sample(tiny_params, features)
-        b, _ = forward_sample(tiny_params, features)
+        rows = eval_rows([rng.normal(size=(11, 4))])
+        a = forward_sample(tiny_params, rows).scores
+        b = forward_sample(tiny_params, rows).scores
         assert np.array_equal(a.fused_logits, b.fused_logits)
 
     def test_predict_sample_matches_forward(self, tiny_params):
         rng = make_rng(4)
         features = rng.normal(size=(7, 4))
         label, probs = predict_sample(tiny_params, features)
-        scores, _ = forward_sample(tiny_params, features)
-        assert label == int(np.argmax(scores.probabilities))
-        assert np.array_equal(probs, scores.probabilities)
+        scores = forward_sample(tiny_params, eval_rows([features])).scores
+        assert label == int(np.argmax(scores.probabilities[0]))
+        assert np.array_equal(probs, scores.probabilities[0])
 
     def test_train_mode_needs_rng(self, tiny_params):
         with pytest.raises(ValueError):
-            forward_sample(
-                tiny_params, np.ones((6, 4)), mode=SamplingMode.TRAIN_RANDOM, rng=None
-            )
+            gather(np.ones((6, 4)), 5, SamplingMode.TRAIN_RANDOM, rng=None)
+
+    def test_wrong_feature_dim_rejected(self, tiny_params):
+        with pytest.raises(ValueError):
+            sample_batch(TINY_SHAPE, [np.ones((6, 4)), np.ones((6, 3))])
+        rows, _ = sample_batch(TINY_SHAPE, [np.ones((6, 3))])
+        with pytest.raises(ValueError, match="reduction input 4"):
+            forward_sample(tiny_params, rows)
+
+
+class TestSampleBatch:
+    def test_eval_batch_is_center_gather(self):
+        rng = make_rng(30)
+        videos = [rng.normal(size=(T, 4)) for T in (2, 5, 13)]
+        rows, masks = sample_batch(TINY_SHAPE, videos)
+        assert masks is None
+        for b, video in enumerate(videos):
+            assert np.array_equal(rows[b], gather(video, TINY_SHAPE.num_frames))
+
+    def test_per_video_draw_order(self):
+        # Each video draws one mask per width, ascending, then its segments.
+        videos = [make_rng(31).normal(size=(T, 4)) for T in (9, 5, 12)]
+        rows, masks = sample_batch(TINY_SHAPE, videos, make_rng(32), 0.5)
+        ref = make_rng(32)
+        for b, video in enumerate(videos):
+            for h in TINY_SHAPE.widths:
+                assert np.array_equal(masks[h][b], sample_dropout_mask(ref, 4, 0.5))
+            want = gather(video, TINY_SHAPE.num_frames, SamplingMode.TRAIN_RANDOM, ref)
+            assert np.array_equal(rows[b], want)
+
+    def test_keep_one_draws_no_masks(self):
+        videos = [np.ones((9, 4))]
+        rng = make_rng(33)
+        _, masks = sample_batch(TINY_SHAPE, videos, rng, 1.0)
+        ref = make_rng(33)
+        gather(videos[0], TINY_SHAPE.num_frames, SamplingMode.TRAIN_RANDOM, ref)
+        assert masks is None
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def kink_free_batch(rng, params, B):
+    """B videos of n frames (so center sampling takes every frame) whose
+    DenseImages are all kink-free, with labels; None when one is not."""
+    n, D = params.shape.num_frames, params.shape.raw_dim
+    videos = [rng.uniform(-1.0, 1.0, size=(n, D)) for _ in range(B)]
+    labels = rng.integers(params.shape.num_classes, size=B)
+    rows = sample_batch(params.shape, videos)[0]
+    dense = encode(rows, params.reduction)
+    if not all(kink_free(d, params.bank) for d in dense):
+        return None
+    return rows, labels
 
 
 class TestEndToEndGradients:
@@ -138,32 +208,91 @@ class TestEndToEndGradients:
             params = init_model(TINY_SHAPE, rng)
             features = rng.uniform(-1.0, 1.0, size=(TINY_SHAPE.num_frames, TINY_SHAPE.raw_dim))
             label = int(rng.integers(TINY_SHAPE.num_classes))
-            _, dense = encode(features, params.reduction, TINY_SHAPE.num_frames,
-                              SamplingMode.EVAL_CENTER)
-            if not kink_free(dense.values, params.bank):
+            rows = gather(features, TINY_SHAPE.num_frames)[None]
+            if not kink_free(encode(rows, params.reduction)[0], params.bank):
                 continue
             accepted += 1
-            loss, grads = sample_loss_and_grads(params, features, label)
+            loss, grads = sample_loss_and_grads(params, rows, [label])
             assert loss > 0.0
             for name, arr in params.tensors.items():
                 for idx in np.ndindex(arr.shape):
                     orig = arr[idx]
                     arr[idx] = orig + eps
-                    up, _ = sample_loss_and_grads(params, features, label)
+                    up, _ = sample_loss_and_grads(params, rows, [label])
                     arr[idx] = orig - eps
-                    down, _ = sample_loss_and_grads(params, features, label)
+                    down, _ = sample_loss_and_grads(params, rows, [label])
                     arr[idx] = orig
                     fd = (up - down) / (2 * eps)
                     assert rel_err(fd, grads[name][idx]) < 1e-5, f"{name}[{idx}]"
 
+    def test_batch_of_three_matches_finite_differences(self):
+        # The summed loss of a B=3 batch with dropout masks, against
+        # central differences of every parameter.
+        rng = make_rng(40)
+        eps = 1e-4
+        accepted = 0
+        while accepted < 2:
+            params = init_model(TINY_SHAPE, rng)
+            drawn = kink_free_batch(rng, params, 3)
+            if drawn is None:
+                continue
+            accepted += 1
+            rows, labels = drawn
+            masks = {h: np.stack([sample_dropout_mask(rng, 4, 0.7) for _ in range(3)])
+                     for h in TINY_SHAPE.widths}
+            _, grads = sample_loss_and_grads(params, rows, labels, masks)
+            for name, arr in params.tensors.items():
+                for idx in np.ndindex(arr.shape):
+                    orig = arr[idx]
+                    arr[idx] = orig + eps
+                    up, _ = sample_loss_and_grads(params, rows, labels, masks)
+                    arr[idx] = orig - eps
+                    down, _ = sample_loss_and_grads(params, rows, labels, masks)
+                    arr[idx] = orig
+                    fd = (up - down) / (2 * eps)
+                    assert rel_err(fd, grads[name][idx]) < 1e-5, f"{name}[{idx}]"
+
+    def test_batch_equals_sum_of_single_sample_calls(self):
+        # One B=5 batch with dropout masks against five B=1 calls: logits
+        # row by row, the summed loss and every summed gradient.
+        rng = make_rng(41)
+        accepted = 0
+        while accepted < 3:
+            params = init_model(TINY_SHAPE, rng)
+            drawn = kink_free_batch(rng, params, 5)
+            if drawn is None:
+                continue
+            accepted += 1
+            rows, labels = drawn
+            masks = {h: np.stack([sample_dropout_mask(rng, 4, 0.6) for _ in range(5)])
+                     for h in TINY_SHAPE.widths}
+            logits = forward_sample(params, rows, masks).scores.fused_logits
+            loss, grads = sample_loss_and_grads(params, rows, labels, masks)
+            single_loss = 0.0
+            single_grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+            for b in range(5):
+                one = slice(b, b + 1)
+                one_masks = {h: m[one] for h, m in masks.items()}
+                one_logits = forward_sample(params, rows[one], one_masks).scores.fused_logits
+                assert np.abs(one_logits[0] - logits[b]).max() < 1e-12
+                one_loss, one_grads = sample_loss_and_grads(
+                    params, rows[one], labels[one], one_masks
+                )
+                single_loss += one_loss
+                for name, g in one_grads.items():
+                    single_grads[name] += g
+            assert abs(loss - single_loss) < 1e-12
+            for name, g in grads.items():
+                assert np.abs(g - single_grads[name]).max() < 1e-12, name
+
     def test_backward_consistent_with_split_calls(self, tiny_params):
         rng = make_rng(6)
-        features = rng.normal(size=(5, 4))
-        label = 1
-        scores, cache = forward_sample(tiny_params, features)
-        loss, grad_fused = cross_entropy_from_logits(scores.fused_logits, label)
-        grads = backward_sample(tiny_params, cache, grad_fused)
-        loss2, grads2 = sample_loss_and_grads(tiny_params, features, label)
-        assert loss == loss2
+        rows = eval_rows([rng.normal(size=(5, 4)), rng.normal(size=(8, 4))])
+        labels = [1, 2]
+        fwd = forward_sample(tiny_params, rows)
+        loss, grad_fused = cross_entropy_from_logits(fwd.scores.fused_logits, labels)
+        grads = backward_sample(tiny_params, fwd, grad_fused)
+        loss2, grads2 = sample_loss_and_grads(tiny_params, rows, labels)
+        assert loss.sum() == loss2
         for name in grads:
             assert np.array_equal(grads[name], grads2[name])

@@ -53,6 +53,17 @@ class TestSoftmax:
             shift = float(rng.normal()) * 100.0
             assert np.abs(softmax(v) - softmax(v + shift)).max() < 1e-12
 
+    def test_matrix_rows_are_softmaxed_independently(self):
+        rng = make_rng(9)
+        logits = rng.normal(size=(4, 6)) * 10.0
+        got = softmax(logits)
+        for b in range(4):
+            assert np.array_equal(got[b], softmax(logits[b]))
+        with pytest.raises(ValueError):
+            softmax(np.zeros((2, 0)))
+        with pytest.raises(ValueError):
+            softmax(np.zeros((1, 2, 3)))
+
     def test_sums_to_one_even_at_magnitude_1000(self):
         rng = make_rng(6)
         for i in range(200):
@@ -64,33 +75,53 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_symmetric_two_class(self):
-        loss, grad = cross_entropy_from_logits(np.zeros(2), 0)
-        assert abs(loss - math.log(2.0)) < 1e-15
-        assert np.abs(grad - np.array([-0.5, 0.5])).max() < 1e-15
+        loss, grad = cross_entropy_from_logits(np.zeros((2, 2)), [0, 1])
+        assert np.abs(loss - math.log(2.0)).max() < 1e-15
+        assert np.abs(grad - np.array([[-0.5, 0.5], [0.5, -0.5]])).max() < 1e-15
 
     def test_confident_correct(self):
-        loss, grad = cross_entropy_from_logits(np.array([10.0, -10.0]), 0)
-        assert abs(loss) < 1e-8
+        loss, grad = cross_entropy_from_logits(np.array([[10.0, -10.0]]), [0])
+        assert abs(loss[0]) < 1e-8
         assert np.abs(grad).max() < 1e-8
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy_from_logits(np.zeros(3), 3)
+            cross_entropy_from_logits(np.zeros((1, 3)), [3])
         with pytest.raises(ValueError):
-            cross_entropy_from_logits(np.zeros(3), -1)
+            cross_entropy_from_logits(np.zeros((2, 3)), [0, -1])
+
+    def test_malformed_batches_rejected(self):
+        for logits, labels in (
+            (np.zeros(3), 0),  # a vector, not a B x C matrix
+            (np.zeros((2, 3)), [0]),  # one label for two rows
+            (np.zeros((1, 3)), [0.0]),  # float label
+            (np.zeros((0, 3)), []),  # empty batch
+        ):
+            with pytest.raises(ValueError):
+                cross_entropy_from_logits(logits, labels)
+
+    def test_rows_are_independent(self):
+        rng = make_rng(8)
+        logits = rng.normal(size=(5, 4)) * 3.0
+        labels = rng.integers(4, size=5)
+        loss, grad = cross_entropy_from_logits(logits, labels)
+        for b in range(5):
+            one_loss, one_grad = cross_entropy_from_logits(logits[b : b + 1], labels[b : b + 1])
+            assert one_loss[0] == loss[b]
+            assert np.array_equal(one_grad[0], grad[b])
 
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(7)
         eps = 1e-5
         for _ in range(100):
-            logits = rng.normal(size=int(rng.integers(2, 11))) * 2.0
-            label = int(rng.integers(len(logits)))
-            _, grad = cross_entropy_from_logits(logits, label)
-            for j in range(len(logits)):
+            logits = rng.normal(size=(2, int(rng.integers(2, 11)))) * 2.0
+            labels = rng.integers(logits.shape[1], size=2)
+            _, grad = cross_entropy_from_logits(logits, labels)
+            for idx in np.ndindex(logits.shape):
                 fd = central_diff(
-                    lambda: cross_entropy_from_logits(logits, label)[0], logits, j, eps
+                    lambda: cross_entropy_from_logits(logits, labels)[0].sum(), logits, idx, eps
                 )
-                assert rel_err(fd, grad[j]) < 1e-6
+                assert rel_err(fd, grad[idx]) < 1e-6
 
 
 class TestGlorot:
@@ -115,15 +146,15 @@ class TestGlorot:
 class TestDropout:
     def test_keep_one_is_identity_mask(self):
         mask = sample_dropout_mask(make_rng(1), 10, 1.0)
-        assert np.array_equal(mask.values, np.ones(10))
+        assert np.array_equal(mask, np.ones(10))
 
     def test_elements_are_zero_or_inverse_keep(self):
         mask = sample_dropout_mask(make_rng(2), 1000, 0.3)
-        assert set(np.unique(mask.values)) <= {0.0, 1.0 / 0.3}
+        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.3}
 
     def test_kept_fraction_concentrates(self):
         mask = sample_dropout_mask(make_rng(3), 10**5, 0.5)
-        kept = (mask.values > 0).mean()
+        kept = (mask > 0).mean()
         assert abs(kept - 0.5) < 0.01
 
     def test_mask_mean_within_three_sigma(self):
@@ -131,12 +162,12 @@ class TestDropout:
             n = 10**5
             mask = sample_dropout_mask(make_rng(4), n, p)
             bound = 3.0 * math.sqrt((1.0 - p) / (p * n))
-            assert abs(mask.values.mean() - 1.0) <= bound
+            assert abs(mask.mean() - 1.0) <= bound
 
     def test_deterministic(self):
         a = sample_dropout_mask(make_rng(5), 100, 0.5)
         b = sample_dropout_mask(make_rng(5), 100, 0.5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("keep", [0.0, -0.1, 1.5])
     def test_invalid_keep_rejected(self, keep):

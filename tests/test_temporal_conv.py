@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from din.denseimage import DenseImage
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.selftest import kink_free, naive_scale_responses
@@ -10,7 +9,7 @@ from din.temporal_conv import (
     conv_scale_forward,
     multiscale_backward,
     multiscale_forward,
-    response_profile,
+    response_profiles,
     temporal_max_pool,
 )
 
@@ -22,82 +21,95 @@ def random_bank(rng, widths, M, k, bias_scale=0.1):
     return {h: (weights[h], rng.normal(size=M) * bias_scale) for h in widths}
 
 
+def conv_map(X, W, b):
+    """The M x (n-h+1) feature map of one n x k DenseImage (a batch of one)."""
+    return conv_scale_forward(X[None], W, b).values[0].T
+
+
+def profile_of(fmap, channel=None):
+    (profile,) = response_profiles(fmap, channel)
+    return profile
+
+
+def single_map(rows):
+    """A batch-of-one feature map from its M x W channel rows."""
+    return ScaleFeatureMap(2, np.array(rows, dtype=float).T[None])
+
+
 class TestConvForward:
     def test_zero_weights_give_bias_everywhere(self):
-        X = DenseImage(np.ones((6, 3)))
+        X = np.ones((1, 6, 3))
         fmap = conv_scale_forward(X, np.zeros((4, 2 * 3)), np.full(4, 0.5))
-        assert fmap.values.shape == (4, 5)
-        assert np.array_equal(fmap.values, np.full((4, 5), 0.5))
+        assert fmap.values.shape == (1, 5, 4)
+        assert np.array_equal(fmap.values, np.full((1, 5, 4), 0.5))
 
     def test_window_counts_for_eight_frames(self):
         rng = make_rng(1)
-        X = DenseImage(rng.normal(size=(8, 3)))
+        X = rng.normal(size=(8, 3))
         for h, windows in ((2, 7), (3, 6), (4, 5)):
-            fmap = conv_scale_forward(X, rng.normal(size=(2, h * 3)), np.zeros(2))
-            assert fmap.values.shape == (2, windows)
+            assert conv_map(X, rng.normal(size=(2, h * 3)), np.zeros(2)).shape == (2, windows)
 
     def test_matches_naive_oracle(self):
         rng = make_rng(2)
-        X = DenseImage(rng.normal(size=(5, 3)))
+        X = rng.normal(size=(5, 3))
         W = rng.normal(size=(2, 2 * 3))
         b = rng.normal(size=2)
-        got = conv_scale_forward(X, W, b).values
-        assert np.abs(got - naive_scale_responses(X.values, W, b)).max() < 1e-12
+        got = conv_map(X, W, b)
+        assert np.abs(got - naive_scale_responses(X, W, b)).max() < 1e-12
 
     def test_width_larger_than_frames_rejected(self):
-        X = DenseImage(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            conv_scale_forward(X, np.zeros((1, 4 * 2)), np.zeros(1))
+            conv_map(np.ones((3, 2)), np.zeros((1, 4 * 2)), np.zeros(1))
 
     def test_values_are_nonnegative(self):
         rng = make_rng(3)
-        X = DenseImage(rng.normal(size=(6, 2)))
-        fmap = conv_scale_forward(X, rng.normal(size=(5, 6)), rng.normal(size=5))
-        assert (fmap.values >= 0.0).all()
+        X = rng.normal(size=(6, 2))
+        assert (conv_map(X, rng.normal(size=(5, 6)), rng.normal(size=5)) >= 0.0).all()
 
 
 class TestMaxPool:
     def test_single_column(self):
-        pooled = temporal_max_pool(ScaleFeatureMap(4, np.array([[2.0], [5.0]])))
-        assert np.array_equal(pooled.values, [2.0, 5.0])
-        assert np.array_equal(pooled.argmax_positions, [0, 0])
+        pooled = temporal_max_pool(single_map([[2.0], [5.0]]))
+        assert np.array_equal(pooled.values, [[2.0, 5.0]])
+        assert np.array_equal(pooled.argmax_positions, [[0, 0]])
 
     def test_hand_max(self):
-        pooled = temporal_max_pool(ScaleFeatureMap(2, np.array([[1.0, 3.0, 2.0]])))
-        assert pooled.values[0] == 3.0
-        assert pooled.argmax_positions[0] == 1
+        pooled = temporal_max_pool(single_map([[1.0, 3.0, 2.0]]))
+        assert pooled.values[0, 0] == 3.0
+        assert pooled.argmax_positions[0, 0] == 1
 
     def test_tie_breaks_to_smallest_index(self):
-        pooled = temporal_max_pool(ScaleFeatureMap(2, np.array([[2.0, 2.0, 1.0]])))
-        assert pooled.values[0] == 2.0
-        assert pooled.argmax_positions[0] == 0
+        pooled = temporal_max_pool(single_map([[2.0, 2.0, 1.0]]))
+        assert pooled.values[0, 0] == 2.0
+        assert pooled.argmax_positions[0, 0] == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            temporal_max_pool(ScaleFeatureMap(2, np.zeros((3, 0))))
+            temporal_max_pool(ScaleFeatureMap(2, np.zeros((1, 0, 3))))
 
     def test_pool_dominance(self):
         rng = make_rng(4)
-        fmap = ScaleFeatureMap(3, np.abs(rng.normal(size=(6, 5))))
+        fmap = ScaleFeatureMap(3, np.abs(rng.normal(size=(4, 5, 6))))
         pooled = temporal_max_pool(fmap)
         assert (pooled.values[:, None] >= fmap.values).all()
-        rows = np.arange(6)
-        assert np.array_equal(fmap.values[rows, pooled.argmax_positions], pooled.values)
+        batch, channels = np.indices((4, 6))
+        assert np.array_equal(fmap.values[batch, pooled.argmax_positions, channels],
+                              pooled.values)
 
 
 class TestMultiscaleForward:
     def test_zero_network_pools_to_zero(self):
         bank = {2: (np.zeros((3, 2 * 2)), np.zeros(3)), 3: (np.zeros((3, 3 * 2)), np.zeros(3))}
-        pooled, _ = multiscale_forward(DenseImage(np.ones((5, 2))), bank)
+        pooled, _ = multiscale_forward(np.ones((1, 5, 2)), bank)
         assert not pooled[2].values.any()
         assert not pooled[3].values.any()
 
     def test_standard_configuration_sizes(self):
         rng = make_rng(5)
         bank = init_model(ModelShapeSpec(8, 8, 8, (2, 3, 4, 5, 6), 256, 2), rng).bank
-        pooled, _ = multiscale_forward(DenseImage(rng.normal(size=(8, 8))), bank)
+        pooled, _ = multiscale_forward(rng.normal(size=(1, 8, 8)), bank)
         assert sorted(pooled) == [2, 3, 4, 5, 6]
-        assert all(p.values.shape == (256,) for p in pooled.values())
+        assert all(p.values.shape == (1, 256) for p in pooled.values())
 
     def test_composition_of_oracles(self):
         rng = make_rng(6)
@@ -107,12 +119,12 @@ class TestMultiscaleForward:
             M = int(rng.integers(1, 5))
             widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
             bank = random_bank(rng, widths, M, k)
-            X = DenseImage(rng.normal(size=(n, k)))
-            pooled, cache = multiscale_forward(X, bank)
+            X = rng.normal(size=(n, k))
+            pooled, cache = multiscale_forward(X[None], bank)
             for h in widths:
-                want_map = naive_scale_responses(X.values, *bank[h])
-                assert np.abs(cache.fmaps[h].values - want_map).max() < 1e-12
-                assert np.abs(pooled[h].values - want_map.max(axis=1)).max() < 1e-12
+                want_map = naive_scale_responses(X, *bank[h])
+                assert np.abs(cache.fmaps[h].values[0].T - want_map).max() < 1e-12
+                assert np.abs(pooled[h].values[0] - want_map.max(axis=1)).max() < 1e-12
 
 
 class TestLocality:
@@ -125,11 +137,11 @@ class TestLocality:
         for h in (2, 3, 4, 5, 6):
             W = np.abs(rng.normal(size=(M, h * k))) + 0.1
             b = np.full(M, 0.5)
-            base = conv_scale_forward(DenseImage(X), W, b).values
+            base = conv_map(X, W, b)
             for j in range(n):
                 bumped = X.copy()
                 bumped[j] += 0.5
-                out = conv_scale_forward(DenseImage(bumped), W, b).values
+                out = conv_map(bumped, W, b)
                 changed = {
                     i
                     for i in range(n - h + 1)
@@ -147,10 +159,9 @@ class TestOrderSensitivity:
         A, B, C = np.eye(3)
         X = np.stack([A, B, C])
         bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
-        pooled, _ = multiscale_forward(DenseImage(X), bank)
-        swapped, _ = multiscale_forward(DenseImage(X[[0, 2, 1]]), bank)
-        assert pooled[2].values[0] == 2.0
-        assert swapped[2].values[0] == 1.0
+        pooled, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)
+        assert pooled[2].values[0, 0] == 2.0
+        assert pooled[2].values[1, 0] == 1.0
 
 
 class TestShiftEquivariance:
@@ -162,8 +173,8 @@ class TestShiftEquivariance:
         for h in (2, 3, 4):
             W = rng.normal(size=(3, h * k))
             b = rng.normal(size=3)
-            base = conv_scale_forward(DenseImage(X), W, b).values
-            out = conv_scale_forward(DenseImage(shifted), W, b).values
+            base = conv_map(X, W, b)
+            out = conv_map(shifted, W, b)
             # Window i of the shifted image covers original rows i-1..i+h-2
             # whenever it avoids the wrapped row 0.
             for i in range(1, n - h + 1):
@@ -174,8 +185,8 @@ class TestMultiscaleBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = make_rng(9)
         bank = random_bank(rng, (2, 3), 3, 2)
-        _, cache = multiscale_forward(DenseImage(rng.normal(size=(5, 2))), bank)
-        gW, gb, gX = multiscale_backward(cache, {2: np.zeros(3), 3: np.zeros(3)})
+        _, cache = multiscale_forward(rng.normal(size=(1, 5, 2)), bank)
+        gW, gb, gX = multiscale_backward(cache, {2: np.zeros((1, 3)), 3: np.zeros((1, 3))})
         assert not gX.any()
         assert not any(g.any() for g in gW.values())
         assert not any(g.any() for g in gb.values())
@@ -184,21 +195,23 @@ class TestMultiscaleBackward:
         rng = make_rng(10)
         n, k, M = 4, 2, 5
         bank = random_bank(rng, (4,), M, k, bias_scale=1.0)  # h == n: one window
-        X = DenseImage(rng.normal(size=(n, k)))
+        X = rng.normal(size=(1, n, k))
         pooled, cache = multiscale_forward(X, bank)
         upstream = rng.normal(size=M)
-        _, gb, _ = multiscale_backward(cache, {4: upstream})
-        gate = pooled[4].values > 0
+        _, gb, _ = multiscale_backward(cache, {4: upstream[None]})
+        gate = pooled[4].values[0] > 0
         assert np.array_equal(gb[4], upstream * gate)
 
     def test_grad_shapes_must_match_cache(self):
         rng = make_rng(11)
         bank = random_bank(rng, (2,), 3, 2)
-        _, cache = multiscale_forward(DenseImage(rng.normal(size=(5, 2))), bank)
+        _, cache = multiscale_forward(rng.normal(size=(1, 5, 2)), bank)
         with pytest.raises(ValueError):
-            multiscale_backward(cache, {2: np.zeros(4)})
+            multiscale_backward(cache, {2: np.zeros((1, 4))})
         with pytest.raises(ValueError):
-            multiscale_backward(cache, {3: np.zeros(3)})
+            multiscale_backward(cache, {2: np.zeros(3)})
+        with pytest.raises(ValueError):
+            multiscale_backward(cache, {3: np.zeros((1, 3))})
 
     def test_matches_finite_differences_on_kink_free_instances(self):
         rng = make_rng(12)
@@ -208,17 +221,17 @@ class TestMultiscaleBackward:
             n, k, M = 5, 3, 4
             widths = (2, 3)
             bank = random_bank(rng, widths, M, k)
-            X = rng.normal(size=(n, k))
-            if not kink_free(X, bank):
+            X = rng.normal(size=(1, n, k))
+            if not kink_free(X[0], bank):
                 continue
             accepted += 1
-            upstream = {h: rng.normal(size=M) for h in widths}
-            _, cache = multiscale_forward(DenseImage(X), bank)
+            upstream = {h: rng.normal(size=(1, M)) for h in widths}
+            _, cache = multiscale_forward(X, bank)
             gW, gb, gX = multiscale_backward(cache, upstream)
 
             def objective():
-                p, _ = multiscale_forward(DenseImage(X), bank)
-                return sum(float(upstream[h] @ p[h].values) for h in widths)
+                p, _ = multiscale_forward(X, bank)
+                return sum(float((upstream[h] * p[h].values).sum()) for h in widths)
 
             def check(arr, grad):
                 for idx in np.ndindex(arr.shape):
@@ -239,32 +252,32 @@ class TestMultiscaleBackward:
 
 class TestResponseProfile:
     def test_dead_filter_is_flat_zero(self):
-        fmap = conv_scale_forward(DenseImage(np.ones((6, 2))), np.zeros((3, 4)), np.zeros(3))
-        profile = response_profile(fmap)
+        fmap = conv_scale_forward(np.ones((1, 6, 2)), np.zeros((3, 4)), np.zeros(3))
+        profile = profile_of(fmap)
         assert np.array_equal(profile.intensities, np.zeros(5))
         assert profile.argmax_window == 0
 
     def test_profile_length_for_eight_frames(self):
         rng = make_rng(13)
         bank = random_bank(rng, (2,), 3, 2)
-        X = DenseImage(rng.normal(size=(8, 2)))
-        profile = response_profile(conv_scale_forward(X, *bank[2]))
+        X = rng.normal(size=(1, 8, 2))
+        profile = profile_of(conv_scale_forward(X, *bank[2]))
         assert profile.intensities.shape == (7,)
 
     def test_channel_profile_equals_feature_map_row(self):
         rng = make_rng(14)
         bank = random_bank(rng, (3,), 4, 2)
-        X = DenseImage(rng.normal(size=(6, 2)))
+        X = rng.normal(size=(1, 6, 2))
         fmap = conv_scale_forward(X, *bank[3])
         for m in range(4):
-            profile = response_profile(fmap, channel=m)
-            assert np.array_equal(profile.intensities, fmap.values[m])
+            profile = profile_of(fmap, channel=m)
+            assert np.array_equal(profile.intensities, fmap.values[0, :, m])
 
     def test_frame_range_maps_argmax_window(self):
         rng = make_rng(15)
         bank = random_bank(rng, (3,), 2, 2)
-        X = DenseImage(rng.normal(size=(8, 2)))
-        profile = response_profile(conv_scale_forward(X, *bank[3]))
+        X = rng.normal(size=(1, 8, 2))
+        profile = profile_of(conv_scale_forward(X, *bank[3]))
         first, last = profile.frame_range
         assert first == profile.argmax_window
         assert last == first + 2
@@ -272,9 +285,9 @@ class TestResponseProfile:
     def test_bad_arguments_rejected(self):
         rng = make_rng(16)
         bank = random_bank(rng, (2,), 2, 2)
-        X = DenseImage(rng.normal(size=(5, 2)))
+        X = rng.normal(size=(1, 5, 2))
         fmap = conv_scale_forward(X, *bank[2])
         with pytest.raises(ValueError):
-            response_profile(fmap, channel=2)
+            response_profiles(fmap, channel=2)
         with pytest.raises(ValueError):
-            response_profile(fmap, channel=-1)
+            response_profiles(fmap, channel=-1)

@@ -5,8 +5,9 @@ import pytest
 
 import din.trainer as trainer_mod
 from din.data_io import Sample, SyntheticTaskConfig, synth_order_task
-from din.model import init_model
-from din.numerics import make_rng
+from din.model import clone_params, init_model, sample_loss_and_grads
+from din.denseimage import SamplingMode, sample_segments
+from din.numerics import make_rng, sample_dropout_mask
 from din.trainer import (
     OptimizerState,
     TrainConfig,
@@ -60,6 +61,20 @@ class TestTrainConfig:
     def test_dict_round_trip(self):
         cfg = TrainConfig(seed=9, initial_lr=0.01)
         assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("batch_size", 4.0), ("max_epochs", True), ("seed", "3"),
+        ("plateau_patience", None), ("dropout_keep", "0.5"), ("momentum", False),
+        ("initial_lr", [0.1]),
+    ])
+    def test_mistyped_fields_rejected_by_name(self, field, value):
+        d = {**dataclasses.asdict(TrainConfig()), field: value}
+        with pytest.raises(ValueError, match=field):
+            TrainConfig.from_dict(d)
+
+    def test_integers_accepted_for_float_fields(self):
+        cfg = TrainConfig.from_dict({**dataclasses.asdict(TrainConfig()), "momentum": 0})
+        assert cfg.momentum == 0
 
 
 class TestSgdStep:
@@ -183,7 +198,7 @@ class TestTrainEpoch:
         assert losses[0] == losses[1]
 
     def test_step_uses_mean_of_per_sample_gradients(self):
-        from din.model import sample_loss_and_grads
+        from din.model import sample_batch, sample_loss_and_grads
 
         splits = tiny_dataset(num_per_class=2, sigma=0.0)
         batch = splits["train"][:3]
@@ -195,7 +210,10 @@ class TestTrainEpoch:
         before = snapshot(params)
         # T == n and no dropout, so per-sample gradients are reproducible
         # outside the epoch loop regardless of its rng draws.
-        per_sample = [sample_loss_and_grads(params, s.features, s.label)[1] for s in batch]
+        per_sample = [
+            sample_loss_and_grads(params, sample_batch(TINY_SHAPE, [s.features])[0], [s.label])[1]
+            for s in batch
+        ]
         state = OptimizerState.init(params, cfg)
         train_epoch(params, batch, cfg, state, epoch_rng(cfg.seed, 0))
         for name, arr in params.tensors.items():
@@ -208,6 +226,39 @@ class TestTrainEpoch:
         state = OptimizerState.init(tiny_params, cfg)
         with pytest.raises(ValueError):
             train_epoch(tiny_params, [], cfg, state, epoch_rng(0, 0))
+
+    @pytest.mark.parametrize("keep", [0.8, 1.0])
+    def test_epoch_draws_in_the_per_sample_order(self, keep):
+        # Shuffle, then per sample in shuffled order: one dropout mask per
+        # width (ascending, only when keep < 1), then its segment indices.
+        # Replaying those draws by hand must leave the epoch rng in the same
+        # state and reproduce the epoch's parameters bit for bit.
+        samples = tiny_dataset(num_per_class=7, length=9)["train"]
+        cfg = TrainConfig(batch_size=4, dropout_keep=keep, seed=5)
+        params = init_model(TINY_SHAPE, init_rng(cfg.seed))
+        replay = clone_params(params)
+        rng = epoch_rng(cfg.seed, 0)
+        train_epoch(params, samples, cfg, OptimizerState.init(params, cfg), rng)
+        ref = epoch_rng(cfg.seed, 0)
+        order = ref.permutation(len(samples))
+        state = OptimizerState.init(replay, cfg)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [samples[i] for i in order[start : start + cfg.batch_size]]
+            masks = {h: [] for h in TINY_SHAPE.widths}
+            rows = []
+            for sample in batch:
+                for h in TINY_SHAPE.widths if keep < 1.0 else ():
+                    masks[h].append(sample_dropout_mask(ref, TINY_SHAPE.num_filters, keep))
+                rows.append(sample_segments(len(sample.features), TINY_SHAPE.num_frames,
+                                            SamplingMode.TRAIN_RANDOM, ref))
+            rows = np.stack([s.features[idx] for s, idx in zip(batch, rows)])
+            masks = {h: np.stack(m) for h, m in masks.items()} if keep < 1.0 else None
+            _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
+            mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
+            sgd_momentum_step(replay.tensors, mean, state, cfg)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for name, arr in params.tensors.items():
+            assert np.array_equal(arr, replay.tensors[name]), name
 
 
 class TestEvaluate:
