@@ -22,8 +22,11 @@ Checkpoint ("DICK", little-endian):
     buffers, "best/" best-validation snapshot (optional)
 
 Writers go through a temporary file plus atomic rename, so readers never
-observe a partial file. Features are quantized to float32 on disk and
-widened back to float64 in memory; checkpoints round-trip float64 exactly.
+observe a partial file. Features are quantized to float32 on disk and a
+loaded video stays float32: a read-only T x D view of the file's bytes,
+scanned once for non-finite values. Only the n rows a DenseImage samples
+are widened to float64 (exactly), when they are gathered. Checkpoints
+round-trip float64 exactly.
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .denseimage import FrameFeatureSequence
 from .model import ModelParams, ModelShapeSpec
-from .numerics import Array, make_rng
+from .numerics import Array, make_rng, require_number
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
 
 FEATURE_MAGIC = b"DIFX"
@@ -62,7 +65,11 @@ class ManifestError(ValueError):
 
 @dataclass(frozen=True)
 class Sample:
-    """One loaded sample: raw frame features (T x D, float64) plus label."""
+    """One sample: raw frame features (T x D) plus label. Features loaded
+    from a feature file are the file's read-only float32 values; generated
+    ones are float64. Arithmetic on them runs in float64 either way:
+    `denseimage.gather` widens the sampled rows, and the mean-pool
+    baseline accumulates its frame means in float64."""
 
     id: str
     features: Array
@@ -95,7 +102,8 @@ def write_feature_file(
 
 
 def read_feature_file(path: str | Path) -> FrameFeatureSequence:
-    """Load a feature file back as a float64 frame sequence."""
+    """Load a feature file as a frame sequence over its float32 payload
+    (read-only, 4 bytes per value), after one finite scan."""
     blob = Path(path).read_bytes()
     if len(blob) < _FEATURE_HEADER.size:
         raise FormatError(f"{path}: truncated header")
@@ -109,10 +117,11 @@ def read_feature_file(path: str | Path) -> FrameFeatureSequence:
     expected = _FEATURE_HEADER.size + 4 * T * D
     if len(blob) != expected:
         raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
-    data = np.frombuffer(blob, dtype="<f4", offset=_FEATURE_HEADER.size)
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite feature values")
-    return FrameFeatureSequence(data.astype(np.float64).reshape(T, D))
+    data = np.frombuffer(blob, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(T, D)
+    try:
+        return FrameFeatureSequence(data)
+    except ValueError as exc:  # T, D >= 1, so only the finite scan can fail
+        raise FormatError(f"{path}: non-finite feature values") from exc
 
 
 @dataclass(frozen=True)
@@ -220,6 +229,10 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (f.name == "val_samples_per_class" and value is None):
+                require_number(f.name, value, integral=f.type != "float")
         if self.num_prototypes < 2:
             raise ValueError("need at least 2 prototypes")
         if self.sequence_length < 2:

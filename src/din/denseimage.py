@@ -24,7 +24,12 @@ class SamplingMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FrameFeatureSequence:
-    """Per-frame feature vectors, one row per frame in temporal order."""
+    """Per-frame feature vectors, one row per frame in temporal order.
+
+    The matrix is kept in the dtype it arrives in (float32 when loaded
+    from a feature file) and is checked for finiteness in that dtype, so
+    validation never makes a widened copy of the whole video.
+    """
 
     features: Array  # T x D
 
@@ -77,9 +82,12 @@ def gather(
     mode: SamplingMode = SamplingMode.EVAL_CENTER,
     rng: np.random.Generator | None = None,
 ) -> Array:
-    """The n x D raw rows of the frames segment sampling picks, in temporal order."""
-    seq = FrameFeatureSequence(np.asarray(features, dtype=np.float64))
-    return seq.features[sample_segments(seq.num_frames, n, mode, rng)]
+    """The n x D raw rows of the frames segment sampling picks, in temporal
+    order, as float64. The video is validated in its own dtype and only
+    the n picked rows are widened; float32 -> float64 is exact."""
+    seq = FrameFeatureSequence(np.asarray(features))
+    rows = seq.features[sample_segments(seq.num_frames, n, mode, rng)]
+    return rows.astype(np.float64, copy=False)
 
 
 def encode(rows: Array, reduction: tuple[Array, Array]) -> Array:

@@ -133,20 +133,28 @@ def sgd_momentum_step(
     v <- momentum*v + (grad + wd*param); param -= lr*v.
 
     Weight decay enters as an additive L2 gradient term and never touches
-    tensors whose name ends in "/bias".
+    tensors whose name ends in "/bias". The terms go through one scratch
+    buffer shared by all tensors, in the formula's order of operations, so
+    the result is bit-identical to evaluating it with temporaries.
     """
     if set(grads) != set(named):
         raise ValueError("gradient names do not match the parameters")
+    scratch = np.empty(max((param.size for param in named.values()), default=0))
     for name, param in named.items():
         grad = grads[name]
         if grad.shape != param.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        if config.weight_decay and not name.endswith("/bias"):
-            grad = grad + config.weight_decay * param
+        term = scratch[: param.size].reshape(param.shape)
         vel = state.velocity[name]
         vel *= config.momentum
-        vel += grad
-        param -= state.current_lr * vel
+        if config.weight_decay and not name.endswith("/bias"):
+            np.multiply(config.weight_decay, param, out=term)
+            term += grad
+            vel += term
+        else:
+            vel += grad
+        np.multiply(state.current_lr, vel, out=term)
+        param -= term
 
 
 def plateau_update(state: OptimizerState, val_error: float, config: TrainConfig) -> None:
@@ -269,7 +277,7 @@ def init_baseline(rng: np.random.Generator, raw_dim: int, num_classes: int) -> M
 
 
 def _frame_means(samples: Sequence["Sample"]) -> Array:
-    return np.stack([s.features.mean(axis=0) for s in samples])
+    return np.stack([s.features.mean(axis=0, dtype=np.float64) for s in samples])
 
 
 def evaluate_baseline(

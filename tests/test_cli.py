@@ -412,6 +412,11 @@ class TestUsageAndConfig:
         ("inspect-params", "shape", "raw_dim", 16.9),
         ("train", "shape", "num_filters", False),
         ("inspect-params", "shape", "widths", [2, 3.5]),
+        ("synth", "synth", "samples_per_class", 2.5),
+        ("synth", "synth", "noise_sigma", "0.1"),
+        ("synth", "synth", "noise_sigma", True),
+        ("synth", "synth", "val_samples_per_class", "2"),
+        ("synth", "synth", "seed", 1.0),
     ])
     def test_mistyped_config_value_is_validation_error(
         self, tmp_path, capsys, command, section, field, value
@@ -423,6 +428,8 @@ class TestUsageAndConfig:
         argv = [command, "--config", str(cfg)]
         if command == "train":
             argv += ["--manifest", str(tmp_path / "m.json"), "--out-dir", str(tmp_path / "r")]
+        if command == "synth":
+            argv += ["--out-dir", str(tmp_path / "d")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "Traceback" not in err

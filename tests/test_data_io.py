@@ -152,6 +152,37 @@ def write_dataset(tmp_path, records, classes=("a", "b")):
     return path
 
 
+class TestLoadContract:
+    def synth_manifest(self, tmp_path):
+        cfg = SyntheticTaskConfig(feature_dim=5, samples_per_class=3,
+                                  val_samples_per_class=2, seed=8)
+        return load_manifest(write_synth_dataset(cfg, tmp_path))
+
+    def test_loaded_videos_hold_four_bytes_per_value(self, tmp_path):
+        path = tmp_path / "v.difx"
+        write_feature_file(path, make_rng(3).normal(size=(7, 5)))
+        features = read_feature_file(path).features
+        assert features.dtype == np.float32 and features.shape == (7, 5)
+        assert features.nbytes == 4 * 7 * 5
+        assert not features.flags.writeable
+        samples = load_split(self.synth_manifest(tmp_path / "synth"), "train", 5)
+        for sample in samples:
+            T, D = sample.features.shape
+            assert sample.features.nbytes == 4 * T * D
+
+    def test_load_split_reads_each_file_once(self, tmp_path, monkeypatch):
+        import din.data_io as data_io_mod
+
+        manifest = self.synth_manifest(tmp_path)
+        real = data_io_mod.read_feature_file
+        reads = []
+        monkeypatch.setattr(data_io_mod, "read_feature_file",
+                            lambda path: reads.append(path) or real(path))
+        samples = load_split(manifest, "train", 5)
+        assert len(samples) == 6
+        assert reads == [manifest.root / e.feature_path for e in manifest.split("train")]
+
+
 class TestManifest:
     def test_loads_samples_in_document_order(self, tmp_path):
         path = write_dataset(

@@ -185,6 +185,33 @@ class TestEncode:
             gather(np.array([[np.nan, 1.0]]), 1)
 
 
+class TestGather:
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_float32_video_gathers_like_its_float64_widening(self, mode):
+        video = (make_rng(23).normal(size=(37, 6)) * 100.0).astype(np.float32)
+        video.flags.writeable = False  # as loaded from a feature file
+        rng32, rng64 = make_rng(24), make_rng(24)
+        got = gather(video, 8, mode, rng32)
+        want = gather(video.astype(np.float64), 8, mode, rng64)
+        assert got.dtype == np.float64 and got.shape == (8, 6)
+        assert np.array_equal(got, want)
+        assert rng32.bit_generator.state == rng64.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nonfinite_value_anywhere_rejected(self, dtype):
+        # Center sampling at n=2 picks frames 2 and 7 of 10; the check
+        # must cover the frames it does not pick too.
+        for t in range(10):
+            video = np.ones((10, 3), dtype=dtype)
+            video[t, t % 3] = np.nan
+            with pytest.raises(ValueError):
+                gather(video, 2)
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            gather(np.ones(5, dtype=np.float32), 2)
+
+
 class TestDenseImage:
     def test_properties(self):
         # A batch of B videos encodes to B DenseImages of n rows by k columns.

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import din.trainer as trainer_mod
-from din.data_io import Sample, SyntheticTaskConfig, synth_order_task
+from din.data_io import (
+    Sample,
+    SyntheticTaskConfig,
+    load_manifest,
+    load_split,
+    synth_order_task,
+    write_synth_dataset,
+)
 from din.model import clone_params, init_model, sample_loss_and_grads
 from din.denseimage import SamplingMode, sample_segments
 from din.numerics import make_rng, sample_dropout_mask
@@ -124,6 +131,28 @@ class TestSgdStep:
             sgd_momentum_step(tiny_params.tensors, grads, state, cfg)
         with pytest.raises(ValueError):
             sgd_momentum_step(tiny_params.tensors, {}, state, cfg)
+
+
+    @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
+    def test_equals_the_formula_with_temporaries(self, tiny_params, weight_decay):
+        cfg = TrainConfig(momentum=0.9, weight_decay=weight_decay, initial_lr=0.05)
+        state = OptimizerState.init(tiny_params, cfg)
+        want_p = snapshot(tiny_params)
+        want_v = {name: np.zeros_like(arr) for name, arr in want_p.items()}
+        rng = make_rng(31)
+        for _ in range(4):
+            grads = {name: rng.normal(size=arr.shape) for name, arr in want_p.items()}
+            passed = {name: g.copy() for name, g in grads.items()}
+            for name, g in grads.items():
+                if weight_decay and not name.endswith("/bias"):
+                    g = g + weight_decay * want_p[name]
+                want_v[name] = cfg.momentum * want_v[name] + g
+                want_p[name] = want_p[name] - state.current_lr * want_v[name]
+            sgd_momentum_step(tiny_params.tensors, passed, state, cfg)
+            for name in grads:
+                assert np.array_equal(passed[name], grads[name])  # inputs untouched
+                assert np.array_equal(tiny_params.tensors[name], want_p[name])
+                assert np.array_equal(state.velocity[name], want_v[name])
 
 
 class TestPlateau:
@@ -385,3 +414,19 @@ class TestBaseline:
                           dropout_keep=1.0, seed=16)
         _, history = train_baseline(train, val, 4, 2, cfg)
         assert max(r.val_accuracy for r in history) == 1.0
+
+    def test_loaded_split_trains_like_its_float64_copies(self, tmp_path):
+        synth = SyntheticTaskConfig(feature_dim=6, samples_per_class=12,
+                                    val_samples_per_class=6, seed=4)
+        manifest = load_manifest(write_synth_dataset(synth, tmp_path))
+        loaded = [load_split(manifest, split, 6) for split in ("train", "val")]
+        assert loaded[0][0].features.dtype == np.float32
+        widened = [[Sample(s.id, s.features.astype(np.float64), s.label) for s in split]
+                   for split in loaded]
+        cfg = TrainConfig(max_epochs=3, batch_size=5, initial_lr=0.1, seed=2)
+        model32, history32 = train_baseline(*loaded, 6, 2, cfg)
+        model64, history64 = train_baseline(*widened, 6, 2, cfg)
+        assert np.array_equal([dataclasses.astuple(r) for r in history32],
+                              [dataclasses.astuple(r) for r in history64])
+        assert np.array_equal(model32.weights, model64.weights)
+        assert np.array_equal(model32.bias, model64.bias)
