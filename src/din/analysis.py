@@ -14,7 +14,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -32,15 +32,6 @@ class CostBreakdown:
 
     total: int
     lines: dict[str, int]
-
-
-@dataclass(frozen=True)
-class CostReport:
-    parameters: CostBreakdown
-    flops: CostBreakdown
-    # Optional externally supplied (name -> {"parameters":…, "flops":…})
-    # reference costs, echoed for side-by-side display only.
-    reference: dict[str, dict] = field(default_factory=dict)
 
 
 def count_parameters(shape: ModelShapeSpec) -> CostBreakdown:
@@ -68,10 +59,6 @@ def estimate_flops(shape: ModelShapeSpec) -> CostBreakdown:
     return CostBreakdown(sum(lines.values()), lines)
 
 
-def cost_report(shape: ModelShapeSpec, reference: dict[str, dict] | None = None) -> CostReport:
-    return CostReport(count_parameters(shape), estimate_flops(shape), dict(reference or {}))
-
-
 def _write_lines(rows: list[str], out_path: str | Path) -> Path:
     out_path = Path(out_path)
     atomic_write_bytes(out_path, ("\n".join(rows) + "\n").encode())
@@ -83,8 +70,9 @@ def export_responses(
 ) -> Path:
     """Per-sample channel-mean response profile for one filter width.
 
-    Columns: sample id, the n-h+1 window intensities, the argmax window,
-    and the sampled-frame range that window covers.
+    Columns: sample id, the n-h+1 window intensities, the argmax window
+    (ties to the smallest), and the first and last sampled frame that
+    window covers (argmax .. argmax+h-1).
     """
     if h not in params.shape.widths:
         raise ValueError(f"width {h} not in the model (widths {params.shape.widths})")
@@ -97,11 +85,11 @@ def export_responses(
     rows = [",".join(header)]
     for chunk, batch_rows in eval_batches(params.shape, sorted(samples, key=lambda s: s.id)):
         fmap = conv_scale_forward(encode(batch_rows, params.reduction), *params.bank[h])
-        for sample, profile in zip(chunk, response_profiles(fmap)):
-            first, last = profile.frame_range
+        for sample, intensities in zip(chunk, response_profiles(fmap)):
+            window = int(np.argmax(intensities))
             cells = [sample.id]
-            cells += [repr(float(v)) for v in profile.intensities]
-            cells += [str(profile.argmax_window), str(first), str(last)]
+            cells += [repr(float(v)) for v in intensities]
+            cells += [str(window), str(window), str(window + h - 1)]
             rows.append(",".join(cells))
     return _write_lines(rows, out_path)
 
@@ -123,7 +111,7 @@ def export_pooled_features(
     rows = [",".join(header)]
     for chunk, batch_rows in eval_batches(params.shape, sorted(samples, key=lambda s: s.id)):
         fwd = forward_sample(params, batch_rows)
-        vectors = np.concatenate([fwd.conv.pooled[h].values for h in shape.widths], axis=1)
+        vectors = np.concatenate([fwd.pooled[h][0] for h in shape.widths], axis=1)
         baselines = fwd.dense.mean(axis=1)
         for sample, vector, baseline in zip(chunk, vectors, baselines):
             cells = [sample.id, str(sample.label)]

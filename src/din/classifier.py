@@ -9,17 +9,9 @@ features of the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import Array, softmax
-
-
-@dataclass(frozen=True)
-class ClassScores:
-    fused_logits: Array  # B x C
-    probabilities: Array  # B x C
 
 
 def head_forward(c_h: Array, head: tuple[Array, Array], mask: Array | None = None) -> Array:
@@ -41,8 +33,9 @@ def head_forward(c_h: Array, head: tuple[Array, Array], mask: Array | None = Non
     return logits
 
 
-def fuse_and_score(per_scale_logits: dict[int, Array]) -> ClassScores:
-    """Sum per-scale logits elementwise, then softmax each fused row."""
+def fuse_and_score(per_scale_logits: dict[int, Array]) -> tuple[Array, Array]:
+    """Sum per-scale logits elementwise, then softmax each fused row:
+    (B x C fused logits, B x C probabilities)."""
     if not per_scale_logits:
         raise ValueError("need at least one scale")
     shapes = {v.shape for v in per_scale_logits.values()}
@@ -51,12 +44,12 @@ def fuse_and_score(per_scale_logits: dict[int, Array]) -> ClassScores:
     fused = np.zeros(next(iter(shapes)))
     for h in sorted(per_scale_logits):
         fused += per_scale_logits[h]
-    return ClassScores(fused, softmax(fused))
+    return fused, softmax(fused)
 
 
-def predict(scores: ClassScores) -> Array:
+def predict(probabilities: Array) -> Array:
     """Most probable class of each row; ties break to the smallest index."""
-    return np.argmax(scores.probabilities, axis=-1)
+    return np.argmax(probabilities, axis=-1)
 
 
 def classifier_backward(

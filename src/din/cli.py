@@ -32,10 +32,6 @@ DEFAULT_SHAPE = ModelShapeSpec(
     num_classes=27,
 )
 
-_SHAPE_KEYS = ("raw_dim", "feat_dim", "num_frames", "widths", "num_filters", "num_classes")
-_TRAIN_KEYS = tuple(asdict(trainer.TrainConfig()))
-_SYNTH_KEYS = tuple(asdict(data_io.SyntheticTaskConfig()))
-
 
 class UsageError(Exception):
     pass
@@ -55,13 +51,13 @@ class RunConfig:
     synth: data_io.SyntheticTaskConfig
 
 
-def _merge_section(defaults: dict, file_section: dict, args, keys, prefix="") -> dict:
+def _merge_section(defaults: dict, file_section: dict, args, prefix="") -> dict:
     merged = dict(defaults)
     for key, value in (file_section or {}).items():
         if key not in merged:
             raise ValueError(f"unknown config key {prefix}{key!r}")
         merged[key] = value
-    for key in keys:
+    for key in defaults:
         override = getattr(args, f"{prefix.replace('.', '_')}{key}", None)
         if override is not None:
             merged[key] = override
@@ -83,13 +79,10 @@ def build_run_config(args) -> RunConfig:
         unknown = set(file_doc) - {"shape", "train", "synth"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    shape_d = _merge_section(asdict(DEFAULT_SHAPE), file_doc.get("shape"), args, _SHAPE_KEYS)
-    train_d = _merge_section(
-        asdict(trainer.TrainConfig()), file_doc.get("train"), args, _TRAIN_KEYS
-    )
+    shape_d = _merge_section(asdict(DEFAULT_SHAPE), file_doc.get("shape"), args)
+    train_d = _merge_section(asdict(trainer.TrainConfig()), file_doc.get("train"), args)
     synth_d = _merge_section(
-        asdict(data_io.SyntheticTaskConfig()), file_doc.get("synth"), args, _SYNTH_KEYS,
-        prefix="synth.",
+        asdict(data_io.SyntheticTaskConfig()), file_doc.get("synth"), args, prefix="synth."
     )
     return RunConfig(
         ModelShapeSpec.from_dict(shape_d),
@@ -138,12 +131,11 @@ def _load_model_for_inference(args):
     if not args.checkpoint:
         raise ValueError("--checkpoint is required")
     ckpt = data_io.load_checkpoint(args.checkpoint)
-    params = ckpt.model
-    if args.use_best:
-        if ckpt.state.best_params is None:
-            raise ValueError("checkpoint has no best-model snapshot")
-        params = ckpt.state.best_params
-    return params, ckpt
+    if not args.use_best:
+        return ckpt.model
+    if ckpt.state.best_params is None:
+        raise ValueError("checkpoint has no best-model snapshot")
+    return ckpt.state.best_params
 
 
 def _load_samples(args, raw_dim, split=None):
@@ -218,7 +210,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, _ = _load_model_for_inference(args)
+    params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape.raw_dim)
     loss, accuracy = trainer.evaluate(params, samples)
     print(f"split={args.split} samples={len(samples)} loss={loss!r} accuracy={accuracy!r}")
@@ -226,7 +218,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params, _ = _load_model_for_inference(args)
+    params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape.raw_dim)
     lines = ["id,label,predicted," + ",".join(f"p_{c}" for c in range(params.shape.num_classes))]
     for sample in sorted(samples, key=lambda s: s.id):
@@ -261,24 +253,22 @@ def _load_reference(path: Path) -> dict[str, dict]:
 
 def cmd_inspect_params(args) -> int:
     cfg = build_run_config(args)
-    reference = _load_reference(Path(args.reference)) if args.reference else None
-    report = analysis.cost_report(cfg.shape, reference)
-    print("parameters:")
-    for name, value in report.parameters.lines.items():
-        print(f"  {name:<12} {value:>12,}")
-    print(f"total parameters: {report.parameters.total:,}")
-    print("flops per video:")
-    for name, value in report.flops.lines.items():
-        print(f"  {name:<12} {value:>12,}")
-    print(f"total flops per video: {report.flops.total:,}")
-    for name, costs in report.reference.items():
+    reference = _load_reference(Path(args.reference)) if args.reference else {}
+    for title, costs in (("parameters", analysis.count_parameters(cfg.shape)),
+                         ("flops per video", analysis.estimate_flops(cfg.shape))):
+        print(f"{title}:")
+        for name, value in costs.lines.items():
+            print(f"  {name:<12} {value:>12,}")
+        print(f"total {title}: {costs.total:,}")
+    # External costs, echoed for side-by-side display only.
+    for name, costs in reference.items():
         print(f"reference {name}: parameters={costs['parameters']:,} "
               f"flops={costs['flops']:,}")
     return 0
 
 
 def cmd_export_responses(args) -> int:
-    params, _ = _load_model_for_inference(args)
+    params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape.raw_dim)
     if not args.out:
         raise ValueError("--out is required")
@@ -288,7 +278,7 @@ def cmd_export_responses(args) -> int:
 
 
 def cmd_export_features(args) -> int:
-    params, _ = _load_model_for_inference(args)
+    params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape.raw_dim)
     if not args.out:
         raise ValueError("--out is required")

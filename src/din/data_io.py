@@ -22,11 +22,12 @@ Checkpoint ("DICK", little-endian):
     buffers, "best/" best-validation snapshot (optional)
 
 Writers go through a temporary file plus atomic rename, so readers never
-observe a partial file. Features are quantized to float32 on disk and a
-loaded video stays float32: a read-only T x D view of the file's bytes,
-scanned once for non-finite values. Only the n rows a DenseImage samples
-are widened to float64 (exactly), when they are gathered. Checkpoints
-round-trip float64 exactly.
+observe a partial file. Features are quantized to float32 on disk; a write
+whose float32 values are not all finite is refused before anything is
+written. A loaded video stays float32: a plain read-only T x D array over
+the file's bytes, scanned once for non-finite values. Only the n rows a
+DenseImage samples are widened to float64 (exactly), when they are
+gathered. Checkpoints round-trip float64 exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .denseimage import FrameFeatureSequence
+from .denseimage import check_features
 from .model import ModelParams, ModelShapeSpec
 from .numerics import Array, make_rng, require_number
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
@@ -82,28 +83,27 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_feature_file(
-    path: str | Path, features: FrameFeatureSequence | Array
-) -> None:
-    """Store one frame-feature sequence, quantized to float32."""
-    if isinstance(features, FrameFeatureSequence):
-        features = features.features
+def write_feature_file(path: str | Path, features: Array) -> None:
+    """Store one T x D frame-feature matrix, quantized to float32. A matrix
+    whose float32 values are not all finite (|x| > 3.4e38 overflows) is
+    refused, naming the file, and nothing is written."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
         raise FormatError("features must be a non-empty T x D matrix")
-    if not np.all(np.isfinite(features)):
-        raise FormatError("features must be finite")
     T, D = features.shape
     if D > 0xFFFF:
         raise FormatError("feature dim exceeds the u16 header field")
+    with np.errstate(over="ignore"):  # overflow to inf is caught just below
+        payload = features.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise FormatError(f"{path}: features must be finite in float32 (|x| <= 3.4e38)")
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, T, D)
-    payload = features.astype("<f4").tobytes()
-    atomic_write_bytes(Path(path), header + payload)
+    atomic_write_bytes(Path(path), header + payload.tobytes())
 
 
-def read_feature_file(path: str | Path) -> FrameFeatureSequence:
-    """Load a feature file as a frame sequence over its float32 payload
-    (read-only, 4 bytes per value), after one finite scan."""
+def read_feature_file(path: str | Path) -> Array:
+    """Load a feature file as its T x D float32 payload (a read-only view
+    of the file's bytes, 4 bytes per value), after one finite scan."""
     blob = Path(path).read_bytes()
     if len(blob) < _FEATURE_HEADER.size:
         raise FormatError(f"{path}: truncated header")
@@ -119,7 +119,7 @@ def read_feature_file(path: str | Path) -> FrameFeatureSequence:
         raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(T, D)
     try:
-        return FrameFeatureSequence(data)
+        return check_features(data)
     except ValueError as exc:  # T, D >= 1, so only the finite scan can fail
         raise FormatError(f"{path}: non-finite feature values") from exc
 
@@ -201,7 +201,7 @@ def load_split(manifest: DatasetManifest, split: str, raw_dim: int) -> list[Samp
     samples = []
     for e in manifest.split(split):
         path = manifest.root / e.feature_path
-        features = read_feature_file(path).features
+        features = read_feature_file(path)
         if features.shape[1] != raw_dim:
             raise ManifestError(
                 f"{path}: sample {e.id!r} has feature dim {features.shape[1]}, "

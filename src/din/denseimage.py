@@ -1,8 +1,9 @@
 """Frame sequences into fixed-size DenseImage matrices.
 
-A video arrives as one feature vector per frame. Gathering picks n
-frames by segment sampling; encoding pushes a whole batch of gathered
-rows through the trainable linear reduction at once. Row i of a
+A video arrives as a plain T x D array, one feature vector per frame,
+which `check_features` validates. Gathering picks n frames by segment
+sampling; encoding pushes a whole batch of gathered rows through the
+trainable linear reduction at once. Row i of a
 DenseImage is always sampled frame i: nothing here may permute or mix
 rows.
 """
@@ -10,7 +11,6 @@ rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,30 +22,19 @@ class SamplingMode(enum.Enum):
     EVAL_CENTER = "eval_center"
 
 
-@dataclass(frozen=True)
-class FrameFeatureSequence:
-    """Per-frame feature vectors, one row per frame in temporal order.
+def check_features(features: Array) -> Array:
+    """Validate a video's per-frame feature vectors, a T x D matrix with one
+    row per frame in temporal order, and return it unchanged.
 
-    The matrix is kept in the dtype it arrives in (float32 when loaded
-    from a feature file) and is checked for finiteness in that dtype, so
-    validation never makes a widened copy of the whole video.
+    The matrix is checked in the dtype it arrives in (float32 when loaded
+    from a feature file), so validation never makes a widened copy of the
+    whole video.
     """
-
-    features: Array  # T x D
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be a T x D matrix with T >= 1")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features must be finite")
-
-    @property
-    def num_frames(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
+    if features.ndim != 2 or features.shape[0] < 1:
+        raise ValueError("features must be a T x D matrix with T >= 1")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features must be finite")
+    return features
 
 
 def sample_segments(
@@ -85,8 +74,8 @@ def gather(
     """The n x D raw rows of the frames segment sampling picks, in temporal
     order, as float64. The video is validated in its own dtype and only
     the n picked rows are widened; float32 -> float64 is exact."""
-    seq = FrameFeatureSequence(np.asarray(features))
-    rows = seq.features[sample_segments(seq.num_frames, n, mode, rng)]
+    features = check_features(np.asarray(features))
+    rows = features[sample_segments(features.shape[0], n, mode, rng)]
     return rows.astype(np.float64, copy=False)
 
 

@@ -186,9 +186,10 @@ class BatchForward:
 
     rows: Array  # B x n x D sampled raw frames
     dense: Array  # B x n x k DenseImages
-    conv: tc.MultiscaleCache
+    pooled: dict[int, tuple[Array, Array]]  # width -> B x M (values, argmax windows)
     masks: dict[int, Array] | None  # width -> B x M dropout scales
-    scores: clf.ClassScores  # B x C logits and probabilities
+    logits: Array  # B x C fused logits
+    probabilities: Array  # B x C
 
 
 def forward_sample(
@@ -196,12 +197,12 @@ def forward_sample(
 ) -> BatchForward:
     """Run a B x n x D batch of sampled rows through the whole model."""
     dense = di.encode(rows, params.reduction)
-    pooled, conv = tc.multiscale_forward(dense, params.bank)
+    pooled = tc.multiscale_forward(dense, params.bank)
     per_scale = {
-        h: clf.head_forward(pooled[h].values, head, masks[h] if masks else None)
+        h: clf.head_forward(pooled[h][0], head, masks[h] if masks else None)
         for h, head in params.heads.items()
     }
-    return BatchForward(rows, dense, conv, masks, clf.fuse_and_score(per_scale))
+    return BatchForward(rows, dense, pooled, masks, *clf.fuse_and_score(per_scale))
 
 
 def backward_sample(
@@ -209,9 +210,9 @@ def backward_sample(
 ) -> dict[str, Array]:
     """Gradients of a scalar loss wrt every named parameter, summed over the
     batch, given the B x C loss gradient on the fused logits."""
-    pooled = {h: p.values for h, p in fwd.conv.pooled.items()}
-    head_grads, grad_c = clf.classifier_backward(pooled, params.heads, fwd.masks, grad_fused)
-    grad_W, grad_b, grad_X = tc.multiscale_backward(fwd.conv, grad_c)
+    values = {h: v for h, (v, _) in fwd.pooled.items()}
+    head_grads, grad_c = clf.classifier_backward(values, params.heads, fwd.masks, grad_fused)
+    grad_W, grad_b, grad_X = tc.multiscale_backward(fwd.dense, params.bank, fwd.pooled, grad_c)
     B, n, D = fwd.rows.shape
     grad_X = grad_X.reshape(B * n, -1)
     grads: dict[str, Array] = {
@@ -230,12 +231,12 @@ def sample_loss_and_grads(
     """Cross-entropy loss and parameter gradients of a labeled batch, both
     summed over its B samples."""
     fwd = forward_sample(params, rows, masks)
-    losses, grad_fused = cross_entropy_from_logits(fwd.scores.fused_logits, labels)
+    losses, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
     return float(losses.sum()), backward_sample(params, fwd, grad_fused)
 
 
 def predict_sample(params: ModelParams, features: Array) -> tuple[int, Array]:
     """Evaluation-mode class prediction and probabilities for one video (B=1)."""
     rows, _ = sample_batch(params.shape, [features])
-    scores = forward_sample(params, rows).scores
-    return int(clf.predict(scores)[0]), scores.probabilities[0]
+    probabilities = forward_sample(params, rows).probabilities
+    return int(clf.predict(probabilities)[0]), probabilities[0]

@@ -52,6 +52,28 @@ def kink_free(X: np.ndarray, bank: dict[int, tuple[np.ndarray, np.ndarray]]) -> 
     return True
 
 
+def finite_difference_check(objective, arrays: dict, grads: dict, eps: float, tol: float) -> None:
+    """Check grads[name], the claimed gradient of the scalar objective() wrt
+    arrays[name], by central differences at every entry. Each entry is moved
+    eps up and eps down in place and restored exactly, also when
+    objective() raises. An entry passes only when |fd - g| < tol*max(1, |fd|);
+    the first that does not raises AssertionError naming tensor and index."""
+    for name, arr in arrays.items():
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            try:
+                arr[idx] = orig + eps
+                up = objective()
+                arr[idx] = orig - eps
+                down = objective()
+            finally:
+                arr[idx] = orig
+            fd = (up - down) / (2 * eps)
+            if not abs(fd - grads[name][idx]) < tol * max(1.0, abs(fd)):
+                raise AssertionError(f"gradient mismatch in {name} at {idx}: "
+                                     f"finite difference {fd!r}, gradient {grads[name][idx]!r}")
+
+
 def _random_bank(rng, widths, M, k) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     weights = {h: rng.normal(size=(M, h * k)) for h in widths}
     return {h: (weights[h], rng.normal(size=M) * 0.1) for h in widths}
@@ -66,18 +88,17 @@ def _check_conv_oracle() -> None:
         widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(2)))
         bank = _random_bank(rng, widths, M, k)
         X = rng.normal(size=(n, k))
-        pooled, cache = multiscale_forward(X[None], bank)
+        pooled = multiscale_forward(X[None], bank)
         for h in widths:
             want = naive_scale_responses(X, *bank[h])
-            if np.abs(cache.fmaps[h].values[0].T - want).max() > 1e-12:
+            if np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() > 1e-12:
                 raise AssertionError(f"conv mismatch at h={h}")
-            if np.abs(pooled[h].values[0] - want.max(axis=1)).max() > 1e-12:
+            if np.abs(pooled[h][0][0] - want.max(axis=1)).max() > 1e-12:
                 raise AssertionError(f"pool mismatch at h={h}")
 
 
 def _check_multiscale_gradients() -> None:
     rng = make_rng(12)
-    eps = 1e-4
     done = 0
     while done < 5:
         n, k, M = 5, 3, 4
@@ -88,29 +109,19 @@ def _check_multiscale_gradients() -> None:
             continue
         done += 1
         grad_up = {h: rng.normal(size=(1, M)) for h in widths}
-        _, cache = multiscale_forward(X, bank)
-        grad_W, grad_b, grad_X = multiscale_backward(cache, grad_up)
+        grad_W, grad_b, grad_X = multiscale_backward(
+            X, bank, multiscale_forward(X, bank), grad_up
+        )
 
         def objective():
-            p, _ = multiscale_forward(X, bank)
-            return sum(float((grad_up[h] * p[h].values).sum()) for h in widths)
+            pooled = multiscale_forward(X, bank)
+            return sum(float((grad_up[h] * pooled[h][0]).sum()) for h in widths)
 
-        def probe(arr, grad, what):
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                up = objective()
-                arr[idx] = orig - eps
-                down = objective()
-                arr[idx] = orig
-                fd = (up - down) / (2 * eps)
-                if abs(fd - grad[idx]) > 1e-5 * max(1.0, abs(fd)):
-                    raise AssertionError(f"{what} mismatch at {idx}")
-
+        arrays, grads = {"dX": X}, {"dX": grad_X}
         for h in widths:
-            probe(bank[h][0], grad_W[h], f"dW[h={h}]")
-            probe(bank[h][1], grad_b[h], f"db[h={h}]")
-        probe(X, grad_X, "dX")
+            arrays[f"dW[h={h}]"], grads[f"dW[h={h}]"] = bank[h][0], grad_W[h]
+            arrays[f"db[h={h}]"], grads[f"db[h={h}]"] = bank[h][1], grad_b[h]
+        finite_difference_check(objective, arrays, grads, eps=1e-4, tol=1e-5)
 
 
 def _tiny_model(rng) -> tuple[ModelParams, np.ndarray, int]:
@@ -125,7 +136,6 @@ def _tiny_model(rng) -> tuple[ModelParams, np.ndarray, int]:
 
 def _check_end_to_end_gradients() -> None:
     rng = make_rng(13)
-    eps = 1e-4
     done = 0
     while done < 5:
         params, features, label = _tiny_model(rng)
@@ -133,18 +143,11 @@ def _check_end_to_end_gradients() -> None:
         if not kink_free(encode(rows, params.reduction)[0], params.bank):
             continue
         done += 1
-        loss, grads = sample_loss_and_grads(params, rows, [label])
-        for name, arr in params.tensors.items():
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                up, _ = sample_loss_and_grads(params, rows, [label])
-                arr[idx] = orig - eps
-                down, _ = sample_loss_and_grads(params, rows, [label])
-                arr[idx] = orig
-                fd = (up - down) / (2 * eps)
-                if abs(fd - grads[name][idx]) > 1e-5 * max(1.0, abs(fd)):
-                    raise AssertionError(f"gradient mismatch in {name} at {idx}")
+        _, grads = sample_loss_and_grads(params, rows, [label])
+        finite_difference_check(
+            lambda: sample_loss_and_grads(params, rows, [label])[0],
+            params.tensors, grads, eps=1e-4, tol=1e-5,
+        )
 
 
 def _check_shape_law() -> None:
@@ -154,8 +157,8 @@ def _check_shape_law() -> None:
     X = rng.normal(size=(1, 8, k))
     for h, want in ((2, 7), (3, 6), (4, 5)):
         fmap = conv_scale_forward(X, *bank[h])
-        if fmap.values.shape != (1, want, M):
-            raise AssertionError(f"h={h}: expected {want} windows, got {fmap.values.shape}")
+        if fmap.shape != (1, want, M):
+            raise AssertionError(f"h={h}: expected {want} windows, got {fmap.shape}")
 
 
 def _check_softmax_law() -> None:
@@ -201,27 +204,21 @@ def _check_order_sensitivity() -> None:
     A, B, C = np.eye(3)
     X = np.stack([A, B, C])
     bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
-    pooled, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)
-    if pooled[2].values[0, 0] == pooled[2].values[1, 0]:
+    values, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)[2]
+    if values[0, 0] == values[1, 0]:
         raise AssertionError("row swap left the pooled output unchanged")
 
 
 def _check_cross_entropy() -> None:
     rng = make_rng(17)
-    eps = 1e-5
     for _ in range(20):
         logits = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(2, 10))))
         labels = rng.integers(logits.shape[1], size=logits.shape[0])
         _, grad = cross_entropy_from_logits(logits, labels)
-        for idx in np.ndindex(logits.shape):
-            probe = logits.copy()
-            probe[idx] += eps
-            up = cross_entropy_from_logits(probe, labels)[0].sum()
-            probe[idx] -= 2 * eps
-            down = cross_entropy_from_logits(probe, labels)[0].sum()
-            fd = (up - down) / (2 * eps)
-            if abs(fd - grad[idx]) > 1e-6 * max(1.0, abs(fd)):
-                raise AssertionError("cross-entropy gradient mismatch")
+        finite_difference_check(
+            lambda: cross_entropy_from_logits(logits, labels)[0].sum(),
+            {"logits": logits}, {"logits": grad}, eps=1e-5, tol=1e-6,
+        )
 
 
 CHECKS = [

@@ -21,29 +21,9 @@ windows scatter it back onto the h DenseImage rows they cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import Array
-
-
-@dataclass(frozen=True)
-class ScaleFeatureMap:
-    """Post-rectifier responses for one width: element (b, i, m) is channel
-    m applied to the window of DenseImage b that starts at frame i."""
-
-    width: int
-    values: Array  # B x (n-h+1) x M
-
-
-@dataclass(frozen=True)
-class PooledScaleFeature:
-    """Per-channel max over window positions, with the smallest attaining index."""
-
-    width: int
-    values: Array  # B x M
-    argmax_positions: Array  # B x M, int
 
 
 def _offset_rows(X: Array, a: int, num_windows: int) -> Array:
@@ -51,9 +31,11 @@ def _offset_rows(X: Array, a: int, num_windows: int) -> Array:
     return X[:, a : a + num_windows].reshape(-1, X.shape[2])
 
 
-def conv_scale_forward(X: Array, W_h: Array, b_h: Array) -> ScaleFeatureMap:
+def conv_scale_forward(X: Array, W_h: Array, b_h: Array) -> Array:
     """Rectified width-h responses of a B x n x k batch at every window
-    position (stride 1, no padding)."""
+    position (stride 1, no padding): a B x (n-h+1) x M map whose element
+    (b, i, m) is channel m applied to the window of DenseImage b that
+    starts at frame i."""
     if X.ndim != 3:
         raise ValueError("expected a B x n x k batch of DenseImages")
     B, n, k = X.shape
@@ -70,45 +52,35 @@ def conv_scale_forward(X: Array, W_h: Array, b_h: Array) -> ScaleFeatureMap:
         responses += _offset_rows(X, a, num_windows) @ W_h[:, a * k : (a + 1) * k].T
     responses += b_h
     np.maximum(responses, 0.0, out=responses)
-    return ScaleFeatureMap(h, responses.reshape(B, num_windows, -1))
+    return responses.reshape(B, num_windows, -1)
 
 
-def temporal_max_pool(fmap: ScaleFeatureMap) -> PooledScaleFeature:
-    """Per-channel maximum over window positions; ties go to the smallest index."""
-    if fmap.values.shape[1] < 1:
+def temporal_max_pool(fmap: Array) -> tuple[Array, Array]:
+    """Per-channel maximum of a B x W x M map over window positions, as
+    (B x M values, B x M argmax windows); ties go to the smallest index."""
+    if fmap.shape[1] < 1:
         raise ValueError("feature map must have at least one window")
-    return PooledScaleFeature(fmap.width, fmap.values.max(axis=1), fmap.values.argmax(axis=1))
-
-
-@dataclass
-class MultiscaleCache:
-    """Everything the backward pass needs from one multiscale forward.
-
-    Holds a read-only reference to the bank that produced it; a cache is
-    valid for exactly one backward call against unmodified parameters.
-    """
-
-    bank: dict[int, tuple[Array, Array]]
-    X: Array  # B x n x k
-    fmaps: dict[int, ScaleFeatureMap]
-    pooled: dict[int, PooledScaleFeature]
+    return fmap.max(axis=1), fmap.argmax(axis=1)
 
 
 def multiscale_forward(
     X: Array, bank: dict[int, tuple[Array, Array]]
-) -> tuple[dict[int, PooledScaleFeature], MultiscaleCache]:
+) -> dict[int, tuple[Array, Array]]:
     """Convolve and pool every width of a width -> (weights, bias) bank
-    over a B x n x k batch of DenseImages."""
-    fmaps = {h: conv_scale_forward(X, *bank[h]) for h in sorted(bank)}
-    pooled = {h: temporal_max_pool(fmap) for h, fmap in fmaps.items()}
-    return pooled, MultiscaleCache(bank, X, fmaps, pooled)
+    over a B x n x k batch of DenseImages: width -> (values, argmax) as
+    temporal_max_pool returns them."""
+    return {h: temporal_max_pool(conv_scale_forward(X, *bank[h])) for h in sorted(bank)}
 
 
 def multiscale_backward(
-    cache: MultiscaleCache, grad_pooled: dict[int, Array]
+    X: Array,
+    bank: dict[int, tuple[Array, Array]],
+    pooled: dict[int, tuple[Array, Array]],
+    grad_pooled: dict[int, Array],
 ) -> tuple[dict[int, Array], dict[int, Array], Array]:
     """Gradients of the pooled features wrt filters and biases (summed over
-    the batch) and wrt the B x n x k DenseImages.
+    the batch) and wrt the B x n x k DenseImages X, given the bank and the
+    pooled output multiscale_forward(X, bank) returned for them.
 
     Per sample and channel the upstream gradient enters at the argmax
     window alone, passes the rectifier gate (zero where the pooled value
@@ -116,59 +88,34 @@ def multiscale_backward(
     and the h DenseImage rows under that window. grad_X accumulates over
     widths.
     """
-    if set(grad_pooled) != set(cache.fmaps):
-        raise ValueError("grad_pooled widths do not match the forward cache")
-    B, _, k = cache.X.shape
+    if set(grad_pooled) != set(pooled):
+        raise ValueError("grad_pooled widths do not match the pooled features")
+    B, n, k = X.shape
     grad_W: dict[int, Array] = {}
     grad_b: dict[int, Array] = {}
-    grad_X = np.zeros_like(cache.X)
-    for h, fmap in cache.fmaps.items():
-        _, num_windows, M = fmap.values.shape
+    grad_X = np.zeros_like(X)
+    for h, (values, argmax) in pooled.items():
+        num_windows, M = n - h + 1, values.shape[1]
         grad_up = np.asarray(grad_pooled[h], dtype=np.float64)
         if grad_up.shape != (B, M):
             raise ValueError(f"grad_pooled[{h}] must have shape {(B, M)}")
-        pooled = cache.pooled[h]
-        routed = grad_up * (pooled.values > 0.0)
+        routed = grad_up * (values > 0.0)
         grad_map = np.zeros((B, num_windows, M))
-        grad_map[np.arange(B)[:, None], pooled.argmax_positions, np.arange(M)] = routed
+        grad_map[np.arange(B)[:, None], argmax, np.arange(M)] = routed
         grad_map = grad_map.reshape(B * num_windows, M)
         grad_W[h] = np.empty((M, h * k))
         for a in range(h):
-            np.matmul(grad_map.T, _offset_rows(cache.X, a, num_windows),
+            np.matmul(grad_map.T, _offset_rows(X, a, num_windows),
                       out=grad_W[h][:, a * k : (a + 1) * k])
         grad_b[h] = routed.sum(axis=0)
         # Back through the windows: offset a of window i is row i+a.
-        grad_windows = (grad_map @ cache.bank[h][0]).reshape(B, num_windows, h, k)
+        grad_windows = (grad_map @ bank[h][0]).reshape(B, num_windows, h, k)
         for a in range(h):
             grad_X[:, a : a + num_windows] += grad_windows[:, :, a]
     return grad_W, grad_b, grad_X
 
 
-@dataclass(frozen=True)
-class ResponseProfile:
-    """Per-window response intensities of one width over one DenseImage."""
-
-    width: int
-    intensities: Array  # n-h+1
-    argmax_window: int
-
-    @property
-    def frame_range(self) -> tuple[int, int]:
-        """Sampled-frame span [first, last] covered by the argmax window."""
-        return self.argmax_window, self.argmax_window + self.width - 1
-
-
-def response_profiles(fmap: ScaleFeatureMap, channel: int | None = None) -> list[ResponseProfile]:
-    """One profile per DenseImage of a width-h feature map: channel m's
-    responses, or the channel mean when channel is None.
-
-    Window i of a profile covers sampled frames i .. i+h-1.
-    """
-    if channel is None:
-        intensities = fmap.values.mean(axis=2)
-    else:
-        if not 0 <= channel < fmap.values.shape[2]:
-            raise ValueError(f"channel {channel} out of range")
-        intensities = fmap.values[:, :, channel]
-    return [ResponseProfile(fmap.width, row.copy(), int(np.argmax(row)))
-            for row in intensities]
+def response_profiles(fmap: Array) -> Array:
+    """The B x (n-h+1) channel-mean responses of a width-h feature map, one
+    profile per DenseImage; window i covers sampled frames i .. i+h-1."""
+    return fmap.mean(axis=2)

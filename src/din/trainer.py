@@ -219,11 +219,11 @@ def evaluate(
     total_loss = 0.0
     correct = 0
     for chunk, rows in eval_batches(params.shape, samples):
-        scores = forward_sample(params, rows).scores
+        fwd = forward_sample(params, rows)
         labels = _labels(chunk)
-        losses, _ = cross_entropy_from_logits(scores.fused_logits, labels)
+        losses, _ = cross_entropy_from_logits(fwd.logits, labels)
         total_loss += float(losses.sum())
-        correct += int((predict(scores) == labels).sum())
+        correct += int((predict(fwd.probabilities) == labels).sum())
     return total_loss / len(samples), correct / len(samples)
 
 

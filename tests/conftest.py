@@ -16,20 +16,6 @@ def tiny_params():
     return init_model(TINY_SHAPE, make_rng(123))
 
 
-def rel_err(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def central_diff(fn, arr, idx, eps):
-    orig = arr[idx]
-    arr[idx] = orig + eps
-    up = fn()
-    arr[idx] = orig - eps
-    down = fn()
-    arr[idx] = orig
-    return (up - down) / (2.0 * eps)
-
-
 def edit_checkpoint_meta(blob, edit):
     """Checkpoint bytes whose JSON meta block went through edit(meta) in place."""
     (meta_len,) = struct.unpack_from("<I", blob, 6)

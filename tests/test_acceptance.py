@@ -20,11 +20,9 @@ from din.data_io import (
 from din.denseimage import encode, gather
 from din.model import ModelShapeSpec, init_model, sample_loss_and_grads
 from din.numerics import make_rng, softmax
-from din.selftest import kink_free, naive_scale_responses
+from din.selftest import finite_difference_check, kink_free, naive_scale_responses
 from din.temporal_conv import conv_scale_forward, multiscale_forward
 from din.trainer import TrainConfig, TrainState, fit, init_rng, train_baseline
-
-from conftest import rel_err
 
 
 def criterion(number, name):
@@ -61,16 +59,10 @@ def test_gradient_correctness():
             continue
         accepted += 1
         _, grads = sample_loss_and_grads(params, rows, [label])
-        for name, arr in params.tensors.items():
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                up, _ = sample_loss_and_grads(params, rows, [label])
-                arr[idx] = orig - eps
-                down, _ = sample_loss_and_grads(params, rows, [label])
-                arr[idx] = orig
-                fd = (up - down) / (2 * eps)
-                assert rel_err(fd, grads[name][idx]) < 1e-5, f"{name}[{idx}]"
+        finite_difference_check(
+            lambda: sample_loss_and_grads(params, rows, [label])[0],
+            params.tensors, grads, eps, 1e-5,
+        )
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient check took {elapsed:.1f}s"
 
@@ -87,11 +79,11 @@ def test_convolution_oracle():
         weights = {h: rng.normal(size=(M, h * k)) for h in widths}
         bank = {h: (weights[h], rng.normal(size=M)) for h in widths}
         X = rng.normal(size=(n, k))
-        pooled, cache = multiscale_forward(X[None], bank)
+        pooled = multiscale_forward(X[None], bank)
         for h in widths:
             want = naive_scale_responses(X, *bank[h])
-            assert np.abs(cache.fmaps[h].values[0].T - want).max() <= 1e-12
-            assert np.abs(pooled[h].values[0] - want.max(axis=1)).max() <= 1e-12
+            assert np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() <= 1e-12
+            assert np.abs(pooled[h][0][0] - want.max(axis=1)).max() <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
 
@@ -102,7 +94,7 @@ def test_shape_law():
     X = rng.normal(size=(1, 8, 4))
     for h, want in ((2, 7), (3, 6), (4, 5)):
         fmap = conv_scale_forward(X, rng.normal(size=(3, h * 4)), rng.normal(size=3))
-        assert fmap.values.shape == (1, want, 3)
+        assert fmap.shape == (1, want, 3)
 
 
 @criterion(4, "temporal-order task: head >= 98% accuracy, mean-pool baseline <= 60%")
@@ -214,11 +206,11 @@ def test_locality():
     for h in (2, 3, 4, 5, 6):
         W = np.abs(rng.normal(size=(M, h * k))) + 0.1
         b = np.full(M, 0.5)
-        base = conv_scale_forward(X[None], W, b).values[0]
+        base = conv_scale_forward(X[None], W, b)[0]
         for j in range(n):
             bumped = X.copy()
             bumped[j] += 0.5
-            out = conv_scale_forward(bumped[None], W, b).values[0]
+            out = conv_scale_forward(bumped[None], W, b)[0]
             changed = {
                 i for i in range(n - h + 1) if not np.array_equal(out[i], base[i])
             }

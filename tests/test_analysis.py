@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from din.analysis import (
-    cost_report,
     count_parameters,
     estimate_flops,
     export_pooled_features,
     export_responses,
 )
+from din.cli import main
 from din.data_io import Sample, save_checkpoint, read_checkpoint_tensors
 from din.denseimage import encode
 from din.model import ModelShapeSpec, forward_sample, init_model, sample_batch
@@ -91,10 +91,15 @@ class TestEstimateFlops:
         report = estimate_flops(PAPER_SHAPE)
         assert sum(report.lines.values()) == report.total
 
-    def test_report_echoes_reference_costs(self):
-        ref = {"other-model": {"parameters": 12_000_000, "flops": 10**9}}
-        report = cost_report(TINY_SHAPE, reference=ref)
-        assert report.reference == ref
+    def test_report_echoes_reference_costs(self, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        ref.write_text('{"other-model": {"parameters": 12000000, "flops": 1000000000}}')
+        flags = ["--raw-dim", "4", "--feat-dim", "3", "--num-frames", "5", "--widths", "2,3",
+                 "--num-filters", "4", "--num-classes", "3"]  # TINY_SHAPE
+        assert main(["inspect-params", "--reference", str(ref), *flags]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "reference other-model: parameters=12,000,000 flops=1,000,000,000"
+        assert f"total parameters: {count_parameters(TINY_SHAPE).total:,}" in out
 
 
 def make_samples(rng, count, frames, dim):
@@ -142,9 +147,9 @@ class TestExports:
             batch_rows, _ = sample_batch(tiny_params.shape, [sample.features])
             dense = encode(batch_rows, tiny_params.reduction)
             (profile,) = response_profiles(conv_scale_forward(dense, *tiny_params.bank[2]))
-            assert int(cells[-3]) == profile.argmax_window
-            assert int(cells[-3]) == int(np.argmax(profile.intensities))
-            assert (int(cells[-2]), int(cells[-1])) == profile.frame_range
+            window = int(np.argmax(profile))
+            assert int(cells[-3]) == window
+            assert (int(cells[-2]), int(cells[-1])) == (window, window + 1)
 
     def test_rows_sorted_by_id(self, tmp_path, tiny_params):
         rng = make_rng(6)
@@ -194,7 +199,7 @@ class TestExports:
             fwd = forward_sample(tiny_params, sample_batch(shape, [sample.features])[0])
             got = np.array([float(v) for v in cells[-shape.feat_dim:]])
             assert np.array_equal(got, fwd.dense[0].mean(axis=0))
-            vec = np.concatenate([fwd.conv.pooled[h].values[0] for h in shape.widths])
+            vec = np.concatenate([fwd.pooled[h][0][0] for h in shape.widths])
             got_vec = np.array(
                 [float(v) for v in cells[2 : 2 + vec.size]]
             )

@@ -8,9 +8,13 @@ not inside a benchmark run.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from din.model import predict_sample
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -43,3 +47,19 @@ def test_name_resolves_in_its_defining_module(name):
     fn = getattr(importlib.import_module(f"din.{module_name}"), function_name)
     assert callable(fn)
     assert fn.__module__ == f"din.{module_name}"
+
+
+# perfbench/child.py counts one sample per predict_sample call and
+# len(args[1]) samples for every other boundary call.
+def test_predict_sample_takes_and_returns_one_video(tiny_params):
+    features = np.ones((7, tiny_params.shape.raw_dim))
+    label, probabilities = predict_sample(tiny_params, features)
+    assert type(label) is int
+    assert probabilities.shape == (tiny_params.shape.num_classes,)
+
+
+@pytest.mark.parametrize("name", sorted(set(boundaries()) - {"model.predict_sample"}))
+def test_second_parameter_is_the_sample_sequence(name):
+    module_name, function_name = name.split(".")
+    fn = getattr(importlib.import_module(f"din.{module_name}"), function_name)
+    assert list(inspect.signature(fn).parameters)[1] == "samples"

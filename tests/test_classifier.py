@@ -8,8 +8,7 @@ from din.classifier import (
     predict,
 )
 from din.numerics import make_rng, sample_dropout_mask, softmax
-
-from conftest import central_diff, rel_err
+from din.selftest import finite_difference_check
 
 
 def random_heads(rng, widths, M, C):
@@ -50,25 +49,25 @@ class TestHeadForward:
 
 class TestFuseAndScore:
     def test_single_scale_uniform(self):
-        scores = fuse_and_score({2: np.zeros((1, 2))})
-        assert np.allclose(scores.probabilities, [[0.5, 0.5]], atol=1e-15)
+        _, probabilities = fuse_and_score({2: np.zeros((1, 2))})
+        assert np.allclose(probabilities, [[0.5, 0.5]], atol=1e-15)
 
     def test_symmetric_cancellation(self):
-        scores = fuse_and_score({2: row([1.0, 0.0]), 3: row([0.0, 1.0])})
-        assert np.array_equal(scores.fused_logits, [[1.0, 1.0]])
-        assert np.allclose(scores.probabilities, [[0.5, 0.5]], atol=1e-15)
+        logits, probabilities = fuse_and_score({2: row([1.0, 0.0]), 3: row([0.0, 1.0])})
+        assert np.array_equal(logits, [[1.0, 1.0]])
+        assert np.allclose(probabilities, [[0.5, 0.5]], atol=1e-15)
 
     def test_27_class_output(self):
         rng = make_rng(2)
-        scores = fuse_and_score({h: rng.normal(size=(4, 27)) for h in (2, 3, 4, 5, 6)})
-        assert scores.probabilities.shape == (4, 27)
-        assert np.abs(scores.probabilities.sum(axis=1) - 1.0).max() < 1e-9
+        _, probabilities = fuse_and_score({h: rng.normal(size=(4, 27)) for h in (2, 3, 4, 5, 6)})
+        assert probabilities.shape == (4, 27)
+        assert np.abs(probabilities.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_fused_equals_sum(self):
         rng = make_rng(3)
         per_scale = {h: rng.normal(size=(3, 4)) for h in (2, 3)}
-        scores = fuse_and_score(per_scale)
-        assert np.array_equal(scores.fused_logits, per_scale[2] + per_scale[3])
+        logits, _ = fuse_and_score(per_scale)
+        assert np.array_equal(logits, per_scale[2] + per_scale[3])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -79,25 +78,28 @@ class TestFuseAndScore:
 
 class TestPredict:
     def test_argmax(self):
-        scores = fuse_and_score({2: np.log(np.array([[0.1, 0.7, 0.2], [0.5, 0.2, 0.3]]))})
-        assert np.array_equal(predict(scores), [1, 0])
+        probs = np.array([[0.1, 0.7, 0.2], [0.5, 0.2, 0.3]])
+        _, probabilities = fuse_and_score({2: np.log(probs)})
+        assert np.array_equal(predict(probabilities), [1, 0])
 
     def test_uniform_ties_to_zero(self):
-        assert np.array_equal(predict(fuse_and_score({2: np.zeros((2, 4))})), [0, 0])
+        assert np.array_equal(predict(fuse_and_score({2: np.zeros((2, 4))})[1]), [0, 0])
 
     def test_matches_fused_logits_argmax(self):
         rng = make_rng(4)
         for _ in range(20):
-            scores = fuse_and_score({2: rng.normal(size=(1, 6)), 4: rng.normal(size=(1, 6))})
-            assert predict(scores)[0] == int(np.argmax(scores.fused_logits[0]))
+            logits, probabilities = fuse_and_score(
+                {2: rng.normal(size=(1, 6)), 4: rng.normal(size=(1, 6))}
+            )
+            assert predict(probabilities)[0] == int(np.argmax(logits[0]))
 
     def test_invariant_to_constant_shift(self):
         rng = make_rng(5)
         for _ in range(20):
             logits = rng.normal(size=(1, 5))
             shift = float(rng.normal()) * 50.0
-            assert predict(fuse_and_score({2: logits})) == predict(
-                fuse_and_score({2: logits + shift})
+            assert predict(fuse_and_score({2: logits})[1]) == predict(
+                fuse_and_score({2: logits + shift})[1]
             )
 
 
@@ -107,7 +109,7 @@ class TestScaleAdditivity:
         widths, M, C = (2, 3, 5), 4, 3
         heads = random_heads(rng, widths, M, C)
         c = {h: rng.normal(size=(1, M)) for h in widths}
-        fused = fuse_and_score({h: head_forward(c[h], heads[h]) for h in widths}).fused_logits
+        fused, _ = fuse_and_score({h: head_forward(c[h], heads[h]) for h in widths})
         big_w = np.hstack([heads[h][0] for h in widths])
         big_b = sum(heads[h][1] for h in widths)
         big_c = np.concatenate([c[h][0] for h in widths])
@@ -156,21 +158,14 @@ class TestClassifierBackward:
 
         def objective():
             logits = {h: head_forward(c[h], heads[h], masks[h]) for h in widths}
-            return float((probe * fuse_and_score(logits).fused_logits).sum())
+            return float((probe * fuse_and_score(logits)[0]).sum())
 
         grads, grad_c = classifier_backward(c, heads, masks, probe)
+        arrays, want = {}, {}
         for h in widths:
-            gw, gb = grads[h]
-            weights, bias = heads[h]
-            for idx in np.ndindex(weights.shape):
-                fd = central_diff(objective, weights, idx, eps)
-                assert rel_err(fd, gw[idx]) < 1e-6
-            for j in range(C):
-                fd = central_diff(objective, bias, (j,), eps)
-                assert rel_err(fd, gb[j]) < 1e-6
-            for idx in np.ndindex(c[h].shape):
-                fd = central_diff(objective, c[h], idx, eps)
-                assert rel_err(fd, grad_c[h][idx]) < 1e-6
+            arrays[f"W{h}"], arrays[f"b{h}"], arrays[f"c{h}"] = *heads[h], c[h]
+            want[f"W{h}"], want[f"b{h}"], want[f"c{h}"] = *grads[h], grad_c[h]
+        finite_difference_check(objective, arrays, want, eps, 1e-6)
 
     def test_shape_mismatch_rejected(self):
         rng = make_rng(10)
@@ -186,5 +181,5 @@ class TestClassifierBackward:
 class TestClassScores:
     def test_probabilities_consistent_with_softmax(self):
         rng = make_rng(11)
-        scores = fuse_and_score({2: rng.normal(size=(3, 9))})
-        assert np.array_equal(scores.probabilities, softmax(scores.fused_logits))
+        logits, probabilities = fuse_and_score({2: rng.normal(size=(3, 9))})
+        assert np.array_equal(probabilities, softmax(logits))

@@ -91,6 +91,16 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_noise_beyond_float32_is_validation_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "huge"
+        argv = ["synth", "--out-dir", str(out_dir), "--synth-samples-per-class", "1",
+                "--synth-sigma", "1e39"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite in float32" in err
+        assert list((out_dir / "features").iterdir()) == []
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, capsys):

@@ -39,7 +39,7 @@ class TestFeatureFiles:
         path = tmp_path / "one.difx"
         write_feature_file(path, np.array([[1.0]]))
         assert path.stat().st_size == 16
-        assert np.array_equal(read_feature_file(path).features, [[1.0]])
+        assert np.array_equal(read_feature_file(path), [[1.0]])
 
     def test_size_formula(self, tmp_path):
         path = tmp_path / "f.difx"
@@ -91,6 +91,20 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             write_feature_file(tmp_path / "inf.difx", np.array([[np.inf]]))
 
+    @pytest.mark.parametrize("values", [[[1e39, 1.0]], [[-3.5e38]]])
+    def test_float32_overflow_rejected_without_writing(self, tmp_path, values):
+        # Finite in float64 but inf once quantized: refused before any write.
+        path = tmp_path / "huge.difx"
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            write_feature_file(path, np.array(values))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float32_max_round_trips_exactly(self, tmp_path):
+        path = tmp_path / "max.difx"
+        top = float(np.finfo(np.float32).max)
+        write_feature_file(path, np.array([[top, -top, 1.0]]))
+        assert np.array_equal(read_feature_file(path), [[top, -top, 1.0]])
+
     def test_nonfinite_payload_names_the_file(self, tmp_path):
         path = tmp_path / "nan.difx"
         write_feature_file(path, np.ones((2, 3)))
@@ -104,21 +118,12 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             write_feature_file(tmp_path / "wide.difx", np.zeros((1, 70000)))
 
-    def test_accepts_frame_sequence_values(self, tmp_path):
-        from din.denseimage import FrameFeatureSequence
-
-        path = tmp_path / "seq.difx"
-        write_feature_file(path, FrameFeatureSequence(np.ones((2, 3))))
-        seq = read_feature_file(path)
-        assert isinstance(seq, FrameFeatureSequence)
-        assert seq.num_frames == 2 and seq.dim == 3
-
     def test_round_trip_equals_float32_quantization(self, tmp_path):
         rng = make_rng(1)
         features = rng.normal(size=(8, 1024))
         path = tmp_path / "big.difx"
         write_feature_file(path, features)
-        got = read_feature_file(path).features
+        got = read_feature_file(path)
         assert np.array_equal(got, features.astype(np.float32).astype(np.float64))
 
     def test_header_represents_large_frame_counts(self):
@@ -136,7 +141,7 @@ class TestFeatureFiles:
         path = tmp_path_factory.mktemp("difx") / "x.difx"
         features = make_rng(seed).normal(size=(T, D)) * 100.0
         write_feature_file(path, features)
-        got = read_feature_file(path).features
+        got = read_feature_file(path)
         assert got.shape == (T, D)
         assert np.array_equal(got, features.astype(np.float32).astype(np.float64))
 
@@ -161,7 +166,7 @@ class TestLoadContract:
     def test_loaded_videos_hold_four_bytes_per_value(self, tmp_path):
         path = tmp_path / "v.difx"
         write_feature_file(path, make_rng(3).normal(size=(7, 5)))
-        features = read_feature_file(path).features
+        features = read_feature_file(path)
         assert features.dtype == np.float32 and features.shape == (7, 5)
         assert features.nbytes == 4 * 7 * 5
         assert not features.flags.writeable

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from din.denseimage import (
-    FrameFeatureSequence,
     SamplingMode,
+    check_features,
     encode,
     gather,
     sample_segments,
@@ -180,7 +180,7 @@ class TestEncode:
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(ValueError):
-            FrameFeatureSequence(np.array([[np.nan, 1.0]]))
+            check_features(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError):
             gather(np.array([[np.nan, 1.0]]), 1)
 

@@ -18,9 +18,9 @@ from din.model import (
     sample_loss_and_grads,
 )
 from din.numerics import cross_entropy_from_logits, make_rng, sample_dropout_mask
-from din.selftest import kink_free
+from din.selftest import finite_difference_check, kink_free
 
-from conftest import TINY_SHAPE, rel_err
+from conftest import TINY_SHAPE
 
 
 class TestShapeSpec:
@@ -125,22 +125,22 @@ class TestForward:
     def test_probabilities_normalized(self, tiny_params):
         rng = make_rng(2)
         fwd = forward_sample(tiny_params, eval_rows([rng.normal(size=(9, 4))]))
-        assert abs(fwd.scores.probabilities.sum() - 1.0) < 1e-9
+        assert abs(fwd.probabilities.sum() - 1.0) < 1e-9
 
     def test_eval_forward_is_deterministic(self, tiny_params):
         rng = make_rng(3)
         rows = eval_rows([rng.normal(size=(11, 4))])
-        a = forward_sample(tiny_params, rows).scores
-        b = forward_sample(tiny_params, rows).scores
-        assert np.array_equal(a.fused_logits, b.fused_logits)
+        a = forward_sample(tiny_params, rows)
+        b = forward_sample(tiny_params, rows)
+        assert np.array_equal(a.logits, b.logits)
 
     def test_predict_sample_matches_forward(self, tiny_params):
         rng = make_rng(4)
         features = rng.normal(size=(7, 4))
         label, probs = predict_sample(tiny_params, features)
-        scores = forward_sample(tiny_params, eval_rows([features])).scores
-        assert label == int(np.argmax(scores.probabilities[0]))
-        assert np.array_equal(probs, scores.probabilities[0])
+        fwd = forward_sample(tiny_params, eval_rows([features]))
+        assert label == int(np.argmax(fwd.probabilities[0]))
+        assert np.array_equal(probs, fwd.probabilities[0])
 
     def test_train_mode_needs_rng(self, tiny_params):
         with pytest.raises(ValueError):
@@ -214,16 +214,10 @@ class TestEndToEndGradients:
             accepted += 1
             loss, grads = sample_loss_and_grads(params, rows, [label])
             assert loss > 0.0
-            for name, arr in params.tensors.items():
-                for idx in np.ndindex(arr.shape):
-                    orig = arr[idx]
-                    arr[idx] = orig + eps
-                    up, _ = sample_loss_and_grads(params, rows, [label])
-                    arr[idx] = orig - eps
-                    down, _ = sample_loss_and_grads(params, rows, [label])
-                    arr[idx] = orig
-                    fd = (up - down) / (2 * eps)
-                    assert rel_err(fd, grads[name][idx]) < 1e-5, f"{name}[{idx}]"
+            finite_difference_check(
+                lambda: sample_loss_and_grads(params, rows, [label])[0],
+                params.tensors, grads, eps, 1e-5,
+            )
 
     def test_batch_of_three_matches_finite_differences(self):
         # The summed loss of a B=3 batch with dropout masks, against
@@ -241,16 +235,10 @@ class TestEndToEndGradients:
             masks = {h: np.stack([sample_dropout_mask(rng, 4, 0.7) for _ in range(3)])
                      for h in TINY_SHAPE.widths}
             _, grads = sample_loss_and_grads(params, rows, labels, masks)
-            for name, arr in params.tensors.items():
-                for idx in np.ndindex(arr.shape):
-                    orig = arr[idx]
-                    arr[idx] = orig + eps
-                    up, _ = sample_loss_and_grads(params, rows, labels, masks)
-                    arr[idx] = orig - eps
-                    down, _ = sample_loss_and_grads(params, rows, labels, masks)
-                    arr[idx] = orig
-                    fd = (up - down) / (2 * eps)
-                    assert rel_err(fd, grads[name][idx]) < 1e-5, f"{name}[{idx}]"
+            finite_difference_check(
+                lambda: sample_loss_and_grads(params, rows, labels, masks)[0],
+                params.tensors, grads, eps, 1e-5,
+            )
 
     def test_batch_equals_sum_of_single_sample_calls(self):
         # One B=5 batch with dropout masks against five B=1 calls: logits
@@ -266,14 +254,14 @@ class TestEndToEndGradients:
             rows, labels = drawn
             masks = {h: np.stack([sample_dropout_mask(rng, 4, 0.6) for _ in range(5)])
                      for h in TINY_SHAPE.widths}
-            logits = forward_sample(params, rows, masks).scores.fused_logits
+            logits = forward_sample(params, rows, masks).logits
             loss, grads = sample_loss_and_grads(params, rows, labels, masks)
             single_loss = 0.0
             single_grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
             for b in range(5):
                 one = slice(b, b + 1)
                 one_masks = {h: m[one] for h, m in masks.items()}
-                one_logits = forward_sample(params, rows[one], one_masks).scores.fused_logits
+                one_logits = forward_sample(params, rows[one], one_masks).logits
                 assert np.abs(one_logits[0] - logits[b]).max() < 1e-12
                 one_loss, one_grads = sample_loss_and_grads(
                     params, rows[one], labels[one], one_masks
@@ -290,7 +278,7 @@ class TestEndToEndGradients:
         rows = eval_rows([rng.normal(size=(5, 4)), rng.normal(size=(8, 4))])
         labels = [1, 2]
         fwd = forward_sample(tiny_params, rows)
-        loss, grad_fused = cross_entropy_from_logits(fwd.scores.fused_logits, labels)
+        loss, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
         grads = backward_sample(tiny_params, fwd, grad_fused)
         loss2, grads2 = sample_loss_and_grads(tiny_params, rows, labels)
         assert loss.sum() == loss2

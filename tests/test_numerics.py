@@ -10,8 +10,7 @@ from din.numerics import (
     sample_dropout_mask,
     softmax,
 )
-
-from conftest import central_diff, rel_err
+from din.selftest import finite_difference_check
 
 
 class TestRng:
@@ -117,11 +116,10 @@ class TestCrossEntropy:
             logits = rng.normal(size=(2, int(rng.integers(2, 11)))) * 2.0
             labels = rng.integers(logits.shape[1], size=2)
             _, grad = cross_entropy_from_logits(logits, labels)
-            for idx in np.ndindex(logits.shape):
-                fd = central_diff(
-                    lambda: cross_entropy_from_logits(logits, labels)[0].sum(), logits, idx, eps
-                )
-                assert rel_err(fd, grad[idx]) < 1e-6
+            finite_difference_check(
+                lambda: cross_entropy_from_logits(logits, labels)[0].sum(),
+                {"logits": logits}, {"logits": grad}, eps, 1e-6,
+            )
 
 
 class TestGlorot:

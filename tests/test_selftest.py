@@ -1,0 +1,47 @@
+import numpy as np
+import pytest
+
+from din.numerics import make_rng
+from din.selftest import finite_difference_check
+
+EPS, TOL = 1e-5, 1e-6
+
+
+def cubes():
+    """Two tensors in [-0.5, 0.5], so every |3a^2| < 1 and the bound is TOL,
+    with the sum of their cubes and its exact gradient 3a^2."""
+    rng = make_rng(50)
+    arrays = {"a": rng.uniform(-0.5, 0.5, size=(3, 4)), "b": rng.uniform(-0.5, 0.5, size=5)}
+    grads = {name: 3.0 * arr**2 for name, arr in arrays.items()}
+    return arrays, grads, lambda: sum(float((arr**3).sum()) for arr in arrays.values())
+
+
+def snapshot(arrays):
+    return {name: arr.tobytes() for name, arr in arrays.items()}
+
+
+class TestFiniteDifferenceCheck:
+    def test_passes_on_analytic_gradient(self):
+        arrays, grads, objective = cubes()
+        before = snapshot(arrays)
+        finite_difference_check(objective, arrays, grads, EPS, TOL)
+        assert snapshot(arrays) == before
+
+    def test_names_tensor_and_index_of_a_wrong_entry(self):
+        arrays, grads, objective = cubes()
+        grads["a"][1, 2] += 10 * TOL
+        before = snapshot(arrays)
+        with pytest.raises(AssertionError, match=r"in a at \(1, 2\)"):
+            finite_difference_check(objective, arrays, grads, EPS, TOL)
+        assert snapshot(arrays) == before
+
+    def test_restores_the_entry_when_the_objective_raises(self):
+        arrays, grads, _ = cubes()
+        before = snapshot(arrays)
+
+        def objective():
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            finite_difference_check(objective, arrays, grads, EPS, TOL)
+        assert snapshot(arrays) == before

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
+from din.analysis import export_responses
+from din.data_io import Sample
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
-from din.selftest import kink_free, naive_scale_responses
+from din.selftest import finite_difference_check, kink_free, naive_scale_responses
 from din.temporal_conv import (
-    ScaleFeatureMap,
     conv_scale_forward,
     multiscale_backward,
     multiscale_forward,
     response_profiles,
     temporal_max_pool,
 )
-
-from conftest import rel_err
 
 
 def random_bank(rng, widths, M, k, bias_scale=0.1):
@@ -23,25 +22,20 @@ def random_bank(rng, widths, M, k, bias_scale=0.1):
 
 def conv_map(X, W, b):
     """The M x (n-h+1) feature map of one n x k DenseImage (a batch of one)."""
-    return conv_scale_forward(X[None], W, b).values[0].T
-
-
-def profile_of(fmap, channel=None):
-    (profile,) = response_profiles(fmap, channel)
-    return profile
+    return conv_scale_forward(X[None], W, b)[0].T
 
 
 def single_map(rows):
     """A batch-of-one feature map from its M x W channel rows."""
-    return ScaleFeatureMap(2, np.array(rows, dtype=float).T[None])
+    return np.array(rows, dtype=float).T[None]
 
 
 class TestConvForward:
     def test_zero_weights_give_bias_everywhere(self):
         X = np.ones((1, 6, 3))
         fmap = conv_scale_forward(X, np.zeros((4, 2 * 3)), np.full(4, 0.5))
-        assert fmap.values.shape == (1, 5, 4)
-        assert np.array_equal(fmap.values, np.full((1, 5, 4), 0.5))
+        assert fmap.shape == (1, 5, 4)
+        assert np.array_equal(fmap, np.full((1, 5, 4), 0.5))
 
     def test_window_counts_for_eight_frames(self):
         rng = make_rng(1)
@@ -69,47 +63,60 @@ class TestConvForward:
 
 class TestMaxPool:
     def test_single_column(self):
-        pooled = temporal_max_pool(single_map([[2.0], [5.0]]))
-        assert np.array_equal(pooled.values, [[2.0, 5.0]])
-        assert np.array_equal(pooled.argmax_positions, [[0, 0]])
+        values, argmax = temporal_max_pool(single_map([[2.0], [5.0]]))
+        assert np.array_equal(values, [[2.0, 5.0]])
+        assert np.array_equal(argmax, [[0, 0]])
 
     def test_hand_max(self):
-        pooled = temporal_max_pool(single_map([[1.0, 3.0, 2.0]]))
-        assert pooled.values[0, 0] == 3.0
-        assert pooled.argmax_positions[0, 0] == 1
+        values, argmax = temporal_max_pool(single_map([[1.0, 3.0, 2.0]]))
+        assert values[0, 0] == 3.0
+        assert argmax[0, 0] == 1
 
     def test_tie_breaks_to_smallest_index(self):
-        pooled = temporal_max_pool(single_map([[2.0, 2.0, 1.0]]))
-        assert pooled.values[0, 0] == 2.0
-        assert pooled.argmax_positions[0, 0] == 0
+        values, argmax = temporal_max_pool(single_map([[2.0, 2.0, 1.0]]))
+        assert values[0, 0] == 2.0
+        assert argmax[0, 0] == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            temporal_max_pool(ScaleFeatureMap(2, np.zeros((1, 0, 3))))
+            temporal_max_pool(np.zeros((1, 0, 3)))
 
     def test_pool_dominance(self):
         rng = make_rng(4)
-        fmap = ScaleFeatureMap(3, np.abs(rng.normal(size=(4, 5, 6))))
-        pooled = temporal_max_pool(fmap)
-        assert (pooled.values[:, None] >= fmap.values).all()
+        fmap = np.abs(rng.normal(size=(4, 5, 6)))
+        values, argmax = temporal_max_pool(fmap)
+        assert (values[:, None] >= fmap).all()
         batch, channels = np.indices((4, 6))
-        assert np.array_equal(fmap.values[batch, pooled.argmax_positions, channels],
-                              pooled.values)
+        assert np.array_equal(fmap[batch, argmax, channels], values)
+
+    def test_equals_max_and_first_argmax_with_ties_and_dead_channels(self):
+        # Rectified maps with tied maxima and all-zero (dead) channels; a
+        # faster pooling must still give exactly these values and windows.
+        rng = make_rng(17)
+        for _ in range(50):
+            B, W, M = (int(v) for v in rng.integers(1, 7, size=3))
+            fmap = np.maximum(rng.normal(size=(B, W, M)), 0.0)
+            peaks = fmap.max(axis=1, keepdims=True)
+            fmap = np.where(rng.random((B, W, M)) < 0.3, peaks, fmap)
+            fmap[:, :, rng.random(M) < 0.3] = 0.0
+            values, argmax = temporal_max_pool(fmap)
+            assert np.array_equal(values, fmap.max(axis=1))
+            assert np.array_equal(argmax, fmap.argmax(axis=1))
 
 
 class TestMultiscaleForward:
     def test_zero_network_pools_to_zero(self):
         bank = {2: (np.zeros((3, 2 * 2)), np.zeros(3)), 3: (np.zeros((3, 3 * 2)), np.zeros(3))}
-        pooled, _ = multiscale_forward(np.ones((1, 5, 2)), bank)
-        assert not pooled[2].values.any()
-        assert not pooled[3].values.any()
+        pooled = multiscale_forward(np.ones((1, 5, 2)), bank)
+        assert not pooled[2][0].any()
+        assert not pooled[3][0].any()
 
     def test_standard_configuration_sizes(self):
         rng = make_rng(5)
         bank = init_model(ModelShapeSpec(8, 8, 8, (2, 3, 4, 5, 6), 256, 2), rng).bank
-        pooled, _ = multiscale_forward(rng.normal(size=(1, 8, 8)), bank)
+        pooled = multiscale_forward(rng.normal(size=(1, 8, 8)), bank)
         assert sorted(pooled) == [2, 3, 4, 5, 6]
-        assert all(p.values.shape == (1, 256) for p in pooled.values())
+        assert all(values.shape == (1, 256) for values, _ in pooled.values())
 
     def test_composition_of_oracles(self):
         rng = make_rng(6)
@@ -120,11 +127,11 @@ class TestMultiscaleForward:
             widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
             bank = random_bank(rng, widths, M, k)
             X = rng.normal(size=(n, k))
-            pooled, cache = multiscale_forward(X[None], bank)
+            pooled = multiscale_forward(X[None], bank)
             for h in widths:
                 want_map = naive_scale_responses(X, *bank[h])
-                assert np.abs(cache.fmaps[h].values[0].T - want_map).max() < 1e-12
-                assert np.abs(pooled[h].values[0] - want_map.max(axis=1)).max() < 1e-12
+                assert np.abs(conv_map(X, *bank[h]) - want_map).max() < 1e-12
+                assert np.abs(pooled[h][0][0] - want_map.max(axis=1)).max() < 1e-12
 
 
 class TestLocality:
@@ -159,9 +166,9 @@ class TestOrderSensitivity:
         A, B, C = np.eye(3)
         X = np.stack([A, B, C])
         bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
-        pooled, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)
-        assert pooled[2].values[0, 0] == 2.0
-        assert pooled[2].values[1, 0] == 1.0
+        values, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)[2]
+        assert values[0, 0] == 2.0
+        assert values[1, 0] == 1.0
 
 
 class TestShiftEquivariance:
@@ -185,8 +192,11 @@ class TestMultiscaleBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = make_rng(9)
         bank = random_bank(rng, (2, 3), 3, 2)
-        _, cache = multiscale_forward(rng.normal(size=(1, 5, 2)), bank)
-        gW, gb, gX = multiscale_backward(cache, {2: np.zeros((1, 3)), 3: np.zeros((1, 3))})
+        X = rng.normal(size=(1, 5, 2))
+        pooled = multiscale_forward(X, bank)
+        gW, gb, gX = multiscale_backward(
+            X, bank, pooled, {2: np.zeros((1, 3)), 3: np.zeros((1, 3))}
+        )
         assert not gX.any()
         assert not any(g.any() for g in gW.values())
         assert not any(g.any() for g in gb.values())
@@ -196,22 +206,23 @@ class TestMultiscaleBackward:
         n, k, M = 4, 2, 5
         bank = random_bank(rng, (4,), M, k, bias_scale=1.0)  # h == n: one window
         X = rng.normal(size=(1, n, k))
-        pooled, cache = multiscale_forward(X, bank)
+        pooled = multiscale_forward(X, bank)
         upstream = rng.normal(size=M)
-        _, gb, _ = multiscale_backward(cache, {4: upstream[None]})
-        gate = pooled[4].values[0] > 0
+        _, gb, _ = multiscale_backward(X, bank, pooled, {4: upstream[None]})
+        gate = pooled[4][0][0] > 0
         assert np.array_equal(gb[4], upstream * gate)
 
     def test_grad_shapes_must_match_cache(self):
         rng = make_rng(11)
         bank = random_bank(rng, (2,), 3, 2)
-        _, cache = multiscale_forward(rng.normal(size=(1, 5, 2)), bank)
+        X = rng.normal(size=(1, 5, 2))
+        pooled = multiscale_forward(X, bank)
         with pytest.raises(ValueError):
-            multiscale_backward(cache, {2: np.zeros((1, 4))})
+            multiscale_backward(X, bank, pooled, {2: np.zeros((1, 4))})
         with pytest.raises(ValueError):
-            multiscale_backward(cache, {2: np.zeros(3)})
+            multiscale_backward(X, bank, pooled, {2: np.zeros(3)})
         with pytest.raises(ValueError):
-            multiscale_backward(cache, {3: np.zeros((1, 3))})
+            multiscale_backward(X, bank, pooled, {3: np.zeros((1, 3))})
 
     def test_matches_finite_differences_on_kink_free_instances(self):
         rng = make_rng(12)
@@ -226,68 +237,35 @@ class TestMultiscaleBackward:
                 continue
             accepted += 1
             upstream = {h: rng.normal(size=(1, M)) for h in widths}
-            _, cache = multiscale_forward(X, bank)
-            gW, gb, gX = multiscale_backward(cache, upstream)
+            gW, gb, gX = multiscale_backward(X, bank, multiscale_forward(X, bank), upstream)
 
             def objective():
-                p, _ = multiscale_forward(X, bank)
-                return sum(float((upstream[h] * p[h].values).sum()) for h in widths)
+                pooled = multiscale_forward(X, bank)
+                return sum(float((upstream[h] * pooled[h][0]).sum()) for h in widths)
 
-            def check(arr, grad):
-                for idx in np.ndindex(arr.shape):
-                    orig = arr[idx]
-                    arr[idx] = orig + eps
-                    up = objective()
-                    arr[idx] = orig - eps
-                    down = objective()
-                    arr[idx] = orig
-                    fd = (up - down) / (2 * eps)
-                    assert rel_err(fd, grad[idx]) < 1e-5
-
+            arrays, grads = {"X": X}, {"X": gX}
             for h in widths:
-                check(bank[h][0], gW[h])
-                check(bank[h][1], gb[h])
-            check(X, gX)
+                arrays[f"W{h}"], arrays[f"b{h}"] = bank[h]
+                grads[f"W{h}"], grads[f"b{h}"] = gW[h], gb[h]
+            finite_difference_check(objective, arrays, grads, eps, 1e-5)
 
 
 class TestResponseProfile:
     def test_dead_filter_is_flat_zero(self):
         fmap = conv_scale_forward(np.ones((1, 6, 2)), np.zeros((3, 4)), np.zeros(3))
-        profile = profile_of(fmap)
-        assert np.array_equal(profile.intensities, np.zeros(5))
-        assert profile.argmax_window == 0
+        assert np.array_equal(response_profiles(fmap), np.zeros((1, 5)))
 
     def test_profile_length_for_eight_frames(self):
         rng = make_rng(13)
         bank = random_bank(rng, (2,), 3, 2)
         X = rng.normal(size=(1, 8, 2))
-        profile = profile_of(conv_scale_forward(X, *bank[2]))
-        assert profile.intensities.shape == (7,)
+        assert response_profiles(conv_scale_forward(X, *bank[2])).shape == (1, 7)
 
-    def test_channel_profile_equals_feature_map_row(self):
-        rng = make_rng(14)
-        bank = random_bank(rng, (3,), 4, 2)
-        X = rng.normal(size=(1, 6, 2))
-        fmap = conv_scale_forward(X, *bank[3])
-        for m in range(4):
-            profile = profile_of(fmap, channel=m)
-            assert np.array_equal(profile.intensities, fmap.values[0, :, m])
-
-    def test_frame_range_maps_argmax_window(self):
+    def test_frame_range_maps_argmax_window(self, tmp_path, tiny_params):
         rng = make_rng(15)
-        bank = random_bank(rng, (3,), 2, 2)
-        X = rng.normal(size=(1, 8, 2))
-        profile = profile_of(conv_scale_forward(X, *bank[3]))
-        first, last = profile.frame_range
-        assert first == profile.argmax_window
+        sample = Sample("s", rng.normal(size=(8, 4)), 0)
+        out = export_responses(tiny_params, [sample], 3, tmp_path / "r.csv")
+        cells = out.read_text().splitlines()[1].split(",")
+        first, last = int(cells[-2]), int(cells[-1])
+        assert first == int(cells[-3])
         assert last == first + 2
-
-    def test_bad_arguments_rejected(self):
-        rng = make_rng(16)
-        bank = random_bank(rng, (2,), 2, 2)
-        X = rng.normal(size=(1, 5, 2))
-        fmap = conv_scale_forward(X, *bank[2])
-        with pytest.raises(ValueError):
-            response_profiles(fmap, channel=2)
-        with pytest.raises(ValueError):
-            response_profiles(fmap, channel=-1)
