@@ -65,6 +65,11 @@ def _write_lines(rows: list[str], out_path: str | Path) -> Path:
     return out_path
 
 
+def check_width(shape: ModelShapeSpec, h: int) -> None:
+    if h not in shape.widths:
+        raise ValueError(f"width {h} not in the model (widths {shape.widths})")
+
+
 def export_responses(
     params: ModelParams, samples: Sequence[Sample], h: int, out_path: str | Path
 ) -> Path:
@@ -74,8 +79,7 @@ def export_responses(
     (ties to the smallest), and the first and last sampled frame that
     window covers (argmax .. argmax+h-1).
     """
-    if h not in params.shape.widths:
-        raise ValueError(f"width {h} not in the model (widths {params.shape.widths})")
+    check_width(params.shape, h)
     num_windows = params.shape.num_frames - h + 1
     header = (
         ["id"]

@@ -7,8 +7,8 @@ from it. Primary artifacts (datasets, checkpoints, history, exports) are
 byte-deterministic given (config, seed); wall-clock metadata is
 quarantined into a separate run_meta.json that no result depends on.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 selftest
-failure.
+Exit codes: 0 success, 1 usage error, 2 validation error (or diverged
+training), 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -128,25 +128,35 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_model_for_inference(args):
+    """The final model, or the best snapshot with --use-best; only that
+    tensor group is read from the checkpoint."""
     if not args.checkpoint:
         raise ValueError("--checkpoint is required")
-    ckpt = data_io.load_checkpoint(args.checkpoint)
     if not args.use_best:
-        return ckpt.model
-    if ckpt.state.best_params is None:
+        return data_io.load_checkpoint(args.checkpoint, groups=("param",)).model
+    best = data_io.load_checkpoint(args.checkpoint, groups=("best",)).state.best_params
+    if best is None:
         raise ValueError("checkpoint has no best-model snapshot")
-    return ckpt.state.best_params
+    return best
 
 
-def _load_samples(args, raw_dim, split=None):
+def _load_manifest(args):
     if not args.manifest:
         raise ValueError("--manifest is required")
-    manifest = data_io.load_manifest(args.manifest)
+    return data_io.load_manifest(args.manifest)
+
+
+def _read_split(args, manifest, raw_dim, split=None):
     split = split or args.split
     samples = data_io.load_split(manifest, split, raw_dim)
     if not samples:
         raise ValueError(f"split {split!r} is empty in {args.manifest}")
-    return manifest, samples
+    return samples
+
+
+def _load_samples(args, raw_dim, split=None):
+    manifest = _load_manifest(args)
+    return manifest, _read_split(args, manifest, raw_dim, split)
 
 
 def cmd_synth(args) -> int:
@@ -267,21 +277,27 @@ def cmd_inspect_params(args) -> int:
     return 0
 
 
-def cmd_export_responses(args) -> int:
+def _load_export_inputs(args, width=None):
+    """Model and split of an export; the argument errors come before the
+    split's feature files are read."""
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape.raw_dim)
+    manifest = _load_manifest(args)
     if not args.out:
         raise ValueError("--out is required")
+    if width is not None:
+        analysis.check_width(params.shape, width)
+    return params, _read_split(args, manifest, params.shape.raw_dim)
+
+
+def cmd_export_responses(args) -> int:
+    params, samples = _load_export_inputs(args, args.width)
     path = analysis.export_responses(params, samples, args.width, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0
 
 
 def cmd_export_features(args) -> int:
-    params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape.raw_dim)
-    if not args.out:
-        raise ValueError("--out is required")
+    params, samples = _load_export_inputs(args)
     path = analysis.export_pooled_features(params, samples, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0
@@ -353,7 +369,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

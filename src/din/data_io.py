@@ -28,6 +28,15 @@ written. A loaded video stays float32: a plain read-only T x D array over
 the file's bytes, scanned once for non-finite values. Only the n rows a
 DenseImage samples are widened to float64 (exactly), when they are
 gathered. Checkpoints round-trip float64 exactly.
+
+Checkpoint I/O moves each tensor's bytes once, between the file and the
+array that owns them. A save writes every payload straight from its
+array's buffer. A load reads each payload it keeps into a fresh aligned
+float64 array (readinto) and seeks over the payloads of the groups it was
+not asked for; inference reads only "param/" or "best/". Either way the
+whole tensor directory is walked and checked: names, dims, each payload's
+end against the file size before anything is allocated, duplicates and
+trailing bytes.
 """
 
 from __future__ import annotations
@@ -38,11 +47,12 @@ import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
 from .denseimage import check_features
-from .model import ModelParams, ModelShapeSpec
+from .model import ModelParams, ModelShapeSpec, check_parameter_shapes
 from .numerics import Array, make_rng, require_number
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
 
@@ -77,9 +87,13 @@ class Sample:
     label: int
 
 
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
+def atomic_write_bytes(path: Path, *buffers) -> None:
+    """Write the buffers (bytes or any C-contiguous buffer) one after the
+    other to a temporary file, then rename it over `path`."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with open(tmp, "wb") as f:
+        for buffer in buffers:
+            f.write(buffer)
     os.replace(tmp, path)
 
 
@@ -94,11 +108,11 @@ def write_feature_file(path: str | Path, features: Array) -> None:
     if D > 0xFFFF:
         raise FormatError("feature dim exceeds the u16 header field")
     with np.errstate(over="ignore"):  # overflow to inf is caught just below
-        payload = features.astype("<f4")
+        payload = features.astype("<f4", order="C")
     if not np.all(np.isfinite(payload)):
         raise FormatError(f"{path}: features must be finite in float32 (|x| <= 3.4e38)")
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, T, D)
-    atomic_write_bytes(Path(path), header + payload.tobytes())
+    atomic_write_bytes(Path(path), header, payload)
 
 
 def read_feature_file(path: str | Path) -> Array:
@@ -297,17 +311,19 @@ def write_synth_dataset(config: SyntheticTaskConfig, out_dir: str | Path) -> Pat
 
 @dataclass
 class CheckpointData:
-    model: ModelParams
+    """A loaded checkpoint. A tensor group the load did not ask for is None:
+    `model` (param/), `state.optimizer.velocity` (velocity/) and
+    `state.best_params` (best/, also None when the file has no snapshot)."""
+
+    model: ModelParams | None
     state: TrainState
     config: TrainConfig
 
 
-def _pack_tensor(name: str, arr: Array) -> bytes:
+def _tensor_entry(name: str, dims: tuple[int, ...]) -> bytes:
+    """A tensor's directory entry: everything that precedes its payload."""
     encoded = name.encode()
-    parts = [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim)]
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return struct.pack(f"<H{len(encoded)}sB{len(dims)}I", len(encoded), encoded, len(dims), *dims)
 
 
 def save_checkpoint(
@@ -316,7 +332,8 @@ def save_checkpoint(
     state: TrainState,
     config: TrainConfig,
 ) -> None:
-    """Serialize model, optimizer and training bookkeeping, atomically."""
+    """Serialize model, optimizer and training bookkeeping, atomically.
+    Payloads are written from the arrays' own buffers, not copied."""
     opt = state.optimizer
     meta = {
         "config": asdict(config),
@@ -333,82 +350,93 @@ def save_checkpoint(
         "has_best": state.best_params is not None,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<H", CHECKPOINT_VERSION),
-        struct.pack("<I", len(meta_bytes)),
-        meta_bytes,
-    ]
-    tensors: list[tuple[str, Array]] = []
-    for name, arr in model.tensors.items():
-        tensors.append((f"param/{name}", arr))
-    for name, arr in opt.velocity.items():
-        tensors.append((f"velocity/{name}", arr))
+    groups = {"param": model.tensors, "velocity": opt.velocity}
     if state.best_params is not None:
-        for name, arr in state.best_params.tensors.items():
-            tensors.append((f"best/{name}", arr))
-    parts.append(struct.pack("<I", len(tensors)))
+        groups["best"] = state.best_params.tensors
+    tensors = [(f"{prefix}/{name}", arr) for prefix, named in groups.items()
+               for name, arr in named.items()]
+    buffers = [
+        CHECKPOINT_MAGIC,
+        struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)),
+        meta_bytes,
+        struct.pack("<I", len(tensors)),
+    ]
     for name, arr in tensors:
-        parts.append(_pack_tensor(name, arr))
-    atomic_write_bytes(Path(path), b"".join(parts))
+        payload = np.ascontiguousarray(arr, dtype="<f8")  # no copy for live float64 tensors
+        buffers += [_tensor_entry(name, payload.shape), payload]
+    atomic_write_bytes(Path(path), *buffers)
 
 
-def read_checkpoint_tensors(path: str | Path) -> tuple[dict, dict[str, Array]]:
-    """Low-level read: (meta dict, name -> float64 array). Validates framing."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 10 or blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", blob, 6)
-    offset = 10 + meta_len
-    if offset > len(blob):
-        raise FormatError(f"{path}: truncated meta block")
-    try:
-        meta = json.loads(blob[10:offset].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: bad meta block: {exc}") from exc
-    tensors: dict[str, Array] = {}
-    try:
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            if offset + name_len > len(blob):
-                raise FormatError(f"{path}: truncated tensor directory")
-            name = blob[offset : offset + name_len].decode()
-            if name in tensors:
-                raise FormatError(f"{path}: duplicate tensor {name!r}")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            size = math.prod(dims)
-            end = offset + 8 * size
-            if end > len(blob):
-                raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-            tensors[name] = (
-                np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-                .reshape(dims)
-                .copy()
-            )
-            offset = end
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt tensor directory: {exc}") from exc
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+def _read_checkpoint(
+    path: str | Path, groups: Collection[str] | None
+) -> tuple[dict, dict[str, tuple[int, ...]], dict[str, Array]]:
+    """(meta, name -> dims of every tensor, name -> array of the tensors
+    whose group is in `groups`, or of all when it is None)."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(10)
+        if len(head) < 10 or head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file")
+        version, meta_len = struct.unpack_from("<HI", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        if 10 + meta_len > size:
+            raise FormatError(f"{path}: truncated meta block")
+        try:
+            meta = json.loads(f.read(meta_len).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: bad meta block: {exc}") from exc
+        dims: dict[str, tuple[int, ...]] = {}
+        tensors: dict[str, Array] = {}
+        try:
+            (count,) = struct.unpack("<I", f.read(4))
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", f.read(2))
+                encoded = f.read(name_len)
+                if len(encoded) != name_len:
+                    raise FormatError(f"{path}: truncated tensor directory")
+                name = encoded.decode()
+                if name in dims:
+                    raise FormatError(f"{path}: duplicate tensor {name!r}")
+                (ndim,) = struct.unpack("<B", f.read(1))
+                dims[name] = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+                nbytes = 8 * math.prod(dims[name])
+                # Checked before allocating, so absurd dims cannot exhaust memory.
+                if f.tell() + nbytes > size:
+                    raise FormatError(f"{path}: truncated payload for tensor {name!r}")
+                if groups is None or name.partition("/")[0] in groups:
+                    tensors[name] = np.empty(dims[name], dtype="<f8")
+                    if f.readinto(tensors[name]) != nbytes:
+                        raise FormatError(f"{path}: truncated payload for tensor {name!r}")
+                else:
+                    f.seek(nbytes, os.SEEK_CUR)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: corrupt tensor directory: {exc}") from exc
+        if f.tell() != size:
+            raise FormatError(f"{path}: {size - f.tell()} trailing bytes")
+    return meta, dims, tensors
+
+
+def read_checkpoint_tensors(
+    path: str | Path, groups: Collection[str] | None = None
+) -> tuple[dict, dict[str, Array]]:
+    """Low-level read: (meta dict, name -> float64 array) for the tensors
+    whose group ("param", "velocity", "best") is in `groups`, or for all
+    of them when it is None. Validates the framing of the whole file."""
+    meta, _, tensors = _read_checkpoint(path, groups)
     return meta, tensors
 
 
 def load_checkpoint(
-    path: str | Path, expect_shape: ModelShapeSpec | None = None
+    path: str | Path,
+    expect_shape: ModelShapeSpec | None = None,
+    groups: Collection[str] | None = None,
 ) -> CheckpointData:
-    """Restore a checkpoint; every tensor is validated against the embedded
-    shape spec, and optionally against the caller's expected spec."""
-    meta, tensors = read_checkpoint_tensors(path)
+    """Restore a checkpoint, reading only the tensor groups in `groups`
+    (all of them when it is None). Every tensor's name and dims, read or
+    not, is validated against the embedded shape spec, and optionally
+    against the caller's expected spec."""
+    meta, dims, tensors = _read_checkpoint(path, groups)
     try:
         shape = ModelShapeSpec.from_dict(meta["shape"])
         config = TrainConfig.from_dict(meta["config"])
@@ -431,25 +459,28 @@ def load_checkpoint(
         raise FormatError(
             f"{path}: checkpoint shape {shape} does not match expected {expect_shape}"
         )
-    groups: dict[str, dict[str, Array]] = {"param": {}, "velocity": {}}
+    present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}}
     if has_best:
-        groups["best"] = {}
-    for key, arr in tensors.items():
+        present["best"] = {}
+    for key, key_dims in dims.items():
         prefix, _, name = key.partition("/")
-        if prefix not in groups:
+        if prefix not in present:
             raise FormatError(f"{path}: unexpected tensor {key!r}")
-        groups[prefix][name] = arr
-    validated = {}
-    for prefix, group in groups.items():
+        present[prefix][name] = key_dims
+    loaded: dict[str, ModelParams] = {}
+    for prefix, group in present.items():
         try:
-            validated[prefix] = ModelParams(shape, group)
+            check_parameter_shapes(shape, group)
         except ValueError as exc:
             raise FormatError(f"{path}: {prefix}/{exc}") from exc
+        if groups is None or prefix in groups:
+            loaded[prefix] = ModelParams(shape, {n: tensors[f"{prefix}/{n}"] for n in group})
+    velocity = loaded["velocity"].tensors if "velocity" in loaded else None
     state = TrainState(
-        OptimizerState(validated["velocity"].tensors, *scalars),
+        OptimizerState(velocity, *scalars),
         history,
-        validated.get("best"),
+        loaded.get("best"),
         best_epoch,
         best_val_accuracy,
     )
-    return CheckpointData(validated["param"], state, config)
+    return CheckpointData(loaded.get("param"), state, config)

@@ -86,6 +86,20 @@ def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def check_parameter_shapes(shape: ModelShapeSpec, dims: dict[str, tuple[int, ...]]) -> None:
+    """Raise a ValueError that starts with the tensor name unless `dims`
+    (name -> dims) holds exactly the parameter table's names and shapes."""
+    expected = parameter_shapes(shape)
+    for name in dims:
+        if name not in expected:
+            raise ValueError(f"{name}: unexpected tensor")
+    for name, want in expected.items():
+        if name not in dims:
+            raise ValueError(f"{name}: missing tensor")
+        if dims[name] != want:
+            raise ValueError(f"{name}: shape {dims[name]}, expected {want}")
+
+
 @dataclass
 class ModelParams:
     """All trainable state: the live name -> array dict of the parameter
@@ -95,17 +109,8 @@ class ModelParams:
     tensors: dict[str, Array]
 
     def __post_init__(self):
-        expected = parameter_shapes(self.shape)
-        for name in self.tensors:
-            if name not in expected:
-                raise ValueError(f"{name}: unexpected tensor")
-        for name, dims in expected.items():
-            if name not in self.tensors:
-                raise ValueError(f"{name}: missing tensor")
-            got = np.shape(self.tensors[name])
-            if got != dims:
-                raise ValueError(f"{name}: shape {got}, expected {dims}")
-        self.tensors = {name: self.tensors[name] for name in expected}
+        check_parameter_shapes(self.shape, {n: np.shape(a) for n, a in self.tensors.items()})
+        self.tensors = {name: self.tensors[name] for name in parameter_shapes(self.shape)}
 
     def _pair(self, layer: str) -> tuple[Array, Array]:
         return self.tensors[f"{layer}/weights"], self.tensors[f"{layer}/bias"]

@@ -40,7 +40,7 @@ def softmax(logits: Array) -> Array:
     if logits.ndim not in (1, 2) or logits.shape[-1] == 0:
         raise ValueError("softmax expects a non-empty vector or a matrix of rows")
     if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax expects finite logits")
+        raise FloatingPointError("softmax expects finite logits")
     exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True)
 

@@ -247,10 +247,16 @@ def fit(
     for epoch in range(opt.epochs_completed, config.max_epochs):
         lr_used = opt.current_lr
         rng = epoch_rng(config.seed, epoch)
-        train_loss = train_epoch(params, train_split, config, opt, rng)
-        val_loss, val_accuracy = evaluate(params, val_split)
-        _check_finite(params.tensors, "parameter")
-        _check_finite(opt.velocity, "velocity")
+        # A diverging epoch overflows long before its logits stop being
+        # finite; report it once, as an ArithmeticError, not as warnings.
+        try:
+            with np.errstate(all="ignore"):
+                train_loss = train_epoch(params, train_split, config, opt, rng)
+                val_loss, val_accuracy = evaluate(params, val_split)
+            _check_finite(params.tensors, "parameter")
+            _check_finite(opt.velocity, "velocity")
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"training diverged in epoch {epoch}: {exc}") from exc
         if val_accuracy > state.best_val_accuracy:
             state.best_params = clone_params(params)
             state.best_epoch = epoch

@@ -9,7 +9,7 @@ import pytest
 
 import din
 from din.cli import main
-from din.data_io import write_feature_file
+from din.data_io import load_checkpoint, save_checkpoint, write_feature_file
 
 from conftest import edit_checkpoint_meta
 
@@ -56,6 +56,15 @@ def synth_and_train(tmp_path, capsys, extra_train_args=()):
     assert rc == 0
     capsys.readouterr()
     return cfg, data_dir, run_dir
+
+
+def run_din(*argv, **env_overrides):
+    """`python -m din.cli ARGV` in a child process, with this checkout's din."""
+    src = str(Path(din.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_overrides,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "din.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env)
 
 
 def widen_first_sample(data_dir, split):
@@ -196,6 +205,17 @@ class TestTrain:
         assert "epoch" not in captured.out
         assert not (run_dir / "checkpoint.ckpt").exists()
 
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--synth-samples-per-class", "16",
+                     "--out-dir", str(data_dir)]) == 0
+        proc = run_din("train", "--config", cfg, "--manifest", data_dir / "manifest.json",
+                       "--out-dir", tmp_path / "run", "--initial-lr", "1e200")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: training diverged in epoch 0: ")
 
     def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         # Big enough that OpenBLAS threads the batched GEMMs (m*n*k above
@@ -214,17 +234,11 @@ class TestTrain:
         path.write_text(json.dumps(cfg))
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(path), "--out-dir", str(data_dir)]) == 0
-        src = str(Path(din.__file__).resolve().parents[1])
         blobs = []
         for threads in ("1", "2"):
             run_dir = tmp_path / f"run-{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run(
-                [sys.executable, "-m", "din.cli", "train", "--config", str(path),
-                 "--manifest", str(data_dir / "manifest.json"), "--out-dir", str(run_dir)],
-                capture_output=True, text=True, env=env,
-            )
+            proc = run_din("train", "--config", path, "--manifest", data_dir / "manifest.json",
+                           "--out-dir", run_dir, OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             blobs.append(((run_dir / "checkpoint.ckpt").read_bytes(),
                           (run_dir / "history.json").read_bytes()))
@@ -242,6 +256,17 @@ class TestEvalPredict:
         accuracy = float(out.split("accuracy=")[1].strip())
         history = json.loads((run_dir / "history.json").read_text())
         assert accuracy == history["best_val_accuracy"]
+
+    def test_use_best_without_snapshot_is_validation_error(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        ckpt = load_checkpoint(run_dir / "checkpoint.ckpt")
+        ckpt.state.best_params = None
+        path = tmp_path / "no-best.ckpt"
+        save_checkpoint(path, ckpt.model, ckpt.state, ckpt.config)
+        rc = main(["eval", "--checkpoint", str(path),
+                   "--manifest", str(data_dir / "manifest.json"), "--use-best"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: checkpoint has no best-model snapshot\n"
 
     def test_predict_writes_probability_rows(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
@@ -324,6 +349,26 @@ class TestExports:
                    "--manifest", str(data_dir / "manifest.json"),
                    "--split", "val", "--width", "7", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["export-features"], "error: --out is required\n"),
+        (["export-responses", "--width", "2"], "error: --out is required\n"),
+        (["export-responses", "--width", "7", "--out", "x.csv"],
+         "error: width 7 not in the model (widths (2, 3))\n"),
+    ])
+    def test_argument_errors_come_before_the_split_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+
+        def load_split(*args):
+            raise AssertionError("the split was read before the argument check")
+
+        monkeypatch.setattr("din.data_io.load_split", load_split)
+        rc = main([*argv, "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                   "--manifest", str(data_dir / "manifest.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == message
 
     def test_repeated_exports_are_byte_identical(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)

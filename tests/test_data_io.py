@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from din.data_io import (
     write_feature_file,
     write_synth_dataset,
 )
-from din.model import ModelShapeSpec, init_model
+from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.trainer import TrainConfig, TrainState, fit, init_rng, train_baseline
 
@@ -569,3 +570,119 @@ class TestFuzz:
         # Single-bit flips reach float exponents (inf/NaN) far more often.
         flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
         format_error_or_valid_load(load, path, bytes(flipped))
+
+
+def load_or_none(path, groups=None):
+    try:
+        return load_checkpoint(path, groups=groups)
+    except FormatError:
+        return None
+
+
+def assert_fresh_arrays(params):
+    for arr in params.tensors.values():
+        assert arr.dtype == np.float64
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+
+
+def check_group_loads_agree(path, blob):
+    """A param/-only and a best/-only load fail exactly when the full load
+    does, and otherwise hold the full load's tensors and nothing else."""
+    path.write_bytes(blob)
+    full = load_or_none(path)
+    param_only = load_or_none(path, ("param",))
+    best_only = load_or_none(path, ("best",))
+    assert (param_only is None) == (best_only is None) == (full is None)
+    if full is None:
+        return
+    assert param_only.state.optimizer.velocity is None and param_only.state.best_params is None
+    assert best_only.model is None and best_only.state.optimizer.velocity is None
+    for got, want in ((param_only.model, full.model),
+                      (best_only.state.best_params, full.state.best_params)):
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        assert_fresh_arrays(got)
+        for name, arr in want.tensors.items():
+            assert np.array_equal(got.tensors[name], arr, equal_nan=True)
+
+
+# 256 -> 128 reduction, widths 2 and 3, 64 filters: three 0.6 MB groups.
+MEMORY_SHAPE = ModelShapeSpec(256, 128, 8, (2, 3), 64, 4)
+
+
+def traced_peak(fn):
+    """Peak bytes that Python and numpy allocate while fn runs, including
+    what its result still holds."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+class TestStreamedCheckpoints:
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        params = init_model(MEMORY_SHAPE, make_rng(4))
+        state = TrainState.fresh(params, TrainConfig())
+        path = tmp_path_factory.mktemp("big") / "big.ckpt"
+        save_checkpoint(path, params, state, TrainConfig())
+        assert path.stat().st_size >= 1 << 20
+        return path, params, state
+
+    def test_save_does_not_copy_the_payloads(self, big):
+        path, params, state = big
+        peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig()))
+        assert peak <= 0.1 * path.stat().st_size
+
+    @pytest.mark.parametrize("groups, bound", [(None, 1.1), (("param",), 0.4)])
+    def test_load_holds_only_the_tensors_it_returns(self, big, groups, bound):
+        path, _, _ = big
+        peak = traced_peak(lambda: load_checkpoint(path, groups=groups))
+        assert peak <= bound * path.stat().st_size
+
+    def test_loaded_tensors_are_fresh_aligned_arrays(self, big):
+        path, params, state = big
+        loaded = load_checkpoint(path)
+        for group, want in ((loaded.model, params), (loaded.state.best_params, params)):
+            assert_fresh_arrays(group)
+            for name, arr in want.tensors.items():
+                assert np.array_equal(group.tensors[name], arr)
+        assert_fresh_arrays(ModelParams(MEMORY_SHAPE, loaded.state.optimizer.velocity))
+
+    @pytest.mark.parametrize("corrupt", ["param", "velocity", "best"])
+    @pytest.mark.parametrize("groups", [None, ("param",), ("velocity",), ("best",)])
+    def test_absurd_dims_fail_before_allocating(self, tmp_path, corrupt, groups):
+        blob = bytearray(pinned_checkpoint(tmp_path / "pin.ckpt"))
+        name = f"{corrupt}/reduction/weights"
+        at = blob.index(name.encode()) + len(name)
+        assert blob[at] == 2  # ndim, then the two u32 dims
+        struct.pack_into("<2I", blob, at + 1, 2**32 - 1, 2**32 - 1)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"truncated payload for tensor '{name}'"):
+            load_checkpoint(path, groups=groups)
+
+    @pytest.fixture(scope="class")
+    def pinned(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("groups")
+        return root / "fuzz.ckpt", pinned_checkpoint(root / "valid.ckpt")
+
+    @given(data=st.data())
+    @FUZZ
+    def test_group_loads_agree_on_truncation(self, pinned, data):
+        path, blob = pinned
+        check_group_loads_agree(path, blob[: data.draw(st.integers(0, len(blob)))])
+
+    @given(data=st.data())
+    @FUZZ
+    def test_group_loads_agree_on_byte_flips(self, pinned, data):
+        path, blob = pinned
+        flipped = bytearray(blob)
+        at = data.draw(st.integers(0, len(blob) - 1))
+        flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
+        check_group_loads_agree(path, bytes(flipped))
