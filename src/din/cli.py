@@ -140,23 +140,15 @@ def _load_model_for_inference(args):
     return best
 
 
-def _load_manifest(args):
+def _load_samples(args, raw_dim, split=None):
     if not args.manifest:
         raise ValueError("--manifest is required")
-    return data_io.load_manifest(args.manifest)
-
-
-def _read_split(args, manifest, raw_dim, split=None):
+    manifest = data_io.load_manifest(args.manifest)
     split = split or args.split
     samples = data_io.load_split(manifest, split, raw_dim)
     if not samples:
         raise ValueError(f"split {split!r} is empty in {args.manifest}")
-    return samples
-
-
-def _load_samples(args, raw_dim, split=None):
-    manifest = _load_manifest(args)
-    return manifest, _read_split(args, manifest, raw_dim, split)
+    return manifest, samples
 
 
 def cmd_synth(args) -> int:
@@ -277,27 +269,22 @@ def cmd_inspect_params(args) -> int:
     return 0
 
 
-def _load_export_inputs(args, width=None):
-    """Model and split of an export; the argument errors come before the
-    split's feature files are read."""
+def cmd_export_responses(args) -> int:
     params = _load_model_for_inference(args)
-    manifest = _load_manifest(args)
     if not args.out:
         raise ValueError("--out is required")
-    if width is not None:
-        analysis.check_width(params.shape, width)
-    return params, _read_split(args, manifest, params.shape.raw_dim)
-
-
-def cmd_export_responses(args) -> int:
-    params, samples = _load_export_inputs(args, args.width)
+    analysis.check_width(params.shape, args.width)
+    _, samples = _load_samples(args, params.shape.raw_dim)
     path = analysis.export_responses(params, samples, args.width, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0
 
 
 def cmd_export_features(args) -> int:
-    params, samples = _load_export_inputs(args)
+    params = _load_model_for_inference(args)
+    if not args.out:
+        raise ValueError("--out is required")
+    _, samples = _load_samples(args, params.shape.raw_dim)
     path = analysis.export_pooled_features(params, samples, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0

@@ -417,13 +417,9 @@ def _read_checkpoint(
     return meta, dims, tensors
 
 
-def read_checkpoint_tensors(
-    path: str | Path, groups: Collection[str] | None = None
-) -> tuple[dict, dict[str, Array]]:
-    """Low-level read: (meta dict, name -> float64 array) for the tensors
-    whose group ("param", "velocity", "best") is in `groups`, or for all
-    of them when it is None. Validates the framing of the whole file."""
-    meta, _, tensors = _read_checkpoint(path, groups)
+def read_checkpoint_tensors(path: str | Path) -> tuple[dict, dict[str, Array]]:
+    """Low-level read: (meta dict, name -> float64 array). Validates framing."""
+    meta, _, tensors = _read_checkpoint(path, None)
     return meta, tensors
 
 
@@ -470,11 +466,12 @@ def load_checkpoint(
     loaded: dict[str, ModelParams] = {}
     for prefix, group in present.items():
         try:
-            check_parameter_shapes(shape, group)
+            if groups is None or prefix in groups:
+                loaded[prefix] = ModelParams(shape, {n: tensors[f"{prefix}/{n}"] for n in group})
+            else:
+                check_parameter_shapes(shape, group)
         except ValueError as exc:
             raise FormatError(f"{path}: {prefix}/{exc}") from exc
-        if groups is None or prefix in groups:
-            loaded[prefix] = ModelParams(shape, {n: tensors[f"{prefix}/{n}"] for n in group})
     velocity = loaded["velocity"].tensors if "velocity" in loaded else None
     state = TrainState(
         OptimizerState(velocity, *scalars),

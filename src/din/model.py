@@ -86,9 +86,12 @@ def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def check_parameter_shapes(shape: ModelShapeSpec, dims: dict[str, tuple[int, ...]]) -> None:
-    """Raise a ValueError that starts with the tensor name unless `dims`
-    (name -> dims) holds exactly the parameter table's names and shapes."""
+def check_parameter_shapes(
+    shape: ModelShapeSpec, dims: dict[str, tuple[int, ...]]
+) -> dict[str, tuple[int, ...]]:
+    """Return the parameter table, or raise a ValueError that starts with
+    the tensor name unless `dims` (name -> dims) holds exactly its names
+    and shapes."""
     expected = parameter_shapes(shape)
     for name in dims:
         if name not in expected:
@@ -98,6 +101,7 @@ def check_parameter_shapes(shape: ModelShapeSpec, dims: dict[str, tuple[int, ...
             raise ValueError(f"{name}: missing tensor")
         if dims[name] != want:
             raise ValueError(f"{name}: shape {dims[name]}, expected {want}")
+    return expected
 
 
 @dataclass
@@ -109,8 +113,10 @@ class ModelParams:
     tensors: dict[str, Array]
 
     def __post_init__(self):
-        check_parameter_shapes(self.shape, {n: np.shape(a) for n, a in self.tensors.items()})
-        self.tensors = {name: self.tensors[name] for name in parameter_shapes(self.shape)}
+        expected = check_parameter_shapes(
+            self.shape, {n: np.shape(a) for n, a in self.tensors.items()}
+        )
+        self.tensors = {name: self.tensors[name] for name in expected}
 
     def _pair(self, layer: str) -> tuple[Array, Array]:
         return self.tensors[f"{layer}/weights"], self.tensors[f"{layer}/bias"]

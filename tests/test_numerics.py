@@ -45,6 +45,11 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(np.array([]))
 
+    @pytest.mark.parametrize("logits", [[np.inf, 0.0], [np.nan]])
+    def test_non_finite_logits_are_a_floating_point_error(self, logits):
+        with pytest.raises(FloatingPointError, match="finite logits"):
+            softmax(np.array(logits))
+
     def test_shift_invariance(self):
         rng = make_rng(5)
         for _ in range(50):
