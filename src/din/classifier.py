@@ -52,31 +52,17 @@ def predict(probabilities: Array) -> Array:
     return np.argmax(probabilities, axis=-1)
 
 
-def classifier_backward(
-    c_h: dict[int, Array],
-    heads: dict[int, tuple[Array, Array]],
-    masks: dict[int, Array] | None,
-    grad_fused: Array,
-) -> tuple[dict[int, tuple[Array, Array]], dict[int, Array]]:
-    """Gradients through fusion, heads and dropout masks, summed over the batch.
+def head_backward(
+    c_h: Array, weights: Array, mask: Array | None, grad_fused: Array
+) -> tuple[Array, Array, Array]:
+    """Gradients through one head and its dropout mask, summed over the batch.
 
-    The fused sum fans the B x C grad_fused unchanged to every scale.
-    Returns ({h: (grad_weights, grad_bias)}, {h: B x M grad_c_h}).
+    The fused sum hands every head the same B x C grad_fused. Returns
+    (grad_weights, grad_bias, B x M grad_c_h).
     """
-    if set(c_h) != set(heads):
-        raise ValueError("pooled features and heads must cover the same widths")
-    grad_fused = np.asarray(grad_fused, dtype=np.float64)
-    head_grads: dict[int, tuple[Array, Array]] = {}
-    grad_c: dict[int, Array] = {}
-    for h, (weights, _) in heads.items():
-        if grad_fused.shape != (len(grad_fused), weights.shape[0]):
-            raise ValueError("grad_fused must be B x (class count)")
-        feat = np.asarray(c_h[h], dtype=np.float64)
-        if feat.shape != (grad_fused.shape[0], weights.shape[1]):
-            raise ValueError(f"pooled features for width {h} have the wrong shape")
-        mask = masks.get(h) if masks else None
-        inp = mask * feat if mask is not None else feat
-        grad_inp = grad_fused @ weights
-        grad_c[h] = mask * grad_inp if mask is not None else grad_inp
-        head_grads[h] = (grad_fused.T @ inp, grad_fused.sum(axis=0))
-    return head_grads, grad_c
+    if grad_fused.shape != (len(c_h), weights.shape[0]) or c_h.shape[1:] != weights.shape[1:]:
+        raise ValueError("expected B x M pooled features and a B x (class count) grad_fused")
+    inp = mask * c_h if mask is not None else c_h
+    grad_inp = grad_fused @ weights
+    grad_c_h = mask * grad_inp if mask is not None else grad_inp
+    return grad_fused.T @ inp, grad_fused.sum(axis=0), grad_c_h

@@ -140,12 +140,15 @@ def _load_model_for_inference(args):
     return best
 
 
-def _load_samples(args, raw_dim, split=None):
+def _load_samples(args, shape: ModelShapeSpec, split=None):
     if not args.manifest:
         raise ValueError("--manifest is required")
     manifest = data_io.load_manifest(args.manifest)
+    if len(manifest.classes) != shape.num_classes:
+        raise ValueError(f"{args.manifest}: manifest has {len(manifest.classes)} classes, "
+                         f"the model has {shape.num_classes}")
     split = split or args.split
-    samples = data_io.load_split(manifest, split, raw_dim)
+    samples = data_io.load_split(manifest, split, shape.raw_dim)
     if not samples:
         raise ValueError(f"split {split!r} is empty in {args.manifest}")
     return manifest, samples
@@ -168,14 +171,10 @@ def cmd_train(args) -> int:
         raise ValueError("--out-dir is required")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest, train_split = _load_samples(args, cfg.shape.raw_dim, "train")
+    manifest, train_split = _load_samples(args, cfg.shape, "train")
     val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim)
     if not val_split:
         raise ValueError("validation split is empty")
-    if len(manifest.classes) != cfg.shape.num_classes:
-        raise ValueError(
-            f"manifest has {len(manifest.classes)} classes, config says {cfg.shape.num_classes}"
-        )
     started = time.time()
     state = None
     if args.resume:
@@ -213,7 +212,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape.raw_dim)
+    _, samples = _load_samples(args, params.shape)
     loss, accuracy = trainer.evaluate(params, samples)
     print(f"split={args.split} samples={len(samples)} loss={loss!r} accuracy={accuracy!r}")
     return 0
@@ -221,7 +220,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape.raw_dim)
+    _, samples = _load_samples(args, params.shape)
     lines = ["id,label,predicted," + ",".join(f"p_{c}" for c in range(params.shape.num_classes))]
     for sample in sorted(samples, key=lambda s: s.id):
         predicted, probs = predict_sample(params, sample.features)
@@ -274,7 +273,7 @@ def cmd_export_responses(args) -> int:
     if not args.out:
         raise ValueError("--out is required")
     analysis.check_width(params.shape, args.width)
-    _, samples = _load_samples(args, params.shape.raw_dim)
+    _, samples = _load_samples(args, params.shape)
     path = analysis.export_responses(params, samples, args.width, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0
@@ -284,7 +283,7 @@ def cmd_export_features(args) -> int:
     params = _load_model_for_inference(args)
     if not args.out:
         raise ValueError("--out is required")
-    _, samples = _load_samples(args, params.shape.raw_dim)
+    _, samples = _load_samples(args, params.shape)
     path = analysis.export_pooled_features(params, samples, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0

@@ -176,6 +176,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{path}: cannot parse manifest: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
     classes = doc.get("classes")
     samples = doc.get("samples")
     if not isinstance(classes, list) or not classes:

@@ -10,16 +10,9 @@ rows.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .numerics import Array
-
-
-class SamplingMode(enum.Enum):
-    TRAIN_RANDOM = "train_random"
-    EVAL_CENTER = "eval_center"
 
 
 def check_features(features: Array) -> Array:
@@ -37,45 +30,35 @@ def check_features(features: Array) -> Array:
     return features
 
 
-def sample_segments(
-    T: int, n: int, mode: SamplingMode, rng: np.random.Generator | None = None
-) -> Array:
+def sample_segments(T: int, n: int, rng: np.random.Generator | None = None) -> Array:
     """Pick n frame indices from a T-frame video, one per temporal segment.
 
-    Segment s covers [ceil(s*T/n), ceil((s+1)*T/n)). Center mode takes
-    start + (len-1)//2; random mode draws uniformly inside the segment.
-    Segments that are empty (T < n) repeat the previous segment's index,
-    so the result is always non-decreasing. Segment 0 is never empty.
+    Segment s covers [ceil(s*T/n), ceil((s+1)*T/n)). Without an rng the
+    pick is the segment's center, start + (len-1)//2; with one it is drawn
+    uniformly inside the segment. Segments that are empty (T < n) repeat
+    the previous segment's index, so the result is always non-decreasing.
+    Segment 0 is never empty.
     """
     if T < 1 or n < 1:
         raise ValueError("T and n must be >= 1")
-    if mode is SamplingMode.TRAIN_RANDOM and rng is None:
-        raise ValueError("train_random sampling needs an rng")
     indices = np.empty(n, dtype=np.int64)
     prev = 0
     for s in range(n):
         lo = -((-s * T) // n)  # ceil(s*T/n)
         hi = -((-(s + 1) * T) // n)
         if hi > lo:
-            if mode is SamplingMode.EVAL_CENTER:
-                prev = lo + (hi - lo - 1) // 2
-            else:
-                prev = int(rng.integers(lo, hi))
+            prev = lo + (hi - lo - 1) // 2 if rng is None else int(rng.integers(lo, hi))
         indices[s] = prev
     return indices
 
 
-def gather(
-    features: Array,
-    n: int,
-    mode: SamplingMode = SamplingMode.EVAL_CENTER,
-    rng: np.random.Generator | None = None,
-) -> Array:
-    """The n x D raw rows of the frames segment sampling picks, in temporal
-    order, as float64. The video is validated in its own dtype and only
-    the n picked rows are widened; float32 -> float64 is exact."""
+def gather(features: Array, n: int, rng: np.random.Generator | None = None) -> Array:
+    """The n x D raw rows of the frames segment sampling picks (segment
+    centers without an rng, random draws with one), in temporal order, as
+    float64. The video is validated in its own dtype and only the n picked
+    rows are widened; float32 -> float64 is exact."""
     features = check_features(np.asarray(features))
-    rows = features[sample_segments(features.shape[0], n, mode, rng)]
+    rows = features[sample_segments(features.shape[0], n, rng)]
     return rows.astype(np.float64, copy=False)
 
 

@@ -167,7 +167,6 @@ def sample_batch(
     order (only when dropout_keep < 1), then its random segment indices;
     reruns and resumed runs are bit-exact because that order is fixed.
     """
-    mode = di.SamplingMode.EVAL_CENTER if rng is None else di.SamplingMode.TRAIN_RANDOM
     masks = None
     if rng is not None and dropout_keep < 1.0:
         masks = {h: np.empty((len(videos), shape.num_filters)) for h in shape.widths}
@@ -175,7 +174,7 @@ def sample_batch(
     for b, features in enumerate(videos):
         for h in masks or ():
             masks[h][b] = sample_dropout_mask(rng, shape.num_filters, dropout_keep)
-        rows.append(di.gather(features, shape.num_frames, mode, rng))
+        rows.append(di.gather(features, shape.num_frames, rng))
     return np.stack(rows), masks
 
 
@@ -220,19 +219,26 @@ def backward_sample(
     params: ModelParams, fwd: BatchForward, grad_fused: Array
 ) -> dict[str, Array]:
     """Gradients of a scalar loss wrt every named parameter, summed over the
-    batch, given the B x C loss gradient on the fused logits."""
-    values = {h: v for h, (v, _) in fwd.pooled.items()}
-    head_grads, grad_c = clf.classifier_backward(values, params.heads, fwd.masks, grad_fused)
-    grad_W, grad_b, grad_X = tc.multiscale_backward(fwd.dense, params.bank, fwd.pooled, grad_c)
+    batch, given the B x C loss gradient on the fused logits. One walk over
+    the widths, ascending, hands each head's gradient to its conv, and the
+    convs sum their DenseImage gradients into one grad_X in that order."""
+    tensors = params.tensors
+    grads: dict[str, Array] = {}
+    grad_X = np.zeros_like(fwd.dense)
+    for h in params.shape.widths:
+        values, argmax = fwd.pooled[h]
+        mask = fwd.masks[h] if fwd.masks else None
+        *head_grads, grad_c = clf.head_backward(
+            values, tensors[f"head/h{h}/weights"], mask, grad_fused
+        )
+        grads[f"conv/h{h}/weights"], grads[f"conv/h{h}/bias"] = tc.conv_scale_backward(
+            fwd.dense, tensors[f"conv/h{h}/weights"], values, argmax, grad_c, grad_X
+        )
+        grads[f"head/h{h}/weights"], grads[f"head/h{h}/bias"] = head_grads
     B, n, D = fwd.rows.shape
     grad_X = grad_X.reshape(B * n, -1)
-    grads: dict[str, Array] = {
-        "reduction/weights": fwd.rows.reshape(B * n, D).T @ grad_X,
-        "reduction/bias": grad_X.sum(axis=0),
-    }
-    for h in params.shape.widths:
-        grads[f"conv/h{h}/weights"], grads[f"conv/h{h}/bias"] = grad_W[h], grad_b[h]
-        grads[f"head/h{h}/weights"], grads[f"head/h{h}/bias"] = head_grads[h]
+    grads["reduction/weights"] = fwd.rows.reshape(B * n, D).T @ grad_X
+    grads["reduction/bias"] = grad_X.sum(axis=0)
     return grads
 
 

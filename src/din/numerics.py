@@ -59,8 +59,9 @@ def cross_entropy_from_logits(logits: Array, labels) -> tuple[Array, Array]:
     labels = np.asarray(labels)
     if labels.shape != logits.shape[:1] or labels.dtype.kind not in "iu":
         raise ValueError(f"expected {logits.shape[0]} integer labels, got {labels!r}")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError(f"labels {labels} out of range for {logits.shape[1]} classes")
+    bad = labels[(labels < 0) | (labels >= logits.shape[1])]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {logits.shape[1]} classes")
     rows = np.arange(logits.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis
-from .denseimage import SamplingMode, encode, gather, sample_segments
+from .denseimage import encode, gather, sample_segments
 from .model import ModelParams, ModelShapeSpec, init_model, sample_loss_and_grads
 from .numerics import cross_entropy_from_logits, make_rng, softmax
-from .temporal_conv import conv_scale_forward, multiscale_backward, multiscale_forward
+from .temporal_conv import conv_scale_backward, conv_scale_forward, multiscale_forward
 
 
 def naive_scale_responses(X: np.ndarray, W_h: np.ndarray, b_h: np.ndarray) -> np.ndarray:
@@ -79,6 +79,19 @@ def _random_bank(rng, widths, M, k) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     return {h: (weights[h], rng.normal(size=M) * 0.1) for h in widths}
 
 
+def check_conv_oracle(X: np.ndarray, bank: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Compare every width's conv_scale_forward map and multiscale_forward
+    pooled values for one n x k DenseImage X against naive_scale_responses;
+    a difference that is not < 1e-12 raises AssertionError naming the width."""
+    pooled = multiscale_forward(X[None], bank)
+    for h in sorted(bank):
+        want = naive_scale_responses(X, *bank[h])
+        if not np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() < 1e-12:
+            raise AssertionError(f"conv mismatch at h={h}")
+        if not np.abs(pooled[h][0][0] - want.max(axis=1)).max() < 1e-12:
+            raise AssertionError(f"pool mismatch at h={h}")
+
+
 def _check_conv_oracle() -> None:
     rng = make_rng(11)
     for _ in range(20):
@@ -87,14 +100,7 @@ def _check_conv_oracle() -> None:
         M = int(rng.integers(1, 5))
         widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(2)))
         bank = _random_bank(rng, widths, M, k)
-        X = rng.normal(size=(n, k))
-        pooled = multiscale_forward(X[None], bank)
-        for h in widths:
-            want = naive_scale_responses(X, *bank[h])
-            if np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() > 1e-12:
-                raise AssertionError(f"conv mismatch at h={h}")
-            if np.abs(pooled[h][0][0] - want.max(axis=1)).max() > 1e-12:
-                raise AssertionError(f"pool mismatch at h={h}")
+        check_conv_oracle(rng.normal(size=(n, k)), bank)
 
 
 def _check_multiscale_gradients() -> None:
@@ -109,18 +115,18 @@ def _check_multiscale_gradients() -> None:
             continue
         done += 1
         grad_up = {h: rng.normal(size=(1, M)) for h in widths}
-        grad_W, grad_b, grad_X = multiscale_backward(
-            X, bank, multiscale_forward(X, bank), grad_up
-        )
+        pooled = multiscale_forward(X, bank)
+        arrays, grads = {"dX": X}, {"dX": np.zeros_like(X)}
+        for h in widths:
+            arrays[f"dW[h={h}]"], arrays[f"db[h={h}]"] = bank[h]
+            grads[f"dW[h={h}]"], grads[f"db[h={h}]"] = conv_scale_backward(
+                X, bank[h][0], *pooled[h], grad_up[h], grads["dX"]
+            )
 
         def objective():
             pooled = multiscale_forward(X, bank)
             return sum(float((grad_up[h] * pooled[h][0]).sum()) for h in widths)
 
-        arrays, grads = {"dX": X}, {"dX": grad_X}
-        for h in widths:
-            arrays[f"dW[h={h}]"], grads[f"dW[h={h}]"] = bank[h][0], grad_W[h]
-            arrays[f"db[h={h}]"], grads[f"db[h={h}]"] = bank[h][1], grad_b[h]
         finite_difference_check(objective, arrays, grads, eps=1e-4, tol=1e-5)
 
 
@@ -182,7 +188,7 @@ def _check_segment_sampler() -> None:
         (3, 8, [0, 0, 1, 1, 1, 2, 2, 2]),
     ]
     for T, n, want in cases:
-        got = sample_segments(T, n, SamplingMode.EVAL_CENTER).tolist()
+        got = sample_segments(T, n).tolist()
         if got != want:
             raise AssertionError(f"segment sampling T={T}: {got} != {want}")
 
@@ -234,7 +240,7 @@ CHECKS = [
 ]
 
 
-def run_selftest(emit=print) -> int:
+def run_selftest() -> int:
     """Run every check; returns the number of failures."""
     failures = 0
     for name, check in CHECKS:
@@ -242,8 +248,8 @@ def run_selftest(emit=print) -> int:
             check()
         except Exception as exc:  # report and keep going
             failures += 1
-            emit(f"[FAIL] {name}: {exc}")
+            print(f"[FAIL] {name}: {exc}")
         else:
-            emit(f"[ok]   {name}")
-    emit(f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+            print(f"[ok]   {name}")
+    print(f"selftest: {len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return failures

@@ -14,9 +14,10 @@ runs as h GEMMs over the whole batch, one per row offset a (shift and
 add), with the same sums as an im2col window GEMM but no (B*W) x (h*k)
 window matrix; at B=1 this is the faster of the two.
 
-The backward pass is hand-written: the pool routes the upstream gradient
-to its (tie-broken) argmax window only, the rectifier gates it, and the
-windows scatter it back onto the h DenseImage rows they cover.
+The backward pass is hand-written and runs one width at a time: the pool
+routes the upstream gradient to its (tie-broken) argmax window only, the
+rectifier gates it, and the windows scatter it back onto the h DenseImage
+rows they cover.
 """
 
 from __future__ import annotations
@@ -72,47 +73,37 @@ def multiscale_forward(
     return {h: temporal_max_pool(conv_scale_forward(X, *bank[h])) for h in sorted(bank)}
 
 
-def multiscale_backward(
-    X: Array,
-    bank: dict[int, tuple[Array, Array]],
-    pooled: dict[int, tuple[Array, Array]],
-    grad_pooled: dict[int, Array],
-) -> tuple[dict[int, Array], dict[int, Array], Array]:
-    """Gradients of the pooled features wrt filters and biases (summed over
-    the batch) and wrt the B x n x k DenseImages X, given the bank and the
-    pooled output multiscale_forward(X, bank) returned for them.
+def conv_scale_backward(
+    X: Array, W_h: Array, values: Array, argmax: Array, grad_up: Array, grad_X: Array
+) -> tuple[Array, Array]:
+    """Gradients of one width's pooled features wrt its filters and biases,
+    summed over the batch, given the B x n x k DenseImages X and the B x M
+    (values, argmax) temporal_max_pool returned for them. The gradient wrt
+    X is added into grad_X, so the caller sums the widths in its order.
 
-    Per sample and channel the upstream gradient enters at the argmax
+    Per sample and channel the B x M upstream gradient enters at the argmax
     window alone, passes the rectifier gate (zero where the pooled value
     hit the rectifier floor), and fans out to the filter row, its bias,
-    and the h DenseImage rows under that window. grad_X accumulates over
-    widths.
+    and the h DenseImage rows under that window.
     """
-    if set(grad_pooled) != set(pooled):
-        raise ValueError("grad_pooled widths do not match the pooled features")
     B, n, k = X.shape
-    grad_W: dict[int, Array] = {}
-    grad_b: dict[int, Array] = {}
-    grad_X = np.zeros_like(X)
-    for h, (values, argmax) in pooled.items():
-        num_windows, M = n - h + 1, values.shape[1]
-        grad_up = np.asarray(grad_pooled[h], dtype=np.float64)
-        if grad_up.shape != (B, M):
-            raise ValueError(f"grad_pooled[{h}] must have shape {(B, M)}")
-        routed = grad_up * (values > 0.0)
-        grad_map = np.zeros((B, num_windows, M))
-        grad_map[np.arange(B)[:, None], argmax, np.arange(M)] = routed
-        grad_map = grad_map.reshape(B * num_windows, M)
-        grad_W[h] = np.empty((M, h * k))
-        for a in range(h):
-            np.matmul(grad_map.T, _offset_rows(X, a, num_windows),
-                      out=grad_W[h][:, a * k : (a + 1) * k])
-        grad_b[h] = routed.sum(axis=0)
-        # Back through the windows: offset a of window i is row i+a.
-        grad_windows = (grad_map @ bank[h][0]).reshape(B, num_windows, h, k)
-        for a in range(h):
-            grad_X[:, a : a + num_windows] += grad_windows[:, :, a]
-    return grad_W, grad_b, grad_X
+    M = values.shape[1]
+    h = W_h.shape[1] // k
+    num_windows = n - h + 1
+    if grad_up.shape != (B, M):
+        raise ValueError(f"grad_up must have shape {(B, M)}")
+    routed = grad_up * (values > 0.0)
+    grad_map = np.zeros((B, num_windows, M))
+    grad_map[np.arange(B)[:, None], argmax, np.arange(M)] = routed
+    grad_map = grad_map.reshape(B * num_windows, M)
+    grad_W = np.empty((M, h * k))
+    for a in range(h):
+        np.matmul(grad_map.T, _offset_rows(X, a, num_windows), out=grad_W[:, a * k : (a + 1) * k])
+    # Back through the windows: offset a of window i is row i+a.
+    grad_windows = (grad_map @ W_h).reshape(B, num_windows, h, k)
+    for a in range(h):
+        grad_X[:, a : a + num_windows] += grad_windows[:, :, a]
+    return grad_W, routed.sum(axis=0)
 
 
 def response_profiles(fmap: Array) -> Array:

@@ -20,8 +20,8 @@ from din.data_io import (
 from din.denseimage import encode, gather
 from din.model import ModelShapeSpec, init_model, sample_loss_and_grads
 from din.numerics import make_rng, softmax
-from din.selftest import finite_difference_check, kink_free, naive_scale_responses
-from din.temporal_conv import conv_scale_forward, multiscale_forward
+from din.selftest import check_conv_oracle, finite_difference_check, kink_free
+from din.temporal_conv import conv_scale_forward
 from din.trainer import TrainConfig, TrainState, fit, init_rng, train_baseline
 
 
@@ -78,12 +78,7 @@ def test_convolution_oracle():
         widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
         weights = {h: rng.normal(size=(M, h * k)) for h in widths}
         bank = {h: (weights[h], rng.normal(size=M)) for h in widths}
-        X = rng.normal(size=(n, k))
-        pooled = multiscale_forward(X[None], bank)
-        for h in widths:
-            want = naive_scale_responses(X, *bank[h])
-            assert np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() <= 1e-12
-            assert np.abs(pooled[h][0][0] - want.max(axis=1)).max() <= 1e-12
+        check_conv_oracle(rng.normal(size=(n, k)), bank)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
 

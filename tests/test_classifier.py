@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from din.classifier import (
-    classifier_backward,
     fuse_and_score,
+    head_backward,
     head_forward,
     predict,
 )
@@ -117,33 +117,28 @@ class TestScaleAdditivity:
 
 
 class TestClassifierBackward:
+    """head_backward, one width at a time, as model.backward_sample runs it."""
+
     def test_zero_upstream(self):
         rng = make_rng(7)
         heads = random_heads(rng, (2,), 3, 2)
-        grads, grad_c = classifier_backward(
-            {2: rng.normal(size=(1, 3))}, heads, None, np.zeros((1, 2))
-        )
-        gw, gb = grads[2]
-        assert not gw.any() and not gb.any() and not grad_c[2].any()
+        c = rng.normal(size=(1, 3))
+        gw, gb, grad_c = head_backward(c, heads[2][0], None, np.zeros((1, 2)))
+        assert not gw.any() and not gb.any() and not grad_c.any()
 
     def test_hand_chain_rule(self):
-        heads = {2: (np.array([[1.0, -1.0]]), np.zeros(1))}
-        grads, grad_c = classifier_backward(
-            {2: row([3.0, 1.0])}, heads, None, row([2.0])
-        )
-        gw, gb = grads[2]
+        gw, gb, grad_c = head_backward(row([3.0, 1.0]), np.array([[1.0, -1.0]]), None, row([2.0]))
         assert np.array_equal(gw, [[6.0, 2.0]])
         assert np.array_equal(gb, [2.0])
-        assert np.array_equal(grad_c[2], [[2.0, -2.0]])
+        assert np.array_equal(grad_c, [[2.0, -2.0]])
 
     def test_every_scale_gets_identical_upstream(self):
         rng = make_rng(8)
         heads = random_heads(rng, (2, 3, 4), 4, 3)
         c = {h: rng.normal(size=(1, 4)) for h in heads}
         upstream = rng.normal(size=(1, 3))
-        grads, _ = classifier_backward(c, heads, None, upstream)
         for h in heads:
-            assert np.array_equal(grads[h][1], upstream[0])
+            assert np.array_equal(head_backward(c[h], heads[h][0], None, upstream)[1], upstream[0])
 
     def test_matches_finite_differences_two_scales(self):
         rng = make_rng(9)
@@ -160,22 +155,23 @@ class TestClassifierBackward:
             logits = {h: head_forward(c[h], heads[h], masks[h]) for h in widths}
             return float((probe * fuse_and_score(logits)[0]).sum())
 
-        grads, grad_c = classifier_backward(c, heads, masks, probe)
         arrays, want = {}, {}
         for h in widths:
             arrays[f"W{h}"], arrays[f"b{h}"], arrays[f"c{h}"] = *heads[h], c[h]
-            want[f"W{h}"], want[f"b{h}"], want[f"c{h}"] = *grads[h], grad_c[h]
+            want[f"W{h}"], want[f"b{h}"], want[f"c{h}"] = head_backward(
+                c[h], heads[h][0], masks[h], probe
+            )
         finite_difference_check(objective, arrays, want, eps, 1e-6)
 
     def test_shape_mismatch_rejected(self):
         rng = make_rng(10)
-        heads = random_heads(rng, (2,), 3, 2)
+        weights = random_heads(rng, (2,), 3, 2)[2][0]
         with pytest.raises(ValueError):
-            classifier_backward({2: np.zeros((1, 3))}, heads, None, np.zeros((1, 5)))
+            head_backward(np.zeros((1, 3)), weights, None, np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            classifier_backward({2: np.zeros((2, 3))}, heads, None, np.zeros((1, 2)))
+            head_backward(np.zeros((2, 3)), weights, None, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            classifier_backward({3: np.zeros((1, 3))}, heads, None, np.zeros((1, 2)))
+            head_backward(np.zeros((1, 4)), weights, None, np.zeros((1, 2)))
 
 
 class TestClassScores:

@@ -178,6 +178,15 @@ class TestTrain:
             dir_resumed / "checkpoint.ckpt"
         ).read_bytes()
 
+    def test_class_count_mismatch_is_validation_error(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        manifest = add_third_class(data_dir)
+        rc = main(["train", "--config", str(cfg), "--manifest", str(manifest),
+                   "--out-dir", str(tmp_path / "run3")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: manifest has 3 classes, the model has 2\n")
+
     def test_dim_mismatch_is_validation_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
@@ -243,6 +252,16 @@ class TestTrain:
             blobs.append(((run_dir / "checkpoint.ckpt").read_bytes(),
                           (run_dir / "history.json").read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+def add_third_class(data_dir):
+    """Give the manifest a third class and relabel its first val sample to it."""
+    path = data_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["classes"].append("third")
+    next(r for r in manifest["samples"] if r["split"] == "val")["label"] = 2
+    path.write_text(json.dumps(manifest))
+    return path
 
 
 class TestEvalPredict:
@@ -319,6 +338,41 @@ class TestEvalPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and field in err
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+    def test_manifest_that_is_not_an_object_is_validation_error(self, tmp_path, capsys, text):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                   "--manifest", str(manifest)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: manifest must be a JSON object")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval"],
+        ["predict"],
+        ["export-features", "--out", "f.csv"],
+        ["export-responses", "--width", "2", "--out", "r.csv"],
+    ], ids=["eval", "predict", "export-features", "export-responses"])
+    def test_class_count_mismatch_fails_before_the_split_is_read(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        manifest = add_third_class(data_dir)
+
+        def load_split(*args):
+            raise AssertionError("the split was read before the class-count check")
+
+        monkeypatch.setattr("din.data_io.load_split", load_split)
+        rc = main([*argv, "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                   "--manifest", str(manifest)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {manifest}: manifest has 3 classes, the model has 2\n"
 
     def test_missing_checkpoint_is_validation_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

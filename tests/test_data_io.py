@@ -254,6 +254,13 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+    def test_document_that_is_not_an_object_rejected(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ManifestError, match="m.json: manifest must be a JSON object"):
+            load_manifest(path)
+
 
 class TestSynthTask:
     def test_sigma_zero_sequences_follow_the_ring(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from din.denseimage import (
-    SamplingMode,
     check_features,
     encode,
     gather,
@@ -23,36 +22,27 @@ def segment_bounds(T, n, s):
 
 class TestSampleSegments:
     def test_one_frame_per_unit_segment(self):
-        got = sample_segments(8, 8, SamplingMode.EVAL_CENTER)
+        got = sample_segments(8, 8)
         assert got.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
 
     def test_center_of_two_frame_segments(self):
-        got = sample_segments(16, 8, SamplingMode.EVAL_CENTER)
+        got = sample_segments(16, 8)
         assert got.tolist() == [0, 2, 4, 6, 8, 10, 12, 14]
 
     def test_short_video_repeats_frames(self):
-        got = sample_segments(3, 8, SamplingMode.EVAL_CENTER)
+        got = sample_segments(3, 8)
         assert got.tolist() == [0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_zero_arguments_rejected(self):
         with pytest.raises(ValueError):
-            sample_segments(0, 8, SamplingMode.EVAL_CENTER)
+            sample_segments(0, 8)
         with pytest.raises(ValueError):
-            sample_segments(8, 0, SamplingMode.EVAL_CENTER)
-
-    def test_center_mode_ignores_rng(self):
-        a = sample_segments(37, 8, SamplingMode.EVAL_CENTER, None)
-        b = sample_segments(37, 8, SamplingMode.EVAL_CENTER, make_rng(99))
-        assert np.array_equal(a, b)
-
-    def test_random_mode_requires_rng(self):
-        with pytest.raises(ValueError):
-            sample_segments(8, 4, SamplingMode.TRAIN_RANDOM, None)
+            sample_segments(8, 0)
 
     @given(T=st.integers(1, 64), n=st.integers(1, 64), seed=st.integers(0, 1000))
     @settings(max_examples=200, deadline=None)
     def test_random_indices_stay_inside_their_segments(self, T, n, seed):
-        got = sample_segments(T, n, SamplingMode.TRAIN_RANDOM, make_rng(seed))
+        got = sample_segments(T, n, make_rng(seed))
         assert len(got) == n
         assert (np.diff(got) >= 0).all()
         prev = None
@@ -68,7 +58,7 @@ class TestSampleSegments:
     @given(T=st.integers(1, 64), n=st.integers(1, 64))
     @settings(max_examples=200, deadline=None)
     def test_center_indices_stay_inside_their_segments(self, T, n):
-        got = sample_segments(T, n, SamplingMode.EVAL_CENTER)
+        got = sample_segments(T, n)
         for s, idx in enumerate(got):
             lo, hi = segment_bounds(T, n, s)
             if hi > lo:
@@ -186,16 +176,17 @@ class TestEncode:
 
 
 class TestGather:
-    @pytest.mark.parametrize("mode", list(SamplingMode))
-    def test_float32_video_gathers_like_its_float64_widening(self, mode):
+    @pytest.mark.parametrize("seed", [None, 24], ids=["center", "random"])
+    def test_float32_video_gathers_like_its_float64_widening(self, seed):
         video = (make_rng(23).normal(size=(37, 6)) * 100.0).astype(np.float32)
         video.flags.writeable = False  # as loaded from a feature file
-        rng32, rng64 = make_rng(24), make_rng(24)
-        got = gather(video, 8, mode, rng32)
-        want = gather(video.astype(np.float64), 8, mode, rng64)
+        rng32, rng64 = (None, None) if seed is None else (make_rng(seed), make_rng(seed))
+        got = gather(video, 8, rng32)
+        want = gather(video.astype(np.float64), 8, rng64)
         assert got.dtype == np.float64 and got.shape == (8, 6)
         assert np.array_equal(got, want)
-        assert rng32.bit_generator.state == rng64.bit_generator.state
+        if seed is not None:
+            assert rng32.bit_generator.state == rng64.bit_generator.state
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_nonfinite_value_anywhere_rejected(self, dtype):

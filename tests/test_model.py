@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from din.denseimage import SamplingMode, encode, gather
+from din.denseimage import encode, gather
 from din.model import (
     ModelParams,
     ModelShapeSpec,
@@ -142,10 +142,6 @@ class TestForward:
         assert label == int(np.argmax(fwd.probabilities[0]))
         assert np.array_equal(probs, fwd.probabilities[0])
 
-    def test_train_mode_needs_rng(self, tiny_params):
-        with pytest.raises(ValueError):
-            gather(np.ones((6, 4)), 5, SamplingMode.TRAIN_RANDOM, rng=None)
-
     def test_wrong_feature_dim_rejected(self, tiny_params):
         with pytest.raises(ValueError):
             sample_batch(TINY_SHAPE, [np.ones((6, 4)), np.ones((6, 3))])
@@ -171,7 +167,7 @@ class TestSampleBatch:
         for b, video in enumerate(videos):
             for h in TINY_SHAPE.widths:
                 assert np.array_equal(masks[h][b], sample_dropout_mask(ref, 4, 0.5))
-            want = gather(video, TINY_SHAPE.num_frames, SamplingMode.TRAIN_RANDOM, ref)
+            want = gather(video, TINY_SHAPE.num_frames, ref)
             assert np.array_equal(rows[b], want)
 
     def test_keep_one_draws_no_masks(self):
@@ -179,7 +175,7 @@ class TestSampleBatch:
         rng = make_rng(33)
         _, masks = sample_batch(TINY_SHAPE, videos, rng, 1.0)
         ref = make_rng(33)
-        gather(videos[0], TINY_SHAPE.num_frames, SamplingMode.TRAIN_RANDOM, ref)
+        gather(videos[0], TINY_SHAPE.num_frames, ref)
         assert masks is None
         assert rng.bit_generator.state == ref.bit_generator.state
 

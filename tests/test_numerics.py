@@ -94,6 +94,12 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_from_logits(np.zeros((2, 3)), [0, -1])
 
+    def test_out_of_range_error_names_only_the_first_bad_label(self):
+        labels = [0, 1] * 15 + [2, 1, 3, 0, 2] * 2
+        with pytest.raises(ValueError) as err:
+            cross_entropy_from_logits(np.zeros((40, 2)), labels)
+        assert str(err.value) == "label 2 out of range for 2 classes"
+
     def test_malformed_batches_rejected(self):
         for logits, labels in (
             (np.zeros(3), 0),  # a vector, not a B x C matrix

@@ -5,10 +5,15 @@ from din.analysis import export_responses
 from din.data_io import Sample
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
-from din.selftest import finite_difference_check, kink_free, naive_scale_responses
+from din.selftest import (
+    check_conv_oracle,
+    finite_difference_check,
+    kink_free,
+    naive_scale_responses,
+)
 from din.temporal_conv import (
+    conv_scale_backward,
     conv_scale_forward,
-    multiscale_backward,
     multiscale_forward,
     response_profiles,
     temporal_max_pool,
@@ -126,12 +131,7 @@ class TestMultiscaleForward:
             M = int(rng.integers(1, 5))
             widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
             bank = random_bank(rng, widths, M, k)
-            X = rng.normal(size=(n, k))
-            pooled = multiscale_forward(X[None], bank)
-            for h in widths:
-                want_map = naive_scale_responses(X, *bank[h])
-                assert np.abs(conv_map(X, *bank[h]) - want_map).max() < 1e-12
-                assert np.abs(pooled[h][0][0] - want_map.max(axis=1)).max() < 1e-12
+            check_conv_oracle(rng.normal(size=(n, k)), bank)
 
 
 class TestLocality:
@@ -188,18 +188,24 @@ class TestShiftEquivariance:
                 assert np.array_equal(out[:, i], base[:, i - 1]), f"h={h} col={i}"
 
 
+def backward_all(X, bank, upstream):
+    """width -> conv_scale_backward's (grad_W, grad_b), and grad_X summed
+    over the widths in ascending order, as model.backward_sample runs them."""
+    pooled = multiscale_forward(X, bank)
+    gX = np.zeros_like(X)
+    grads = {h: conv_scale_backward(X, bank[h][0], *pooled[h], upstream[h], gX)
+             for h in sorted(bank)}
+    return grads, gX
+
+
 class TestMultiscaleBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = make_rng(9)
         bank = random_bank(rng, (2, 3), 3, 2)
         X = rng.normal(size=(1, 5, 2))
-        pooled = multiscale_forward(X, bank)
-        gW, gb, gX = multiscale_backward(
-            X, bank, pooled, {2: np.zeros((1, 3)), 3: np.zeros((1, 3))}
-        )
+        grads, gX = backward_all(X, bank, {2: np.zeros((1, 3)), 3: np.zeros((1, 3))})
         assert not gX.any()
-        assert not any(g.any() for g in gW.values())
-        assert not any(g.any() for g in gb.values())
+        assert not any(gW.any() or gb.any() for gW, gb in grads.values())
 
     def test_single_window_routes_bias_gradient_through_gate(self):
         rng = make_rng(10)
@@ -208,21 +214,18 @@ class TestMultiscaleBackward:
         X = rng.normal(size=(1, n, k))
         pooled = multiscale_forward(X, bank)
         upstream = rng.normal(size=M)
-        _, gb, _ = multiscale_backward(X, bank, pooled, {4: upstream[None]})
+        _, gb = conv_scale_backward(X, bank[4][0], *pooled[4], upstream[None], np.zeros_like(X))
         gate = pooled[4][0][0] > 0
-        assert np.array_equal(gb[4], upstream * gate)
+        assert np.array_equal(gb, upstream * gate)
 
     def test_grad_shapes_must_match_cache(self):
         rng = make_rng(11)
         bank = random_bank(rng, (2,), 3, 2)
         X = rng.normal(size=(1, 5, 2))
-        pooled = multiscale_forward(X, bank)
-        with pytest.raises(ValueError):
-            multiscale_backward(X, bank, pooled, {2: np.zeros((1, 4))})
-        with pytest.raises(ValueError):
-            multiscale_backward(X, bank, pooled, {2: np.zeros(3)})
-        with pytest.raises(ValueError):
-            multiscale_backward(X, bank, pooled, {3: np.zeros((1, 3))})
+        values, argmax = multiscale_forward(X, bank)[2]
+        for grad_up in (np.zeros((1, 4)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                conv_scale_backward(X, bank[2][0], values, argmax, grad_up, np.zeros_like(X))
 
     def test_matches_finite_differences_on_kink_free_instances(self):
         rng = make_rng(12)
@@ -237,7 +240,7 @@ class TestMultiscaleBackward:
                 continue
             accepted += 1
             upstream = {h: rng.normal(size=(1, M)) for h in widths}
-            gW, gb, gX = multiscale_backward(X, bank, multiscale_forward(X, bank), upstream)
+            per_width, gX = backward_all(X, bank, upstream)
 
             def objective():
                 pooled = multiscale_forward(X, bank)
@@ -246,7 +249,7 @@ class TestMultiscaleBackward:
             arrays, grads = {"X": X}, {"X": gX}
             for h in widths:
                 arrays[f"W{h}"], arrays[f"b{h}"] = bank[h]
-                grads[f"W{h}"], grads[f"b{h}"] = gW[h], gb[h]
+                grads[f"W{h}"], grads[f"b{h}"] = per_width[h]
             finite_difference_check(objective, arrays, grads, eps, 1e-5)
 
 

@@ -13,7 +13,7 @@ from din.data_io import (
     write_synth_dataset,
 )
 from din.model import clone_params, init_model, sample_loss_and_grads
-from din.denseimage import SamplingMode, sample_segments
+from din.denseimage import sample_segments
 from din.numerics import make_rng, sample_dropout_mask
 from din.trainer import (
     OptimizerState,
@@ -278,8 +278,7 @@ class TestTrainEpoch:
             for sample in batch:
                 for h in TINY_SHAPE.widths if keep < 1.0 else ():
                     masks[h].append(sample_dropout_mask(ref, TINY_SHAPE.num_filters, keep))
-                rows.append(sample_segments(len(sample.features), TINY_SHAPE.num_frames,
-                                            SamplingMode.TRAIN_RANDOM, ref))
+                rows.append(sample_segments(len(sample.features), TINY_SHAPE.num_frames, ref))
             rows = np.stack([s.features[idx] for s, idx in zip(batch, rows)])
             masks = {h: np.stack(m) for h, m in masks.items()} if keep < 1.0 else None
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
