@@ -1,27 +1,25 @@
-"""Per-scale classification heads and score fusion, over a batch.
+"""Per-scale classification heads, over a batch.
 
-Each pooled scale feature gets its own fully connected head; the per-scale
-logits are summed elementwise and softmaxed once. Because the fusion is a
-plain sum, every head sees the identical upstream gradient. A head is a
-(C x M weights, C bias) pair and runs as one GEMM over the B x M pooled
-features of the batch.
+Each pooled scale feature gets its own fully connected head, a (C x M
+weights, C bias) pair that runs as one GEMM over the B x M pooled
+features of the batch. model.forward_sample sums the heads' logits into
+one B x C array and softmaxes it once; because that fusion is a plain
+sum, every head sees the identical upstream gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Array, softmax
+from .numerics import Array
 
 
-def head_forward(c_h: Array, head: tuple[Array, Array], mask: Array | None = None) -> Array:
+def head_forward(c_h: Array, weights: Array, bias: Array, mask: Array | None = None) -> Array:
     """B x C class logits for one scale: (mask * c_h) @ weights^T + bias.
 
     c_h is B x M. The mask holds the B x M training-time inverted-dropout
     scales of the head input; omitting it is evaluation mode.
     """
-    weights, bias = head
-    c_h = np.asarray(c_h, dtype=np.float64)
     if c_h.ndim != 2 or c_h.shape[1] != weights.shape[1]:
         raise ValueError(f"expected B x {weights.shape[1]} pooled features")
     if mask is not None:
@@ -31,20 +29,6 @@ def head_forward(c_h: Array, head: tuple[Array, Array], mask: Array | None = Non
     logits = c_h @ weights.T
     logits += bias
     return logits
-
-
-def fuse_and_score(per_scale_logits: dict[int, Array]) -> tuple[Array, Array]:
-    """Sum per-scale logits elementwise, then softmax each fused row:
-    (B x C fused logits, B x C probabilities)."""
-    if not per_scale_logits:
-        raise ValueError("need at least one scale")
-    shapes = {v.shape for v in per_scale_logits.values()}
-    if len(shapes) != 1:
-        raise ValueError("per-scale logits must all have the same shape")
-    fused = np.zeros(next(iter(shapes)))
-    for h in sorted(per_scale_logits):
-        fused += per_scale_logits[h]
-    return fused, softmax(fused)
 
 
 def predict(probabilities: Array) -> Array:

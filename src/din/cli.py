@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 One JSON configuration file drives the commands that build a dataset or a
-model (synth, train, inspect-params); command-line flags override
-individual fields. The commands that read a checkpoint take the model
-from it. Primary artifacts (datasets, checkpoints, history, exports) are
-byte-deterministic given (config, seed); wall-clock metadata is
-quarantined into a separate run_meta.json that no result depends on.
+model; each takes override flags only for the sections it uses: synth
+the synth section, train the shape and train sections, inspect-params
+the shape section. The commands that read a checkpoint take the model
+from it; a resumed train run keeps the checkpoint's shape and train
+config, except max_epochs. Primary artifacts (datasets, checkpoints,
+history, exports) are byte-deterministic given (config, seed);
+wall-clock metadata is quarantined into a separate run_meta.json that no
+result depends on.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (or diverged
 training), 3 selftest failure.
@@ -17,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import analysis, data_io, selftest, trainer
@@ -98,33 +101,26 @@ def _parse_widths(text: str) -> list[int]:
         raise UsageError(f"bad widths {text!r}: {exc}") from exc
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+# The synth fields whose flag is not --synth-<field>.
+_SYNTH_FLAGS = {"num_prototypes": "prototypes", "feature_dim": "dim", "noise_sigma": "sigma",
+                "sequence_length": "length"}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, sections: tuple[str, ...]) -> None:
+    """--config plus one override flag per field of each config section the
+    command uses; a synth field's flag and dest carry a "synth" prefix."""
     p.add_argument("--config", help="JSON configuration file")
-    g = p.add_argument_group("shape overrides")
-    g.add_argument("--raw-dim", dest="raw_dim", type=int)
-    g.add_argument("--feat-dim", dest="feat_dim", type=int)
-    g.add_argument("--num-frames", dest="num_frames", type=int)
-    g.add_argument("--widths", dest="widths", type=_parse_widths, metavar="H1,H2,...")
-    g.add_argument("--num-filters", dest="num_filters", type=int)
-    g.add_argument("--num-classes", dest="num_classes", type=int)
-    t = p.add_argument_group("training overrides")
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--momentum", dest="momentum", type=float)
-    t.add_argument("--weight-decay", dest="weight_decay", type=float)
-    t.add_argument("--initial-lr", dest="initial_lr", type=float)
-    t.add_argument("--lr-decay-factor", dest="lr_decay_factor", type=float)
-    t.add_argument("--plateau-patience", dest="plateau_patience", type=int)
-    t.add_argument("--max-epochs", dest="max_epochs", type=int)
-    t.add_argument("--dropout-keep", dest="dropout_keep", type=float)
-    t.add_argument("--seed", dest="seed", type=int)
-    s = p.add_argument_group("synthetic-task overrides")
-    s.add_argument("--synth-prototypes", dest="synth_num_prototypes", type=int)
-    s.add_argument("--synth-dim", dest="synth_feature_dim", type=int)
-    s.add_argument("--synth-sigma", dest="synth_noise_sigma", type=float)
-    s.add_argument("--synth-length", dest="synth_sequence_length", type=int)
-    s.add_argument("--synth-samples-per-class", dest="synth_samples_per_class", type=int)
-    s.add_argument("--synth-val-samples-per-class", dest="synth_val_samples_per_class", type=int)
-    s.add_argument("--synth-seed", dest="synth_seed", type=int)
+    for section in sections:
+        group = p.add_argument_group(f"{section} overrides")
+        spec = {"shape": ModelShapeSpec, "train": trainer.TrainConfig,
+                "synth": data_io.SyntheticTaskConfig}[section]
+        for f in fields(spec):
+            flag, dest = f.name, f.name
+            if section == "synth":
+                flag, dest = f"synth_{_SYNTH_FLAGS.get(f.name, f.name)}", f"synth_{f.name}"
+            kind = _parse_widths if f.name == "widths" else float if f.type == "float" else int
+            group.add_argument(f"--{flag.replace('_', '-')}", dest=dest, type=kind,
+                               metavar="H1,H2,..." if kind is _parse_widths else None)
 
 
 def _load_model_for_inference(args):
@@ -165,12 +161,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
+    """A resumed run keeps the checkpoint's shape and train config; only
+    max_epochs may change."""
+    diffs = [
+        f"{section}.{f.name} {getattr(theirs, f.name)!r} -> {getattr(ours, f.name)!r}"
+        for section, ours, theirs in (("shape", cfg.shape, ckpt.model.shape),
+                                      ("train", cfg.train, ckpt.config))
+        for f in fields(ours)
+        if f.name != "max_epochs" and getattr(ours, f.name) != getattr(theirs, f.name)
+    ]
+    if diffs:
+        raise ValueError(f"{path}: cannot resume with a different configuration "
+                         f"(only max_epochs may change): {', '.join(diffs)}")
+
+
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
     if not args.out_dir:
         raise ValueError("--out-dir is required")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest, train_split = _load_samples(args, cfg.shape, "train")
     val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim)
     if not val_split:
@@ -178,10 +187,13 @@ def cmd_train(args) -> int:
     started = time.time()
     state = None
     if args.resume:
-        ckpt = data_io.load_checkpoint(args.resume, expect_shape=cfg.shape)
+        ckpt = data_io.load_checkpoint(args.resume)
+        _check_resume(args.resume, cfg, ckpt)
         params, state = ckpt.model, ckpt.state
     else:
         params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     state = trainer.fit(params, train_split, val_split, cfg.train, state)
     for report in state.history:
         print(
@@ -204,7 +216,7 @@ def cmd_train(args) -> int:
     )
     # Wall-clock data stays out of the deterministic artifacts.
     meta = {"elapsed_seconds": time.time() - started, "finished_unix": time.time()}
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2))
+    data_io.atomic_write_bytes(out_dir / "run_meta.json", json.dumps(meta, indent=2).encode())
     print(f"saved {ckpt_path} (best epoch {state.best_epoch}, "
           f"best val acc {state.best_val_accuracy:.4f})")
     return 0
@@ -298,11 +310,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="din", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help_text, configurable=False):
+    def command(name, fn, help_text, sections=()):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if configurable:
-            _add_config_flags(p)
+        if sections:
+            _add_config_flags(p, sections)
         return p
 
     def checkpoint_command(name, fn, help_text):
@@ -315,11 +327,11 @@ def build_parser() -> _Parser:
         return p
 
     p = command("synth", cmd_synth, "generate the synthetic temporal-order dataset",
-                configurable=True)
+                sections=("synth",))
     p.add_argument("--out-dir", dest="out_dir")
 
     p = command("train", cmd_train, "train a model on a manifest dataset",
-                configurable=True)
+                sections=("shape", "train"))
     p.add_argument("--manifest")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--resume", help="checkpoint to resume from")
@@ -329,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write CSV here instead of stdout")
 
     p = command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting",
-                configurable=True)
+                sections=("shape",))
     p.add_argument("--reference",
                    help="JSON file of external model costs to echo alongside")
 

@@ -426,37 +426,29 @@ def read_checkpoint_tensors(path: str | Path) -> tuple[dict, dict[str, Array]]:
 
 
 def load_checkpoint(
-    path: str | Path,
-    expect_shape: ModelShapeSpec | None = None,
-    groups: Collection[str] | None = None,
+    path: str | Path, groups: Collection[str] | None = None
 ) -> CheckpointData:
     """Restore a checkpoint, reading only the tensor groups in `groups`
     (all of them when it is None). Every tensor's name and dims, read or
-    not, is validated against the embedded shape spec, and optionally
-    against the caller's expected spec."""
+    not, is validated against the embedded shape spec. Meta numbers are
+    type-checked, not coerced, and kept as they were read."""
     meta, dims, tensors = _read_checkpoint(path, groups)
     try:
         shape = ModelShapeSpec.from_dict(meta["shape"])
         config = TrainConfig.from_dict(meta["config"])
         opt_meta = meta["optimizer"]
-        scalars = (
-            float(opt_meta["current_lr"]),
-            float(opt_meta["best_val_error"]),
-            int(opt_meta["epochs_since_improvement"]),
-            int(opt_meta["epochs_completed"]),
-        )
+        scalars = {f.name: opt_meta[f.name]
+                   for f in fields(OptimizerState) if f.name != "velocity"}
+        best_epoch, best_val_accuracy = meta["best_epoch"], meta["best_val_accuracy"]
+        for name, value in [*scalars.items(), ("best_epoch", best_epoch),
+                            ("best_val_accuracy", best_val_accuracy)]:
+            require_number(name, value, integral="epoch" in name)
         history = [EpochReport.from_dict(r) for r in meta["history"]]
-        best_epoch = int(meta["best_epoch"])
-        best_val_accuracy = float(meta["best_val_accuracy"])
         has_best = meta["has_best"]
         if not isinstance(has_best, bool):
             raise ValueError(f"has_best must be a bool, got {has_best!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid meta block: {exc}") from exc
-    if expect_shape is not None and shape != expect_shape:
-        raise FormatError(
-            f"{path}: checkpoint shape {shape} does not match expected {expect_shape}"
-        )
     present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}}
     if has_best:
         present["best"] = {}
@@ -476,7 +468,7 @@ def load_checkpoint(
             raise FormatError(f"{path}: {prefix}/{exc}") from exc
     velocity = loaded["velocity"].tensors if "velocity" in loaded else None
     state = TrainState(
-        OptimizerState(velocity, *scalars),
+        OptimizerState(velocity, **scalars),
         history,
         loaded.get("best"),
         best_epoch,

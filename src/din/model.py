@@ -30,6 +30,7 @@ from .numerics import (
     glorot_uniform,
     require_number,
     sample_dropout_mask,
+    softmax,
 )
 
 
@@ -131,11 +132,6 @@ class ModelParams:
         """width -> (M x h*k filters, M biases)."""
         return {h: self._pair(f"conv/h{h}") for h in self.shape.widths}
 
-    @property
-    def heads(self) -> dict[int, tuple[Array, Array]]:
-        """width -> (C x M weights, C bias)."""
-        return {h: self._pair(f"head/h{h}") for h in self.shape.widths}
-
 
 def init_model(shape: ModelShapeSpec, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights, zero biases, drawn in table order."""
@@ -205,14 +201,16 @@ class BatchForward:
 def forward_sample(
     params: ModelParams, rows: Array, masks: dict[int, Array] | None = None
 ) -> BatchForward:
-    """Run a B x n x D batch of sampled rows through the whole model."""
+    """Run a B x n x D batch of sampled rows through the whole model. One walk
+    over the widths, ascending, sums the heads' logits into one B x C array."""
+    tensors = params.tensors
     dense = di.encode(rows, params.reduction)
     pooled = tc.multiscale_forward(dense, params.bank)
-    per_scale = {
-        h: clf.head_forward(pooled[h][0], head, masks[h] if masks else None)
-        for h, head in params.heads.items()
-    }
-    return BatchForward(rows, dense, pooled, masks, *clf.fuse_and_score(per_scale))
+    logits = np.zeros((len(rows), params.shape.num_classes))
+    for h in params.shape.widths:
+        weights, bias = tensors[f"head/h{h}/weights"], tensors[f"head/h{h}/bias"]
+        logits += clf.head_forward(pooled[h][0], weights, bias, masks[h] if masks else None)
+    return BatchForward(rows, dense, pooled, masks, logits, softmax(logits))
 
 
 def backward_sample(

@@ -104,8 +104,10 @@ class EpochReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpochReport":
-        return cls(int(d["epoch"]), float(d["train_loss"]), float(d["val_loss"]),
-                   float(d["val_accuracy"]), float(d["current_lr"]))
+        """Each field as read; `epoch` must be an integer, the rest numbers."""
+        for f in fields(cls):
+            require_number(f.name, d[f.name], integral=f.type == "int")
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from din.classifier import (
-    fuse_and_score,
-    head_backward,
-    head_forward,
-    predict,
-)
+from din.classifier import head_backward, head_forward, predict
+from din.model import ModelShapeSpec, forward_sample, init_model
 from din.numerics import make_rng, sample_dropout_mask, softmax
 from din.selftest import finite_difference_check
+
+from conftest import TINY_SHAPE
 
 
 def random_heads(rng, widths, M, C):
@@ -20,100 +18,112 @@ def row(values):
     return np.array(values, dtype=float)[None]
 
 
+def bias_forward(per_scale, batch=1):
+    """forward_sample over `batch` videos on a tiny model whose head weights
+    are zero and whose head/h{h}/bias is per_scale[h], so each width's
+    head logits are exactly that row."""
+    widths = tuple(per_scale)
+    shape = ModelShapeSpec(raw_dim=2, feat_dim=2, num_frames=max(widths), widths=widths,
+                           num_filters=2, num_classes=len(per_scale[widths[0]]))
+    params = init_model(shape, make_rng(0))
+    for h, bias in per_scale.items():
+        params.tensors[f"head/h{h}/weights"][:] = 0.0
+        params.tensors[f"head/h{h}/bias"][:] = bias
+    rows = make_rng(1).normal(size=(batch, shape.num_frames, shape.raw_dim))
+    return forward_sample(params, rows)
+
+
 class TestHeadForward:
     def test_zero_weights_give_bias(self):
-        head = (np.zeros((3, 4)), np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(head_forward(np.ones((2, 4)), head), [[1.0, 2.0, 3.0]] * 2)
+        bias = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(head_forward(np.ones((2, 4)), np.zeros((3, 4)), bias),
+                              [[1.0, 2.0, 3.0]] * 2)
 
     def test_hand_dot_product(self):
-        head = (np.array([[1.0, -1.0]]), np.zeros(1))
-        assert np.array_equal(head_forward(np.array([[3.0, 1.0], [1.0, 3.0]]), head),
-                              [[2.0], [-2.0]])
+        got = head_forward(np.array([[3.0, 1.0], [1.0, 3.0]]), np.array([[1.0, -1.0]]),
+                           np.zeros(1))
+        assert np.array_equal(got, [[2.0], [-2.0]])
 
     def test_keep_one_mask_is_identity(self):
         rng = make_rng(1)
-        head = (rng.normal(size=(3, 5)), rng.normal(size=3))
+        weights, bias = rng.normal(size=(3, 5)), rng.normal(size=3)
         c = rng.normal(size=(1, 5))
         mask = sample_dropout_mask(rng, 5, 1.0)[None]
-        assert np.array_equal(head_forward(c, head, mask), head_forward(c, head))
+        assert np.array_equal(head_forward(c, weights, bias, mask),
+                              head_forward(c, weights, bias))
 
     def test_dimension_mismatch_rejected(self):
-        head = (np.zeros((2, 3)), np.zeros(2))
+        weights, bias = np.zeros((2, 3)), np.zeros(2)
         with pytest.raises(ValueError):
-            head_forward(np.zeros((1, 4)), head)
+            head_forward(np.zeros((1, 4)), weights, bias)
         with pytest.raises(ValueError):
-            head_forward(np.zeros(3), head)
+            head_forward(np.zeros(3), weights, bias)
         with pytest.raises(ValueError):
-            head_forward(np.zeros((1, 3)), head, np.ones((1, 4)))
+            head_forward(np.zeros((1, 3)), weights, bias, np.ones((1, 4)))
 
 
 class TestFuseAndScore:
+    """forward_sample sums the per-width head logits and softmaxes once."""
+
     def test_single_scale_uniform(self):
-        _, probabilities = fuse_and_score({2: np.zeros((1, 2))})
-        assert np.allclose(probabilities, [[0.5, 0.5]], atol=1e-15)
+        fwd = bias_forward({2: [0.0, 0.0]})
+        assert np.allclose(fwd.probabilities, [[0.5, 0.5]], atol=1e-15)
 
     def test_symmetric_cancellation(self):
-        logits, probabilities = fuse_and_score({2: row([1.0, 0.0]), 3: row([0.0, 1.0])})
-        assert np.array_equal(logits, [[1.0, 1.0]])
-        assert np.allclose(probabilities, [[0.5, 0.5]], atol=1e-15)
+        fwd = bias_forward({2: [1.0, 0.0], 3: [0.0, 1.0]})
+        assert np.array_equal(fwd.logits, [[1.0, 1.0]])
+        assert np.allclose(fwd.probabilities, [[0.5, 0.5]], atol=1e-15)
 
     def test_27_class_output(self):
         rng = make_rng(2)
-        _, probabilities = fuse_and_score({h: rng.normal(size=(4, 27)) for h in (2, 3, 4, 5, 6)})
-        assert probabilities.shape == (4, 27)
-        assert np.abs(probabilities.sum(axis=1) - 1.0).max() < 1e-9
+        fwd = bias_forward({h: rng.normal(size=27) for h in (2, 3, 4, 5, 6)}, batch=4)
+        assert fwd.probabilities.shape == (4, 27)
+        assert np.abs(fwd.probabilities.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_fused_equals_sum(self):
         rng = make_rng(3)
-        per_scale = {h: rng.normal(size=(3, 4)) for h in (2, 3)}
-        logits, _ = fuse_and_score(per_scale)
-        assert np.array_equal(logits, per_scale[2] + per_scale[3])
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_and_score({2: np.zeros((1, 3)), 3: np.zeros((1, 4))})
-        with pytest.raises(ValueError):
-            fuse_and_score({})
+        per_scale = {h: rng.normal(size=4) for h in (2, 3)}
+        fwd = bias_forward(per_scale, batch=3)
+        assert np.array_equal(fwd.logits, [per_scale[2] + per_scale[3]] * 3)
 
 
 class TestPredict:
     def test_argmax(self):
         probs = np.array([[0.1, 0.7, 0.2], [0.5, 0.2, 0.3]])
-        _, probabilities = fuse_and_score({2: np.log(probs)})
-        assert np.array_equal(predict(probabilities), [1, 0])
+        assert np.array_equal(predict(softmax(np.log(probs))), [1, 0])
 
     def test_uniform_ties_to_zero(self):
-        assert np.array_equal(predict(fuse_and_score({2: np.zeros((2, 4))})[1]), [0, 0])
+        assert np.array_equal(predict(softmax(np.zeros((2, 4)))), [0, 0])
 
     def test_matches_fused_logits_argmax(self):
         rng = make_rng(4)
         for _ in range(20):
-            logits, probabilities = fuse_and_score(
-                {2: rng.normal(size=(1, 6)), 4: rng.normal(size=(1, 6))}
-            )
-            assert predict(probabilities)[0] == int(np.argmax(logits[0]))
+            fwd = bias_forward({2: rng.normal(size=6), 4: rng.normal(size=6)})
+            assert predict(fwd.probabilities)[0] == int(np.argmax(fwd.logits[0]))
 
     def test_invariant_to_constant_shift(self):
         rng = make_rng(5)
         for _ in range(20):
             logits = rng.normal(size=(1, 5))
             shift = float(rng.normal()) * 50.0
-            assert predict(fuse_and_score({2: logits})[1]) == predict(
-                fuse_and_score({2: logits + shift})[1]
-            )
+            assert predict(softmax(logits)) == predict(softmax(logits + shift))
 
 
 class TestScaleAdditivity:
-    def test_block_concatenated_head_equivalence(self):
+    def test_block_concatenated_head_equivalence(self, tiny_params):
         rng = make_rng(6)
-        widths, M, C = (2, 3, 5), 4, 3
-        heads = random_heads(rng, widths, M, C)
-        c = {h: rng.normal(size=(1, M)) for h in widths}
-        fused, _ = fuse_and_score({h: head_forward(c[h], heads[h]) for h in widths})
-        big_w = np.hstack([heads[h][0] for h in widths])
-        big_b = sum(heads[h][1] for h in widths)
-        big_c = np.concatenate([c[h][0] for h in widths])
-        assert np.abs(fused[0] - (big_w @ big_c + big_b)).max() < 1e-12
+        widths = TINY_SHAPE.widths
+        for name, arr in tiny_params.tensors.items():
+            if name.startswith("head/"):
+                arr[:] = rng.normal(size=arr.shape)
+        fwd = forward_sample(
+            tiny_params, rng.normal(size=(1, TINY_SHAPE.num_frames, TINY_SHAPE.raw_dim))
+        )
+        tensors = tiny_params.tensors
+        big_w = np.hstack([tensors[f"head/h{h}/weights"] for h in widths])
+        big_b = sum(tensors[f"head/h{h}/bias"] for h in widths)
+        big_c = np.concatenate([fwd.pooled[h][0][0] for h in widths])
+        assert np.abs(fwd.logits[0] - (big_w @ big_c + big_b)).max() < 1e-12
 
 
 class TestClassifierBackward:
@@ -152,8 +162,8 @@ class TestClassifierBackward:
         probe = rng.normal(size=(B, C))
 
         def objective():
-            logits = {h: head_forward(c[h], heads[h], masks[h]) for h in widths}
-            return float((probe * fuse_and_score(logits)[0]).sum())
+            fused = sum(head_forward(c[h], *heads[h], masks[h]) for h in widths)
+            return float((probe * fused).sum())
 
         arrays, want = {}, {}
         for h in widths:
@@ -177,5 +187,5 @@ class TestClassifierBackward:
 class TestClassScores:
     def test_probabilities_consistent_with_softmax(self):
         rng = make_rng(11)
-        logits, probabilities = fuse_and_score({2: rng.normal(size=(3, 9))})
-        assert np.array_equal(probabilities, softmax(logits))
+        fwd = bias_forward({2: rng.normal(size=9)}, batch=3)
+        assert np.array_equal(fwd.probabilities, softmax(fwd.logits))

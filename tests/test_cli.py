@@ -58,6 +58,20 @@ def synth_and_train(tmp_path, capsys, extra_train_args=()):
     return cfg, data_dir, run_dir
 
 
+def four_epochs_two_ways(tmp_path, cfg):
+    """(dir of an uninterrupted 4-epoch train, dir of a 2-epoch train
+    resumed to 4), both from a fresh synth dataset."""
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+    train = ["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json")]
+    dir_4, dir_2, dir_resumed = tmp_path / "four", tmp_path / "two", tmp_path / "resumed"
+    assert main([*train, "--out-dir", str(dir_4), "--max-epochs", "4"]) == 0
+    assert main([*train, "--out-dir", str(dir_2)]) == 0
+    assert main([*train, "--out-dir", str(dir_resumed), "--max-epochs", "4",
+                 "--resume", str(dir_2 / "checkpoint.ckpt")]) == 0
+    return dir_4, dir_resumed
+
+
 def run_din(*argv, **env_overrides):
     """`python -m din.cli ARGV` in a child process, with this checkout's din."""
     src = str(Path(din.__file__).resolve().parents[1])
@@ -155,28 +169,53 @@ class TestTrain:
         assert history["reports"] == []
 
     def test_resume_matches_uninterrupted(self, tmp_path, capsys):
-        cfg = base_config(tmp_path)
-        data_dir = tmp_path / "data"
-        main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)])
-        manifest = str(data_dir / "manifest.json")
+        dir_4, dir_resumed = four_epochs_two_ways(tmp_path, base_config(tmp_path))
+        for name in ("history.json", "checkpoint.ckpt"):
+            assert (dir_4 / name).read_bytes() == (dir_resumed / name).read_bytes()
 
-        dir_4 = tmp_path / "four"
-        main(["train", "--config", str(cfg), "--manifest", manifest,
-              "--out-dir", str(dir_4), "--max-epochs", "4"])
-        dir_2 = tmp_path / "two"
-        main(["train", "--config", str(cfg), "--manifest", manifest,
-              "--out-dir", str(dir_2)])
-        dir_resumed = tmp_path / "resumed"
-        rc = main(["train", "--config", str(cfg), "--manifest", manifest,
-                   "--out-dir", str(dir_resumed), "--max-epochs", "4",
-                   "--resume", str(dir_2 / "checkpoint.ckpt")])
-        assert rc == 0
-        assert (dir_4 / "history.json").read_bytes() == (
-            dir_resumed / "history.json"
-        ).read_bytes()
-        assert (dir_4 / "checkpoint.ckpt").read_bytes() == (
-            dir_resumed / "checkpoint.ckpt"
-        ).read_bytes()
+    def test_resume_keeps_integer_floats_as_read(self, tmp_path, capsys):
+        # JSON integers in float fields stay integers through the checkpoint.
+        cfg = base_config(tmp_path, initial_lr=1, momentum=0)
+        dir_4, dir_resumed = four_epochs_two_ways(tmp_path, cfg)
+        for name in ("history.json", "checkpoint.ckpt"):
+            assert (dir_4 / name).read_bytes() == (dir_resumed / name).read_bytes()
+        reports = json.loads((dir_resumed / "history.json").read_text())["reports"]
+        assert [type(r["current_lr"]) for r in reports] == [int] * 4
+
+    @pytest.mark.parametrize("flags, diffs", [
+        (["--num-filters", "5"], "shape.num_filters 4 -> 5"),
+        (["--seed", "6", "--batch-size", "3"], "train.batch_size 8 -> 3, train.seed 5 -> 6"),
+    ], ids=["shape", "train"])
+    def test_resume_with_another_config_is_validation_error(
+        self, tmp_path, capsys, flags, diffs
+    ):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        ckpt = run_dir / "checkpoint.ckpt"
+        before = ckpt.read_bytes()
+        out_dir = tmp_path / "resumed"
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir), "--max-epochs", "4", "--resume", str(ckpt),
+                   *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {ckpt}: cannot resume with a different configuration "
+                                f"(only max_epochs may change): {diffs}\n")
+        assert not out_dir.exists() and ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("broken", ["missing-manifest", "class-count"])
+    def test_failed_train_leaves_no_out_dir(self, tmp_path, capsys, broken):
+        cfg, data_dir, _ = synth_and_train(tmp_path, capsys)
+        manifest = data_dir / "manifest.json"
+        if broken == "missing-manifest":
+            manifest.unlink()
+        else:
+            add_third_class(data_dir)
+        out_dir = tmp_path / "failed" / "run"
+        rc = main(["train", "--config", str(cfg), "--manifest", str(manifest),
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not (tmp_path / "failed").exists()
 
     def test_class_count_mismatch_is_validation_error(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
@@ -488,6 +527,11 @@ class TestUsageAndConfig:
         ["export-features", "--synth-seed", "1", "--checkpoint", "c.ckpt"],
         ["export-responses", "--raw-dim", "3", "--width", "2"],
         ["selftest", "--config", "x.json"],
+        ["synth", "--max-epochs", "3"],
+        ["synth", "--num-filters", "9"],
+        ["train", "--synth-seed", "1", "--manifest", "m.json", "--out-dir", "r"],
+        ["inspect-params", "--momentum", "0.1"],
+        ["inspect-params", "--synth-dim", "3"],
     ])
     def test_config_flags_only_where_they_apply(self, argv, capsys):
         assert main(argv) == 1

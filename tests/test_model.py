@@ -74,11 +74,10 @@ class TestParams:
         weights, bias = tiny_params.reduction
         assert weights is tiny_params.tensors["reduction/weights"]
         assert bias is tiny_params.tensors["reduction/bias"]
-        for view, layer in ((tiny_params.bank, "conv"), (tiny_params.heads, "head")):
-            assert list(view) == list(TINY_SHAPE.widths)
-            for h, (w, b) in view.items():
-                assert w is tiny_params.tensors[f"{layer}/h{h}/weights"]
-                assert b is tiny_params.tensors[f"{layer}/h{h}/bias"]
+        assert list(tiny_params.bank) == list(TINY_SHAPE.widths)
+        for h, (w, b) in tiny_params.bank.items():
+            assert w is tiny_params.tensors[f"conv/h{h}/weights"]
+            assert b is tiny_params.tensors[f"conv/h{h}/bias"]
 
     def test_clone_is_independent(self, tiny_params):
         copy = clone_params(tiny_params)

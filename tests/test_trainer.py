@@ -293,9 +293,9 @@ class TestEvaluate:
     def test_zero_heads_give_chance_accuracy_and_log_c_loss(self):
         splits = tiny_dataset(num_per_class=10)
         params = init_model(TINY_SHAPE, make_rng(7))
-        for weights, bias in params.heads.values():
-            weights[:] = 0.0
-            bias[:] = 0.0
+        for name, arr in params.tensors.items():
+            if name.startswith("head/"):
+                arr[:] = 0.0
         # 3-class model on 2-class balanced data predicting class 0 always.
         loss, acc = evaluate(params, splits["val"])
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
