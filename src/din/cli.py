@@ -17,6 +17,7 @@ training), 3 selftest failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -193,8 +194,15 @@ def cmd_train(args) -> int:
     else:
         params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
     out_dir = Path(args.out_dir)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = trainer.fit(params, train_split, val_split, cfg.train, state)
+    try:
+        state = trainer.fit(params, train_split, val_split, cfg.train, state)
+    except BaseException:
+        for d in created:  # deepest first; rmdir leaves one that is not empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     for report in state.history:
         print(
             f"epoch {report.epoch}: train_loss={report.train_loss:.6f} "

@@ -17,7 +17,7 @@ go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .numerics import (
     glorot_uniform,
     require_number,
     sample_dropout_mask,
+    scratch_view,
     softmax,
 )
 
@@ -213,31 +214,58 @@ def forward_sample(
     return BatchForward(rows, dense, pooled, masks, logits, softmax(logits))
 
 
+def backward_scratch(shape: ModelShapeSpec, batch_size: int) -> dict[str, Array]:
+    """Flat float64 buffers for backward_sample, one per role, each sized for
+    the largest width at `batch_size` videos. Every width, and every batch
+    of up to that many videos, reuses them through views of their leading
+    elements."""
+    n, k, M = shape.num_frames, shape.feat_dim, shape.num_filters
+    sizes = {
+        "grad_W": M * max(shape.widths) * k,
+        "grad_map": batch_size * (n - min(shape.widths) + 1) * M,
+        "grad_windows": batch_size * max((n - h + 1) * h for h in shape.widths) * k,
+        "grad_X": batch_size * n * k,
+        "grad_reduction": shape.raw_dim * k,
+    }
+    return {role: np.empty(size) for role, size in sizes.items()}
+
+
 def backward_sample(
-    params: ModelParams, fwd: BatchForward, grad_fused: Array
-) -> dict[str, Array]:
+    params: ModelParams, fwd: BatchForward, grad_fused: Array,
+    scratch: dict[str, Array] | None = None,
+) -> Iterator[tuple[str, Array]]:
     """Gradients of a scalar loss wrt every named parameter, summed over the
     batch, given the B x C loss gradient on the fused logits. One walk over
     the widths, ascending, hands each head's gradient to its conv, and the
-    convs sum their DenseImage gradients into one grad_X in that order."""
+    convs sum their DenseImage gradients into one grad_X in that order.
+
+    Yields (name, gradient) pairs as they are computed: per width its conv
+    weights and bias, then its head's, and the reduction's last. No
+    parameter is read after its gradient is yielded, so a consumer may
+    update it in place before it asks for the next pair. Without `scratch`
+    every gradient is a fresh array. With the buffers of backward_scratch
+    the conv filter and reduction weight gradients are views into them that
+    later pairs overwrite: use each pair before asking for the next.
+    """
     tensors = params.tensors
-    grads: dict[str, Array] = {}
-    grad_X = np.zeros_like(fwd.dense)
+    grad_X = scratch_view(scratch, "grad_X", fwd.dense.shape)
+    grad_X.fill(0.0)
     for h in params.shape.widths:
         values, argmax = fwd.pooled[h]
         mask = fwd.masks[h] if fwd.masks else None
         *head_grads, grad_c = clf.head_backward(
             values, tensors[f"head/h{h}/weights"], mask, grad_fused
         )
-        grads[f"conv/h{h}/weights"], grads[f"conv/h{h}/bias"] = tc.conv_scale_backward(
-            fwd.dense, tensors[f"conv/h{h}/weights"], values, argmax, grad_c, grad_X
+        conv_grads = tc.conv_scale_backward(
+            fwd.dense, tensors[f"conv/h{h}/weights"], values, argmax, grad_c, grad_X, scratch
         )
-        grads[f"head/h{h}/weights"], grads[f"head/h{h}/bias"] = head_grads
+        yield from zip((f"conv/h{h}/weights", f"conv/h{h}/bias"), conv_grads)
+        yield from zip((f"head/h{h}/weights", f"head/h{h}/bias"), head_grads)
     B, n, D = fwd.rows.shape
     grad_X = grad_X.reshape(B * n, -1)
-    grads["reduction/weights"] = fwd.rows.reshape(B * n, D).T @ grad_X
-    grads["reduction/bias"] = grad_X.sum(axis=0)
-    return grads
+    grad_reduction = scratch_view(scratch, "grad_reduction", (D, grad_X.shape[1]))
+    yield "reduction/weights", np.matmul(fwd.rows.reshape(B * n, D).T, grad_X, out=grad_reduction)
+    yield "reduction/bias", grad_X.sum(axis=0)
 
 
 def sample_loss_and_grads(
@@ -247,7 +275,7 @@ def sample_loss_and_grads(
     summed over its B samples."""
     fwd = forward_sample(params, rows, masks)
     losses, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
-    return float(losses.sum()), backward_sample(params, fwd, grad_fused)
+    return float(losses.sum()), dict(backward_sample(params, fwd, grad_fused))
 
 
 def predict_sample(params: ModelParams, features: Array) -> tuple[int, Array]:

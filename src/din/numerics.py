@@ -8,6 +8,7 @@ is no module-level RNG state.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -19,6 +20,14 @@ def require_number(name: str, value, integral: bool) -> None:
     """Reject a config value that is not an integer (integral=True) or a number; bools are neither."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
         raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+
+
+def scratch_view(scratch: dict[str, Array] | None, role: str, shape: tuple[int, ...]) -> Array:
+    """A C-contiguous float64 array of `shape`: the leading elements of the
+    flat buffer scratch[role], or a fresh array when there is no scratch."""
+    if scratch is None:
+        return np.empty(shape)
+    return scratch[role][: math.prod(shape)].reshape(shape)
 
 
 def make_rng(seed: int, *keys: int) -> np.random.Generator:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Array
+from .numerics import Array, scratch_view
 
 
 def _offset_rows(X: Array, a: int, num_windows: int) -> Array:
@@ -58,10 +58,21 @@ def conv_scale_forward(X: Array, W_h: Array, b_h: Array) -> Array:
 
 def temporal_max_pool(fmap: Array) -> tuple[Array, Array]:
     """Per-channel maximum of a B x W x M map over window positions, as
-    (B x M values, B x M argmax windows); ties go to the smallest index."""
-    if fmap.shape[1] < 1:
+    (B x M values, B x M argmax windows); ties go to the smallest index.
+
+    The argmax is the first window equal to the maximum, found by stepping
+    from the last window down: W contiguous comparisons are cheaper than
+    `argmax` along the strided window axis, and give the same windows for
+    any map without NaNs.
+    """
+    num_windows = fmap.shape[1]
+    if num_windows < 1:
         raise ValueError("feature map must have at least one window")
-    return fmap.max(axis=1), fmap.argmax(axis=1)
+    values = fmap.max(axis=1)
+    argmax = np.full(values.shape, num_windows - 1, dtype=np.intp)
+    for w in range(num_windows - 2, -1, -1):
+        np.copyto(argmax, w, where=fmap[:, w] == values)
+    return values, argmax
 
 
 def multiscale_forward(
@@ -74,7 +85,8 @@ def multiscale_forward(
 
 
 def conv_scale_backward(
-    X: Array, W_h: Array, values: Array, argmax: Array, grad_up: Array, grad_X: Array
+    X: Array, W_h: Array, values: Array, argmax: Array, grad_up: Array, grad_X: Array,
+    scratch: dict[str, Array] | None = None,
 ) -> tuple[Array, Array]:
     """Gradients of one width's pooled features wrt its filters and biases,
     summed over the batch, given the B x n x k DenseImages X and the B x M
@@ -85,6 +97,12 @@ def conv_scale_backward(
     window alone, passes the rectifier gate (zero where the pooled value
     hit the rectifier floor), and fans out to the filter row, its bias,
     and the h DenseImage rows under that window.
+
+    Without `scratch` the filter gradient is a fresh array. With one (see
+    model.backward_scratch) the routed map, the window gradients and the
+    returned filter gradient live in the leading elements of its
+    "grad_map", "grad_windows" and "grad_W" buffers, which the next call
+    overwrites.
     """
     B, n, k = X.shape
     M = values.shape[1]
@@ -93,14 +111,17 @@ def conv_scale_backward(
     if grad_up.shape != (B, M):
         raise ValueError(f"grad_up must have shape {(B, M)}")
     routed = grad_up * (values > 0.0)
-    grad_map = np.zeros((B, num_windows, M))
+    grad_map = scratch_view(scratch, "grad_map", (B, num_windows, M))
+    grad_map.fill(0.0)
     grad_map[np.arange(B)[:, None], argmax, np.arange(M)] = routed
     grad_map = grad_map.reshape(B * num_windows, M)
-    grad_W = np.empty((M, h * k))
+    grad_W = scratch_view(scratch, "grad_W", (M, h * k))
     for a in range(h):
         np.matmul(grad_map.T, _offset_rows(X, a, num_windows), out=grad_W[:, a * k : (a + 1) * k])
     # Back through the windows: offset a of window i is row i+a.
-    grad_windows = (grad_map @ W_h).reshape(B, num_windows, h, k)
+    grad_windows = scratch_view(scratch, "grad_windows", (B * num_windows, h * k))
+    np.matmul(grad_map, W_h, out=grad_windows)
+    grad_windows = grad_windows.reshape(B, num_windows, h, k)
     for a in range(h):
         grad_X[:, a : a + num_windows] += grad_windows[:, :, a]
     return grad_W, routed.sum(axis=0)

@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .classifier import predict
 from .model import (
     ModelParams,
+    backward_sample,
+    backward_scratch,
     clone_params,
     eval_batches,
     forward_sample,
     sample_batch,
-    sample_loss_and_grads,
 )
 from .numerics import Array, cross_entropy_from_logits, glorot_uniform, make_rng, require_number
 
@@ -125,38 +126,58 @@ class TrainState:
         return cls(OptimizerState.init(params, config), [], clone_params(params))
 
 
+# Elements per optimizer block: a block's parameter, velocity, gradient and
+# scratch slices (1 MB together) stay in a core's L2 cache.
+OPT_BLOCK = 32768
+
+
 def sgd_momentum_step(
     named: dict[str, Array],
-    grads: dict[str, Array],
+    grads: Mapping[str, Array] | Iterable[tuple[str, Array]],
     state: OptimizerState,
     config: TrainConfig,
 ) -> None:
     """One in-place update of every array in `named`:
     v <- momentum*v + (grad + wd*param); param -= lr*v.
 
+    `grads` is a name -> gradient mapping or a stream of (name, gradient)
+    pairs, such as model.backward_sample yields. Each tensor is updated as
+    its pair arrives, so the stream may reuse a gradient buffer for the
+    next pair; every name of `named` must arrive once, with its shape.
+
     Weight decay enters as an additive L2 gradient term and never touches
-    tensors whose name ends in "/bias". The terms go through one scratch
-    buffer shared by all tensors, in the formula's order of operations, so
-    the result is bit-identical to evaluating it with temporaries.
+    tensors whose name ends in "/bias". Each tensor is updated in blocks of
+    whole rows, about OPT_BLOCK elements each, whose terms go through one
+    scratch buffer in the formula's order of operations, so the result is
+    bit-identical to evaluating it over whole tensors with temporaries.
     """
-    if set(grads) != set(named):
-        raise ValueError("gradient names do not match the parameters")
-    scratch = np.empty(max((param.size for param in named.values()), default=0))
-    for name, param in named.items():
-        grad = grads[name]
+    scratch = np.empty(OPT_BLOCK)
+    done: set[str] = set()
+    for name, grad in grads.items() if isinstance(grads, Mapping) else grads:
+        if name not in named or name in done:
+            raise ValueError("gradient names do not match the parameters")
+        done.add(name)
+        param, vel = named[name], state.velocity[name]
         if grad.shape != param.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        term = scratch[: param.size].reshape(param.shape)
-        vel = state.velocity[name]
-        vel *= config.momentum
-        if config.weight_decay and not name.endswith("/bias"):
-            np.multiply(config.weight_decay, param, out=term)
-            term += grad
-            vel += term
-        else:
-            vel += grad
-        np.multiply(state.current_lr, vel, out=term)
-        param -= term
+        decay = 0.0 if name.endswith("/bias") else config.weight_decay
+        rows = max(1, OPT_BLOCK // math.prod(param.shape[1:]))
+        for lo in range(0, len(param), rows):
+            p, v, g = param[lo : lo + rows], vel[lo : lo + rows], grad[lo : lo + rows]
+            if scratch.size < p.size:
+                scratch = np.empty(p.size)
+            term = scratch[: p.size].reshape(p.shape)
+            v *= config.momentum
+            if decay:
+                np.multiply(decay, p, out=term)
+                term += g
+                v += term
+            else:
+                v += g
+            np.multiply(state.current_lr, v, out=term)
+            p -= term
+    if len(done) != len(named):
+        raise ValueError("gradient names do not match the parameters")
 
 
 def plateau_update(state: OptimizerState, val_error: float, config: TrainConfig) -> None:
@@ -193,21 +214,31 @@ def train_epoch(
 ) -> float:
     """One pass over the split in a fresh shuffled order; one batched
     forward/backward and one momentum step per mini-batch with the
-    batch-mean gradient. Returns the mean loss."""
+    batch-mean gradient, applied tensor by tensor as backward yields it,
+    so no whole gradient set is ever held. Returns the mean loss."""
     if len(samples) == 0:
         raise ValueError("training split is empty")
     order = rng.permutation(len(samples))
+    scratch = backward_scratch(params.shape, min(config.batch_size, len(samples)))
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         batch = [samples[i] for i in order[start : start + config.batch_size]]
         rows, masks = sample_batch(
             params.shape, [s.features for s in batch], rng, config.dropout_keep
         )
-        loss, grads = sample_loss_and_grads(params, rows, _labels(batch), masks)
-        total_loss += loss
-        for g in grads.values():  # fresh arrays: scale to the batch mean in place
-            g *= 1.0 / len(batch)
-        sgd_momentum_step(params.tensors, grads, state, config)
+        fwd = forward_sample(params, rows, masks)
+        losses, grad_fused = cross_entropy_from_logits(fwd.logits, _labels(batch))
+        total_loss += float(losses.sum())
+        scale = 1.0 / len(batch)
+        # Each gradient is scaled to the batch mean and applied before
+        # backward computes the next one into the same scratch.
+        pairs = backward_sample(params, fwd, grad_fused, scratch)
+        sgd_momentum_step(
+            params.tensors,
+            ((name, np.multiply(g, scale, out=g)) for name, g in pairs),
+            state,
+            config,
+        )
     return total_loss / len(samples)
 
 
@@ -260,7 +291,11 @@ def fit(
         except ArithmeticError as exc:
             raise ArithmeticError(f"training diverged in epoch {epoch}: {exc}") from exc
         if val_accuracy > state.best_val_accuracy:
-            state.best_params = clone_params(params)
+            if state.best_params is None:
+                state.best_params = clone_params(params)
+            else:  # in place: two snapshots never coexist
+                for name, arr in state.best_params.tensors.items():
+                    np.copyto(arr, params.tensors[name])
             state.best_epoch = epoch
             state.best_val_accuracy = val_accuracy
         plateau_update(opt, 1.0 - val_accuracy, config)

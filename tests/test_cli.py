@@ -265,6 +265,26 @@ class TestTrain:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: training diverged in epoch 0: ")
 
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_diverging_run_removes_only_an_out_dir_it_created(self, tmp_path, capsys, existed):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        out_dir = tmp_path / "new" / "run"
+        if existed:
+            out_dir.mkdir(parents=True)
+            (out_dir / "notes.txt").write_text("kept")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir), "--initial-lr", "1e200"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged in epoch 0: ")
+        if existed:
+            assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
+        else:
+            assert not (tmp_path / "new").exists()
+
     def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         # Big enough that OpenBLAS threads the batched GEMMs (m*n*k above
         # its 262,144 single-thread limit: a 16-video batch makes the

@@ -9,6 +9,7 @@ from din.model import (
     ModelParams,
     ModelShapeSpec,
     backward_sample,
+    backward_scratch,
     clone_params,
     forward_sample,
     init_model,
@@ -274,8 +275,54 @@ class TestEndToEndGradients:
         labels = [1, 2]
         fwd = forward_sample(tiny_params, rows)
         loss, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
-        grads = backward_sample(tiny_params, fwd, grad_fused)
+        grads = dict(backward_sample(tiny_params, fwd, grad_fused))
         loss2, grads2 = sample_loss_and_grads(tiny_params, rows, labels)
         assert loss.sum() == loss2
         for name in grads:
             assert np.array_equal(grads[name], grads2[name])
+
+
+class TestGradientStream:
+    """backward_sample hands over one (name, gradient) pair at a time; no
+    pair may alias another call's, and scratch must not change a value."""
+
+    def _batch(self, params, rng, B):
+        fwd = forward_sample(params, eval_rows([rng.normal(size=(6, 4)) for _ in range(B)]))
+        _, grad_fused = cross_entropy_from_logits(fwd.logits, rng.integers(3, size=B))
+        return fwd, grad_fused
+
+    def test_consecutive_calls_leave_the_first_gradients_unchanged(self, tiny_params):
+        rng = make_rng(42)
+        rows = [eval_rows([rng.normal(size=(6, 4)), rng.normal(size=(7, 4))]) for _ in range(2)]
+        _, first = sample_loss_and_grads(tiny_params, rows[0], [0, 1])
+        kept = {name: g.copy() for name, g in first.items()}
+        _, second = sample_loss_and_grads(tiny_params, rows[1], [2, 0])
+        for name, g in first.items():
+            assert np.array_equal(g, kept[name]), name
+            assert not np.shares_memory(g, second[name]), name
+
+    def test_scratch_pairs_equal_fresh_pairs_in_the_same_order(self, tiny_params):
+        # The second, smaller batch runs in the leading rows of the scratch.
+        rng = make_rng(43)
+        scratch = backward_scratch(TINY_SHAPE, 3)
+        for B in (3, 1):
+            fwd, grad_fused = self._batch(tiny_params, rng, B)
+            fresh = list(backward_sample(tiny_params, fwd, grad_fused))
+            streamed = [(name, g.copy())
+                        for name, g in backward_sample(tiny_params, fwd, grad_fused, scratch)]
+            assert [name for name, _ in streamed] == [name for name, _ in fresh]
+            for (name, got), (_, want) in zip(streamed, fresh):
+                assert np.array_equal(got, want), name
+
+    def test_no_parameter_is_read_after_its_gradient_is_yielded(self, tiny_params):
+        # A consumer may overwrite each parameter as soon as its gradient
+        # arrives, as the training step does.
+        fwd, grad_fused = self._batch(tiny_params, make_rng(44), 2)
+        want = dict(backward_sample(tiny_params, fwd, grad_fused))
+        params = clone_params(tiny_params)
+        seen = []
+        for name, g in backward_sample(params, fwd, grad_fused, backward_scratch(TINY_SHAPE, 2)):
+            assert np.array_equal(g, want[name]), name
+            params.tensors[name][...] = np.nan
+            seen.append(name)
+        assert sorted(seen) == sorted(parameter_shapes(TINY_SHAPE))

@@ -218,6 +218,22 @@ class TestMultiscaleBackward:
         gate = pooled[4][0][0] > 0
         assert np.array_equal(gb, upstream * gate)
 
+    def test_results_held_together_equal_single_calls(self):
+        # The selftest holds every width's gradients at once; none may be
+        # overwritten by the next width's call.
+        rng = make_rng(13)
+        bank = random_bank(rng, (2, 3), 4, 3)
+        X = rng.normal(size=(2, 5, 3))
+        upstream = {h: rng.normal(size=(2, 4)) for h in bank}
+        pooled = multiscale_forward(X, bank)
+        alone = {h: [g.copy() for g in conv_scale_backward(
+                     X, bank[h][0], *pooled[h], upstream[h], np.zeros_like(X))]
+                 for h in bank}
+        held, _ = backward_all(X, bank, upstream)
+        for h in bank:
+            for got, want in zip(held[h], alone[h]):
+                assert np.array_equal(got, want)
+
     def test_grad_shapes_must_match_cache(self):
         rng = make_rng(11)
         bank = random_bank(rng, (2,), 3, 2)
