@@ -137,7 +137,9 @@ def _load_model_for_inference(args):
     return best
 
 
-def _load_samples(args, shape: ModelShapeSpec, split=None):
+def _load_samples(args, shape: ModelShapeSpec, split=None, centered=True):
+    """(manifest, samples of the split). Evaluation reads only the n
+    segment-center rows of each video; training passes centered=False."""
     if not args.manifest:
         raise ValueError("--manifest is required")
     manifest = data_io.load_manifest(args.manifest)
@@ -145,7 +147,8 @@ def _load_samples(args, shape: ModelShapeSpec, split=None):
         raise ValueError(f"{args.manifest}: manifest has {len(manifest.classes)} classes, "
                          f"the model has {shape.num_classes}")
     split = split or args.split
-    samples = data_io.load_split(manifest, split, shape.raw_dim)
+    samples = data_io.load_split(manifest, split, shape.raw_dim,
+                                 center_rows=shape.num_frames if centered else None)
     if not samples:
         raise ValueError(f"split {split!r} is empty in {args.manifest}")
     return manifest, samples
@@ -181,8 +184,9 @@ def cmd_train(args) -> int:
     cfg = build_run_config(args)
     if not args.out_dir:
         raise ValueError("--out-dir is required")
-    manifest, train_split = _load_samples(args, cfg.shape, "train")
-    val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim)
+    manifest, train_split = _load_samples(args, cfg.shape, "train", centered=False)
+    val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim,
+                                   center_rows=cfg.shape.num_frames)
     if not val_split:
         raise ValueError("validation split is empty")
     started = time.time()

@@ -24,8 +24,14 @@ Checkpoint ("DICK", little-endian):
 Writers go through a temporary file plus atomic rename, so readers never
 observe a partial file. Features are quantized to float32 on disk; a write
 whose float32 values are not all finite is refused before anything is
-written. A loaded video stays float32: a plain read-only T x D array over
-the file's bytes, scanned once for non-finite values. Only the n rows a
+written. A loaded video stays float32, read-only, and every value of the
+file is scanned once for non-finite values. A full load holds all T x D
+values; that is what training needs, since its random draws may pick any
+frame. A center-row load (evaluation: eval, predict, the exports and the
+validation split) streams the payload through one block of
+READ_BLOCK_FRAMES frames and keeps only the n segment-center rows, as an
+n x D array; center sampling of those n rows is the identity, so the
+model sees exactly the rows a full load would give it. Only the n rows a
 DenseImage samples are widened to float64 (exactly), when they are
 gathered. Checkpoints round-trip float64 exactly.
 
@@ -41,6 +47,7 @@ trailing bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -51,7 +58,7 @@ from typing import Collection
 
 import numpy as np
 
-from .denseimage import check_features
+from .denseimage import sample_segments
 from .model import ModelParams, ModelShapeSpec, check_parameter_shapes
 from .numerics import Array, make_rng, require_number
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
@@ -59,6 +66,8 @@ from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
 FEATURE_MAGIC = b"DIFX"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIH")  # magic, version, frames, dim
+# Frames per read of a center-row load: 256 KB of buffer at D = 1024.
+READ_BLOCK_FRAMES = 64
 
 CHECKPOINT_MAGIC = b"DICK"
 CHECKPOINT_VERSION = 1
@@ -78,23 +87,35 @@ class ManifestError(ValueError):
 class Sample:
     """One sample: raw frame features (T x D) plus label. Features loaded
     from a feature file are the file's read-only float32 values; generated
-    ones are float64. Arithmetic on them runs in float64 either way:
-    `denseimage.gather` widens the sampled rows, and the mean-pool
-    baseline accumulates its frame means in float64."""
+    ones are float64. `denseimage.gather` widens the sampled rows, so
+    arithmetic on them runs in float64 either way.
+
+    A `centered` sample was loaded with `center_rows=n`: its features are
+    only the n segment-center rows of the video, which is all that
+    evaluation reads. Training must not use it (`trainer.train_epoch`
+    rejects it): segment sampling of n rows with an rng still returns
+    those n rows, so training on it would silently see only them."""
 
     id: str
     features: Array
     label: int
+    centered: bool = False
 
 
 def atomic_write_bytes(path: Path, *buffers) -> None:
     """Write the buffers (bytes or any C-contiguous buffer) one after the
-    other to a temporary file, then rename it over `path`."""
+    other to a temporary file, then rename it over `path`. If anything
+    fails, the temporary file is removed and `path` is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        for buffer in buffers:
-            f.write(buffer)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for buffer in buffers:
+                f.write(buffer)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_feature_file(path: str | Path, features: Array) -> None:
@@ -115,27 +136,47 @@ def write_feature_file(path: str | Path, features: Array) -> None:
     atomic_write_bytes(Path(path), header, payload)
 
 
-def read_feature_file(path: str | Path) -> Array:
-    """Load a feature file as its T x D float32 payload (a read-only view
-    of the file's bytes, 4 bytes per value), after one finite scan."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _FEATURE_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, T, D = _FEATURE_HEADER.unpack_from(blob)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if T == 0 or D == 0:
-        raise FormatError(f"{path}: empty shape {T}x{D}")
-    expected = _FEATURE_HEADER.size + 4 * T * D
-    if len(blob) != expected:
-        raise FormatError(f"{path}: size {len(blob)} != expected {expected}")
-    data = np.frombuffer(blob, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(T, D)
-    try:
-        return check_features(data)
-    except ValueError as exc:  # T, D >= 1, so only the finite scan can fail
-        raise FormatError(f"{path}: non-finite feature values") from exc
+def read_feature_file(
+    path: str | Path, center_rows: int | None = None, raw_dim: int | None = None
+) -> Array:
+    """Load a feature file's float32 payload as a read-only array, after a
+    finite scan of every value: all T x D values, or with `center_rows=n`
+    only the n x D rows that `sample_segments(T, n)` picks (repeated when
+    T < n). Both read the same bytes through the same checks, so they fail
+    alike. When `raw_dim` is given, a file of another feature dim fails
+    before its payload is read."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_FEATURE_HEADER.size)
+        if len(head) < _FEATURE_HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, T, D = _FEATURE_HEADER.unpack(head)
+        if magic != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if T == 0 or D == 0:
+            raise FormatError(f"{path}: empty shape {T}x{D}")
+        expected = _FEATURE_HEADER.size + 4 * T * D
+        if size != expected:
+            raise FormatError(f"{path}: size {size} != expected {expected}")
+        if raw_dim is not None and D != raw_dim:
+            raise ManifestError(f"{path}: feature dim {D}, the model's raw_dim is {raw_dim}")
+        picks = None if center_rows is None else sample_segments(T, center_rows)
+        block_rows = T if picks is None else min(T, READ_BLOCK_FRAMES)
+        buffer = np.empty((block_rows, D), dtype="<f4")
+        kept = buffer if picks is None else np.empty((len(picks), D), dtype="<f4")
+        for lo in range(0, T, block_rows):
+            block = buffer[: min(block_rows, T - lo)]
+            if f.readinto(block) != block.nbytes:  # the file shrank while being read
+                raise FormatError(f"{path}: size {f.tell()} != expected {expected}")
+            if not np.all(np.isfinite(block)):
+                raise FormatError(f"{path}: non-finite feature values")
+            if picks is not None:
+                hit = (picks >= lo) & (picks < lo + len(block))
+                kept[hit] = block[picks[hit] - lo]
+    kept.flags.writeable = False
+    return kept
 
 
 @dataclass(frozen=True)
@@ -209,21 +250,23 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     return DatasetManifest(list(classes), entries, root)
 
 
-def load_split(manifest: DatasetManifest, split: str, raw_dim: int) -> list[Sample]:
-    """Read every feature file of one split, in manifest order; every
-    sample's feature dim must equal the model's raw_dim."""
+def load_split(
+    manifest: DatasetManifest, split: str, raw_dim: int, center_rows: int | None = None
+) -> list[Sample]:
+    """Read every feature file of one split, in manifest order, with one
+    `read_feature_file` call each; every sample's feature dim must equal
+    the model's raw_dim. With `center_rows=n` each sample keeps only its
+    n segment-center rows and is marked `centered`: enough for evaluation,
+    refused by training."""
     if split not in SPLITS:
         raise ManifestError(f"unknown split {split!r}")
     samples = []
     for e in manifest.split(split):
-        path = manifest.root / e.feature_path
-        features = read_feature_file(path)
-        if features.shape[1] != raw_dim:
-            raise ManifestError(
-                f"{path}: sample {e.id!r} has feature dim {features.shape[1]}, "
-                f"the model's raw_dim is {raw_dim}"
-            )
-        samples.append(Sample(e.id, features, e.label))
+        try:
+            features = read_feature_file(manifest.root / e.feature_path, center_rows, raw_dim)
+        except ManifestError as exc:  # the dim check, which cannot know the sample
+            raise ManifestError(f"sample {e.id!r}: {exc}") from exc
+        samples.append(Sample(e.id, features, e.label, center_rows is not None))
     return samples
 
 

@@ -6,10 +6,6 @@ loop whose randomness comes from per-epoch streams derived from
 (seed, epoch). Reordering or resuming epochs therefore never reuses or
 shifts randomness, which is what makes an interrupted run resumable
 bit-exactly.
-
-Also hosts the order-invariant mean-pool baseline: mean over raw frames
-into a linear head, trained with the same optimizer. It exists to certify
-that a dataset actually requires temporal-order modeling.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from .model import (
     forward_sample,
     sample_batch,
 )
-from .numerics import Array, cross_entropy_from_logits, glorot_uniform, make_rng, require_number
+from .numerics import Array, cross_entropy_from_logits, make_rng, require_number
 
 if TYPE_CHECKING:
     from .data_io import Sample
@@ -215,9 +211,15 @@ def train_epoch(
     """One pass over the split in a fresh shuffled order; one batched
     forward/backward and one momentum step per mini-batch with the
     batch-mean gradient, applied tensor by tensor as backward yields it,
-    so no whole gradient set is ever held. Returns the mean loss."""
+    so no whole gradient set is ever held. Returns the mean loss.
+    Samples loaded with only their center rows are refused: segment
+    sampling must draw from every frame."""
     if len(samples) == 0:
         raise ValueError("training split is empty")
+    for s in samples:
+        if s.centered:
+            raise ValueError(f"sample {s.id!r} holds only its center rows; "
+                             "training needs every frame")
     order = rng.permutation(len(samples))
     scratch = backward_scratch(params.shape, min(config.batch_size, len(samples)))
     total_loss = 0.0
@@ -304,73 +306,3 @@ def fit(
             EpochReport(epoch, train_loss, val_loss, val_accuracy, lr_used)
         )
     return state
-
-
-@dataclass
-class MeanPoolBaseline:
-    """Order-invariant control model: mean over raw frames into one linear head."""
-
-    weights: Array  # C x D
-    bias: Array  # C
-
-
-def init_baseline(rng: np.random.Generator, raw_dim: int, num_classes: int) -> MeanPoolBaseline:
-    weights = glorot_uniform(rng, raw_dim, num_classes, num_classes, raw_dim)
-    return MeanPoolBaseline(weights, np.zeros(num_classes))
-
-
-def _frame_means(samples: Sequence["Sample"]) -> Array:
-    return np.stack([s.features.mean(axis=0, dtype=np.float64) for s in samples])
-
-
-def evaluate_baseline(
-    model: MeanPoolBaseline, samples: Sequence["Sample"]
-) -> tuple[float, float]:
-    if len(samples) == 0:
-        raise ValueError("evaluation split is empty")
-    logits = _frame_means(samples) @ model.weights.T + model.bias
-    labels = _labels(samples)
-    losses, _ = cross_entropy_from_logits(logits, labels)
-    correct = int((np.argmax(logits, axis=1) == labels).sum())
-    return float(losses.sum()) / len(samples), correct / len(samples)
-
-
-def train_baseline(
-    train_split: Sequence["Sample"],
-    val_split: Sequence["Sample"],
-    raw_dim: int,
-    num_classes: int,
-    config: TrainConfig,
-) -> tuple[MeanPoolBaseline, list[EpochReport]]:
-    """Train the mean-pool control with the same optimizer and budget."""
-    model = init_baseline(init_rng(config.seed), raw_dim, num_classes)
-    named = {"baseline/weights": model.weights, "baseline/bias": model.bias}
-    opt = OptimizerState(
-        {name: np.zeros_like(arr) for name, arr in named.items()}, config.initial_lr
-    )
-    history: list[EpochReport] = []
-    for epoch in range(config.max_epochs):
-        lr_used = opt.current_lr
-        rng = epoch_rng(config.seed, epoch)
-        order = rng.permutation(len(train_split))
-        total_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_split[i] for i in order[start : start + config.batch_size]]
-            means = _frame_means(batch)
-            logits = means @ model.weights.T + model.bias
-            losses, grad_logits = cross_entropy_from_logits(logits, _labels(batch))
-            total_loss += float(losses.sum())
-            scale = 1.0 / len(batch)
-            sgd_momentum_step(
-                named,
-                {"baseline/weights": grad_logits.T @ means * scale,
-                 "baseline/bias": grad_logits.sum(axis=0) * scale},
-                opt,
-                config,
-            )
-        val_loss, val_accuracy = evaluate_baseline(model, val_split)
-        plateau_update(opt, 1.0 - val_accuracy, config)
-        history.append(
-            EpochReport(epoch, total_loss / len(train_split), val_loss, val_accuracy, lr_used)
-        )
-    return model, history

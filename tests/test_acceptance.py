@@ -22,7 +22,9 @@ from din.model import ModelShapeSpec, init_model, sample_loss_and_grads
 from din.numerics import make_rng, softmax
 from din.selftest import check_conv_oracle, finite_difference_check, kink_free
 from din.temporal_conv import conv_scale_forward
-from din.trainer import TrainConfig, TrainState, fit, init_rng, train_baseline
+from din.trainer import TrainConfig, TrainState, fit, init_rng
+
+from mean_pool_baseline import train_baseline
 
 
 def criterion(number, name):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import din
+import din.data_io as data_io
 from din.cli import main
 from din.data_io import load_checkpoint, save_checkpoint, write_feature_file
 
@@ -438,6 +439,51 @@ class TestEvalPredict:
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--manifest", str(tmp_path / "none.json")])
         assert rc == 2
+
+
+def vary_lengths(data_dir, lengths=(3, 8, 13, 70, 130)):
+    """Rewrite every feature file of a synth dataset (D = 6) with a video
+    whose frame count cycles through `lengths`: fewer, as many and more
+    frames than the model samples, up to three read blocks."""
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    rng = np.random.default_rng(0)
+    for i, sample in enumerate(manifest["samples"]):
+        frames = lengths[i % len(lengths)]
+        write_feature_file(data_dir / sample["feature_path"], rng.normal(size=(frames, 6)))
+
+
+class TestCenterRowLoads:
+    def test_artifacts_equal_those_of_full_loads(self, tmp_path, capsys, monkeypatch):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        vary_lengths(data_dir)
+        manifest = str(data_dir / "manifest.json")
+        real = data_io.load_split
+        calls = []
+
+        def artifacts(out, full):
+            def load_split(manifest, split, raw_dim, center_rows=None):
+                calls.append((split, center_rows))
+                return real(manifest, split, raw_dim, None if full else center_rows)
+
+            monkeypatch.setattr(data_io, "load_split", load_split)
+            common = ["--checkpoint", str(out / "checkpoint.ckpt"), "--manifest", manifest]
+            assert main(["train", "--config", str(cfg), "--manifest", manifest,
+                         "--out-dir", str(out)]) == 0
+            assert main(["eval", *common]) == 0
+            assert main(["predict", *common, "--out", str(out / "p.csv")]) == 0
+            assert main(["export-features", *common, "--out", str(out / "f.csv")]) == 0
+            assert main(["export-responses", *common, "--width", "3",
+                         "--out", str(out / "r.csv")]) == 0
+            eval_lines = [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("split=")]
+            files = ("checkpoint.ckpt", "history.json", "p.csv", "f.csv", "r.csv")
+            return eval_lines, {name: (out / name).read_bytes() for name in files}
+
+        centered = artifacts(tmp_path / "centered", full=False)
+        assert calls == [("train", None)] + [("val", 8)] * 5
+        assert centered == artifacts(tmp_path / "full", full=True)
 
 
 class TestExports:

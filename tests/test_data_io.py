@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -8,16 +9,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from din.data_io import (
     FEATURE_MAGIC,
+    READ_BLOCK_FRAMES,
     CheckpointData,
     FormatError,
     ManifestError,
     ManifestEntry,
     SyntheticTaskConfig,
+    atomic_write_bytes,
     load_checkpoint,
     load_manifest,
     load_split,
@@ -28,11 +31,14 @@ from din.data_io import (
     write_feature_file,
     write_synth_dataset,
 )
+import din.data_io as data_io_mod
+from din.denseimage import sample_segments
 from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
-from din.trainer import EpochReport, TrainConfig, TrainState, fit, init_rng, train_baseline
+from din.trainer import EpochReport, TrainConfig, TrainState, fit, init_rng
 
 from conftest import TINY_SHAPE, edit_checkpoint_meta
+from mean_pool_baseline import train_baseline
 
 
 class TestFeatureFiles:
@@ -146,6 +152,73 @@ class TestFeatureFiles:
         assert got.shape == (T, D)
         assert np.array_equal(got, features.astype(np.float32).astype(np.float64))
 
+    @given(T=st.integers(1, 3 * READ_BLOCK_FRAMES + 5), n=st.integers(1, 12),
+           D=st.integers(1, 6), seed=st.integers(0, 10**6))
+    @example(T=3, n=8, D=2, seed=0)  # T < n: repeated rows
+    @example(T=8, n=8, D=2, seed=0)  # T == n: every row
+    @example(T=2 * READ_BLOCK_FRAMES, n=8, D=2, seed=0)  # whole blocks only
+    @example(T=2 * READ_BLOCK_FRAMES + 1, n=8, D=2, seed=0)  # a one-frame last block
+    @example(T=2 * READ_BLOCK_FRAMES + 1, n=1, D=2, seed=0)  # the pick starts a block
+    @settings(max_examples=60, deadline=None)
+    def test_center_rows_are_the_full_reads_sampled_rows(self, tmp_path_factory, T, n, D, seed):
+        path = tmp_path_factory.mktemp("difx") / "x.difx"
+        write_feature_file(path, make_rng(seed).normal(size=(T, D)))
+        full = read_feature_file(path)
+        got = read_feature_file(path, center_rows=n)
+        assert got.dtype == np.float32 and got.shape == (n, D) and not got.flags.writeable
+        assert np.array_equal(got, full[sample_segments(T, n)])
+
+    @pytest.mark.parametrize("row", [0, READ_BLOCK_FRAMES + 1, 199])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_unsampled_row_names_the_file(self, tmp_path, row, value):
+        assert row not in sample_segments(200, 8)
+        features = np.ones((200, 3))
+        path = tmp_path / "v.difx"
+        write_feature_file(path, features)
+        blob = bytearray(path.read_bytes())
+        at = 12 + 4 * (3 * row + 1)
+        blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
+            read_feature_file(path, center_rows=8)
+
+
+class TestAtomicWrite:
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        real_open = open
+
+        class FullFile:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(data_io_mod, "open",
+                            lambda *args, **kw: FullFile(real_open(*args, **kw)), raising=False)
+
+    def test_failed_write_leaves_no_file(self, tmp_path, full_disk):
+        path = tmp_path / "v.difx"
+        with pytest.raises(OSError) as info:
+            write_feature_file(path, np.ones((2, 3)))
+        assert info.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, full_disk):
+        path = tmp_path / "history.json"
+        path.write_bytes(b"old")
+        with pytest.raises(OSError):
+            atomic_write_bytes(path, b"new")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old"
+
 
 def write_dataset(tmp_path, records, classes=("a", "b")):
     entries = []
@@ -177,16 +250,40 @@ class TestLoadContract:
             assert sample.features.nbytes == 4 * T * D
 
     def test_load_split_reads_each_file_once(self, tmp_path, monkeypatch):
-        import din.data_io as data_io_mod
-
         manifest = self.synth_manifest(tmp_path)
         real = data_io_mod.read_feature_file
-        reads = []
         monkeypatch.setattr(data_io_mod, "read_feature_file",
-                            lambda path: reads.append(path) or real(path))
-        samples = load_split(manifest, "train", 5)
-        assert len(samples) == 6
-        assert reads == [manifest.root / e.feature_path for e in manifest.split("train")]
+                            lambda path, *args: reads.append(path) or real(path, *args))
+        for center_rows in (None, 3):
+            reads = []
+            samples = load_split(manifest, "train", 5, center_rows=center_rows)
+            assert len(samples) == 6
+            assert reads == [manifest.root / e.feature_path for e in manifest.split("train")]
+
+    def test_center_row_split_keeps_the_sampled_rows(self, tmp_path):
+        manifest = self.synth_manifest(tmp_path)
+        full = load_split(manifest, "val", 5)
+        centered = load_split(manifest, "val", 5, center_rows=3)
+        assert [s.id for s in centered] == [s.id for s in full]
+        for got, want in zip(centered, full):
+            assert got.centered and not want.centered and got.label == want.label
+            rows = want.features[sample_segments(len(want.features), 3)]
+            assert got.features.dtype == np.float32 and not got.features.flags.writeable
+            assert np.array_equal(got.features, rows)
+
+    @pytest.mark.parametrize("center_rows", [None, 3])
+    def test_wrong_dim_fails_before_the_payload_is_read(self, tmp_path, center_rows):
+        # The payload holds a NaN, so only a check made before reading it
+        # reports the dim.
+        manifest = self.synth_manifest(tmp_path)
+        entry = manifest.split("val")[0]
+        path = manifest.root / entry.feature_path
+        write_feature_file(path, np.ones((4, 7)))
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ManifestError, match=f"sample {entry.id!r}: .*feature dim 7"):
+            load_split(manifest, "val", 5, center_rows=center_rows)
 
 
 class TestManifest:
@@ -544,8 +641,24 @@ def format_error_or_valid_load(load, path, blob):
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
 
+def check_center_read_agrees(path, blob, n):
+    """A center-row read fails, with the same message, exactly when the
+    full read fails, and otherwise returns the full read's sampled rows."""
+    path.write_bytes(blob)
+    try:
+        full = read_feature_file(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            read_feature_file(path, center_rows=n)
+        assert str(info.value) == str(exc)
+        return
+    got = read_feature_file(path, center_rows=n)
+    assert np.array_equal(got, full[sample_segments(len(full), n)])
+
+
 class TestFuzz:
-    """Truncated or single-byte-flipped files give FormatError or a valid load."""
+    """Truncated or single-byte-flipped files give FormatError or a valid
+    load; a center-row read of a feature file agrees with its full read."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -574,6 +687,33 @@ class TestFuzz:
         # Single-bit flips reach float exponents (inf/NaN) far more often.
         flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
         format_error_or_valid_load(load, path, bytes(flipped))
+
+    @pytest.fixture(scope="class")
+    def videos(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("center")
+        blobs = []
+        # One block, and three blocks of which the last is partial.
+        for T, D in ((3, 4), (2 * READ_BLOCK_FRAMES + 6, 2)):
+            write_feature_file(root / "valid.difx", make_rng(T).uniform(-2.0, 2.0, size=(T, D)))
+            blobs.append((root / "valid.difx").read_bytes())
+        return root / "fuzz.difx", blobs
+
+    @given(data=st.data())
+    @FUZZ
+    def test_center_read_truncation(self, videos, data):
+        path, blobs = videos
+        blob = data.draw(st.sampled_from(blobs))
+        cut = data.draw(st.integers(0, len(blob)))
+        check_center_read_agrees(path, blob[:cut], data.draw(st.integers(1, 10)))
+
+    @given(data=st.data())
+    @FUZZ
+    def test_center_read_single_byte_flip(self, videos, data):
+        path, blobs = videos
+        flipped = bytearray(data.draw(st.sampled_from(blobs)))
+        at = data.draw(st.integers(0, len(flipped) - 1))
+        flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
+        check_center_read_agrees(path, bytes(flipped), data.draw(st.integers(1, 10)))
 
 
 def load_or_none(path, groups=None):
@@ -690,3 +830,22 @@ class TestStreamedCheckpoints:
         at = data.draw(st.integers(0, len(blob) - 1))
         flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
         check_group_loads_agree(path, bytes(flipped))
+
+
+class TestCenterRowMemory:
+    T, D, N = 2000, 256, 8
+
+    @pytest.fixture(scope="class")
+    def long_video(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("long") / "long.difx"
+        write_feature_file(path, make_rng(5).normal(size=(self.T, self.D)))
+        return path
+
+    def test_center_row_load_holds_its_rows_and_one_block(self, long_video):
+        row = 4 * self.D
+        peak = traced_peak(lambda: read_feature_file(long_video, center_rows=self.N))
+        assert peak <= self.N * row + READ_BLOCK_FRAMES * row + 32 * 1024
+
+    def test_full_load_holds_every_frame(self, long_video):
+        peak = traced_peak(lambda: read_feature_file(long_video))
+        assert peak >= self.T * 4 * self.D

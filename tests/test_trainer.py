@@ -26,11 +26,11 @@ from din.trainer import (
     init_rng,
     plateau_update,
     sgd_momentum_step,
-    train_baseline,
     train_epoch,
 )
 
 from conftest import TINY_SHAPE
+from mean_pool_baseline import train_baseline
 
 
 def tiny_dataset(num_per_class=8, sigma=0.1, seed=5, dim=4, length=5):
@@ -303,6 +303,19 @@ class TestTrainEpoch:
         with pytest.raises(ValueError):
             train_epoch(tiny_params, [], cfg, state, epoch_rng(0, 0))
 
+    def test_centered_sample_rejected(self, tiny_params):
+        # Sampling n of n rows with an rng returns all n, so training
+        # would silently see only the center rows.
+        samples = tiny_dataset(num_per_class=2)["train"]
+        samples[2] = dataclasses.replace(samples[2], centered=True)
+        cfg = TrainConfig()
+        state = OptimizerState.init(tiny_params, cfg)
+        before = clone_params(tiny_params)
+        with pytest.raises(ValueError, match=f"sample {samples[2].id!r} holds only its center rows"):
+            train_epoch(tiny_params, samples, cfg, state, epoch_rng(0, 0))
+        for name, arr in before.tensors.items():
+            assert np.array_equal(tiny_params.tensors[name], arr)
+
     @pytest.mark.parametrize("keep", [0.8, 1.0])
     def test_epoch_draws_in_the_per_sample_order(self, keep):
         # Shuffle, then per sample in shuffled order: one dropout mask per
@@ -521,3 +534,11 @@ class TestBaseline:
                               [dataclasses.astuple(r) for r in history64])
         assert np.array_equal(model32.weights, model64.weights)
         assert np.array_equal(model32.bias, model64.bias)
+
+    def test_centered_split_rejected(self, tmp_path):
+        synth = SyntheticTaskConfig(feature_dim=6, samples_per_class=4, seed=4)
+        manifest = load_manifest(write_synth_dataset(synth, tmp_path))
+        train = load_split(manifest, "train", 6)
+        val = load_split(manifest, "val", 6, center_rows=4)
+        with pytest.raises(ValueError, match="holds only its center rows"):
+            train_baseline(train, val, 6, 2, TrainConfig(max_epochs=1, seed=2))
