@@ -24,16 +24,21 @@ Checkpoint ("DICK", little-endian):
 Writers go through a temporary file plus atomic rename, so readers never
 observe a partial file. Features are quantized to float32 on disk; a write
 whose float32 values are not all finite is refused before anything is
-written. A loaded video stays float32, read-only, and every value of the
-file is scanned once for non-finite values. A full load holds all T x D
-values; that is what training needs, since its random draws may pick any
-frame. A center-row load (evaluation: eval, predict, the exports and the
-validation split) streams the payload through one block of
-READ_BLOCK_FRAMES frames and keeps only the n segment-center rows, as an
-n x D array; center sampling of those n rows is the identity, so the
-model sees exactly the rows a full load would give it. Only the n rows a
-DenseImage samples are widened to float64 (exactly), when they are
-gathered. Checkpoints round-trip float64 exactly.
+written. Every load scans every value of the file once for non-finite
+values, in blocks of READ_BLOCK_FRAMES frames, and what it keeps stays
+float32 and read-only. `load_split` keeps one of two things per video:
+- a training (full) load keeps no rows, only a `FeatureRows` reader of
+  the file. Each epoch's random draws may pick any frame, so each
+  `denseimage.gather` reads just the n rows it drew, and a training run
+  holds O(batch) feature values, not every frame of the split;
+- a center-row load (evaluation: eval, predict, the exports and the
+  validation split) keeps only the n segment-center rows, as an n x D
+  array; center sampling of those n rows is the identity, so the model
+  sees exactly the rows a full load would give it.
+`read_feature_file` can also return all T x D values, for callers that
+want the whole video. Only the n rows a DenseImage samples are widened to
+float64 (exactly), when they are gathered. Checkpoints round-trip float64
+exactly.
 
 Checkpoint I/O moves each tensor's bytes once, between the file and the
 array that owns them. A save writes every payload straight from its
@@ -84,11 +89,40 @@ class ManifestError(ValueError):
 
 
 @dataclass(frozen=True)
+class FeatureRows:
+    """A scanned feature file from which `read_rows` reads single frames:
+    the features of a training sample loaded by `load_split`. It holds the
+    file's identity as seen at the scan (inode, size, mtime); a file that
+    changed or is gone since then fails the next read, naming it."""
+
+    path: Path
+    shape: tuple[int, int]  # T, D
+    stamp: tuple[int, int, int]  # st_ino, st_size, st_mtime_ns
+
+    def read_rows(self, picks: Array) -> Array:
+        """The picked frames as a float32 array, checked for finiteness;
+        the file is opened for this call only."""
+        rows = np.empty((len(picks), self.shape[1]), dtype="<f4")
+        with open(self.path, "rb") as f:
+            st = os.fstat(f.fileno())
+            if (st.st_ino, st.st_size, st.st_mtime_ns) != self.stamp:
+                raise FormatError(f"{self.path}: changed since it was loaded")
+            for row, t in zip(rows, picks):
+                f.seek(_FEATURE_HEADER.size + row.nbytes * int(t))
+                if f.readinto(row) != row.nbytes:
+                    raise FormatError(f"{self.path}: changed since it was loaded")
+        if not np.all(np.isfinite(rows)):
+            raise FormatError(f"{self.path}: non-finite feature values")
+        return rows
+
+
+@dataclass(frozen=True)
 class Sample:
-    """One sample: raw frame features (T x D) plus label. Features loaded
-    from a feature file are the file's read-only float32 values; generated
-    ones are float64. `denseimage.gather` widens the sampled rows, so
-    arithmetic on them runs in float64 either way.
+    """One sample: its raw frame features and label. The features are a
+    T x D array (generated ones float64, read-only float32 from
+    `read_feature_file`) or a `FeatureRows` reader (a training video loaded
+    by `load_split`). `denseimage.gather` takes either and widens only the
+    rows it samples, so arithmetic on them runs in float64 either way.
 
     A `centered` sample was loaded with `center_rows=n`: its features are
     only the n segment-center rows of the video, which is all that
@@ -97,7 +131,7 @@ class Sample:
     those n rows, so training on it would silently see only them."""
 
     id: str
-    features: Array
+    features: Array | FeatureRows
     label: int
     centered: bool = False
 
@@ -137,16 +171,20 @@ def write_feature_file(path: str | Path, features: Array) -> None:
 
 
 def read_feature_file(
-    path: str | Path, center_rows: int | None = None, raw_dim: int | None = None
-) -> Array:
-    """Load a feature file's float32 payload as a read-only array, after a
-    finite scan of every value: all T x D values, or with `center_rows=n`
-    only the n x D rows that `sample_segments(T, n)` picks (repeated when
-    T < n). Both read the same bytes through the same checks, so they fail
-    alike. When `raw_dim` is given, a file of another feature dim fails
-    before its payload is read."""
+    path: str | Path, center_rows: int | None = None, raw_dim: int | None = None,
+    rows_on_demand: bool = False,
+) -> Array | FeatureRows:
+    """Scan every value of a feature file for finiteness, one block of
+    READ_BLOCK_FRAMES frames at a time, and return its float32 payload as
+    a read-only array: all T x D values, or with `center_rows=n` only the
+    n x D rows that `sample_segments(T, n)` picks (repeated when T < n).
+    With `rows_on_demand` it keeps no rows and returns a `FeatureRows`
+    reader of the file instead. All of them read the same bytes through
+    the same checks, so they fail alike. When `raw_dim` is given, a file
+    of another feature dim fails before its payload is read."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
+        st = os.fstat(f.fileno())
+        size = st.st_size
         head = f.read(_FEATURE_HEADER.size)
         if len(head) < _FEATURE_HEADER.size:
             raise FormatError(f"{path}: truncated header")
@@ -163,11 +201,12 @@ def read_feature_file(
         if raw_dim is not None and D != raw_dim:
             raise ManifestError(f"{path}: feature dim {D}, the model's raw_dim is {raw_dim}")
         picks = None if center_rows is None else sample_segments(T, center_rows)
-        block_rows = T if picks is None else min(T, READ_BLOCK_FRAMES)
-        buffer = np.empty((block_rows, D), dtype="<f4")
+        whole = picks is None and not rows_on_demand  # read in place, not through one block
+        buffer = np.empty((T if whole else min(T, READ_BLOCK_FRAMES), D), dtype="<f4")
         kept = buffer if picks is None else np.empty((len(picks), D), dtype="<f4")
-        for lo in range(0, T, block_rows):
-            block = buffer[: min(block_rows, T - lo)]
+        for lo in range(0, T, READ_BLOCK_FRAMES):
+            start = lo if whole else 0
+            block = buffer[start : start + min(READ_BLOCK_FRAMES, T - lo)]
             if f.readinto(block) != block.nbytes:  # the file shrank while being read
                 raise FormatError(f"{path}: size {f.tell()} != expected {expected}")
             if not np.all(np.isfinite(block)):
@@ -175,6 +214,8 @@ def read_feature_file(
             if picks is not None:
                 hit = (picks >= lo) & (picks < lo + len(block))
                 kept[hit] = block[picks[hit] - lo]
+    if rows_on_demand:
+        return FeatureRows(Path(path), (T, D), (st.st_ino, st.st_size, st.st_mtime_ns))
     kept.flags.writeable = False
     return kept
 
@@ -253,17 +294,19 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 def load_split(
     manifest: DatasetManifest, split: str, raw_dim: int, center_rows: int | None = None
 ) -> list[Sample]:
-    """Read every feature file of one split, in manifest order, with one
+    """Scan every feature file of one split, in manifest order, with one
     `read_feature_file` call each; every sample's feature dim must equal
-    the model's raw_dim. With `center_rows=n` each sample keeps only its
-    n segment-center rows and is marked `centered`: enough for evaluation,
-    refused by training."""
+    the model's raw_dim. Each sample's features are a `FeatureRows` reader
+    of its file, from which training reads the rows it draws. With
+    `center_rows=n` each sample keeps only its n segment-center rows and is
+    marked `centered`: enough for evaluation, refused by training."""
     if split not in SPLITS:
         raise ManifestError(f"unknown split {split!r}")
     samples = []
     for e in manifest.split(split):
         try:
-            features = read_feature_file(manifest.root / e.feature_path, center_rows, raw_dim)
+            features = read_feature_file(manifest.root / e.feature_path, center_rows, raw_dim,
+                                         rows_on_demand=center_rows is None)
         except ManifestError as exc:  # the dim check, which cannot know the sample
             raise ManifestError(f"sample {e.id!r}: {exc}") from exc
         samples.append(Sample(e.id, features, e.label, center_rows is not None))

@@ -1,11 +1,11 @@
 """Frame sequences into fixed-size DenseImage matrices.
 
 A video arrives as a plain T x D array, one feature vector per frame,
-which `check_features` validates. Gathering picks n frames by segment
-sampling; encoding pushes a whole batch of gathered rows through the
-trainable linear reduction at once. Row i of a
-DenseImage is always sampled frame i: nothing here may permute or mix
-rows.
+which `check_features` validates, or as a reader of its feature file.
+Gathering picks n frames by segment sampling; encoding pushes a whole
+batch of gathered rows through the trainable linear reduction at once.
+Row i of a DenseImage is always sampled frame i: nothing here may permute
+or mix rows.
 """
 
 from __future__ import annotations
@@ -52,13 +52,18 @@ def sample_segments(T: int, n: int, rng: np.random.Generator | None = None) -> A
     return indices
 
 
-def gather(features: Array, n: int, rng: np.random.Generator | None = None) -> Array:
+def gather(features, n: int, rng: np.random.Generator | None = None) -> Array:
     """The n x D raw rows of the frames segment sampling picks (segment
     centers without an rng, random draws with one), in temporal order, as
-    float64. The video is validated in its own dtype and only the n picked
-    rows are widened; float32 -> float64 is exact."""
-    features = check_features(np.asarray(features))
-    rows = features[sample_segments(features.shape[0], n, rng)]
+    float64. An array video is validated whole in its own dtype. A
+    `data_io.FeatureRows` reader (a training video left in its file) reads
+    and checks only the picked rows. Either way only the n picked rows are
+    widened; float32 -> float64 is exact."""
+    if hasattr(features, "read_rows"):
+        rows = features.read_rows(sample_segments(features.shape[0], n, rng))
+    else:
+        features = check_features(np.asarray(features))
+        rows = features[sample_segments(features.shape[0], n, rng)]
     return rows.astype(np.float64, copy=False)
 
 

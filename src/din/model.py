@@ -181,7 +181,8 @@ EVAL_BATCH = 32
 
 def eval_batches(shape: ModelShapeSpec, samples: Sequence):
     """(chunk, its B x n x D center-sampled rows) for consecutive chunks of
-    EVAL_BATCH samples (anything with a .features array)."""
+    EVAL_BATCH samples (anything whose .features `denseimage.gather` takes:
+    an array or a `data_io.FeatureRows` reader)."""
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start : start + EVAL_BATCH]
         yield chunk, sample_batch(shape, [s.features for s in chunk])[0]

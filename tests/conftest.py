@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import os
 import struct
 
+import numpy as np
 import pytest
 
+from din.data_io import read_feature_file, write_feature_file
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
 
@@ -23,3 +27,27 @@ def edit_checkpoint_meta(blob, edit):
     edit(meta)
     encoded = json.dumps(meta, sort_keys=True).encode()
     return blob[:6] + struct.pack("<I", len(encoded)) + encoded + blob[10 + meta_len :]
+
+
+def in_memory(samples):
+    """Reference loads of a full `load_split`: each sample with every frame
+    of its file, read by `read_feature_file`, in place of its row reader."""
+    return [dataclasses.replace(s, features=read_feature_file(s.features.path)) for s in samples]
+
+
+def change_feature_file(path, change):
+    """Change a feature file after it was loaded. "size" rewrites it one
+    frame longer; "rewrite" overwrites its payload in place, keeping its
+    size and inode, and moves its mtime on by a second; "delete" removes it."""
+    if change == "delete":
+        path.unlink()
+        return
+    T, D = read_feature_file(path).shape
+    if change == "size":
+        write_feature_file(path, np.ones((T + 1, D)))
+        return
+    st = path.stat()
+    with open(path, "r+b") as f:
+        f.seek(12)
+        f.write(np.ones(T * D, dtype="<f4").tobytes())
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))

@@ -9,10 +9,11 @@ import pytest
 
 import din
 import din.data_io as data_io
+import din.trainer as trainer
 from din.cli import main
 from din.data_io import load_checkpoint, save_checkpoint, write_feature_file
 
-from conftest import edit_checkpoint_meta
+from conftest import change_feature_file, edit_checkpoint_meta, in_memory
 
 
 def base_config(tmp_path, **train_overrides):
@@ -454,10 +455,13 @@ def vary_lengths(data_dir, lengths=(3, 8, 13, 70, 130)):
 
 class TestCenterRowLoads:
     def test_artifacts_equal_those_of_full_loads(self, tmp_path, capsys, monkeypatch):
+        # Reader-backed train and center-row val splits against every split
+        # loaded whole into memory: the same artifacts and stdout.
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
         vary_lengths(data_dir)
+        capsys.readouterr()
         manifest = str(data_dir / "manifest.json")
         real = data_io.load_split
         calls = []
@@ -465,25 +469,59 @@ class TestCenterRowLoads:
         def artifacts(out, full):
             def load_split(manifest, split, raw_dim, center_rows=None):
                 calls.append((split, center_rows))
-                return real(manifest, split, raw_dim, None if full else center_rows)
+                if full:
+                    return in_memory(real(manifest, split, raw_dim))
+                return real(manifest, split, raw_dim, center_rows)
 
             monkeypatch.setattr(data_io, "load_split", load_split)
             common = ["--checkpoint", str(out / "checkpoint.ckpt"), "--manifest", manifest]
-            assert main(["train", "--config", str(cfg), "--manifest", manifest,
-                         "--out-dir", str(out)]) == 0
+            train = ["train", "--config", str(cfg), "--manifest", manifest]
+            assert main([*train, "--out-dir", str(out)]) == 0
+            assert main([*train, "--out-dir", str(out / "resumed"), "--max-epochs", "3",
+                         "--resume", str(out / "checkpoint.ckpt")]) == 0
             assert main(["eval", *common]) == 0
             assert main(["predict", *common, "--out", str(out / "p.csv")]) == 0
             assert main(["export-features", *common, "--out", str(out / "f.csv")]) == 0
             assert main(["export-responses", *common, "--width", "3",
                          "--out", str(out / "r.csv")]) == 0
-            eval_lines = [line for line in capsys.readouterr().out.splitlines()
-                          if line.startswith("split=")]
-            files = ("checkpoint.ckpt", "history.json", "p.csv", "f.csv", "r.csv")
-            return eval_lines, {name: (out / name).read_bytes() for name in files}
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            files = ("checkpoint.ckpt", "history.json", "config.json", "resumed/checkpoint.ckpt",
+                     "resumed/history.json", "p.csv", "f.csv", "r.csv")
+            return stdout, {name: (out / name).read_bytes() for name in files}
 
         centered = artifacts(tmp_path / "centered", full=False)
-        assert calls == [("train", None)] + [("val", 8)] * 5
+        assert calls == [("train", None), ("val", 8)] * 2 + [("val", 8)] * 4
         assert centered == artifacts(tmp_path / "full", full=True)
+
+
+class TestChangedTrainingFiles:
+    @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
+    def test_train_exits_2_and_removes_its_out_dir(self, tmp_path, capsys, monkeypatch, change):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        doc = json.loads((data_dir / "manifest.json").read_text())
+        path = data_dir / next(r for r in doc["samples"] if r["split"] == "train")["feature_path"]
+        real = trainer.evaluate
+
+        def evaluate(params, samples):  # runs after each epoch's training
+            if not changed:
+                change_feature_file(path, change)
+                changed.append(True)
+            return real(params, samples)
+
+        changed = []
+        monkeypatch.setattr(trainer, "evaluate", evaluate)
+        out = tmp_path / "new" / "run"
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out)])
+        assert changed and rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "new").exists()
 
 
 class TestExports:

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -16,6 +17,7 @@ from din.data_io import (
     FEATURE_MAGIC,
     READ_BLOCK_FRAMES,
     CheckpointData,
+    FeatureRows,
     FormatError,
     ManifestError,
     ManifestEntry,
@@ -32,12 +34,21 @@ from din.data_io import (
     write_synth_dataset,
 )
 import din.data_io as data_io_mod
-from din.denseimage import sample_segments
+from din.denseimage import gather, sample_segments
 from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
-from din.trainer import EpochReport, TrainConfig, TrainState, fit, init_rng
+from din.trainer import (
+    EpochReport,
+    OptimizerState,
+    TrainConfig,
+    TrainState,
+    epoch_rng,
+    fit,
+    init_rng,
+    train_epoch,
+)
 
-from conftest import TINY_SHAPE, edit_checkpoint_meta
+from conftest import TINY_SHAPE, change_feature_file, edit_checkpoint_meta, in_memory
 from mean_pool_baseline import train_baseline
 
 
@@ -179,8 +190,9 @@ class TestFeatureFiles:
         at = 12 + 4 * (3 * row + 1)
         blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
-            read_feature_file(path, center_rows=8)
+        for load in ({"center_rows": 8}, {"rows_on_demand": True}):
+            with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
+                read_feature_file(path, **load)
 
 
 class TestAtomicWrite:
@@ -244,16 +256,23 @@ class TestLoadContract:
         assert features.dtype == np.float32 and features.shape == (7, 5)
         assert features.nbytes == 4 * 7 * 5
         assert not features.flags.writeable
-        samples = load_split(self.synth_manifest(tmp_path / "synth"), "train", 5)
-        for sample in samples:
-            T, D = sample.features.shape
-            assert sample.features.nbytes == 4 * T * D
+
+    def test_full_split_keeps_row_readers(self, tmp_path):
+        manifest = self.synth_manifest(tmp_path)
+        samples = load_split(manifest, "train", 5)
+        for sample, entry in zip(samples, manifest.split("train")):
+            path = manifest.root / entry.feature_path
+            assert isinstance(sample.features, FeatureRows) and not sample.centered
+            assert sample.features.path == path and sample.features.shape == (8, 5)
+            rows = sample.features.read_rows(np.array([7, 0, 0, 3]))
+            assert rows.dtype == np.float32
+            assert np.array_equal(rows, read_feature_file(path)[[7, 0, 0, 3]])
 
     def test_load_split_reads_each_file_once(self, tmp_path, monkeypatch):
         manifest = self.synth_manifest(tmp_path)
         real = data_io_mod.read_feature_file
         monkeypatch.setattr(data_io_mod, "read_feature_file",
-                            lambda path, *args: reads.append(path) or real(path, *args))
+                            lambda path, *args, **kw: reads.append(path) or real(path, *args, **kw))
         for center_rows in (None, 3):
             reads = []
             samples = load_split(manifest, "train", 5, center_rows=center_rows)
@@ -262,7 +281,7 @@ class TestLoadContract:
 
     def test_center_row_split_keeps_the_sampled_rows(self, tmp_path):
         manifest = self.synth_manifest(tmp_path)
-        full = load_split(manifest, "val", 5)
+        full = in_memory(load_split(manifest, "val", 5))
         centered = load_split(manifest, "val", 5, center_rows=3)
         assert [s.id for s in centered] == [s.id for s in full]
         for got, want in zip(centered, full):
@@ -461,9 +480,8 @@ class TestSynthTask:
         by_id = {s.id: s for s in in_memory}
         for sample in train:
             want = by_id[sample.id].features
-            assert np.array_equal(
-                sample.features, want.astype(np.float32).astype(np.float64)
-            )
+            got = sample.features.read_rows(np.arange(sample.features.shape[0]))
+            assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
 
 
 def small_training_setup(seed=21):
@@ -642,18 +660,22 @@ FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
 
 def check_center_read_agrees(path, blob, n):
-    """A center-row read fails, with the same message, exactly when the
-    full read fails, and otherwise returns the full read's sampled rows."""
+    """A center-row read and a row-reader load fail, with the same message,
+    exactly when the full read fails. Otherwise the center-row read returns
+    the full read's sampled rows and the reader reads the full read's rows."""
     path.write_bytes(blob)
     try:
         full = read_feature_file(path)
     except FormatError as exc:
-        with pytest.raises(FormatError) as info:
-            read_feature_file(path, center_rows=n)
-        assert str(info.value) == str(exc)
+        for load in ({"center_rows": n}, {"rows_on_demand": True}):
+            with pytest.raises(FormatError) as info:
+                read_feature_file(path, **load)
+            assert str(info.value) == str(exc)
         return
     got = read_feature_file(path, center_rows=n)
     assert np.array_equal(got, full[sample_segments(len(full), n)])
+    reader = read_feature_file(path, rows_on_demand=True)
+    assert np.array_equal(reader.read_rows(np.arange(len(full))), full)
 
 
 class TestFuzz:
@@ -849,3 +871,99 @@ class TestCenterRowMemory:
     def test_full_load_holds_every_frame(self, long_video):
         peak = traced_peak(lambda: read_feature_file(long_video))
         assert peak >= self.T * 4 * self.D
+
+    def test_full_load_holds_the_video_and_one_block(self, long_video):
+        row = 4 * self.D
+        peak = traced_peak(lambda: read_feature_file(long_video))
+        assert peak <= self.T * row + READ_BLOCK_FRAMES * row + 32 * 1024
+
+    def test_row_reader_load_holds_one_block(self, long_video):
+        peak = traced_peak(lambda: read_feature_file(long_video, rows_on_demand=True))
+        assert peak <= READ_BLOCK_FRAMES * 4 * self.D + 32 * 1024
+
+
+class TestTrainingRowReads:
+    """A full load_split leaves the videos in their files: each epoch reads
+    only the rows it draws."""
+
+    D = 256
+    SHAPE = ModelShapeSpec(D, 8, 8, (2, 3), 8, 2)
+
+    def write_split(self, root, T, count=6):
+        root.mkdir()
+        rng = make_rng(T)
+        entries = []
+        for i in range(count):
+            write_feature_file(root / f"v{i}.difx", rng.normal(size=(T, self.D)))
+            entries.append(ManifestEntry(f"v{i}", f"v{i}.difx", i % 2, ("train", "val")[i % 3 == 2]))
+        save_manifest(root / "manifest.json", ["a", "b"], entries)
+        return load_manifest(root / "manifest.json")
+
+    def train(self, manifest, epochs=2):
+        """Load the train split and train `epochs` epochs on it."""
+        samples = load_split(manifest, "train", self.D)
+        params = init_model(self.SHAPE, init_rng(1))
+        cfg = TrainConfig(batch_size=2, seed=1)
+        state = OptimizerState.init(params, cfg)
+        for epoch in range(epochs):
+            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, epoch))
+        return samples, params, cfg, state
+
+    @given(T=st.integers(1, 2 * READ_BLOCK_FRAMES + 3), n=st.integers(1, 12),
+           D=st.integers(1, 5), seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_gather_draws_and_reads_like_an_array_gather(self, tmp_path_factory, T, n, D, seed):
+        path = tmp_path_factory.mktemp("rows") / "x.difx"
+        write_feature_file(path, make_rng(seed).normal(size=(T, D)))
+        reader = read_feature_file(path, rows_on_demand=True)
+        full = read_feature_file(path)
+        assert reader.shape == (T, D)
+        assert np.array_equal(gather(reader, n), gather(full, n))
+        ours, theirs = make_rng(seed), make_rng(seed)
+        got = gather(reader, n, ours)
+        assert got.dtype == np.float64 and np.array_equal(got, gather(full, n, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_training_peak_does_not_grow_with_frames(self, tmp_path):
+        peaks = {}
+        for T in (READ_BLOCK_FRAMES, 2000):
+            manifest = self.write_split(tmp_path / f"t{T}", T)
+            peaks[T] = traced_peak(lambda: self.train(manifest))
+        # Holding the four 2000-frame training videos would add 8 MB.
+        assert peaks[2000] <= peaks[READ_BLOCK_FRAMES] + 16 * 1024
+        assert peaks[2000] < 2000 * 4 * self.D
+
+    def test_two_epochs_read_each_file_once(self, tmp_path, monkeypatch):
+        manifest = self.write_split(tmp_path / "data", 100)
+        real = data_io_mod.read_feature_file
+        reads = []
+        monkeypatch.setattr(data_io_mod, "read_feature_file",
+                            lambda path, *args, **kw: reads.append(path) or real(path, *args, **kw))
+        train = load_split(manifest, "train", self.D)
+        val = load_split(manifest, "val", self.D, center_rows=self.SHAPE.num_frames)
+        params = init_model(self.SHAPE, init_rng(1))
+        fit(params, train, val, TrainConfig(batch_size=2, max_epochs=2, seed=1))
+        assert sorted(reads) == sorted(manifest.root / e.feature_path for e in manifest.entries)
+
+    @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
+    def test_changed_file_fails_the_next_epoch_naming_it(self, tmp_path, change):
+        manifest = self.write_split(tmp_path / "data", 20)
+        samples, params, cfg, state = self.train(manifest, epochs=1)
+        path = samples[1].features.path
+        change_feature_file(path, change)
+        with pytest.raises((FormatError, FileNotFoundError), match=re.escape(str(path))):
+            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 1))
+
+    def test_nonfinite_drawn_row_fails_naming_the_file(self, tmp_path):
+        # Written in place after the scan, with the file's stamp kept.
+        path = tmp_path / "v.difx"
+        write_feature_file(path, np.ones((4, 3)))
+        reader = read_feature_file(path, rows_on_demand=True)
+        st = path.stat()
+        with open(path, "r+b") as f:
+            f.seek(12 + 4 * 3 * 2)
+            f.write(np.array([np.nan], dtype="<f4").tobytes())
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert np.array_equal(reader.read_rows(np.array([0, 1, 3])), np.ones((3, 3)))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
+            gather(reader, 4)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from din.denseimage import encode, gather
 from din.model import (
@@ -306,13 +308,40 @@ class TestGradientStream:
         rng = make_rng(43)
         scratch = backward_scratch(TINY_SHAPE, 3)
         for B in (3, 1):
-            fwd, grad_fused = self._batch(tiny_params, rng, B)
-            fresh = list(backward_sample(tiny_params, fwd, grad_fused))
-            streamed = [(name, g.copy())
-                        for name, g in backward_sample(tiny_params, fwd, grad_fused, scratch)]
-            assert [name for name, _ in streamed] == [name for name, _ in fresh]
-            for (name, got), (_, want) in zip(streamed, fresh):
-                assert np.array_equal(got, want), name
+            self._check_scratch(tiny_params, *self._batch(tiny_params, rng, B), scratch)
+
+    @staticmethod
+    def _check_scratch(params, fwd, grad_fused, scratch):
+        fresh = list(backward_sample(params, fwd, grad_fused))
+        streamed = [(name, g.copy()) for name, g in backward_sample(params, fwd, grad_fused, scratch)]
+        assert [name for name, _ in streamed] == [name for name, _ in fresh]
+        for (name, got), (_, want) in zip(streamed, fresh):
+            assert np.array_equal(got, want), name
+
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_scratch_pairs_equal_fresh_pairs_on_drawn_shapes(self, data):
+        # Batches of every size up to the scratch's capacity, in any order.
+        n = data.draw(st.integers(2, 7), "n")
+        raw_dim = data.draw(st.integers(1, 6), "D")
+        shape = ModelShapeSpec(
+            raw_dim, data.draw(st.integers(1, raw_dim), "k"), n,
+            tuple(data.draw(st.sets(st.integers(2, n), min_size=1, max_size=3), "widths")),
+            data.draw(st.integers(1, 6), "M"), data.draw(st.integers(2, 4), "C"))
+        capacity = data.draw(st.integers(1, 5), "capacity")
+        sizes = data.draw(st.lists(st.integers(1, capacity), min_size=1, max_size=3), "sizes")
+        keep = data.draw(st.sampled_from([1.0, 0.7]), "keep")
+        rng = make_rng(data.draw(st.integers(0, 2**16), "seed"))
+        params = init_model(shape, rng)
+        scratch = backward_scratch(shape, capacity)
+        for B in sizes:
+            masks = None if keep == 1.0 else {
+                h: np.stack([sample_dropout_mask(rng, shape.num_filters, keep) for _ in range(B)])
+                for h in shape.widths}
+            fwd = forward_sample(params, rng.normal(size=(B, n, raw_dim)), masks)
+            labels = rng.integers(shape.num_classes, size=B)
+            self._check_scratch(params, fwd, cross_entropy_from_logits(fwd.logits, labels)[1],
+                                scratch)
 
     def test_no_parameter_is_read_after_its_gradient_is_yielded(self, tiny_params):
         # A consumer may overwrite each parameter as soon as its gradient

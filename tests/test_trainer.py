@@ -29,7 +29,7 @@ from din.trainer import (
     train_epoch,
 )
 
-from conftest import TINY_SHAPE
+from conftest import TINY_SHAPE, in_memory
 from mean_pool_baseline import train_baseline
 
 
@@ -523,7 +523,7 @@ class TestBaseline:
         synth = SyntheticTaskConfig(feature_dim=6, samples_per_class=12,
                                     val_samples_per_class=6, seed=4)
         manifest = load_manifest(write_synth_dataset(synth, tmp_path))
-        loaded = [load_split(manifest, split, 6) for split in ("train", "val")]
+        loaded = [in_memory(load_split(manifest, split, 6)) for split in ("train", "val")]
         assert loaded[0][0].features.dtype == np.float32
         widened = [[Sample(s.id, s.features.astype(np.float64), s.label) for s in split]
                    for split in loaded]
@@ -538,7 +538,7 @@ class TestBaseline:
     def test_centered_split_rejected(self, tmp_path):
         synth = SyntheticTaskConfig(feature_dim=6, samples_per_class=4, seed=4)
         manifest = load_manifest(write_synth_dataset(synth, tmp_path))
-        train = load_split(manifest, "train", 6)
+        train = in_memory(load_split(manifest, "train", 6))
         val = load_split(manifest, "val", 6, center_rows=4)
         with pytest.raises(ValueError, match="holds only its center rows"):
             train_baseline(train, val, 6, 2, TrainConfig(max_epochs=1, seed=2))
