@@ -23,6 +23,7 @@ import numpy as np
 from .data_io import Sample, atomic_write_bytes
 from .denseimage import encode
 from .model import ModelParams, ModelShapeSpec, eval_batches, forward_sample, parameter_shapes
+from .numerics import Array
 from .temporal_conv import conv_scale_forward, response_profiles
 
 
@@ -65,6 +66,13 @@ def _write_lines(rows: list[str], out_path: str | Path) -> Path:
     return out_path
 
 
+def float_rows(values: Array) -> list[str]:
+    """Each row of a 2-D float array as comma-separated repr cells. The
+    cells come from tolist(), whose Python floats repr exactly as
+    repr(float(v)) of the numpy scalars would, without a scalar per cell."""
+    return [",".join(map(repr, row)) for row in values.tolist()]
+
+
 def check_width(shape: ModelShapeSpec, h: int) -> None:
     if h not in shape.widths:
         raise ValueError(f"width {h} not in the model (widths {shape.widths})")
@@ -89,12 +97,10 @@ def export_responses(
     rows = [",".join(header)]
     for chunk, batch_rows in eval_batches(params.shape, sorted(samples, key=lambda s: s.id)):
         fmap = conv_scale_forward(encode(batch_rows, params.reduction), *params.bank[h])
-        for sample, intensities in zip(chunk, response_profiles(fmap)):
+        profiles = response_profiles(fmap)
+        for sample, intensities, cells in zip(chunk, profiles, float_rows(profiles)):
             window = int(np.argmax(intensities))
-            cells = [sample.id]
-            cells += [repr(float(v)) for v in intensities]
-            cells += [str(window), str(window), str(window + h - 1)]
-            rows.append(",".join(cells))
+            rows.append(f"{sample.id},{cells},{window},{window},{window + h - 1}")
     return _write_lines(rows, out_path)
 
 
@@ -117,9 +123,6 @@ def export_pooled_features(
         fwd = forward_sample(params, batch_rows)
         vectors = np.concatenate([fwd.pooled[h][0] for h in shape.widths], axis=1)
         baselines = fwd.dense.mean(axis=1)
-        for sample, vector, baseline in zip(chunk, vectors, baselines):
-            cells = [sample.id, str(sample.label)]
-            cells += [repr(float(v)) for v in vector]
-            cells += [repr(float(v)) for v in baseline]
-            rows.append(",".join(cells))
+        for sample, vector, baseline in zip(chunk, float_rows(vectors), float_rows(baselines)):
+            rows.append(f"{sample.id},{sample.label},{vector},{baseline}")
     return _write_lines(rows, out_path)

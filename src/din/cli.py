@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import analysis, data_io, selftest, trainer
-from .model import ModelShapeSpec, init_model, predict_sample
+from .classifier import predict
+from .model import ModelShapeSpec, init_model
 
 DEFAULT_SHAPE = ModelShapeSpec(
     raw_dim=1024,
@@ -237,7 +238,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape)
-    loss, accuracy = trainer.evaluate(params, samples)
+    loss, accuracy, _ = trainer.evaluate(params, samples)
     print(f"split={args.split} samples={len(samples)} loss={loss!r} accuracy={accuracy!r}")
     return 0
 
@@ -245,12 +246,13 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape)
+    samples = sorted(samples, key=lambda s: s.id)
+    _, _, probabilities = trainer.evaluate(params, samples)
     lines = ["id,label,predicted," + ",".join(f"p_{c}" for c in range(params.shape.num_classes))]
-    for sample in sorted(samples, key=lambda s: s.id):
-        predicted, probs = predict_sample(params, sample.features)
-        lines.append(
-            f"{sample.id},{sample.label},{predicted}," + ",".join(repr(float(p)) for p in probs)
-        )
+    for sample, predicted, probs in zip(
+        samples, predict(probabilities).tolist(), analysis.float_rows(probabilities)
+    ):
+        lines.append(f"{sample.id},{sample.label},{predicted},{probs}")
     text = "\n".join(lines) + "\n"
     if args.out:
         data_io.atomic_write_bytes(Path(args.out), text.encode())

@@ -10,8 +10,8 @@ together.
 
 The engine runs B videos at once: their sampled rows are gathered to
 B x n x D and every layer is one GEMM (per width) over the batch.
-Training, evaluation, prediction (B=1), exports and gradient checks all
-go through it.
+Training, evaluation, prediction, exports and gradient checks all go
+through it.
 """
 
 from __future__ import annotations
@@ -280,7 +280,10 @@ def sample_loss_and_grads(
 
 
 def predict_sample(params: ModelParams, features: Array) -> tuple[int, Array]:
-    """Evaluation-mode class prediction and probabilities for one video (B=1)."""
+    """Evaluation-mode class prediction and probabilities for one video (B=1).
+
+    No command calls it: `din predict` runs its whole split through
+    trainer.evaluate in EVAL_BATCH chunks. It stays as the one-video API."""
     rows, _ = sample_batch(params.shape, [features])
     probabilities = forward_sample(params, rows).probabilities
     return int(clf.predict(probabilities)[0]), probabilities[0]

@@ -246,20 +246,23 @@ def train_epoch(
 
 def evaluate(
     params: ModelParams, samples: Sequence["Sample"]
-) -> tuple[float, float]:
-    """Center-sampled, dropout-free loss and accuracy over a split, run
-    model.EVAL_BATCH samples at a time."""
+) -> tuple[float, float, Array]:
+    """Center-sampled, dropout-free (loss, accuracy, N x C probabilities)
+    over a split, run model.EVAL_BATCH samples at a time; the probability
+    rows are in the order of `samples`."""
     if len(samples) == 0:
         raise ValueError("evaluation split is empty")
     total_loss = 0.0
-    correct = 0
+    probabilities = np.empty((len(samples), params.shape.num_classes))
+    start = 0
     for chunk, rows in eval_batches(params.shape, samples):
         fwd = forward_sample(params, rows)
-        labels = _labels(chunk)
-        losses, _ = cross_entropy_from_logits(fwd.logits, labels)
+        losses, _ = cross_entropy_from_logits(fwd.logits, _labels(chunk))
         total_loss += float(losses.sum())
-        correct += int((predict(fwd.probabilities) == labels).sum())
-    return total_loss / len(samples), correct / len(samples)
+        probabilities[start : start + len(chunk)] = fwd.probabilities
+        start += len(chunk)
+    correct = int((predict(probabilities) == _labels(samples)).sum())
+    return total_loss / len(samples), correct / len(samples), probabilities
 
 
 def fit(
@@ -287,7 +290,7 @@ def fit(
         try:
             with np.errstate(all="ignore"):
                 train_loss = train_epoch(params, train_split, config, opt, rng)
-                val_loss, val_accuracy = evaluate(params, val_split)
+                val_loss, val_accuracy, _ = evaluate(params, val_split)
             _check_finite(params.tensors, "parameter")
             _check_finite(opt.velocity, "velocity")
         except ArithmeticError as exc:

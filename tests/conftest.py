@@ -2,13 +2,22 @@ import dataclasses
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from din.data_io import read_feature_file, write_feature_file
+import din
+from din.data_io import (
+    ManifestEntry,
+    read_feature_file,
+    save_checkpoint,
+    save_manifest,
+    write_feature_file,
+)
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
+from din.trainer import TrainConfig, TrainState
 
 TINY_SHAPE = ModelShapeSpec(
     raw_dim=4, feat_dim=3, num_frames=5, widths=(2, 3), num_filters=4, num_classes=3
@@ -18,6 +27,13 @@ TINY_SHAPE = ModelShapeSpec(
 @pytest.fixture
 def tiny_params():
     return init_model(TINY_SHAPE, make_rng(123))
+
+
+def child_env(**overrides):
+    """os.environ plus `overrides`, with this checkout's din first on PYTHONPATH."""
+    src = str(Path(din.__file__).resolve().parents[1])
+    return dict(os.environ, **overrides,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def edit_checkpoint_meta(blob, edit):
@@ -51,3 +67,25 @@ def change_feature_file(path, change):
         f.seek(12)
         f.write(np.ones(T * D, dtype="<f4").tobytes())
     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+def write_test_split(root, count, lengths=(2, 4, 5, 9, 70)):
+    """(checkpoint, manifest) under root: an untrained TINY_SHAPE model and
+    a manifest of `count` "test" videos whose ids are listed out of order
+    and whose frame counts cycle through `lengths`, which lie below, at and
+    above TINY_SHAPE.num_frames."""
+    rng = np.random.default_rng(4)
+    params = init_model(TINY_SHAPE, make_rng(9))
+    checkpoint = root / "model.ckpt"
+    save_checkpoint(checkpoint, params, TrainState.fresh(params, TrainConfig()), TrainConfig())
+    (root / "features").mkdir()
+    entries = []
+    for i in rng.permutation(count):
+        path = f"features/v{i:03d}.difx"
+        frames = lengths[i % len(lengths)]
+        write_feature_file(root / path, rng.normal(size=(frames, TINY_SHAPE.raw_dim)))
+        label = int(rng.integers(TINY_SHAPE.num_classes))
+        entries.append(ManifestEntry(f"v{i:03d}", path, label, "test"))
+    manifest = root / "manifest.json"
+    save_manifest(manifest, [f"c{c}" for c in range(TINY_SHAPE.num_classes)], entries)
+    return checkpoint, manifest

@@ -6,6 +6,7 @@ from din.analysis import (
     estimate_flops,
     export_pooled_features,
     export_responses,
+    float_rows,
 )
 from din.cli import main
 from din.data_io import Sample, save_checkpoint, read_checkpoint_tensors
@@ -110,6 +111,11 @@ def make_samples(rng, count, frames, dim):
 
 
 class TestExports:
+    def test_float_rows_format_as_repr_of_each_numpy_scalar(self):
+        values = np.array([[0.0, -0.0, 5e-324, 1e-5, 1e16, 1 / 3]])
+        values = np.concatenate([values, -values])
+        assert float_rows(values) == [",".join(repr(float(v)) for v in row) for row in values]
+
     def test_response_rows_have_window_counts(self, tmp_path, tiny_params):
         rng = make_rng(2)
         samples = make_samples(rng, 4, 5, 4)

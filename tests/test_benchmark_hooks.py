@@ -9,12 +9,17 @@ not inside a benchmark run.
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from din.model import predict_sample
+from din.model import EVAL_BATCH, predict_sample
+
+from conftest import child_env, write_test_split
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -50,7 +55,8 @@ def test_name_resolves_in_its_defining_module(name):
 
 
 # perfbench/child.py counts one sample per predict_sample call and
-# len(args[1]) samples for every other boundary call.
+# len(args[1]) samples for every other boundary call. No command calls
+# predict_sample: `din predict` is one trainer.evaluate call.
 def test_predict_sample_takes_and_returns_one_video(tiny_params):
     features = np.ones((7, tiny_params.shape.raw_dim))
     label, probabilities = predict_sample(tiny_params, features)
@@ -63,3 +69,18 @@ def test_second_parameter_is_the_sample_sequence(name):
     module_name, function_name = name.split(".")
     fn = getattr(importlib.import_module(f"din.{module_name}"), function_name)
     assert list(inspect.signature(fn).parameters)[1] == "samples"
+
+
+def test_predict_is_counted_as_evaluate_calls_over_the_split(tmp_path):
+    count = 2 * EVAL_BATCH + 1
+    checkpoint, manifest = write_test_split(tmp_path, count)
+    record = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(record), "boundary", "0", "--", "predict",
+         "--checkpoint", str(checkpoint), "--manifest", str(manifest), "--split", "test",
+         "--out", str(tmp_path / "p.csv")],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    phases = json.loads(record.read_text())["phases"]
+    assert phases and {name for name, *_ in phases} == {"trainer.evaluate"}
+    assert sum(samples for *_, samples in phases) == count

@@ -1,19 +1,31 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import din
 import din.data_io as data_io
 import din.trainer as trainer
 from din.cli import main
-from din.data_io import load_checkpoint, save_checkpoint, write_feature_file
+from din.data_io import (
+    load_checkpoint,
+    load_manifest,
+    load_split,
+    read_feature_file,
+    save_checkpoint,
+    write_feature_file,
+)
+from din.model import EVAL_BATCH, predict_sample
 
-from conftest import change_feature_file, edit_checkpoint_meta, in_memory
+from conftest import (
+    TINY_SHAPE,
+    change_feature_file,
+    child_env,
+    edit_checkpoint_meta,
+    in_memory,
+    write_test_split,
+)
 
 
 def base_config(tmp_path, **train_overrides):
@@ -76,11 +88,8 @@ def four_epochs_two_ways(tmp_path, cfg):
 
 def run_din(*argv, **env_overrides):
     """`python -m din.cli ARGV` in a child process, with this checkout's din."""
-    src = str(Path(din.__file__).resolve().parents[1])
-    env = dict(os.environ, **env_overrides,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "din.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env(**env_overrides))
 
 
 def widen_first_sample(data_dir, split):
@@ -440,6 +449,35 @@ class TestEvalPredict:
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--manifest", str(tmp_path / "none.json")])
         assert rc == 2
+
+
+class TestBatchedInference:
+    def test_predict_matches_per_video_forwards_and_eval_a_direct_call(self, tmp_path, capsys):
+        # Three EVAL_BATCH chunks, the last of one video.
+        checkpoint, manifest = write_test_split(tmp_path, 2 * EVAL_BATCH + 1)
+        common = ["--checkpoint", str(checkpoint), "--manifest", str(manifest), "--split", "test"]
+        assert main(["predict", *common, "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(["eval", *common]) == 0
+        eval_line = capsys.readouterr().out.splitlines()[-1]
+
+        params = load_checkpoint(checkpoint).model
+        videos = {e.id: (e, read_feature_file(tmp_path / e.feature_path))
+                  for e in load_manifest(manifest).entries}
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        assert lines[0] == "id,label,predicted,p_0,p_1,p_2"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == sorted(videos)
+        for sample_id, label, predicted, *probabilities in rows:
+            entry, features = videos[sample_id]
+            expected_label, expected = predict_sample(params, features)
+            assert (int(label), int(predicted)) == (entry.label, expected_label)
+            np.testing.assert_allclose(np.array(probabilities, dtype=float), expected,
+                                       rtol=0, atol=1e-14)
+
+        samples = load_split(load_manifest(manifest), "test", TINY_SHAPE.raw_dim,
+                             center_rows=TINY_SHAPE.num_frames)
+        loss, accuracy, _ = trainer.evaluate(params, samples)
+        assert eval_line == f"split=test samples={len(samples)} loss={loss!r} accuracy={accuracy!r}"
 
 
 def vary_lengths(data_dir, lengths=(3, 8, 13, 70, 130)):

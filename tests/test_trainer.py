@@ -402,14 +402,17 @@ class TestEvaluate:
             if name.startswith("head/"):
                 arr[:] = 0.0
         # 3-class model on 2-class balanced data predicting class 0 always.
-        loss, acc = evaluate(params, splits["val"])
+        loss, acc, _ = evaluate(params, splits["val"])
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
         assert acc == 0.5
 
     def test_repeat_evaluation_identical(self):
         splits = tiny_dataset()
         params = init_model(TINY_SHAPE, make_rng(8))
-        assert evaluate(params, splits["val"]) == evaluate(params, splits["val"])
+        loss, acc, probabilities = evaluate(params, splits["val"])
+        again = evaluate(params, splits["val"])
+        assert (loss, acc) == again[:2]
+        np.testing.assert_array_equal(probabilities, again[2])
 
     def test_empty_split_rejected(self, tiny_params):
         with pytest.raises(ValueError):
