@@ -138,9 +138,8 @@ def _load_model_for_inference(args):
     return best
 
 
-def _load_samples(args, shape: ModelShapeSpec, split=None, centered=True):
-    """(manifest, samples of the split). Evaluation reads only the n
-    segment-center rows of each video; training passes centered=False."""
+def _load_samples(args, shape: ModelShapeSpec, split=None):
+    """(manifest, samples of the split), each a row reader of its file."""
     if not args.manifest:
         raise ValueError("--manifest is required")
     manifest = data_io.load_manifest(args.manifest)
@@ -148,8 +147,7 @@ def _load_samples(args, shape: ModelShapeSpec, split=None, centered=True):
         raise ValueError(f"{args.manifest}: manifest has {len(manifest.classes)} classes, "
                          f"the model has {shape.num_classes}")
     split = split or args.split
-    samples = data_io.load_split(manifest, split, shape.raw_dim,
-                                 center_rows=shape.num_frames if centered else None)
+    samples = data_io.load_split(manifest, split, shape.raw_dim)
     if not samples:
         raise ValueError(f"split {split!r} is empty in {args.manifest}")
     return manifest, samples
@@ -185,9 +183,8 @@ def cmd_train(args) -> int:
     cfg = build_run_config(args)
     if not args.out_dir:
         raise ValueError("--out-dir is required")
-    manifest, train_split = _load_samples(args, cfg.shape, "train", centered=False)
-    val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim,
-                                   center_rows=cfg.shape.num_frames)
+    manifest, train_split = _load_samples(args, cfg.shape, "train")
+    val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim)
     if not val_split:
         raise ValueError("validation split is empty")
     started = time.time()

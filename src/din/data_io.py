@@ -24,21 +24,13 @@ Checkpoint ("DICK", little-endian):
 Writers go through a temporary file plus atomic rename, so readers never
 observe a partial file. Features are quantized to float32 on disk; a write
 whose float32 values are not all finite is refused before anything is
-written. Every load scans every value of the file once for non-finite
-values, in blocks of READ_BLOCK_FRAMES frames, and what it keeps stays
-float32 and read-only. `load_split` keeps one of two things per video:
-- a training (full) load keeps no rows, only a `FeatureRows` reader of
-  the file. Each epoch's random draws may pick any frame, so each
-  `denseimage.gather` reads just the n rows it drew, and a training run
-  holds O(batch) feature values, not every frame of the split;
-- a center-row load (evaluation: eval, predict, the exports and the
-  validation split) keeps only the n segment-center rows, as an n x D
-  array; center sampling of those n rows is the identity, so the model
-  sees exactly the rows a full load would give it.
-`read_feature_file` can also return all T x D values, for callers that
-want the whole video. Only the n rows a DenseImage samples are widened to
-float64 (exactly), when they are gathered. Checkpoints round-trip float64
-exactly.
+written. A load (`read_feature_file`) scans every value of the file once
+for non-finite values, in blocks of READ_BLOCK_FRAMES frames, and keeps no
+frames: it returns a `FeatureRows` reader of the file. Training, evaluation
+and every export read through `denseimage.gather` just the n rows segment
+sampling picks, so a run holds O(batch) feature values, not every frame
+of a split. Only those rows are widened to float64 (exactly). Checkpoints
+round-trip float64 exactly.
 
 Checkpoint I/O moves each tensor's bytes once, between the file and the
 array that owns them. A save writes every payload straight from its
@@ -63,7 +55,6 @@ from typing import Collection
 
 import numpy as np
 
-from .denseimage import sample_segments
 from .model import ModelParams, ModelShapeSpec, check_parameter_shapes
 from .numerics import Array, make_rng, require_number
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
@@ -71,7 +62,7 @@ from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
 FEATURE_MAGIC = b"DIFX"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHIH")  # magic, version, frames, dim
-# Frames per read of a center-row load: 256 KB of buffer at D = 1024.
+# Frames per block of a load's finiteness scan: 256 KB of buffer at D = 1024.
 READ_BLOCK_FRAMES = 64
 
 CHECKPOINT_MAGIC = b"DICK"
@@ -91,7 +82,7 @@ class ManifestError(ValueError):
 @dataclass(frozen=True)
 class FeatureRows:
     """A scanned feature file from which `read_rows` reads single frames:
-    the features of a training sample loaded by `load_split`. It holds the
+    the features of a video loaded by `read_feature_file`. It holds the
     file's identity as seen at the scan (inode, size, mtime); a file that
     changed or is gone since then fails the next read, naming it."""
 
@@ -101,16 +92,18 @@ class FeatureRows:
 
     def read_rows(self, picks: Array) -> Array:
         """The picked frames as a float32 array, checked for finiteness;
-        the file is opened for this call only."""
+        the file is opened for this call only and each row is one pread."""
         rows = np.empty((len(picks), self.shape[1]), dtype="<f4")
-        with open(self.path, "rb") as f:
-            st = os.fstat(f.fileno())
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            st = os.fstat(fd)
             if (st.st_ino, st.st_size, st.st_mtime_ns) != self.stamp:
                 raise FormatError(f"{self.path}: changed since it was loaded")
             for row, t in zip(rows, picks):
-                f.seek(_FEATURE_HEADER.size + row.nbytes * int(t))
-                if f.readinto(row) != row.nbytes:
+                if os.preadv(fd, [row], _FEATURE_HEADER.size + row.nbytes * int(t)) != row.nbytes:
                     raise FormatError(f"{self.path}: changed since it was loaded")
+        finally:
+            os.close(fd)
         if not np.all(np.isfinite(rows)):
             raise FormatError(f"{self.path}: non-finite feature values")
         return rows
@@ -119,21 +112,14 @@ class FeatureRows:
 @dataclass(frozen=True)
 class Sample:
     """One sample: its raw frame features and label. The features are a
-    T x D array (generated ones float64, read-only float32 from
-    `read_feature_file`) or a `FeatureRows` reader (a training video loaded
-    by `load_split`). `denseimage.gather` takes either and widens only the
-    rows it samples, so arithmetic on them runs in float64 either way.
-
-    A `centered` sample was loaded with `center_rows=n`: its features are
-    only the n segment-center rows of the video, which is all that
-    evaluation reads. Training must not use it (`trainer.train_epoch`
-    rejects it): segment sampling of n rows with an rng still returns
-    those n rows, so training on it would silently see only them."""
+    `FeatureRows` reader (a video loaded from its file) or a T x D array
+    (an in-memory video, such as a generated one). `denseimage.gather`
+    takes either and widens only the rows it samples, so arithmetic on
+    them runs in float64 either way."""
 
     id: str
     features: Array | FeatureRows
     label: int
-    centered: bool = False
 
 
 def atomic_write_bytes(path: Path, *buffers) -> None:
@@ -170,18 +156,11 @@ def write_feature_file(path: str | Path, features: Array) -> None:
     atomic_write_bytes(Path(path), header, payload)
 
 
-def read_feature_file(
-    path: str | Path, center_rows: int | None = None, raw_dim: int | None = None,
-    rows_on_demand: bool = False,
-) -> Array | FeatureRows:
+def read_feature_file(path: str | Path, raw_dim: int | None = None) -> FeatureRows:
     """Scan every value of a feature file for finiteness, one block of
-    READ_BLOCK_FRAMES frames at a time, and return its float32 payload as
-    a read-only array: all T x D values, or with `center_rows=n` only the
-    n x D rows that `sample_segments(T, n)` picks (repeated when T < n).
-    With `rows_on_demand` it keeps no rows and returns a `FeatureRows`
-    reader of the file instead. All of them read the same bytes through
-    the same checks, so they fail alike. When `raw_dim` is given, a file
-    of another feature dim fails before its payload is read."""
+    READ_BLOCK_FRAMES frames at a time, and return a `FeatureRows` reader
+    of it; no frame is kept. When `raw_dim` is given, a file of another
+    feature dim fails before its payload is read."""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         size = st.st_size
@@ -200,24 +179,14 @@ def read_feature_file(
             raise FormatError(f"{path}: size {size} != expected {expected}")
         if raw_dim is not None and D != raw_dim:
             raise ManifestError(f"{path}: feature dim {D}, the model's raw_dim is {raw_dim}")
-        picks = None if center_rows is None else sample_segments(T, center_rows)
-        whole = picks is None and not rows_on_demand  # read in place, not through one block
-        buffer = np.empty((T if whole else min(T, READ_BLOCK_FRAMES), D), dtype="<f4")
-        kept = buffer if picks is None else np.empty((len(picks), D), dtype="<f4")
+        buffer = np.empty((min(T, READ_BLOCK_FRAMES), D), dtype="<f4")
         for lo in range(0, T, READ_BLOCK_FRAMES):
-            start = lo if whole else 0
-            block = buffer[start : start + min(READ_BLOCK_FRAMES, T - lo)]
+            block = buffer[: T - lo]
             if f.readinto(block) != block.nbytes:  # the file shrank while being read
                 raise FormatError(f"{path}: size {f.tell()} != expected {expected}")
             if not np.all(np.isfinite(block)):
                 raise FormatError(f"{path}: non-finite feature values")
-            if picks is not None:
-                hit = (picks >= lo) & (picks < lo + len(block))
-                kept[hit] = block[picks[hit] - lo]
-    if rows_on_demand:
-        return FeatureRows(Path(path), (T, D), (st.st_ino, st.st_size, st.st_mtime_ns))
-    kept.flags.writeable = False
-    return kept
+    return FeatureRows(Path(path), (T, D), (st.st_ino, st.st_size, st.st_mtime_ns))
 
 
 @dataclass(frozen=True)
@@ -291,25 +260,20 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     return DatasetManifest(list(classes), entries, root)
 
 
-def load_split(
-    manifest: DatasetManifest, split: str, raw_dim: int, center_rows: int | None = None
-) -> list[Sample]:
+def load_split(manifest: DatasetManifest, split: str, raw_dim: int) -> list[Sample]:
     """Scan every feature file of one split, in manifest order, with one
     `read_feature_file` call each; every sample's feature dim must equal
     the model's raw_dim. Each sample's features are a `FeatureRows` reader
-    of its file, from which training reads the rows it draws. With
-    `center_rows=n` each sample keeps only its n segment-center rows and is
-    marked `centered`: enough for evaluation, refused by training."""
+    of its file."""
     if split not in SPLITS:
         raise ManifestError(f"unknown split {split!r}")
     samples = []
     for e in manifest.split(split):
         try:
-            features = read_feature_file(manifest.root / e.feature_path, center_rows, raw_dim,
-                                         rows_on_demand=center_rows is None)
+            features = read_feature_file(manifest.root / e.feature_path, raw_dim)
         except ManifestError as exc:  # the dim check, which cannot know the sample
             raise ManifestError(f"sample {e.id!r}: {exc}") from exc
-        samples.append(Sample(e.id, features, e.label, center_rows is not None))
+        samples.append(Sample(e.id, features, e.label))
     return samples
 
 

@@ -1,7 +1,8 @@
 """Frame sequences into fixed-size DenseImage matrices.
 
-A video arrives as a plain T x D array, one feature vector per frame,
-which `check_features` validates, or as a reader of its feature file.
+A video arrives as a reader of its feature file or, in memory, as a
+T x D array with one feature vector per frame, which `check_features`
+validates.
 Gathering picks n frames by segment sampling; encoding pushes a whole
 batch of gathered rows through the trainable linear reduction at once.
 Row i of a DenseImage is always sampled frame i: nothing here may permute
@@ -16,12 +17,10 @@ from .numerics import Array
 
 
 def check_features(features: Array) -> Array:
-    """Validate a video's per-frame feature vectors, a T x D matrix with one
-    row per frame in temporal order, and return it unchanged.
-
-    The matrix is checked in the dtype it arrives in (float32 when loaded
-    from a feature file), so validation never makes a widened copy of the
-    whole video.
+    """Validate an in-memory video's per-frame feature vectors, a T x D
+    matrix with one row per frame in temporal order, and return it
+    unchanged. The matrix is checked in the dtype it arrives in, so
+    validation never makes a widened copy of the whole video.
     """
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a T x D matrix with T >= 1")
@@ -55,9 +54,9 @@ def sample_segments(T: int, n: int, rng: np.random.Generator | None = None) -> A
 def gather(features, n: int, rng: np.random.Generator | None = None) -> Array:
     """The n x D raw rows of the frames segment sampling picks (segment
     centers without an rng, random draws with one), in temporal order, as
-    float64. An array video is validated whole in its own dtype. A
-    `data_io.FeatureRows` reader (a training video left in its file) reads
-    and checks only the picked rows. Either way only the n picked rows are
+    float64. A `data_io.FeatureRows` reader (a video loaded from its file)
+    reads and checks only the picked rows. An in-memory array video is
+    validated whole in its own dtype. Either way only the n picked rows are
     widened; float32 -> float64 is exact."""
     if hasattr(features, "read_rows"):
         rows = features.read_rows(sample_segments(features.shape[0], n, rng))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -129,17 +129,17 @@ OPT_BLOCK = 32768
 
 def sgd_momentum_step(
     named: dict[str, Array],
-    grads: Mapping[str, Array] | Iterable[tuple[str, Array]],
+    grads: Iterable[tuple[str, Array]],
     state: OptimizerState,
     config: TrainConfig,
 ) -> None:
     """One in-place update of every array in `named`:
     v <- momentum*v + (grad + wd*param); param -= lr*v.
 
-    `grads` is a name -> gradient mapping or a stream of (name, gradient)
-    pairs, such as model.backward_sample yields. Each tensor is updated as
-    its pair arrives, so the stream may reuse a gradient buffer for the
-    next pair; every name of `named` must arrive once, with its shape.
+    `grads` is a stream of (name, gradient) pairs, such as
+    model.backward_sample yields. Each tensor is updated as its pair
+    arrives, so the stream may reuse a gradient buffer for the next pair;
+    every name of `named` must arrive once, with its shape.
 
     Weight decay enters as an additive L2 gradient term and never touches
     tensors whose name ends in "/bias". Each tensor is updated in blocks of
@@ -149,7 +149,7 @@ def sgd_momentum_step(
     """
     scratch = np.empty(OPT_BLOCK)
     done: set[str] = set()
-    for name, grad in grads.items() if isinstance(grads, Mapping) else grads:
+    for name, grad in grads:
         if name not in named or name in done:
             raise ValueError("gradient names do not match the parameters")
         done.add(name)
@@ -211,15 +211,9 @@ def train_epoch(
     """One pass over the split in a fresh shuffled order; one batched
     forward/backward and one momentum step per mini-batch with the
     batch-mean gradient, applied tensor by tensor as backward yields it,
-    so no whole gradient set is ever held. Returns the mean loss.
-    Samples loaded with only their center rows are refused: segment
-    sampling must draw from every frame."""
+    so no whole gradient set is ever held. Returns the mean loss."""
     if len(samples) == 0:
         raise ValueError("training split is empty")
-    for s in samples:
-        if s.centered:
-            raise ValueError(f"sample {s.id!r} holds only its center rows; "
-                             "training needs every frame")
     order = rng.permutation(len(samples))
     scratch = backward_scratch(params.shape, min(config.batch_size, len(samples)))
     total_loss = 0.0

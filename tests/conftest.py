@@ -10,7 +10,6 @@ import pytest
 import din
 from din.data_io import (
     ManifestEntry,
-    read_feature_file,
     save_checkpoint,
     save_manifest,
     write_feature_file,
@@ -45,10 +44,20 @@ def edit_checkpoint_meta(blob, edit):
     return blob[:6] + struct.pack("<I", len(encoded)) + encoded + blob[10 + meta_len :]
 
 
+def decode_feature_file(path):
+    """Every frame of a feature file as a float32 T x D array, decoded
+    independently of din's reader: the 12-byte header gives T and D, the
+    float32 payload follows."""
+    with open(path, "rb") as f:
+        _, _, T, D = struct.unpack("<4sHIH", f.read(12))
+    return np.fromfile(path, "<f4", offset=12).reshape(T, D)
+
+
 def in_memory(samples):
-    """Reference loads of a full `load_split`: each sample with every frame
-    of its file, read by `read_feature_file`, in place of its row reader."""
-    return [dataclasses.replace(s, features=read_feature_file(s.features.path)) for s in samples]
+    """Each sample of a `load_split` with every frame of its file, decoded
+    by `decode_feature_file`, in place of its row reader."""
+    return [dataclasses.replace(s, features=decode_feature_file(s.features.path))
+            for s in samples]
 
 
 def change_feature_file(path, change):
@@ -58,7 +67,7 @@ def change_feature_file(path, change):
     if change == "delete":
         path.unlink()
         return
-    T, D = read_feature_file(path).shape
+    T, D = decode_feature_file(path).shape
     if change == "size":
         write_feature_file(path, np.ones((T + 1, D)))
         return

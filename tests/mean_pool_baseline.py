@@ -2,8 +2,8 @@
 
 Mean over raw frames into a linear head, trained with the same optimizer.
 It exists to certify that a dataset actually requires temporal-order
-modeling (acceptance criterion 4). It averages every frame, so it must be
-given fully loaded samples, never ones loaded with `center_rows`.
+modeling (acceptance criterion 4). It averages every frame, so its samples
+hold in-memory T x D arrays, not row readers.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ def init_baseline(rng: np.random.Generator, raw_dim: int, num_classes: int) -> M
 
 
 def _frame_means(samples: Sequence["Sample"]) -> Array:
-    for s in samples:  # a centered sample's mean would cover n rows, not the video
-        if s.centered:
-            raise ValueError(f"sample {s.id!r} holds only its center rows")
     return np.stack([s.features.mean(axis=0, dtype=np.float64) for s in samples])
 
 
@@ -88,7 +85,7 @@ def train_baseline(
             sgd_momentum_step(
                 named,
                 {"baseline/weights": grad_logits.T @ means * scale,
-                 "baseline/bias": grad_logits.sum(axis=0) * scale},
+                 "baseline/bias": grad_logits.sum(axis=0) * scale}.items(),
                 opt,
                 config,
             )

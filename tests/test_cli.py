@@ -12,7 +12,6 @@ from din.data_io import (
     load_checkpoint,
     load_manifest,
     load_split,
-    read_feature_file,
     save_checkpoint,
     write_feature_file,
 )
@@ -22,6 +21,7 @@ from conftest import (
     TINY_SHAPE,
     change_feature_file,
     child_env,
+    decode_feature_file,
     edit_checkpoint_meta,
     in_memory,
     write_test_split,
@@ -461,7 +461,7 @@ class TestBatchedInference:
         eval_line = capsys.readouterr().out.splitlines()[-1]
 
         params = load_checkpoint(checkpoint).model
-        videos = {e.id: (e, read_feature_file(tmp_path / e.feature_path))
+        videos = {e.id: (e, decode_feature_file(tmp_path / e.feature_path))
                   for e in load_manifest(manifest).entries}
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines[0] == "id,label,predicted,p_0,p_1,p_2"
@@ -474,8 +474,7 @@ class TestBatchedInference:
             np.testing.assert_allclose(np.array(probabilities, dtype=float), expected,
                                        rtol=0, atol=1e-14)
 
-        samples = load_split(load_manifest(manifest), "test", TINY_SHAPE.raw_dim,
-                             center_rows=TINY_SHAPE.num_frames)
+        samples = load_split(load_manifest(manifest), "test", TINY_SHAPE.raw_dim)
         loss, accuracy, _ = trainer.evaluate(params, samples)
         assert eval_line == f"split=test samples={len(samples)} loss={loss!r} accuracy={accuracy!r}"
 
@@ -493,8 +492,9 @@ def vary_lengths(data_dir, lengths=(3, 8, 13, 70, 130)):
 
 class TestCenterRowLoads:
     def test_artifacts_equal_those_of_full_loads(self, tmp_path, capsys, monkeypatch):
-        # Reader-backed train and center-row val splits against every split
-        # loaded whole into memory: the same artifacts and stdout.
+        # Row-reader splits, whose center rows evaluation reads at gather
+        # time, against every split decoded whole into memory: the same
+        # artifacts and stdout.
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
@@ -505,11 +505,10 @@ class TestCenterRowLoads:
         calls = []
 
         def artifacts(out, full):
-            def load_split(manifest, split, raw_dim, center_rows=None):
-                calls.append((split, center_rows))
-                if full:
-                    return in_memory(real(manifest, split, raw_dim))
-                return real(manifest, split, raw_dim, center_rows)
+            def load_split(manifest, split, raw_dim):
+                calls.append(split)
+                samples = real(manifest, split, raw_dim)
+                return in_memory(samples) if full else samples
 
             monkeypatch.setattr(data_io, "load_split", load_split)
             common = ["--checkpoint", str(out / "checkpoint.ckpt"), "--manifest", manifest]
@@ -527,26 +526,33 @@ class TestCenterRowLoads:
                      "resumed/history.json", "p.csv", "f.csv", "r.csv")
             return stdout, {name: (out / name).read_bytes() for name in files}
 
-        centered = artifacts(tmp_path / "centered", full=False)
-        assert calls == [("train", None), ("val", 8)] * 2 + [("val", 8)] * 4
-        assert centered == artifacts(tmp_path / "full", full=True)
+        readers = artifacts(tmp_path / "readers", full=False)
+        assert calls == ["train", "val"] * 2 + ["val"] * 4
+        assert readers == artifacts(tmp_path / "full", full=True)
 
 
 class TestChangedTrainingFiles:
-    @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
-    def test_train_exits_2_and_removes_its_out_dir(self, tmp_path, capsys, monkeypatch, change):
+    def train_with_a_changed_file(self, tmp_path, capsys, monkeypatch, split, change):
+        """Run a two-epoch `din train` into a new nested --out-dir, changing
+        the first `split` file of the manifest once, after epoch 0 has used
+        it: a train file before epoch 0's evaluation, a val file after it.
+        Epoch 1 then reads it again and must fail, naming it."""
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
         doc = json.loads((data_dir / "manifest.json").read_text())
-        path = data_dir / next(r for r in doc["samples"] if r["split"] == "train")["feature_path"]
+        path = data_dir / next(r for r in doc["samples"] if r["split"] == split)["feature_path"]
         real = trainer.evaluate
 
         def evaluate(params, samples):  # runs after each epoch's training
-            if not changed:
+            first = not changed
+            if first and split == "train":
                 change_feature_file(path, change)
-                changed.append(True)
-            return real(params, samples)
+            result = real(params, samples)
+            if first and split == "val":
+                change_feature_file(path, change)
+            changed.append(True)
+            return result
 
         changed = []
         monkeypatch.setattr(trainer, "evaluate", evaluate)
@@ -560,6 +566,16 @@ class TestChangedTrainingFiles:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err and "Traceback" not in captured.err
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
+    def test_train_exits_2_and_removes_its_out_dir(self, tmp_path, capsys, monkeypatch, change):
+        self.train_with_a_changed_file(tmp_path, capsys, monkeypatch, "train", change)
+
+    @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
+    def test_changed_val_file_exits_2_and_removes_its_out_dir(
+        self, tmp_path, capsys, monkeypatch, change
+    ):
+        self.train_with_a_changed_file(tmp_path, capsys, monkeypatch, "val", change)
 
 
 class TestExports:

@@ -48,8 +48,23 @@ from din.trainer import (
     train_epoch,
 )
 
-from conftest import TINY_SHAPE, change_feature_file, edit_checkpoint_meta, in_memory
+from conftest import (
+    TINY_SHAPE,
+    change_feature_file,
+    decode_feature_file,
+    edit_checkpoint_meta,
+    in_memory,
+)
 from mean_pool_baseline import train_baseline
+
+
+def every_frame(path):
+    """All T x D frames of a feature file through its reader, which must
+    agree with the independent `decode_feature_file`."""
+    reader = read_feature_file(path)
+    frames = reader.read_rows(np.arange(reader.shape[0]))
+    assert frames.dtype == np.float32 and np.array_equal(frames, decode_feature_file(path))
+    return frames
 
 
 class TestFeatureFiles:
@@ -57,7 +72,7 @@ class TestFeatureFiles:
         path = tmp_path / "one.difx"
         write_feature_file(path, np.array([[1.0]]))
         assert path.stat().st_size == 16
-        assert np.array_equal(read_feature_file(path), [[1.0]])
+        assert np.array_equal(every_frame(path), [[1.0]])
 
     def test_size_formula(self, tmp_path):
         path = tmp_path / "f.difx"
@@ -121,7 +136,7 @@ class TestFeatureFiles:
         path = tmp_path / "max.difx"
         top = float(np.finfo(np.float32).max)
         write_feature_file(path, np.array([[top, -top, 1.0]]))
-        assert np.array_equal(read_feature_file(path), [[top, -top, 1.0]])
+        assert np.array_equal(every_frame(path), [[top, -top, 1.0]])
 
     def test_nonfinite_payload_names_the_file(self, tmp_path):
         path = tmp_path / "nan.difx"
@@ -141,7 +156,7 @@ class TestFeatureFiles:
         features = rng.normal(size=(8, 1024))
         path = tmp_path / "big.difx"
         write_feature_file(path, features)
-        got = read_feature_file(path)
+        got = every_frame(path)
         assert np.array_equal(got, features.astype(np.float32).astype(np.float64))
 
     def test_header_represents_large_frame_counts(self):
@@ -159,7 +174,7 @@ class TestFeatureFiles:
         path = tmp_path_factory.mktemp("difx") / "x.difx"
         features = make_rng(seed).normal(size=(T, D)) * 100.0
         write_feature_file(path, features)
-        got = read_feature_file(path)
+        got = every_frame(path)
         assert got.shape == (T, D)
         assert np.array_equal(got, features.astype(np.float32).astype(np.float64))
 
@@ -174,10 +189,9 @@ class TestFeatureFiles:
     def test_center_rows_are_the_full_reads_sampled_rows(self, tmp_path_factory, T, n, D, seed):
         path = tmp_path_factory.mktemp("difx") / "x.difx"
         write_feature_file(path, make_rng(seed).normal(size=(T, D)))
-        full = read_feature_file(path)
-        got = read_feature_file(path, center_rows=n)
-        assert got.dtype == np.float32 and got.shape == (n, D) and not got.flags.writeable
-        assert np.array_equal(got, full[sample_segments(T, n)])
+        got = gather(read_feature_file(path), n)
+        assert got.dtype == np.float64 and got.shape == (n, D)
+        assert np.array_equal(got, decode_feature_file(path)[sample_segments(T, n)])
 
     @pytest.mark.parametrize("row", [0, READ_BLOCK_FRAMES + 1, 199])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -190,9 +204,8 @@ class TestFeatureFiles:
         at = 12 + 4 * (3 * row + 1)
         blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-        for load in ({"center_rows": 8}, {"rows_on_demand": True}):
-            with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
-                read_feature_file(path, **load)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
+            read_feature_file(path)
 
 
 class TestAtomicWrite:
@@ -252,46 +265,44 @@ class TestLoadContract:
     def test_loaded_videos_hold_four_bytes_per_value(self, tmp_path):
         path = tmp_path / "v.difx"
         write_feature_file(path, make_rng(3).normal(size=(7, 5)))
-        features = read_feature_file(path)
-        assert features.dtype == np.float32 and features.shape == (7, 5)
-        assert features.nbytes == 4 * 7 * 5
-        assert not features.flags.writeable
+        reader = read_feature_file(path)
+        assert reader.shape == (7, 5)
+        rows = reader.read_rows(np.arange(7))
+        assert rows.dtype == np.float32 and rows.nbytes == 4 * 7 * 5
 
     def test_full_split_keeps_row_readers(self, tmp_path):
         manifest = self.synth_manifest(tmp_path)
         samples = load_split(manifest, "train", 5)
         for sample, entry in zip(samples, manifest.split("train")):
             path = manifest.root / entry.feature_path
-            assert isinstance(sample.features, FeatureRows) and not sample.centered
+            assert isinstance(sample.features, FeatureRows)
             assert sample.features.path == path and sample.features.shape == (8, 5)
             rows = sample.features.read_rows(np.array([7, 0, 0, 3]))
             assert rows.dtype == np.float32
-            assert np.array_equal(rows, read_feature_file(path)[[7, 0, 0, 3]])
+            assert np.array_equal(rows, decode_feature_file(path)[[7, 0, 0, 3]])
 
     def test_load_split_reads_each_file_once(self, tmp_path, monkeypatch):
         manifest = self.synth_manifest(tmp_path)
         real = data_io_mod.read_feature_file
         monkeypatch.setattr(data_io_mod, "read_feature_file",
                             lambda path, *args, **kw: reads.append(path) or real(path, *args, **kw))
-        for center_rows in (None, 3):
-            reads = []
-            samples = load_split(manifest, "train", 5, center_rows=center_rows)
-            assert len(samples) == 6
-            assert reads == [manifest.root / e.feature_path for e in manifest.split("train")]
+        reads = []
+        samples = load_split(manifest, "train", 5)
+        assert len(samples) == 6
+        assert reads == [manifest.root / e.feature_path for e in manifest.split("train")]
 
     def test_center_row_split_keeps_the_sampled_rows(self, tmp_path):
+        # An evaluation split loads like a training split, as row readers;
+        # a center gather reads each video's segment-center rows.
         manifest = self.synth_manifest(tmp_path)
-        full = in_memory(load_split(manifest, "val", 5))
-        centered = load_split(manifest, "val", 5, center_rows=3)
-        assert [s.id for s in centered] == [s.id for s in full]
-        for got, want in zip(centered, full):
-            assert got.centered and not want.centered and got.label == want.label
+        samples = load_split(manifest, "val", 5)
+        full = in_memory(samples)
+        for got, want in zip(samples, full):
+            assert isinstance(got.features, FeatureRows) and got.label == want.label
             rows = want.features[sample_segments(len(want.features), 3)]
-            assert got.features.dtype == np.float32 and not got.features.flags.writeable
-            assert np.array_equal(got.features, rows)
+            assert np.array_equal(gather(got.features, 3), rows)
 
-    @pytest.mark.parametrize("center_rows", [None, 3])
-    def test_wrong_dim_fails_before_the_payload_is_read(self, tmp_path, center_rows):
+    def test_wrong_dim_fails_before_the_payload_is_read(self, tmp_path):
         # The payload holds a NaN, so only a check made before reading it
         # reports the dim.
         manifest = self.synth_manifest(tmp_path)
@@ -302,7 +313,7 @@ class TestLoadContract:
         blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(ManifestError, match=f"sample {entry.id!r}: .*feature dim 7"):
-            load_split(manifest, "val", 5, center_rows=center_rows)
+            load_split(manifest, "val", 5)
 
 
 class TestManifest:
@@ -660,27 +671,28 @@ FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
 
 def check_center_read_agrees(path, blob, n):
-    """A center-row read and a row-reader load fail, with the same message,
-    exactly when the full read fails. Otherwise the center-row read returns
-    the full read's sampled rows and the reader reads the full read's rows."""
+    """A load fails exactly when an independent check of the blob's header,
+    size and values finds it invalid. Otherwise the reader reads every
+    frame, and its center gather the sampled rows, of the file as
+    `decode_feature_file` decodes it."""
     path.write_bytes(blob)
+    magic, version, T, D = struct.unpack_from("<4sHIH", blob) if len(blob) >= 12 else [0] * 4
+    valid = (magic == FEATURE_MAGIC and version == 1 and T * D > 0 and len(blob) == 12 + 4 * T * D
+             and np.all(np.isfinite(np.frombuffer(blob, "<f4", offset=12))))
     try:
-        full = read_feature_file(path)
-    except FormatError as exc:
-        for load in ({"center_rows": n}, {"rows_on_demand": True}):
-            with pytest.raises(FormatError) as info:
-                read_feature_file(path, **load)
-            assert str(info.value) == str(exc)
+        reader = read_feature_file(path)
+    except FormatError:
+        assert not valid
         return
-    got = read_feature_file(path, center_rows=n)
-    assert np.array_equal(got, full[sample_segments(len(full), n)])
-    reader = read_feature_file(path, rows_on_demand=True)
-    assert np.array_equal(reader.read_rows(np.arange(len(full))), full)
+    assert valid
+    full = decode_feature_file(path)
+    assert np.array_equal(reader.read_rows(np.arange(T)), full)
+    assert np.array_equal(gather(reader, n), full[sample_segments(T, n)])
 
 
 class TestFuzz:
     """Truncated or single-byte-flipped files give FormatError or a valid
-    load; a center-row read of a feature file agrees with its full read."""
+    load; a loaded feature file's reads agree with an independent decode."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -855,7 +867,7 @@ class TestStreamedCheckpoints:
 
 
 class TestCenterRowMemory:
-    T, D, N = 2000, 256, 8
+    T, D = 2000, 256
 
     @pytest.fixture(scope="class")
     def long_video(self, tmp_path_factory):
@@ -863,22 +875,8 @@ class TestCenterRowMemory:
         write_feature_file(path, make_rng(5).normal(size=(self.T, self.D)))
         return path
 
-    def test_center_row_load_holds_its_rows_and_one_block(self, long_video):
-        row = 4 * self.D
-        peak = traced_peak(lambda: read_feature_file(long_video, center_rows=self.N))
-        assert peak <= self.N * row + READ_BLOCK_FRAMES * row + 32 * 1024
-
-    def test_full_load_holds_every_frame(self, long_video):
-        peak = traced_peak(lambda: read_feature_file(long_video))
-        assert peak >= self.T * 4 * self.D
-
-    def test_full_load_holds_the_video_and_one_block(self, long_video):
-        row = 4 * self.D
-        peak = traced_peak(lambda: read_feature_file(long_video))
-        assert peak <= self.T * row + READ_BLOCK_FRAMES * row + 32 * 1024
-
     def test_row_reader_load_holds_one_block(self, long_video):
-        peak = traced_peak(lambda: read_feature_file(long_video, rows_on_demand=True))
+        peak = traced_peak(lambda: read_feature_file(long_video))
         assert peak <= READ_BLOCK_FRAMES * 4 * self.D + 32 * 1024
 
 
@@ -915,8 +913,8 @@ class TestTrainingRowReads:
     def test_gather_draws_and_reads_like_an_array_gather(self, tmp_path_factory, T, n, D, seed):
         path = tmp_path_factory.mktemp("rows") / "x.difx"
         write_feature_file(path, make_rng(seed).normal(size=(T, D)))
-        reader = read_feature_file(path, rows_on_demand=True)
-        full = read_feature_file(path)
+        reader = read_feature_file(path)
+        full = decode_feature_file(path)
         assert reader.shape == (T, D)
         assert np.array_equal(gather(reader, n), gather(full, n))
         ours, theirs = make_rng(seed), make_rng(seed)
@@ -940,7 +938,7 @@ class TestTrainingRowReads:
         monkeypatch.setattr(data_io_mod, "read_feature_file",
                             lambda path, *args, **kw: reads.append(path) or real(path, *args, **kw))
         train = load_split(manifest, "train", self.D)
-        val = load_split(manifest, "val", self.D, center_rows=self.SHAPE.num_frames)
+        val = load_split(manifest, "val", self.D)
         params = init_model(self.SHAPE, init_rng(1))
         fit(params, train, val, TrainConfig(batch_size=2, max_epochs=2, seed=1))
         assert sorted(reads) == sorted(manifest.root / e.feature_path for e in manifest.entries)
@@ -958,7 +956,7 @@ class TestTrainingRowReads:
         # Written in place after the scan, with the file's stamp kept.
         path = tmp_path / "v.difx"
         write_feature_file(path, np.ones((4, 3)))
-        reader = read_feature_file(path, rows_on_demand=True)
+        reader = read_feature_file(path)
         st = path.stat()
         with open(path, "r+b") as f:
             f.seek(12 + 4 * 3 * 2)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import din.trainer as trainer_mod
 from din.data_io import (
+    FormatError,
     Sample,
     SyntheticTaskConfig,
     load_manifest,
@@ -29,7 +31,7 @@ from din.trainer import (
     train_epoch,
 )
 
-from conftest import TINY_SHAPE, in_memory
+from conftest import TINY_SHAPE, change_feature_file, in_memory, write_test_split
 from mean_pool_baseline import train_baseline
 
 
@@ -92,7 +94,7 @@ class TestSgdStep:
         state = OptimizerState.init(tiny_params, cfg)
         before = snapshot(tiny_params)
         zero = {name: np.zeros_like(arr) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params.tensors, zero, state, cfg)
+        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg)
         for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name])
 
@@ -102,7 +104,7 @@ class TestSgdStep:
         before = snapshot(tiny_params)
         rng = make_rng(1)
         grads = {name: rng.normal(size=arr.shape) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params.tensors, grads, state, cfg)
+        sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg)
         for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name] - grads[name])
 
@@ -113,7 +115,7 @@ class TestSgdStep:
         state = OptimizerState.init(tiny_params, cfg)
         tiny_params.tensors["reduction/weights"][0, 0] = 1.0
         zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
-        sgd_momentum_step(tiny_params.tensors, zero, state, cfg)
+        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg)
         assert abs(tiny_params.tensors["reduction/weights"][0, 0] - 0.99999975) < 1e-15
 
     def test_weight_decay_skips_biases(self, tiny_params):
@@ -121,7 +123,7 @@ class TestSgdStep:
         state = OptimizerState.init(tiny_params, cfg)
         tiny_params.tensors["reduction/bias"][:] = 3.0
         zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
-        sgd_momentum_step(tiny_params.tensors, zero, state, cfg)
+        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg)
         assert np.array_equal(tiny_params.tensors["reduction/bias"], np.full(3, 3.0))
 
     def test_shape_mismatch_rejected(self, tiny_params):
@@ -130,9 +132,9 @@ class TestSgdStep:
         grads = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
         grads["reduction/bias"] = np.zeros(99)
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params.tensors, grads, state, cfg)
+            sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg)
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params.tensors, {}, state, cfg)
+            sgd_momentum_step(tiny_params.tensors, iter(()), state, cfg)
 
 
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
@@ -150,7 +152,7 @@ class TestSgdStep:
                     g = g + weight_decay * want_p[name]
                 want_v[name] = cfg.momentum * want_v[name] + g
                 want_p[name] = want_p[name] - state.current_lr * want_v[name]
-            sgd_momentum_step(tiny_params.tensors, passed, state, cfg)
+            sgd_momentum_step(tiny_params.tensors, passed.items(), state, cfg)
             for name in grads:
                 assert np.array_equal(passed[name], grads[name])  # inputs untouched
                 assert np.array_equal(tiny_params.tensors[name], want_p[name])
@@ -158,8 +160,7 @@ class TestSgdStep:
 
 
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_tensors_of_several_blocks_equal_the_formula(self, weight_decay, streamed):
+    def test_tensors_of_several_blocks_equal_the_formula(self, weight_decay):
         # 2.5 optimizer blocks each: one of half-block rows, two flat ones.
         shapes = {"wide/weights": (5, OPT_BLOCK // 2), "long/weights": (5 * OPT_BLOCK // 2,),
                   "long/bias": (5 * OPT_BLOCK // 2,)}
@@ -175,7 +176,7 @@ class TestSgdStep:
                 g = g + weight_decay * named[name]
             want_v[name] = cfg.momentum * state.velocity[name] + g
             want_p[name] = named[name] - state.current_lr * want_v[name]
-        sgd_momentum_step(named, iter(grads.items()) if streamed else grads, state, cfg)
+        sgd_momentum_step(named, grads.items(), state, cfg)
         for name in shapes:
             assert np.array_equal(named[name], want_p[name]), name
             assert np.array_equal(state.velocity[name], want_v[name]), name
@@ -303,19 +304,6 @@ class TestTrainEpoch:
         with pytest.raises(ValueError):
             train_epoch(tiny_params, [], cfg, state, epoch_rng(0, 0))
 
-    def test_centered_sample_rejected(self, tiny_params):
-        # Sampling n of n rows with an rng returns all n, so training
-        # would silently see only the center rows.
-        samples = tiny_dataset(num_per_class=2)["train"]
-        samples[2] = dataclasses.replace(samples[2], centered=True)
-        cfg = TrainConfig()
-        state = OptimizerState.init(tiny_params, cfg)
-        before = clone_params(tiny_params)
-        with pytest.raises(ValueError, match=f"sample {samples[2].id!r} holds only its center rows"):
-            train_epoch(tiny_params, samples, cfg, state, epoch_rng(0, 0))
-        for name, arr in before.tensors.items():
-            assert np.array_equal(tiny_params.tensors[name], arr)
-
     @pytest.mark.parametrize("keep", [0.8, 1.0])
     def test_epoch_draws_in_the_per_sample_order(self, keep):
         # Shuffle, then per sample in shuffled order: one dropout mask per
@@ -343,7 +331,7 @@ class TestTrainEpoch:
             masks = {h: np.stack(m) for h, m in masks.items()} if keep < 1.0 else None
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
             mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
-            sgd_momentum_step(replay.tensors, mean, state, cfg)
+            sgd_momentum_step(replay.tensors, mean.items(), state, cfg)
         assert rng.bit_generator.state == ref.bit_generator.state
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, replay.tensors[name]), name
@@ -368,7 +356,7 @@ class TestTrainEpoch:
                                        cfg.dropout_keep)
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
             mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
-            sgd_momentum_step(replay.tensors, mean, state, cfg)
+            sgd_momentum_step(replay.tensors, mean.items(), state, cfg)
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, replay.tensors[name]), name
 
@@ -417,6 +405,18 @@ class TestEvaluate:
     def test_empty_split_rejected(self, tiny_params):
         with pytest.raises(ValueError):
             evaluate(tiny_params, [])
+
+    @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
+    def test_file_changed_after_the_load_fails_naming_it(self, tmp_path, tiny_params, change):
+        _, manifest = write_test_split(tmp_path, 5)
+        samples = load_split(load_manifest(manifest), "test", TINY_SHAPE.raw_dim)
+        loss, accuracy, probabilities = evaluate(tiny_params, samples)
+        want = evaluate(tiny_params, in_memory(samples))
+        assert (loss, accuracy) == want[:2] and np.array_equal(probabilities, want[2])
+        path = samples[3].features.path
+        change_feature_file(path, change)
+        with pytest.raises((FormatError, FileNotFoundError), match=re.escape(str(path))):
+            evaluate(tiny_params, samples)
 
 
 class TestFit:
@@ -537,11 +537,3 @@ class TestBaseline:
                               [dataclasses.astuple(r) for r in history64])
         assert np.array_equal(model32.weights, model64.weights)
         assert np.array_equal(model32.bias, model64.bias)
-
-    def test_centered_split_rejected(self, tmp_path):
-        synth = SyntheticTaskConfig(feature_dim=6, samples_per_class=4, seed=4)
-        manifest = load_manifest(write_synth_dataset(synth, tmp_path))
-        train = in_memory(load_split(manifest, "train", 6))
-        val = load_split(manifest, "val", 6, center_rows=4)
-        with pytest.raises(ValueError, match="holds only its center rows"):
-            train_baseline(train, val, 6, 2, TrainConfig(max_epochs=1, seed=2))
