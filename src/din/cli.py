@@ -27,15 +27,11 @@ from pathlib import Path
 from . import analysis, data_io, selftest, trainer
 from .classifier import predict
 from .model import ModelShapeSpec, init_model
+from .numerics import from_fields
 
-DEFAULT_SHAPE = ModelShapeSpec(
-    raw_dim=1024,
-    feat_dim=256,
-    num_frames=8,
-    widths=(2, 3, 4, 5, 6),
-    num_filters=256,
-    num_classes=27,
-)
+# The configuration file's sections and the record each one builds.
+SECTIONS = {"shape": ModelShapeSpec, "train": trainer.TrainConfig,
+            "synth": data_io.SyntheticTaskConfig}
 
 
 class UsageError(Exception):
@@ -56,44 +52,30 @@ class RunConfig:
     synth: data_io.SyntheticTaskConfig
 
 
-def _merge_section(defaults: dict, file_section: dict, args, prefix="") -> dict:
-    merged = dict(defaults)
-    for key, value in (file_section or {}).items():
-        if key not in merged:
-            raise ValueError(f"unknown config key {prefix}{key!r}")
-        merged[key] = value
-    for key in defaults:
-        override = getattr(args, f"{prefix.replace('.', '_')}{key}", None)
-        if override is not None:
-            merged[key] = override
-    return merged
+def _merge_section(section: str, file_doc: dict, args):
+    """The section's record from its defaults, then the config file's
+    values, then the command's override flags; an unknown key fails."""
+    record = SECTIONS[section]
+    flags = {f.name: getattr(args, f"{section}.{f.name}", None) for f in fields(record)}
+    merged = {**asdict(record()), **file_doc.get(section, {})}
+    merged.update((name, value) for name, value in flags.items() if value is not None)
+    return from_fields(record, merged)
 
 
 def build_run_config(args) -> RunConfig:
     file_doc = {}
     if args.config:
         path = Path(args.config)
-        if not path.is_file():
-            raise ValueError(f"config file not found: {path}")
         try:
             file_doc = json.loads(path.read_text())
         except ValueError as exc:  # JSON syntax or text decoding
             raise ValueError(f"{path}: cannot parse config: {exc}") from exc
         if not (isinstance(file_doc, dict) and all(isinstance(v, dict) for v in file_doc.values())):
             raise ValueError(f"{path}: config must be an object of section objects")
-        unknown = set(file_doc) - {"shape", "train", "synth"}
+        unknown = set(file_doc) - set(SECTIONS)
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    shape_d = _merge_section(asdict(DEFAULT_SHAPE), file_doc.get("shape"), args)
-    train_d = _merge_section(asdict(trainer.TrainConfig()), file_doc.get("train"), args)
-    synth_d = _merge_section(
-        asdict(data_io.SyntheticTaskConfig()), file_doc.get("synth"), args, prefix="synth."
-    )
-    return RunConfig(
-        ModelShapeSpec.from_dict(shape_d),
-        trainer.TrainConfig.from_dict(train_d),
-        data_io.SyntheticTaskConfig(**synth_d),
-    )
+    return RunConfig(**{section: _merge_section(section, file_doc, args) for section in SECTIONS})
 
 
 def _parse_widths(text: str) -> list[int]:
@@ -110,19 +92,16 @@ _SYNTH_FLAGS = {"num_prototypes": "prototypes", "feature_dim": "dim", "noise_sig
 
 def _add_config_flags(p: argparse.ArgumentParser, sections: tuple[str, ...]) -> None:
     """--config plus one override flag per field of each config section the
-    command uses; a synth field's flag and dest carry a "synth" prefix."""
+    command uses, stored as "<section>.<field>"; a synth field's flag
+    carries a "synth" prefix."""
     p.add_argument("--config", help="JSON configuration file")
     for section in sections:
         group = p.add_argument_group(f"{section} overrides")
-        spec = {"shape": ModelShapeSpec, "train": trainer.TrainConfig,
-                "synth": data_io.SyntheticTaskConfig}[section]
-        for f in fields(spec):
-            flag, dest = f.name, f.name
-            if section == "synth":
-                flag, dest = f"synth_{_SYNTH_FLAGS.get(f.name, f.name)}", f"synth_{f.name}"
+        for f in fields(SECTIONS[section]):
+            flag = f"synth_{_SYNTH_FLAGS.get(f.name, f.name)}" if section == "synth" else f.name
             kind = _parse_widths if f.name == "widths" else float if f.type == "float" else int
-            group.add_argument(f"--{flag.replace('_', '-')}", dest=dest, type=kind,
-                               metavar="H1,H2,..." if kind is _parse_widths else None)
+            group.add_argument(f"--{flag.replace('_', '-')}", dest=f"{section}.{f.name}", type=kind,
+                               metavar="H1,H2,..." if kind is _parse_widths else f.name.upper())
 
 
 def _load_model_for_inference(args):
@@ -263,7 +242,7 @@ def _load_reference(path: Path) -> dict[str, dict]:
     """An object of name -> {"parameters": int, "flops": int}."""
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSON syntax or text decoding
         raise ValueError(f"{path}: cannot parse reference costs: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: reference costs must be an object of name -> costs")

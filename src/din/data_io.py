@@ -49,14 +49,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Collection
 
 import numpy as np
 
 from .model import ModelParams, ModelShapeSpec, check_parameter_shapes
-from .numerics import Array, make_rng, require_number
+from .numerics import Array, from_fields, make_rng, require_fields
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
 
 FEATURE_MAGIC = b"DIFX"
@@ -225,7 +225,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ManifestError(f"{path}: cannot parse manifest: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
@@ -295,10 +295,7 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (f.name == "val_samples_per_class" and value is None):
-                require_number(f.name, value, integral=f.type != "float")
+        require_fields(self, finite=True)
         if self.num_prototypes < 2:
             raise ValueError("need at least 2 prototypes")
         if self.sequence_length < 2:
@@ -480,20 +477,15 @@ def load_checkpoint(
 ) -> CheckpointData:
     """Restore a checkpoint, reading only the tensor groups in `groups`
     (all of them when it is None). Every tensor's name and dims, read or
-    not, is validated against the embedded shape spec. Meta numbers are
-    type-checked, not coerced, and kept as they were read."""
+    not, is validated against the embedded shape spec. Each meta record
+    holds exactly its fields and checks itself (numbers are kept as read)."""
     meta, dims, tensors = _read_checkpoint(path, groups)
     try:
         shape = ModelShapeSpec.from_dict(meta["shape"])
-        config = TrainConfig.from_dict(meta["config"])
-        opt_meta = meta["optimizer"]
-        scalars = {f.name: opt_meta[f.name]
-                   for f in fields(OptimizerState) if f.name != "velocity"}
-        best_epoch, best_val_accuracy = meta["best_epoch"], meta["best_val_accuracy"]
-        for name, value in [*scalars.items(), ("best_epoch", best_epoch),
-                            ("best_val_accuracy", best_val_accuracy)]:
-            require_number(name, value, integral="epoch" in name)
-        history = [EpochReport.from_dict(r) for r in meta["history"]]
+        config = from_fields(TrainConfig, meta["config"])
+        state = TrainState(from_fields(OptimizerState, meta["optimizer"], velocity=None),
+                           [from_fields(EpochReport, r) for r in meta["history"]],
+                           None, meta["best_epoch"], meta["best_val_accuracy"])
         has_best = meta["has_best"]
         if not isinstance(has_best, bool):
             raise ValueError(f"has_best must be a bool, got {has_best!r}")
@@ -516,12 +508,6 @@ def load_checkpoint(
                 check_parameter_shapes(shape, group)
         except ValueError as exc:
             raise FormatError(f"{path}: {prefix}/{exc}") from exc
-    velocity = loaded["velocity"].tensors if "velocity" in loaded else None
-    state = TrainState(
-        OptimizerState(velocity, **scalars),
-        history,
-        loaded.get("best"),
-        best_epoch,
-        best_val_accuracy,
-    )
+    state.optimizer.velocity = loaded["velocity"].tensors if "velocity" in loaded else None
+    state.best_params = loaded.get("best")
     return CheckpointData(loaded.get("param"), state, config)

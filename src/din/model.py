@@ -16,7 +16,7 @@ through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,8 +27,9 @@ from . import temporal_conv as tc
 from .numerics import (
     Array,
     cross_entropy_from_logits,
+    from_fields,
     glorot_uniform,
-    require_number,
+    require_fields,
     sample_dropout_mask,
     scratch_view,
     softmax,
@@ -37,21 +38,18 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class ModelShapeSpec:
-    """All size constants of one model: D, k, n, H, M, C."""
+    """All size constants of one model: D, k, n, H, M, C. The defaults are
+    the paper's shape; the widths are distinct and kept sorted."""
 
-    raw_dim: int
-    feat_dim: int
-    num_frames: int
-    widths: tuple[int, ...]
-    num_filters: int
-    num_classes: int
+    raw_dim: int = 1024
+    feat_dim: int = 256
+    num_frames: int = 8
+    widths: tuple[int, ...] = (2, 3, 4, 5, 6)
+    num_filters: int = 256
+    num_classes: int = 27
 
     def __post_init__(self):
-        if not isinstance(self.widths, (list, tuple)):
-            raise ValueError(f"widths must be a list of integers, got {self.widths!r}")
-        for f in fields(self):
-            for value in self.widths if f.name == "widths" else [getattr(self, f.name)]:
-                require_number(f.name, value, integral=True)
+        require_fields(self)
         object.__setattr__(self, "widths", tuple(sorted(self.widths)))
         if min(self.raw_dim, self.feat_dim, self.num_frames, self.num_filters,
                self.num_classes) < 1:
@@ -62,10 +60,13 @@ class ModelShapeSpec:
             raise ValueError("need at least one filter width")
         if any(not 2 <= h <= self.num_frames for h in self.widths):
             raise ValueError("every width must satisfy 2 <= h <= num_frames")
+        if len(set(self.widths)) < len(self.widths):
+            raise ValueError(f"widths must be distinct, got {list(self.widths)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelShapeSpec":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        """from_fields(cls, d), the name perfbench/run.py builds its shapes by."""
+        return from_fields(cls, d)
 
 
 def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:

@@ -1,4 +1,5 @@
-"""Dense numeric kernel: activations, losses, initialization, seeded RNG.
+"""Dense numeric kernel: activations, losses, initialization, seeded RNG,
+and the field checks every config and checkpoint record runs on itself.
 
 All arrays are float64 numpy arrays in row-major order. Gradient checks
 downstream need the double-precision headroom, so nothing here ever drops
@@ -10,16 +11,42 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import fields
 
 import numpy as np
 
 Array = np.ndarray
 
 
-def require_number(name: str, value, integral: bool) -> None:
-    """Reject a config value that is not an integer (integral=True) or a number; bools are neither."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+def require_fields(record, finite: bool = False) -> None:
+    """Type-check, not coerce, a dataclass record's number fields by their
+    string annotations, naming the bad one: `int` takes integers, `float`
+    numbers (never bools), `tuple[int, ...]` a list or tuple of integers and
+    `X | None` also None. With `finite`, no number may be infinite or NaN."""
+    for f in fields(record):
+        value, kind = getattr(record, f.name), f.type.removesuffix(" | None")
+        if kind not in ("int", "float", "tuple[int, ...]") or value is None and kind != f.type:
+            continue
+        if kind == "tuple[int, ...]" and not isinstance(value, (list, tuple)):
+            raise ValueError(f"{f.name} must be a list of integers, got {value!r}")
+        number, what = ((numbers.Real, "a number") if kind == "float"
+                        else (numbers.Integral, "an integer"))
+        for v in value if kind == "tuple[int, ...]" else [value]:
+            if isinstance(v, bool) or not isinstance(v, number):
+                raise ValueError(f"{f.name} must be {what}, got {v!r}")
+            if finite and not -math.inf < v < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
+
+
+def from_fields(cls, d: dict, **given):
+    """cls(**d, **given) for a dataclass `cls`, where the dict `d` holds
+    exactly the fields that `given` does not: a missing or an unknown key
+    is a ValueError naming it."""
+    names = {f.name for f in fields(cls)} - set(given)
+    key = min(names ^ set(d), default=None)
+    if key is not None:
+        raise ValueError(f"{cls.__name__}: {'missing' if key in names else 'unknown'} key {key!r}")
+    return cls(**d, **given)
 
 
 def scratch_view(scratch: dict[str, Array] | None, role: str, shape: tuple[int, ...]) -> Array:

@@ -11,7 +11,7 @@ bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .model import (
     forward_sample,
     sample_batch,
 )
-from .numerics import Array, cross_entropy_from_logits, make_rng, require_number
+from .numerics import Array, cross_entropy_from_logits, make_rng, require_fields
 
 if TYPE_CHECKING:
     from .data_io import Sample
@@ -45,8 +45,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            require_number(f.name, getattr(self, f.name), integral=f.type == "int")
+        require_fields(self, finite=True)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
@@ -59,10 +58,6 @@ class TrainConfig:
             raise ValueError("weight_decay and initial_lr must be >= 0")
         if self.plateau_patience < 1 or self.max_epochs < 0:
             raise ValueError("plateau_patience >= 1 and max_epochs >= 0 required")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -77,13 +72,18 @@ def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 
 @dataclass
 class OptimizerState:
-    """Velocity buffers plus the plateau-schedule bookkeeping."""
+    """Velocity buffers (None if a load skipped them) plus the plateau-schedule bookkeeping."""
 
-    velocity: dict[str, Array]
+    velocity: dict[str, Array] | None
     current_lr: float
     best_val_error: float = math.inf
     epochs_since_improvement: int = 0
     epochs_completed: int = 0
+
+    def __post_init__(self):
+        require_fields(self)
+        if min(self.epochs_since_improvement, self.epochs_completed) < 0:
+            raise ValueError("epochs_since_improvement and epochs_completed must be >= 0")
 
     @classmethod
     def init(cls, params: ModelParams, config: TrainConfig) -> "OptimizerState":
@@ -99,23 +99,29 @@ class EpochReport:
     val_accuracy: float
     current_lr: float
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpochReport":
-        """Each field as read; `epoch` must be an integer, the rest numbers."""
-        for f in fields(cls):
-            require_number(f.name, d[f.name], integral=f.type == "int")
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+    def __post_init__(self):
+        require_fields(self)
 
 
 @dataclass
 class TrainState:
-    """Everything fit() accumulates; checkpointing this resumes a run exactly."""
+    """Everything fit() accumulates; checkpointing this resumes a run exactly.
+    The history holds one report per completed epoch, in order."""
 
     optimizer: OptimizerState
     history: list[EpochReport] = field(default_factory=list)
     best_params: ModelParams | None = None
     best_epoch: int = -1
     best_val_accuracy: float = -1.0
+
+    def __post_init__(self):
+        require_fields(self)
+        done = self.optimizer.epochs_completed
+        epochs = [r.epoch for r in self.history]
+        if epochs != list(range(done)):
+            raise ValueError(f"history epochs {epochs} do not match epochs_completed = {done}")
+        if not -1 <= self.best_epoch < done:
+            raise ValueError(f"best_epoch {self.best_epoch} is neither -1 nor a completed epoch")
 
     @classmethod
     def fresh(cls, params: ModelParams, config: TrainConfig) -> "TrainState":

@@ -17,11 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from din.model import EVAL_BATCH, predict_sample
+from din.analysis import estimate_flops
+from din.model import EVAL_BATCH, ModelShapeSpec, predict_sample
 
 from conftest import child_env, write_test_split
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CHILD = PERFBENCH / "child.py"
 
 # Imported by perfbench/run.py, or read from its traces by name.
 HARNESS_NAMES = (
@@ -39,11 +41,17 @@ HARNESS_NAMES = (
 )
 
 
-def boundaries():
-    for node in ast.parse(CHILD.read_text()).body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BOUNDARIES":
+def literal(path, name):
+    """The value of the module-level `name = <literal>` in `path`, read
+    without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no BOUNDARIES in {CHILD}")
+    raise AssertionError(f"no {name} in {path}")
+
+
+def boundaries():
+    return literal(CHILD, "BOUNDARIES")
 
 
 @pytest.mark.parametrize("name", sorted(set(boundaries()) | set(HARNESS_NAMES)))
@@ -52,6 +60,20 @@ def test_name_resolves_in_its_defining_module(name):
     fn = getattr(importlib.import_module(f"din.{module_name}"), function_name)
     assert callable(fn)
     assert fn.__module__ == f"din.{module_name}"
+
+
+@pytest.mark.parametrize("name", ["PAPER_SHAPE", "SYNTH_SHAPE"])
+def test_per_layer_builds_flop_lines_from_a_shape_dict(name):
+    # perfbench/run.py:per_layer sums the "conv/" lines of
+    # estimate_flops(ModelShapeSpec.from_dict(shape)) for its shape dicts.
+    d = literal(PERFBENCH / "run.py", name)
+    shape = ModelShapeSpec.from_dict(d)
+    if name == "PAPER_SHAPE":
+        assert shape == ModelShapeSpec()
+    flops = estimate_flops(shape)
+    assert sum(flops.lines.values()) == flops.total
+    conv = {k: v for k, v in flops.lines.items() if k.startswith("conv/")}
+    assert list(conv) == [f"conv/h{h}" for h in d["widths"]] and min(conv.values()) > 0
 
 
 # perfbench/child.py counts one sample per predict_sample call and

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import din.data_io as data_io
 import din.trainer as trainer
-from din.cli import main
+from din.analysis import count_parameters
+from din.cli import SECTIONS, main
 from din.data_io import (
     load_checkpoint,
     load_manifest,
@@ -15,7 +22,7 @@ from din.data_io import (
     save_checkpoint,
     write_feature_file,
 )
-from din.model import EVAL_BATCH, predict_sample
+from din.model import EVAL_BATCH, ModelShapeSpec, predict_sample
 
 from conftest import (
     TINY_SHAPE,
@@ -135,6 +142,13 @@ class TestSynth:
         assert "finite in float32" in err
         assert list((out_dir / "features").iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_is_validation_error(self, tmp_path, capsys, value):
+        out_dir = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(out_dir), "--synth-sigma", value]) == 2
+        assert capsys.readouterr().err == f"error: noise_sigma must be finite, got {value}\n"
+        assert not out_dir.exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, capsys):
@@ -183,6 +197,38 @@ class TestTrain:
         dir_4, dir_resumed = four_epochs_two_ways(tmp_path, base_config(tmp_path))
         for name in ("history.json", "checkpoint.ckpt"):
             assert (dir_4 / name).read_bytes() == (dir_resumed / name).read_bytes()
+
+    def test_written_checkpoints_keep_their_bookkeeping_consistent(self, tmp_path, capsys):
+        dir_4, dir_resumed = four_epochs_two_ways(tmp_path, base_config(tmp_path))
+        for run_dir in (dir_4, tmp_path / "two", dir_resumed):
+            state = load_checkpoint(run_dir / "checkpoint.ckpt").state
+            done = state.optimizer.epochs_completed
+            assert [r.epoch for r in state.history] == list(range(done))
+            assert 0 <= state.best_epoch < done
+            assert 0 <= state.optimizer.epochs_since_improvement <= done
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda m: m["optimizer"].update(epochs_completed=-2), "epochs_completed"),
+        (lambda m: m["optimizer"].update(epochs_since_improvement=-1), "epochs_since_improvement"),
+        (lambda m: m["optimizer"].update(epochs_completed=1), "history epochs [0, 1]"),
+        (lambda m: m["history"].pop(0), "history epochs [1]"),
+        (lambda m: m.update(best_epoch=2), "best_epoch 2"),
+    ], ids=["negative-epochs", "negative-patience", "history-ahead", "history-gap", "best"])
+    def test_resume_from_inconsistent_bookkeeping_is_validation_error(
+        self, tmp_path, capsys, edit, field
+    ):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        ckpt = run_dir / "checkpoint.ckpt"
+        ckpt.write_bytes(edit_checkpoint_meta(ckpt.read_bytes(), edit))
+        out_dir = tmp_path / "resumed"
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir), "--max-epochs", "4", "--resume", str(ckpt)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {ckpt}: invalid meta block: ")
+        assert field in captured.err
+        assert not out_dir.exists()
 
     def test_resume_keeps_integer_floats_as_read(self, tmp_path, capsys):
         # JSON integers in float fields stay integers through the checkpoint.
@@ -263,6 +309,21 @@ class TestTrain:
         assert repr(sample_id) in captured.err and feature_path in captured.err
         assert "epoch" not in captured.out
         assert not (run_dir / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--initial-lr", "nan", "initial_lr"), ("--weight-decay", "inf", "weight_decay"),
+    ])
+    def test_non_finite_flag_is_a_config_error(self, tmp_path, capsys, flag, value, field):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir), flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not out_dir.exists()
 
     def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
@@ -647,6 +708,13 @@ class TestInspectParams:
         out = capsys.readouterr().out
         assert "total parameters: 7" in out
 
+    @pytest.mark.parametrize("widths", ["2,2", "2,2,3", "3,2,3"])
+    def test_repeated_widths_are_validation_error(self, capsys, widths):
+        assert main(["inspect-params", "--widths", widths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: widths must be distinct")
+
     def test_reference_costs_are_echoed(self, tmp_path, capsys):
         ref = tmp_path / "ref.json"
         ref.write_text(json.dumps({"bignet": {"parameters": 25000000, "flops": 10**10}}))
@@ -663,10 +731,11 @@ class TestInspectParams:
         ('{"bignet": 5}', "'bignet'"),
         ('[["bignet", {"parameters": 1, "flops": 2}]]', "must be an object"),
         ('{bignet', "cannot parse"),
+        (b'\xff{"bignet": {"parameters": 1, "flops": 2}}', "cannot parse"),  # not UTF-8
     ])
     def test_malformed_reference_is_validation_error(self, tmp_path, capsys, text, cited):
         ref = tmp_path / "ref.json"
-        ref.write_text(text)
+        ref.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["inspect-params", "--reference", str(ref)]) == 2
         err = capsys.readouterr().err
         assert str(ref) in err and cited in err
@@ -728,6 +797,12 @@ class TestUsageAndConfig:
         ("synth", "synth", "noise_sigma", True),
         ("synth", "synth", "val_samples_per_class", "2"),
         ("synth", "synth", "seed", 1.0),
+        ("synth", "synth", "noise_sigma", math.nan),
+        ("train", "train", "initial_lr", math.nan),
+        ("train", "train", "weight_decay", math.inf),
+        ("inspect-params", "train", "momentum", -math.inf),
+        ("train", "shape", "widths", [2, 2]),
+        ("inspect-params", "shape", "widths", [3, 2, 3]),
     ])
     def test_mistyped_config_value_is_validation_error(
         self, tmp_path, capsys, command, section, field, value
@@ -764,3 +839,80 @@ class TestUsageAndConfig:
         )
         assert proc.returncode == 0
         assert "1,609,095" in proc.stdout
+
+
+PAPER_SHAPE = {"raw_dim": 1024, "feat_dim": 256, "num_frames": 8, "widths": [2, 3, 4, 5, 6],
+               "num_filters": 256, "num_classes": 27}
+
+# Values of every kind a config document can hold: integers, wrong types,
+# and lists that may repeat, be unsorted or hold non-integers; EDGE_VALUES
+# are the ones a number check is most likely to let through.
+CONFIG_VALUES = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 9), st.floats(), st.booleans()), max_size=5),
+)
+EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, 0, -1])
+CONFIG_FIELDS = [(section, f.name) for section, record in SECTIONS.items() for f in fields(record)]
+
+
+def plausible(field):
+    """Values of the field's own type that often pass; widths often repeat."""
+    if field.name == "widths":
+        return st.lists(st.integers(2, 8), min_size=1, max_size=5)
+    if field.name in ("raw_dim", "num_frames"):
+        return st.integers(256, 2048) if field.name == "raw_dim" else st.integers(8, 12)
+    return st.floats(0.01, 0.99) if field.type == "float" else st.integers(2, 12)
+
+
+@st.composite
+def config_docs(draw):
+    """A --config document: mostly an object of sections of plausible
+    values in which up to two fields take an edge value or any value;
+    sometimes with an unknown key or section, sometimes not an object of
+    sections at all."""
+    if draw(st.sampled_from(range(8))) == 7:
+        return draw(st.one_of(CONFIG_VALUES, st.dictionaries(
+            st.sampled_from(list(SECTIONS)), CONFIG_VALUES, min_size=1, max_size=2)))
+    doc = {name: {f.name: draw(plausible(f)) for f in fields(record) if draw(st.booleans())}
+           for name, record in SECTIONS.items() if draw(st.booleans())}
+    for section, name in draw(st.permutations(CONFIG_FIELDS))[: draw(st.integers(0, 2))]:
+        kind = draw(st.sampled_from([EDGE_VALUES, CONFIG_VALUES]))
+        doc.setdefault(section, {})[name] = draw(kind)
+    if draw(st.sampled_from(range(8))) == 7:
+        section = draw(st.sampled_from([*SECTIONS, "bogus"]))
+        doc.setdefault(section, {})[draw(st.sampled_from(["bogus", "Seed", ""]))] = 1
+    return doc
+
+
+class TestConfigFuzz:
+    """inspect-params on drawn --config documents never raises: it returns
+    0, 1 or 2, and a failing run prints one stderr line and nothing else. A
+    run that passes read no NaN or infinite number and prints the parameter
+    total of a shape whose widths are distinct."""
+
+    @pytest.fixture(scope="class")
+    def config_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("config_fuzz") / "config.json"
+
+    @given(doc=config_docs())
+    @example(doc={"shape": {"widths": [3, 2, 3]}})
+    @example(doc={"train": {"initial_lr": math.nan, "weight_decay": math.inf}})
+    @example(doc={"synth": {"noise_sigma": math.nan}})
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_inspect_params_on_drawn_configs(self, config_path, doc):
+        config_path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["inspect-params", "--config", str(config_path)])
+        assert rc in (0, 1, 2)
+        if rc:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            assert err.getvalue().startswith("error: " if rc == 2 else "usage error: ")
+            return
+        assert err.getvalue() == ""
+        values = [v for section in doc.values() for v in section.values()]
+        assert not any(isinstance(v, float) and not math.isfinite(v) for v in values)
+        shape = {**PAPER_SHAPE, **doc.get("shape", {})}
+        assert len(set(shape["widths"])) == len(shape["widths"])
+        total = count_parameters(ModelShapeSpec(**shape)).total
+        assert f"total parameters: {total:,}\n" in out.getvalue()

@@ -381,6 +381,12 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    def test_undecodable_document_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"classes": ["caf\xe9"], "samples": []}'.encode("latin-1"))
+        with pytest.raises(ManifestError, match=f"{re.escape(str(path))}: cannot parse manifest"):
+            load_manifest(path)
+
     @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
     def test_document_that_is_not_an_object_rejected(self, tmp_path, text):
         path = tmp_path / "m.json"
@@ -477,6 +483,14 @@ class TestSynthTask:
             SyntheticTaskConfig(sequence_length=1)
         with pytest.raises(ValueError):
             SyntheticTaskConfig(noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", math.nan), ("noise_sigma", math.inf), ("seed", 1.0),
+        ("val_samples_per_class", 2.5), ("feature_dim", True),
+    ])
+    def test_bad_fields_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticTaskConfig(**{field: value})
 
     def test_written_dataset_round_trips(self, tmp_path):
         cfg = SyntheticTaskConfig(
@@ -590,14 +604,22 @@ class TestCheckpoints:
     ] + [
         ("best_epoch", math.inf), ("has_best", "yes"), ("optimizer.epochs_completed", 1.7),
         ("best_epoch", "1"), ("optimizer.current_lr", True), ("history.0.epoch", 0.9),
-        ("best_val_accuracy", "0.5"),
+        ("best_val_accuracy", "0.5"), ("shape.widths", [2, 2]), ("config.momentum", math.nan),
+        ("config.initial_lr", math.inf), ("config.extra", 1), ("shape.extra", 1),
+        ("optimizer.velocity", {}), ("history.0.extra", 1),
+        # The epoch bookkeeping: counters, history epochs and best_epoch agree.
+        ("optimizer.epochs_completed", -2), ("optimizer.epochs_since_improvement", -1),
+        ("optimizer.epochs_completed", 2), ("optimizer.epochs_completed", 0),
+        ("history.0.epoch", 1), ("best_epoch", 3), ("best_epoch", -2),
     ])
     def test_bad_meta_field_names_the_file(self, tmp_path, field, value):
         splits, cfg, params = small_training_setup()
         path = tmp_path / "model.ckpt"
         state = TrainState.fresh(params, cfg)
         state.history.append(EpochReport(0, 1.0, 1.0, 0.5, cfg.initial_lr))
+        state.optimizer.epochs_completed = 1
         save_checkpoint(path, params, state, cfg)
+        load_checkpoint(path)  # unedited, with best_val_error still Infinity
 
         def edit(meta):
             *parents, key = field.split(".")
@@ -609,7 +631,8 @@ class TestCheckpoints:
                 meta[key] = value
 
         path.write_bytes(edit_checkpoint_meta(path.read_bytes(), edit))
-        with pytest.raises(FormatError, match=re.escape(str(path))):
+        key = field.split(".")[-1]
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{key}"):
             load_checkpoint(path)
 
     def test_tensor_errors_name_the_group_and_tensor(self, tmp_path):

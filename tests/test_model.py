@@ -37,8 +37,24 @@ class TestShapeSpec:
         with pytest.raises(ValueError):
             ModelShapeSpec(2, 3, 5, (2,), 4, 2)  # widening reduction
 
+    @pytest.mark.parametrize("widths", [(2, 2), (3, 2, 3), [4, 2, 3, 2]])
+    def test_repeated_widths_rejected_by_name(self, widths):
+        with pytest.raises(ValueError, match="widths must be distinct"):
+            ModelShapeSpec(4, 3, 5, widths, 4, 2)
+
+    def test_defaults_are_the_paper_shape(self):
+        assert ModelShapeSpec() == ModelShapeSpec(1024, 256, 8, (2, 3, 4, 5, 6), 256, 27)
+
     def test_dict_round_trip(self):
         assert ModelShapeSpec.from_dict(dataclasses.asdict(TINY_SHAPE)) == TINY_SHAPE
+
+    def test_dict_must_hold_exactly_the_fields(self):
+        d = dataclasses.asdict(TINY_SHAPE)
+        with pytest.raises(ValueError, match="unknown key 'extra'"):
+            ModelShapeSpec.from_dict({**d, "extra": 1})
+        del d["raw_dim"]
+        with pytest.raises(ValueError, match="missing key 'raw_dim'"):
+            ModelShapeSpec.from_dict(d)
 
     @pytest.mark.parametrize("field, value", [
         ("raw_dim", 16.9), ("raw_dim", 4.0), ("feat_dim", True), ("num_frames", "5"),

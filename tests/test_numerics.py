@@ -1,16 +1,70 @@
+from __future__ import annotations  # require_fields reads annotations as strings
+
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from din.numerics import (
     cross_entropy_from_logits,
+    from_fields,
     glorot_uniform,
     make_rng,
+    require_fields,
     sample_dropout_mask,
     softmax,
 )
 from din.selftest import finite_difference_check
+
+
+@dataclass
+class Record:
+    count: int
+    rate: float
+    sizes: tuple[int, ...] = (1,)
+    limit: int | None = None
+    label: str = ""
+
+
+class TestRecordChecks:
+    def test_valid_record_passes_as_given(self):
+        record = Record(np.int64(3), 2, [4, 5], None, "x")
+        require_fields(record, finite=True)
+        assert record.rate == 2 and type(record.rate) is int  # checked, not coerced
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 2.0), ("count", True), ("count", "3"), ("count", None), ("rate", False),
+        ("rate", "0.5"), ("rate", None), ("sizes", 3), ("sizes", "12"), ("sizes", [1, 2.5]),
+        ("sizes", [True]), ("sizes", None), ("limit", 1.5),
+    ])
+    def test_wrong_type_names_the_field(self, field, value):
+        record = Record(1, 0.5)
+        setattr(record, field, value)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            require_fields(record)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_numbers_fail_only_when_asked(self, value):
+        record = Record(1, value)
+        require_fields(record)
+        with pytest.raises(ValueError, match="^rate must be finite"):
+            require_fields(record, finite=True)
+
+    def test_huge_integers_are_finite(self):
+        require_fields(Record(10**400, 10**400, [10**400]), finite=True)
+
+    def test_from_fields_takes_exactly_the_fields(self):
+        d = {"count": 1, "rate": 0.5, "sizes": [2], "limit": 3, "label": "x"}
+        assert from_fields(Record, d) == Record(1, 0.5, [2], 3, "x")
+        assert from_fields(Record, {k: d[k] for k in ("count", "sizes", "limit", "label")},
+                           rate=0.25) == Record(1, 0.25, [2], 3, "x")
+        with pytest.raises(ValueError, match="Record: missing key 'limit'"):
+            from_fields(Record, {k: v for k, v in d.items() if k != "limit"})
+        with pytest.raises(ValueError, match="Record: unknown key 'extra'"):
+            from_fields(Record, {**d, "extra": 0})
+        with pytest.raises(ValueError, match="Record: unknown key 'rate'"):
+            from_fields(Record, d, rate=0.25)
 
 
 class TestRng:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -17,11 +18,13 @@ from din.data_io import (
 )
 from din.model import ModelShapeSpec, clone_params, init_model, sample_batch, sample_loss_and_grads
 from din.denseimage import sample_segments
-from din.numerics import make_rng, sample_dropout_mask
+from din.numerics import from_fields, make_rng, sample_dropout_mask
 from din.trainer import (
     OPT_BLOCK,
+    EpochReport,
     OptimizerState,
     TrainConfig,
+    TrainState,
     epoch_rng,
     evaluate,
     fit,
@@ -71,21 +74,55 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(seed=9, initial_lr=0.01)
-        assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+        assert from_fields(TrainConfig, dataclasses.asdict(cfg)) == cfg
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 2.5), ("batch_size", 4.0), ("max_epochs", True), ("seed", "3"),
         ("plateau_patience", None), ("dropout_keep", "0.5"), ("momentum", False),
-        ("initial_lr", [0.1]),
+        ("initial_lr", [0.1]), ("initial_lr", math.nan), ("weight_decay", math.inf),
+        ("momentum", -math.inf), ("dropout_keep", math.nan),
     ])
     def test_mistyped_fields_rejected_by_name(self, field, value):
         d = {**dataclasses.asdict(TrainConfig()), field: value}
         with pytest.raises(ValueError, match=field):
-            TrainConfig.from_dict(d)
+            from_fields(TrainConfig, d)
 
     def test_integers_accepted_for_float_fields(self):
-        cfg = TrainConfig.from_dict({**dataclasses.asdict(TrainConfig()), "momentum": 0})
+        cfg = from_fields(TrainConfig, {**dataclasses.asdict(TrainConfig()), "momentum": 0})
         assert cfg.momentum == 0
+
+
+class TestRecords:
+    """The training bookkeeping records check their own fields."""
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: EpochReport(0.0, 1.0, 1.0, 0.5, 0.1), "epoch"),
+        (lambda: EpochReport(0, "1", 1.0, 0.5, 0.1), "train_loss"),
+        (lambda: OptimizerState(None, True), "current_lr"),
+        (lambda: OptimizerState(None, 0.1, best_val_error=None), "best_val_error"),
+        (lambda: OptimizerState(None, 0.1, epochs_completed=1.0), "epochs_completed"),
+        (lambda: OptimizerState(None, 0.1, epochs_completed=-1), "epochs_completed"),
+        (lambda: OptimizerState(None, 0.1, epochs_since_improvement=-2),
+         "epochs_since_improvement"),
+        (lambda: TrainState(OptimizerState(None, 0.1), best_epoch="0"), "best_epoch"),
+        (lambda: TrainState(OptimizerState(None, 0.1), best_val_accuracy=None),
+         "best_val_accuracy"),
+        (lambda: TrainState(OptimizerState(None, 0.1), best_epoch=0), "best_epoch"),
+        (lambda: TrainState(OptimizerState(None, 0.1, epochs_completed=1)), "history epochs"),
+        (lambda: TrainState(OptimizerState(None, 0.1), [EpochReport(0, 1.0, 1.0, 0.5, 0.1)]),
+         "history epochs"),
+    ])
+    def test_bad_fields_rejected_by_name(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
+    def test_bookkeeping_of_a_finished_run_is_accepted(self):
+        reports = [EpochReport(e, 1.0, 1.0, 0.5, 0.1) for e in range(3)]
+        opt = OptimizerState(None, 0.1, math.inf, 2, 3)
+        for best_epoch in (-1, 0, 2):
+            TrainState(opt, reports, None, best_epoch, 0.5)
+        with pytest.raises(ValueError, match="best_epoch 3"):
+            TrainState(opt, reports, None, 3, 0.5)
 
 
 class TestSgdStep:
