@@ -95,8 +95,10 @@ def export_responses(
         + ["argmax_window", "frame_start", "frame_end"]
     )
     rows = [",".join(header)]
-    for chunk, batch_rows in eval_batches(params.shape, sorted(samples, key=lambda s: s.id)):
-        fmap = conv_scale_forward(encode(batch_rows, params.reduction), *params.bank[h])
+    by_id = sorted(samples, key=lambda s: s.id)
+    for chunk, batch_rows, scratch in eval_batches(params.shape, by_id):
+        dense = encode(batch_rows, params.reduction, scratch)
+        fmap = conv_scale_forward(dense, *params.bank[h], scratch)
         profiles = response_profiles(fmap)
         for sample, intensities, cells in zip(chunk, profiles, float_rows(profiles)):
             window = int(np.argmax(intensities))
@@ -119,10 +121,11 @@ def export_pooled_features(
         header += [f"c{h}_{m}" for m in range(shape.num_filters)]
     header += [f"mean_{j}" for j in range(shape.feat_dim)]
     rows = [",".join(header)]
-    for chunk, batch_rows in eval_batches(params.shape, sorted(samples, key=lambda s: s.id)):
-        fwd = forward_sample(params, batch_rows)
-        vectors = np.concatenate([fwd.pooled[h][0] for h in shape.widths], axis=1)
-        baselines = fwd.dense.mean(axis=1)
-        for sample, vector, baseline in zip(chunk, float_rows(vectors), float_rows(baselines)):
-            rows.append(f"{sample.id},{sample.label},{vector},{baseline}")
+    by_id = sorted(samples, key=lambda s: s.id)
+    for chunk, batch_rows, scratch in eval_batches(shape, by_id):
+        fwd = forward_sample(params, batch_rows, scratch=scratch)
+        cells = [float_rows(fwd.pooled[h][0]) for h in shape.widths]
+        baselines = float_rows(fwd.dense.mean(axis=1))
+        for sample, *vector, baseline in zip(chunk, *cells, baselines):
+            rows.append(f"{sample.id},{sample.label},{','.join(vector)},{baseline}")
     return _write_lines(rows, out_path)

@@ -44,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    # argparse takes only -<digits> and -<digits>.<digits> for negative
+    # numbers; any other float literal (-inf, -nan, -1e-3) is a value too,
+    # so "--flag -inf" reads like "--flag=-inf".
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(arg_string)
+                return None
+        return super()._parse_optional(arg_string)
+
 
 @dataclass
 class RunConfig:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import Array
+from .numerics import Array, scratch_view
 
 
 def check_features(features: Array) -> Array:
@@ -51,26 +51,37 @@ def sample_segments(T: int, n: int, rng: np.random.Generator | None = None) -> A
     return indices
 
 
-def gather(features, n: int, rng: np.random.Generator | None = None) -> Array:
+def gather(features, n: int, rng: np.random.Generator | None = None,
+           out: Array | None = None) -> Array:
     """The n x D raw rows of the frames segment sampling picks (segment
     centers without an rng, random draws with one), in temporal order, as
     float64. A `data_io.FeatureRows` reader (a video loaded from its file)
     reads and checks only the picked rows. An in-memory array video is
     validated whole in its own dtype. Either way only the n picked rows are
-    widened; float32 -> float64 is exact."""
+    widened, float32 -> float64 exactly, and with `out` (n x D float64)
+    straight into it; a video of another D is a ValueError."""
     if hasattr(features, "read_rows"):
         rows = features.read_rows(sample_segments(features.shape[0], n, rng))
     else:
         features = check_features(np.asarray(features))
         rows = features[sample_segments(features.shape[0], n, rng)]
-    return rows.astype(np.float64, copy=False)
+    if out is None:
+        return rows.astype(np.float64, copy=False)
+    if rows.shape != out.shape:
+        raise ValueError(f"rows of shape {rows.shape} do not match reduction input {out.shape[1]}")
+    out[...] = rows
+    return out
 
 
-def encode(rows: Array, reduction: tuple[Array, Array]) -> Array:
+def encode(
+    rows: Array, reduction: tuple[Array, Array], scratch: dict[str, Array] | None = None
+) -> Array:
     """Reduce a B x n x D batch of sampled rows to B x n x k DenseImages.
 
     One (B*n) x D GEMM against the (D x k weights, k bias) pair; row i of
-    DenseImage b is still sampled frame i of video b.
+    DenseImage b is still sampled frame i of video b. Without `scratch`
+    the DenseImages are a fresh array; with one (see model.batch_scratch)
+    they are the leading elements of its "dense" buffer.
     """
     weights, bias = reduction
     if rows.ndim != 3 or rows.shape[2] != weights.shape[0]:
@@ -78,6 +89,7 @@ def encode(rows: Array, reduction: tuple[Array, Array]) -> Array:
             f"rows of shape {rows.shape} do not match reduction input {weights.shape[0]}"
         )
     B, n, D = rows.shape
-    dense = rows.reshape(B * n, D) @ weights
+    dense = scratch_view(scratch, "dense", (B, n, weights.shape[1]))
+    np.matmul(rows.reshape(B * n, D), weights, out=dense.reshape(B * n, -1))
     dense += bias
-    return dense.reshape(B, n, weights.shape[1])
+    return dense

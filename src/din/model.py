@@ -11,7 +11,12 @@ together.
 The engine runs B videos at once: their sampled rows are gathered to
 B x n x D and every layer is one GEMM (per width) over the batch.
 Training, evaluation, prediction, exports and gradient checks all go
-through it.
+through it. Each training epoch, evaluation and export builds one
+batch_scratch when it starts and runs all its batches in it, so no batch
+after the first allocates an intermediate of a batch's size. The scratch
+lives as long as that call; a BatchForward on it is valid until the next
+forward on it. The forward pass keeps every width's feature map there,
+and the backward pass finds the pool's argmax windows in those maps.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from . import temporal_conv as tc
 from .numerics import (
     Array,
     cross_entropy_from_logits,
+    dropout_scales,
     from_fields,
     glorot_uniform,
     require_fields,
-    sample_dropout_mask,
     scratch_view,
     softmax,
 )
@@ -152,28 +157,70 @@ def clone_params(params: ModelParams) -> ModelParams:
     return ModelParams(params.shape, {name: arr.copy() for name, arr in params.tensors.items()})
 
 
+def batch_scratch(
+    shape: ModelShapeSpec, batch_size: int, training: bool = True
+) -> dict[str, Array]:
+    """The engine's per-call scratch: one flat float64 buffer per role, each
+    sized for `batch_size` videos and, where one role serves every width,
+    for the largest. Every batch of up to that many videos reuses them
+    through views of their leading elements (numerics.scratch_view), so the
+    arrays a forward or backward pass puts there are valid until the next
+    pass on the same scratch.
+
+    The forward roles are the sampled rows, the DenseImages, one feature
+    map per width, one offset's rows of every window and one GEMM product,
+    which the backward reuses for its routed gradient map. `training` adds
+    the dropout masks and the other backward roles.
+    """
+    B, n, k, M = batch_size, shape.num_frames, shape.feat_dim, shape.num_filters
+    sizes = {
+        "rows": B * n * shape.raw_dim,
+        "dense": B * n * k,
+        "offset": B * (n - min(shape.widths) + 1) * k,
+        "product": B * (n - min(shape.widths) + 1) * M,
+        **{f"map/h{h}": B * (n - h + 1) * M for h in shape.widths},
+    }
+    if training:
+        sizes.update({
+            "masks": B * len(shape.widths) * M,
+            "grad_W": M * max(shape.widths) * k,
+            "grad_windows": B * max((n - h + 1) * h for h in shape.widths) * k,
+            "grad_X": B * n * k,
+            "grad_reduction": shape.raw_dim * k,
+        })
+    return {role: np.empty(size) for role, size in sizes.items()}
+
+
 def sample_batch(
     shape: ModelShapeSpec,
-    videos: Sequence[Array],
+    videos: Sequence,
     rng: np.random.Generator | None = None,
     dropout_keep: float = 1.0,
+    scratch: dict[str, Array] | None = None,
 ) -> tuple[Array, dict[int, Array] | None]:
     """(B x n x D sampled rows, width -> B x M dropout masks or None).
 
     Without an rng this is evaluation: center sampling and no masks. With
-    one, each video in turn draws its masks, one per width in ascending
-    order (only when dropout_keep < 1), then its random segment indices;
-    reruns and resumed runs are bit-exact because that order is fixed.
+    one, each video in turn draws its masks, all widths' in one draw of
+    H*M uniforms, widths ascending (only when dropout_keep < 1), then its
+    random segment indices; reruns and resumed runs are bit-exact because
+    that order is fixed. Without `scratch` the rows and masks are fresh
+    arrays; with one (see batch_scratch) they are views into its "rows"
+    and "masks" buffers.
     """
-    masks = None
+    M = shape.num_filters
+    rows = scratch_view(scratch, "rows", (len(videos), shape.num_frames, shape.raw_dim))
+    draws = None
     if rng is not None and dropout_keep < 1.0:
-        masks = {h: np.empty((len(videos), shape.num_filters)) for h in shape.widths}
-    rows = []
+        draws = scratch_view(scratch, "masks", (len(videos), len(shape.widths) * M))
     for b, features in enumerate(videos):
-        for h in masks or ():
-            masks[h][b] = sample_dropout_mask(rng, shape.num_filters, dropout_keep)
-        rows.append(di.gather(features, shape.num_frames, rng))
-    return np.stack(rows), masks
+        if draws is not None:
+            rng.random(out=draws[b])
+        di.gather(features, shape.num_frames, rng, out=rows[b])
+    if draws is None:
+        return rows, None
+    scales = dropout_scales(draws, dropout_keep)
+    return rows, {h: scales[:, i * M : (i + 1) * M] for i, h in enumerate(shape.widths)}
 
 
 # Videos per evaluation forward pass: a few MB of intermediates at the paper shape.
@@ -181,55 +228,49 @@ EVAL_BATCH = 32
 
 
 def eval_batches(shape: ModelShapeSpec, samples: Sequence):
-    """(chunk, its B x n x D center-sampled rows) for consecutive chunks of
-    EVAL_BATCH samples (anything whose .features `denseimage.gather` takes:
-    an array or a `data_io.FeatureRows` reader)."""
+    """(chunk, its B x n x D center-sampled rows, scratch) for consecutive
+    chunks of EVAL_BATCH samples (anything whose .features
+    `denseimage.gather` takes: an array or a `data_io.FeatureRows` reader).
+    One forward-only batch_scratch serves the whole call: the rows, and
+    whatever a chunk's forward puts in the scratch, are valid until the
+    next chunk is drawn."""
+    scratch = batch_scratch(shape, min(EVAL_BATCH, len(samples)), training=False)
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start : start + EVAL_BATCH]
-        yield chunk, sample_batch(shape, [s.features for s in chunk])[0]
+        rows, _ = sample_batch(shape, [s.features for s in chunk], scratch=scratch)
+        yield chunk, rows, scratch
 
 
 @dataclass
 class BatchForward:
-    """Intermediates of one batched forward pass, consumed by backward_sample."""
+    """Intermediates of one batched forward pass, consumed by backward_sample.
+    On a scratch, rows, dense, the maps and the masks are views into it,
+    valid until the next forward on that scratch."""
 
     rows: Array  # B x n x D sampled raw frames
     dense: Array  # B x n x k DenseImages
-    pooled: dict[int, tuple[Array, Array]]  # width -> B x M (values, argmax windows)
+    pooled: dict[int, tuple[Array, Array]]  # width -> (B x M values, B x W x M map)
     masks: dict[int, Array] | None  # width -> B x M dropout scales
     logits: Array  # B x C fused logits
     probabilities: Array  # B x C
 
 
 def forward_sample(
-    params: ModelParams, rows: Array, masks: dict[int, Array] | None = None
+    params: ModelParams, rows: Array, masks: dict[int, Array] | None = None,
+    scratch: dict[str, Array] | None = None,
 ) -> BatchForward:
     """Run a B x n x D batch of sampled rows through the whole model. One walk
-    over the widths, ascending, sums the heads' logits into one B x C array."""
+    over the widths, ascending, sums the heads' logits into one B x C array.
+    With `scratch` (see batch_scratch) the DenseImages and the feature maps
+    live in its buffers."""
     tensors = params.tensors
-    dense = di.encode(rows, params.reduction)
-    pooled = tc.multiscale_forward(dense, params.bank)
+    dense = di.encode(rows, params.reduction, scratch)
+    pooled = tc.multiscale_forward(dense, params.bank, scratch)
     logits = np.zeros((len(rows), params.shape.num_classes))
     for h in params.shape.widths:
         weights, bias = tensors[f"head/h{h}/weights"], tensors[f"head/h{h}/bias"]
         logits += clf.head_forward(pooled[h][0], weights, bias, masks[h] if masks else None)
     return BatchForward(rows, dense, pooled, masks, logits, softmax(logits))
-
-
-def backward_scratch(shape: ModelShapeSpec, batch_size: int) -> dict[str, Array]:
-    """Flat float64 buffers for backward_sample, one per role, each sized for
-    the largest width at `batch_size` videos. Every width, and every batch
-    of up to that many videos, reuses them through views of their leading
-    elements."""
-    n, k, M = shape.num_frames, shape.feat_dim, shape.num_filters
-    sizes = {
-        "grad_W": M * max(shape.widths) * k,
-        "grad_map": batch_size * (n - min(shape.widths) + 1) * M,
-        "grad_windows": batch_size * max((n - h + 1) * h for h in shape.widths) * k,
-        "grad_X": batch_size * n * k,
-        "grad_reduction": shape.raw_dim * k,
-    }
-    return {role: np.empty(size) for role, size in sizes.items()}
 
 
 def backward_sample(
@@ -245,21 +286,21 @@ def backward_sample(
     weights and bias, then its head's, and the reduction's last. No
     parameter is read after its gradient is yielded, so a consumer may
     update it in place before it asks for the next pair. Without `scratch`
-    every gradient is a fresh array. With the buffers of backward_scratch
-    the conv filter and reduction weight gradients are views into them that
+    every gradient is a fresh array. With a training batch_scratch the
+    conv filter and reduction weight gradients are views into it that
     later pairs overwrite: use each pair before asking for the next.
     """
     tensors = params.tensors
     grad_X = scratch_view(scratch, "grad_X", fwd.dense.shape)
     grad_X.fill(0.0)
     for h in params.shape.widths:
-        values, argmax = fwd.pooled[h]
+        values, fmap = fwd.pooled[h]
         mask = fwd.masks[h] if fwd.masks else None
         *head_grads, grad_c = clf.head_backward(
             values, tensors[f"head/h{h}/weights"], mask, grad_fused
         )
         conv_grads = tc.conv_scale_backward(
-            fwd.dense, tensors[f"conv/h{h}/weights"], values, argmax, grad_c, grad_X, scratch
+            fwd.dense, tensors[f"conv/h{h}/weights"], values, fmap, grad_c, grad_X, scratch
         )
         yield from zip((f"conv/h{h}/weights", f"conv/h{h}/bias"), conv_grads)
         yield from zip((f"head/h{h}/weights", f"head/h{h}/bias"), head_grads)

@@ -120,9 +120,17 @@ def glorot_uniform(
 def sample_dropout_mask(
     rng: np.random.Generator, length: int, keep_probability: float
 ) -> Array:
-    """Inverted-dropout scaling vector: Bernoulli keeps scaled by
+    """Inverted-dropout scaling vector from `length` uniform draws (see
+    dropout_scales)."""
+    return dropout_scales(rng.random(length), keep_probability)
+
+
+def dropout_scales(draws: Array, keep_probability: float) -> Array:
+    """Turn an array of uniform [0, 1) draws into inverted-dropout scales,
+    in place: Bernoulli keeps (a draw below keep_probability) scaled by
     1/keep_probability, so masked activations keep their expectation."""
     if not 0.0 < keep_probability <= 1.0:
         raise ValueError("keep_probability must be in (0, 1]")
-    kept = rng.random(length) < keep_probability
-    return kept / keep_probability
+    np.less(draws, keep_probability, out=draws)
+    draws /= keep_probability
+    return draws

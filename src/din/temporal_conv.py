@@ -14,10 +14,15 @@ runs as h GEMMs over the whole batch, one per row offset a (shift and
 add), with the same sums as an im2col window GEMM but no (B*W) x (h*k)
 window matrix; at B=1 this is the faster of the two.
 
-The backward pass is hand-written and runs one width at a time: the pool
-routes the upstream gradient to its (tie-broken) argmax window only, the
-rectifier gates it, and the windows scatter it back onto the h DenseImage
-rows they cover.
+The forward pass pools values only and keeps each width's map. The
+backward pass is hand-written and runs one width at a time: it finds
+each pooled value's (tie-broken) argmax window in that map, routes the
+upstream gradient there alone, gates it by the rectifier, and the
+windows scatter it back onto the h DenseImage rows they cover.
+
+With a scratch (see model.batch_scratch) the maps, the GEMM products and
+the backward's intermediates live in its buffers; a map is then valid
+until the next forward on that scratch.
 """
 
 from __future__ import annotations
@@ -27,16 +32,34 @@ import numpy as np
 from .numerics import Array, scratch_view
 
 
-def _offset_rows(X: Array, a: int, num_windows: int) -> Array:
-    """Row a of every window of a B x n x k batch, as (B*num_windows) x k."""
-    return X[:, a : a + num_windows].reshape(-1, X.shape[2])
+def _offset_rows(
+    X: Array, a: int, num_windows: int, scratch: dict[str, Array] | None = None
+) -> Array:
+    """Row a of every window of a B x n x k batch, as (B*num_windows) x k.
+    The reshape copies unless B or num_windows is 1; with `scratch` that
+    copy goes into its "offset" buffer instead of a fresh array."""
+    rows = X[:, a : a + num_windows]
+    if scratch is not None and min(rows.shape[:2]) > 1:
+        copy = scratch_view(scratch, "offset", rows.shape)
+        np.copyto(copy, rows)
+        rows = copy
+    return rows.reshape(-1, X.shape[2])
 
 
-def conv_scale_forward(X: Array, W_h: Array, b_h: Array) -> Array:
+def conv_scale_forward(
+    X: Array, W_h: Array, b_h: Array, scratch: dict[str, Array] | None = None
+) -> Array:
     """Rectified width-h responses of a B x n x k batch at every window
     position (stride 1, no padding): a B x (n-h+1) x M map whose element
     (b, i, m) is channel m applied to the window of DenseImage b that
-    starts at frame i."""
+    starts at frame i.
+
+    The map starts as the first offset's product and each later offset's
+    product is added to it. Without `scratch` the map is a fresh array;
+    with one it is the leading elements of its "map/h<h>" buffer, and the
+    offset rows and products go through its "offset" and "product"
+    buffers.
+    """
     if X.ndim != 3:
         raise ValueError("expected a B x n x k batch of DenseImages")
     B, n, k = X.shape
@@ -48,17 +71,31 @@ def conv_scale_forward(X: Array, W_h: Array, b_h: Array) -> Array:
     if b_h.shape != (W_h.shape[0],):
         raise ValueError("bias length must equal the channel count")
     num_windows = n - h + 1
-    responses = np.zeros((B * num_windows, W_h.shape[0]))
-    for a in range(h):
-        responses += _offset_rows(X, a, num_windows) @ W_h[:, a * k : (a + 1) * k].T
+    size = (B * num_windows, W_h.shape[0])
+    responses = scratch_view(scratch, f"map/h{h}", size)
+    np.matmul(_offset_rows(X, 0, num_windows, scratch), W_h[:, :k].T, out=responses)
+    product = scratch_view(scratch, "product", size)
+    for a in range(1, h):
+        offset = _offset_rows(X, a, num_windows, scratch)
+        np.matmul(offset, W_h[:, a * k : (a + 1) * k].T, out=product)
+        responses += product
     responses += b_h
+    # maximum(-0.0, 0.0) is +0.0: no map holds a -0.0, though it starts from a product.
     np.maximum(responses, 0.0, out=responses)
     return responses.reshape(B, num_windows, -1)
 
 
-def temporal_max_pool(fmap: Array) -> tuple[Array, Array]:
+def temporal_max_pool(fmap: Array) -> Array:
     """Per-channel maximum of a B x W x M map over window positions, as
-    (B x M values, B x M argmax windows); ties go to the smallest index.
+    B x M values."""
+    if fmap.shape[1] < 1:
+        raise ValueError("feature map must have at least one window")
+    return fmap.max(axis=1)
+
+
+def pool_argmax(fmap: Array, values: Array) -> Array:
+    """The window each of the B x M `values` that temporal_max_pool took
+    from the B x W x M map came from; ties go to the smallest index.
 
     The argmax is the first window equal to the maximum, found by stepping
     from the last window down: W contiguous comparisons are cheaper than
@@ -66,42 +103,45 @@ def temporal_max_pool(fmap: Array) -> tuple[Array, Array]:
     any map without NaNs.
     """
     num_windows = fmap.shape[1]
-    if num_windows < 1:
-        raise ValueError("feature map must have at least one window")
-    values = fmap.max(axis=1)
     argmax = np.full(values.shape, num_windows - 1, dtype=np.intp)
     for w in range(num_windows - 2, -1, -1):
         np.copyto(argmax, w, where=fmap[:, w] == values)
-    return values, argmax
+    return argmax
 
 
 def multiscale_forward(
-    X: Array, bank: dict[int, tuple[Array, Array]]
+    X: Array, bank: dict[int, tuple[Array, Array]], scratch: dict[str, Array] | None = None
 ) -> dict[int, tuple[Array, Array]]:
     """Convolve and pool every width of a width -> (weights, bias) bank
-    over a B x n x k batch of DenseImages: width -> (values, argmax) as
-    temporal_max_pool returns them."""
-    return {h: temporal_max_pool(conv_scale_forward(X, *bank[h])) for h in sorted(bank)}
+    over a B x n x k batch of DenseImages: width -> (B x M pooled values,
+    the B x W x M map conv_scale_forward pooled them from)."""
+    pooled = {}
+    for h in sorted(bank):
+        fmap = conv_scale_forward(X, *bank[h], scratch)
+        pooled[h] = (temporal_max_pool(fmap), fmap)
+    return pooled
 
 
 def conv_scale_backward(
-    X: Array, W_h: Array, values: Array, argmax: Array, grad_up: Array, grad_X: Array,
+    X: Array, W_h: Array, values: Array, fmap: Array, grad_up: Array, grad_X: Array,
     scratch: dict[str, Array] | None = None,
 ) -> tuple[Array, Array]:
     """Gradients of one width's pooled features wrt its filters and biases,
-    summed over the batch, given the B x n x k DenseImages X and the B x M
-    (values, argmax) temporal_max_pool returned for them. The gradient wrt
-    X is added into grad_X, so the caller sums the widths in its order.
+    summed over the batch, given the B x n x k DenseImages X, the B x M
+    pooled values and the map they were pooled from, as multiscale_forward
+    returns them. The gradient wrt X is added into grad_X, so the caller
+    sums the widths in its order.
 
     Per sample and channel the B x M upstream gradient enters at the argmax
-    window alone, passes the rectifier gate (zero where the pooled value
-    hit the rectifier floor), and fans out to the filter row, its bias,
-    and the h DenseImage rows under that window.
+    window alone (pool_argmax), passes the rectifier gate (zero where the
+    pooled value hit the rectifier floor), and fans out to the filter row,
+    its bias, and the h DenseImage rows under that window.
 
     Without `scratch` the filter gradient is a fresh array. With one (see
-    model.backward_scratch) the routed map, the window gradients and the
-    returned filter gradient live in the leading elements of its
-    "grad_map", "grad_windows" and "grad_W" buffers, which the next call
+    model.batch_scratch) the routed map, the offset rows, the window
+    gradients and the returned filter gradient live in the leading
+    elements of its "product" (free once the forward has returned),
+    "offset", "grad_windows" and "grad_W" buffers, which the next call
     overwrites.
     """
     B, n, k = X.shape
@@ -111,13 +151,18 @@ def conv_scale_backward(
     if grad_up.shape != (B, M):
         raise ValueError(f"grad_up must have shape {(B, M)}")
     routed = grad_up * (values > 0.0)
-    grad_map = scratch_view(scratch, "grad_map", (B, num_windows, M))
+    # The flat index of (b, argmax window, m) in the B x W x M routed map.
+    at = pool_argmax(fmap, values)
+    at *= M
+    at += np.arange(M)
+    at += np.arange(0, B * num_windows * M, num_windows * M)[:, None]
+    grad_map = scratch_view(scratch, "product", (B * num_windows, M))
     grad_map.fill(0.0)
-    grad_map[np.arange(B)[:, None], argmax, np.arange(M)] = routed
-    grad_map = grad_map.reshape(B * num_windows, M)
+    np.put(grad_map, at, routed)
     grad_W = scratch_view(scratch, "grad_W", (M, h * k))
     for a in range(h):
-        np.matmul(grad_map.T, _offset_rows(X, a, num_windows), out=grad_W[:, a * k : (a + 1) * k])
+        offset = _offset_rows(X, a, num_windows, scratch)
+        np.matmul(grad_map.T, offset, out=grad_W[:, a * k : (a + 1) * k])
     # Back through the windows: offset a of window i is row i+a.
     grad_windows = scratch_view(scratch, "grad_windows", (B * num_windows, h * k))
     np.matmul(grad_map, W_h, out=grad_windows)

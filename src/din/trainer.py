@@ -20,7 +20,7 @@ from .classifier import predict
 from .model import (
     ModelParams,
     backward_sample,
-    backward_scratch,
+    batch_scratch,
     clone_params,
     eval_batches,
     forward_sample,
@@ -138,9 +138,11 @@ def sgd_momentum_step(
     grads: Iterable[tuple[str, Array]],
     state: OptimizerState,
     config: TrainConfig,
+    scale: float = 1.0,
+    block: Array | None = None,
 ) -> None:
     """One in-place update of every array in `named`:
-    v <- momentum*v + (grad + wd*param); param -= lr*v.
+    g <- grad*scale; v <- momentum*v + (g + wd*param); param -= lr*v.
 
     `grads` is a stream of (name, gradient) pairs, such as
     model.backward_sample yields. Each tensor is updated as its pair
@@ -149,11 +151,15 @@ def sgd_momentum_step(
 
     Weight decay enters as an additive L2 gradient term and never touches
     tensors whose name ends in "/bias". Each tensor is updated in blocks of
-    whole rows, about OPT_BLOCK elements each, whose terms go through one
-    scratch buffer in the formula's order of operations, so the result is
+    whole rows, about OPT_BLOCK elements each: a scale other than 1 first
+    scales the gradient's block in place, then the terms go through one
+    buffer in the formula's order of operations, so the result is
     bit-identical to evaluating it over whole tensors with temporaries.
+    That buffer is `block` (OPT_BLOCK float64 elements; a caller running
+    many steps passes one) or a fresh one.
     """
-    scratch = np.empty(OPT_BLOCK)
+    if block is None:
+        block = np.empty(OPT_BLOCK)
     done: set[str] = set()
     for name, grad in grads:
         if name not in named or name in done:
@@ -166,9 +172,11 @@ def sgd_momentum_step(
         rows = max(1, OPT_BLOCK // math.prod(param.shape[1:]))
         for lo in range(0, len(param), rows):
             p, v, g = param[lo : lo + rows], vel[lo : lo + rows], grad[lo : lo + rows]
-            if scratch.size < p.size:
-                scratch = np.empty(p.size)
-            term = scratch[: p.size].reshape(p.shape)
+            if block.size < p.size:
+                block = np.empty(p.size)
+            term = block[: p.size].reshape(p.shape)
+            if scale != 1.0:
+                g *= scale
             v *= config.momentum
             if decay:
                 np.multiply(decay, p, out=term)
@@ -221,26 +229,21 @@ def train_epoch(
     if len(samples) == 0:
         raise ValueError("training split is empty")
     order = rng.permutation(len(samples))
-    scratch = backward_scratch(params.shape, min(config.batch_size, len(samples)))
+    scratch = batch_scratch(params.shape, min(config.batch_size, len(samples)))
+    block = np.empty(OPT_BLOCK)
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
         batch = [samples[i] for i in order[start : start + config.batch_size]]
         rows, masks = sample_batch(
-            params.shape, [s.features for s in batch], rng, config.dropout_keep
+            params.shape, [s.features for s in batch], rng, config.dropout_keep, scratch
         )
-        fwd = forward_sample(params, rows, masks)
+        fwd = forward_sample(params, rows, masks, scratch)
         losses, grad_fused = cross_entropy_from_logits(fwd.logits, _labels(batch))
         total_loss += float(losses.sum())
-        scale = 1.0 / len(batch)
         # Each gradient is scaled to the batch mean and applied before
         # backward computes the next one into the same scratch.
-        pairs = backward_sample(params, fwd, grad_fused, scratch)
-        sgd_momentum_step(
-            params.tensors,
-            ((name, np.multiply(g, scale, out=g)) for name, g in pairs),
-            state,
-            config,
-        )
+        sgd_momentum_step(params.tensors, backward_sample(params, fwd, grad_fused, scratch),
+                          state, config, 1.0 / len(batch), block)
     return total_loss / len(samples)
 
 
@@ -255,8 +258,8 @@ def evaluate(
     total_loss = 0.0
     probabilities = np.empty((len(samples), params.shape.num_classes))
     start = 0
-    for chunk, rows in eval_batches(params.shape, samples):
-        fwd = forward_sample(params, rows)
+    for chunk, rows, scratch in eval_batches(params.shape, samples):
+        fwd = forward_sample(params, rows, scratch=scratch)
         losses, _ = cross_entropy_from_logits(fwd.logits, _labels(chunk))
         total_loss += float(losses.sum())
         probabilities[start : start + len(chunk)] = fwd.probabilities

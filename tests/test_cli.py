@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import din.data_io as data_io
 import din.trainer as trainer
 from din.analysis import count_parameters
-from din.cli import SECTIONS, main
+from din.cli import SECTIONS, build_parser, main
 from din.data_io import (
     load_checkpoint,
     load_manifest,
@@ -839,6 +840,62 @@ class TestUsageAndConfig:
         )
         assert proc.returncode == 0
         assert "1,609,095" in proc.stdout
+
+
+def float_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every float-typed flag of every command."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0]) for name, command in commands.choices.items()
+            for action in command._actions if action.type is float]
+
+
+def run_main(argv) -> tuple[int, str]:
+    """(exit code, stderr) of an in-process din run; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+# Float literals in the spellings a user may type: repr, exponent forms,
+# and the inf and nan words in any case.
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda x: f"{x:e}"),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.3E}"),
+    st.sampled_from(["-inf", "-Infinity", "-INF", "-nan", "-NaN", "-1e-3", "-1E+400", "-0.5",
+                     "-3", "-.5", "-1_000.5", "1e-3", "inf", "nan"]),
+)
+
+
+class TestFloatFlags:
+    """Every float flag reads a value that starts with "-" (-inf, -nan,
+    -1e-3) as a value: "--flag v" and "--flag=v" exit alike, with the same
+    one-line stderr, and never as a missing argument."""
+
+    def test_every_command_with_a_float_section_has_its_flags(self):
+        assert {command for command, _ in float_flags()} == {"synth", "train"}
+        assert len(float_flags()) == 6
+
+    @pytest.mark.parametrize("argv", [["synth", "--synth-sigma", "-inf"],
+                                      ["train", "--weight-decay", "-1e-3"]])
+    def test_negative_non_decimal_values_reach_the_field_check(self, argv):
+        rc, err = run_main(argv)
+        assert rc == 2 and "expected one argument" not in err, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @given(flag=st.sampled_from(float_flags()), text=FLOAT_TEXT)
+    @example(flag=("synth", "--synth-sigma"), text="-inf")
+    @example(flag=("train", "--weight-decay"), text="-1e-3")
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_both_forms_agree(self, flag, text):
+        command, name = flag
+        spaced = run_main([command, name, text])
+        joined = run_main([command, f"{name}={text}"])
+        assert spaced == joined
+        rc, err = spaced
+        # A valid value fails later, on the missing --out-dir.
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 PAPER_SHAPE = {"raw_dim": 1024, "feat_dim": 256, "num_frames": 8, "widths": [2, 3, 4, 5, 6],

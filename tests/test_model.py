@@ -11,7 +11,7 @@ from din.model import (
     ModelParams,
     ModelShapeSpec,
     backward_sample,
-    backward_scratch,
+    batch_scratch,
     clone_params,
     forward_sample,
     init_model,
@@ -22,6 +22,7 @@ from din.model import (
 )
 from din.numerics import cross_entropy_from_logits, make_rng, sample_dropout_mask
 from din.selftest import finite_difference_check, kink_free
+from din.trainer import OPT_BLOCK, OptimizerState, TrainConfig, sgd_momentum_step
 
 from conftest import TINY_SHAPE
 
@@ -161,11 +162,13 @@ class TestForward:
         assert np.array_equal(probs, fwd.probabilities[0])
 
     def test_wrong_feature_dim_rejected(self, tiny_params):
-        with pytest.raises(ValueError):
-            sample_batch(TINY_SHAPE, [np.ones((6, 4)), np.ones((6, 3))])
-        rows, _ = sample_batch(TINY_SHAPE, [np.ones((6, 3))])
+        # sample_batch widens each video's rows into a B x n x D batch of
+        # the model's D, so it rejects another D itself.
+        for videos in ([np.ones((6, 4)), np.ones((6, 3))], [np.ones((6, 3))]):
+            with pytest.raises(ValueError, match="reduction input 4"):
+                sample_batch(TINY_SHAPE, videos)
         with pytest.raises(ValueError, match="reduction input 4"):
-            forward_sample(tiny_params, rows)
+            forward_sample(tiny_params, np.ones((1, TINY_SHAPE.num_frames, 3)))
 
 
 class TestSampleBatch:
@@ -187,6 +190,24 @@ class TestSampleBatch:
                 assert np.array_equal(masks[h][b], sample_dropout_mask(ref, 4, 0.5))
             want = gather(video, TINY_SHAPE.num_frames, ref)
             assert np.array_equal(rows[b], want)
+
+    @given(widths=st.sets(st.integers(2, 6), min_size=1, max_size=5),
+           M=st.integers(1, 9), keep=st.floats(0.05, 0.95), B=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_one_draw_per_video_equals_one_draw_per_width(self, widths, M, keep, B, seed):
+        # One rng.random(H*M) per video gives the masks, and leaves the
+        # generator in the state, that H draws of M (one mask per width,
+        # ascending) would, interleaved with each video's segment draws.
+        shape = ModelShapeSpec(3, 2, 6, tuple(widths), M, 2)
+        videos = [np.full((T, 3), float(T)) for T in range(3, 3 + B)]
+        rng, ref = make_rng(seed), make_rng(seed)
+        rows, masks = sample_batch(shape, videos, rng, keep)
+        for b, video in enumerate(videos):
+            for h in shape.widths:
+                assert np.array_equal(masks[h][b], sample_dropout_mask(ref, M, keep)), (b, h)
+            assert np.array_equal(rows[b], gather(video, shape.num_frames, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_keep_one_draws_no_masks(self):
         videos = [np.ones((9, 4))]
@@ -322,7 +343,7 @@ class TestGradientStream:
     def test_scratch_pairs_equal_fresh_pairs_in_the_same_order(self, tiny_params):
         # The second, smaller batch runs in the leading rows of the scratch.
         rng = make_rng(43)
-        scratch = backward_scratch(TINY_SHAPE, 3)
+        scratch = batch_scratch(TINY_SHAPE, 3)
         for B in (3, 1):
             self._check_scratch(tiny_params, *self._batch(tiny_params, rng, B), scratch)
 
@@ -337,7 +358,11 @@ class TestGradientStream:
     @given(data=st.data())
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_scratch_pairs_equal_fresh_pairs_on_drawn_shapes(self, data):
-        # Batches of every size up to the scratch's capacity, in any order.
+        # Batches of every size up to the scratch's capacity, in any order,
+        # each through sample_batch -> forward -> backward -> step twice:
+        # once in one scratch, as train_epoch runs them, and once on fresh
+        # arrays with the batch-mean gradient taken over whole tensors. Draws,
+        # intermediates, gradient pairs and updated state agree bit for bit.
         n = data.draw(st.integers(2, 7), "n")
         raw_dim = data.draw(st.integers(1, 6), "D")
         shape = ModelShapeSpec(
@@ -347,17 +372,49 @@ class TestGradientStream:
         capacity = data.draw(st.integers(1, 5), "capacity")
         sizes = data.draw(st.lists(st.integers(1, capacity), min_size=1, max_size=3), "sizes")
         keep = data.draw(st.sampled_from([1.0, 0.7]), "keep")
-        rng = make_rng(data.draw(st.integers(0, 2**16), "seed"))
-        params = init_model(shape, rng)
-        scratch = backward_scratch(shape, capacity)
+        seed = data.draw(st.integers(0, 2**16), "seed")
+        rng, rng_fresh, data_rng = make_rng(seed, 1), make_rng(seed, 1), make_rng(seed, 2)
+        params = init_model(shape, make_rng(seed))
+        fresh = clone_params(params)
+        config = TrainConfig(weight_decay=1e-3, initial_lr=0.05)
+        state, fresh_state = OptimizerState.init(params, config), OptimizerState.init(fresh, config)
+        scratch = batch_scratch(shape, capacity)
         for B in sizes:
-            masks = None if keep == 1.0 else {
-                h: np.stack([sample_dropout_mask(rng, shape.num_filters, keep) for _ in range(B)])
-                for h in shape.widths}
-            fwd = forward_sample(params, rng.normal(size=(B, n, raw_dim)), masks)
-            labels = rng.integers(shape.num_classes, size=B)
-            self._check_scratch(params, fwd, cross_entropy_from_logits(fwd.logits, labels)[1],
-                                scratch)
+            videos = [data_rng.normal(size=(int(data_rng.integers(1, 2 * n + 2)), raw_dim))
+                      .astype(data_rng.choice([np.float32, np.float64])) for _ in range(B)]
+            labels = data_rng.integers(shape.num_classes, size=B)
+            want_rows, want_masks = sample_batch(shape, videos, rng_fresh, keep)
+            want = forward_sample(fresh, want_rows, want_masks)
+            _, want_grad = cross_entropy_from_logits(want.logits, labels)
+            want_pairs = list(backward_sample(fresh, want, want_grad))
+            sgd_momentum_step(fresh.tensors, ((name, g * (1.0 / B)) for name, g in want_pairs),
+                              fresh_state, config)
+
+            rows, masks = sample_batch(shape, videos, rng, keep, scratch)
+            fwd = forward_sample(params, rows, masks, scratch)
+            assert np.array_equal(fwd.rows, want.rows) and np.array_equal(fwd.dense, want.dense)
+            assert np.array_equal(fwd.logits, want.logits)
+            for h in shape.widths:
+                for got, expected in zip(fwd.pooled[h], want.pooled[h]):  # values, map
+                    assert np.array_equal(got, expected), h
+                assert masks is None or np.array_equal(masks[h], want_masks[h]), h
+            _, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
+            got_pairs = []
+
+            def recorded(pairs):
+                for name, g in pairs:
+                    got_pairs.append((name, g.copy()))
+                    yield name, g
+
+            sgd_momentum_step(params.tensors, recorded(backward_sample(
+                params, fwd, grad_fused, scratch)), state, config, 1.0 / B, np.empty(OPT_BLOCK))
+            assert [name for name, _ in got_pairs] == [name for name, _ in want_pairs]
+            for (name, got), (_, expected) in zip(got_pairs, want_pairs):
+                assert np.array_equal(got, expected), name
+            for name, arr in params.tensors.items():
+                assert np.array_equal(arr, fresh.tensors[name]), name
+                assert np.array_equal(state.velocity[name], fresh_state.velocity[name]), name
+        assert rng.bit_generator.state == rng_fresh.bit_generator.state
 
     def test_no_parameter_is_read_after_its_gradient_is_yielded(self, tiny_params):
         # A consumer may overwrite each parameter as soon as its gradient
@@ -366,7 +423,7 @@ class TestGradientStream:
         want = dict(backward_sample(tiny_params, fwd, grad_fused))
         params = clone_params(tiny_params)
         seen = []
-        for name, g in backward_sample(params, fwd, grad_fused, backward_scratch(TINY_SHAPE, 2)):
+        for name, g in backward_sample(params, fwd, grad_fused, batch_scratch(TINY_SHAPE, 2)):
             assert np.array_equal(g, want[name]), name
             params.tensors[name][...] = np.nan
             seen.append(name)

@@ -15,6 +15,7 @@ from din.temporal_conv import (
     conv_scale_backward,
     conv_scale_forward,
     multiscale_forward,
+    pool_argmax,
     response_profiles,
     temporal_max_pool,
 )
@@ -35,12 +36,28 @@ def single_map(rows):
     return np.array(rows, dtype=float).T[None]
 
 
+def pool(fmap):
+    """(B x M pooled values, B x M argmax windows): the forward's pool and
+    the backward's argmax of one map."""
+    values = temporal_max_pool(fmap)
+    return values, pool_argmax(fmap, values)
+
+
 class TestConvForward:
     def test_zero_weights_give_bias_everywhere(self):
         X = np.ones((1, 6, 3))
         fmap = conv_scale_forward(X, np.zeros((4, 2 * 3)), np.full(4, 0.5))
         assert fmap.shape == (1, 5, 4)
         assert np.array_equal(fmap, np.full((1, 5, 4), 0.5))
+
+    def test_negative_zero_preactivations_rectify_to_positive_zero(self):
+        # The map starts from the first offset's product, not from zeros,
+        # so a -0.0 input and bias could give -0.0 pre-activations; an
+        # exported response or pooled value must still read 0.0.
+        X = np.full((2, 5, 3), -0.0)
+        fmap = conv_scale_forward(X, np.ones((4, 3 * 3)), np.full(4, -0.0))
+        assert np.array_equal(fmap, np.zeros((2, 3, 4)))
+        assert not np.signbit(fmap).any()
 
     def test_window_counts_for_eight_frames(self):
         rng = make_rng(1)
@@ -68,17 +85,17 @@ class TestConvForward:
 
 class TestMaxPool:
     def test_single_column(self):
-        values, argmax = temporal_max_pool(single_map([[2.0], [5.0]]))
+        values, argmax = pool(single_map([[2.0], [5.0]]))
         assert np.array_equal(values, [[2.0, 5.0]])
         assert np.array_equal(argmax, [[0, 0]])
 
     def test_hand_max(self):
-        values, argmax = temporal_max_pool(single_map([[1.0, 3.0, 2.0]]))
+        values, argmax = pool(single_map([[1.0, 3.0, 2.0]]))
         assert values[0, 0] == 3.0
         assert argmax[0, 0] == 1
 
     def test_tie_breaks_to_smallest_index(self):
-        values, argmax = temporal_max_pool(single_map([[2.0, 2.0, 1.0]]))
+        values, argmax = pool(single_map([[2.0, 2.0, 1.0]]))
         assert values[0, 0] == 2.0
         assert argmax[0, 0] == 0
 
@@ -89,7 +106,7 @@ class TestMaxPool:
     def test_pool_dominance(self):
         rng = make_rng(4)
         fmap = np.abs(rng.normal(size=(4, 5, 6)))
-        values, argmax = temporal_max_pool(fmap)
+        values, argmax = pool(fmap)
         assert (values[:, None] >= fmap).all()
         batch, channels = np.indices((4, 6))
         assert np.array_equal(fmap[batch, argmax, channels], values)
@@ -104,7 +121,7 @@ class TestMaxPool:
             peaks = fmap.max(axis=1, keepdims=True)
             fmap = np.where(rng.random((B, W, M)) < 0.3, peaks, fmap)
             fmap[:, :, rng.random(M) < 0.3] = 0.0
-            values, argmax = temporal_max_pool(fmap)
+            values, argmax = pool(fmap)
             assert np.array_equal(values, fmap.max(axis=1))
             assert np.array_equal(argmax, fmap.argmax(axis=1))
 
@@ -218,6 +235,20 @@ class TestMultiscaleBackward:
         gate = pooled[4][0][0] > 0
         assert np.array_equal(gb, upstream * gate)
 
+    def test_tied_windows_route_to_the_first(self):
+        # Identical rows make every window tie for the maximum: the backward
+        # finds the argmax in the map itself and must send each gradient to
+        # window 0 alone, so only rows 0..h-1 receive any.
+        rng = make_rng(14)
+        bank = random_bank(rng, (3,), 4, 2, bias_scale=0.0)
+        bank[3] = (np.abs(bank[3][0]), bank[3][1])
+        X = np.ones((2, 6, 2))
+        (values, fmap), = multiscale_forward(X, bank).values()
+        assert np.array_equal(pool_argmax(fmap, values), np.zeros((2, 4), dtype=int))
+        gX = np.zeros_like(X)
+        conv_scale_backward(X, bank[3][0], values, fmap, np.ones((2, 4)), gX)
+        assert gX[:, :3].all() and not gX[:, 3:].any()
+
     def test_results_held_together_equal_single_calls(self):
         # The selftest holds every width's gradients at once; none may be
         # overwritten by the next width's call.
@@ -238,10 +269,10 @@ class TestMultiscaleBackward:
         rng = make_rng(11)
         bank = random_bank(rng, (2,), 3, 2)
         X = rng.normal(size=(1, 5, 2))
-        values, argmax = multiscale_forward(X, bank)[2]
+        values, fmap = multiscale_forward(X, bank)[2]
         for grad_up in (np.zeros((1, 4)), np.zeros(3)):
             with pytest.raises(ValueError):
-                conv_scale_backward(X, bank[2][0], values, argmax, grad_up, np.zeros_like(X))
+                conv_scale_backward(X, bank[2][0], values, fmap, grad_up, np.zeros_like(X))
 
     def test_matches_finite_differences_on_kink_free_instances(self):
         rng = make_rng(12)

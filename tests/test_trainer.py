@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -217,6 +218,28 @@ class TestSgdStep:
         for name in shapes:
             assert np.array_equal(named[name], want_p[name]), name
             assert np.array_equal(state.velocity[name], want_v[name]), name
+
+    @pytest.mark.parametrize("scale", [1.0 / 6, 1.0 / 3, 0.25])
+    def test_scale_in_the_blocks_equals_a_scaled_copy(self, scale):
+        # train_epoch hands the step its batch-mean factor, 1/B for a last
+        # partial batch of any size; scaling each block in place must equal
+        # a whole-tensor g * scale before the step, bit for bit.
+        shapes = {"wide/weights": (5, OPT_BLOCK // 2), "long/bias": (5 * OPT_BLOCK // 2,),
+                  "small/weights": (3, 7)}
+        rng = make_rng(33)
+        named = {name: rng.normal(size=dims) for name, dims in shapes.items()}
+        want = {name: arr.copy() for name, arr in named.items()}
+        cfg = TrainConfig(momentum=0.9, weight_decay=5e-4, initial_lr=0.05)
+        state = OptimizerState({name: rng.normal(size=dims) for name, dims in shapes.items()},
+                               cfg.initial_lr)
+        want_state = OptimizerState({name: v.copy() for name, v in state.velocity.items()},
+                                    cfg.initial_lr)
+        grads = {name: rng.normal(size=dims) for name, dims in shapes.items()}
+        sgd_momentum_step(want, ((name, g * scale) for name, g in grads.items()), want_state, cfg)
+        sgd_momentum_step(named, grads.items(), state, cfg, scale, np.empty(OPT_BLOCK))
+        for name in shapes:
+            assert np.array_equal(named[name], want[name]), name
+            assert np.array_equal(state.velocity[name], want_state.velocity[name]), name
 
     @pytest.mark.parametrize("fault, message", [
         ("unknown", "gradient names do not match the parameters"),
@@ -454,6 +477,78 @@ class TestEvaluate:
         change_feature_file(path, change)
         with pytest.raises((FormatError, FileNotFoundError), match=re.escape(str(path))):
             evaluate(tiny_params, samples)
+
+
+def largest_line_growth_after_the_first_batch(call) -> tuple[int, int, str]:
+    """(batches, largest growth, where): run `call` with every line of din
+    code traced, and return the largest rise of tracemalloc's traced memory
+    while one line ran (its peak against the memory before it), over the
+    lines run once the second sample_batch call has begun. Any array a line
+    allocates, even one it frees again, counts in full. NumPy's own
+    iteration buffers (bufsize elements each) are not arrays; a small
+    bufsize keeps them from counting."""
+    batches, largest, where, last = 0, 0, "", None
+
+    def line(frame, event, arg):
+        nonlocal largest, where, last
+        peak = tracemalloc.get_traced_memory()[1]
+        if last is not None and batches >= 2 and peak - last[1] > largest:
+            largest, where = peak - last[1], last[0]
+        tracemalloc.reset_peak()
+        last = (f"{frame.f_code.co_name}:{frame.f_lineno}", tracemalloc.get_traced_memory()[0])
+        return line
+
+    def call_event(frame, event, arg):
+        nonlocal batches
+        if not frame.f_globals.get("__name__", "").startswith("din."):
+            return None
+        batches += frame.f_code.co_name == "sample_batch"
+        return line
+
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    sys.settrace(call_event)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    return batches, largest, where
+
+
+class TestBatchAllocations:
+    """Every batch-sized intermediate of the engine lives in one scratch per
+    call: after a call's first batch, evaluate and train_epoch allocate no
+    array of 128 KiB or more. At the paper shape with B=32 that covers the
+    sampled rows, the DenseImages, each width's map, offset rows and GEMM
+    products, the dropout masks, the backward's buffers and the optimizer's
+    block buffer; B x M arrays (64 KiB) are allowed."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        shape = ModelShapeSpec()
+        rng = make_rng(21)
+        samples = [Sample(str(i), rng.normal(size=(int(rng.integers(5, 40)), shape.raw_dim))
+                          .astype(np.float32), i % shape.num_classes) for i in range(80)]
+        return init_model(shape, make_rng(22)), samples
+
+    def test_evaluate(self, paper):
+        params, samples = paper
+        batches, largest, where = largest_line_growth_after_the_first_batch(
+            lambda: evaluate(params, samples))
+        assert batches == 3
+        assert largest < 128 * 1024, (largest, where)
+
+    def test_train_epoch(self, paper):
+        params, samples = paper
+        params = clone_params(params)
+        cfg = TrainConfig(batch_size=32, dropout_keep=0.5)
+        state = OptimizerState.init(params, cfg)
+        batches, largest, where = largest_line_growth_after_the_first_batch(
+            lambda: train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0)))
+        assert batches == 3
+        assert largest < 128 * 1024, (largest, where)
 
 
 class TestFit:
