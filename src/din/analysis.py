@@ -22,7 +22,8 @@ import numpy as np
 
 from .data_io import Sample, atomic_write_bytes
 from .denseimage import encode
-from .model import ModelParams, ModelShapeSpec, eval_batches, forward_sample, parameter_shapes
+from .model import (EVAL_BATCH, ModelParams, ModelShapeSpec, batches, forward_sample,
+                    parameter_shapes)
 from .numerics import Array
 from .temporal_conv import conv_scale_forward, response_profiles
 
@@ -96,7 +97,7 @@ def export_responses(
     )
     rows = [",".join(header)]
     by_id = sorted(samples, key=lambda s: s.id)
-    for chunk, batch_rows, scratch in eval_batches(params.shape, by_id):
+    for chunk, batch_rows, _, scratch in batches(params.shape, by_id, EVAL_BATCH):
         dense = encode(batch_rows, params.reduction, scratch)
         fmap = conv_scale_forward(dense, *params.bank[h], scratch)
         profiles = response_profiles(fmap)
@@ -122,7 +123,7 @@ def export_pooled_features(
     header += [f"mean_{j}" for j in range(shape.feat_dim)]
     rows = [",".join(header)]
     by_id = sorted(samples, key=lambda s: s.id)
-    for chunk, batch_rows, scratch in eval_batches(shape, by_id):
+    for chunk, batch_rows, _, scratch in batches(shape, by_id, EVAL_BATCH):
         fwd = forward_sample(params, batch_rows, scratch=scratch)
         cells = [float_rows(fwd.pooled[h][0]) for h in shape.widths]
         baselines = float_rows(fwd.dense.mean(axis=1))

@@ -45,10 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     # argparse takes only -<digits> and -<digits>.<digits> for negative
-    # numbers; any other float literal (-inf, -nan, -1e-3) is a value too,
-    # so "--flag -inf" reads like "--flag=-inf".
+    # numbers. No din option starts with "-" and a digit or ".", so such an
+    # argument is a value (-1e-3, -.5, the widths -2,3), and so is any other
+    # float literal (-inf, -nan): "--flag -2,3" reads like "--flag=-2,3".
     def _parse_optional(self, arg_string):
         if arg_string.startswith("-"):
+            if arg_string[1:2].isdigit() or arg_string[1:2] == ".":
+                return None
             with contextlib.suppress(ValueError):
                 float(arg_string)
                 return None

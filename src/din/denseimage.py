@@ -80,7 +80,7 @@ def encode(
 
     One (B*n) x D GEMM against the (D x k weights, k bias) pair; row i of
     DenseImage b is still sampled frame i of video b. Without `scratch`
-    the DenseImages are a fresh array; with one (see model.batch_scratch)
+    the DenseImages are a fresh array; with one (see numerics.scratch_view)
     they are the leading elements of its "dense" buffer.
     """
     weights, bias = reduction

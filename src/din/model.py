@@ -11,12 +11,12 @@ together.
 The engine runs B videos at once: their sampled rows are gathered to
 B x n x D and every layer is one GEMM (per width) over the batch.
 Training, evaluation, prediction, exports and gradient checks all go
-through it. Each training epoch, evaluation and export builds one
-batch_scratch when it starts and runs all its batches in it, so no batch
-after the first allocates an intermediate of a batch's size. The scratch
-lives as long as that call; a BatchForward on it is valid until the next
-forward on it. The forward pass keeps every width's feature map there,
-and the backward pass finds the pool's argmax windows in those maps.
+through it. Each training epoch, evaluation and export runs all its
+batches through `batches`, in one scratch (numerics.scratch_view), so no
+batch after the first allocates an intermediate of a batch's size. The
+scratch lives as long as that call; a BatchForward on it is valid until
+the next forward on it. The forward pass keeps every width's feature map
+there, and the backward pass finds the pool's argmax windows in those maps.
 """
 
 from __future__ import annotations
@@ -157,40 +157,6 @@ def clone_params(params: ModelParams) -> ModelParams:
     return ModelParams(params.shape, {name: arr.copy() for name, arr in params.tensors.items()})
 
 
-def batch_scratch(
-    shape: ModelShapeSpec, batch_size: int, training: bool = True
-) -> dict[str, Array]:
-    """The engine's per-call scratch: one flat float64 buffer per role, each
-    sized for `batch_size` videos and, where one role serves every width,
-    for the largest. Every batch of up to that many videos reuses them
-    through views of their leading elements (numerics.scratch_view), so the
-    arrays a forward or backward pass puts there are valid until the next
-    pass on the same scratch.
-
-    The forward roles are the sampled rows, the DenseImages, one feature
-    map per width, one offset's rows of every window and one GEMM product,
-    which the backward reuses for its routed gradient map. `training` adds
-    the dropout masks and the other backward roles.
-    """
-    B, n, k, M = batch_size, shape.num_frames, shape.feat_dim, shape.num_filters
-    sizes = {
-        "rows": B * n * shape.raw_dim,
-        "dense": B * n * k,
-        "offset": B * (n - min(shape.widths) + 1) * k,
-        "product": B * (n - min(shape.widths) + 1) * M,
-        **{f"map/h{h}": B * (n - h + 1) * M for h in shape.widths},
-    }
-    if training:
-        sizes.update({
-            "masks": B * len(shape.widths) * M,
-            "grad_W": M * max(shape.widths) * k,
-            "grad_windows": B * max((n - h + 1) * h for h in shape.widths) * k,
-            "grad_X": B * n * k,
-            "grad_reduction": shape.raw_dim * k,
-        })
-    return {role: np.empty(size) for role, size in sizes.items()}
-
-
 def sample_batch(
     shape: ModelShapeSpec,
     videos: Sequence,
@@ -205,8 +171,7 @@ def sample_batch(
     H*M uniforms, widths ascending (only when dropout_keep < 1), then its
     random segment indices; reruns and resumed runs are bit-exact because
     that order is fixed. Without `scratch` the rows and masks are fresh
-    arrays; with one (see batch_scratch) they are views into its "rows"
-    and "masks" buffers.
+    arrays; with one they are views into its "rows" and "masks" roles.
     """
     M = shape.num_filters
     rows = scratch_view(scratch, "rows", (len(videos), shape.num_frames, shape.raw_dim))
@@ -227,18 +192,20 @@ def sample_batch(
 EVAL_BATCH = 32
 
 
-def eval_batches(shape: ModelShapeSpec, samples: Sequence):
-    """(chunk, its B x n x D center-sampled rows, scratch) for consecutive
-    chunks of EVAL_BATCH samples (anything whose .features
-    `denseimage.gather` takes: an array or a `data_io.FeatureRows` reader).
-    One forward-only batch_scratch serves the whole call: the rows, and
-    whatever a chunk's forward puts in the scratch, are valid until the
+def batches(shape: ModelShapeSpec, samples: Sequence, size: int,
+            rng: np.random.Generator | None = None, dropout_keep: float = 1.0) -> Iterator[tuple]:
+    """(chunk, its B x n x D rows, its width -> B x M masks or None, scratch)
+    for consecutive chunks of `size` samples (anything whose .features
+    `denseimage.gather` takes: an array or a `data_io.FeatureRows` reader),
+    drawn by sample_batch with `rng` and `dropout_keep`. This is where every
+    call's scratch is made (see numerics.scratch_view): the rows and masks,
+    and whatever a chunk's passes put in the scratch, are valid until the
     next chunk is drawn."""
-    scratch = batch_scratch(shape, min(EVAL_BATCH, len(samples)), training=False)
-    for start in range(0, len(samples), EVAL_BATCH):
-        chunk = samples[start : start + EVAL_BATCH]
-        rows, _ = sample_batch(shape, [s.features for s in chunk], scratch=scratch)
-        yield chunk, rows, scratch
+    scratch: dict[str, Array] = {}
+    for start in range(0, len(samples), size):
+        chunk = samples[start : start + size]
+        rows, masks = sample_batch(shape, [s.features for s in chunk], rng, dropout_keep, scratch)
+        yield chunk, rows, masks, scratch
 
 
 @dataclass
@@ -261,8 +228,7 @@ def forward_sample(
 ) -> BatchForward:
     """Run a B x n x D batch of sampled rows through the whole model. One walk
     over the widths, ascending, sums the heads' logits into one B x C array.
-    With `scratch` (see batch_scratch) the DenseImages and the feature maps
-    live in its buffers."""
+    With `scratch` the DenseImages and the feature maps live in its roles."""
     tensors = params.tensors
     dense = di.encode(rows, params.reduction, scratch)
     pooled = tc.multiscale_forward(dense, params.bank, scratch)
@@ -286,21 +252,27 @@ def backward_sample(
     weights and bias, then its head's, and the reduction's last. No
     parameter is read after its gradient is yielded, so a consumer may
     update it in place before it asks for the next pair. Without `scratch`
-    every gradient is a fresh array. With a training batch_scratch the
-    conv filter and reduction weight gradients are views into it that
-    later pairs overwrite: use each pair before asking for the next.
+    every gradient is a fresh array. With one the conv filter and
+    reduction weight gradients are views into it that later pairs
+    overwrite: use each pair before asking for the next.
     """
-    tensors = params.tensors
+    tensors, shape = params.tensors, params.shape
     grad_X = scratch_view(scratch, "grad_X", fwd.dense.shape)
     grad_X.fill(0.0)
-    for h in params.shape.widths:
+    # Every width's filter gradient goes through one buffer, made once for
+    # the bank's widest filter: regrown width by width, or reserved for
+    # width n, it raised the peak memory (see numerics.scratch_view).
+    widest = shape.num_filters * max(shape.widths) * shape.feat_dim
+    for h in shape.widths:
         values, fmap = fwd.pooled[h]
         mask = fwd.masks[h] if fwd.masks else None
         *head_grads, grad_c = clf.head_backward(
             values, tensors[f"head/h{h}/weights"], mask, grad_fused
         )
+        weights = tensors[f"conv/h{h}/weights"]
+        grad_W = scratch_view(scratch, "grad_W", weights.shape, widest)
         conv_grads = tc.conv_scale_backward(
-            fwd.dense, tensors[f"conv/h{h}/weights"], values, fmap, grad_c, grad_X, scratch
+            fwd.dense, weights, values, fmap, grad_c, grad_X, grad_W, scratch
         )
         yield from zip((f"conv/h{h}/weights", f"conv/h{h}/bias"), conv_grads)
         yield from zip((f"head/h{h}/weights", f"head/h{h}/bias"), head_grads)

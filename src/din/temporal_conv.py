@@ -20,7 +20,7 @@ each pooled value's (tie-broken) argmax window in that map, routes the
 upstream gradient there alone, gates it by the rectifier, and the
 windows scatter it back onto the h DenseImage rows they cover.
 
-With a scratch (see model.batch_scratch) the maps, the GEMM products and
+With a scratch (see numerics.scratch_view) the maps, the GEMM products and
 the backward's intermediates live in its buffers; a map is then valid
 until the next forward on that scratch.
 """
@@ -124,7 +124,7 @@ def multiscale_forward(
 
 def conv_scale_backward(
     X: Array, W_h: Array, values: Array, fmap: Array, grad_up: Array, grad_X: Array,
-    scratch: dict[str, Array] | None = None,
+    grad_W: Array | None = None, scratch: dict[str, Array] | None = None,
 ) -> tuple[Array, Array]:
     """Gradients of one width's pooled features wrt its filters and biases,
     summed over the batch, given the B x n x k DenseImages X, the B x M
@@ -137,12 +137,11 @@ def conv_scale_backward(
     pooled value hit the rectifier floor), and fans out to the filter row,
     its bias, and the h DenseImage rows under that window.
 
-    Without `scratch` the filter gradient is a fresh array. With one (see
-    model.batch_scratch) the routed map, the offset rows, the window
-    gradients and the returned filter gradient live in the leading
-    elements of its "product" (free once the forward has returned),
-    "offset", "grad_windows" and "grad_W" buffers, which the next call
-    overwrites.
+    The filter gradient is written into `grad_W` (M x h*k) when it is
+    given, else into a fresh array. With `scratch` the routed map, the
+    offset rows and the window gradients live in the leading elements of
+    its "product" (free once the forward has returned), "offset" and
+    "grad_windows" buffers, which the next call overwrites.
     """
     B, n, k = X.shape
     M = values.shape[1]
@@ -159,12 +158,16 @@ def conv_scale_backward(
     grad_map = scratch_view(scratch, "product", (B * num_windows, M))
     grad_map.fill(0.0)
     np.put(grad_map, at, routed)
-    grad_W = scratch_view(scratch, "grad_W", (M, h * k))
+    if grad_W is None:
+        grad_W = np.empty(W_h.shape)
     for a in range(h):
         offset = _offset_rows(X, a, num_windows, scratch)
         np.matmul(grad_map.T, offset, out=grad_W[:, a * k : (a + 1) * k])
-    # Back through the windows: offset a of window i is row i+a.
-    grad_windows = scratch_view(scratch, "grad_windows", (B * num_windows, h * k))
+    # Back through the windows: offset a of window i is row i+a. The role
+    # serves every width, so it reserves what no width exceeds: the
+    # B*(n-h+1) x h*k window gradients peak at h = (n+1)/2.
+    grad_windows = scratch_view(scratch, "grad_windows", (B * num_windows, h * k),
+                                B * ((n + 1) ** 2 // 4) * k)
     np.matmul(grad_map, W_h, out=grad_windows)
     grad_windows = grad_windows.reshape(B, num_windows, h, k)
     for a in range(h):

@@ -17,16 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .classifier import predict
-from .model import (
-    ModelParams,
-    backward_sample,
-    batch_scratch,
-    clone_params,
-    eval_batches,
-    forward_sample,
-    sample_batch,
-)
-from .numerics import Array, cross_entropy_from_logits, make_rng, require_fields
+from .model import EVAL_BATCH, ModelParams, backward_sample, batches, clone_params, forward_sample
+from .numerics import Array, cross_entropy_from_logits, make_rng, require_fields, scratch_view
 
 if TYPE_CHECKING:
     from .data_io import Sample
@@ -139,7 +131,7 @@ def sgd_momentum_step(
     state: OptimizerState,
     config: TrainConfig,
     scale: float = 1.0,
-    block: Array | None = None,
+    scratch: dict[str, Array] | None = None,
 ) -> None:
     """One in-place update of every array in `named`:
     g <- grad*scale; v <- momentum*v + (g + wd*param); param -= lr*v.
@@ -155,11 +147,9 @@ def sgd_momentum_step(
     scales the gradient's block in place, then the terms go through one
     buffer in the formula's order of operations, so the result is
     bit-identical to evaluating it over whole tensors with temporaries.
-    That buffer is `block` (OPT_BLOCK float64 elements; a caller running
-    many steps passes one) or a fresh one.
+    That buffer is the "block" role of `scratch` (numerics.scratch_view),
+    or a fresh one per tensor without one.
     """
-    if block is None:
-        block = np.empty(OPT_BLOCK)
     done: set[str] = set()
     for name, grad in grads:
         if name not in named or name in done:
@@ -170,11 +160,10 @@ def sgd_momentum_step(
             raise ValueError(f"gradient shape mismatch for {name}")
         decay = 0.0 if name.endswith("/bias") else config.weight_decay
         rows = max(1, OPT_BLOCK // math.prod(param.shape[1:]))
+        block = scratch_view(scratch, "block", (min(rows, len(param)), *param.shape[1:]), OPT_BLOCK)
         for lo in range(0, len(param), rows):
             p, v, g = param[lo : lo + rows], vel[lo : lo + rows], grad[lo : lo + rows]
-            if block.size < p.size:
-                block = np.empty(p.size)
-            term = block[: p.size].reshape(p.shape)
+            term = block[: len(p)]
             if scale != 1.0:
                 g *= scale
             v *= config.momentum
@@ -228,22 +217,18 @@ def train_epoch(
     so no whole gradient set is ever held. Returns the mean loss."""
     if len(samples) == 0:
         raise ValueError("training split is empty")
-    order = rng.permutation(len(samples))
-    scratch = batch_scratch(params.shape, min(config.batch_size, len(samples)))
-    block = np.empty(OPT_BLOCK)
+    shuffled = [samples[i] for i in rng.permutation(len(samples))]
     total_loss = 0.0
-    for start in range(0, len(order), config.batch_size):
-        batch = [samples[i] for i in order[start : start + config.batch_size]]
-        rows, masks = sample_batch(
-            params.shape, [s.features for s in batch], rng, config.dropout_keep, scratch
-        )
+    for batch, rows, masks, scratch in batches(
+        params.shape, shuffled, config.batch_size, rng, config.dropout_keep
+    ):
         fwd = forward_sample(params, rows, masks, scratch)
         losses, grad_fused = cross_entropy_from_logits(fwd.logits, _labels(batch))
         total_loss += float(losses.sum())
         # Each gradient is scaled to the batch mean and applied before
         # backward computes the next one into the same scratch.
         sgd_momentum_step(params.tensors, backward_sample(params, fwd, grad_fused, scratch),
-                          state, config, 1.0 / len(batch), block)
+                          state, config, 1.0 / len(batch), scratch)
     return total_loss / len(samples)
 
 
@@ -258,7 +243,7 @@ def evaluate(
     total_loss = 0.0
     probabilities = np.empty((len(samples), params.shape.num_classes))
     start = 0
-    for chunk, rows, scratch in eval_batches(params.shape, samples):
+    for chunk, rows, _, scratch in batches(params.shape, samples, EVAL_BATCH):
         fwd = forward_sample(params, rows, scratch=scratch)
         losses, _ = cross_entropy_from_logits(fwd.logits, _labels(chunk))
         total_loss += float(losses.sum())

@@ -1,21 +1,25 @@
-"""Wall time and minor page faults of each paper_infer command, each in a fresh process.
+"""Wall time, minor page faults and peak RSS of each perfbench command, each in a fresh process.
 
     python3 tests/fault_probe.py CHECKOUT INPUTS [--runs N]
 
-INPUTS is a perfbench ``paper_infer`` inputs directory (manifest.json and
-model/checkpoint.ckpt, as perfbench writes them under
-.perfbench_work/paper_infer/inputs/). Each run executes the workload's
-four commands on the test split, one after another: eval, predict to a
-file, export-features and export-responses at width 3. Each command is
-``python -m din.cli`` in a new process, with CHECKOUT/src first on
-PYTHONPATH and one BLAS thread, writing into a temporary directory.
+INPUTS is a perfbench inputs directory, as perfbench writes them under
+.perfbench_work/<workload>/inputs/. A ``paper_infer`` one (manifest.json
+and model/checkpoint.ckpt) runs the workload's four commands on the test
+split, one after another: eval, predict to a file, export-features and
+export-responses at width 3. A ``paper_train`` one (config.json and
+manifest.json, no model/) runs ``din train`` on that config and manifest,
+into a new output directory each run. Each command is ``python -m
+din.cli`` in a new process, with CHECKOUT/src first on PYTHONPATH and one
+BLAS thread, writing into a temporary directory.
 
-For every command it prints the wall time from spawn to exit and the
-child's own ``ru_minflt`` (os.wait4), which counts every page the process
-touched for the first time, from interpreter start to exit; then the
-median of each over the runs. perfbench reports no fault counts, so this
-is how an allocation change shows in a fresh process. Compare two
-checkouts with alternating invocations on the same INPUTS.
+For every command it prints the wall time from spawn to exit, the child's
+own ``ru_minflt`` (os.wait4), which counts every page the process touched
+for the first time, from interpreter start to exit, and the child's own
+``ru_maxrss`` in MB, its peak resident set; then the median of each over
+the runs. perfbench reports no fault counts, and its ``peak_rss_mb``
+includes run.py's own high-water mark, so this is how an allocation
+change shows in a fresh process. Compare two checkouts with alternating
+invocations on the same INPUTS.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ import time
 from pathlib import Path
 
 
-def commands(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
+def commands(inputs: Path, work: Path, run: int) -> list[tuple[str, list[str]]]:
+    if not (inputs / "model").exists():  # paper_train inputs
+        return [("train", ["train", "--config", str(inputs / "config.json"), "--manifest",
+                           str(inputs / "manifest.json"), "--out-dir", str(work / f"run{run}")])]
     model = ["--checkpoint", str(inputs / "model" / "checkpoint.ckpt"),
              "--manifest", str(inputs / "manifest.json"), "--split", "test"]
     return [
@@ -42,8 +49,9 @@ def commands(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
-def run_once(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, int]:
-    """(wall seconds, minor faults) of one `python -m din.cli ARGV` child."""
+def run_once(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, int, float]:
+    """(wall seconds, minor faults, peak RSS in MB) of one `python -m din.cli
+    ARGV` child."""
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "din.cli", *argv], cwd=cwd, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
@@ -54,7 +62,7 @@ def run_once(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, in
         raise SystemExit(f"din {' '.join(argv)} exited {proc.returncode}: "
                          f"{proc.stderr.read().decode(errors='replace').strip()}")
     proc.stderr.close()
-    return wall, usage.ru_minflt
+    return wall, usage.ru_minflt, usage.ru_maxrss / 1024  # Linux reports KiB
 
 
 def main() -> None:
@@ -67,17 +75,17 @@ def main() -> None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    results: dict[str, list[tuple[float, int]]] = {}
+    results: dict[str, list[tuple[float, int, float]]] = {}
     with tempfile.TemporaryDirectory(prefix="fault_probe_") as tmp:
         work = Path(tmp)
         for run in range(args.runs):
-            for name, argv in commands(inputs, work):
-                wall, faults = run_once(argv, env, work)
-                results.setdefault(name, []).append((wall, faults))
-                print(f"run {run} {name:<16} wall_s {wall:.4f} minflt {faults}")
+            for name, argv in commands(inputs, work, run):
+                wall, faults, rss = run_once(argv, env, work)
+                results.setdefault(name, []).append((wall, faults, rss))
+                print(f"run {run} {name:<16} wall_s {wall:.4f} minflt {faults} maxrss_mb {rss:.2f}")
     for name, rows in results.items():
-        print(f"median {name:<16} wall_s {statistics.median(w for w, _ in rows):.4f} "
-              f"minflt {statistics.median(f for _, f in rows):.0f}")
+        wall, faults, rss = (statistics.median(column) for column in zip(*rows))
+        print(f"median {name:<16} wall_s {wall:.4f} minflt {faults:.0f} maxrss_mb {rss:.2f}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import pytest
 
 from din.classifier import head_backward, head_forward, predict
 from din.model import ModelShapeSpec, forward_sample, init_model
-from din.numerics import make_rng, sample_dropout_mask, softmax
+from din.numerics import dropout_scales, make_rng, softmax
 from din.selftest import finite_difference_check
 
 from conftest import TINY_SHAPE
@@ -48,7 +48,7 @@ class TestHeadForward:
         rng = make_rng(1)
         weights, bias = rng.normal(size=(3, 5)), rng.normal(size=3)
         c = rng.normal(size=(1, 5))
-        mask = sample_dropout_mask(rng, 5, 1.0)[None]
+        mask = dropout_scales(rng.random(5), 1.0)[None]
         assert np.array_equal(head_forward(c, weights, bias, mask),
                               head_forward(c, weights, bias))
 
@@ -157,7 +157,7 @@ class TestClassifierBackward:
         heads = random_heads(rng, widths, M, C)
         B = 2
         c = {h: rng.normal(size=(B, M)) for h in widths}
-        masks = {h: np.stack([sample_dropout_mask(rng, M, 0.7) for _ in range(B)])
+        masks = {h: np.stack([dropout_scales(rng.random(M), 0.7) for _ in range(B)])
                  for h in widths}
         probe = rng.normal(size=(B, C))
 

@@ -842,12 +842,23 @@ class TestUsageAndConfig:
         assert "1,609,095" in proc.stdout
 
 
-def float_flags() -> list[tuple[str, str]]:
-    """(command, flag) for every float-typed flag of every command."""
+def flags_where(kind) -> list[tuple[str, str]]:
+    """(command, flag) for every flag of every command whose argparse
+    action `kind` holds for."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [(name, action.option_strings[0]) for name, command in commands.choices.items()
-            for action in command._actions if action.type is float]
+            for action in command._actions if kind(action)]
+
+
+def float_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every float-typed flag of every command."""
+    return flags_where(lambda action: action.type is float)
+
+
+def int_flags() -> list[tuple[str, str]]:
+    """(command, flag) for every int-typed flag and every --widths."""
+    return flags_where(lambda action: action.type is int or action.dest.endswith(".widths"))
 
 
 def run_main(argv) -> tuple[int, str]:
@@ -896,6 +907,46 @@ class TestFloatFlags:
         rc, err = spaced
         # A valid value fails later, on the missing --out-dir.
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Values of int flags and of --widths, most of them starting with "-" and
+# a digit or ".": integers, width lists, and text neither kind parses.
+INT_TEXT = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(lambda ws: ",".join(map(str, ws))),
+    st.sampled_from(["-2,3", "-0", "-.5", "-1.5", "-1e3", "-1_000", "-2,,3", "-3,x", "-."]),
+)
+
+
+class TestIntFlags:
+    """Every int flag and --widths reads a value that starts with "-" and a
+    digit or "." (-2, -.5, the widths -2,3) as a value: "--flag v" and
+    "--flag=v" exit alike, with the same stderr, and never as a missing
+    argument."""
+
+    def test_every_command_with_an_int_section_has_its_flags(self):
+        assert {command for command, _ in int_flags()} == {
+            "synth", "train", "inspect-params", "export-responses"}
+        assert len(int_flags()) == 23
+
+    def test_negative_width_reaches_the_field_check(self):
+        want = (2, "error: every width must satisfy 2 <= h <= num_frames\n")
+        assert run_main(["inspect-params", "--widths", "-2,3"]) == want
+        assert run_main(["inspect-params", "--widths=-2,3"]) == want
+
+    @given(flag=st.sampled_from(int_flags()), text=INT_TEXT)
+    @example(flag=("train", "--widths"), text="-2,3")
+    @example(flag=("export-responses", "--width"), text="-3")
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_both_forms_agree(self, flag, text):
+        command, name = flag
+        spaced = run_main([command, name, text])
+        assert spaced == run_main([command, f"{name}={text}"])
+        rc, err = spaced
+        # inspect-params takes any valid value; the other commands fail
+        # later, on a missing --out-dir or --checkpoint.
+        assert (rc, err) == (0, "") or (
+            rc in (1, 2) and err.count("\n") == 1 and "expected one argument" not in err), err
 
 
 PAPER_SHAPE = {"raw_dim": 1024, "feat_dim": 256, "num_frames": 8, "widths": [2, 3, 4, 5, 6],

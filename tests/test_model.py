@@ -11,7 +11,6 @@ from din.model import (
     ModelParams,
     ModelShapeSpec,
     backward_sample,
-    batch_scratch,
     clone_params,
     forward_sample,
     init_model,
@@ -20,9 +19,9 @@ from din.model import (
     sample_batch,
     sample_loss_and_grads,
 )
-from din.numerics import cross_entropy_from_logits, make_rng, sample_dropout_mask
+from din.numerics import cross_entropy_from_logits, dropout_scales, make_rng
 from din.selftest import finite_difference_check, kink_free
-from din.trainer import OPT_BLOCK, OptimizerState, TrainConfig, sgd_momentum_step
+from din.trainer import OptimizerState, TrainConfig, sgd_momentum_step
 
 from conftest import TINY_SHAPE
 
@@ -187,7 +186,7 @@ class TestSampleBatch:
         ref = make_rng(32)
         for b, video in enumerate(videos):
             for h in TINY_SHAPE.widths:
-                assert np.array_equal(masks[h][b], sample_dropout_mask(ref, 4, 0.5))
+                assert np.array_equal(masks[h][b], dropout_scales(ref.random(4), 0.5))
             want = gather(video, TINY_SHAPE.num_frames, ref)
             assert np.array_equal(rows[b], want)
 
@@ -205,7 +204,7 @@ class TestSampleBatch:
         rows, masks = sample_batch(shape, videos, rng, keep)
         for b, video in enumerate(videos):
             for h in shape.widths:
-                assert np.array_equal(masks[h][b], sample_dropout_mask(ref, M, keep)), (b, h)
+                assert np.array_equal(masks[h][b], dropout_scales(ref.random(M), keep)), (b, h)
             assert np.array_equal(rows[b], gather(video, shape.num_frames, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -267,7 +266,7 @@ class TestEndToEndGradients:
                 continue
             accepted += 1
             rows, labels = drawn
-            masks = {h: np.stack([sample_dropout_mask(rng, 4, 0.7) for _ in range(3)])
+            masks = {h: np.stack([dropout_scales(rng.random(4), 0.7) for _ in range(3)])
                      for h in TINY_SHAPE.widths}
             _, grads = sample_loss_and_grads(params, rows, labels, masks)
             finite_difference_check(
@@ -287,7 +286,7 @@ class TestEndToEndGradients:
                 continue
             accepted += 1
             rows, labels = drawn
-            masks = {h: np.stack([sample_dropout_mask(rng, 4, 0.6) for _ in range(5)])
+            masks = {h: np.stack([dropout_scales(rng.random(4), 0.6) for _ in range(5)])
                      for h in TINY_SHAPE.widths}
             logits = forward_sample(params, rows, masks).logits
             loss, grads = sample_loss_and_grads(params, rows, labels, masks)
@@ -343,7 +342,7 @@ class TestGradientStream:
     def test_scratch_pairs_equal_fresh_pairs_in_the_same_order(self, tiny_params):
         # The second, smaller batch runs in the leading rows of the scratch.
         rng = make_rng(43)
-        scratch = batch_scratch(TINY_SHAPE, 3)
+        scratch = {}
         for B in (3, 1):
             self._check_scratch(tiny_params, *self._batch(tiny_params, rng, B), scratch)
 
@@ -358,19 +357,21 @@ class TestGradientStream:
     @given(data=st.data())
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_scratch_pairs_equal_fresh_pairs_on_drawn_shapes(self, data):
-        # Batches of every size up to the scratch's capacity, in any order,
-        # each through sample_batch -> forward -> backward -> step twice:
-        # once in one scratch, as train_epoch runs them, and once on fresh
-        # arrays with the batch-mean gradient taken over whole tensors. Draws,
-        # intermediates, gradient pairs and updated state agree bit for bit.
+        # Batches of any size up to 5, in any order (a later batch may be
+        # larger than the first, so a role's buffer is replaced), each
+        # through sample_batch -> forward -> backward -> step twice: once
+        # in one scratch that starts empty, as train_epoch runs them, and
+        # once on fresh arrays with the batch-mean gradient taken over
+        # whole tensors. Draws, intermediates, gradient pairs and updated
+        # state agree bit for bit.
         n = data.draw(st.integers(2, 7), "n")
         raw_dim = data.draw(st.integers(1, 6), "D")
         shape = ModelShapeSpec(
             raw_dim, data.draw(st.integers(1, raw_dim), "k"), n,
             tuple(data.draw(st.sets(st.integers(2, n), min_size=1, max_size=3), "widths")),
             data.draw(st.integers(1, 6), "M"), data.draw(st.integers(2, 4), "C"))
-        capacity = data.draw(st.integers(1, 5), "capacity")
-        sizes = data.draw(st.lists(st.integers(1, capacity), min_size=1, max_size=3), "sizes")
+        largest = data.draw(st.integers(1, 5), "largest")
+        sizes = data.draw(st.lists(st.integers(1, largest), min_size=1, max_size=3), "sizes")
         keep = data.draw(st.sampled_from([1.0, 0.7]), "keep")
         seed = data.draw(st.integers(0, 2**16), "seed")
         rng, rng_fresh, data_rng = make_rng(seed, 1), make_rng(seed, 1), make_rng(seed, 2)
@@ -378,7 +379,7 @@ class TestGradientStream:
         fresh = clone_params(params)
         config = TrainConfig(weight_decay=1e-3, initial_lr=0.05)
         state, fresh_state = OptimizerState.init(params, config), OptimizerState.init(fresh, config)
-        scratch = batch_scratch(shape, capacity)
+        scratch = {}
         for B in sizes:
             videos = [data_rng.normal(size=(int(data_rng.integers(1, 2 * n + 2)), raw_dim))
                       .astype(data_rng.choice([np.float32, np.float64])) for _ in range(B)]
@@ -407,7 +408,7 @@ class TestGradientStream:
                     yield name, g
 
             sgd_momentum_step(params.tensors, recorded(backward_sample(
-                params, fwd, grad_fused, scratch)), state, config, 1.0 / B, np.empty(OPT_BLOCK))
+                params, fwd, grad_fused, scratch)), state, config, 1.0 / B, scratch)
             assert [name for name, _ in got_pairs] == [name for name, _ in want_pairs]
             for (name, got), (_, expected) in zip(got_pairs, want_pairs):
                 assert np.array_equal(got, expected), name
@@ -423,7 +424,7 @@ class TestGradientStream:
         want = dict(backward_sample(tiny_params, fwd, grad_fused))
         params = clone_params(tiny_params)
         seen = []
-        for name, g in backward_sample(params, fwd, grad_fused, batch_scratch(TINY_SHAPE, 2)):
+        for name, g in backward_sample(params, fwd, grad_fused, {}):
             assert np.array_equal(g, want[name]), name
             params.tensors[name][...] = np.nan
             seen.append(name)

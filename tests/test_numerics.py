@@ -8,11 +8,11 @@ import pytest
 
 from din.numerics import (
     cross_entropy_from_logits,
+    dropout_scales,
     from_fields,
     glorot_uniform,
     make_rng,
     require_fields,
-    sample_dropout_mask,
     softmax,
 )
 from din.selftest import finite_difference_check
@@ -208,31 +208,31 @@ class TestGlorot:
 
 class TestDropout:
     def test_keep_one_is_identity_mask(self):
-        mask = sample_dropout_mask(make_rng(1), 10, 1.0)
+        mask = dropout_scales(make_rng(1).random(10), 1.0)
         assert np.array_equal(mask, np.ones(10))
 
     def test_elements_are_zero_or_inverse_keep(self):
-        mask = sample_dropout_mask(make_rng(2), 1000, 0.3)
+        mask = dropout_scales(make_rng(2).random(1000), 0.3)
         assert set(np.unique(mask)) <= {0.0, 1.0 / 0.3}
 
     def test_kept_fraction_concentrates(self):
-        mask = sample_dropout_mask(make_rng(3), 10**5, 0.5)
+        mask = dropout_scales(make_rng(3).random(10**5), 0.5)
         kept = (mask > 0).mean()
         assert abs(kept - 0.5) < 0.01
 
     def test_mask_mean_within_three_sigma(self):
         for p in (0.3, 0.5, 0.9):
             n = 10**5
-            mask = sample_dropout_mask(make_rng(4), n, p)
+            mask = dropout_scales(make_rng(4).random(n), p)
             bound = 3.0 * math.sqrt((1.0 - p) / (p * n))
             assert abs(mask.mean() - 1.0) <= bound
 
     def test_deterministic(self):
-        a = sample_dropout_mask(make_rng(5), 100, 0.5)
-        b = sample_dropout_mask(make_rng(5), 100, 0.5)
+        a = dropout_scales(make_rng(5).random(100), 0.5)
+        b = dropout_scales(make_rng(5).random(100), 0.5)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("keep", [0.0, -0.1, 1.5])
     def test_invalid_keep_rejected(self, keep):
         with pytest.raises(ValueError):
-            sample_dropout_mask(make_rng(0), 4, keep)
+            dropout_scales(make_rng(0).random(4), keep)

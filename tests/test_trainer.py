@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
 import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import din.trainer as trainer_mod
 from din.data_io import (
@@ -19,7 +23,7 @@ from din.data_io import (
 )
 from din.model import ModelShapeSpec, clone_params, init_model, sample_batch, sample_loss_and_grads
 from din.denseimage import sample_segments
-from din.numerics import from_fields, make_rng, sample_dropout_mask
+from din.numerics import dropout_scales, from_fields, make_rng, scratch_view
 from din.trainer import (
     OPT_BLOCK,
     EpochReport,
@@ -236,7 +240,7 @@ class TestSgdStep:
                                     cfg.initial_lr)
         grads = {name: rng.normal(size=dims) for name, dims in shapes.items()}
         sgd_momentum_step(want, ((name, g * scale) for name, g in grads.items()), want_state, cfg)
-        sgd_momentum_step(named, grads.items(), state, cfg, scale, np.empty(OPT_BLOCK))
+        sgd_momentum_step(named, grads.items(), state, cfg, scale, {})
         for name in shapes:
             assert np.array_equal(named[name], want[name]), name
             assert np.array_equal(state.velocity[name], want_state.velocity[name]), name
@@ -385,7 +389,7 @@ class TestTrainEpoch:
             rows = []
             for sample in batch:
                 for h in TINY_SHAPE.widths if keep < 1.0 else ():
-                    masks[h].append(sample_dropout_mask(ref, TINY_SHAPE.num_filters, keep))
+                    masks[h].append(dropout_scales(ref.random(TINY_SHAPE.num_filters), keep))
                 rows.append(sample_segments(len(sample.features), TINY_SHAPE.num_frames, ref))
             rows = np.stack([s.features[idx] for s, idx in zip(batch, rows)])
             masks = {h: np.stack(m) for h, m in masks.items()} if keep < 1.0 else None
@@ -423,7 +427,7 @@ class TestTrainEpoch:
     def test_epoch_holds_no_gradient_set(self):
         # The parameters dominate this shape, so one whole gradient set is
         # 1x their bytes. Measured tracemalloc peaks over a warmed-up epoch:
-        # 2.09x with a gradient dict per batch, 0.41x streamed.
+        # 2.09x with a gradient dict per batch, 0.48x streamed.
         shape = ModelShapeSpec(raw_dim=64, feat_dim=32, num_frames=8,
                                widths=(2, 3, 4, 5, 6, 7, 8), num_filters=512, num_classes=10)
         params = init_model(shape, make_rng(8))
@@ -549,6 +553,83 @@ class TestBatchAllocations:
             lambda: train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0)))
         assert batches == 3
         assert largest < 128 * 1024, (largest, where)
+
+
+@contextlib.contextmanager
+def scratch_creations():
+    """Count, while the block runs, how often each scratch role's buffer is
+    created: yields a dict that gets one role -> count Counter per scratch
+    used, in the order of first use. Every din module's scratch_view is
+    meanwhile one that counts the requests after which the role holds a
+    buffer it did not hold before."""
+    creations: dict[int, Counter] = {}
+    held = []  # each counted scratch stays alive, so no id is reused
+
+    def counted(scratch, role, shape, reserve=0):
+        before = None if scratch is None else scratch.get(role)
+        view = scratch_view(scratch, role, shape, reserve)
+        if scratch is not None and scratch[role] is not before:
+            if id(scratch) not in creations:
+                held.append(scratch)
+            creations.setdefault(id(scratch), Counter())[role] += 1
+        return view
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("din.") and getattr(m, "scratch_view", None) is scratch_view]
+    for module in modules:
+        module.scratch_view = counted
+    try:
+        yield creations
+    finally:
+        for module in modules:
+            module.scratch_view = scratch_view
+
+
+class TestScratchRoles:
+    """A call runs all its batches in one scratch and creates each role's
+    buffer once, at the size of its largest request: the first batch is
+    the largest, and the two roles that grow with the width, "grad_W" and
+    "grad_windows", reserve a size no width exceeds. A buffer replaced
+    mid-call would be garbage, and freeing it can raise the peak RSS."""
+
+    FORWARD = {"rows", "dense", "offset", "product"}
+    BACKWARD = {"masks", "grad_X", "grad_W", "grad_windows", "grad_reduction", "block"}
+
+    @staticmethod
+    def run_both(params, samples, cfg):
+        state = OptimizerState.init(params, cfg)
+        with scratch_creations() as trained:
+            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0))
+        with scratch_creations() as evaluated:
+            evaluate(params, samples)
+        return list(trained.values()), list(evaluated.values())
+
+    def test_paper_shape_epoch_and_evaluation(self):
+        shape = ModelShapeSpec()
+        rng = make_rng(23)
+        samples = [Sample(str(i), rng.normal(size=(int(rng.integers(5, 40)), shape.raw_dim)),
+                          i % shape.num_classes) for i in range(40)]
+        cfg = TrainConfig(batch_size=32, dropout_keep=0.5)
+        trained, evaluated = self.run_both(init_model(shape, make_rng(24)), samples, cfg)
+        maps = {f"map/h{h}" for h in shape.widths}
+        assert trained == [Counter(dict.fromkeys(self.FORWARD | maps | self.BACKWARD, 1))]
+        assert evaluated == [Counter(dict.fromkeys(self.FORWARD | maps, 1))]
+
+    @given(n=st.integers(2, 8), data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_drawn_widths(self, n, data):
+        widths = data.draw(st.sets(st.integers(2, n), min_size=1), "widths")
+        shape = ModelShapeSpec(5, 3, n, tuple(widths), data.draw(st.integers(1, 6), "M"), 3)
+        rng = make_rng(data.draw(st.integers(0, 2**16), "seed"))
+        samples = [Sample(str(i), rng.normal(size=(int(rng.integers(1, 2 * n)), 5)), i % 3)
+                   for i in range(data.draw(st.integers(1, 9), "N"))]
+        cfg = TrainConfig(batch_size=data.draw(st.integers(1, 4), "batch size"),
+                          dropout_keep=data.draw(st.sampled_from([1.0, 0.5]), "keep"))
+        trained, evaluated = self.run_both(init_model(shape, rng), samples, cfg)
+        for counts in trained + evaluated:
+            assert set(counts.values()) == {1}, counts
+        assert len(trained) == len(evaluated) == 1
+        assert {"grad_W", "grad_windows", "block"} <= set(trained[0])
 
 
 class TestFit:
