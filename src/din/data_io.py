@@ -124,11 +124,13 @@ class Sample:
 
 def atomic_write_bytes(path: Path, *buffers) -> None:
     """Write the buffers (bytes or any C-contiguous buffer) one after the
-    other to a temporary file, then rename it over `path`. If anything
-    fails, the temporary file is removed and `path` is left as it was."""
-    tmp = path.with_name(path.name + ".tmp")
+    other to a new temporary file beside `path`, then rename it over `path`.
+    The temporary file has a short random name and is created exclusively
+    ("x": O_CREAT | O_EXCL, mode 0o666 less the umask). If anything fails,
+    it is removed and `path` is left as it was."""
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "xb") as f:
             for buffer in buffers:
                 f.write(buffer)
         os.replace(tmp, path)
@@ -244,6 +246,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         sid = record.get("id")
         if not isinstance(sid, str) or not sid:
             raise ManifestError(f"{path}: sample without a valid id: {record!r}")
+        if any(c in sid for c in ',"\r\n'):
+            raise ManifestError(f"{path}: sample {sid!r}: an id must not hold ',', '\"', CR or LF")
         if sid in seen:
             raise ManifestError(f"{path}: duplicate sample id {sid!r}")
         seen.add(sid)

@@ -1,9 +1,11 @@
 """Built-in correctness checks behind the `selftest` CLI command.
 
-Every check is seeded and self-contained: brute-force oracles and
-central-difference gradient probes that exercise the shipped forward and
-backward passes without touching the test suite. A production install can
-therefore verify itself in a few seconds.
+Brute-force oracles and central-difference gradient probes that exercise
+the shipped forward and backward passes. Each drawn check is a public
+function of (rng, count) and exists only here: CHECKS binds it to the
+selftest's seed and count, so an install verifies itself in a few seconds,
+and the test suite's acceptance criteria call the same function with their
+own seeds, counts and time bounds.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import analysis
 from .denseimage import encode, gather, sample_segments
-from .model import ModelParams, ModelShapeSpec, init_model, sample_loss_and_grads
+from .model import ModelShapeSpec, init_model, sample_loss_and_grads
 from .numerics import cross_entropy_from_logits, make_rng, softmax
 from .temporal_conv import conv_scale_backward, conv_scale_forward, multiscale_forward
 
@@ -74,42 +76,40 @@ def finite_difference_check(objective, arrays: dict, grads: dict, eps: float, to
                                      f"finite difference {fd!r}, gradient {grads[name][idx]!r}")
 
 
-def _random_bank(rng, widths, M, k) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def random_bank(rng, widths, M, k, bias_scale: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """width -> (M x h*k weights, M biases): all weights drawn, then biases * bias_scale."""
     weights = {h: rng.normal(size=(M, h * k)) for h in widths}
-    return {h: (weights[h], rng.normal(size=M) * 0.1) for h in widths}
+    return {h: (weights[h], rng.normal(size=M) * bias_scale) for h in widths}
 
 
-def check_conv_oracle(X: np.ndarray, bank: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
-    """Compare every width's conv_scale_forward map and multiscale_forward
-    pooled values for one n x k DenseImage X against naive_scale_responses;
-    a difference that is not < 1e-12 raises AssertionError naming the width."""
-    pooled = multiscale_forward(X[None], bank)
-    for h in sorted(bank):
-        want = naive_scale_responses(X, *bank[h])
-        if not np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() < 1e-12:
-            raise AssertionError(f"conv mismatch at h={h}")
-        if not np.abs(pooled[h][0][0] - want.max(axis=1)).max() < 1e-12:
-            raise AssertionError(f"pool mismatch at h={h}")
-
-
-def _check_conv_oracle() -> None:
-    rng = make_rng(11)
-    for _ in range(20):
+def check_conv_oracles(rng, count: int) -> None:
+    """Every width's conv_scale_forward map and multiscale_forward pooled values
+    against naive_scale_responses within 1e-12, on `count` drawn DenseImages
+    (n in 2..8, k and M in 1..4) and banks of up to 3 widths."""
+    for _ in range(count):
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, 5))
         M = int(rng.integers(1, 5))
-        widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(2)))
-        bank = _random_bank(rng, widths, M, k)
-        check_conv_oracle(rng.normal(size=(n, k)), bank)
+        widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
+        bank = random_bank(rng, widths, M, k, 1.0)
+        X = rng.normal(size=(n, k))
+        pooled = multiscale_forward(X[None], bank)
+        for h in widths:
+            want = naive_scale_responses(X, *bank[h])
+            if not np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() < 1e-12:
+                raise AssertionError(f"conv mismatch at h={h}")
+            if not np.abs(pooled[h][0][0] - want.max(axis=1)).max() < 1e-12:
+                raise AssertionError(f"pool mismatch at h={h}")
 
 
-def _check_multiscale_gradients() -> None:
-    rng = make_rng(12)
+def check_multiscale_gradients(rng, count: int) -> None:
+    """Every width's conv_scale_backward gradients (weights, bias and the
+    input summed over the widths) against central differences of a drawn
+    linear function of the pooled values, on `count` kink-free instances."""
+    n, k, M, widths = 5, 3, 4, (2, 3)
     done = 0
-    while done < 5:
-        n, k, M = 5, 3, 4
-        widths = (2, 3)
-        bank = _random_bank(rng, widths, M, k)
+    while done < count:
+        bank = random_bank(rng, widths, M, k, 0.1)
         X = rng.normal(size=(1, n, k))
         if not kink_free(X[0], bank):
             continue
@@ -130,55 +130,59 @@ def _check_multiscale_gradients() -> None:
         finite_difference_check(objective, arrays, grads, eps=1e-4, tol=1e-5)
 
 
-def _tiny_model(rng) -> tuple[ModelParams, np.ndarray, int]:
-    shape = ModelShapeSpec(
-        raw_dim=4, feat_dim=3, num_frames=5, widths=(2, 3), num_filters=4, num_classes=3
-    )
-    params = init_model(shape, rng)
-    features = rng.uniform(-1.0, 1.0, size=(shape.num_frames, shape.raw_dim))
-    label = int(rng.integers(shape.num_classes))
-    return params, features, label
-
-
-def _check_end_to_end_gradients() -> None:
-    rng = make_rng(13)
+def check_end_to_end_gradients(rng, count: int) -> None:
+    """The loss through encode -> temporal conv -> heads -> cross-entropy of a
+    tiny model (D=4, k=3, n=5, widths 2 and 3, M=4, C=3) is positive, and its
+    gradients match central differences, on `count` kink-free instances."""
+    shape = ModelShapeSpec(4, 3, 5, (2, 3), 4, 3)
     done = 0
-    while done < 5:
-        params, features, label = _tiny_model(rng)
-        rows = gather(features, params.shape.num_frames)[None]
+    while done < count:
+        params = init_model(shape, rng)
+        features = rng.uniform(-1.0, 1.0, size=(shape.num_frames, shape.raw_dim))
+        label = int(rng.integers(shape.num_classes))
+        rows = gather(features, shape.num_frames)[None]
         if not kink_free(encode(rows, params.reduction)[0], params.bank):
             continue
         done += 1
-        _, grads = sample_loss_and_grads(params, rows, [label])
-        finite_difference_check(
-            lambda: sample_loss_and_grads(params, rows, [label])[0],
-            params.tensors, grads, eps=1e-4, tol=1e-5,
-        )
+        loss, grads = sample_loss_and_grads(params, rows, [label])
+        if not loss > 0.0:
+            raise AssertionError(f"loss {loss!r} is not positive")
+        finite_difference_check(lambda: sample_loss_and_grads(params, rows, [label])[0],
+                                params.tensors, grads, eps=1e-4, tol=1e-5)
 
 
-def _check_shape_law() -> None:
-    rng = make_rng(14)
-    k, M = 3, 2
-    bank = _random_bank(rng, (2, 3, 4), M, k)
-    X = rng.normal(size=(1, 8, k))
+def check_shape_law(rng) -> None:
+    """Widths 2, 3 and 4 over an 8-frame DenseImage give 7, 6 and 5 windows."""
+    X = rng.normal(size=(1, 8, 4))
     for h, want in ((2, 7), (3, 6), (4, 5)):
-        fmap = conv_scale_forward(X, *bank[h])
-        if fmap.shape != (1, want, M):
+        fmap = conv_scale_forward(X, rng.normal(size=(3, h * 4)), rng.normal(size=3))
+        if fmap.shape != (1, want, 3):
             raise AssertionError(f"h={h}: expected {want} windows, got {fmap.shape}")
 
 
-def _check_softmax_law() -> None:
-    rng = make_rng(15)
-    for i in range(200):
-        length = int(rng.integers(1, 30))
-        scale = 1000.0 if i % 4 == 0 else 1.0
+def check_softmax_law(rng, count: int) -> None:
+    """softmax of `count` drawn logit vectors, every other one at magnitude 1000, is
+    >= 0 and sums to one within 1e-9; only a spread of 700 or more gives an exact 0."""
+    for i in range(count):
+        length = int(rng.integers(1, 40))
+        scale = 1000.0 if i % 2 == 0 else float(rng.uniform(0.1, 10.0))
         logits = rng.normal(size=length) * scale
         probs = softmax(logits)
-        if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
+        if not (abs(probs.sum() - 1.0) <= 1e-9 and (probs >= 0.0).all()):
             raise AssertionError("softmax law violated")
-        # Exact zeros only ever come from exp underflow at huge spreads.
         if logits.max() - logits.min() < 700 and (probs == 0).any():
             raise AssertionError("softmax underflowed without cause")
+
+
+def check_cross_entropy(rng, count: int) -> None:
+    """The batch-summed cross-entropy gradient against central differences
+    on `count` drawn 2 x C logit matrices (C in 2..10) and labels."""
+    for _ in range(count):
+        logits = rng.normal(size=(2, int(rng.integers(2, 11)))) * 2.0
+        labels = rng.integers(logits.shape[1], size=2)
+        _, grad = cross_entropy_from_logits(logits, labels)
+        finite_difference_check(lambda: cross_entropy_from_logits(logits, labels)[0].sum(),
+                                {"logits": logits}, {"logits": grad}, eps=1e-5, tol=1e-6)
 
 
 def _check_segment_sampler() -> None:
@@ -215,26 +219,17 @@ def _check_order_sensitivity() -> None:
         raise AssertionError("row swap left the pooled output unchanged")
 
 
-def _check_cross_entropy() -> None:
-    rng = make_rng(17)
-    for _ in range(20):
-        logits = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(2, 10))))
-        labels = rng.integers(logits.shape[1], size=logits.shape[0])
-        _, grad = cross_entropy_from_logits(logits, labels)
-        finite_difference_check(
-            lambda: cross_entropy_from_logits(logits, labels)[0].sum(),
-            {"logits": logits}, {"logits": grad}, eps=1e-5, tol=1e-6,
-        )
-
-
 CHECKS = [
     ("segment sampler fixed points", _check_segment_sampler),
-    ("softmax probability law", _check_softmax_law),
-    ("cross-entropy gradient vs finite differences", _check_cross_entropy),
-    ("convolution forward vs brute-force oracle", _check_conv_oracle),
-    ("feature-map shape law (n=8 -> 7/6/5)", _check_shape_law),
-    ("multiscale backward vs finite differences", _check_multiscale_gradients),
-    ("end-to-end gradients vs finite differences", _check_end_to_end_gradients),
+    ("softmax probability law", lambda: check_softmax_law(make_rng(15), 200)),
+    ("cross-entropy gradient vs finite differences",
+     lambda: check_cross_entropy(make_rng(17), 20)),
+    ("convolution forward vs brute-force oracle", lambda: check_conv_oracles(make_rng(11), 20)),
+    ("feature-map shape law (n=8 -> 7/6/5)", lambda: check_shape_law(make_rng(14))),
+    ("multiscale backward vs finite differences",
+     lambda: check_multiscale_gradients(make_rng(12), 5)),
+    ("end-to-end gradients vs finite differences",
+     lambda: check_end_to_end_gradients(make_rng(13), 5)),
     ("temporal order sensitivity", _check_order_sensitivity),
     ("parameter accounting", _check_parameter_accounting),
 ]

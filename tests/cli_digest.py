@@ -11,7 +11,8 @@ thread) in a temporary directory:
 
     synth; train; train --max-epochs 2, then --resume it with --max-epochs 3;
     eval and eval --use-best; predict to a file and to stdout;
-    export-features; export-responses at the smallest width; inspect-params
+    export-features; export-responses at the smallest width; inspect-params;
+    selftest
 
 Inference commands use the test split when the manifest has one, else
 val. For each command it prints the exit code and the sha256 of stdout and
@@ -67,6 +68,7 @@ def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
         ("export-responses", ["export-responses", *model, "--width", str(width),
                               "--out", str(work / "responses.csv")]),
         ("inspect-params", ["inspect-params", *cfg]),
+        ("selftest", ["selftest"]),
     ]
 
 

@@ -17,10 +17,14 @@ from din.data_io import (
     save_checkpoint,
     synth_order_task,
 )
-from din.denseimage import encode, gather
-from din.model import ModelShapeSpec, init_model, sample_loss_and_grads
-from din.numerics import make_rng, softmax
-from din.selftest import check_conv_oracle, finite_difference_check, kink_free
+from din.model import ModelShapeSpec, init_model
+from din.numerics import make_rng
+from din.selftest import (
+    check_conv_oracles,
+    check_end_to_end_gradients,
+    check_shape_law,
+    check_softmax_law,
+)
 from din.temporal_conv import conv_scale_forward
 from din.trainer import TrainConfig, TrainState, fit, init_rng
 
@@ -45,53 +49,23 @@ def criterion(number, name):
 
 @criterion(1, "end-to-end gradients match finite differences (rel err 1e-5)")
 def test_gradient_correctness():
-    shape = ModelShapeSpec(
-        raw_dim=4, feat_dim=3, num_frames=5, widths=(2, 3), num_filters=4, num_classes=3
-    )
-    rng = make_rng(101)
-    eps = 1e-4
     started = time.perf_counter()
-    accepted = 0
-    while accepted < 50:
-        params = init_model(shape, rng)
-        features = rng.uniform(-1.0, 1.0, size=(shape.num_frames, shape.raw_dim))
-        label = int(rng.integers(shape.num_classes))
-        rows = gather(features, shape.num_frames)[None]
-        if not kink_free(encode(rows, params.reduction)[0], params.bank):
-            continue
-        accepted += 1
-        _, grads = sample_loss_and_grads(params, rows, [label])
-        finite_difference_check(
-            lambda: sample_loss_and_grads(params, rows, [label])[0],
-            params.tensors, grads, eps, 1e-5,
-        )
+    check_end_to_end_gradients(make_rng(101), 50)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient check took {elapsed:.1f}s"
 
 
 @criterion(2, "multiscale forward equals the brute-force oracle (1e-12)")
 def test_convolution_oracle():
-    rng = make_rng(102)
     started = time.perf_counter()
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(1, 5))
-        M = int(rng.integers(1, 5))
-        widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
-        weights = {h: rng.normal(size=(M, h * k)) for h in widths}
-        bank = {h: (weights[h], rng.normal(size=M)) for h in widths}
-        check_conv_oracle(rng.normal(size=(n, k)), bank)
+    check_conv_oracles(make_rng(102), 100)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"oracle comparison took {elapsed:.1f}s"
 
 
 @criterion(3, "feature-map lengths are 7/6/5 for widths 2/3/4 at 8 frames")
 def test_shape_law():
-    rng = make_rng(103)
-    X = rng.normal(size=(1, 8, 4))
-    for h, want in ((2, 7), (3, 6), (4, 5)):
-        fmap = conv_scale_forward(X, rng.normal(size=(3, h * 4)), rng.normal(size=3))
-        assert fmap.shape == (1, want, 3)
+    check_shape_law(make_rng(103))
 
 
 @criterion(4, "temporal-order task: head >= 98% accuracy, mean-pool baseline <= 60%")
@@ -184,13 +158,7 @@ def test_determinism_and_resume(tmp_path):
 
 @criterion(7, "softmax sums to one within 1e-9, including magnitude-1000 logits")
 def test_probability_law():
-    rng = make_rng(107)
-    for i in range(1000):
-        length = int(rng.integers(1, 40))
-        scale = 1000.0 if i % 2 == 0 else float(rng.uniform(0.1, 10.0))
-        probs = softmax(rng.normal(size=length) * scale)
-        assert abs(probs.sum() - 1.0) <= 1e-9
-        assert (probs >= 0.0).all()
+    check_softmax_law(make_rng(107), 1000)
 
 
 @criterion(8, "row perturbations touch exactly the covering windows, widths 2..6")

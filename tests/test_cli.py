@@ -433,6 +433,43 @@ class TestEvalPredict:
             cells = row.split(",")
             assert abs(float(cells[3]) + float(cells[4]) - 1.0) < 1e-9
 
+    def test_predict_writes_an_out_file_with_the_longest_name(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        out_csv = tmp_path / ("p" * 251 + ".csv")
+        assert len(out_csv.name) == 255
+        rc = main(["predict", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                   "--manifest", str(data_dir / "manifest.json"),
+                   "--split", "val", "--out", str(out_csv)])
+        assert rc == 0
+        assert out_csv.read_text().startswith("id,label,predicted,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json", "data", "run", out_csv.name])
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    def test_id_the_csv_exports_cannot_hold_is_validation_error(self, tmp_path, capsys, char):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        manifest = data_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        record = next(r for r in doc["samples"] if r["split"] == "val")
+        record["id"] = bad_id = f"{record['id']}{char}x"
+        manifest.write_text(json.dumps(doc))
+        model = ["--checkpoint", str(run_dir / "checkpoint.ckpt"), "--manifest", str(manifest),
+                 "--split", "val"]
+        out = tmp_path / "out"
+        for argv in (
+            ["train", "--config", str(cfg), "--manifest", str(manifest), "--out-dir", str(out)],
+            ["eval", *model],
+            ["predict", *model, "--out", str(out)],
+            ["export-features", *model, "--out", str(out)],
+            ["export-responses", *model, "--width", "2", "--out", str(out)],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1, captured.err
+            assert str(manifest) in captured.err and repr(bad_id) in captured.err
+            assert not out.exists()
+
     def test_wrong_dim_sample_is_validation_error(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
         sample_id, feature_path = widen_first_sample(data_dir, "val")

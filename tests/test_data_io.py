@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import tracemalloc
 
@@ -243,6 +244,36 @@ class TestAtomicWrite:
             atomic_write_bytes(path, b"new")
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == b"old"
+
+    def test_a_second_writer_that_finishes_first_leaves_one_complete_file(
+        self, tmp_path, monkeypatch
+    ):
+        # The second writer of the path runs to completion between the first
+        # writer's write and its rename.
+        path = tmp_path / "predictions.csv"
+        first, second = b"first," * 50, b"second," * 50
+        real_replace = os.replace
+
+        def replace(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            atomic_write_bytes(path, second)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        atomic_write_bytes(path, first)
+        assert path.read_bytes() in (first, second)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_is_the_umask_applied_to_0o666(self, tmp_path, umask, mode):
+        path = tmp_path / "history.json"
+        old = os.umask(umask)
+        try:
+            atomic_write_bytes(path, b"{}")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def write_dataset(tmp_path, records, classes=("a", "b")):

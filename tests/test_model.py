@@ -232,27 +232,6 @@ def kink_free_batch(rng, params, B):
 
 
 class TestEndToEndGradients:
-    def test_full_chain_matches_finite_differences(self):
-        # Loss through encode -> temporal conv -> heads -> cross-entropy,
-        # checked against central differences on kink-free instances.
-        rng = make_rng(5)
-        eps = 1e-4
-        accepted = 0
-        while accepted < 5:
-            params = init_model(TINY_SHAPE, rng)
-            features = rng.uniform(-1.0, 1.0, size=(TINY_SHAPE.num_frames, TINY_SHAPE.raw_dim))
-            label = int(rng.integers(TINY_SHAPE.num_classes))
-            rows = gather(features, TINY_SHAPE.num_frames)[None]
-            if not kink_free(encode(rows, params.reduction)[0], params.bank):
-                continue
-            accepted += 1
-            loss, grads = sample_loss_and_grads(params, rows, [label])
-            assert loss > 0.0
-            finite_difference_check(
-                lambda: sample_loss_and_grads(params, rows, [label])[0],
-                params.tensors, grads, eps, 1e-5,
-            )
-
     def test_batch_of_three_matches_finite_differences(self):
         # The summed loss of a B=3 batch with dropout masks, against
         # central differences of every parameter.

@@ -15,7 +15,7 @@ from din.numerics import (
     require_fields,
     softmax,
 )
-from din.selftest import finite_difference_check
+from din.selftest import check_cross_entropy, check_softmax_law
 
 
 @dataclass
@@ -123,12 +123,7 @@ class TestSoftmax:
             softmax(np.zeros((1, 2, 3)))
 
     def test_sums_to_one_even_at_magnitude_1000(self):
-        rng = make_rng(6)
-        for i in range(200):
-            scale = 1000.0 if i % 3 == 0 else 1.0
-            p = softmax(rng.normal(size=int(rng.integers(1, 20))) * scale)
-            assert abs(p.sum() - 1.0) < 1e-9
-            assert (p >= 0.0).all()
+        check_softmax_law(make_rng(6), 200)
 
 
 class TestCrossEntropy:
@@ -175,16 +170,7 @@ class TestCrossEntropy:
             assert np.array_equal(one_grad[0], grad[b])
 
     def test_gradient_matches_finite_differences(self):
-        rng = make_rng(7)
-        eps = 1e-5
-        for _ in range(100):
-            logits = rng.normal(size=(2, int(rng.integers(2, 11)))) * 2.0
-            labels = rng.integers(logits.shape[1], size=2)
-            _, grad = cross_entropy_from_logits(logits, labels)
-            finite_difference_check(
-                lambda: cross_entropy_from_logits(logits, labels)[0].sum(),
-                {"logits": logits}, {"logits": grad}, eps, 1e-6,
-            )
+        check_cross_entropy(make_rng(7), 100)
 
 
 class TestGlorot:

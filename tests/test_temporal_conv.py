@@ -6,10 +6,10 @@ from din.data_io import Sample
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.selftest import (
-    check_conv_oracle,
-    finite_difference_check,
-    kink_free,
+    check_multiscale_gradients,
+    check_shape_law,
     naive_scale_responses,
+    random_bank,
 )
 from din.temporal_conv import (
     conv_scale_backward,
@@ -19,11 +19,6 @@ from din.temporal_conv import (
     response_profiles,
     temporal_max_pool,
 )
-
-
-def random_bank(rng, widths, M, k, bias_scale=0.1):
-    weights = {h: rng.normal(size=(M, h * k)) for h in widths}
-    return {h: (weights[h], rng.normal(size=M) * bias_scale) for h in widths}
 
 
 def conv_map(X, W, b):
@@ -60,10 +55,7 @@ class TestConvForward:
         assert not np.signbit(fmap).any()
 
     def test_window_counts_for_eight_frames(self):
-        rng = make_rng(1)
-        X = rng.normal(size=(8, 3))
-        for h, windows in ((2, 7), (3, 6), (4, 5)):
-            assert conv_map(X, rng.normal(size=(2, h * 3)), np.zeros(2)).shape == (2, windows)
+        check_shape_law(make_rng(1))
 
     def test_matches_naive_oracle(self):
         rng = make_rng(2)
@@ -140,40 +132,6 @@ class TestMultiscaleForward:
         assert sorted(pooled) == [2, 3, 4, 5, 6]
         assert all(values.shape == (1, 256) for values, _ in pooled.values())
 
-    def test_composition_of_oracles(self):
-        rng = make_rng(6)
-        for _ in range(100):
-            n = int(rng.integers(2, 9))
-            k = int(rng.integers(1, 5))
-            M = int(rng.integers(1, 5))
-            widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
-            bank = random_bank(rng, widths, M, k)
-            check_conv_oracle(rng.normal(size=(n, k)), bank)
-
-
-class TestLocality:
-    def test_row_perturbation_touches_only_covering_windows(self):
-        rng = make_rng(7)
-        n, k, M = 8, 3, 2
-        # Positive inputs, weights and bias keep every rectifier unit
-        # active, so every covering window must visibly change.
-        X = np.abs(rng.normal(size=(n, k))) + 0.1
-        for h in (2, 3, 4, 5, 6):
-            W = np.abs(rng.normal(size=(M, h * k))) + 0.1
-            b = np.full(M, 0.5)
-            base = conv_map(X, W, b)
-            for j in range(n):
-                bumped = X.copy()
-                bumped[j] += 0.5
-                out = conv_map(bumped, W, b)
-                changed = {
-                    i
-                    for i in range(n - h + 1)
-                    if not np.array_equal(out[:, i], base[:, i])
-                }
-                covering = {i for i in range(n - h + 1) if i <= j <= i + h - 1}
-                assert changed == covering, f"h={h} row={j}"
-
 
 class TestOrderSensitivity:
     def test_row_swap_changes_pooled_output(self):
@@ -218,7 +176,7 @@ def backward_all(X, bank, upstream):
 class TestMultiscaleBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = make_rng(9)
-        bank = random_bank(rng, (2, 3), 3, 2)
+        bank = random_bank(rng, (2, 3), 3, 2, 0.1)
         X = rng.normal(size=(1, 5, 2))
         grads, gX = backward_all(X, bank, {2: np.zeros((1, 3)), 3: np.zeros((1, 3))})
         assert not gX.any()
@@ -227,7 +185,7 @@ class TestMultiscaleBackward:
     def test_single_window_routes_bias_gradient_through_gate(self):
         rng = make_rng(10)
         n, k, M = 4, 2, 5
-        bank = random_bank(rng, (4,), M, k, bias_scale=1.0)  # h == n: one window
+        bank = random_bank(rng, (4,), M, k, 1.0)  # h == n: one window
         X = rng.normal(size=(1, n, k))
         pooled = multiscale_forward(X, bank)
         upstream = rng.normal(size=M)
@@ -240,7 +198,7 @@ class TestMultiscaleBackward:
         # finds the argmax in the map itself and must send each gradient to
         # window 0 alone, so only rows 0..h-1 receive any.
         rng = make_rng(14)
-        bank = random_bank(rng, (3,), 4, 2, bias_scale=0.0)
+        bank = random_bank(rng, (3,), 4, 2, 0.0)
         bank[3] = (np.abs(bank[3][0]), bank[3][1])
         X = np.ones((2, 6, 2))
         (values, fmap), = multiscale_forward(X, bank).values()
@@ -253,7 +211,7 @@ class TestMultiscaleBackward:
         # The selftest holds every width's gradients at once; none may be
         # overwritten by the next width's call.
         rng = make_rng(13)
-        bank = random_bank(rng, (2, 3), 4, 3)
+        bank = random_bank(rng, (2, 3), 4, 3, 0.1)
         X = rng.normal(size=(2, 5, 3))
         upstream = {h: rng.normal(size=(2, 4)) for h in bank}
         pooled = multiscale_forward(X, bank)
@@ -267,7 +225,7 @@ class TestMultiscaleBackward:
 
     def test_grad_shapes_must_match_cache(self):
         rng = make_rng(11)
-        bank = random_bank(rng, (2,), 3, 2)
+        bank = random_bank(rng, (2,), 3, 2, 0.1)
         X = rng.normal(size=(1, 5, 2))
         values, fmap = multiscale_forward(X, bank)[2]
         for grad_up in (np.zeros((1, 4)), np.zeros(3)):
@@ -275,29 +233,7 @@ class TestMultiscaleBackward:
                 conv_scale_backward(X, bank[2][0], values, fmap, grad_up, np.zeros_like(X))
 
     def test_matches_finite_differences_on_kink_free_instances(self):
-        rng = make_rng(12)
-        eps = 1e-4
-        accepted = 0
-        while accepted < 50:
-            n, k, M = 5, 3, 4
-            widths = (2, 3)
-            bank = random_bank(rng, widths, M, k)
-            X = rng.normal(size=(1, n, k))
-            if not kink_free(X[0], bank):
-                continue
-            accepted += 1
-            upstream = {h: rng.normal(size=(1, M)) for h in widths}
-            per_width, gX = backward_all(X, bank, upstream)
-
-            def objective():
-                pooled = multiscale_forward(X, bank)
-                return sum(float((upstream[h] * pooled[h][0]).sum()) for h in widths)
-
-            arrays, grads = {"X": X}, {"X": gX}
-            for h in widths:
-                arrays[f"W{h}"], arrays[f"b{h}"] = bank[h]
-                grads[f"W{h}"], grads[f"b{h}"] = per_width[h]
-            finite_difference_check(objective, arrays, grads, eps, 1e-5)
+        check_multiscale_gradients(make_rng(12), 50)
 
 
 class TestResponseProfile:
@@ -307,7 +243,7 @@ class TestResponseProfile:
 
     def test_profile_length_for_eight_frames(self):
         rng = make_rng(13)
-        bank = random_bank(rng, (2,), 3, 2)
+        bank = random_bank(rng, (2,), 3, 2, 0.1)
         X = rng.normal(size=(1, 8, 2))
         assert response_profiles(conv_scale_forward(X, *bank[2])).shape == (1, 7)
 

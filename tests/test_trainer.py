@@ -4,7 +4,6 @@ import math
 import re
 import sys
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -557,13 +556,14 @@ class TestBatchAllocations:
 
 @contextlib.contextmanager
 def scratch_creations():
-    """Count, while the block runs, how often each scratch role's buffer is
-    created: yields a dict that gets one role -> count Counter per scratch
-    used, in the order of first use. Every din module's scratch_view is
-    meanwhile one that counts the requests after which the role holds a
+    """Record, while the block runs, every scratch role's buffer creations:
+    yields a dict that gets, per scratch used and in the order of first use,
+    a role -> [element count of each buffer created] dict whose roles are in
+    the order of their first creation. Every din module's scratch_view is
+    meanwhile one that records the requests after which the role holds a
     buffer it did not hold before."""
-    creations: dict[int, Counter] = {}
-    held = []  # each counted scratch stays alive, so no id is reused
+    creations: dict[int, dict[str, list[int]]] = {}
+    held = []  # each recorded scratch stays alive, so no id is reused
 
     def counted(scratch, role, shape, reserve=0):
         before = None if scratch is None else scratch.get(role)
@@ -571,7 +571,7 @@ def scratch_creations():
         if scratch is not None and scratch[role] is not before:
             if id(scratch) not in creations:
                 held.append(scratch)
-            creations.setdefault(id(scratch), Counter())[role] += 1
+            creations.setdefault(id(scratch), {}).setdefault(role, []).append(scratch[role].size)
         return view
 
     modules = [m for name, m in sys.modules.items()
@@ -592,9 +592,6 @@ class TestScratchRoles:
     "grad_windows", reserve a size no width exceeds. A buffer replaced
     mid-call would be garbage, and freeing it can raise the peak RSS."""
 
-    FORWARD = {"rows", "dense", "offset", "product"}
-    BACKWARD = {"masks", "grad_X", "grad_W", "grad_windows", "grad_reduction", "block"}
-
     @staticmethod
     def run_both(params, samples, cfg):
         state = OptimizerState.init(params, cfg)
@@ -605,15 +602,24 @@ class TestScratchRoles:
         return list(trained.values()), list(evaluated.values())
 
     def test_paper_shape_epoch_and_evaluation(self):
+        # Each role's size and the order of first use are pinned too: either
+        # moves glibc's mmap threshold and with it the peak RSS of training.
         shape = ModelShapeSpec()
         rng = make_rng(23)
         samples = [Sample(str(i), rng.normal(size=(int(rng.integers(5, 40)), shape.raw_dim)),
                           i % shape.num_classes) for i in range(40)]
         cfg = TrainConfig(batch_size=32, dropout_keep=0.5)
         trained, evaluated = self.run_both(init_model(shape, make_rng(24)), samples, cfg)
-        maps = {f"map/h{h}" for h in shape.widths}
-        assert trained == [Counter(dict.fromkeys(self.FORWARD | maps | self.BACKWARD, 1))]
-        assert evaluated == [Counter(dict.fromkeys(self.FORWARD | maps, 1))]
+        B, n, D, k, M = 32, shape.num_frames, shape.raw_dim, shape.feat_dim, shape.num_filters
+        maps = [(f"map/h{h}", [B * (n - h + 1) * M]) for h in shape.widths]
+        forward = [("rows", [B * n * D]), ("dense", [B * n * k]), maps[0],
+                   ("offset", [B * (n - 1) * k]), ("product", [B * (n - 1) * M]), *maps[1:]]
+        backward = [("grad_X", [B * n * k]), ("grad_W", [M * max(shape.widths) * k]),
+                    ("grad_windows", [B * ((n + 1) ** 2 // 4) * k]), ("block", [OPT_BLOCK]),
+                    ("grad_reduction", [D * k])]
+        epoch = [forward[0], ("masks", [B * len(shape.widths) * M]), *forward[1:], *backward]
+        assert [list(roles.items()) for roles in trained] == [epoch]
+        assert [list(roles.items()) for roles in evaluated] == [forward]
 
     @given(n=st.integers(2, 8), data=st.data())
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -626,8 +632,8 @@ class TestScratchRoles:
         cfg = TrainConfig(batch_size=data.draw(st.integers(1, 4), "batch size"),
                           dropout_keep=data.draw(st.sampled_from([1.0, 0.5]), "keep"))
         trained, evaluated = self.run_both(init_model(shape, rng), samples, cfg)
-        for counts in trained + evaluated:
-            assert set(counts.values()) == {1}, counts
+        for roles in trained + evaluated:
+            assert all(len(sizes) == 1 for sizes in roles.values()), roles
         assert len(trained) == len(evaluated) == 1
         assert {"grad_W", "grad_windows", "block"} <= set(trained[0])
 
