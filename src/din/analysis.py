@@ -123,8 +123,8 @@ def export_pooled_features(
     header += [f"mean_{j}" for j in range(shape.feat_dim)]
     rows = [",".join(header)]
     by_id = sorted(samples, key=lambda s: s.id)
-    for chunk, batch_rows, _, scratch in batches(shape, by_id, EVAL_BATCH):
-        fwd = forward_sample(params, batch_rows, scratch=scratch)
+    for chunk, batch_rows, masks, scratch in batches(shape, by_id, EVAL_BATCH):
+        fwd = forward_sample(params, batch_rows, masks, scratch)
         cells = [float_rows(fwd.pooled[h][0]) for h in shape.widths]
         baselines = float_rows(fwd.dense.mean(axis=1))
         for sample, *vector, baseline in zip(chunk, *cells, baselines):

@@ -14,11 +14,11 @@ import numpy as np
 from .numerics import Array
 
 
-def head_forward(c_h: Array, weights: Array, bias: Array, mask: Array | None = None) -> Array:
+def head_forward(c_h: Array, weights: Array, bias: Array, mask: Array | None) -> Array:
     """B x C class logits for one scale: (mask * c_h) @ weights^T + bias.
 
     c_h is B x M. The mask holds the B x M training-time inverted-dropout
-    scales of the head input; omitting it is evaluation mode.
+    scales of the head input; None is evaluation mode.
     """
     if c_h.ndim != 2 or c_h.shape[1] != weights.shape[1]:
         raise ValueError(f"expected B x {weights.shape[1]} pooled features")

@@ -51,37 +51,32 @@ def sample_segments(T: int, n: int, rng: np.random.Generator | None = None) -> A
     return indices
 
 
-def gather(features, n: int, rng: np.random.Generator | None = None,
-           out: Array | None = None) -> Array:
-    """The n x D raw rows of the frames segment sampling picks (segment
-    centers without an rng, random draws with one), in temporal order, as
-    float64. A `data_io.FeatureRows` reader (a video loaded from its file)
-    reads and checks only the picked rows. An in-memory array video is
-    validated whole in its own dtype. Either way only the n picked rows are
-    widened, float32 -> float64 exactly, and with `out` (n x D float64)
-    straight into it; a video of another D is a ValueError."""
+def gather(features, n: int, rng: np.random.Generator | None, out: Array) -> Array:
+    """Write the n x D raw rows of the frames segment sampling picks (segment
+    centers without an rng, random draws with one), in temporal order, into
+    the n x D float64 `out` and return it. A `data_io.FeatureRows` reader (a
+    video loaded from its file) reads and checks only the picked rows. An
+    in-memory array video is validated whole in its own dtype. Either way
+    only the n picked rows are widened, float32 -> float64 exactly, straight
+    into `out`; a video of another D is a ValueError."""
     if hasattr(features, "read_rows"):
         rows = features.read_rows(sample_segments(features.shape[0], n, rng))
     else:
         features = check_features(np.asarray(features))
         rows = features[sample_segments(features.shape[0], n, rng)]
-    if out is None:
-        return rows.astype(np.float64, copy=False)
     if rows.shape != out.shape:
         raise ValueError(f"rows of shape {rows.shape} do not match reduction input {out.shape[1]}")
     out[...] = rows
     return out
 
 
-def encode(
-    rows: Array, reduction: tuple[Array, Array], scratch: dict[str, Array] | None = None
-) -> Array:
+def encode(rows: Array, reduction: tuple[Array, Array], scratch: dict[str, Array]) -> Array:
     """Reduce a B x n x D batch of sampled rows to B x n x k DenseImages.
 
     One (B*n) x D GEMM against the (D x k weights, k bias) pair; row i of
-    DenseImage b is still sampled frame i of video b. Without `scratch`
-    the DenseImages are a fresh array; with one (see numerics.scratch_view)
-    they are the leading elements of its "dense" buffer.
+    DenseImage b is still sampled frame i of video b. The DenseImages are
+    the leading elements of the scratch's "dense" buffer (see
+    numerics.scratch_view).
     """
     weights, bias = reduction
     if rows.ndim != 3 or rows.shape[2] != weights.shape[0]:

@@ -11,12 +11,12 @@ together.
 The engine runs B videos at once: their sampled rows are gathered to
 B x n x D and every layer is one GEMM (per width) over the batch.
 Training, evaluation, prediction, exports and gradient checks all go
-through it. Each training epoch, evaluation and export runs all its
-batches through `batches`, in one scratch (numerics.scratch_view), so no
-batch after the first allocates an intermediate of a batch's size. The
-scratch lives as long as that call; a BatchForward on it is valid until
-the next forward on it. The forward pass keeps every width's feature map
-there, and the backward pass finds the pool's argmax windows in those maps.
+through it, each call in a scratch its caller passes (numerics.scratch_view).
+Each epoch, evaluation and export runs all its batches through `batches`,
+in one scratch, so no batch after the first allocates an intermediate of a
+batch's size. A BatchForward is valid until the next forward on its scratch:
+the forward keeps every width's feature map there, and the backward finds
+the pool's argmax windows in those maps.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def clone_params(params: ModelParams) -> ModelParams:
 def sample_batch(
     shape: ModelShapeSpec,
     videos: Sequence,
+    scratch: dict[str, Array],
     rng: np.random.Generator | None = None,
     dropout_keep: float = 1.0,
-    scratch: dict[str, Array] | None = None,
 ) -> tuple[Array, dict[int, Array] | None]:
     """(B x n x D sampled rows, width -> B x M dropout masks or None).
 
@@ -170,8 +170,8 @@ def sample_batch(
     one, each video in turn draws its masks, all widths' in one draw of
     H*M uniforms, widths ascending (only when dropout_keep < 1), then its
     random segment indices; reruns and resumed runs are bit-exact because
-    that order is fixed. Without `scratch` the rows and masks are fresh
-    arrays; with one they are views into its "rows" and "masks" roles.
+    that order is fixed. The rows and masks are views into the scratch's
+    "rows" and "masks" roles.
     """
     M = shape.num_filters
     rows = scratch_view(scratch, "rows", (len(videos), shape.num_frames, shape.raw_dim))
@@ -204,15 +204,15 @@ def batches(shape: ModelShapeSpec, samples: Sequence, size: int,
     scratch: dict[str, Array] = {}
     for start in range(0, len(samples), size):
         chunk = samples[start : start + size]
-        rows, masks = sample_batch(shape, [s.features for s in chunk], rng, dropout_keep, scratch)
+        rows, masks = sample_batch(shape, [s.features for s in chunk], scratch, rng, dropout_keep)
         yield chunk, rows, masks, scratch
 
 
 @dataclass
 class BatchForward:
     """Intermediates of one batched forward pass, consumed by backward_sample.
-    On a scratch, rows, dense, the maps and the masks are views into it,
-    valid until the next forward on that scratch."""
+    Rows, dense, the maps and the masks are views into its scratch, valid
+    until the next forward on that scratch."""
 
     rows: Array  # B x n x D sampled raw frames
     dense: Array  # B x n x k DenseImages
@@ -223,12 +223,11 @@ class BatchForward:
 
 
 def forward_sample(
-    params: ModelParams, rows: Array, masks: dict[int, Array] | None = None,
-    scratch: dict[str, Array] | None = None,
+    params: ModelParams, rows: Array, masks: dict[int, Array] | None, scratch: dict[str, Array]
 ) -> BatchForward:
-    """Run a B x n x D batch of sampled rows through the whole model. One walk
-    over the widths, ascending, sums the heads' logits into one B x C array.
-    With `scratch` the DenseImages and the feature maps live in its roles."""
+    """Run a B x n x D batch of sampled rows, with width -> B x M dropout masks
+    or None, through the whole model in the scratch. One walk over the widths,
+    ascending, sums the heads' logits into one B x C array."""
     tensors = params.tensors
     dense = di.encode(rows, params.reduction, scratch)
     pooled = tc.multiscale_forward(dense, params.bank, scratch)
@@ -240,8 +239,7 @@ def forward_sample(
 
 
 def backward_sample(
-    params: ModelParams, fwd: BatchForward, grad_fused: Array,
-    scratch: dict[str, Array] | None = None,
+    params: ModelParams, fwd: BatchForward, grad_fused: Array, scratch: dict[str, Array]
 ) -> Iterator[tuple[str, Array]]:
     """Gradients of a scalar loss wrt every named parameter, summed over the
     batch, given the B x C loss gradient on the fused logits. One walk over
@@ -251,10 +249,9 @@ def backward_sample(
     Yields (name, gradient) pairs as they are computed: per width its conv
     weights and bias, then its head's, and the reduction's last. No
     parameter is read after its gradient is yielded, so a consumer may
-    update it in place before it asks for the next pair. Without `scratch`
-    every gradient is a fresh array. With one the conv filter and
-    reduction weight gradients are views into it that later pairs
-    overwrite: use each pair before asking for the next.
+    update it in place before it asks for the next pair. The conv filter
+    and reduction weight gradients are views into the scratch that later
+    pairs overwrite: use each pair before asking for the next.
     """
     tensors, shape = params.tensors, params.shape
     grad_X = scratch_view(scratch, "grad_X", fwd.dense.shape)
@@ -287,10 +284,13 @@ def sample_loss_and_grads(
     params: ModelParams, rows: Array, labels, masks: dict[int, Array] | None = None
 ) -> tuple[float, dict[str, Array]]:
     """Cross-entropy loss and parameter gradients of a labeled batch, both
-    summed over its B samples."""
-    fwd = forward_sample(params, rows, masks)
+    summed over its B samples, in a scratch of its own; each gradient is
+    copied as it arrives, since later pairs reuse its buffer."""
+    scratch: dict[str, Array] = {}
+    fwd = forward_sample(params, rows, masks, scratch)
     losses, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
-    return float(losses.sum()), dict(backward_sample(params, fwd, grad_fused))
+    pairs = backward_sample(params, fwd, grad_fused, scratch)
+    return float(losses.sum()), {name: grad.copy() for name, grad in pairs}
 
 
 def predict_sample(params: ModelParams, features: Array) -> tuple[int, Array]:
@@ -298,6 +298,7 @@ def predict_sample(params: ModelParams, features: Array) -> tuple[int, Array]:
 
     No command calls it: `din predict` runs its whole split through
     trainer.evaluate in EVAL_BATCH chunks. It stays as the one-video API."""
-    rows, _ = sample_batch(params.shape, [features])
-    probabilities = forward_sample(params, rows).probabilities
+    scratch: dict[str, Array] = {}
+    rows, _ = sample_batch(params.shape, [features], scratch)
+    probabilities = forward_sample(params, rows, None, scratch).probabilities
     return int(clf.predict(probabilities)[0]), probabilities[0]

@@ -49,25 +49,24 @@ def from_fields(cls, d: dict, **given):
     return cls(**d, **given)
 
 
-def scratch_view(scratch: dict[str, Array] | None, role: str, shape: tuple[int, ...],
+def scratch_view(scratch: dict[str, Array], role: str, shape: tuple[int, ...],
                  reserve: int = 0) -> Array:
     """A C-contiguous float64 array of `shape`: the leading elements of the
-    flat buffer scratch[role], or a fresh array when there is no scratch.
+    flat buffer scratch[role].
 
     This is the one contract of the engine's scratch: a role -> buffer dict
-    that one call (an epoch, an evaluation, an export; see model.batches)
-    runs all its batches in. A role's buffer is created the first time the
-    role is asked for, with room for `reserve` elements if that is more, and
-    replaced only when a request does not fit; an array from here is valid
-    until the next request for its role. A call's first batch is its
-    largest and the widths run ascending, so a role sized by the batch or by
-    one width's windows is first asked for at its largest; a role that grows
-    with the width reserves what no width exceeds. Regrowing a large buffer
-    mid-call frees a mapped block, which raises glibc's mmap threshold
-    (mallopt(3)), moves later buffers onto the heap and raises peak memory.
+    that every engine call runs in. One call of a command (an epoch, an
+    evaluation, an export; see model.batches) runs all its batches in one. A
+    role's buffer is created the first time the role is asked for, with room
+    for `reserve` elements if that is more, and replaced only when a request
+    does not fit; an array from here is valid until the next request for its
+    role. A call's first batch is its largest and the widths run ascending,
+    so a role sized by the batch or by one width's windows is first asked
+    for at its largest; a role that grows with the width reserves what no
+    width exceeds. Regrowing a large buffer mid-call frees a mapped block,
+    which raises glibc's mmap threshold (mallopt(3)), moves later buffers
+    onto the heap and raises peak memory.
     """
-    if scratch is None:
-        return np.empty(shape)
     size = math.prod(shape)
     if role not in scratch or scratch[role].size < size:
         scratch[role] = np.empty(max(size, reserve))

@@ -1,7 +1,8 @@
 """Built-in correctness checks behind the `selftest` CLI command.
 
 Brute-force oracles and central-difference gradient probes that exercise
-the shipped forward and backward passes. Each drawn check is a public
+the shipped forward and backward passes, on batches of one to three videos
+in a scratch, as every command runs them. Each drawn check is a public
 function of (rng, count) and exists only here: CHECKS binds it to the
 selftest's seed and count, so an install verifies itself in a few seconds,
 and the test suite's acceptance criteria call the same function with their
@@ -13,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis
-from .denseimage import encode, gather, sample_segments
-from .model import ModelShapeSpec, init_model, sample_loss_and_grads
-from .numerics import cross_entropy_from_logits, make_rng, softmax
+from .denseimage import encode, sample_segments
+from .model import ModelShapeSpec, init_model, sample_batch, sample_loss_and_grads
+from .numerics import cross_entropy_from_logits, dropout_scales, make_rng, softmax
 from .temporal_conv import conv_scale_backward, conv_scale_forward, multiscale_forward
 
 
@@ -84,70 +85,81 @@ def random_bank(rng, widths, M, k, bias_scale: float) -> dict[int, tuple[np.ndar
 
 def check_conv_oracles(rng, count: int) -> None:
     """Every width's conv_scale_forward map and multiscale_forward pooled values
-    against naive_scale_responses within 1e-12, on `count` drawn DenseImages
-    (n in 2..8, k and M in 1..4) and banks of up to 3 widths."""
+    against naive_scale_responses within 1e-12, on `count` drawn batches of
+    1..3 DenseImages (n in 2..8, k and M in 1..4) and banks of up to 3 widths."""
     for _ in range(count):
+        B = int(rng.integers(1, 4))
         n = int(rng.integers(2, 9))
         k = int(rng.integers(1, 5))
         M = int(rng.integers(1, 5))
         widths = sorted(set(int(rng.integers(2, n + 1)) for _ in range(3)))
         bank = random_bank(rng, widths, M, k, 1.0)
-        X = rng.normal(size=(n, k))
-        pooled = multiscale_forward(X[None], bank)
+        X = rng.normal(size=(B, n, k))
+        pooled = multiscale_forward(X, bank, {})
         for h in widths:
-            want = naive_scale_responses(X, *bank[h])
-            if not np.abs(conv_scale_forward(X[None], *bank[h])[0].T - want).max() < 1e-12:
-                raise AssertionError(f"conv mismatch at h={h}")
-            if not np.abs(pooled[h][0][0] - want.max(axis=1)).max() < 1e-12:
-                raise AssertionError(f"pool mismatch at h={h}")
+            values, fmap = pooled[h]
+            for b in range(B):
+                want = naive_scale_responses(X[b], *bank[h])
+                if not np.abs(fmap[b].T - want).max() < 1e-12:
+                    raise AssertionError(f"conv mismatch at h={h}, video {b}")
+                if not np.abs(values[b] - want.max(axis=1)).max() < 1e-12:
+                    raise AssertionError(f"pool mismatch at h={h}, video {b}")
 
 
 def check_multiscale_gradients(rng, count: int) -> None:
     """Every width's conv_scale_backward gradients (weights, bias and the
     input summed over the widths) against central differences of a drawn
-    linear function of the pooled values, on `count` kink-free instances."""
+    linear function of the pooled values, on `count` batches of 1..3
+    DenseImages that are all kink-free."""
     n, k, M, widths = 5, 3, 4, (2, 3)
     done = 0
     while done < count:
         bank = random_bank(rng, widths, M, k, 0.1)
-        X = rng.normal(size=(1, n, k))
-        if not kink_free(X[0], bank):
+        X = rng.normal(size=(int(rng.integers(1, 4)), n, k))
+        if not all(kink_free(x, bank) for x in X):
             continue
         done += 1
-        grad_up = {h: rng.normal(size=(1, M)) for h in widths}
-        pooled = multiscale_forward(X, bank)
+        grad_up = {h: rng.normal(size=(len(X), M)) for h in widths}
+        scratch: dict[str, np.ndarray] = {}
+        pooled = multiscale_forward(X, bank, scratch)
         arrays, grads = {"dX": X}, {"dX": np.zeros_like(X)}
         for h in widths:
             arrays[f"dW[h={h}]"], arrays[f"db[h={h}]"] = bank[h]
             grads[f"dW[h={h}]"], grads[f"db[h={h}]"] = conv_scale_backward(
-                X, bank[h][0], *pooled[h], grad_up[h], grads["dX"]
+                X, bank[h][0], *pooled[h], grad_up[h], grads["dX"], np.empty((M, h * k)), scratch
             )
 
         def objective():
-            pooled = multiscale_forward(X, bank)
+            pooled = multiscale_forward(X, bank, scratch)
             return sum(float((grad_up[h] * pooled[h][0]).sum()) for h in widths)
 
         finite_difference_check(objective, arrays, grads, eps=1e-4, tol=1e-5)
 
 
 def check_end_to_end_gradients(rng, count: int) -> None:
-    """The loss through encode -> temporal conv -> heads -> cross-entropy of a
-    tiny model (D=4, k=3, n=5, widths 2 and 3, M=4, C=3) is positive, and its
-    gradients match central differences, on `count` kink-free instances."""
+    """The summed loss through encode -> temporal conv -> heads -> cross-entropy
+    of a tiny model (D=4, k=3, n=5, widths 2 and 3, M=4, C=3) is positive,
+    and its gradients match central differences, on `count` labeled batches
+    of 1..3 videos whose DenseImages are all kink-free; about half of them
+    carry per-video dropout masks."""
     shape = ModelShapeSpec(4, 3, 5, (2, 3), 4, 3)
     done = 0
     while done < count:
         params = init_model(shape, rng)
-        features = rng.uniform(-1.0, 1.0, size=(shape.num_frames, shape.raw_dim))
-        label = int(rng.integers(shape.num_classes))
-        rows = gather(features, shape.num_frames)[None]
-        if not kink_free(encode(rows, params.reduction)[0], params.bank):
+        B = int(rng.integers(1, 4))
+        videos = rng.uniform(-1.0, 1.0, size=(B, shape.num_frames, shape.raw_dim))
+        labels = rng.integers(shape.num_classes, size=B)
+        scratch: dict[str, np.ndarray] = {}
+        rows, _ = sample_batch(shape, videos, scratch)
+        if not all(kink_free(x, params.bank) for x in encode(rows, params.reduction, scratch)):
             continue
         done += 1
-        loss, grads = sample_loss_and_grads(params, rows, [label])
+        masks = {h: dropout_scales(rng.random((B, shape.num_filters)), 0.7)
+                 for h in shape.widths} if rng.random() < 0.5 else None
+        loss, grads = sample_loss_and_grads(params, rows, labels, masks)
         if not loss > 0.0:
             raise AssertionError(f"loss {loss!r} is not positive")
-        finite_difference_check(lambda: sample_loss_and_grads(params, rows, [label])[0],
+        finite_difference_check(lambda: sample_loss_and_grads(params, rows, labels, masks)[0],
                                 params.tensors, grads, eps=1e-4, tol=1e-5)
 
 
@@ -155,7 +167,7 @@ def check_shape_law(rng) -> None:
     """Widths 2, 3 and 4 over an 8-frame DenseImage give 7, 6 and 5 windows."""
     X = rng.normal(size=(1, 8, 4))
     for h, want in ((2, 7), (3, 6), (4, 5)):
-        fmap = conv_scale_forward(X, rng.normal(size=(3, h * 4)), rng.normal(size=3))
+        fmap = conv_scale_forward(X, rng.normal(size=(3, h * 4)), rng.normal(size=3), {})
         if fmap.shape != (1, want, 3):
             raise AssertionError(f"h={h}: expected {want} windows, got {fmap.shape}")
 
@@ -214,7 +226,7 @@ def _check_order_sensitivity() -> None:
     A, B, C = np.eye(3)
     X = np.stack([A, B, C])
     bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
-    values, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)[2]
+    values, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank, {})[2]
     if values[0, 0] == values[1, 0]:
         raise AssertionError("row swap left the pooled output unchanged")
 

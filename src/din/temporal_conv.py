@@ -20,9 +20,10 @@ each pooled value's (tie-broken) argmax window in that map, routes the
 upstream gradient there alone, gates it by the rectifier, and the
 windows scatter it back onto the h DenseImage rows they cover.
 
-With a scratch (see numerics.scratch_view) the maps, the GEMM products and
-the backward's intermediates live in its buffers; a map is then valid
-until the next forward on that scratch.
+Every call runs in a scratch its caller passes (see numerics.scratch_view):
+the maps, the offset rows, the GEMM products and the backward's
+intermediates live in its buffers, and a map is valid until the next
+forward on that scratch.
 """
 
 from __future__ import annotations
@@ -32,33 +33,24 @@ import numpy as np
 from .numerics import Array, scratch_view
 
 
-def _offset_rows(
-    X: Array, a: int, num_windows: int, scratch: dict[str, Array] | None = None
-) -> Array:
-    """Row a of every window of a B x n x k batch, as (B*num_windows) x k.
-    The reshape copies unless B or num_windows is 1; with `scratch` that
-    copy goes into its "offset" buffer instead of a fresh array."""
-    rows = X[:, a : a + num_windows]
-    if scratch is not None and min(rows.shape[:2]) > 1:
-        copy = scratch_view(scratch, "offset", rows.shape)
-        np.copyto(copy, rows)
-        rows = copy
+def _offset_rows(X: Array, a: int, num_windows: int, scratch: dict[str, Array]) -> Array:
+    """Row a of every window of a B x n x k batch, copied into the scratch's
+    "offset" buffer as (B*num_windows) x k."""
+    rows = scratch_view(scratch, "offset", (X.shape[0], num_windows, X.shape[2]))
+    np.copyto(rows, X[:, a : a + num_windows])
     return rows.reshape(-1, X.shape[2])
 
 
-def conv_scale_forward(
-    X: Array, W_h: Array, b_h: Array, scratch: dict[str, Array] | None = None
-) -> Array:
+def conv_scale_forward(X: Array, W_h: Array, b_h: Array, scratch: dict[str, Array]) -> Array:
     """Rectified width-h responses of a B x n x k batch at every window
     position (stride 1, no padding): a B x (n-h+1) x M map whose element
     (b, i, m) is channel m applied to the window of DenseImage b that
     starts at frame i.
 
     The map starts as the first offset's product and each later offset's
-    product is added to it. Without `scratch` the map is a fresh array;
-    with one it is the leading elements of its "map/h<h>" buffer, and the
-    offset rows and products go through its "offset" and "product"
-    buffers.
+    product is added to it. The map is the leading elements of the
+    scratch's "map/h<h>" buffer, and the offset rows and products go
+    through its "offset" and "product" buffers.
     """
     if X.ndim != 3:
         raise ValueError("expected a B x n x k batch of DenseImages")
@@ -110,7 +102,7 @@ def pool_argmax(fmap: Array, values: Array) -> Array:
 
 
 def multiscale_forward(
-    X: Array, bank: dict[int, tuple[Array, Array]], scratch: dict[str, Array] | None = None
+    X: Array, bank: dict[int, tuple[Array, Array]], scratch: dict[str, Array]
 ) -> dict[int, tuple[Array, Array]]:
     """Convolve and pool every width of a width -> (weights, bias) bank
     over a B x n x k batch of DenseImages: width -> (B x M pooled values,
@@ -124,7 +116,7 @@ def multiscale_forward(
 
 def conv_scale_backward(
     X: Array, W_h: Array, values: Array, fmap: Array, grad_up: Array, grad_X: Array,
-    grad_W: Array | None = None, scratch: dict[str, Array] | None = None,
+    grad_W: Array, scratch: dict[str, Array],
 ) -> tuple[Array, Array]:
     """Gradients of one width's pooled features wrt its filters and biases,
     summed over the batch, given the B x n x k DenseImages X, the B x M
@@ -137,11 +129,11 @@ def conv_scale_backward(
     pooled value hit the rectifier floor), and fans out to the filter row,
     its bias, and the h DenseImage rows under that window.
 
-    The filter gradient is written into `grad_W` (M x h*k) when it is
-    given, else into a fresh array. With `scratch` the routed map, the
-    offset rows and the window gradients live in the leading elements of
-    its "product" (free once the forward has returned), "offset" and
-    "grad_windows" buffers, which the next call overwrites.
+    The filter gradient is written into `grad_W` (M x h*k). The routed
+    map, the offset rows and the window gradients live in the leading
+    elements of the scratch's "product" (free once the forward has
+    returned), "offset" and "grad_windows" buffers, which the next call
+    overwrites.
     """
     B, n, k = X.shape
     M = values.shape[1]
@@ -158,8 +150,6 @@ def conv_scale_backward(
     grad_map = scratch_view(scratch, "product", (B * num_windows, M))
     grad_map.fill(0.0)
     np.put(grad_map, at, routed)
-    if grad_W is None:
-        grad_W = np.empty(W_h.shape)
     for a in range(h):
         offset = _offset_rows(X, a, num_windows, scratch)
         np.matmul(grad_map.T, offset, out=grad_W[:, a * k : (a + 1) * k])

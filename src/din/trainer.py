@@ -130,8 +130,8 @@ def sgd_momentum_step(
     grads: Iterable[tuple[str, Array]],
     state: OptimizerState,
     config: TrainConfig,
-    scale: float = 1.0,
-    scratch: dict[str, Array] | None = None,
+    scale: float,
+    scratch: dict[str, Array],
 ) -> None:
     """One in-place update of every array in `named`:
     g <- grad*scale; v <- momentum*v + (g + wd*param); param -= lr*v.
@@ -147,8 +147,7 @@ def sgd_momentum_step(
     scales the gradient's block in place, then the terms go through one
     buffer in the formula's order of operations, so the result is
     bit-identical to evaluating it over whole tensors with temporaries.
-    That buffer is the "block" role of `scratch` (numerics.scratch_view),
-    or a fresh one per tensor without one.
+    That buffer is the "block" role of `scratch` (numerics.scratch_view).
     """
     done: set[str] = set()
     for name, grad in grads:
@@ -243,8 +242,8 @@ def evaluate(
     total_loss = 0.0
     probabilities = np.empty((len(samples), params.shape.num_classes))
     start = 0
-    for chunk, rows, _, scratch in batches(params.shape, samples, EVAL_BATCH):
-        fwd = forward_sample(params, rows, scratch=scratch)
+    for chunk, rows, masks, scratch in batches(params.shape, samples, EVAL_BATCH):
+        fwd = forward_sample(params, rows, masks, scratch)
         losses, _ = cross_entropy_from_logits(fwd.logits, _labels(chunk))
         total_loss += float(losses.sum())
         probabilities[start : start + len(chunk)] = fwd.probabilities

@@ -14,6 +14,7 @@ from din.data_io import (
     save_manifest,
     write_feature_file,
 )
+from din.denseimage import gather
 from din.model import ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.trainer import TrainConfig, TrainState
@@ -26,6 +27,12 @@ TINY_SHAPE = ModelShapeSpec(
 @pytest.fixture
 def tiny_params():
     return init_model(TINY_SHAPE, make_rng(123))
+
+
+def gathered(features, n, rng=None):
+    """The n x D float64 rows `denseimage.gather` picks from a video, in a
+    new array."""
+    return gather(features, n, rng, np.empty((n, features.shape[1])))
 
 
 def child_env(**overrides):

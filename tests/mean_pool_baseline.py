@@ -70,6 +70,7 @@ def train_baseline(
         {name: np.zeros_like(arr) for name, arr in named.items()}, config.initial_lr
     )
     history: list[EpochReport] = []
+    scratch: dict[str, Array] = {}
     for epoch in range(config.max_epochs):
         lr_used = opt.current_lr
         rng = epoch_rng(config.seed, epoch)
@@ -88,6 +89,8 @@ def train_baseline(
                  "baseline/bias": grad_logits.sum(axis=0) * scale}.items(),
                 opt,
                 config,
+                1.0,
+                scratch,
             )
         val_loss, val_accuracy = evaluate_baseline(model, val_split)
         plateau_update(opt, 1.0 - val_accuracy, config)

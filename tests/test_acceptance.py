@@ -171,11 +171,11 @@ def test_locality():
     for h in (2, 3, 4, 5, 6):
         W = np.abs(rng.normal(size=(M, h * k))) + 0.1
         b = np.full(M, 0.5)
-        base = conv_scale_forward(X[None], W, b)[0]
+        base = conv_scale_forward(X[None], W, b, {})[0]
         for j in range(n):
             bumped = X.copy()
             bumped[j] += 0.5
-            out = conv_scale_forward(bumped[None], W, b)[0]
+            out = conv_scale_forward(bumped[None], W, b, {})[0]
             changed = {
                 i for i in range(n - h + 1) if not np.array_equal(out[i], base[i])
             }

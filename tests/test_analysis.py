@@ -150,9 +150,10 @@ class TestExports:
         rows = out.read_text().strip().splitlines()[1:]
         for row, sample in zip(rows, sorted(samples, key=lambda s: s.id)):
             cells = row.split(",")
-            batch_rows, _ = sample_batch(tiny_params.shape, [sample.features])
-            dense = encode(batch_rows, tiny_params.reduction)
-            (profile,) = response_profiles(conv_scale_forward(dense, *tiny_params.bank[2]))
+            scratch = {}
+            batch_rows, _ = sample_batch(tiny_params.shape, [sample.features], scratch)
+            dense = encode(batch_rows, tiny_params.reduction, scratch)
+            (profile,) = response_profiles(conv_scale_forward(dense, *tiny_params.bank[2], scratch))
             window = int(np.argmax(profile))
             assert int(cells[-3]) == window
             assert (int(cells[-2]), int(cells[-1])) == (window, window + 1)
@@ -202,7 +203,9 @@ class TestExports:
         shape = tiny_params.shape
         for row, sample in zip(rows, sorted(samples, key=lambda s: s.id)):
             cells = row.split(",")
-            fwd = forward_sample(tiny_params, sample_batch(shape, [sample.features])[0])
+            scratch = {}
+            rows, masks = sample_batch(shape, [sample.features], scratch)
+            fwd = forward_sample(tiny_params, rows, masks, scratch)
             got = np.array([float(v) for v in cells[-shape.feat_dim:]])
             assert np.array_equal(got, fwd.dense[0].mean(axis=0))
             vec = np.concatenate([fwd.pooled[h][0][0] for h in shape.widths])

@@ -30,18 +30,18 @@ def bias_forward(per_scale, batch=1):
         params.tensors[f"head/h{h}/weights"][:] = 0.0
         params.tensors[f"head/h{h}/bias"][:] = bias
     rows = make_rng(1).normal(size=(batch, shape.num_frames, shape.raw_dim))
-    return forward_sample(params, rows)
+    return forward_sample(params, rows, None, {})
 
 
 class TestHeadForward:
     def test_zero_weights_give_bias(self):
         bias = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(head_forward(np.ones((2, 4)), np.zeros((3, 4)), bias),
+        assert np.array_equal(head_forward(np.ones((2, 4)), np.zeros((3, 4)), bias, None),
                               [[1.0, 2.0, 3.0]] * 2)
 
     def test_hand_dot_product(self):
         got = head_forward(np.array([[3.0, 1.0], [1.0, 3.0]]), np.array([[1.0, -1.0]]),
-                           np.zeros(1))
+                           np.zeros(1), None)
         assert np.array_equal(got, [[2.0], [-2.0]])
 
     def test_keep_one_mask_is_identity(self):
@@ -50,14 +50,14 @@ class TestHeadForward:
         c = rng.normal(size=(1, 5))
         mask = dropout_scales(rng.random(5), 1.0)[None]
         assert np.array_equal(head_forward(c, weights, bias, mask),
-                              head_forward(c, weights, bias))
+                              head_forward(c, weights, bias, None))
 
     def test_dimension_mismatch_rejected(self):
         weights, bias = np.zeros((2, 3)), np.zeros(2)
         with pytest.raises(ValueError):
-            head_forward(np.zeros((1, 4)), weights, bias)
+            head_forward(np.zeros((1, 4)), weights, bias, None)
         with pytest.raises(ValueError):
-            head_forward(np.zeros(3), weights, bias)
+            head_forward(np.zeros(3), weights, bias, None)
         with pytest.raises(ValueError):
             head_forward(np.zeros((1, 3)), weights, bias, np.ones((1, 4)))
 
@@ -117,7 +117,7 @@ class TestScaleAdditivity:
             if name.startswith("head/"):
                 arr[:] = rng.normal(size=arr.shape)
         fwd = forward_sample(
-            tiny_params, rng.normal(size=(1, TINY_SHAPE.num_frames, TINY_SHAPE.raw_dim))
+            tiny_params, rng.normal(size=(1, TINY_SHAPE.num_frames, TINY_SHAPE.raw_dim)), None, {}
         )
         tensors = tiny_params.tensors
         big_w = np.hstack([tensors[f"head/h{h}/weights"] for h in widths])

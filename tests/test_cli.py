@@ -100,10 +100,10 @@ def run_din(*argv, **env_overrides):
                           capture_output=True, text=True, env=child_env(**env_overrides))
 
 
-def widen_first_sample(data_dir, split):
-    """Rewrite the first sample of `split` with one feature column too many."""
+def widen_sample(data_dir, split, index=0):
+    """Rewrite sample `index` of `split` with one feature column too many."""
     manifest = json.loads((data_dir / "manifest.json").read_text())
-    record = next(r for r in manifest["samples"] if r["split"] == split)
+    record = [r for r in manifest["samples"] if r["split"] == split][index]
     write_feature_file(data_dir / record["feature_path"], np.ones((8, 7)))
     return record["id"], record["feature_path"]
 
@@ -296,11 +296,19 @@ class TestTrain:
 
 
     def test_wrong_dim_val_sample_fails_before_training(self, tmp_path, capsys):
+        self.check_wrong_dim_fails_before_training(tmp_path, capsys, "val", 0)
+
+    def test_wrong_dim_last_train_sample_fails_before_training(self, tmp_path, capsys):
+        # Every sample's dim is checked, not only the first training sample's.
+        self.check_wrong_dim_fails_before_training(tmp_path, capsys, "train", -1)
+
+    @staticmethod
+    def check_wrong_dim_fails_before_training(tmp_path, capsys, split, index):
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
         run_dir = tmp_path / "run"
         main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)])
-        sample_id, feature_path = widen_first_sample(data_dir, "val")
+        sample_id, feature_path = widen_sample(data_dir, split, index)
         capsys.readouterr()
         rc = main(["train", "--config", str(cfg),
                    "--manifest", str(data_dir / "manifest.json"),
@@ -472,7 +480,7 @@ class TestEvalPredict:
 
     def test_wrong_dim_sample_is_validation_error(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
-        sample_id, feature_path = widen_first_sample(data_dir, "val")
+        sample_id, feature_path = widen_sample(data_dir, "val")
         rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                    "--manifest", str(data_dir / "manifest.json"), "--split", "val"])
         assert rc == 2

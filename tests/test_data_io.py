@@ -35,7 +35,7 @@ from din.data_io import (
     write_synth_dataset,
 )
 import din.data_io as data_io_mod
-from din.denseimage import gather, sample_segments
+from din.denseimage import sample_segments
 from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.trainer import (
@@ -54,6 +54,7 @@ from conftest import (
     change_feature_file,
     decode_feature_file,
     edit_checkpoint_meta,
+    gathered,
     in_memory,
 )
 from mean_pool_baseline import train_baseline
@@ -190,7 +191,7 @@ class TestFeatureFiles:
     def test_center_rows_are_the_full_reads_sampled_rows(self, tmp_path_factory, T, n, D, seed):
         path = tmp_path_factory.mktemp("difx") / "x.difx"
         write_feature_file(path, make_rng(seed).normal(size=(T, D)))
-        got = gather(read_feature_file(path), n)
+        got = gathered(read_feature_file(path), n)
         assert got.dtype == np.float64 and got.shape == (n, D)
         assert np.array_equal(got, decode_feature_file(path)[sample_segments(T, n)])
 
@@ -331,7 +332,7 @@ class TestLoadContract:
         for got, want in zip(samples, full):
             assert isinstance(got.features, FeatureRows) and got.label == want.label
             rows = want.features[sample_segments(len(want.features), 3)]
-            assert np.array_equal(gather(got.features, 3), rows)
+            assert np.array_equal(gathered(got.features, 3), rows)
 
     def test_wrong_dim_fails_before_the_payload_is_read(self, tmp_path):
         # The payload holds a NaN, so only a check made before reading it
@@ -741,7 +742,7 @@ def check_center_read_agrees(path, blob, n):
     assert valid
     full = decode_feature_file(path)
     assert np.array_equal(reader.read_rows(np.arange(T)), full)
-    assert np.array_equal(gather(reader, n), full[sample_segments(T, n)])
+    assert np.array_equal(gathered(reader, n), full[sample_segments(T, n)])
 
 
 class TestFuzz:
@@ -970,10 +971,10 @@ class TestTrainingRowReads:
         reader = read_feature_file(path)
         full = decode_feature_file(path)
         assert reader.shape == (T, D)
-        assert np.array_equal(gather(reader, n), gather(full, n))
+        assert np.array_equal(gathered(reader, n), gathered(full, n))
         ours, theirs = make_rng(seed), make_rng(seed)
-        got = gather(reader, n, ours)
-        assert got.dtype == np.float64 and np.array_equal(got, gather(full, n, theirs))
+        got = gathered(reader, n, ours)
+        assert got.dtype == np.float64 and np.array_equal(got, gathered(full, n, theirs))
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_training_peak_does_not_grow_with_frames(self, tmp_path):
@@ -1018,4 +1019,4 @@ class TestTrainingRowReads:
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
         assert np.array_equal(reader.read_rows(np.array([0, 1, 3])), np.ones((3, 3)))
         with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
-            gather(reader, 4)
+            gathered(reader, 4)

@@ -13,6 +13,8 @@ from din.denseimage import (
 )
 from din.numerics import glorot_uniform, make_rng
 
+from conftest import gathered
+
 
 
 def segment_bounds(T, n, s):
@@ -77,12 +79,12 @@ def glorot_reduction(seed, raw_dim, feat_dim):
 
 def reduce_frame(raw, layer):
     """The reduced row of one raw frame, taken through encode."""
-    return encode(raw[None, None, :], layer)[0, 0]
+    return encode(raw[None, None, :], layer, {})[0, 0]
 
 
 def eval_encode(frames, layer, n):
     """The DenseImage of one video: center-gathered rows, then encode."""
-    return encode(gather(frames, n)[None], layer)[0]
+    return encode(gathered(frames, n)[None], layer, {})[0]
 
 
 class TestReduceFrame:
@@ -112,17 +114,17 @@ class TestReduceFrame:
 class TestEncode:
     def test_identity_reduction_passthrough(self):
         frames = np.array([[1.0, 2.0], [3.0, 4.0]])
-        rows = gather(frames, 2)
+        rows = gathered(frames, 2)
         assert np.array_equal(rows, frames)
-        assert np.array_equal(encode(rows[None], identity_reduction(2))[0], frames)
+        assert np.array_equal(encode(rows[None], identity_reduction(2), {})[0], frames)
 
     def test_returns_the_sampled_raw_rows(self):
         rng = make_rng(18)
         frames = rng.normal(size=(16, 4))
         weights, bias = layer = glorot_reduction(19, 4, 3)
-        rows = gather(frames, 8)
+        rows = gathered(frames, 8)
         assert np.array_equal(rows, frames[::2])
-        assert np.array_equal(encode(rows[None], layer)[0], rows @ weights + bias)
+        assert np.array_equal(encode(rows[None], layer, {})[0], rows @ weights + bias)
 
     def test_reversing_frames_reverses_rows(self):
         rng = make_rng(13)
@@ -146,9 +148,9 @@ class TestEncode:
         rng = make_rng(15)
         frames = rng.normal(size=(20, 1024))
         layer = glorot_reduction(16, 1024, 256)
-        rows = gather(frames, 8)
+        rows = gathered(frames, 8)
         assert rows.shape == (8, 1024)
-        assert encode(rows[None], layer).shape == (1, 8, 256)
+        assert encode(rows[None], layer, {}).shape == (1, 8, 256)
 
     def test_rows_never_mix_frames(self):
         rng = make_rng(17)
@@ -164,15 +166,15 @@ class TestEncode:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            encode(np.ones((1, 2, 3)), identity_reduction(2))
+            encode(np.ones((1, 2, 3)), identity_reduction(2), {})
         with pytest.raises(ValueError):
-            encode(np.ones((2, 2)), identity_reduction(2))  # not a batch
+            encode(np.ones((2, 2)), identity_reduction(2), {})  # not a batch
 
     def test_nonfinite_features_rejected(self):
         with pytest.raises(ValueError):
             check_features(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError):
-            gather(np.array([[np.nan, 1.0]]), 1)
+            gathered(np.array([[np.nan, 1.0]]), 1)
 
 
 class TestGather:
@@ -181,8 +183,8 @@ class TestGather:
         video = (make_rng(23).normal(size=(37, 6)) * 100.0).astype(np.float32)
         video.flags.writeable = False  # as loaded from a feature file
         rng32, rng64 = (None, None) if seed is None else (make_rng(seed), make_rng(seed))
-        got = gather(video, 8, rng32)
-        want = gather(video.astype(np.float64), 8, rng64)
+        got = gathered(video, 8, rng32)
+        want = gathered(video.astype(np.float64), 8, rng64)
         assert got.dtype == np.float64 and got.shape == (8, 6)
         assert np.array_equal(got, want)
         if seed is not None:
@@ -196,23 +198,23 @@ class TestGather:
             video = np.ones((10, 3), dtype=dtype)
             video[t, t % 3] = np.nan
             with pytest.raises(ValueError):
-                gather(video, 2)
+                gathered(video, 2)
 
     def test_non_matrix_rejected(self):
         with pytest.raises(ValueError):
-            gather(np.ones(5, dtype=np.float32), 2)
+            gather(np.ones(5, dtype=np.float32), 2, None, np.empty((2, 5)))
 
 
 class TestDenseImage:
     def test_properties(self):
         # A batch of B videos encodes to B DenseImages of n rows by k columns.
         layer = glorot_reduction(20, 1024, 256)
-        assert encode(np.zeros((2, 8, 1024)), layer).shape == (2, 8, 256)
+        assert encode(np.zeros((2, 8, 1024)), layer, {}).shape == (2, 8, 256)
 
     def test_batch_rows_equal_per_video_rows(self):
         rng = make_rng(21)
         layer = glorot_reduction(22, 6, 4)
         videos = [rng.normal(size=(T, 6)) for T in (3, 8, 20)]
-        batch = encode(np.stack([gather(v, 5) for v in videos]), layer)
+        batch = encode(np.stack([gathered(v, 5) for v in videos]), layer, {})
         for b, video in enumerate(videos):
             assert np.abs(batch[b] - eval_encode(video, layer, 5)).max() < 1e-15

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from din import temporal_conv
 from din.numerics import make_rng
-from din.selftest import finite_difference_check
+from din.selftest import finite_difference_check, run_selftest
 
 EPS, TOL = 1e-5, 1e-6
 
@@ -45,3 +46,24 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(ZeroDivisionError):
             finite_difference_check(objective, arrays, grads, EPS, TOL)
         assert snapshot(arrays) == before
+
+
+def reversed_pool_argmax(real):
+    """pool_argmax with its batch rows reversed: each video's pool gradient
+    goes to another video's argmax windows."""
+    return lambda fmap, values: real(fmap, values)[::-1]
+
+
+def offset_zero_rows(real):
+    """_offset_rows feeding offset 0's rows for every offset."""
+    return lambda X, a, num_windows, scratch: real(X, 0, num_windows, scratch)
+
+
+@pytest.mark.parametrize("name, fault", [("pool_argmax", reversed_pool_argmax),
+                                         ("_offset_rows", offset_zero_rows)])
+def test_selftest_reports_an_engine_fault(monkeypatch, capsys, name, fault):
+    # Both faults show only in a batch of two or more videos or in the
+    # offset copy every command runs; the selftest must see each.
+    monkeypatch.setattr(temporal_conv, name, fault(getattr(temporal_conv, name)))
+    assert run_selftest() >= 1
+    assert "[FAIL]" in capsys.readouterr().out

@@ -23,7 +23,7 @@ from din.temporal_conv import (
 
 def conv_map(X, W, b):
     """The M x (n-h+1) feature map of one n x k DenseImage (a batch of one)."""
-    return conv_scale_forward(X[None], W, b)[0].T
+    return conv_scale_forward(X[None], W, b, {})[0].T
 
 
 def single_map(rows):
@@ -41,7 +41,7 @@ def pool(fmap):
 class TestConvForward:
     def test_zero_weights_give_bias_everywhere(self):
         X = np.ones((1, 6, 3))
-        fmap = conv_scale_forward(X, np.zeros((4, 2 * 3)), np.full(4, 0.5))
+        fmap = conv_scale_forward(X, np.zeros((4, 2 * 3)), np.full(4, 0.5), {})
         assert fmap.shape == (1, 5, 4)
         assert np.array_equal(fmap, np.full((1, 5, 4), 0.5))
 
@@ -50,7 +50,7 @@ class TestConvForward:
         # so a -0.0 input and bias could give -0.0 pre-activations; an
         # exported response or pooled value must still read 0.0.
         X = np.full((2, 5, 3), -0.0)
-        fmap = conv_scale_forward(X, np.ones((4, 3 * 3)), np.full(4, -0.0))
+        fmap = conv_scale_forward(X, np.ones((4, 3 * 3)), np.full(4, -0.0), {})
         assert np.array_equal(fmap, np.zeros((2, 3, 4)))
         assert not np.signbit(fmap).any()
 
@@ -121,14 +121,14 @@ class TestMaxPool:
 class TestMultiscaleForward:
     def test_zero_network_pools_to_zero(self):
         bank = {2: (np.zeros((3, 2 * 2)), np.zeros(3)), 3: (np.zeros((3, 3 * 2)), np.zeros(3))}
-        pooled = multiscale_forward(np.ones((1, 5, 2)), bank)
+        pooled = multiscale_forward(np.ones((1, 5, 2)), bank, {})
         assert not pooled[2][0].any()
         assert not pooled[3][0].any()
 
     def test_standard_configuration_sizes(self):
         rng = make_rng(5)
         bank = init_model(ModelShapeSpec(8, 8, 8, (2, 3, 4, 5, 6), 256, 2), rng).bank
-        pooled = multiscale_forward(rng.normal(size=(1, 8, 8)), bank)
+        pooled = multiscale_forward(rng.normal(size=(1, 8, 8)), bank, {})
         assert sorted(pooled) == [2, 3, 4, 5, 6]
         assert all(values.shape == (1, 256) for values, _ in pooled.values())
 
@@ -141,7 +141,7 @@ class TestOrderSensitivity:
         A, B, C = np.eye(3)
         X = np.stack([A, B, C])
         bank = {2: (np.concatenate([A, B])[None, :], np.zeros(1))}
-        values, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank)[2]
+        values, _ = multiscale_forward(np.stack([X, X[[0, 2, 1]]]), bank, {})[2]
         assert values[0, 0] == 2.0
         assert values[1, 0] == 1.0
 
@@ -165,10 +165,13 @@ class TestShiftEquivariance:
 
 def backward_all(X, bank, upstream):
     """width -> conv_scale_backward's (grad_W, grad_b), and grad_X summed
-    over the widths in ascending order, as model.backward_sample runs them."""
-    pooled = multiscale_forward(X, bank)
+    over the widths in ascending order, as model.backward_sample runs them,
+    each width's grad_W in an array of its own."""
+    scratch = {}
+    pooled = multiscale_forward(X, bank, scratch)
     gX = np.zeros_like(X)
-    grads = {h: conv_scale_backward(X, bank[h][0], *pooled[h], upstream[h], gX)
+    grads = {h: conv_scale_backward(X, bank[h][0], *pooled[h], upstream[h], gX,
+                                    np.empty_like(bank[h][0]), scratch)
              for h in sorted(bank)}
     return grads, gX
 
@@ -187,9 +190,11 @@ class TestMultiscaleBackward:
         n, k, M = 4, 2, 5
         bank = random_bank(rng, (4,), M, k, 1.0)  # h == n: one window
         X = rng.normal(size=(1, n, k))
-        pooled = multiscale_forward(X, bank)
+        scratch = {}
+        pooled = multiscale_forward(X, bank, scratch)
         upstream = rng.normal(size=M)
-        _, gb = conv_scale_backward(X, bank[4][0], *pooled[4], upstream[None], np.zeros_like(X))
+        _, gb = conv_scale_backward(X, bank[4][0], *pooled[4], upstream[None], np.zeros_like(X),
+                                    np.empty_like(bank[4][0]), scratch)
         gate = pooled[4][0][0] > 0
         assert np.array_equal(gb, upstream * gate)
 
@@ -201,10 +206,12 @@ class TestMultiscaleBackward:
         bank = random_bank(rng, (3,), 4, 2, 0.0)
         bank[3] = (np.abs(bank[3][0]), bank[3][1])
         X = np.ones((2, 6, 2))
-        (values, fmap), = multiscale_forward(X, bank).values()
+        scratch = {}
+        (values, fmap), = multiscale_forward(X, bank, scratch).values()
         assert np.array_equal(pool_argmax(fmap, values), np.zeros((2, 4), dtype=int))
         gX = np.zeros_like(X)
-        conv_scale_backward(X, bank[3][0], values, fmap, np.ones((2, 4)), gX)
+        conv_scale_backward(X, bank[3][0], values, fmap, np.ones((2, 4)), gX,
+                            np.empty_like(bank[3][0]), scratch)
         assert gX[:, :3].all() and not gX[:, 3:].any()
 
     def test_results_held_together_equal_single_calls(self):
@@ -214,9 +221,11 @@ class TestMultiscaleBackward:
         bank = random_bank(rng, (2, 3), 4, 3, 0.1)
         X = rng.normal(size=(2, 5, 3))
         upstream = {h: rng.normal(size=(2, 4)) for h in bank}
-        pooled = multiscale_forward(X, bank)
+        scratch = {}
+        pooled = multiscale_forward(X, bank, scratch)
         alone = {h: [g.copy() for g in conv_scale_backward(
-                     X, bank[h][0], *pooled[h], upstream[h], np.zeros_like(X))]
+                     X, bank[h][0], *pooled[h], upstream[h], np.zeros_like(X),
+                     np.empty_like(bank[h][0]), scratch)]
                  for h in bank}
         held, _ = backward_all(X, bank, upstream)
         for h in bank:
@@ -227,10 +236,12 @@ class TestMultiscaleBackward:
         rng = make_rng(11)
         bank = random_bank(rng, (2,), 3, 2, 0.1)
         X = rng.normal(size=(1, 5, 2))
-        values, fmap = multiscale_forward(X, bank)[2]
+        scratch = {}
+        values, fmap = multiscale_forward(X, bank, scratch)[2]
         for grad_up in (np.zeros((1, 4)), np.zeros(3)):
             with pytest.raises(ValueError):
-                conv_scale_backward(X, bank[2][0], values, fmap, grad_up, np.zeros_like(X))
+                conv_scale_backward(X, bank[2][0], values, fmap, grad_up, np.zeros_like(X),
+                                    np.empty_like(bank[2][0]), scratch)
 
     def test_matches_finite_differences_on_kink_free_instances(self):
         check_multiscale_gradients(make_rng(12), 50)
@@ -238,14 +249,14 @@ class TestMultiscaleBackward:
 
 class TestResponseProfile:
     def test_dead_filter_is_flat_zero(self):
-        fmap = conv_scale_forward(np.ones((1, 6, 2)), np.zeros((3, 4)), np.zeros(3))
+        fmap = conv_scale_forward(np.ones((1, 6, 2)), np.zeros((3, 4)), np.zeros(3), {})
         assert np.array_equal(response_profiles(fmap), np.zeros((1, 5)))
 
     def test_profile_length_for_eight_frames(self):
         rng = make_rng(13)
         bank = random_bank(rng, (2,), 3, 2, 0.1)
         X = rng.normal(size=(1, 8, 2))
-        assert response_profiles(conv_scale_forward(X, *bank[2])).shape == (1, 7)
+        assert response_profiles(conv_scale_forward(X, *bank[2], {})).shape == (1, 7)
 
     def test_frame_range_maps_argmax_window(self, tmp_path, tiny_params):
         rng = make_rng(15)

@@ -135,7 +135,7 @@ class TestSgdStep:
         state = OptimizerState.init(tiny_params, cfg)
         before = snapshot(tiny_params)
         zero = {name: np.zeros_like(arr) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg)
+        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg, 1.0, {})
         for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name])
 
@@ -145,7 +145,7 @@ class TestSgdStep:
         before = snapshot(tiny_params)
         rng = make_rng(1)
         grads = {name: rng.normal(size=arr.shape) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg)
+        sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg, 1.0, {})
         for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name] - grads[name])
 
@@ -156,7 +156,7 @@ class TestSgdStep:
         state = OptimizerState.init(tiny_params, cfg)
         tiny_params.tensors["reduction/weights"][0, 0] = 1.0
         zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
-        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg)
+        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg, 1.0, {})
         assert abs(tiny_params.tensors["reduction/weights"][0, 0] - 0.99999975) < 1e-15
 
     def test_weight_decay_skips_biases(self, tiny_params):
@@ -164,7 +164,7 @@ class TestSgdStep:
         state = OptimizerState.init(tiny_params, cfg)
         tiny_params.tensors["reduction/bias"][:] = 3.0
         zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
-        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg)
+        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg, 1.0, {})
         assert np.array_equal(tiny_params.tensors["reduction/bias"], np.full(3, 3.0))
 
     def test_shape_mismatch_rejected(self, tiny_params):
@@ -173,9 +173,9 @@ class TestSgdStep:
         grads = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
         grads["reduction/bias"] = np.zeros(99)
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg)
+            sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg, 1.0, {})
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params.tensors, iter(()), state, cfg)
+            sgd_momentum_step(tiny_params.tensors, iter(()), state, cfg, 1.0, {})
 
 
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
@@ -193,7 +193,7 @@ class TestSgdStep:
                     g = g + weight_decay * want_p[name]
                 want_v[name] = cfg.momentum * want_v[name] + g
                 want_p[name] = want_p[name] - state.current_lr * want_v[name]
-            sgd_momentum_step(tiny_params.tensors, passed.items(), state, cfg)
+            sgd_momentum_step(tiny_params.tensors, passed.items(), state, cfg, 1.0, {})
             for name in grads:
                 assert np.array_equal(passed[name], grads[name])  # inputs untouched
                 assert np.array_equal(tiny_params.tensors[name], want_p[name])
@@ -217,7 +217,7 @@ class TestSgdStep:
                 g = g + weight_decay * named[name]
             want_v[name] = cfg.momentum * state.velocity[name] + g
             want_p[name] = named[name] - state.current_lr * want_v[name]
-        sgd_momentum_step(named, grads.items(), state, cfg)
+        sgd_momentum_step(named, grads.items(), state, cfg, 1.0, {})
         for name in shapes:
             assert np.array_equal(named[name], want_p[name]), name
             assert np.array_equal(state.velocity[name], want_v[name]), name
@@ -238,7 +238,8 @@ class TestSgdStep:
         want_state = OptimizerState({name: v.copy() for name, v in state.velocity.items()},
                                     cfg.initial_lr)
         grads = {name: rng.normal(size=dims) for name, dims in shapes.items()}
-        sgd_momentum_step(want, ((name, g * scale) for name, g in grads.items()), want_state, cfg)
+        sgd_momentum_step(want, ((name, g * scale) for name, g in grads.items()), want_state, cfg,
+                          1.0, {})
         sgd_momentum_step(named, grads.items(), state, cfg, scale, {})
         for name in shapes:
             assert np.array_equal(named[name], want[name]), name
@@ -263,7 +264,7 @@ class TestSgdStep:
         else:
             pairs[-1] = (pairs[-1][0], np.zeros(99))
         with pytest.raises(ValueError, match=message):
-            sgd_momentum_step(tiny_params.tensors, iter(pairs), state, cfg)
+            sgd_momentum_step(tiny_params.tensors, iter(pairs), state, cfg, 1.0, {})
 
 
 class TestPlateau:
@@ -351,7 +352,8 @@ class TestTrainEpoch:
         # T == n and no dropout, so per-sample gradients are reproducible
         # outside the epoch loop regardless of its rng draws.
         per_sample = [
-            sample_loss_and_grads(params, sample_batch(TINY_SHAPE, [s.features])[0], [s.label])[1]
+            sample_loss_and_grads(params, sample_batch(TINY_SHAPE, [s.features], {})[0],
+                                  [s.label])[1]
             for s in batch
         ]
         state = OptimizerState.init(params, cfg)
@@ -394,7 +396,7 @@ class TestTrainEpoch:
             masks = {h: np.stack(m) for h, m in masks.items()} if keep < 1.0 else None
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
             mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
-            sgd_momentum_step(replay.tensors, mean.items(), state, cfg)
+            sgd_momentum_step(replay.tensors, mean.items(), state, cfg, 1.0, {})
         assert rng.bit_generator.state == ref.bit_generator.state
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, replay.tensors[name]), name
@@ -415,11 +417,11 @@ class TestTrainEpoch:
         state = OptimizerState.init(replay, cfg)
         for start in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            rows, masks = sample_batch(TINY_SHAPE, [s.features for s in batch], ref,
+            rows, masks = sample_batch(TINY_SHAPE, [s.features for s in batch], {}, ref,
                                        cfg.dropout_keep)
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
             mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
-            sgd_momentum_step(replay.tensors, mean.items(), state, cfg)
+            sgd_momentum_step(replay.tensors, mean.items(), state, cfg, 1.0, {})
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, replay.tensors[name]), name
 
