@@ -254,28 +254,27 @@ def backward_sample(
     pairs overwrite: use each pair before asking for the next.
     """
     tensors, shape = params.tensors, params.shape
+    (B, n, D), k, M = fwd.rows.shape, shape.feat_dim, shape.num_filters
     grad_X = scratch_view(scratch, "grad_X", fwd.dense.shape)
     grad_X.fill(0.0)
-    # Every width's filter gradient goes through one buffer, made once for
-    # the bank's widest filter: regrown width by width, or reserved for
-    # width n, it raised the peak memory (see numerics.scratch_view).
-    widest = shape.num_filters * max(shape.widths) * shape.feat_dim
+    # Each width's window then filter gradients, and last the reduction's,
+    # go through one buffer made for the largest (see numerics.scratch_view):
+    # a width's window gradients outgrow its filter gradient if B*(n-h+1) > M.
+    sizes = (max(B * (n - h + 1), M) * h for h in shape.widths)
+    grad = scratch_view(scratch, "grad", (max(D, *sizes) * k,))
     for h in shape.widths:
         values, fmap = fwd.pooled[h]
         mask = fwd.masks[h] if fwd.masks else None
         *head_grads, grad_c = clf.head_backward(
             values, tensors[f"head/h{h}/weights"], mask, grad_fused
         )
-        weights = tensors[f"conv/h{h}/weights"]
-        grad_W = scratch_view(scratch, "grad_W", weights.shape, widest)
         conv_grads = tc.conv_scale_backward(
-            fwd.dense, weights, values, fmap, grad_c, grad_X, grad_W, scratch
+            fwd.dense, tensors[f"conv/h{h}/weights"], values, fmap, grad_c, grad_X, grad, scratch
         )
         yield from zip((f"conv/h{h}/weights", f"conv/h{h}/bias"), conv_grads)
         yield from zip((f"head/h{h}/weights", f"head/h{h}/bias"), head_grads)
-    B, n, D = fwd.rows.shape
-    grad_X = grad_X.reshape(B * n, -1)
-    grad_reduction = scratch_view(scratch, "grad_reduction", (D, grad_X.shape[1]))
+    grad_X = grad_X.reshape(B * n, k)
+    grad_reduction = grad[: D * k].reshape(D, k)
     yield "reduction/weights", np.matmul(fwd.rows.reshape(B * n, D).T, grad_X, out=grad_reduction)
     yield "reduction/bias", grad_X.sum(axis=0)
 

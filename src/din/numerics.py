@@ -62,10 +62,11 @@ def scratch_view(scratch: dict[str, Array], role: str, shape: tuple[int, ...],
     does not fit; an array from here is valid until the next request for its
     role. A call's first batch is its largest and the widths run ascending,
     so a role sized by the batch or by one width's windows is first asked
-    for at its largest; a role that grows with the width reserves what no
-    width exceeds. Regrowing a large buffer mid-call frees a mapped block,
-    which raises glibc's mmap threshold (mallopt(3)), moves later buffers
-    onto the heap and raises peak memory.
+    for at its largest; a role whose requests vary by width or by tensor is
+    first asked for at, or reserves, the most it will hold. Regrowing a
+    large buffer mid-call frees a mapped block, which raises glibc's mmap
+    threshold (mallopt(3)), moves later buffers onto the heap and raises
+    peak memory.
     """
     size = math.prod(shape)
     if role not in scratch or scratch[role].size < size:

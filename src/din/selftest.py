@@ -71,10 +71,10 @@ def finite_difference_check(objective, arrays: dict, grads: dict, eps: float, to
                 down = objective()
             finally:
                 arr[idx] = orig
-            fd = (up - down) / (2 * eps)
-            if not abs(fd - grads[name][idx]) < tol * max(1.0, abs(fd)):
+            fd, g = float((up - down) / (2 * eps)), float(grads[name][idx])
+            if not abs(fd - g) < tol * max(1.0, abs(fd)):
                 raise AssertionError(f"gradient mismatch in {name} at {idx}: "
-                                     f"finite difference {fd!r}, gradient {grads[name][idx]!r}")
+                                     f"finite difference {fd!r}, gradient {g!r}")
 
 
 def random_bank(rng, widths, M, k, bias_scale: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -126,7 +126,8 @@ def check_multiscale_gradients(rng, count: int) -> None:
         for h in widths:
             arrays[f"dW[h={h}]"], arrays[f"db[h={h}]"] = bank[h]
             grads[f"dW[h={h}]"], grads[f"db[h={h}]"] = conv_scale_backward(
-                X, bank[h][0], *pooled[h], grad_up[h], grads["dX"], np.empty((M, h * k)), scratch
+                X, bank[h][0], *pooled[h], grad_up[h], grads["dX"],
+                np.empty(max(len(X) * (n - h + 1), M) * h * k), scratch
             )
 
         def objective():

@@ -21,9 +21,9 @@ upstream gradient there alone, gates it by the rectifier, and the
 windows scatter it back onto the h DenseImage rows they cover.
 
 Every call runs in a scratch its caller passes (see numerics.scratch_view):
-the maps, the offset rows, the GEMM products and the backward's
-intermediates live in its buffers, and a map is valid until the next
-forward on that scratch.
+the maps, the offset rows and the GEMM products live in its buffers, and
+a map is valid until the next forward on that scratch. The backward's
+window and filter gradients take turns in one buffer the caller passes.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def multiscale_forward(
 
 def conv_scale_backward(
     X: Array, W_h: Array, values: Array, fmap: Array, grad_up: Array, grad_X: Array,
-    grad_W: Array, scratch: dict[str, Array],
+    grad: Array, scratch: dict[str, Array],
 ) -> tuple[Array, Array]:
     """Gradients of one width's pooled features wrt its filters and biases,
     summed over the batch, given the B x n x k DenseImages X, the B x M
@@ -129,11 +129,12 @@ def conv_scale_backward(
     pooled value hit the rectifier floor), and fans out to the filter row,
     its bias, and the h DenseImage rows under that window.
 
-    The filter gradient is written into `grad_W` (M x h*k). The routed
-    map, the offset rows and the window gradients live in the leading
-    elements of the scratch's "product" (free once the forward has
-    returned), "offset" and "grad_windows" buffers, which the next call
-    overwrites.
+    `grad` is a flat buffer of at least max(B*(n-h+1), M)*h*k elements. The
+    window gradients go through its leading elements first; once they are
+    added into grad_X, the filter gradient is written there and returned
+    as an M x h*k view. The routed map and the offset rows live in the
+    leading elements of the scratch's "product" (free once the forward
+    has returned) and "offset" buffers, which the next call overwrites.
     """
     B, n, k = X.shape
     M = values.shape[1]
@@ -150,18 +151,16 @@ def conv_scale_backward(
     grad_map = scratch_view(scratch, "product", (B * num_windows, M))
     grad_map.fill(0.0)
     np.put(grad_map, at, routed)
-    for a in range(h):
-        offset = _offset_rows(X, a, num_windows, scratch)
-        np.matmul(grad_map.T, offset, out=grad_W[:, a * k : (a + 1) * k])
-    # Back through the windows: offset a of window i is row i+a. The role
-    # serves every width, so it reserves what no width exceeds: the
-    # B*(n-h+1) x h*k window gradients peak at h = (n+1)/2.
-    grad_windows = scratch_view(scratch, "grad_windows", (B * num_windows, h * k),
-                                B * ((n + 1) ** 2 // 4) * k)
+    # Back through the windows: offset a of window i is row i+a.
+    grad_windows = grad[: B * num_windows * h * k].reshape(B * num_windows, h * k)
     np.matmul(grad_map, W_h, out=grad_windows)
     grad_windows = grad_windows.reshape(B, num_windows, h, k)
     for a in range(h):
         grad_X[:, a : a + num_windows] += grad_windows[:, :, a]
+    grad_W = grad[: W_h.size].reshape(W_h.shape)
+    for a in range(h):
+        offset = _offset_rows(X, a, num_windows, scratch)
+        np.matmul(grad_map.T, offset, out=grad_W[:, a * k : (a + 1) * k])
     return grad_W, routed.sum(axis=0)
 
 

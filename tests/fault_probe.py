@@ -1,6 +1,6 @@
 """Wall time, minor page faults and peak RSS of each perfbench command, each in a fresh process.
 
-    python3 tests/fault_probe.py CHECKOUT INPUTS [--runs N]
+    python3 tests/fault_probe.py CHECKOUT INPUTS [--runs N] [--against OTHER_CHECKOUT]
 
 INPUTS is a perfbench inputs directory, as perfbench writes them under
 .perfbench_work/<workload>/inputs/. A ``paper_infer`` one (manifest.json
@@ -18,8 +18,14 @@ for the first time, from interpreter start to exit, and the child's own
 ``ru_maxrss`` in MB, its peak resident set; then the median of each over
 the runs. perfbench reports no fault counts, and its ``peak_rss_mb``
 includes run.py's own high-water mark, so this is how an allocation
-change shows in a fresh process. Compare two checkouts with alternating
-invocations on the same INPUTS.
+change shows in a fresh process.
+
+With ``--against``, CHECKOUT (side A) and OTHER_CHECKOUT (side B) run in
+alternation on the same INPUTS: each run takes all commands of one side,
+then of the other, and the side that goes first flips from run to run.
+For each command it then prints both sides' medians and, for
+``maxrss_mb`` and ``wall_s``, the number of runs in which each side read
+lower (a tie counts for neither).
 """
 
 from __future__ import annotations
@@ -34,10 +40,10 @@ import time
 from pathlib import Path
 
 
-def commands(inputs: Path, work: Path, run: int) -> list[tuple[str, list[str]]]:
+def commands(inputs: Path, work: Path, tag: str) -> list[tuple[str, list[str]]]:
     if not (inputs / "model").exists():  # paper_train inputs
         return [("train", ["train", "--config", str(inputs / "config.json"), "--manifest",
-                           str(inputs / "manifest.json"), "--out-dir", str(work / f"run{run}")])]
+                           str(inputs / "manifest.json"), "--out-dir", str(work / f"run{tag}")])]
     model = ["--checkpoint", str(inputs / "model" / "checkpoint.ckpt"),
              "--manifest", str(inputs / "manifest.json"), "--split", "test"]
     return [
@@ -65,27 +71,52 @@ def run_once(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, in
     return wall, usage.ru_minflt, usage.ru_maxrss / 1024  # Linux reports KiB
 
 
+def child_env(checkout: Path) -> dict[str, str]:
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                         os.environ.get("PYTHONPATH")])))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("inputs", type=Path)
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--against", type=Path, metavar="OTHER_CHECKOUT")
     args = parser.parse_args()
-    checkout, inputs = args.checkout.resolve(), args.inputs.resolve()
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
-    results: dict[str, list[tuple[float, int, float]]] = {}
+    inputs = args.inputs.resolve()
+    sides = {"A": args.checkout.resolve()}
+    if args.against:
+        sides["B"] = args.against.resolve()
+    for side, checkout in sides.items():
+        print(f"side {side} {checkout}")
+    envs = {side: child_env(checkout) for side, checkout in sides.items()}
+    # results[side][command] holds one (wall, faults, rss) row per run.
+    results: dict[str, dict[str, list[tuple[float, int, float]]]] = {side: {} for side in sides}
     with tempfile.TemporaryDirectory(prefix="fault_probe_") as tmp:
         work = Path(tmp)
         for run in range(args.runs):
-            for name, argv in commands(inputs, work, run):
-                wall, faults, rss = run_once(argv, env, work)
-                results.setdefault(name, []).append((wall, faults, rss))
-                print(f"run {run} {name:<16} wall_s {wall:.4f} minflt {faults} maxrss_mb {rss:.2f}")
-    for name, rows in results.items():
-        wall, faults, rss = (statistics.median(column) for column in zip(*rows))
-        print(f"median {name:<16} wall_s {wall:.4f} minflt {faults:.0f} maxrss_mb {rss:.2f}")
+            order = list(sides) if run % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                for name, argv in commands(inputs, work, f"{side}{run}"):
+                    wall, faults, rss = run_once(argv, envs[side], work)
+                    results[side].setdefault(name, []).append((wall, faults, rss))
+                    print(f"run {run} {side} {name:<16} wall_s {wall:.4f} minflt {faults} "
+                          f"maxrss_mb {rss:.2f}")
+    for side, commands_run in results.items():
+        for name, rows in commands_run.items():
+            wall, faults, rss = (statistics.median(column) for column in zip(*rows))
+            print(f"median {side} {name:<16} wall_s {wall:.4f} minflt {faults:.0f} "
+                  f"maxrss_mb {rss:.2f}")
+    if len(sides) == 2:
+        for name in results["A"]:
+            pairs = list(zip(results["A"][name], results["B"][name]))
+            counts = []
+            for metric, column in (("maxrss_mb", 2), ("wall_s", 0)):
+                a = sum(ra[column] < rb[column] for ra, rb in pairs)
+                b = sum(rb[column] < ra[column] for ra, rb in pairs)
+                counts.append(f"{metric} A {a} B {b}")
+            print(f"lower {name:<16} {' '.join(counts)} of {len(pairs)} runs")
 
 
 if __name__ == "__main__":

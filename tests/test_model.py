@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from din.classifier import head_backward
 from din.denseimage import encode
 from din.model import (
     ModelParams,
@@ -21,6 +22,7 @@ from din.model import (
 )
 from din.numerics import cross_entropy_from_logits, dropout_scales, make_rng
 from din.selftest import kink_free
+from din.temporal_conv import pool_argmax
 from din.trainer import OptimizerState, TrainConfig, sgd_momentum_step
 
 from conftest import TINY_SHAPE, gathered
@@ -393,3 +395,74 @@ class TestGradientStream:
             params.tensors[name][...] = np.nan
             seen.append(name)
         assert sorted(seen) == sorted(parameter_shapes(TINY_SHAPE))
+
+
+def separate_buffer_pairs(params, fwd, grad_fused):
+    """backward_sample's (name, gradient) pairs and its B x n x k DenseImage
+    gradient, computed in the order of the engine before its gradients
+    shared one buffer: per width the filter gradient's offset GEMMs into an
+    array of their own, then the window gradients into a separate array,
+    added into grad_X; the reduction gradient into a third array."""
+    tensors, X = params.tensors, fwd.dense
+    (B, n, k), M, D = X.shape, params.shape.num_filters, fwd.rows.shape[2]
+    grad_X, pairs = np.zeros_like(X), []
+    for h in params.shape.widths:
+        values, fmap = fwd.pooled[h]
+        mask = fwd.masks[h] if fwd.masks else None
+        *head_grads, grad_c = head_backward(values, tensors[f"head/h{h}/weights"], mask,
+                                            grad_fused)
+        W_h, num_windows = tensors[f"conv/h{h}/weights"], n - h + 1
+        routed = grad_c * (values > 0.0)
+        grad_map = np.zeros((B, num_windows, M))
+        grad_map[np.arange(B)[:, None], pool_argmax(fmap, values), np.arange(M)] = routed
+        grad_map = grad_map.reshape(B * num_windows, M)
+        grad_W = np.empty_like(W_h)
+        for a in range(h):
+            offset = np.ascontiguousarray(X[:, a : a + num_windows]).reshape(-1, k)
+            np.matmul(grad_map.T, offset, out=grad_W[:, a * k : (a + 1) * k])
+        grad_windows = np.empty((B * num_windows, h * k))
+        np.matmul(grad_map, W_h, out=grad_windows)
+        grad_windows = grad_windows.reshape(B, num_windows, h, k)
+        for a in range(h):
+            grad_X[:, a : a + num_windows] += grad_windows[:, :, a]
+        pairs += [(f"conv/h{h}/weights", grad_W), (f"conv/h{h}/bias", routed.sum(axis=0)),
+                  (f"head/h{h}/weights", head_grads[0]), (f"head/h{h}/bias", head_grads[1])]
+    flat, grad_reduction = grad_X.reshape(B * n, k), np.empty((D, k))
+    np.matmul(fwd.rows.reshape(B * n, D).T, flat, out=grad_reduction)
+    return pairs + [("reduction/weights", grad_reduction), ("reduction/bias", flat.sum(axis=0))], grad_X
+
+
+class TestSharedGradientBuffer:
+    """The window, filter and reduction gradients take turns in one buffer:
+    each width's window gradients first, then its filter gradient, then the
+    reduction's. The GEMMs and adds are the ones the separate buffers ran,
+    so every pair and the DenseImage gradient stay bit-identical, also where
+    a width's window gradients outgrow its filter gradient (B*(n-h+1) > M)."""
+
+    @given(data=st.data())
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_pairs_equal_separate_buffers_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 8), "n")
+        widths = tuple(data.draw(st.sets(st.integers(2, n), min_size=1, max_size=4), "widths"))
+        B = data.draw(st.integers(1, 6), "B")
+        # Up to twice the smallest width's windows: M falls on both sides.
+        M = data.draw(st.integers(1, 2 * B * (n - min(widths) + 1)), "M")
+        raw_dim = data.draw(st.integers(1, 6), "D")
+        shape = ModelShapeSpec(raw_dim, data.draw(st.integers(1, raw_dim), "k"), n, widths, M,
+                               data.draw(st.integers(2, 4), "C"))
+        seed = data.draw(st.integers(0, 2**16), "seed")
+        rng = make_rng(seed, 1)
+        params = init_model(shape, make_rng(seed))
+        videos = [rng.normal(size=(int(rng.integers(1, 2 * n + 2)), raw_dim)) for _ in range(B)]
+        scratch = {}
+        rows, masks = sample_batch(shape, videos, scratch, rng,
+                                   data.draw(st.sampled_from([1.0, 0.7]), "keep"))
+        fwd = forward_sample(params, rows, masks, scratch)
+        _, grad_fused = cross_entropy_from_logits(fwd.logits, rng.integers(shape.num_classes,
+                                                                           size=B))
+        want, want_X = separate_buffer_pairs(params, fwd, grad_fused)
+        got = [(name, g.copy()) for name, g in backward_sample(params, fwd, grad_fused, scratch)]
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, g), (_, expected) in zip(got, want):
+            assert np.array_equal(g, expected), name
+        assert np.array_equal(scratch["grad_X"][: want_X.size].reshape(want_X.shape), want_X)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,11 +31,17 @@ class TestFiniteDifferenceCheck:
         assert snapshot(arrays) == before
 
     def test_names_tensor_and_index_of_a_wrong_entry(self):
+        # Both numbers read as plain float literals, never np.float64(...),
+        # also when the objective returns a NumPy scalar.
+        number = r"-?\d+\.\d+(e-?\d+)?"
         arrays, grads, objective = cubes()
         grads["a"][1, 2] += 10 * TOL
         before = snapshot(arrays)
-        with pytest.raises(AssertionError, match=r"in a at \(1, 2\)"):
-            finite_difference_check(objective, arrays, grads, EPS, TOL)
+        for returns in (objective, lambda: np.float64(objective())):
+            with pytest.raises(AssertionError) as caught:
+                finite_difference_check(returns, arrays, grads, EPS, TOL)
+            assert re.fullmatch(rf"gradient mismatch in a at \(1, 2\): finite difference "
+                                rf"{number}, gradient {number}", str(caught.value)), caught.value
         assert snapshot(arrays) == before
 
     def test_restores_the_entry_when_the_objective_raises(self):

@@ -163,15 +163,22 @@ class TestShiftEquivariance:
                 assert np.array_equal(out[:, i], base[:, i - 1]), f"h={h} col={i}"
 
 
+def grad_buffer(X, W):
+    """A flat gradient buffer of the size conv_scale_backward needs for the
+    B x n x k batch X and the M x h*k filters W."""
+    (B, n, k), (M, hk) = X.shape, W.shape
+    return np.empty(max(B * (n - hk // k + 1), M) * hk)
+
+
 def backward_all(X, bank, upstream):
     """width -> conv_scale_backward's (grad_W, grad_b), and grad_X summed
     over the widths in ascending order, as model.backward_sample runs them,
-    each width's grad_W in an array of its own."""
+    each width's gradients in a buffer of its own."""
     scratch = {}
     pooled = multiscale_forward(X, bank, scratch)
     gX = np.zeros_like(X)
     grads = {h: conv_scale_backward(X, bank[h][0], *pooled[h], upstream[h], gX,
-                                    np.empty_like(bank[h][0]), scratch)
+                                    grad_buffer(X, bank[h][0]), scratch)
              for h in sorted(bank)}
     return grads, gX
 
@@ -194,7 +201,7 @@ class TestMultiscaleBackward:
         pooled = multiscale_forward(X, bank, scratch)
         upstream = rng.normal(size=M)
         _, gb = conv_scale_backward(X, bank[4][0], *pooled[4], upstream[None], np.zeros_like(X),
-                                    np.empty_like(bank[4][0]), scratch)
+                                    grad_buffer(X, bank[4][0]), scratch)
         gate = pooled[4][0][0] > 0
         assert np.array_equal(gb, upstream * gate)
 
@@ -211,7 +218,7 @@ class TestMultiscaleBackward:
         assert np.array_equal(pool_argmax(fmap, values), np.zeros((2, 4), dtype=int))
         gX = np.zeros_like(X)
         conv_scale_backward(X, bank[3][0], values, fmap, np.ones((2, 4)), gX,
-                            np.empty_like(bank[3][0]), scratch)
+                            grad_buffer(X, bank[3][0]), scratch)
         assert gX[:, :3].all() and not gX[:, 3:].any()
 
     def test_results_held_together_equal_single_calls(self):
@@ -225,7 +232,7 @@ class TestMultiscaleBackward:
         pooled = multiscale_forward(X, bank, scratch)
         alone = {h: [g.copy() for g in conv_scale_backward(
                      X, bank[h][0], *pooled[h], upstream[h], np.zeros_like(X),
-                     np.empty_like(bank[h][0]), scratch)]
+                     grad_buffer(X, bank[h][0]), scratch)]
                  for h in bank}
         held, _ = backward_all(X, bank, upstream)
         for h in bank:
@@ -241,7 +248,7 @@ class TestMultiscaleBackward:
         for grad_up in (np.zeros((1, 4)), np.zeros(3)):
             with pytest.raises(ValueError):
                 conv_scale_backward(X, bank[2][0], values, fmap, grad_up, np.zeros_like(X),
-                                    np.empty_like(bank[2][0]), scratch)
+                                    grad_buffer(X, bank[2][0]), scratch)
 
     def test_matches_finite_differences_on_kink_free_instances(self):
         check_multiscale_gradients(make_rng(12), 50)

@@ -590,9 +590,10 @@ def scratch_creations():
 class TestScratchRoles:
     """A call runs all its batches in one scratch and creates each role's
     buffer once, at the size of its largest request: the first batch is
-    the largest, and the two roles that grow with the width, "grad_W" and
-    "grad_windows", reserve a size no width exceeds. A buffer replaced
-    mid-call would be garbage, and freeing it can raise the peak RSS."""
+    the largest, and "grad", which every width's window and filter
+    gradients and then the reduction gradient take turns in, is asked for
+    at the largest of them all at once. A buffer replaced mid-call would be
+    garbage, and freeing it can raise the peak RSS."""
 
     @staticmethod
     def run_both(params, samples, cfg):
@@ -616,9 +617,9 @@ class TestScratchRoles:
         maps = [(f"map/h{h}", [B * (n - h + 1) * M]) for h in shape.widths]
         forward = [("rows", [B * n * D]), ("dense", [B * n * k]), maps[0],
                    ("offset", [B * (n - 1) * k]), ("product", [B * (n - 1) * M]), *maps[1:]]
-        backward = [("grad_X", [B * n * k]), ("grad_W", [M * max(shape.widths) * k]),
-                    ("grad_windows", [B * ((n + 1) ** 2 // 4) * k]), ("block", [OPT_BLOCK]),
-                    ("grad_reduction", [D * k])]
+        # The widest filter gradient, M*6*k, is the largest of the three.
+        assert max(D, *(max(B * (n - h + 1), M) * h for h in shape.widths)) * k == 393_216
+        backward = [("grad_X", [B * n * k]), ("grad", [393_216]), ("block", [OPT_BLOCK])]
         epoch = [forward[0], ("masks", [B * len(shape.widths) * M]), *forward[1:], *backward]
         assert [list(roles.items()) for roles in trained] == [epoch]
         assert [list(roles.items()) for roles in evaluated] == [forward]
@@ -627,17 +628,25 @@ class TestScratchRoles:
     @settings(max_examples=40, derandomize=True, deadline=None)
     def test_drawn_widths(self, n, data):
         widths = data.draw(st.sets(st.integers(2, n), min_size=1), "widths")
-        shape = ModelShapeSpec(5, 3, n, tuple(widths), data.draw(st.integers(1, 6), "M"), 3)
+        batch_size = data.draw(st.integers(1, 4), "batch size")
+        N = data.draw(st.integers(1, 9), "N")
+        B = min(batch_size, N)
+        # Up to twice the smallest width's windows, so some widths' window
+        # gradients outgrow their filter gradients (B*(n-h+1) > M) and some not.
+        M = data.draw(st.integers(1, 2 * B * (n - min(widths) + 1)), "M")
+        shape = ModelShapeSpec(5, 3, n, tuple(widths), M, 3)
         rng = make_rng(data.draw(st.integers(0, 2**16), "seed"))
         samples = [Sample(str(i), rng.normal(size=(int(rng.integers(1, 2 * n)), 5)), i % 3)
-                   for i in range(data.draw(st.integers(1, 9), "N"))]
-        cfg = TrainConfig(batch_size=data.draw(st.integers(1, 4), "batch size"),
+                   for i in range(N)]
+        cfg = TrainConfig(batch_size=batch_size,
                           dropout_keep=data.draw(st.sampled_from([1.0, 0.5]), "keep"))
         trained, evaluated = self.run_both(init_model(shape, rng), samples, cfg)
         for roles in trained + evaluated:
             assert all(len(sizes) == 1 for sizes in roles.values()), roles
         assert len(trained) == len(evaluated) == 1
-        assert {"grad_W", "grad_windows", "block"} <= set(trained[0])
+        assert {"grad", "block"} <= set(trained[0])
+        largest = max(5, *(max(B * (n - h + 1), M) * h for h in widths)) * 3
+        assert trained[0]["grad"] == [largest]
 
 
 class TestFit:
