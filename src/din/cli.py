@@ -190,21 +190,29 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        state = trainer.fit(params, train_split, val_split, cfg.train, state)
-    except BaseException:
-        for d in created:  # deepest first; rmdir leaves one that is not empty
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-    for report in state.history:
-        print(
-            f"epoch {report.epoch}: train_loss={report.train_loss:.6f} "
-            f"val_loss={report.val_loss:.6f} val_acc={report.val_accuracy:.4f} "
-            f"lr={report.current_lr:g}"
-        )
-    ckpt_path = out_dir / "checkpoint.ckpt"
-    data_io.save_checkpoint(ckpt_path, params, state, cfg.train)
+    with contextlib.ExitStack() as stack:
+        try:
+            # The best snapshot lives in an unlinked file in out_dir, not in memory.
+            best = stack.enter_context(data_io.SnapshotFile(cfg.shape, out_dir))
+            if state is None:
+                state = trainer.TrainState.fresh(params, cfg.train, best)
+            elif state.best_params is not None:  # move the loaded best/ group into the file
+                best.capture(state.best_params)
+                state.best_params = best
+            state = trainer.fit(params, train_split, val_split, cfg.train, state)
+        except BaseException:
+            for d in created:  # deepest first; rmdir leaves one that is not empty
+                with contextlib.suppress(OSError):
+                    d.rmdir()
+            raise
+        for report in state.history:
+            print(
+                f"epoch {report.epoch}: train_loss={report.train_loss:.6f} "
+                f"val_loss={report.val_loss:.6f} val_acc={report.val_accuracy:.4f} "
+                f"lr={report.current_lr:g}"
+            )
+        ckpt_path = out_dir / "checkpoint.ckpt"
+        data_io.save_checkpoint(ckpt_path, params, state, cfg.train)
     history_doc = {
         "reports": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,

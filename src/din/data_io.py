@@ -34,12 +34,13 @@ round-trip float64 exactly.
 
 Checkpoint I/O moves each tensor's bytes once, between the file and the
 array that owns them. A save writes every payload straight from its
-array's buffer. A load reads each payload it keeps into a fresh aligned
-float64 array (readinto) and seeks over the payloads of the groups it was
-not asked for; inference reads only "param/" or "best/". Either way the
-whole tensor directory is walked and checked: names, dims, each payload's
-end against the file size before anything is allocated, duplicates and
-trailing bytes.
+array's buffer; a best snapshot kept in a `SnapshotFile` streams from that
+file through one buffer of at most SNAPSHOT_BLOCK bytes. A load reads each
+payload it keeps into a fresh aligned float64 array (readinto) and seeks
+over the payloads of the groups it was not asked for; inference reads
+only "param/" or "best/". Either way the whole tensor directory is walked
+and checked: names, dims, each payload's end against the file size before
+anything is allocated, duplicates and trailing bytes.
 """
 
 from __future__ import annotations
@@ -49,13 +50,15 @@ import json
 import math
 import os
 import struct
+import tempfile
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Collection
 
 import numpy as np
 
-from .model import ModelParams, ModelShapeSpec, check_parameter_shapes
+from .model import ModelParams, ModelShapeSpec, check_parameter_shapes, parameter_shapes
 from .numerics import Array, from_fields, make_rng, require_fields
 from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
 
@@ -122,17 +125,20 @@ class Sample:
     label: int
 
 
-def atomic_write_bytes(path: Path, *buffers) -> None:
-    """Write the buffers (bytes or any C-contiguous buffer) one after the
-    other to a new temporary file beside `path`, then rename it over `path`.
+def atomic_write_bytes(path: Path, *parts) -> None:
+    """Write the parts one after the other to a new temporary file beside
+    `path`, then rename it over `path`. A part is bytes or any C-contiguous
+    buffer, or a streamed part: an iterator of such buffers, each written
+    before the next is asked for (so it may reuse one buffer).
     The temporary file has a short random name and is created exclusively
     ("x": O_CREAT | O_EXCL, mode 0o666 less the umask). If anything fails,
     it is removed and `path` is left as it was."""
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
-            for buffer in buffers:
-                f.write(buffer)
+            for part in parts:
+                for buffer in part if isinstance(part, Iterator) else (part,):
+                    f.write(buffer)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -362,6 +368,61 @@ def write_synth_dataset(config: SyntheticTaskConfig, out_dir: str | Path) -> Pat
     return manifest_path
 
 
+# Bytes per read when a save streams a snapshot file's payloads.
+SNAPSHOT_BLOCK = 1 << 20
+
+
+class SnapshotFile:
+    """A best-epoch snapshot kept in an unlinked temporary file inside a
+    directory: the float64 payloads of a model's parameters in
+    parameter-table order, and nothing else. The file has no name from its
+    creation on (O_TMPFILE, or an unlink right after it where the file
+    system lacks that), so it leaves nothing behind, even after a kill. Its
+    pages are file cache that the kernel can write back and evict, not the
+    process's anonymous memory. `fit` captures into it and `save_checkpoint`
+    writes it as the "best/" group, as they do an in-memory snapshot
+    (`ModelParams`). Use it as a context manager: leaving it closes the file."""
+
+    def __init__(self, shape: ModelShapeSpec, directory: str | Path):
+        self.shape = shape
+        self._file = tempfile.TemporaryFile(dir=directory)
+
+    def __enter__(self) -> "SnapshotFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def capture(self, params: ModelParams) -> None:
+        """Overwrite the snapshot with the parameters' values."""
+        if params.shape != self.shape:
+            raise ValueError("the parameters' shape differs from the snapshot's")
+        self._file.seek(0)
+        for arr in params.tensors.values():
+            self._file.write(np.ascontiguousarray(arr, dtype="<f8"))
+        self._file.flush()
+
+    def payloads(self) -> Iterator[tuple[str, tuple[int, ...], Iterator[memoryview]]]:
+        """(name, dims, payload as a streamed part) of every tensor, in table
+        order. All parts read the file through one buffer of at most
+        SNAPSHOT_BLOCK bytes: a chunk is valid until the next one is read."""
+        dims = parameter_shapes(self.shape)
+        sizes = {name: 8 * math.prod(d) for name, d in dims.items()}
+        buffer = memoryview(bytearray(min(SNAPSHOT_BLOCK, max(sizes.values()))))
+        offset = 0
+        for name, nbytes in sizes.items():
+            yield name, dims[name], self._read(offset, nbytes, buffer)
+            offset += nbytes
+
+    def _read(self, offset: int, nbytes: int, buffer: memoryview) -> Iterator[memoryview]:
+        fd = self._file.fileno()
+        for lo in range(offset, offset + nbytes, len(buffer)):
+            chunk = buffer[: min(len(buffer), offset + nbytes - lo)]
+            if os.preadv(fd, [chunk], lo) != len(chunk):
+                raise ValueError("the snapshot file is shorter than its tensors")
+            yield chunk
+
+
 @dataclass
 class CheckpointData:
     """A loaded checkpoint. A tensor group the load did not ask for is None:
@@ -386,7 +447,8 @@ def save_checkpoint(
     config: TrainConfig,
 ) -> None:
     """Serialize model, optimizer and training bookkeeping, atomically.
-    Payloads are written from the arrays' own buffers, not copied."""
+    Payloads are written from the arrays' own buffers, not copied; a
+    `SnapshotFile` best snapshot streams from its file."""
     opt = state.optimizer
     meta = {
         "config": asdict(config),
@@ -404,20 +466,23 @@ def save_checkpoint(
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     groups = {"param": model.tensors, "velocity": opt.velocity}
-    if state.best_params is not None:
-        groups["best"] = state.best_params.tensors
-    tensors = [(f"{prefix}/{name}", arr) for prefix, named in groups.items()
-               for name, arr in named.items()]
-    buffers = [
+    best = state.best_params
+    if isinstance(best, ModelParams):
+        groups["best"] = best.tensors
+    # (name, dims, payload); no copy for live float64 tensors.
+    tensors = [(f"{prefix}/{name}", arr.shape, np.ascontiguousarray(arr, dtype="<f8"))
+               for prefix, named in groups.items() for name, arr in named.items()]
+    if isinstance(best, SnapshotFile):
+        tensors += [(f"best/{name}", dims, part) for name, dims, part in best.payloads()]
+    parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)),
         meta_bytes,
         struct.pack("<I", len(tensors)),
     ]
-    for name, arr in tensors:
-        payload = np.ascontiguousarray(arr, dtype="<f8")  # no copy for live float64 tensors
-        buffers += [_tensor_entry(name, payload.shape), payload]
-    atomic_write_bytes(Path(path), *buffers)
+    for name, dims, payload in tensors:
+        parts += [_tensor_entry(name, dims), payload]
+    atomic_write_bytes(Path(path), *parts)
 
 
 def _read_checkpoint(

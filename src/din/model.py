@@ -126,6 +126,12 @@ class ModelParams:
         )
         self.tensors = {name: self.tensors[name] for name in expected}
 
+    def capture(self, params: "ModelParams") -> None:
+        """Overwrite these tensors in place with the values of `params`
+        (a best snapshot taking the current parameters)."""
+        for name, arr in self.tensors.items():
+            np.copyto(arr, params.tensors[name])
+
     def _pair(self, layer: str) -> tuple[Array, Array]:
         return self.tensors[f"{layer}/weights"], self.tensors[f"{layer}/bias"]
 

@@ -21,7 +21,7 @@ from .model import EVAL_BATCH, ModelParams, backward_sample, batches, clone_para
 from .numerics import Array, cross_entropy_from_logits, make_rng, require_fields, scratch_view
 
 if TYPE_CHECKING:
-    from .data_io import Sample
+    from .data_io import Sample, SnapshotFile
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,13 @@ class EpochReport:
 @dataclass
 class TrainState:
     """Everything fit() accumulates; checkpointing this resumes a run exactly.
-    The history holds one report per completed epoch, in order."""
+    The history holds one report per completed epoch, in order. The best
+    snapshot is in memory (ModelParams) or in a file (data_io.SnapshotFile);
+    fit captures into either the same way."""
 
     optimizer: OptimizerState
     history: list[EpochReport] = field(default_factory=list)
-    best_params: ModelParams | None = None
+    best_params: ModelParams | SnapshotFile | None = None
     best_epoch: int = -1
     best_val_accuracy: float = -1.0
 
@@ -116,8 +118,16 @@ class TrainState:
             raise ValueError(f"best_epoch {self.best_epoch} is neither -1 nor a completed epoch")
 
     @classmethod
-    def fresh(cls, params: ModelParams, config: TrainConfig) -> "TrainState":
-        return cls(OptimizerState.init(params, config), [], clone_params(params))
+    def fresh(
+        cls, params: ModelParams, config: TrainConfig, best: SnapshotFile | None = None
+    ) -> "TrainState":
+        """The state before the first epoch. Its best snapshot holds the
+        initial parameters: `best` after capturing them, or a clone."""
+        if best is None:
+            best = clone_params(params)
+        else:
+            best.capture(params)
+        return cls(OptimizerState.init(params, config), [], best)
 
 
 # Elements per optimizer block: a block's parameter, velocity, gradient and
@@ -286,8 +296,7 @@ def fit(
             if state.best_params is None:
                 state.best_params = clone_params(params)
             else:  # in place: two snapshots never coexist
-                for name, arr in state.best_params.tensors.items():
-                    np.copyto(arr, params.tensors[name])
+                state.best_params.capture(params)
             state.best_epoch = epoch
             state.best_val_accuracy = val_accuracy
         plateau_update(opt, 1.0 - val_accuracy, config)

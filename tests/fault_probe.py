@@ -26,12 +26,22 @@ then of the other, and the side that goes first flips from run to run.
 For each command it then prints both sides' medians and, for
 ``maxrss_mb`` and ``wall_s``, the number of runs in which each side read
 lower (a tie counts for neither).
+
+Each side writes its artifacts into a directory of its own per run. After
+every run it prints the sha256 of each artifact, side by side (the
+checkpoint, history.json and config.json of ``din train``, or the three
+CSVs of the inference commands; run_meta.json holds wall-clock times and
+is skipped), marks each ``same`` or ``MISMATCH`` with ``--against``, and
+removes them. The last line says in how many runs the sides' artifacts
+differed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,19 +50,27 @@ import time
 from pathlib import Path
 
 
-def commands(inputs: Path, work: Path, tag: str) -> list[tuple[str, list[str]]]:
+def commands(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of each command, writing its artifacts under `out`."""
     if not (inputs / "model").exists():  # paper_train inputs
         return [("train", ["train", "--config", str(inputs / "config.json"), "--manifest",
-                           str(inputs / "manifest.json"), "--out-dir", str(work / f"run{tag}")])]
+                           str(inputs / "manifest.json"), "--out-dir", str(out / "run")])]
     model = ["--checkpoint", str(inputs / "model" / "checkpoint.ckpt"),
              "--manifest", str(inputs / "manifest.json"), "--split", "test"]
     return [
         ("eval", ["eval", *model]),
-        ("predict", ["predict", *model, "--out", str(work / "predictions.csv")]),
-        ("export-features", ["export-features", *model, "--out", str(work / "features.csv")]),
+        ("predict", ["predict", *model, "--out", str(out / "predictions.csv")]),
+        ("export-features", ["export-features", *model, "--out", str(out / "features.csv")]),
         ("export-responses", ["export-responses", *model, "--width", "3",
-                              "--out", str(work / "responses.csv")]),
+                              "--out", str(out / "responses.csv")]),
     ]
+
+
+def artifact_digests(out: Path) -> dict[str, str]:
+    """Path under `out` -> sha256 of every file the commands wrote there,
+    except run_meta.json (wall-clock times)."""
+    return {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file() and path.name != "run_meta.json"}
 
 
 def run_once(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, int, float]:
@@ -93,16 +111,29 @@ def main() -> None:
     envs = {side: child_env(checkout) for side, checkout in sides.items()}
     # results[side][command] holds one (wall, faults, rss) row per run.
     results: dict[str, dict[str, list[tuple[float, int, float]]]] = {side: {} for side in sides}
+    mismatches = 0
     with tempfile.TemporaryDirectory(prefix="fault_probe_") as tmp:
         work = Path(tmp)
         for run in range(args.runs):
             order = list(sides) if run % 2 == 0 else list(sides)[::-1]
+            digests = {}
             for side in order:
-                for name, argv in commands(inputs, work, f"{side}{run}"):
+                out = work / f"{side}{run}"
+                out.mkdir()
+                for name, argv in commands(inputs, out):
                     wall, faults, rss = run_once(argv, envs[side], work)
                     results[side].setdefault(name, []).append((wall, faults, rss))
                     print(f"run {run} {side} {name:<16} wall_s {wall:.4f} minflt {faults} "
                           f"maxrss_mb {rss:.2f}")
+                digests[side] = artifact_digests(out)
+                shutil.rmtree(out)
+            for artifact in sorted(set().union(*digests.values())):
+                found = [digests[side].get(artifact, "missing") for side in sides]
+                verdict = ("" if len(sides) == 1 else
+                           " same" if len(set(found)) == 1 else " MISMATCH")
+                mismatches += verdict == " MISMATCH"
+                print(f"run {run} sha256 {artifact:<24} "
+                      f"{' '.join(f'{side} {d}' for side, d in zip(sides, found))}{verdict}")
     for side, commands_run in results.items():
         for name, rows in commands_run.items():
             wall, faults, rss = (statistics.median(column) for column in zip(*rows))
@@ -117,6 +148,8 @@ def main() -> None:
                 b = sum(rb[column] < ra[column] for ra, rb in pairs)
                 counts.append(f"{metric} A {a} B {b}")
             print(f"lower {name:<16} {' '.join(counts)} of {len(pairs)} runs")
+        print(f"artifacts differ in {mismatches} of {args.runs} runs" if mismatches
+              else f"artifacts identical in all {args.runs} runs")
 
 
 if __name__ == "__main__":

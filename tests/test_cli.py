@@ -1,10 +1,14 @@
 import argparse
 import contextlib
+import glob
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -402,6 +406,81 @@ def add_third_class(data_dir):
     next(r for r in manifest["samples"] if r["split"] == "val")["label"] = 2
     path.write_text(json.dumps(manifest))
     return path
+
+
+def open_files(pid):
+    """The paths a process has open, as /proc/<pid>/fd shows them."""
+    paths = []
+    for fd in glob.glob(f"/proc/{pid}/fd/*"):
+        with contextlib.suppress(OSError):  # closed since the glob
+            paths.append(os.readlink(fd))
+    return paths
+
+
+class TestBestSnapshotFile:
+    """`din train` keeps its best snapshot in an unlinked file in --out-dir,
+    so it holds the model twice (parameters and velocity), not three times."""
+
+    SHAPE = {"raw_dim": 512, "feat_dim": 128, "num_frames": 8, "widths": [2, 3, 4, 5, 6],
+             "num_filters": 128, "num_classes": 2}
+
+    def test_train_holds_parameters_velocity_and_one_batch_scratch(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "shape": self.SHAPE,
+            "train": {"batch_size": 32, "max_epochs": 2, "initial_lr": 0.01,
+                      "dropout_keep": 0.5, "seed": 3},
+            "synth": {"feature_dim": 512, "samples_per_class": 32, "val_samples_per_class": 16,
+                      "sequence_length": 12, "seed": 3},
+        }))
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
+        train = ["train", "--config", str(cfg), "--manifest", str(tmp_path / "data/manifest.json")]
+        # One untraced run measures the largest scratch a call's batches fill.
+        real_batches, scratch_bytes = trainer.batches, []
+
+        def measured_batches(*args, **kwargs):
+            for item in real_batches(*args, **kwargs):
+                yield item
+                scratch_bytes.append(sum(a.nbytes for a in item[3].values()))
+
+        monkeypatch.setattr(trainer, "batches", measured_batches)
+        assert main([*train, "--out-dir", str(tmp_path / "measure")]) == 0
+        monkeypatch.setattr(trainer, "batches", real_batches)
+        tracemalloc.start()
+        try:
+            assert main([*train, "--out-dir", str(tmp_path / "run")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = 8 * count_parameters(ModelShapeSpec(**self.SHAPE)).total  # 3.2 MB
+        # A third model-size tensor set (an in-memory snapshot) exceeds the slack.
+        assert peak < 2 * model + max(scratch_bytes) + model // 2
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "checkpoint.ckpt", "config.json", "history.json", "run_meta.json"]
+        assert ((tmp_path / "run/checkpoint.ckpt").read_bytes()
+                == (tmp_path / "measure/checkpoint.ckpt").read_bytes())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd")
+    def test_killed_run_leaves_no_snapshot_file(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        data_dir, out_dir = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "din.cli", "train", "--config", str(cfg), "--manifest",
+             str(data_dir / "manifest.json"), "--out-dir", str(out_dir), "--max-epochs", "1000000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env())
+        try:  # kill it once it has its snapshot file open
+            deadline = time.monotonic() + 60
+            while not any(path.startswith(f"{out_dir.resolve()}/")
+                          for path in open_files(proc.pid)):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert list(out_dir.iterdir()) == []
 
 
 class TestEvalPredict:

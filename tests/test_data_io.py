@@ -8,10 +8,11 @@ import re
 import stat
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from din.data_io import (
@@ -22,6 +23,7 @@ from din.data_io import (
     FormatError,
     ManifestError,
     ManifestEntry,
+    SnapshotFile,
     SyntheticTaskConfig,
     atomic_write_bytes,
     load_checkpoint,
@@ -919,6 +921,121 @@ class TestStreamedCheckpoints:
         at = data.draw(st.integers(0, len(blob) - 1))
         flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
         check_group_loads_agree(path, bytes(flipped))
+
+
+@st.composite
+def snapshot_runs(draw):
+    """(shape, config, synth task, resume_at, block): a small model and
+    training run, the epoch it is resumed at (None: not resumed) and a
+    snapshot read block of a few bytes."""
+    n = draw(st.integers(2, 6))
+    raw_dim = draw(st.integers(1, 5))
+    shape = ModelShapeSpec(raw_dim, draw(st.integers(1, raw_dim)), n,
+                           tuple(draw(st.lists(st.integers(2, n), min_size=1, max_size=3,
+                                               unique=True))),
+                           draw(st.integers(1, 4)), draw(st.integers(2, 3)))
+    config = TrainConfig(batch_size=draw(st.integers(1, 4)),
+                         initial_lr=draw(st.sampled_from([0.0, 0.05, 0.5])),
+                         max_epochs=draw(st.integers(0, 3)),
+                         dropout_keep=draw(st.sampled_from([0.5, 1.0])),
+                         seed=draw(st.integers(0, 99)))
+    task = SyntheticTaskConfig(num_prototypes=2, feature_dim=raw_dim, sequence_length=n,
+                               samples_per_class=draw(st.integers(1, 3)),
+                               val_samples_per_class=draw(st.integers(1, 3)),
+                               seed=config.seed)
+    resume_at = draw(st.none() | st.integers(0, config.max_epochs))
+    return shape, config, task, resume_at, draw(st.integers(1, 64))
+
+
+def train_and_save(path, shape, config, splits, resume_at, best_file=None):
+    """Train as `din train` does and save the checkpoint to `path`: from
+    fresh parameters, or resumed from a checkpoint of the first `resume_at`
+    epochs. With `best_file` the best snapshot is kept in that SnapshotFile,
+    else in memory. Returns the final state."""
+    params, state = init_model(shape, init_rng(config.seed)), None
+    if resume_at is not None:
+        first = dataclasses.replace(config, max_epochs=resume_at)
+        halfway = path.with_suffix(".halfway")
+        save_checkpoint(halfway, params, fit(params, splits["train"], splits["val"], first), first)
+        loaded = load_checkpoint(halfway)
+        params, state = loaded.model, loaded.state
+    if best_file is not None:
+        if state is None:
+            state = TrainState.fresh(params, config, best_file)
+        elif state.best_params is not None:
+            best_file.capture(state.best_params)
+            state.best_params = best_file
+    state = fit(params, splits["train"], splits["val"], config, state)
+    save_checkpoint(path, params, state, config)
+    return state
+
+
+# Three epochs whose validation accuracy rises every epoch (0.5, 0.75, 0.875).
+IMPROVING = TrainConfig(max_epochs=3, initial_lr=0.05, batch_size=4, seed=0)
+IMPROVING_TASK = SyntheticTaskConfig(feature_dim=4, samples_per_class=4,
+                                     val_samples_per_class=4, seed=0)
+
+
+class TestSnapshotFile:
+    """A best snapshot in an unlinked file saves exactly as one in memory."""
+
+    @given(run=snapshot_runs())
+    @example(run=(TINY_SHAPE, TrainConfig(max_epochs=0), SyntheticTaskConfig(feature_dim=4),
+                  None, 8))
+    @example(run=(TINY_SHAPE, IMPROVING, IMPROVING_TASK, None, 24))
+    @example(run=(TINY_SHAPE, TrainConfig(max_epochs=2, initial_lr=0.0),
+                  SyntheticTaskConfig(feature_dim=4, samples_per_class=2), None, 7))
+    @example(run=(TINY_SHAPE, IMPROVING, IMPROVING_TASK, 1, 5))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_save_writes_the_bytes_of_an_in_memory_snapshot(self, tmp_path_factory, run):
+        # The examples pin the cases: no epochs, a last epoch that improves
+        # (every epoch of IMPROVING does), a last epoch that does not (lr 0
+        # keeps the validation accuracy), and a resumed run.
+        shape, config, task, resume_at, block = run
+        splits = synth_order_task(dataclasses.replace(task, sequence_length=shape.num_frames))
+        root = tmp_path_factory.mktemp("snapshot")
+        state = train_and_save(root / "memory.ckpt", shape, config, splits, resume_at)
+        with mock.patch.object(data_io_mod, "SNAPSHOT_BLOCK", block), \
+                SnapshotFile(shape, root) as best_file:
+            train_and_save(root / "file.ckpt", shape, config, splits, resume_at, best_file)
+        assert (root / "file.ckpt").read_bytes() == (root / "memory.ckpt").read_bytes()
+        halfway = ["file.halfway", "memory.halfway"] if resume_at is not None else []
+        assert sorted(p.name for p in root.iterdir()) == sorted(["file.ckpt", "memory.ckpt",
+                                                                 *halfway])
+        if config == IMPROVING:
+            assert state.best_epoch == 2 and state.history[1].val_accuracy < state.best_val_accuracy
+        improved = config.max_epochs > 0 and state.best_epoch == config.max_epochs - 1
+        event(f"epochs {config.max_epochs}, last improves {improved}, "
+              f"resumed {resume_at is not None}")
+
+    def test_save_streams_through_one_block(self, tmp_path):
+        params = init_model(MEMORY_SHAPE, make_rng(4))
+        largest = max(arr.nbytes for arr in params.tensors.values())
+        for block in (largest // 3, 4 * largest):
+            with mock.patch.object(data_io_mod, "SNAPSHOT_BLOCK", block), \
+                    SnapshotFile(MEMORY_SHAPE, tmp_path) as best_file:
+                state = TrainState.fresh(params, TrainConfig(), best_file)
+                path = tmp_path / "big.ckpt"
+                peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig()))
+            assert peak <= min(block, largest) + 64 * 1024
+            loaded = load_checkpoint(path, groups=("best",)).state.best_params
+            for name, arr in params.tensors.items():
+                assert np.array_equal(loaded.tensors[name], arr)
+
+    def test_file_has_no_name_and_recaptures_in_place(self, tmp_path):
+        params = init_model(TINY_SHAPE, make_rng(123))
+        with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
+            assert list(tmp_path.iterdir()) == []
+            best_file.capture(init_model(TINY_SHAPE, make_rng(5)))
+            state = TrainState.fresh(params, TrainConfig(), best_file)
+            save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig())
+            assert list(tmp_path.iterdir()) == [tmp_path / "a.ckpt"]
+        assert (tmp_path / "a.ckpt").read_bytes() == pinned_checkpoint(tmp_path / "pin.ckpt")
+
+    def test_rejects_another_shape(self, tmp_path):
+        with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
+            with pytest.raises(ValueError, match="shape"):
+                best_file.capture(init_model(MEMORY_SHAPE, make_rng(4)))
 
 
 class TestCenterRowMemory:
