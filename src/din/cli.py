@@ -124,7 +124,7 @@ def _load_model_for_inference(args):
         raise ValueError("--checkpoint is required")
     if not args.use_best:
         return data_io.load_checkpoint(args.checkpoint, groups=("param",)).model
-    best = data_io.load_checkpoint(args.checkpoint, groups=("best",)).state.best_params
+    best = data_io.load_checkpoint(args.checkpoint, groups=("best",)).best
     if best is None:
         raise ValueError("checkpoint has no best-model snapshot")
     return best
@@ -157,8 +157,10 @@ def cmd_synth(args) -> int:
 
 
 def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
-    """A resumed run keeps the checkpoint's shape and train config; only
-    max_epochs may change."""
+    """A resumed run needs the checkpoint's best snapshot and keeps its
+    shape and train config; only max_epochs may change."""
+    if ckpt.best is None:
+        raise ValueError(f"{path}: cannot resume a checkpoint without a best-model snapshot")
     diffs = [
         f"{section}.{f.name} {getattr(theirs, f.name)!r} -> {getattr(ours, f.name)!r}"
         for section, ours, theirs in (("shape", cfg.shape, ckpt.model.shape),
@@ -180,13 +182,12 @@ def cmd_train(args) -> int:
     if not val_split:
         raise ValueError("validation split is empty")
     started = time.time()
-    state = None
-    if args.resume:
-        ckpt = data_io.load_checkpoint(args.resume)
-        _check_resume(args.resume, cfg, ckpt)
-        params, state = ckpt.model, ckpt.state
-    else:
+    ckpt = data_io.load_checkpoint(args.resume) if args.resume else None
+    if ckpt is None:
         params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
+    else:
+        _check_resume(args.resume, cfg, ckpt)
+        params = ckpt.model
     out_dir = Path(args.out_dir)
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,10 +195,11 @@ def cmd_train(args) -> int:
         try:
             # The best snapshot lives in an unlinked file in out_dir, not in memory.
             best = stack.enter_context(data_io.SnapshotFile(cfg.shape, out_dir))
-            if state is None:
+            if ckpt is None:
                 state = trainer.TrainState.fresh(params, cfg.train, best)
-            elif state.best_params is not None:  # move the loaded best/ group into the file
-                best.capture(state.best_params)
+            else:  # move the loaded best/ group into the file, and free it
+                best.capture(ckpt.best)
+                state, ckpt = ckpt.state, None
                 state.best_params = best
             state = trainer.fit(params, train_split, val_split, cfg.train, state)
         except BaseException:

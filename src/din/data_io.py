@@ -34,13 +34,14 @@ round-trip float64 exactly.
 
 Checkpoint I/O moves each tensor's bytes once, between the file and the
 array that owns them. A save writes every payload straight from its
-array's buffer; a best snapshot kept in a `SnapshotFile` streams from that
-file through one buffer of at most SNAPSHOT_BLOCK bytes. A load reads each
-payload it keeps into a fresh aligned float64 array (readinto) and seeks
-over the payloads of the groups it was not asked for; inference reads
-only "param/" or "best/". Either way the whole tensor directory is walked
-and checked: names, dims, each payload's end against the file size before
-anything is allocated, duplicates and trailing bytes.
+array's buffer, but the best snapshot's: a `SnapshotFile` holds the "best/"
+group in this layout, and a save appends its bytes through one buffer of at
+most SNAPSHOT_BLOCK bytes. A load reads each payload it keeps into a fresh
+aligned float64 array (readinto) and seeks over the tensors of the groups
+it was not asked for; inference reads only "param/" or "best/". Either way
+the whole tensor directory is walked and checked: names, dims (none of 0),
+each payload's end against the file size before anything is allocated,
+duplicates and trailing bytes.
 """
 
 from __future__ import annotations
@@ -368,20 +369,20 @@ def write_synth_dataset(config: SyntheticTaskConfig, out_dir: str | Path) -> Pat
     return manifest_path
 
 
-# Bytes per read when a save streams a snapshot file's payloads.
-SNAPSHOT_BLOCK = 1 << 20
+# Bytes per read when a save streams a snapshot file.
+SNAPSHOT_BLOCK = 1 << 16
 
 
 class SnapshotFile:
     """A best-epoch snapshot kept in an unlinked temporary file inside a
-    directory: the float64 payloads of a model's parameters in
-    parameter-table order, and nothing else. The file has no name from its
-    creation on (O_TMPFILE, or an unlink right after it where the file
-    system lacks that), so it leaves nothing behind, even after a kill. Its
-    pages are file cache that the kernel can write back and evict, not the
-    process's anonymous memory. `fit` captures into it and `save_checkpoint`
-    writes it as the "best/" group, as they do an in-memory snapshot
-    (`ModelParams`). Use it as a context manager: leaving it closes the file."""
+    directory: a model's parameters as a checkpoint's "best/" group, each
+    tensor's directory entry then its float64 payload, in parameter-table
+    order. The file has no name from its creation on (O_TMPFILE, or an
+    unlink right after it where the file system lacks that), so it leaves
+    nothing behind, even after a kill. Its pages are file cache that the
+    kernel can write back and evict, not the process's anonymous memory.
+    `fit` captures into it and `save_checkpoint` copies it. Use it as a
+    context manager: leaving it closes the file."""
 
     def __init__(self, shape: ModelShapeSpec, directory: str | Path):
         self.shape = shape
@@ -398,40 +399,34 @@ class SnapshotFile:
         if params.shape != self.shape:
             raise ValueError("the parameters' shape differs from the snapshot's")
         self._file.seek(0)
-        for arr in params.tensors.values():
+        for name, arr in params.tensors.items():
+            self._file.write(_tensor_entry(f"best/{name}", arr.shape))
             self._file.write(np.ascontiguousarray(arr, dtype="<f8"))
         self._file.flush()
 
-    def payloads(self) -> Iterator[tuple[str, tuple[int, ...], Iterator[memoryview]]]:
-        """(name, dims, payload as a streamed part) of every tensor, in table
-        order. All parts read the file through one buffer of at most
-        SNAPSHOT_BLOCK bytes: a chunk is valid until the next one is read."""
-        dims = parameter_shapes(self.shape)
-        sizes = {name: 8 * math.prod(d) for name, d in dims.items()}
-        buffer = memoryview(bytearray(min(SNAPSHOT_BLOCK, max(sizes.values()))))
-        offset = 0
-        for name, nbytes in sizes.items():
-            yield name, dims[name], self._read(offset, nbytes, buffer)
-            offset += nbytes
-
-    def _read(self, offset: int, nbytes: int, buffer: memoryview) -> Iterator[memoryview]:
-        fd = self._file.fileno()
-        for lo in range(offset, offset + nbytes, len(buffer)):
-            chunk = buffer[: min(len(buffer), offset + nbytes - lo)]
-            if os.preadv(fd, [chunk], lo) != len(chunk):
-                raise ValueError("the snapshot file is shorter than its tensors")
-            yield chunk
+    def chunks(self) -> Iterator[memoryview]:
+        """The file's bytes as a streamed part, read through one buffer of
+        at most SNAPSHOT_BLOCK bytes and at most the largest tensor's: a
+        chunk is valid until the next one is read."""
+        if os.fstat(self._file.fileno()).st_size == 0:
+            raise ValueError("nothing has been captured into the snapshot file")
+        largest = max(8 * math.prod(d) for d in parameter_shapes(self.shape).values())
+        buffer = memoryview(bytearray(min(SNAPSHOT_BLOCK, largest)))
+        self._file.seek(0)
+        while read := self._file.readinto(buffer):
+            yield buffer[:read]
 
 
 @dataclass
 class CheckpointData:
     """A loaded checkpoint. A tensor group the load did not ask for is None:
-    `model` (param/), `state.optimizer.velocity` (velocity/) and
-    `state.best_params` (best/, also None when the file has no snapshot)."""
+    `model` (param/), `state.optimizer.velocity` (velocity/) and `best`
+    (best/, also None when the file has no snapshot; the state holds none)."""
 
     model: ModelParams | None
     state: TrainState
     config: TrainConfig
+    best: ModelParams | None
 
 
 def _tensor_entry(name: str, dims: tuple[int, ...]) -> bytes:
@@ -447,9 +442,10 @@ def save_checkpoint(
     config: TrainConfig,
 ) -> None:
     """Serialize model, optimizer and training bookkeeping, atomically.
-    Payloads are written from the arrays' own buffers, not copied; a
-    `SnapshotFile` best snapshot streams from its file."""
+    Each tensor is written from its array's own buffer, not copied; the
+    best snapshot's file is appended as it is."""
     opt = state.optimizer
+    best = state.best_params
     meta = {
         "config": asdict(config),
         "shape": asdict(model.shape),
@@ -462,26 +458,22 @@ def save_checkpoint(
         "history": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,
         "best_val_accuracy": state.best_val_accuracy,
-        "has_best": state.best_params is not None,
+        "has_best": best is not None,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     groups = {"param": model.tensors, "velocity": opt.velocity}
-    best = state.best_params
-    if isinstance(best, ModelParams):
-        groups["best"] = best.tensors
-    # (name, dims, payload); no copy for live float64 tensors.
-    tensors = [(f"{prefix}/{name}", arr.shape, np.ascontiguousarray(arr, dtype="<f8"))
-               for prefix, named in groups.items() for name, arr in named.items()]
-    if isinstance(best, SnapshotFile):
-        tensors += [(f"best/{name}", dims, part) for name, dims, part in best.payloads()]
+    tensors = {f"{g}/{name}": arr for g, named in groups.items() for name, arr in named.items()}
+    count = len(tensors) + (len(parameter_shapes(best.shape)) if best is not None else 0)
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)),
         meta_bytes,
-        struct.pack("<I", len(tensors)),
+        struct.pack("<I", count),
     ]
-    for name, dims, payload in tensors:
-        parts += [_tensor_entry(name, dims), payload]
+    for name, arr in tensors.items():  # no copy for live float64 tensors
+        parts += [_tensor_entry(name, arr.shape), np.ascontiguousarray(arr, dtype="<f8")]
+    if best is not None:
+        parts.append(best.chunks())
     atomic_write_bytes(Path(path), *parts)
 
 
@@ -519,7 +511,9 @@ def _read_checkpoint(
                 (ndim,) = struct.unpack("<B", f.read(1))
                 dims[name] = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
                 nbytes = 8 * math.prod(dims[name])
-                # Checked before allocating, so absurd dims cannot exhaust memory.
+                # Checked before allocating: absurd dims, or a 0 among them, cannot exhaust memory.
+                if 0 in dims[name]:
+                    raise FormatError(f"{path}: tensor {name!r} has a dim of 0")
                 if f.tell() + nbytes > size:
                     raise FormatError(f"{path}: truncated payload for tensor {name!r}")
                 if groups is None or name.partition("/")[0] in groups:
@@ -578,5 +572,4 @@ def load_checkpoint(
         except ValueError as exc:
             raise FormatError(f"{path}: {prefix}/{exc}") from exc
     state.optimizer.velocity = loaded["velocity"].tensors if "velocity" in loaded else None
-    state.best_params = loaded.get("best")
-    return CheckpointData(loaded.get("param"), state, config)
+    return CheckpointData(loaded.get("param"), state, config, loaded.get("best"))

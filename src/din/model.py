@@ -126,12 +126,6 @@ class ModelParams:
         )
         self.tensors = {name: self.tensors[name] for name in expected}
 
-    def capture(self, params: "ModelParams") -> None:
-        """Overwrite these tensors in place with the values of `params`
-        (a best snapshot taking the current parameters)."""
-        for name, arr in self.tensors.items():
-            np.copyto(arr, params.tensors[name])
-
     def _pair(self, layer: str) -> tuple[Array, Array]:
         return self.tensors[f"{layer}/weights"], self.tensors[f"{layer}/bias"]
 
@@ -156,11 +150,6 @@ def init_model(shape: ModelShapeSpec, rng: np.random.Generator) -> ModelParams:
         else:
             tensors[name] = np.zeros(dims)
     return ModelParams(shape, tensors)
-
-
-def clone_params(params: ModelParams) -> ModelParams:
-    """Deep copy of all parameter arrays (snapshot for best-model tracking)."""
-    return ModelParams(params.shape, {name: arr.copy() for name, arr in params.tensors.items()})
 
 
 def sample_batch(

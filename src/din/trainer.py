@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .classifier import predict
-from .model import EVAL_BATCH, ModelParams, backward_sample, batches, clone_params, forward_sample
+from .model import EVAL_BATCH, ModelParams, backward_sample, batches, forward_sample
 from .numerics import Array, cross_entropy_from_logits, make_rng, require_fields, scratch_view
 
 if TYPE_CHECKING:
@@ -99,12 +99,12 @@ class EpochReport:
 class TrainState:
     """Everything fit() accumulates; checkpointing this resumes a run exactly.
     The history holds one report per completed epoch, in order. The best
-    snapshot is in memory (ModelParams) or in a file (data_io.SnapshotFile);
-    fit captures into either the same way."""
+    snapshot is a file (data_io.SnapshotFile) that fit captures into; a
+    state loaded from a checkpoint has none until one is set."""
 
     optimizer: OptimizerState
     history: list[EpochReport] = field(default_factory=list)
-    best_params: ModelParams | SnapshotFile | None = None
+    best_params: SnapshotFile | None = None
     best_epoch: int = -1
     best_val_accuracy: float = -1.0
 
@@ -118,15 +118,9 @@ class TrainState:
             raise ValueError(f"best_epoch {self.best_epoch} is neither -1 nor a completed epoch")
 
     @classmethod
-    def fresh(
-        cls, params: ModelParams, config: TrainConfig, best: SnapshotFile | None = None
-    ) -> "TrainState":
-        """The state before the first epoch. Its best snapshot holds the
-        initial parameters: `best` after capturing them, or a clone."""
-        if best is None:
-            best = clone_params(params)
-        else:
-            best.capture(params)
+    def fresh(cls, params: ModelParams, config: TrainConfig, best: SnapshotFile) -> "TrainState":
+        """The state before the first epoch; `best` captures the initial parameters."""
+        best.capture(params)
         return cls(OptimizerState.init(params, config), [], best)
 
 
@@ -267,17 +261,17 @@ def fit(
     train_split: Sequence["Sample"],
     val_split: Sequence["Sample"],
     config: TrainConfig,
-    state: TrainState | None = None,
+    state: TrainState,
 ) -> TrainState:
     """Train up to config.max_epochs, tracking the best validation epoch.
 
-    Pass a state restored from a checkpoint to resume; epochs already
-    completed are skipped and the remaining ones reproduce an
-    uninterrupted run bit-exactly. Mutates `params` in place and returns
-    the accumulated state (best snapshot, history, optimizer).
+    Pass TrainState.fresh to start, or a state restored from a checkpoint,
+    with a best snapshot set, to resume; epochs already completed are
+    skipped and the remaining ones reproduce an uninterrupted run
+    bit-exactly. Mutates `params` and `state` in place and returns the state.
     """
-    if state is None:
-        state = TrainState.fresh(params, config)
+    if state.best_params is None:
+        raise ValueError("the training state has no best snapshot to capture into")
     opt = state.optimizer
     for epoch in range(opt.epochs_completed, config.max_epochs):
         lr_used = opt.current_lr
@@ -293,10 +287,7 @@ def fit(
         except ArithmeticError as exc:
             raise ArithmeticError(f"training diverged in epoch {epoch}: {exc}") from exc
         if val_accuracy > state.best_val_accuracy:
-            if state.best_params is None:
-                state.best_params = clone_params(params)
-            else:  # in place: two snapshots never coexist
-                state.best_params.capture(params)
+            state.best_params.capture(params)
             state.best_epoch = epoch
             state.best_val_accuracy = val_accuracy
         plateau_update(opt, 1.0 - val_accuracy, config)

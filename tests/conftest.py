@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -10,12 +11,13 @@ import pytest
 import din
 from din.data_io import (
     ManifestEntry,
+    SnapshotFile,
     save_checkpoint,
     save_manifest,
     write_feature_file,
 )
 from din.denseimage import gather
-from din.model import ModelShapeSpec, init_model
+from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.trainer import TrainConfig, TrainState
 
@@ -27,6 +29,35 @@ TINY_SHAPE = ModelShapeSpec(
 @pytest.fixture
 def tiny_params():
     return init_model(TINY_SHAPE, make_rng(123))
+
+
+@pytest.fixture
+def fresh_state(tmp_path):
+    """fresh_state(params, config): TrainState.fresh with a new SnapshotFile
+    in tmp_path as its best snapshot. The files close after the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda params, config: TrainState.fresh(
+            params, config, stack.enter_context(SnapshotFile(params.shape, tmp_path)))
+
+
+def save_fresh_checkpoint(path, params, config):
+    """Save the state before the first epoch, its best snapshot in a
+    SnapshotFile beside `path`, as a fresh `din train` run with no epochs does."""
+    with SnapshotFile(params.shape, path.parent) as best:
+        save_checkpoint(path, params, TrainState.fresh(params, config, best), config)
+
+
+def resumed_state(ckpt, best):
+    """A loaded checkpoint's state with its best/ group captured into the
+    SnapshotFile `best`, as `din train --resume` does."""
+    best.capture(ckpt.best)
+    ckpt.state.best_params = best
+    return ckpt.state
+
+
+def copy_params(params):
+    """A copy of the parameters, every tensor in a new array."""
+    return ModelParams(params.shape, {name: arr.copy() for name, arr in params.tensors.items()})
 
 
 def gathered(features, n, rng=None):
@@ -93,7 +124,7 @@ def write_test_split(root, count, lengths=(2, 4, 5, 9, 70)):
     rng = np.random.default_rng(4)
     params = init_model(TINY_SHAPE, make_rng(9))
     checkpoint = root / "model.ckpt"
-    save_checkpoint(checkpoint, params, TrainState.fresh(params, TrainConfig()), TrainConfig())
+    save_fresh_checkpoint(checkpoint, params, TrainConfig())
     (root / "features").mkdir()
     entries = []
     for i in rng.permutation(count):

@@ -8,9 +8,11 @@ and model/checkpoint.ckpt) runs the workload's four commands on the test
 split, one after another: eval, predict to a file, export-features and
 export-responses at width 3. A ``paper_train`` one (config.json and
 manifest.json, no model/) runs ``din train`` on that config and manifest,
-into a new output directory each run. Each command is ``python -m
-din.cli`` in a new process, with CHECKOUT/src first on PYTHONPATH and one
-BLAS thread, writing into a temporary directory.
+then ``din train --resume`` of its checkpoint with one epoch more than the
+config's max_epochs, each into an output directory of its own, new each
+run. Each command is ``python -m din.cli`` in a new process, with
+CHECKOUT/src first on PYTHONPATH and one BLAS thread, writing into a
+temporary directory.
 
 For every command it prints the wall time from spawn to exit, the child's
 own ``ru_minflt`` (os.wait4), which counts every page the process touched
@@ -29,17 +31,18 @@ lower (a tie counts for neither).
 
 Each side writes its artifacts into a directory of its own per run. After
 every run it prints the sha256 of each artifact, side by side (the
-checkpoint, history.json and config.json of ``din train``, or the three
-CSVs of the inference commands; run_meta.json holds wall-clock times and
-is skipped), marks each ``same`` or ``MISMATCH`` with ``--against``, and
-removes them. The last line says in how many runs the sides' artifacts
-differed.
+checkpoint, history.json and config.json of both ``din train`` runs, or
+the three CSVs of the inference commands; run_meta.json holds wall-clock
+times and is skipped), marks each ``same`` or ``MISMATCH`` with
+``--against``, and removes them. The last line says in how many runs the
+sides' artifacts differed.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import statistics
@@ -53,8 +56,13 @@ from pathlib import Path
 def commands(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of each command, writing its artifacts under `out`."""
     if not (inputs / "model").exists():  # paper_train inputs
-        return [("train", ["train", "--config", str(inputs / "config.json"), "--manifest",
-                           str(inputs / "manifest.json"), "--out-dir", str(out / "run")])]
+        train = ["train", "--config", str(inputs / "config.json"),
+                 "--manifest", str(inputs / "manifest.json")]
+        epochs = json.loads((inputs / "config.json").read_text())["train"]["max_epochs"]
+        return [("train", [*train, "--out-dir", str(out / "run")]),
+                ("train-resume", [*train, "--resume", str(out / "run" / "checkpoint.ckpt"),
+                                  "--max-epochs", str(epochs + 1),
+                                  "--out-dir", str(out / "resumed")])]
     model = ["--checkpoint", str(inputs / "model" / "checkpoint.ckpt"),
              "--manifest", str(inputs / "manifest.json"), "--split", "test"]
     return [

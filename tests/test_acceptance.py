@@ -11,6 +11,7 @@ import numpy as np
 
 from din.analysis import count_parameters
 from din.data_io import (
+    SnapshotFile,
     SyntheticTaskConfig,
     load_checkpoint,
     read_checkpoint_tensors,
@@ -26,8 +27,9 @@ from din.selftest import (
     check_softmax_law,
 )
 from din.temporal_conv import conv_scale_forward
-from din.trainer import TrainConfig, TrainState, fit, init_rng
+from din.trainer import TrainConfig, fit, init_rng
 
+from conftest import resumed_state, save_fresh_checkpoint
 from mean_pool_baseline import train_baseline
 
 
@@ -69,7 +71,7 @@ def test_shape_law():
 
 
 @criterion(4, "temporal-order task: head >= 98% accuracy, mean-pool baseline <= 60%")
-def test_temporal_order_sensitivity():
+def test_temporal_order_sensitivity(fresh_state):
     started = time.perf_counter()
     synth = SyntheticTaskConfig(
         num_prototypes=4, feature_dim=16, noise_sigma=0.1, sequence_length=8,
@@ -87,7 +89,7 @@ def test_temporal_order_sensitivity():
         seed=3,
     )
     params = init_model(shape, init_rng(config.seed))
-    state = fit(params, splits["train"], splits["val"], config)
+    state = fit(params, splits["train"], splits["val"], config, fresh_state(params, config))
     best_acc = max(r.val_accuracy for r in state.history)
     assert best_acc >= 0.98, f"temporal head reached only {best_acc:.4f}"
 
@@ -111,14 +113,14 @@ def test_parameter_accounting(tmp_path):
     params = init_model(shape, make_rng(105))
     config = TrainConfig()
     path = tmp_path / "paper-shape.ckpt"
-    save_checkpoint(path, params, TrainState.fresh(params, config), config)
+    save_fresh_checkpoint(path, params, config)
     _, tensors = read_checkpoint_tensors(path)
     serialized = sum(a.size for n, a in tensors.items() if n.startswith("param/"))
     assert serialized == report.total
 
 
 @criterion(6, "bit-exact reruns and bit-exact resume")
-def test_determinism_and_resume(tmp_path):
+def test_determinism_and_resume(tmp_path, fresh_state):
     synth = SyntheticTaskConfig(
         num_prototypes=4, feature_dim=8, noise_sigma=0.1, sequence_length=8,
         samples_per_class=16, val_samples_per_class=8, seed=11,
@@ -133,7 +135,7 @@ def test_determinism_and_resume(tmp_path):
 
     def full_run(tag):
         params = init_model(shape, init_rng(config.seed))
-        state = fit(params, splits["train"], splits["val"], config)
+        state = fit(params, splits["train"], splits["val"], config, fresh_state(params, config))
         path = tmp_path / f"{tag}.ckpt"
         save_checkpoint(path, params, state, config)
         return state.history, path.read_bytes()
@@ -145,14 +147,16 @@ def test_determinism_and_resume(tmp_path):
 
     params_c = init_model(shape, init_rng(config.seed))
     half = dataclasses.replace(config, max_epochs=2)
-    state_c = fit(params_c, splits["train"], splits["val"], half)
+    state_c = fit(params_c, splits["train"], splits["val"], half, fresh_state(params_c, half))
     half_path = tmp_path / "half.ckpt"
     save_checkpoint(half_path, params_c, state_c, half)
     loaded = load_checkpoint(half_path)
-    resumed = fit(loaded.model, splits["train"], splits["val"], config, loaded.state)
-    assert resumed.history == history_a
-    resumed_path = tmp_path / "resumed.ckpt"
-    save_checkpoint(resumed_path, loaded.model, resumed, config)
+    with SnapshotFile(shape, tmp_path) as best:
+        resumed = fit(loaded.model, splits["train"], splits["val"], config,
+                      resumed_state(loaded, best))
+        assert resumed.history == history_a
+        resumed_path = tmp_path / "resumed.ckpt"
+        save_checkpoint(resumed_path, loaded.model, resumed, config)
     assert resumed_path.read_bytes() == blob_a
 
 

@@ -9,14 +9,14 @@ from din.analysis import (
     float_rows,
 )
 from din.cli import main
-from din.data_io import Sample, save_checkpoint, read_checkpoint_tensors
+from din.data_io import Sample, read_checkpoint_tensors
 from din.denseimage import encode
 from din.model import ModelShapeSpec, forward_sample, init_model, sample_batch
 from din.numerics import make_rng
 from din.temporal_conv import conv_scale_forward, response_profiles
-from din.trainer import TrainConfig, TrainState
+from din.trainer import TrainConfig
 
-from conftest import TINY_SHAPE
+from conftest import TINY_SHAPE, save_fresh_checkpoint
 
 PAPER_SHAPE = ModelShapeSpec(
     raw_dim=1024, feat_dim=256, num_frames=8, widths=(2, 3, 4, 5, 6),
@@ -54,7 +54,7 @@ class TestCountParameters:
         params = init_model(TINY_SHAPE, make_rng(1))
         cfg = TrainConfig()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, TrainState.fresh(params, cfg), cfg)
+        save_fresh_checkpoint(path, params, cfg)
         _, tensors = read_checkpoint_tensors(path)
         serialized = sum(
             arr.size for name, arr in tensors.items() if name.startswith("param/")

@@ -235,6 +235,21 @@ class TestTrain:
         assert field in captured.err
         assert not out_dir.exists()
 
+    def test_resume_without_a_best_snapshot_is_validation_error(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        loaded = load_checkpoint(run_dir / "checkpoint.ckpt")
+        ckpt = tmp_path / "no-best.ckpt"
+        save_checkpoint(ckpt, loaded.model, loaded.state, loaded.config)  # the state has none
+        out_dir = tmp_path / "new" / "resumed"
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir), "--max-epochs", "4", "--resume", str(ckpt)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {ckpt}: cannot resume a checkpoint without a "
+                                "best-model snapshot\n")
+        assert not (tmp_path / "new").exists()
+
     def test_resume_keeps_integer_floats_as_read(self, tmp_path, capsys):
         # JSON integers in float fields stay integers through the checkpoint.
         cfg = base_config(tmp_path, initial_lr=1, momentum=0)

@@ -58,6 +58,8 @@ from conftest import (
     edit_checkpoint_meta,
     gathered,
     in_memory,
+    resumed_state,
+    save_fresh_checkpoint,
 )
 from mean_pool_baseline import train_baseline
 
@@ -571,30 +573,31 @@ DROP = "<drop>"  # marks a meta field the test deletes
 
 
 class TestCheckpoints:
-    def test_round_trip_is_bit_exact(self, tmp_path):
+    def test_round_trip_is_bit_exact(self, tmp_path, fresh_state):
         splits, cfg, params = small_training_setup()
-        state = fit(params, splits["train"], splits["val"], cfg)
+        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, state, cfg)
         loaded = load_checkpoint(path)
         assert isinstance(loaded, CheckpointData)
         assert loaded.config == cfg
+        assert loaded.state.best_params is None
+        # The best snapshot: an identical run stopped after the best epoch.
+        best = init_model(TINY_SHAPE, init_rng(cfg.seed))
+        stopped = dataclasses.replace(cfg, max_epochs=state.best_epoch + 1)
+        fit(best, splits["train"], splits["val"], stopped, fresh_state(best, stopped))
         for name, arr in params.tensors.items():
-            assert np.array_equal(arr, loaded.model.tensors[name])
-            assert np.array_equal(
-                state.optimizer.velocity[name], loaded.state.optimizer.velocity[name]
-            )
-            assert np.array_equal(
-                state.best_params.tensors[name],
-                loaded.state.best_params.tensors[name],
-            )
+            assert arr.tobytes() == loaded.model.tensors[name].tobytes()
+            assert (state.optimizer.velocity[name].tobytes()
+                    == loaded.state.optimizer.velocity[name].tobytes())
+            assert best.tensors[name].tobytes() == loaded.best.tensors[name].tobytes()
         assert loaded.state.history == state.history
         assert loaded.state.best_epoch == state.best_epoch
         assert loaded.state.optimizer.best_val_error == state.optimizer.best_val_error
 
-    def test_corrupt_files_rejected(self, tmp_path):
+    def test_corrupt_files_rejected(self, tmp_path, fresh_state):
         splits, cfg, params = small_training_setup()
-        state = TrainState.fresh(params, cfg)
+        state = fresh_state(params, cfg)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, state, cfg)
         blob = path.read_bytes()
@@ -613,9 +616,9 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(tmp_path / "trail.ckpt")
 
-    def test_unknown_tensors_rejected(self, tmp_path):
+    def test_unknown_tensors_rejected(self, tmp_path, fresh_state):
         splits, cfg, params = small_training_setup()
-        with_best = TrainState.fresh(params, cfg)
+        with_best = fresh_state(params, cfg)
         without_best = TrainState(with_best.optimizer)
         cases = (
             (with_best, "param/bogus"),
@@ -646,10 +649,10 @@ class TestCheckpoints:
         ("optimizer.epochs_completed", 2), ("optimizer.epochs_completed", 0),
         ("history.0.epoch", 1), ("best_epoch", 3), ("best_epoch", -2),
     ])
-    def test_bad_meta_field_names_the_file(self, tmp_path, field, value):
+    def test_bad_meta_field_names_the_file(self, tmp_path, fresh_state, field, value):
         splits, cfg, params = small_training_setup()
         path = tmp_path / "model.ckpt"
-        state = TrainState.fresh(params, cfg)
+        state = fresh_state(params, cfg)
         state.history.append(EpochReport(0, 1.0, 1.0, 0.5, cfg.initial_lr))
         state.optimizer.epochs_completed = 1
         save_checkpoint(path, params, state, cfg)
@@ -669,9 +672,9 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{key}"):
             load_checkpoint(path)
 
-    def test_tensor_errors_name_the_group_and_tensor(self, tmp_path):
+    def test_tensor_errors_name_the_group_and_tensor(self, tmp_path, fresh_state):
         splits, cfg, params = small_training_setup()
-        state = TrainState.fresh(params, cfg)
+        state = fresh_state(params, cfg)
         state.optimizer.velocity["conv/h3/bias"] = np.zeros(2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, state, cfg)
@@ -682,27 +685,38 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="duplicate tensor 'param/reduction/bias'"):
             load_checkpoint(path)
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, fresh_state):
         splits, cfg, params_a = small_training_setup(seed=22)
         four = dataclasses.replace(cfg, max_epochs=4)
-        state_a = fit(params_a, splits["train"], splits["val"], four)
+        state_a = fit(params_a, splits["train"], splits["val"], four, fresh_state(params_a, four))
+        save_checkpoint(tmp_path / "whole.ckpt", params_a, state_a, four)
 
         params_b = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state_b = fit(params_b, splits["train"], splits["val"], cfg)  # 2 epochs
+        state_b = fit(params_b, splits["train"], splits["val"], cfg,
+                      fresh_state(params_b, cfg))  # 2 epochs
         path = tmp_path / "halfway.ckpt"
         save_checkpoint(path, params_b, state_b, cfg)
         loaded = load_checkpoint(path)
-        resumed = fit(
-            loaded.model, splits["train"], splits["val"], four, loaded.state
-        )
+        # A loaded state holds no snapshot; fit refuses it before any epoch.
+        with pytest.raises(ValueError, match="no best snapshot"):
+            fit(loaded.model, splits["train"], splits["val"], four, loaded.state)
+        assert loaded.state.optimizer.epochs_completed == 2
+        with SnapshotFile(TINY_SHAPE, tmp_path) as best:
+            resumed = fit(loaded.model, splits["train"], splits["val"], four,
+                          resumed_state(loaded, best))
+            save_checkpoint(tmp_path / "resumed.ckpt", loaded.model, resumed, four)
         assert resumed.history == state_a.history
         for name, arr in params_a.tensors.items():
             assert np.array_equal(arr, loaded.model.tensors[name])
+        assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+
+
+PINNED_SIZE = 4111  # bytes of the pinned checkpoint (TestLayoutPin)
 
 
 def pinned_checkpoint(path):
     params = init_model(TINY_SHAPE, make_rng(123))
-    save_checkpoint(path, params, TrainState.fresh(params, TrainConfig()), TrainConfig())
+    save_fresh_checkpoint(path, params, TrainConfig())
     return path.read_bytes()
 
 
@@ -830,10 +844,10 @@ def check_group_loads_agree(path, blob):
     assert (param_only is None) == (best_only is None) == (full is None)
     if full is None:
         return
-    assert param_only.state.optimizer.velocity is None and param_only.state.best_params is None
+    assert param_only.state.optimizer.velocity is None and param_only.best is None
     assert best_only.model is None and best_only.state.optimizer.velocity is None
-    for got, want in ((param_only.model, full.model),
-                      (best_only.state.best_params, full.state.best_params)):
+    assert full.state.best_params is None
+    for got, want in ((param_only.model, full.model), (best_only.best, full.best)):
         assert (got is None) == (want is None)
         if want is None:
             continue
@@ -863,11 +877,12 @@ class TestStreamedCheckpoints:
     @pytest.fixture(scope="class")
     def big(self, tmp_path_factory):
         params = init_model(MEMORY_SHAPE, make_rng(4))
-        state = TrainState.fresh(params, TrainConfig())
         path = tmp_path_factory.mktemp("big") / "big.ckpt"
-        save_checkpoint(path, params, state, TrainConfig())
-        assert path.stat().st_size >= 1 << 20
-        return path, params, state
+        with SnapshotFile(MEMORY_SHAPE, path.parent) as best:
+            state = TrainState.fresh(params, TrainConfig(), best)
+            save_checkpoint(path, params, state, TrainConfig())
+            assert path.stat().st_size >= 1 << 20
+            yield path, params, state
 
     def test_save_does_not_copy_the_payloads(self, big):
         path, params, state = big
@@ -883,7 +898,7 @@ class TestStreamedCheckpoints:
     def test_loaded_tensors_are_fresh_aligned_arrays(self, big):
         path, params, state = big
         loaded = load_checkpoint(path)
-        for group, want in ((loaded.model, params), (loaded.state.best_params, params)):
+        for group, want in ((loaded.model, params), (loaded.best, params)):
             assert_fresh_arrays(group)
             for name, arr in want.tensors.items():
                 assert np.array_equal(group.tensors[name], arr)
@@ -913,14 +928,31 @@ class TestStreamedCheckpoints:
         path, blob = pinned
         check_group_loads_agree(path, blob[: data.draw(st.integers(0, len(blob)))])
 
-    @given(data=st.data())
+    @given(at=st.integers(0, PINNED_SIZE - 1),
+           mask=st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
+    # The ndim byte of param/conv/h3/bias, 1 -> 17: its 17 dims hold a 0,
+    # so the payload fits the file however large the other dims are.
+    @example(at=1314, mask=0x10)
     @FUZZ
-    def test_group_loads_agree_on_byte_flips(self, pinned, data):
+    def test_group_loads_agree_on_byte_flips(self, pinned, at, mask):
         path, blob = pinned
+        assert len(blob) == PINNED_SIZE
         flipped = bytearray(blob)
-        at = data.draw(st.integers(0, len(blob) - 1))
-        flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
+        flipped[at] ^= mask
         check_group_loads_agree(path, bytes(flipped))
+
+    def test_zero_dim_fails_before_allocating_naming_the_tensor(self, pinned):
+        path, blob = pinned
+        name = "param/conv/h3/bias"
+        at = blob.index(name.encode()) + len(name)
+        assert at == 1314 and blob[at] == 1  # the byte-flip test's example
+        flipped = bytearray(blob)
+        flipped[at] ^= 0x10
+        path.write_bytes(bytes(flipped))
+        for groups in (None, ("param",), ("velocity",), ("best",)):
+            with pytest.raises(FormatError, match=f"{re.escape(str(path))}: tensor '{name}' "
+                                                  "has a dim of 0"):
+                load_checkpoint(path, groups=groups)
 
 
 @st.composite
@@ -947,26 +979,23 @@ def snapshot_runs(draw):
     return shape, config, task, resume_at, draw(st.integers(1, 64))
 
 
-def train_and_save(path, shape, config, splits, resume_at, best_file=None):
+def train_and_save(path, shape, config, splits, resume_at):
     """Train as `din train` does and save the checkpoint to `path`: from
     fresh parameters, or resumed from a checkpoint of the first `resume_at`
-    epochs. With `best_file` the best snapshot is kept in that SnapshotFile,
-    else in memory. Returns the final state."""
-    params, state = init_model(shape, init_rng(config.seed)), None
+    epochs (None: not resumed). The best snapshot is kept in a SnapshotFile
+    beside `path`. Returns the final state."""
+    params = init_model(shape, init_rng(config.seed))
     if resume_at is not None:
-        first = dataclasses.replace(config, max_epochs=resume_at)
         halfway = path.with_suffix(".halfway")
-        save_checkpoint(halfway, params, fit(params, splits["train"], splits["val"], first), first)
+        train_and_save(halfway, shape, dataclasses.replace(config, max_epochs=resume_at),
+                       splits, None)
         loaded = load_checkpoint(halfway)
-        params, state = loaded.model, loaded.state
-    if best_file is not None:
-        if state is None:
-            state = TrainState.fresh(params, config, best_file)
-        elif state.best_params is not None:
-            best_file.capture(state.best_params)
-            state.best_params = best_file
-    state = fit(params, splits["train"], splits["val"], config, state)
-    save_checkpoint(path, params, state, config)
+        params = loaded.model
+    with SnapshotFile(shape, path.parent) as best:
+        state = (TrainState.fresh(params, config, best) if resume_at is None
+                 else resumed_state(loaded, best))
+        state = fit(params, splits["train"], splits["val"], config, state)
+        save_checkpoint(path, params, state, config)
     return state
 
 
@@ -977,7 +1006,7 @@ IMPROVING_TASK = SyntheticTaskConfig(feature_dim=4, samples_per_class=4,
 
 
 class TestSnapshotFile:
-    """A best snapshot in an unlinked file saves exactly as one in memory."""
+    """A best snapshot kept in an unlinked file saves as the best epoch's parameters."""
 
     @given(run=snapshot_runs())
     @example(run=(TINY_SHAPE, TrainConfig(max_epochs=0), SyntheticTaskConfig(feature_dim=4),
@@ -987,21 +1016,30 @@ class TestSnapshotFile:
                   SyntheticTaskConfig(feature_dim=4, samples_per_class=2), None, 7))
     @example(run=(TINY_SHAPE, IMPROVING, IMPROVING_TASK, 1, 5))
     @settings(max_examples=80, derandomize=True, deadline=None)
-    def test_save_writes_the_bytes_of_an_in_memory_snapshot(self, tmp_path_factory, run):
+    def test_best_group_is_the_best_epochs_parameters(self, tmp_path_factory, run):
         # The examples pin the cases: no epochs, a last epoch that improves
         # (every epoch of IMPROVING does), a last epoch that does not (lr 0
         # keeps the validation accuracy), and a resumed run.
         shape, config, task, resume_at, block = run
         splits = synth_order_task(dataclasses.replace(task, sequence_length=shape.num_frames))
         root = tmp_path_factory.mktemp("snapshot")
-        state = train_and_save(root / "memory.ckpt", shape, config, splits, resume_at)
-        with mock.patch.object(data_io_mod, "SNAPSHOT_BLOCK", block), \
-                SnapshotFile(shape, root) as best_file:
-            train_and_save(root / "file.ckpt", shape, config, splits, resume_at, best_file)
-        assert (root / "file.ckpt").read_bytes() == (root / "memory.ckpt").read_bytes()
-        halfway = ["file.halfway", "memory.halfway"] if resume_at is not None else []
-        assert sorted(p.name for p in root.iterdir()) == sorted(["file.ckpt", "memory.ckpt",
-                                                                 *halfway])
+        with mock.patch.object(data_io_mod, "SNAPSHOT_BLOCK", block):
+            state = train_and_save(root / "run.ckpt", shape, config, splits, resume_at)
+        # The reference: an identical fresh run stopped after the best epoch.
+        stopped = dataclasses.replace(config, max_epochs=state.best_epoch + 1)
+        reference = init_model(shape, init_rng(config.seed))
+        with SnapshotFile(shape, root) as best_file:
+            fit(reference, splits["train"], splits["val"], stopped,
+                TrainState.fresh(reference, stopped, best_file))
+        best = load_checkpoint(root / "run.ckpt", groups=("best",)).best
+        for name, arr in reference.tensors.items():
+            assert best.tensors[name].tobytes() == arr.tobytes(), name
+        names = ["run.ckpt"]
+        if resume_at is not None:
+            train_and_save(root / "whole.ckpt", shape, config, splits, None)
+            assert (root / "run.ckpt").read_bytes() == (root / "whole.ckpt").read_bytes()
+            names += ["run.halfway", "whole.ckpt"]
+        assert sorted(p.name for p in root.iterdir()) == names
         if config == IMPROVING:
             assert state.best_epoch == 2 and state.history[1].val_accuracy < state.best_val_accuracy
         improved = config.max_epochs > 0 and state.best_epoch == config.max_epochs - 1
@@ -1018,7 +1056,7 @@ class TestSnapshotFile:
                 path = tmp_path / "big.ckpt"
                 peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig()))
             assert peak <= min(block, largest) + 64 * 1024
-            loaded = load_checkpoint(path, groups=("best",)).state.best_params
+            loaded = load_checkpoint(path, groups=("best",)).best
             for name, arr in params.tensors.items():
                 assert np.array_equal(loaded.tensors[name], arr)
 
@@ -1031,6 +1069,14 @@ class TestSnapshotFile:
             save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig())
             assert list(tmp_path.iterdir()) == [tmp_path / "a.ckpt"]
         assert (tmp_path / "a.ckpt").read_bytes() == pinned_checkpoint(tmp_path / "pin.ckpt")
+
+    def test_save_of_an_uncaptured_file_fails_and_writes_nothing(self, tmp_path):
+        params = init_model(TINY_SHAPE, make_rng(123))
+        with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
+            state = TrainState(OptimizerState.init(params, TrainConfig()), [], best_file)
+            with pytest.raises(ValueError, match="nothing has been captured"):
+                save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig())
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_another_shape(self, tmp_path):
         with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
@@ -1103,7 +1149,7 @@ class TestTrainingRowReads:
         assert peaks[2000] <= peaks[READ_BLOCK_FRAMES] + 16 * 1024
         assert peaks[2000] < 2000 * 4 * self.D
 
-    def test_two_epochs_read_each_file_once(self, tmp_path, monkeypatch):
+    def test_two_epochs_read_each_file_once(self, tmp_path, monkeypatch, fresh_state):
         manifest = self.write_split(tmp_path / "data", 100)
         real = data_io_mod.read_feature_file
         reads = []
@@ -1112,7 +1158,8 @@ class TestTrainingRowReads:
         train = load_split(manifest, "train", self.D)
         val = load_split(manifest, "val", self.D)
         params = init_model(self.SHAPE, init_rng(1))
-        fit(params, train, val, TrainConfig(batch_size=2, max_epochs=2, seed=1))
+        cfg = TrainConfig(batch_size=2, max_epochs=2, seed=1)
+        fit(params, train, val, cfg, fresh_state(params, cfg))
         assert sorted(reads) == sorted(manifest.root / e.feature_path for e in manifest.entries)
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])

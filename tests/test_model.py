@@ -12,7 +12,6 @@ from din.model import (
     ModelParams,
     ModelShapeSpec,
     backward_sample,
-    clone_params,
     forward_sample,
     init_model,
     parameter_shapes,
@@ -25,7 +24,7 @@ from din.selftest import kink_free
 from din.temporal_conv import pool_argmax
 from din.trainer import OptimizerState, TrainConfig, sgd_momentum_step
 
-from conftest import TINY_SHAPE, gathered
+from conftest import TINY_SHAPE, copy_params, gathered
 
 
 class TestShapeSpec:
@@ -99,11 +98,6 @@ class TestParams:
         for h, (w, b) in tiny_params.bank.items():
             assert w is tiny_params.tensors[f"conv/h{h}/weights"]
             assert b is tiny_params.tensors[f"conv/h{h}/bias"]
-
-    def test_clone_is_independent(self, tiny_params):
-        copy = clone_params(tiny_params)
-        copy.reduction[0][0, 0] += 1.0
-        assert tiny_params.reduction[0][0, 0] != copy.reduction[0][0, 0]
 
     def test_tensor_round_trip(self, tiny_params):
         reordered = dict(reversed(list(tiny_params.tensors.items())))
@@ -340,7 +334,7 @@ class TestGradientStream:
         seed = data.draw(st.integers(0, 2**16), "seed")
         rng, rng_fresh, data_rng = make_rng(seed, 1), make_rng(seed, 1), make_rng(seed, 2)
         params = init_model(shape, make_rng(seed))
-        fresh = clone_params(params)
+        fresh = copy_params(params)
         config = TrainConfig(weight_decay=1e-3, initial_lr=0.05)
         state, fresh_state = OptimizerState.init(params, config), OptimizerState.init(fresh, config)
         scratch = {}
@@ -388,7 +382,7 @@ class TestGradientStream:
         # arrives, as the training step does.
         fwd, grad_fused = self._batch(tiny_params, make_rng(44), 2)
         want = {name: g.copy() for name, g in backward_sample(tiny_params, fwd, grad_fused, {})}
-        params = clone_params(tiny_params)
+        params = copy_params(tiny_params)
         seen = []
         for name, g in backward_sample(params, fwd, grad_fused, {}):
             assert np.array_equal(g, want[name]), name

@@ -20,7 +20,7 @@ from din.data_io import (
     synth_order_task,
     write_synth_dataset,
 )
-from din.model import ModelShapeSpec, clone_params, init_model, sample_batch, sample_loss_and_grads
+from din.model import ModelShapeSpec, init_model, sample_batch, sample_loss_and_grads
 from din.denseimage import sample_segments
 from din.numerics import dropout_scales, from_fields, make_rng, scratch_view
 from din.trainer import (
@@ -38,7 +38,7 @@ from din.trainer import (
     train_epoch,
 )
 
-from conftest import TINY_SHAPE, change_feature_file, in_memory, write_test_split
+from conftest import TINY_SHAPE, change_feature_file, copy_params, in_memory, write_test_split
 from mean_pool_baseline import train_baseline
 
 
@@ -378,7 +378,7 @@ class TestTrainEpoch:
         samples = tiny_dataset(num_per_class=7, length=9)["train"]
         cfg = TrainConfig(batch_size=4, dropout_keep=keep, seed=5)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        replay = clone_params(params)
+        replay = copy_params(params)
         rng = epoch_rng(cfg.seed, 0)
         train_epoch(params, samples, cfg, OptimizerState.init(params, cfg), rng)
         ref = epoch_rng(cfg.seed, 0)
@@ -409,7 +409,7 @@ class TestTrainEpoch:
         cfg = TrainConfig(batch_size=32, dropout_keep=0.8, weight_decay=1e-3, initial_lr=0.05,
                           seed=6)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        replay = clone_params(params)
+        replay = copy_params(params)
         train_epoch(params, samples, cfg, OptimizerState.init(params, cfg),
                     epoch_rng(cfg.seed, 0))
         ref = epoch_rng(cfg.seed, 0)
@@ -547,7 +547,7 @@ class TestBatchAllocations:
 
     def test_train_epoch(self, paper):
         params, samples = paper
-        params = clone_params(params)
+        params = copy_params(params)
         cfg = TrainConfig(batch_size=32, dropout_keep=0.5)
         state = OptimizerState.init(params, cfg)
         batches, largest, where = largest_line_growth_after_the_first_batch(
@@ -650,23 +650,23 @@ class TestScratchRoles:
 
 
 class TestFit:
-    def test_zero_epochs_returns_initial_state(self):
+    def test_zero_epochs_returns_initial_state(self, fresh_state):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=0, seed=9)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg)
+        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
         assert state.history == []
         assert state.best_epoch == -1
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
 
-    def test_lr_zero_keeps_params_bit_identical(self):
+    def test_lr_zero_keeps_params_bit_identical(self, fresh_state):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, initial_lr=0.0, dropout_keep=1.0, seed=10)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg)
+        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
         # Validation losses are bit-identical (fixed eval order); train
@@ -677,29 +677,29 @@ class TestFit:
         train_losses = [r.train_loss for r in state.history]
         assert max(train_losses) - min(train_losses) < 1e-12
 
-    def test_two_runs_are_bit_identical(self):
+    def test_two_runs_are_bit_identical(self, fresh_state):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.05,
                           dropout_keep=0.8, seed=11)
         results = []
         for _ in range(2):
             params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-            state = fit(params, splits["train"], splits["val"], cfg)
+            state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
             results.append((snapshot(params), state.history))
         assert results[0][1] == results[1][1]
         for name in results[0][0]:
             assert np.array_equal(results[0][0][name], results[1][0][name])
 
-    def test_interrupted_run_matches_uninterrupted(self):
+    def test_interrupted_run_matches_uninterrupted(self, fresh_state):
         splits = tiny_dataset()
         base = TrainConfig(max_epochs=4, batch_size=4, initial_lr=0.05,
                            dropout_keep=0.8, seed=12)
         params_a = init_model(TINY_SHAPE, init_rng(base.seed))
-        state_a = fit(params_a, splits["train"], splits["val"], base)
+        state_a = fit(params_a, splits["train"], splits["val"], base, fresh_state(params_a, base))
 
         two = dataclasses.replace(base, max_epochs=2)
         params_b = init_model(TINY_SHAPE, init_rng(base.seed))
-        state_b = fit(params_b, splits["train"], splits["val"], two)
+        state_b = fit(params_b, splits["train"], splits["val"], two, fresh_state(params_b, two))
         assert state_b.optimizer.epochs_completed == 2
         state_b = fit(params_b, splits["train"], splits["val"], base, state_b)
 
@@ -709,26 +709,38 @@ class TestFit:
         for name, arr in state_a.optimizer.velocity.items():
             assert np.array_equal(arr, state_b.optimizer.velocity[name])
 
-    def test_everything_finite_after_training(self):
+    def test_everything_finite_after_training(self, fresh_state):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.1, seed=13)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg)
+        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
         for arr in params.tensors.values():
             assert np.isfinite(arr).all()
         for arr in state.optimizer.velocity.values():
             assert np.isfinite(arr).all()
 
+    def test_state_without_a_snapshot_fails_before_the_first_epoch(self):
+        splits = tiny_dataset()
+        cfg = TrainConfig(max_epochs=2, seed=9)
+        params = init_model(TINY_SHAPE, init_rng(cfg.seed))
+        before = snapshot(params)
+        state = TrainState(OptimizerState.init(params, cfg))
+        with pytest.raises(ValueError, match="no best snapshot"):
+            fit(params, splits["train"], splits["val"], cfg, state)
+        assert state.history == [] and state.optimizer.epochs_completed == 0
+        for name, arr in params.tensors.items():
+            assert np.array_equal(arr, before[name])
+
     def test_finite_guard_raises(self, tiny_params):
         with pytest.raises(ArithmeticError):
             trainer_mod._check_finite({"w": np.array([np.nan])}, "parameter")
 
-    def test_best_epoch_ties_to_earliest(self):
+    def test_best_epoch_ties_to_earliest(self, fresh_state):
         splits = tiny_dataset(num_per_class=16, sigma=0.0)
         cfg = TrainConfig(max_epochs=8, batch_size=8, initial_lr=0.1,
                           dropout_keep=1.0, seed=14)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg)
+        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
         accs = [r.val_accuracy for r in state.history]
         assert state.best_val_accuracy == max(accs)
         assert state.best_epoch == accs.index(max(accs))
