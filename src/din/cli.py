@@ -124,10 +124,7 @@ def _load_model_for_inference(args):
         raise ValueError("--checkpoint is required")
     if not args.use_best:
         return data_io.load_checkpoint(args.checkpoint, groups=("param",)).model
-    best = data_io.load_checkpoint(args.checkpoint, groups=("best",)).best
-    if best is None:
-        raise ValueError("checkpoint has no best-model snapshot")
-    return best
+    return data_io.load_checkpoint(args.checkpoint, groups=("best",)).best
 
 
 def _load_samples(args, shape: ModelShapeSpec, split=None):
@@ -157,10 +154,8 @@ def cmd_synth(args) -> int:
 
 
 def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
-    """A resumed run needs the checkpoint's best snapshot and keeps its
-    shape and train config; only max_epochs may change."""
-    if ckpt.best is None:
-        raise ValueError(f"{path}: cannot resume a checkpoint without a best-model snapshot")
+    """A resumed run keeps the checkpoint's shape and train config; only
+    max_epochs may change."""
     diffs = [
         f"{section}.{f.name} {getattr(theirs, f.name)!r} -> {getattr(ours, f.name)!r}"
         for section, ours, theirs in (("shape", cfg.shape, ckpt.model.shape),
@@ -185,9 +180,10 @@ def cmd_train(args) -> int:
     ckpt = data_io.load_checkpoint(args.resume) if args.resume else None
     if ckpt is None:
         params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
+        state = trainer.TrainState.fresh(params, cfg.train)
     else:
         _check_resume(args.resume, cfg, ckpt)
-        params = ckpt.model
+        params, state = ckpt.model, ckpt.state
     out_dir = Path(args.out_dir)
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,13 +191,9 @@ def cmd_train(args) -> int:
         try:
             # The best snapshot lives in an unlinked file in out_dir, not in memory.
             best = stack.enter_context(data_io.SnapshotFile(cfg.shape, out_dir))
-            if ckpt is None:
-                state = trainer.TrainState.fresh(params, cfg.train, best)
-            else:  # move the loaded best/ group into the file, and free it
-                best.capture(ckpt.best)
-                state, ckpt = ckpt.state, None
-                state.best_params = best
-            state = trainer.fit(params, train_split, val_split, cfg.train, state)
+            best.capture(params if ckpt is None else ckpt.best)
+            ckpt = None  # frees the loaded best/ group
+            state = trainer.fit(params, train_split, val_split, cfg.train, state, best)
         except BaseException:
             for d in created:  # deepest first; rmdir leaves one that is not empty
                 with contextlib.suppress(OSError):
@@ -214,7 +206,7 @@ def cmd_train(args) -> int:
                 f"lr={report.current_lr:g}"
             )
         ckpt_path = out_dir / "checkpoint.ckpt"
-        data_io.save_checkpoint(ckpt_path, params, state, cfg.train)
+        data_io.save_checkpoint(ckpt_path, params, state, cfg.train, best)
     history_doc = {
         "reports": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,

@@ -19,7 +19,7 @@ Checkpoint ("DICK", little-endian):
     per tensor: name_len u16, name UTF-8, ndim u8, ndim * u32 dims,
                float64 payload
     tensor namespaces: "param/" current model, "velocity/" optimizer
-    buffers, "best/" best-validation snapshot (optional)
+    buffers, "best/" best-validation snapshot (required; "has_best": true)
 
 Writers go through a temporary file plus atomic rename, so readers never
 observe a partial file. Features are quantized to float32 on disk; a write
@@ -41,7 +41,7 @@ aligned float64 array (readinto) and seeks over the tensors of the groups
 it was not asked for; inference reads only "param/" or "best/". Either way
 the whole tensor directory is walked and checked: names, dims (none of 0),
 each payload's end against the file size before anything is allocated,
-duplicates and trailing bytes.
+duplicates and trailing bytes; each payload it reads must be finite.
 """
 
 from __future__ import annotations
@@ -381,8 +381,9 @@ class SnapshotFile:
     unlink right after it where the file system lacks that), so it leaves
     nothing behind, even after a kill. Its pages are file cache that the
     kernel can write back and evict, not the process's anonymous memory.
-    `fit` captures into it and `save_checkpoint` copies it. Use it as a
-    context manager: leaving it closes the file."""
+    Its owner fills it first, then `fit` captures each best epoch into it
+    and `save_checkpoint` copies it. Use it as a context manager: leaving
+    it closes the file."""
 
     def __init__(self, shape: ModelShapeSpec, directory: str | Path):
         self.shape = shape
@@ -420,8 +421,7 @@ class SnapshotFile:
 @dataclass
 class CheckpointData:
     """A loaded checkpoint. A tensor group the load did not ask for is None:
-    `model` (param/), `state.optimizer.velocity` (velocity/) and `best`
-    (best/, also None when the file has no snapshot; the state holds none)."""
+    `model` (param/), `state.optimizer.velocity` (velocity/) and `best` (best/)."""
 
     model: ModelParams | None
     state: TrainState
@@ -440,12 +440,12 @@ def save_checkpoint(
     model: ModelParams,
     state: TrainState,
     config: TrainConfig,
+    best: SnapshotFile,
 ) -> None:
-    """Serialize model, optimizer and training bookkeeping, atomically.
-    Each tensor is written from its array's own buffer, not copied; the
-    best snapshot's file is appended as it is."""
+    """Serialize model, optimizer, training bookkeeping and the best
+    snapshot, atomically. Each tensor is written from its array's own
+    buffer, not copied; the best snapshot's file is appended as it is."""
     opt = state.optimizer
-    best = state.best_params
     meta = {
         "config": asdict(config),
         "shape": asdict(model.shape),
@@ -458,12 +458,12 @@ def save_checkpoint(
         "history": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,
         "best_val_accuracy": state.best_val_accuracy,
-        "has_best": best is not None,
+        "has_best": True,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     groups = {"param": model.tensors, "velocity": opt.velocity}
     tensors = {f"{g}/{name}": arr for g, named in groups.items() for name, arr in named.items()}
-    count = len(tensors) + (len(parameter_shapes(best.shape)) if best is not None else 0)
+    count = len(tensors) + len(parameter_shapes(best.shape))
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)),
@@ -472,16 +472,14 @@ def save_checkpoint(
     ]
     for name, arr in tensors.items():  # no copy for live float64 tensors
         parts += [_tensor_entry(name, arr.shape), np.ascontiguousarray(arr, dtype="<f8")]
-    if best is not None:
-        parts.append(best.chunks())
-    atomic_write_bytes(Path(path), *parts)
+    atomic_write_bytes(Path(path), *parts, best.chunks())
 
 
 def _read_checkpoint(
     path: str | Path, groups: Collection[str] | None
 ) -> tuple[dict, dict[str, tuple[int, ...]], dict[str, Array]]:
-    """(meta, name -> dims of every tensor, name -> array of the tensors
-    whose group is in `groups`, or of all when it is None)."""
+    """(meta, name -> dims of every tensor, name -> finite array of the
+    tensors whose group is in `groups`, or of all when it is None)."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(10)
@@ -520,6 +518,8 @@ def _read_checkpoint(
                     tensors[name] = np.empty(dims[name], dtype="<f8")
                     if f.readinto(tensors[name]) != nbytes:
                         raise FormatError(f"{path}: truncated payload for tensor {name!r}")
+                    if not np.isfinite(tensors[name]).all():
+                        raise FormatError(f"{path}: non-finite values in tensor {name!r}")
                 else:
                     f.seek(nbytes, os.SEEK_CUR)
         except (struct.error, UnicodeDecodeError) as exc:
@@ -548,15 +548,12 @@ def load_checkpoint(
         config = from_fields(TrainConfig, meta["config"])
         state = TrainState(from_fields(OptimizerState, meta["optimizer"], velocity=None),
                            [from_fields(EpochReport, r) for r in meta["history"]],
-                           None, meta["best_epoch"], meta["best_val_accuracy"])
-        has_best = meta["has_best"]
-        if not isinstance(has_best, bool):
-            raise ValueError(f"has_best must be a bool, got {has_best!r}")
+                           meta["best_epoch"], meta["best_val_accuracy"])
+        if meta["has_best"] is not True:  # every checkpoint has a best/ group
+            raise ValueError(f"has_best must be true, got {meta['has_best']!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid meta block: {exc}") from exc
-    present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}}
-    if has_best:
-        present["best"] = {}
+    present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}, "best": {}}
     for key, key_dims in dims.items():
         prefix, _, name = key.partition("/")
         if prefix not in present:

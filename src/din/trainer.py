@@ -97,14 +97,13 @@ class EpochReport:
 
 @dataclass
 class TrainState:
-    """Everything fit() accumulates; checkpointing this resumes a run exactly.
-    The history holds one report per completed epoch, in order. The best
-    snapshot is a file (data_io.SnapshotFile) that fit captures into; a
-    state loaded from a checkpoint has none until one is set."""
+    """Everything fit() accumulates but the best snapshot, which fit's
+    caller keeps in a file (data_io.SnapshotFile); checkpointing both
+    resumes a run exactly. The history holds one report per completed
+    epoch, in order."""
 
     optimizer: OptimizerState
     history: list[EpochReport] = field(default_factory=list)
-    best_params: SnapshotFile | None = None
     best_epoch: int = -1
     best_val_accuracy: float = -1.0
 
@@ -118,10 +117,9 @@ class TrainState:
             raise ValueError(f"best_epoch {self.best_epoch} is neither -1 nor a completed epoch")
 
     @classmethod
-    def fresh(cls, params: ModelParams, config: TrainConfig, best: SnapshotFile) -> "TrainState":
-        """The state before the first epoch; `best` captures the initial parameters."""
-        best.capture(params)
-        return cls(OptimizerState.init(params, config), [], best)
+    def fresh(cls, params: ModelParams, config: TrainConfig) -> "TrainState":
+        """The state before the first epoch."""
+        return cls(OptimizerState.init(params, config))
 
 
 # Elements per optimizer block: a block's parameter, velocity, gradient and
@@ -262,16 +260,15 @@ def fit(
     val_split: Sequence["Sample"],
     config: TrainConfig,
     state: TrainState,
+    best: SnapshotFile,
 ) -> TrainState:
-    """Train up to config.max_epochs, tracking the best validation epoch.
-
-    Pass TrainState.fresh to start, or a state restored from a checkpoint,
-    with a best snapshot set, to resume; epochs already completed are
-    skipped and the remaining ones reproduce an uninterrupted run
-    bit-exactly. Mutates `params` and `state` in place and returns the state.
+    """Train up to config.max_epochs, capturing each best validation epoch
+    into `best`. Start from TrainState.fresh with `best` holding the
+    initial parameters, or resume from a checkpoint's state with `best`
+    holding its best/ group: epochs already completed are skipped and the
+    remaining ones reproduce an uninterrupted run bit-exactly. Mutates
+    `params`, `state` and `best` in place and returns the state.
     """
-    if state.best_params is None:
-        raise ValueError("the training state has no best snapshot to capture into")
     opt = state.optimizer
     for epoch in range(opt.epochs_completed, config.max_epochs):
         lr_used = opt.current_lr
@@ -287,7 +284,7 @@ def fit(
         except ArithmeticError as exc:
             raise ArithmeticError(f"training diverged in epoch {epoch}: {exc}") from exc
         if val_accuracy > state.best_val_accuracy:
-            state.best_params.capture(params)
+            best.capture(params)
             state.best_epoch = epoch
             state.best_val_accuracy = val_accuracy
         plateau_update(opt, 1.0 - val_accuracy, config)

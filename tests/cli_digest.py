@@ -1,6 +1,6 @@
 """Digest of every artifact of a fixed din command sequence, to compare two checkouts.
 
-    python3 tests/cli_digest.py CHECKOUT INPUTS
+    python3 tests/cli_digest.py CHECKOUT INPUTS [--against OTHER_CHECKOUT]
     python3 tests/cli_digest.py --write-tiny INPUTS
 
 INPUTS holds a config.json (shape and train sections; synth optional) and
@@ -20,7 +20,12 @@ stderr (with the temporary and the inputs directory replaced by fixed
 names), then the sha256 of every file written so far that it has not
 printed yet; run_meta.json holds wall-clock times and is skipped. Two
 checkouts leave the CLI's behaviour unchanged when their outputs are
-identical (``diff``).
+identical.
+
+With ``--against``, it runs CHECKOUT's sequence, then OTHER_CHECKOUT's, on
+the same INPUTS and prints a unified diff of the two digests (nothing when
+they agree). The last line is ``identical``, or ``<n> lines differ``
+counting the diff's removed and added lines; the exit code is 0 or 1.
 
 ``--write-tiny INPUTS`` writes a small dataset whose videos have fewer,
 as many and more frames than the model samples (T = 3, 8, 13, 70).
@@ -29,6 +34,7 @@ as many and more frames than the model samples (T = 3, 8, 13, 70).
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -72,7 +78,9 @@ def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
     ]
 
 
-def digest(checkout: Path, inputs: Path) -> None:
+def digest(checkout: Path, inputs: Path) -> list[str]:
+    """The digest lines of CHECKOUT's sequence on INPUTS."""
+    lines = []
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(checkout / "src"),
                                                         os.environ.get("PYTHONPATH")])))
@@ -82,15 +90,16 @@ def digest(checkout: Path, inputs: Path) -> None:
         for name, argv in sequence(inputs, work):
             proc = subprocess.run([sys.executable, "-m", "din.cli", *argv], cwd=work, env=env,
                                   capture_output=True, check=False)
-            print(f"exit {proc.returncode} {name}")
+            lines.append(f"exit {proc.returncode} {name}")
             for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
                 data = data.replace(str(work).encode(), b"WORK")
                 data = data.replace(str(inputs).encode(), b"INPUTS")
-                print(f"sha256 {sha256(data)} {name}.{stream}")
+                lines.append(f"sha256 {sha256(data)} {name}.{stream}")
             for path in sorted(p for p in work.rglob("*") if p.is_file()):
                 if path not in seen and path.name != "run_meta.json":
                     seen.add(path)
-                    print(f"sha256 {sha256(path.read_bytes())} {path.relative_to(work)}")
+                    lines.append(f"sha256 {sha256(path.read_bytes())} {path.relative_to(work)}")
+    return lines
 
 
 def write_tiny(out: Path) -> None:
@@ -122,13 +131,24 @@ def main() -> None:
     parser.add_argument("inputs", type=Path)
     parser.add_argument("--write-tiny", action="store_true",
                         help="write the tiny dataset to INPUTS instead")
+    parser.add_argument("--against", type=Path, metavar="OTHER_CHECKOUT",
+                        help="diff CHECKOUT's digest against this checkout's")
     args = parser.parse_args()
     if args.write_tiny:
         write_tiny(args.inputs)
-    elif args.checkout is None:
+        return
+    if args.checkout is None:
         parser.error("CHECKOUT is required")
-    else:
-        digest(args.checkout.resolve(), args.inputs.resolve())
+    ours = digest(args.checkout.resolve(), args.inputs.resolve())
+    if args.against is None:
+        print("\n".join(ours))
+        return
+    theirs = digest(args.against.resolve(), args.inputs.resolve())
+    diff = list(difflib.unified_diff(ours, theirs, str(args.checkout), str(args.against),
+                                     lineterm=""))
+    changed = sum(line.startswith(("+", "-")) for line in diff[2:])  # past the two headers
+    print("\n".join([*diff, f"{changed} lines differ" if diff else "identical"]))
+    sys.exit(1 if diff else 0)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -32,27 +33,25 @@ def tiny_params():
 
 
 @pytest.fixture
-def fresh_state(tmp_path):
-    """fresh_state(params, config): TrainState.fresh with a new SnapshotFile
-    in tmp_path as its best snapshot. The files close after the test."""
+def best_file(tmp_path):
+    """best_file(params): a new SnapshotFile in tmp_path holding `params`,
+    as `din train` fills it before its first epoch (with the initial
+    parameters, or with a resumed checkpoint's best/ group). The files
+    close after the test."""
     with contextlib.ExitStack() as stack:
-        yield lambda params, config: TrainState.fresh(
-            params, config, stack.enter_context(SnapshotFile(params.shape, tmp_path)))
+        def new(params):
+            best = stack.enter_context(SnapshotFile(params.shape, tmp_path))
+            best.capture(params)
+            return best
+        yield new
 
 
 def save_fresh_checkpoint(path, params, config):
     """Save the state before the first epoch, its best snapshot in a
     SnapshotFile beside `path`, as a fresh `din train` run with no epochs does."""
     with SnapshotFile(params.shape, path.parent) as best:
-        save_checkpoint(path, params, TrainState.fresh(params, config, best), config)
-
-
-def resumed_state(ckpt, best):
-    """A loaded checkpoint's state with its best/ group captured into the
-    SnapshotFile `best`, as `din train --resume` does."""
-    best.capture(ckpt.best)
-    ckpt.state.best_params = best
-    return ckpt.state
+        best.capture(params)
+        save_checkpoint(path, params, TrainState.fresh(params, config), config, best)
 
 
 def copy_params(params):
@@ -80,6 +79,14 @@ def edit_checkpoint_meta(blob, edit):
     edit(meta)
     encoded = json.dumps(meta, sort_keys=True).encode()
     return blob[:6] + struct.pack("<I", len(encoded)) + encoded + blob[10 + meta_len :]
+
+
+def poison_tensor(blob, name, value):
+    """Checkpoint bytes with the last value of tensor `name`'s payload set to `value`."""
+    at = blob.index(struct.pack("<H", len(name)) + name.encode()) + 2 + len(name)
+    dims = struct.unpack_from(f"<{blob[at]}I", blob, at + 1)
+    end = at + 1 + 4 * len(dims) + 8 * math.prod(dims)
+    return blob[: end - 8] + struct.pack("<d", value) + blob[end:]
 
 
 def decode_feature_file(path):

@@ -11,7 +11,6 @@ import numpy as np
 
 from din.analysis import count_parameters
 from din.data_io import (
-    SnapshotFile,
     SyntheticTaskConfig,
     load_checkpoint,
     read_checkpoint_tensors,
@@ -27,9 +26,9 @@ from din.selftest import (
     check_softmax_law,
 )
 from din.temporal_conv import conv_scale_forward
-from din.trainer import TrainConfig, fit, init_rng
+from din.trainer import TrainConfig, TrainState, fit, init_rng
 
-from conftest import resumed_state, save_fresh_checkpoint
+from conftest import save_fresh_checkpoint
 from mean_pool_baseline import train_baseline
 
 
@@ -71,7 +70,7 @@ def test_shape_law():
 
 
 @criterion(4, "temporal-order task: head >= 98% accuracy, mean-pool baseline <= 60%")
-def test_temporal_order_sensitivity(fresh_state):
+def test_temporal_order_sensitivity(best_file):
     started = time.perf_counter()
     synth = SyntheticTaskConfig(
         num_prototypes=4, feature_dim=16, noise_sigma=0.1, sequence_length=8,
@@ -89,7 +88,8 @@ def test_temporal_order_sensitivity(fresh_state):
         seed=3,
     )
     params = init_model(shape, init_rng(config.seed))
-    state = fit(params, splits["train"], splits["val"], config, fresh_state(params, config))
+    state = fit(params, splits["train"], splits["val"], config, TrainState.fresh(params, config),
+                best_file(params))
     best_acc = max(r.val_accuracy for r in state.history)
     assert best_acc >= 0.98, f"temporal head reached only {best_acc:.4f}"
 
@@ -120,7 +120,7 @@ def test_parameter_accounting(tmp_path):
 
 
 @criterion(6, "bit-exact reruns and bit-exact resume")
-def test_determinism_and_resume(tmp_path, fresh_state):
+def test_determinism_and_resume(tmp_path, best_file):
     synth = SyntheticTaskConfig(
         num_prototypes=4, feature_dim=8, noise_sigma=0.1, sequence_length=8,
         samples_per_class=16, val_samples_per_class=8, seed=11,
@@ -135,9 +135,11 @@ def test_determinism_and_resume(tmp_path, fresh_state):
 
     def full_run(tag):
         params = init_model(shape, init_rng(config.seed))
-        state = fit(params, splits["train"], splits["val"], config, fresh_state(params, config))
+        best = best_file(params)
+        state = fit(params, splits["train"], splits["val"], config,
+                    TrainState.fresh(params, config), best)
         path = tmp_path / f"{tag}.ckpt"
-        save_checkpoint(path, params, state, config)
+        save_checkpoint(path, params, state, config, best)
         return state.history, path.read_bytes()
 
     history_a, blob_a = full_run("a")
@@ -147,16 +149,17 @@ def test_determinism_and_resume(tmp_path, fresh_state):
 
     params_c = init_model(shape, init_rng(config.seed))
     half = dataclasses.replace(config, max_epochs=2)
-    state_c = fit(params_c, splits["train"], splits["val"], half, fresh_state(params_c, half))
+    best_c = best_file(params_c)
+    state_c = fit(params_c, splits["train"], splits["val"], half,
+                  TrainState.fresh(params_c, half), best_c)
     half_path = tmp_path / "half.ckpt"
-    save_checkpoint(half_path, params_c, state_c, half)
+    save_checkpoint(half_path, params_c, state_c, half, best_c)
     loaded = load_checkpoint(half_path)
-    with SnapshotFile(shape, tmp_path) as best:
-        resumed = fit(loaded.model, splits["train"], splits["val"], config,
-                      resumed_state(loaded, best))
-        assert resumed.history == history_a
-        resumed_path = tmp_path / "resumed.ckpt"
-        save_checkpoint(resumed_path, loaded.model, resumed, config)
+    best = best_file(loaded.best)
+    resumed = fit(loaded.model, splits["train"], splits["val"], config, loaded.state, best)
+    assert resumed.history == history_a
+    resumed_path = tmp_path / "resumed.ckpt"
+    save_checkpoint(resumed_path, loaded.model, resumed, config, best)
     assert resumed_path.read_bytes() == blob_a
 
 

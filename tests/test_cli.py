@@ -24,7 +24,6 @@ from din.data_io import (
     load_checkpoint,
     load_manifest,
     load_split,
-    save_checkpoint,
     write_feature_file,
 )
 from din.model import EVAL_BATCH, ModelShapeSpec, predict_sample
@@ -36,6 +35,7 @@ from conftest import (
     decode_feature_file,
     edit_checkpoint_meta,
     in_memory,
+    poison_tensor,
     write_test_split,
 )
 
@@ -96,6 +96,17 @@ def four_epochs_two_ways(tmp_path, cfg):
     assert main([*train, "--out-dir", str(dir_resumed), "--max-epochs", "4",
                  "--resume", str(dir_2 / "checkpoint.ckpt")]) == 0
     return dir_4, dir_resumed
+
+
+NO_BEST_ERROR = "invalid meta block: has_best must be true, got False"
+
+
+def no_best_checkpoint(run_dir, tmp_path):
+    """A copy of run_dir's checkpoint whose meta says it has no best/ group."""
+    path = tmp_path / "no-best.ckpt"
+    path.write_bytes(edit_checkpoint_meta((run_dir / "checkpoint.ckpt").read_bytes(),
+                                          lambda meta: meta.update(has_best=False)))
+    return path
 
 
 def run_din(*argv, **env_overrides):
@@ -237,17 +248,14 @@ class TestTrain:
 
     def test_resume_without_a_best_snapshot_is_validation_error(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
-        loaded = load_checkpoint(run_dir / "checkpoint.ckpt")
-        ckpt = tmp_path / "no-best.ckpt"
-        save_checkpoint(ckpt, loaded.model, loaded.state, loaded.config)  # the state has none
+        ckpt = no_best_checkpoint(run_dir, tmp_path)
         out_dir = tmp_path / "new" / "resumed"
         rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
                    "--out-dir", str(out_dir), "--max-epochs", "4", "--resume", str(ckpt)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {ckpt}: cannot resume a checkpoint without a "
-                                "best-model snapshot\n")
+        assert captured.err == f"error: {ckpt}: {NO_BEST_ERROR}\n"
         assert not (tmp_path / "new").exists()
 
     def test_resume_keeps_integer_floats_as_read(self, tmp_path, capsys):
@@ -512,14 +520,44 @@ class TestEvalPredict:
 
     def test_use_best_without_snapshot_is_validation_error(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
-        ckpt = load_checkpoint(run_dir / "checkpoint.ckpt")
-        ckpt.state.best_params = None
-        path = tmp_path / "no-best.ckpt"
-        save_checkpoint(path, ckpt.model, ckpt.state, ckpt.config)
+        path = no_best_checkpoint(run_dir, tmp_path)
         rc = main(["eval", "--checkpoint", str(path),
                    "--manifest", str(data_dir / "manifest.json"), "--use-best"])
         assert rc == 2
-        assert capsys.readouterr().err == "error: checkpoint has no best-model snapshot\n"
+        assert capsys.readouterr().err == f"error: {path}: {NO_BEST_ERROR}\n"
+
+    def test_eval_without_snapshot_is_validation_error(self, tmp_path, capsys):
+        # A param/-only load reads the meta too, so it fails the same way.
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        path = no_best_checkpoint(run_dir, tmp_path)
+        rc = main(["eval", "--checkpoint", str(path),
+                   "--manifest", str(data_dir / "manifest.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {NO_BEST_ERROR}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-features",
+                                         "export-responses", "resume"])
+    def test_non_finite_checkpoint_is_validation_error(self, tmp_path, capsys, command):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        name = "param/conv/h2/weights"
+        path = tmp_path / "nan.ckpt"
+        path.write_bytes(poison_tensor((run_dir / "checkpoint.ckpt").read_bytes(), name, math.nan))
+        out = tmp_path / "out"
+        model = ["--checkpoint", path, "--manifest", data_dir / "manifest.json"]
+        argv = {
+            "eval": ["eval", *model],
+            "predict": ["predict", *model, "--out", out],
+            "export-features": ["export-features", *model, "--out", out],
+            "export-responses": ["export-responses", *model, "--width", "2", "--out", out],
+            "resume": ["train", "--config", cfg, "--manifest", data_dir / "manifest.json",
+                       "--out-dir", out, "--max-epochs", "3", "--resume", path],
+        }[command]
+        assert main([str(arg) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: non-finite values in tensor '{name}'\n"
+        assert not out.exists()
 
     def test_predict_writes_probability_rows(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)

@@ -58,7 +58,7 @@ from conftest import (
     edit_checkpoint_meta,
     gathered,
     in_memory,
-    resumed_state,
+    poison_tensor,
     save_fresh_checkpoint,
 )
 from mean_pool_baseline import train_baseline
@@ -573,19 +573,21 @@ DROP = "<drop>"  # marks a meta field the test deletes
 
 
 class TestCheckpoints:
-    def test_round_trip_is_bit_exact(self, tmp_path, fresh_state):
+    def test_round_trip_is_bit_exact(self, tmp_path, best_file):
         splits, cfg, params = small_training_setup()
-        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
+        snapshot = best_file(params)
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
+                    snapshot)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, state, cfg)
+        save_checkpoint(path, params, state, cfg, snapshot)
         loaded = load_checkpoint(path)
         assert isinstance(loaded, CheckpointData)
         assert loaded.config == cfg
-        assert loaded.state.best_params is None
         # The best snapshot: an identical run stopped after the best epoch.
         best = init_model(TINY_SHAPE, init_rng(cfg.seed))
         stopped = dataclasses.replace(cfg, max_epochs=state.best_epoch + 1)
-        fit(best, splits["train"], splits["val"], stopped, fresh_state(best, stopped))
+        fit(best, splits["train"], splits["val"], stopped, TrainState.fresh(best, stopped),
+            best_file(best))
         for name, arr in params.tensors.items():
             assert arr.tobytes() == loaded.model.tensors[name].tobytes()
             assert (state.optimizer.velocity[name].tobytes()
@@ -595,11 +597,10 @@ class TestCheckpoints:
         assert loaded.state.best_epoch == state.best_epoch
         assert loaded.state.optimizer.best_val_error == state.optimizer.best_val_error
 
-    def test_corrupt_files_rejected(self, tmp_path, fresh_state):
+    def test_corrupt_files_rejected(self, tmp_path):
         splits, cfg, params = small_training_setup()
-        state = fresh_state(params, cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, state, cfg)
+        save_fresh_checkpoint(path, params, cfg)
         blob = path.read_bytes()
         (tmp_path / "magic.ckpt").write_bytes(b"NOPE" + blob[4:])
         with pytest.raises(FormatError):
@@ -616,18 +617,11 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(tmp_path / "trail.ckpt")
 
-    def test_unknown_tensors_rejected(self, tmp_path, fresh_state):
+    def test_unknown_tensors_rejected(self, tmp_path):
         splits, cfg, params = small_training_setup()
-        with_best = fresh_state(params, cfg)
-        without_best = TrainState(with_best.optimizer)
-        cases = (
-            (with_best, "param/bogus"),
-            (with_best, "stray/reduction/bias"),
-            (without_best, "best/reduction/bias"),
-        )
-        for state, name in cases:
+        for name in ("param/bogus", "stray/reduction/bias"):
             path = tmp_path / "model.ckpt"
-            save_checkpoint(path, params, state, cfg)
+            save_fresh_checkpoint(path, params, cfg)
             path.write_bytes(append_tensor(path.read_bytes(), name, np.zeros(3)))
             with pytest.raises(FormatError, match=name):
                 load_checkpoint(path)
@@ -649,13 +643,13 @@ class TestCheckpoints:
         ("optimizer.epochs_completed", 2), ("optimizer.epochs_completed", 0),
         ("history.0.epoch", 1), ("best_epoch", 3), ("best_epoch", -2),
     ])
-    def test_bad_meta_field_names_the_file(self, tmp_path, fresh_state, field, value):
+    def test_bad_meta_field_names_the_file(self, tmp_path, best_file, field, value):
         splits, cfg, params = small_training_setup()
         path = tmp_path / "model.ckpt"
-        state = fresh_state(params, cfg)
+        state = TrainState.fresh(params, cfg)
         state.history.append(EpochReport(0, 1.0, 1.0, 0.5, cfg.initial_lr))
         state.optimizer.epochs_completed = 1
-        save_checkpoint(path, params, state, cfg)
+        save_checkpoint(path, params, state, cfg, best_file(params))
         load_checkpoint(path)  # unedited, with best_val_error still Infinity
 
         def edit(meta):
@@ -672,12 +666,12 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{key}"):
             load_checkpoint(path)
 
-    def test_tensor_errors_name_the_group_and_tensor(self, tmp_path, fresh_state):
+    def test_tensor_errors_name_the_group_and_tensor(self, tmp_path, best_file):
         splits, cfg, params = small_training_setup()
-        state = fresh_state(params, cfg)
+        state = TrainState.fresh(params, cfg)
         state.optimizer.velocity["conv/h3/bias"] = np.zeros(2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, state, cfg)
+        save_checkpoint(path, params, state, cfg, best_file(params))
         with pytest.raises(FormatError, match=r"velocity/conv/h3/bias: shape \(2,\)"):
             load_checkpoint(path)
         blob = append_tensor(path.read_bytes(), "param/reduction/bias", np.zeros(3))
@@ -685,33 +679,67 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="duplicate tensor 'param/reduction/bias'"):
             load_checkpoint(path)
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path, fresh_state):
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, best_file):
         splits, cfg, params_a = small_training_setup(seed=22)
         four = dataclasses.replace(cfg, max_epochs=4)
-        state_a = fit(params_a, splits["train"], splits["val"], four, fresh_state(params_a, four))
-        save_checkpoint(tmp_path / "whole.ckpt", params_a, state_a, four)
+        best_a = best_file(params_a)
+        state_a = fit(params_a, splits["train"], splits["val"], four,
+                      TrainState.fresh(params_a, four), best_a)
+        save_checkpoint(tmp_path / "whole.ckpt", params_a, state_a, four, best_a)
 
         params_b = init_model(TINY_SHAPE, init_rng(cfg.seed))
+        best_b = best_file(params_b)
         state_b = fit(params_b, splits["train"], splits["val"], cfg,
-                      fresh_state(params_b, cfg))  # 2 epochs
+                      TrainState.fresh(params_b, cfg), best_b)  # 2 epochs
         path = tmp_path / "halfway.ckpt"
-        save_checkpoint(path, params_b, state_b, cfg)
+        save_checkpoint(path, params_b, state_b, cfg, best_b)
         loaded = load_checkpoint(path)
-        # A loaded state holds no snapshot; fit refuses it before any epoch.
-        with pytest.raises(ValueError, match="no best snapshot"):
-            fit(loaded.model, splits["train"], splits["val"], four, loaded.state)
         assert loaded.state.optimizer.epochs_completed == 2
-        with SnapshotFile(TINY_SHAPE, tmp_path) as best:
-            resumed = fit(loaded.model, splits["train"], splits["val"], four,
-                          resumed_state(loaded, best))
-            save_checkpoint(tmp_path / "resumed.ckpt", loaded.model, resumed, four)
+        best = best_file(loaded.best)
+        resumed = fit(loaded.model, splits["train"], splits["val"], four, loaded.state, best)
+        save_checkpoint(tmp_path / "resumed.ckpt", loaded.model, resumed, four, best)
         assert resumed.history == state_a.history
         for name, arr in params_a.tensors.items():
             assert np.array_equal(arr, loaded.model.tensors[name])
         assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("cut_group", [False, True], ids=["meta", "meta-and-group"])
+    @pytest.mark.parametrize("groups", [None, ("param",), ("velocity",), ("best",)])
+    def test_checkpoint_without_best_fails_every_load(self, tmp_path, groups, cut_group):
+        # Every checkpoint has a best/ group; a meta that says otherwise
+        # fails, whichever groups are read, with or without the group.
+        path = tmp_path / "no-best.ckpt"
+        blob = edit_checkpoint_meta(pinned_checkpoint(path), lambda m: m.update(has_best=False))
+        path.write_bytes(without_best_group(blob) if cut_group else blob)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: invalid meta block: "
+                                              "has_best must be true, got False$"):
+            load_checkpoint(path, groups=groups)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("group", ["param", "velocity", "best"])
+    def test_non_finite_payload_fails_the_loads_that_read_it(self, tmp_path, group, value):
+        path = tmp_path / "poisoned.ckpt"
+        name = f"{group}/conv/h2/weights"
+        path.write_bytes(poison_tensor(pinned_checkpoint(path), name, value))
+        for groups in (None, ("param",), ("velocity",), ("best",)):
+            if groups is None or group in groups:
+                with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: non-finite "
+                                                      f"values in tensor '{name}'$"):
+                    load_checkpoint(path, groups=groups)
+            else:  # a skipped group's payload is not checked
+                load_checkpoint(path, groups=groups)
+
 
 PINNED_SIZE = 4111  # bytes of the pinned checkpoint (TestLayoutPin)
+
+
+def without_best_group(blob):
+    """Checkpoint bytes of TINY_SHAPE cut before its best/ group, the last
+    third of the tensor directory, with the tensor count to match."""
+    (meta_len,) = struct.unpack_from("<I", blob, 6)
+    (count,) = struct.unpack_from("<I", blob, 10 + meta_len)
+    at = blob.index(b"best/") - 2  # the first best/ entry's name length
+    return blob[: 10 + meta_len] + struct.pack("<I", count * 2 // 3) + blob[14 + meta_len : at]
 
 
 def pinned_checkpoint(path):
@@ -836,7 +864,9 @@ def assert_fresh_arrays(params):
 
 def check_group_loads_agree(path, blob):
     """A param/-only and a best/-only load fail exactly when the full load
-    does, and otherwise hold the full load's tensors and nothing else."""
+    does, and otherwise hold the full load's tensors and nothing else. That
+    holds only for a blob whose payloads are finite: a non-finite value
+    fails just the loads that read its group."""
     path.write_bytes(blob)
     full = load_or_none(path)
     param_only = load_or_none(path, ("param",))
@@ -846,7 +876,6 @@ def check_group_loads_agree(path, blob):
         return
     assert param_only.state.optimizer.velocity is None and param_only.best is None
     assert best_only.model is None and best_only.state.optimizer.velocity is None
-    assert full.state.best_params is None
     for got, want in ((param_only.model, full.model), (best_only.best, full.best)):
         assert (got is None) == (want is None)
         if want is None:
@@ -879,24 +908,25 @@ class TestStreamedCheckpoints:
         params = init_model(MEMORY_SHAPE, make_rng(4))
         path = tmp_path_factory.mktemp("big") / "big.ckpt"
         with SnapshotFile(MEMORY_SHAPE, path.parent) as best:
-            state = TrainState.fresh(params, TrainConfig(), best)
-            save_checkpoint(path, params, state, TrainConfig())
+            best.capture(params)
+            state = TrainState.fresh(params, TrainConfig())
+            save_checkpoint(path, params, state, TrainConfig(), best)
             assert path.stat().st_size >= 1 << 20
-            yield path, params, state
+            yield path, params, state, best
 
     def test_save_does_not_copy_the_payloads(self, big):
-        path, params, state = big
-        peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig()))
+        path, params, state, best = big
+        peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig(), best))
         assert peak <= 0.1 * path.stat().st_size
 
     @pytest.mark.parametrize("groups, bound", [(None, 1.1), (("param",), 0.4)])
     def test_load_holds_only_the_tensors_it_returns(self, big, groups, bound):
-        path, _, _ = big
+        path, *_ = big
         peak = traced_peak(lambda: load_checkpoint(path, groups=groups))
         assert peak <= bound * path.stat().st_size
 
     def test_loaded_tensors_are_fresh_aligned_arrays(self, big):
-        path, params, state = big
+        path, params, *_ = big
         loaded = load_checkpoint(path)
         for group, want in ((loaded.model, params), (loaded.best, params)):
             assert_fresh_arrays(group)
@@ -937,6 +967,12 @@ class TestStreamedCheckpoints:
     def test_group_loads_agree_on_byte_flips(self, pinned, at, mask):
         path, blob = pinned
         assert len(blob) == PINNED_SIZE
+        # Every value lies in (-1, 1), so its exponent is below 0x3ff and no
+        # single-byte flip can make it all ones: every payload stays finite.
+        path.write_bytes(blob)
+        valid = load_checkpoint(path)
+        for named in (valid.model.tensors, valid.state.optimizer.velocity, valid.best.tensors):
+            assert all(np.abs(arr).max() < 1.0 for arr in named.values())
         flipped = bytearray(blob)
         flipped[at] ^= mask
         check_group_loads_agree(path, bytes(flipped))
@@ -992,10 +1028,14 @@ def train_and_save(path, shape, config, splits, resume_at):
         loaded = load_checkpoint(halfway)
         params = loaded.model
     with SnapshotFile(shape, path.parent) as best:
-        state = (TrainState.fresh(params, config, best) if resume_at is None
-                 else resumed_state(loaded, best))
-        state = fit(params, splits["train"], splits["val"], config, state)
-        save_checkpoint(path, params, state, config)
+        if resume_at is None:
+            best.capture(params)
+            state = TrainState.fresh(params, config)
+        else:
+            best.capture(loaded.best)
+            state = loaded.state
+        state = fit(params, splits["train"], splits["val"], config, state, best)
+        save_checkpoint(path, params, state, config, best)
     return state
 
 
@@ -1029,8 +1069,9 @@ class TestSnapshotFile:
         stopped = dataclasses.replace(config, max_epochs=state.best_epoch + 1)
         reference = init_model(shape, init_rng(config.seed))
         with SnapshotFile(shape, root) as best_file:
+            best_file.capture(reference)
             fit(reference, splits["train"], splits["val"], stopped,
-                TrainState.fresh(reference, stopped, best_file))
+                TrainState.fresh(reference, stopped), best_file)
         best = load_checkpoint(root / "run.ckpt", groups=("best",)).best
         for name, arr in reference.tensors.items():
             assert best.tensors[name].tobytes() == arr.tobytes(), name
@@ -1052,9 +1093,11 @@ class TestSnapshotFile:
         for block in (largest // 3, 4 * largest):
             with mock.patch.object(data_io_mod, "SNAPSHOT_BLOCK", block), \
                     SnapshotFile(MEMORY_SHAPE, tmp_path) as best_file:
-                state = TrainState.fresh(params, TrainConfig(), best_file)
+                best_file.capture(params)
+                state = TrainState.fresh(params, TrainConfig())
                 path = tmp_path / "big.ckpt"
-                peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig()))
+                peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig(),
+                                                           best_file))
             assert peak <= min(block, largest) + 64 * 1024
             loaded = load_checkpoint(path, groups=("best",)).best
             for name, arr in params.tensors.items():
@@ -1065,17 +1108,18 @@ class TestSnapshotFile:
         with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
             assert list(tmp_path.iterdir()) == []
             best_file.capture(init_model(TINY_SHAPE, make_rng(5)))
-            state = TrainState.fresh(params, TrainConfig(), best_file)
-            save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig())
+            best_file.capture(params)
+            save_checkpoint(tmp_path / "a.ckpt", params, TrainState.fresh(params, TrainConfig()),
+                            TrainConfig(), best_file)
             assert list(tmp_path.iterdir()) == [tmp_path / "a.ckpt"]
         assert (tmp_path / "a.ckpt").read_bytes() == pinned_checkpoint(tmp_path / "pin.ckpt")
 
     def test_save_of_an_uncaptured_file_fails_and_writes_nothing(self, tmp_path):
         params = init_model(TINY_SHAPE, make_rng(123))
         with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
-            state = TrainState(OptimizerState.init(params, TrainConfig()), [], best_file)
             with pytest.raises(ValueError, match="nothing has been captured"):
-                save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig())
+                save_checkpoint(tmp_path / "a.ckpt", params,
+                                TrainState.fresh(params, TrainConfig()), TrainConfig(), best_file)
         assert list(tmp_path.iterdir()) == []
 
     def test_rejects_another_shape(self, tmp_path):
@@ -1149,7 +1193,7 @@ class TestTrainingRowReads:
         assert peaks[2000] <= peaks[READ_BLOCK_FRAMES] + 16 * 1024
         assert peaks[2000] < 2000 * 4 * self.D
 
-    def test_two_epochs_read_each_file_once(self, tmp_path, monkeypatch, fresh_state):
+    def test_two_epochs_read_each_file_once(self, tmp_path, monkeypatch, best_file):
         manifest = self.write_split(tmp_path / "data", 100)
         real = data_io_mod.read_feature_file
         reads = []
@@ -1159,7 +1203,7 @@ class TestTrainingRowReads:
         val = load_split(manifest, "val", self.D)
         params = init_model(self.SHAPE, init_rng(1))
         cfg = TrainConfig(batch_size=2, max_epochs=2, seed=1)
-        fit(params, train, val, cfg, fresh_state(params, cfg))
+        fit(params, train, val, cfg, TrainState.fresh(params, cfg), best_file(params))
         assert sorted(reads) == sorted(manifest.root / e.feature_path for e in manifest.entries)
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])

@@ -124,9 +124,9 @@ class TestRecords:
         reports = [EpochReport(e, 1.0, 1.0, 0.5, 0.1) for e in range(3)]
         opt = OptimizerState(None, 0.1, math.inf, 2, 3)
         for best_epoch in (-1, 0, 2):
-            TrainState(opt, reports, None, best_epoch, 0.5)
+            TrainState(opt, reports, best_epoch, 0.5)
         with pytest.raises(ValueError, match="best_epoch 3"):
-            TrainState(opt, reports, None, 3, 0.5)
+            TrainState(opt, reports, 3, 0.5)
 
 
 class TestSgdStep:
@@ -650,23 +650,25 @@ class TestScratchRoles:
 
 
 class TestFit:
-    def test_zero_epochs_returns_initial_state(self, fresh_state):
+    def test_zero_epochs_returns_initial_state(self, best_file):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=0, seed=9)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
+                    best_file(params))
         assert state.history == []
         assert state.best_epoch == -1
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
 
-    def test_lr_zero_keeps_params_bit_identical(self, fresh_state):
+    def test_lr_zero_keeps_params_bit_identical(self, best_file):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, initial_lr=0.0, dropout_keep=1.0, seed=10)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
+                    best_file(params))
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
         # Validation losses are bit-identical (fixed eval order); train
@@ -677,31 +679,35 @@ class TestFit:
         train_losses = [r.train_loss for r in state.history]
         assert max(train_losses) - min(train_losses) < 1e-12
 
-    def test_two_runs_are_bit_identical(self, fresh_state):
+    def test_two_runs_are_bit_identical(self, best_file):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.05,
                           dropout_keep=0.8, seed=11)
         results = []
         for _ in range(2):
             params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-            state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
+            state = fit(params, splits["train"], splits["val"], cfg,
+                        TrainState.fresh(params, cfg), best_file(params))
             results.append((snapshot(params), state.history))
         assert results[0][1] == results[1][1]
         for name in results[0][0]:
             assert np.array_equal(results[0][0][name], results[1][0][name])
 
-    def test_interrupted_run_matches_uninterrupted(self, fresh_state):
+    def test_interrupted_run_matches_uninterrupted(self, best_file):
         splits = tiny_dataset()
         base = TrainConfig(max_epochs=4, batch_size=4, initial_lr=0.05,
                            dropout_keep=0.8, seed=12)
         params_a = init_model(TINY_SHAPE, init_rng(base.seed))
-        state_a = fit(params_a, splits["train"], splits["val"], base, fresh_state(params_a, base))
+        state_a = fit(params_a, splits["train"], splits["val"], base,
+                      TrainState.fresh(params_a, base), best_file(params_a))
 
         two = dataclasses.replace(base, max_epochs=2)
         params_b = init_model(TINY_SHAPE, init_rng(base.seed))
-        state_b = fit(params_b, splits["train"], splits["val"], two, fresh_state(params_b, two))
+        best_b = best_file(params_b)
+        state_b = fit(params_b, splits["train"], splits["val"], two,
+                      TrainState.fresh(params_b, two), best_b)
         assert state_b.optimizer.epochs_completed == 2
-        state_b = fit(params_b, splits["train"], splits["val"], base, state_b)
+        state_b = fit(params_b, splits["train"], splits["val"], base, state_b, best_b)
 
         assert state_a.history == state_b.history
         for name, arr in params_a.tensors.items():
@@ -709,38 +715,28 @@ class TestFit:
         for name, arr in state_a.optimizer.velocity.items():
             assert np.array_equal(arr, state_b.optimizer.velocity[name])
 
-    def test_everything_finite_after_training(self, fresh_state):
+    def test_everything_finite_after_training(self, best_file):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.1, seed=13)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
+                    best_file(params))
         for arr in params.tensors.values():
             assert np.isfinite(arr).all()
         for arr in state.optimizer.velocity.values():
             assert np.isfinite(arr).all()
 
-    def test_state_without_a_snapshot_fails_before_the_first_epoch(self):
-        splits = tiny_dataset()
-        cfg = TrainConfig(max_epochs=2, seed=9)
-        params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        before = snapshot(params)
-        state = TrainState(OptimizerState.init(params, cfg))
-        with pytest.raises(ValueError, match="no best snapshot"):
-            fit(params, splits["train"], splits["val"], cfg, state)
-        assert state.history == [] and state.optimizer.epochs_completed == 0
-        for name, arr in params.tensors.items():
-            assert np.array_equal(arr, before[name])
-
     def test_finite_guard_raises(self, tiny_params):
         with pytest.raises(ArithmeticError):
             trainer_mod._check_finite({"w": np.array([np.nan])}, "parameter")
 
-    def test_best_epoch_ties_to_earliest(self, fresh_state):
+    def test_best_epoch_ties_to_earliest(self, best_file):
         splits = tiny_dataset(num_per_class=16, sigma=0.0)
         cfg = TrainConfig(max_epochs=8, batch_size=8, initial_lr=0.1,
                           dropout_keep=1.0, seed=14)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg, fresh_state(params, cfg))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
+                    best_file(params))
         accs = [r.val_accuracy for r in state.history]
         assert state.best_val_accuracy == max(accs)
         assert state.best_epoch == accs.index(max(accs))
