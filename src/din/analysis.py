@@ -97,7 +97,8 @@ def export_responses(
     )
     rows = [",".join(header)]
     by_id = sorted(samples, key=lambda s: s.id)
-    for chunk, batch_rows, _, scratch in batches(params.shape, by_id, EVAL_BATCH):
+    scratch: dict[str, Array] = {}
+    for chunk, batch_rows, _ in batches(params.shape, by_id, EVAL_BATCH, scratch):
         dense = encode(batch_rows, params.reduction, scratch)
         fmap = conv_scale_forward(dense, *params.bank[h], scratch)
         profiles = response_profiles(fmap)
@@ -123,7 +124,8 @@ def export_pooled_features(
     header += [f"mean_{j}" for j in range(shape.feat_dim)]
     rows = [",".join(header)]
     by_id = sorted(samples, key=lambda s: s.id)
-    for chunk, batch_rows, masks, scratch in batches(shape, by_id, EVAL_BATCH):
+    scratch: dict[str, Array] = {}
+    for chunk, batch_rows, masks in batches(shape, by_id, EVAL_BATCH, scratch):
         fwd = forward_sample(params, batch_rows, masks, scratch)
         cells = [float_rows(fwd.pooled[h][0]) for h in shape.widths]
         baselines = float_rows(fwd.dense.mean(axis=1))

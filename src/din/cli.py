@@ -155,7 +155,7 @@ def cmd_synth(args) -> int:
 
 def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
     """A resumed run keeps the checkpoint's shape and train config; only
-    max_epochs may change."""
+    max_epochs may change, and not to fewer than the epochs completed."""
     diffs = [
         f"{section}.{f.name} {getattr(theirs, f.name)!r} -> {getattr(ours, f.name)!r}"
         for section, ours, theirs in (("shape", cfg.shape, ckpt.model.shape),
@@ -166,6 +166,9 @@ def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
     if diffs:
         raise ValueError(f"{path}: cannot resume with a different configuration "
                          f"(only max_epochs may change): {', '.join(diffs)}")
+    wanted, done = cfg.train.max_epochs, ckpt.state.optimizer.epochs_completed
+    if wanted < done:
+        raise ValueError(f"{path}: max_epochs {wanted} is below its {done} completed epochs")
 
 
 def cmd_train(args) -> int:
@@ -229,7 +232,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape)
-    loss, accuracy, _ = trainer.evaluate(params, samples)
+    loss, accuracy, _ = trainer.evaluate(params, samples, {})
     print(f"split={args.split} samples={len(samples)} loss={loss!r} accuracy={accuracy!r}")
     return 0
 
@@ -238,7 +241,7 @@ def cmd_predict(args) -> int:
     params = _load_model_for_inference(args)
     _, samples = _load_samples(args, params.shape)
     samples = sorted(samples, key=lambda s: s.id)
-    _, _, probabilities = trainer.evaluate(params, samples)
+    _, _, probabilities = trainer.evaluate(params, samples, {})
     lines = ["id,label,predicted," + ",".join(f"p_{c}" for c in range(params.shape.num_classes))]
     for sample, predicted, probs in zip(
         samples, predict(probabilities).tolist(), analysis.float_rows(probabilities)

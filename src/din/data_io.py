@@ -130,10 +130,10 @@ def atomic_write_bytes(path: Path, *parts) -> None:
     """Write the parts one after the other to a new temporary file beside
     `path`, then rename it over `path`. A part is bytes or any C-contiguous
     buffer, or a streamed part: an iterator of such buffers, each written
-    before the next is asked for (so it may reuse one buffer).
-    The temporary file has a short random name and is created exclusively
-    ("x": O_CREAT | O_EXCL, mode 0o666 less the umask). If anything fails,
-    it is removed and `path` is left as it was."""
+    before the next is asked for (so it may reuse one buffer). The temporary
+    file has a short random name and is created exclusively ("x": O_CREAT |
+    O_EXCL, mode 0o666 less the umask). If anything fails, it is removed,
+    `path` is left as it was, and an OSError names `path`, not that file."""
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
@@ -141,10 +141,14 @@ def atomic_write_bytes(path: Path, *parts) -> None:
                 for buffer in part if isinstance(part, Iterator) else (part,):
                     f.write(buffer)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        named = OSError(f"{path}: {exc.strerror or exc}")  # not the temporary file
+        named.errno = exc.errno
+        raise named from exc
 
 
 def write_feature_file(path: str | Path, features: Array) -> None:

@@ -11,12 +11,12 @@ together.
 The engine runs B videos at once: their sampled rows are gathered to
 B x n x D and every layer is one GEMM (per width) over the batch.
 Training, evaluation, prediction, exports and gradient checks all go
-through it, each call in a scratch its caller passes (numerics.scratch_view).
-Each epoch, evaluation and export runs all its batches through `batches`,
-in one scratch, so no batch after the first allocates an intermediate of a
-batch's size. A BatchForward is valid until the next forward on its scratch:
-the forward keeps every width's feature map there, and the backward finds
-the pool's argmax windows in those maps.
+through it, in a scratch (numerics.scratch_view) its owner makes: a
+training run keeps one for all its epochs and validation passes, each
+inference command and check makes its own. Evaluation is dropout that
+keeps every unit (ones masks). A BatchForward is valid until the next
+forward on its scratch: the forward keeps every width's feature map there,
+and the backward finds the pool's argmax windows in those maps.
 """
 
 from __future__ import annotations
@@ -158,28 +158,28 @@ def sample_batch(
     scratch: dict[str, Array],
     rng: np.random.Generator | None = None,
     dropout_keep: float = 1.0,
-) -> tuple[Array, dict[int, Array] | None]:
-    """(B x n x D sampled rows, width -> B x M dropout masks or None).
+) -> tuple[Array, dict[int, Array]]:
+    """(B x n x D sampled rows, width -> B x M dropout scales).
 
-    Without an rng this is evaluation: center sampling and no masks. With
-    one, each video in turn draws its masks, all widths' in one draw of
-    H*M uniforms, widths ascending (only when dropout_keep < 1), then its
-    random segment indices; reruns and resumed runs are bit-exact because
-    that order is fixed. The rows and masks are views into the scratch's
-    "rows" and "masks" roles.
+    Without an rng this is evaluation: center sampling. With one, each
+    video in turn draws its masks, all widths' in one draw of H*M uniforms,
+    widths ascending (only when dropout_keep < 1), then its random segment
+    indices; reruns and resumed runs are bit-exact because that order is
+    fixed. A batch that draws no masks gets ones, which draw nothing. The
+    rows and scales are views into the scratch's "rows" and "masks" roles.
     """
     M = shape.num_filters
     rows = scratch_view(scratch, "rows", (len(videos), shape.num_frames, shape.raw_dim))
-    draws = None
-    if rng is not None and dropout_keep < 1.0:
-        draws = scratch_view(scratch, "masks", (len(videos), len(shape.widths) * M))
+    scales = scratch_view(scratch, "masks", (len(videos), len(shape.widths) * M))
+    draw = rng is not None and dropout_keep < 1.0
+    if not draw:
+        scales.fill(1.0)
     for b, features in enumerate(videos):
-        if draws is not None:
-            rng.random(out=draws[b])
+        if draw:
+            rng.random(out=scales[b])
         di.gather(features, shape.num_frames, rng, out=rows[b])
-    if draws is None:
-        return rows, None
-    scales = dropout_scales(draws, dropout_keep)
+    if draw:
+        dropout_scales(scales, dropout_keep)
     return rows, {h: scales[:, i * M : (i + 1) * M] for i, h in enumerate(shape.widths)}
 
 
@@ -187,20 +187,17 @@ def sample_batch(
 EVAL_BATCH = 32
 
 
-def batches(shape: ModelShapeSpec, samples: Sequence, size: int,
+def batches(shape: ModelShapeSpec, samples: Sequence, size: int, scratch: dict[str, Array],
             rng: np.random.Generator | None = None, dropout_keep: float = 1.0) -> Iterator[tuple]:
-    """(chunk, its B x n x D rows, its width -> B x M masks or None, scratch)
-    for consecutive chunks of `size` samples (anything whose .features
-    `denseimage.gather` takes: an array or a `data_io.FeatureRows` reader),
-    drawn by sample_batch with `rng` and `dropout_keep`. This is where every
-    call's scratch is made (see numerics.scratch_view): the rows and masks,
-    and whatever a chunk's passes put in the scratch, are valid until the
-    next chunk is drawn."""
-    scratch: dict[str, Array] = {}
+    """(chunk, its B x n x D rows, its width -> B x M masks) for consecutive
+    chunks of `size` samples (anything whose .features `denseimage.gather`
+    takes: an array or a `data_io.FeatureRows` reader), drawn by sample_batch
+    with `rng` and `dropout_keep` into the scratch the caller passes: the
+    rows and masks, and whatever a chunk's passes put in the scratch, are
+    valid until the next chunk is drawn."""
     for start in range(0, len(samples), size):
         chunk = samples[start : start + size]
-        rows, masks = sample_batch(shape, [s.features for s in chunk], scratch, rng, dropout_keep)
-        yield chunk, rows, masks, scratch
+        yield chunk, *sample_batch(shape, [s.features for s in chunk], scratch, rng, dropout_keep)
 
 
 @dataclass
@@ -212,25 +209,24 @@ class BatchForward:
     rows: Array  # B x n x D sampled raw frames
     dense: Array  # B x n x k DenseImages
     pooled: dict[int, tuple[Array, Array]]  # width -> (B x M values, B x W x M map)
-    masks: dict[int, Array] | None  # width -> B x M dropout scales
+    masks: dict[int, Array]  # width -> B x M dropout scales
     logits: Array  # B x C fused logits
-    probabilities: Array  # B x C
 
 
 def forward_sample(
-    params: ModelParams, rows: Array, masks: dict[int, Array] | None, scratch: dict[str, Array]
+    params: ModelParams, rows: Array, masks: dict[int, Array], scratch: dict[str, Array]
 ) -> BatchForward:
     """Run a B x n x D batch of sampled rows, with width -> B x M dropout masks
-    or None, through the whole model in the scratch. One walk over the widths,
-    ascending, sums the heads' logits into one B x C array."""
+    (ones in evaluation), through the whole model in the scratch. One walk over
+    the widths, ascending, sums the heads' logits into one B x C array."""
     tensors = params.tensors
     dense = di.encode(rows, params.reduction, scratch)
     pooled = tc.multiscale_forward(dense, params.bank, scratch)
     logits = np.zeros((len(rows), params.shape.num_classes))
     for h in params.shape.widths:
         weights, bias = tensors[f"head/h{h}/weights"], tensors[f"head/h{h}/bias"]
-        logits += clf.head_forward(pooled[h][0], weights, bias, masks[h] if masks else None)
-    return BatchForward(rows, dense, pooled, masks, logits, softmax(logits))
+        logits += clf.head_forward(pooled[h][0], weights, bias, masks[h])
+    return BatchForward(rows, dense, pooled, masks, logits)
 
 
 def backward_sample(
@@ -259,9 +255,8 @@ def backward_sample(
     grad = scratch_view(scratch, "grad", (max(D, *sizes) * k,))
     for h in shape.widths:
         values, fmap = fwd.pooled[h]
-        mask = fwd.masks[h] if fwd.masks else None
         *head_grads, grad_c = clf.head_backward(
-            values, tensors[f"head/h{h}/weights"], mask, grad_fused
+            values, tensors[f"head/h{h}/weights"], fwd.masks[h], grad_fused
         )
         conv_grads = tc.conv_scale_backward(
             fwd.dense, tensors[f"conv/h{h}/weights"], values, fmap, grad_c, grad_X, grad, scratch
@@ -275,7 +270,7 @@ def backward_sample(
 
 
 def sample_loss_and_grads(
-    params: ModelParams, rows: Array, labels, masks: dict[int, Array] | None = None
+    params: ModelParams, rows: Array, labels, masks: dict[int, Array]
 ) -> tuple[float, dict[str, Array]]:
     """Cross-entropy loss and parameter gradients of a labeled batch, both
     summed over its B samples, in a scratch of its own; each gradient is
@@ -293,6 +288,6 @@ def predict_sample(params: ModelParams, features: Array) -> tuple[int, Array]:
     No command calls it: `din predict` runs its whole split through
     trainer.evaluate in EVAL_BATCH chunks. It stays as the one-video API."""
     scratch: dict[str, Array] = {}
-    rows, _ = sample_batch(params.shape, [features], scratch)
-    probabilities = forward_sample(params, rows, None, scratch).probabilities
+    rows, masks = sample_batch(params.shape, [features], scratch)
+    probabilities = softmax(forward_sample(params, rows, masks, scratch).logits)
     return int(clf.predict(probabilities)[0]), probabilities[0]

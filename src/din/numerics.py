@@ -55,18 +55,20 @@ def scratch_view(scratch: dict[str, Array], role: str, shape: tuple[int, ...],
     flat buffer scratch[role].
 
     This is the one contract of the engine's scratch: a role -> buffer dict
-    that every engine call runs in. One call of a command (an epoch, an
-    evaluation, an export; see model.batches) runs all its batches in one. A
-    role's buffer is created the first time the role is asked for, with room
-    for `reserve` elements if that is more, and replaced only when a request
-    does not fit; an array from here is valid until the next request for its
-    role. A call's first batch is its largest and the widths run ascending,
-    so a role sized by the batch or by one width's windows is first asked
-    for at its largest; a role whose requests vary by width or by tensor is
-    first asked for at, or reserves, the most it will hold. Regrowing a
-    large buffer mid-call frees a mapped block, which raises glibc's mmap
-    threshold (mallopt(3)), moves later buffers onto the heap and raises
-    peak memory.
+    that every engine call runs in, made by whoever owns the run, never by
+    model.batches; trainer.fit keeps one for all its epochs and validation
+    passes. A role's buffer is created the first time the role is asked
+    for, with room for `reserve` elements if that is more, and replaced only
+    when a request does not fit; an array from here is valid until the next
+    request for its role. A call's first batch is its largest and the widths
+    run ascending, so a role sized by the batch or by one width's windows is
+    first asked for at its largest; a role whose requests vary by width or
+    by tensor is first asked for at, or reserves, the most it will hold. At
+    a batch_size below model.EVAL_BATCH, fit's first validation pass regrows
+    the batch-sized roles once (about 2.5 MB more peak at the paper shape
+    with batch_size 16). Regrowing a large buffer mid-call frees a mapped
+    block, which raises glibc's mmap threshold (mallopt(3)), moves later
+    buffers onto the heap and raises peak memory.
     """
     size = math.prod(shape)
     if role not in scratch or scratch[role].size < size:

@@ -151,12 +151,12 @@ def check_end_to_end_gradients(rng, count: int) -> None:
         videos = rng.uniform(-1.0, 1.0, size=(B, shape.num_frames, shape.raw_dim))
         labels = rng.integers(shape.num_classes, size=B)
         scratch: dict[str, np.ndarray] = {}
-        rows, _ = sample_batch(shape, videos, scratch)
+        rows, ones = sample_batch(shape, videos, scratch)
         if not all(kink_free(x, params.bank) for x in encode(rows, params.reduction, scratch)):
             continue
         done += 1
         masks = {h: dropout_scales(rng.random((B, shape.num_filters)), 0.7)
-                 for h in shape.widths} if rng.random() < 0.5 else None
+                 for h in shape.widths} if rng.random() < 0.5 else ones
         loss, grads = sample_loss_and_grads(params, rows, labels, masks)
         if not loss > 0.0:
             raise AssertionError(f"loss {loss!r} is not positive")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .classifier import predict
 from .model import EVAL_BATCH, ModelParams, backward_sample, batches, forward_sample
-from .numerics import Array, cross_entropy_from_logits, make_rng, require_fields, scratch_view
+from .numerics import (Array, cross_entropy_from_logits, make_rng, require_fields, scratch_view,
+                       softmax)
 
 if TYPE_CHECKING:
     from .data_io import Sample, SnapshotFile
@@ -197,7 +198,8 @@ def plateau_update(state: OptimizerState, val_error: float, config: TrainConfig)
 
 def _check_finite(named: dict[str, Array], what: str) -> None:
     for name, arr in named.items():
-        if not np.all(np.isfinite(arr)):
+        # A NaN or an infinity shows in the max or the min; neither allocates.
+        if not (np.isfinite(arr.max()) and np.isfinite(arr.min())):
             raise ArithmeticError(f"non-finite values in {what} tensor {name}")
 
 
@@ -211,17 +213,18 @@ def train_epoch(
     config: TrainConfig,
     state: OptimizerState,
     rng: np.random.Generator,
+    scratch: dict[str, Array],
 ) -> float:
-    """One pass over the split in a fresh shuffled order; one batched
-    forward/backward and one momentum step per mini-batch with the
-    batch-mean gradient, applied tensor by tensor as backward yields it,
+    """One pass over the split in a fresh shuffled order, in the scratch;
+    one batched forward/backward and one momentum step per mini-batch with
+    the batch-mean gradient, applied tensor by tensor as backward yields it,
     so no whole gradient set is ever held. Returns the mean loss."""
     if len(samples) == 0:
         raise ValueError("training split is empty")
     shuffled = [samples[i] for i in rng.permutation(len(samples))]
     total_loss = 0.0
-    for batch, rows, masks, scratch in batches(
-        params.shape, shuffled, config.batch_size, rng, config.dropout_keep
+    for batch, rows, masks in batches(
+        params.shape, shuffled, config.batch_size, scratch, rng, config.dropout_keep
     ):
         fwd = forward_sample(params, rows, masks, scratch)
         losses, grad_fused = cross_entropy_from_logits(fwd.logits, _labels(batch))
@@ -234,21 +237,21 @@ def train_epoch(
 
 
 def evaluate(
-    params: ModelParams, samples: Sequence["Sample"]
+    params: ModelParams, samples: Sequence["Sample"], scratch: dict[str, Array]
 ) -> tuple[float, float, Array]:
-    """Center-sampled, dropout-free (loss, accuracy, N x C probabilities)
-    over a split, run model.EVAL_BATCH samples at a time; the probability
-    rows are in the order of `samples`."""
+    """Center-sampled, keep-all-dropout (loss, accuracy, N x C probabilities)
+    over a split, run model.EVAL_BATCH samples at a time in the scratch; the
+    probability rows are in the order of `samples`."""
     if len(samples) == 0:
         raise ValueError("evaluation split is empty")
     total_loss = 0.0
     probabilities = np.empty((len(samples), params.shape.num_classes))
     start = 0
-    for chunk, rows, masks, scratch in batches(params.shape, samples, EVAL_BATCH):
-        fwd = forward_sample(params, rows, masks, scratch)
-        losses, _ = cross_entropy_from_logits(fwd.logits, _labels(chunk))
+    for chunk, rows, masks in batches(params.shape, samples, EVAL_BATCH, scratch):
+        logits = forward_sample(params, rows, masks, scratch).logits
+        losses, _ = cross_entropy_from_logits(logits, _labels(chunk))
         total_loss += float(losses.sum())
-        probabilities[start : start + len(chunk)] = fwd.probabilities
+        probabilities[start : start + len(chunk)] = softmax(logits)
         start += len(chunk)
     correct = int((predict(probabilities) == _labels(samples)).sum())
     return total_loss / len(samples), correct / len(samples), probabilities
@@ -266,10 +269,11 @@ def fit(
     into `best`. Start from TrainState.fresh with `best` holding the
     initial parameters, or resume from a checkpoint's state with `best`
     holding its best/ group: epochs already completed are skipped and the
-    remaining ones reproduce an uninterrupted run bit-exactly. Mutates
-    `params`, `state` and `best` in place and returns the state.
+    remaining ones reproduce an uninterrupted run bit-exactly. Every epoch
+    and validation pass runs in one scratch. Mutates `params`, `state` and
+    `best` in place and returns the state.
     """
-    opt = state.optimizer
+    opt, scratch = state.optimizer, {}
     for epoch in range(opt.epochs_completed, config.max_epochs):
         lr_used = opt.current_lr
         rng = epoch_rng(config.seed, epoch)
@@ -277,8 +281,8 @@ def fit(
         # finite; report it once, as an ArithmeticError, not as warnings.
         try:
             with np.errstate(all="ignore"):
-                train_loss = train_epoch(params, train_split, config, opt, rng)
-                val_loss, val_accuracy, _ = evaluate(params, val_split)
+                train_loss = train_epoch(params, train_split, config, opt, rng, scratch)
+                val_loss, val_accuracy, _ = evaluate(params, val_split, scratch)
             _check_finite(params.tensors, "parameter")
             _check_finite(opt.velocity, "velocity")
         except ArithmeticError as exc:

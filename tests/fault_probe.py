@@ -1,6 +1,6 @@
 """Wall time, minor page faults and peak RSS of each perfbench command, each in a fresh process.
 
-    python3 tests/fault_probe.py CHECKOUT INPUTS [--runs N] [--against OTHER_CHECKOUT]
+    python3 tests/fault_probe.py CHECKOUT INPUTS [--runs N] [--against OTHER_CHECKOUT] [--phases]
 
 INPUTS is a perfbench inputs directory, as perfbench writes them under
 .perfbench_work/<workload>/inputs/. A ``paper_infer`` one (manifest.json
@@ -26,8 +26,19 @@ With ``--against``, CHECKOUT (side A) and OTHER_CHECKOUT (side B) run in
 alternation on the same INPUTS: each run takes all commands of one side,
 then of the other, and the side that goes first flips from run to run.
 For each command it then prints both sides' medians and, for
-``maxrss_mb`` and ``wall_s``, the number of runs in which each side read
-lower (a tie counts for neither).
+``maxrss_mb``, ``minflt`` and ``wall_s``, the number of runs in which each
+side read lower (a tie counts for neither).
+
+With ``--phases``, each command runs as ``perfbench/child.py RECORD
+boundary 0 -- ARGV`` (the child.py beside this file, for both sides), which
+times every sample-processing call perfbench times: each
+``trainer.train_epoch``, each ``trainer.evaluate`` and each export. Per
+run and command it prints each phase's time, summed over its calls; then
+each side's median and, with ``--against``, the runs in which each side
+read lower. These are the same code paths perfbench's
+``samples_per_s`` and ``eval_samples_per_s`` time, compared run by run
+in alternation, so a change smaller than perfbench's spread between runs
+can show.
 
 Each side writes its artifacts into a directory of its own per run. After
 every run it prints the sha256 of each artifact, side by side (the
@@ -81,11 +92,27 @@ def artifact_digests(out: Path) -> dict[str, str]:
             for path in sorted(out.rglob("*")) if path.is_file() and path.name != "run_meta.json"}
 
 
-def run_once(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, int, float]:
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def phase_times(record: Path) -> dict[str, float]:
+    """Phase name -> seconds, summed over its calls, from a child.py
+    boundary record."""
+    times: dict[str, float] = {}
+    for name, start, end, _ in json.loads(record.read_text())["phases"]:
+        times[name] = times.get(name, 0.0) + end - start
+    return times
+
+
+def run_once(argv: list[str], env: dict[str, str], cwd: Path,
+             record: Path | None = None) -> tuple[float, int, float]:
     """(wall seconds, minor faults, peak RSS in MB) of one `python -m din.cli
-    ARGV` child."""
+    ARGV` child, or with `record` of one `child.py RECORD boundary 0 -- ARGV`
+    child."""
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "din.cli", *argv], cwd=cwd, env=env,
+    launcher = ["-m", "din.cli"] if record is None else [str(CHILD), str(record), "boundary",
+                                                          "0", "--"]
+    proc = subprocess.Popen([sys.executable, *launcher, *argv], cwd=cwd, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
@@ -109,6 +136,8 @@ def main() -> None:
     parser.add_argument("inputs", type=Path)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--against", type=Path, metavar="OTHER_CHECKOUT")
+    parser.add_argument("--phases", action="store_true",
+                        help="run each command through perfbench/child.py and time its phases")
     args = parser.parse_args()
     inputs = args.inputs.resolve()
     sides = {"A": args.checkout.resolve()}
@@ -119,6 +148,8 @@ def main() -> None:
     envs = {side: child_env(checkout) for side, checkout in sides.items()}
     # results[side][command] holds one (wall, faults, rss) row per run.
     results: dict[str, dict[str, list[tuple[float, int, float]]]] = {side: {} for side in sides}
+    # phases[side][(command, phase)] holds the phase's seconds per run.
+    phases: dict[str, dict[tuple[str, str], list[float]]] = {side: {} for side in sides}
     mismatches = 0
     with tempfile.TemporaryDirectory(prefix="fault_probe_") as tmp:
         work = Path(tmp)
@@ -129,10 +160,14 @@ def main() -> None:
                 out = work / f"{side}{run}"
                 out.mkdir()
                 for name, argv in commands(inputs, out):
-                    wall, faults, rss = run_once(argv, envs[side], work)
+                    record = work / "record.json" if args.phases else None
+                    wall, faults, rss = run_once(argv, envs[side], work, record)
                     results[side].setdefault(name, []).append((wall, faults, rss))
                     print(f"run {run} {side} {name:<16} wall_s {wall:.4f} minflt {faults} "
                           f"maxrss_mb {rss:.2f}")
+                    for phase, seconds in (phase_times(record) if record else {}).items():
+                        phases[side].setdefault((name, phase), []).append(seconds)
+                        print(f"run {run} {side} {name:<16} phase {phase} {seconds:.4f}")
                 digests[side] = artifact_digests(out)
                 shutil.rmtree(out)
             for artifact in sorted(set().union(*digests.values())):
@@ -147,15 +182,22 @@ def main() -> None:
             wall, faults, rss = (statistics.median(column) for column in zip(*rows))
             print(f"median {side} {name:<16} wall_s {wall:.4f} minflt {faults:.0f} "
                   f"maxrss_mb {rss:.2f}")
+        for (name, phase), seconds in phases[side].items():
+            print(f"median {side} {name:<16} phase {phase} {statistics.median(seconds):.4f}")
     if len(sides) == 2:
         for name in results["A"]:
             pairs = list(zip(results["A"][name], results["B"][name]))
             counts = []
-            for metric, column in (("maxrss_mb", 2), ("wall_s", 0)):
+            for metric, column in (("maxrss_mb", 2), ("minflt", 1), ("wall_s", 0)):
                 a = sum(ra[column] < rb[column] for ra, rb in pairs)
                 b = sum(rb[column] < ra[column] for ra, rb in pairs)
                 counts.append(f"{metric} A {a} B {b}")
             print(f"lower {name:<16} {' '.join(counts)} of {len(pairs)} runs")
+        for (name, phase), seconds in phases["A"].items():
+            pairs = list(zip(seconds, phases["B"][name, phase]))
+            a = sum(ta < tb for ta, tb in pairs)
+            b = sum(tb < ta for ta, tb in pairs)
+            print(f"lower {name:<16} phase {phase} A {a} B {b} of {len(pairs)} runs")
         print(f"artifacts differ in {mismatches} of {args.runs} runs" if mismatches
               else f"artifacts identical in all {args.runs} runs")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from din.classifier import head_backward, head_forward, predict
-from din.model import ModelShapeSpec, forward_sample, init_model
+from din.model import ModelShapeSpec, forward_sample, init_model, predict_sample, sample_batch
 from din.numerics import dropout_scales, make_rng, softmax
 from din.selftest import finite_difference_check
 
@@ -30,18 +30,24 @@ def bias_forward(per_scale, batch=1):
         params.tensors[f"head/h{h}/weights"][:] = 0.0
         params.tensors[f"head/h{h}/bias"][:] = bias
     rows = make_rng(1).normal(size=(batch, shape.num_frames, shape.raw_dim))
-    return forward_sample(params, rows, None, {})
+    return forward_sample(params, rows, ones_masks(shape, batch), {})
+
+
+def ones_masks(shape, batch):
+    """Evaluation's width -> B x M keep-all dropout masks."""
+    return {h: np.ones((batch, shape.num_filters)) for h in shape.widths}
 
 
 class TestHeadForward:
     def test_zero_weights_give_bias(self):
         bias = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(head_forward(np.ones((2, 4)), np.zeros((3, 4)), bias, None),
+        ones = np.ones((2, 4))
+        assert np.array_equal(head_forward(ones, np.zeros((3, 4)), bias, ones),
                               [[1.0, 2.0, 3.0]] * 2)
 
     def test_hand_dot_product(self):
         got = head_forward(np.array([[3.0, 1.0], [1.0, 3.0]]), np.array([[1.0, -1.0]]),
-                           np.zeros(1), None)
+                           np.zeros(1), np.ones((2, 2)))
         assert np.array_equal(got, [[2.0], [-2.0]])
 
     def test_keep_one_mask_is_identity(self):
@@ -49,36 +55,36 @@ class TestHeadForward:
         weights, bias = rng.normal(size=(3, 5)), rng.normal(size=3)
         c = rng.normal(size=(1, 5))
         mask = dropout_scales(rng.random(5), 1.0)[None]
-        assert np.array_equal(head_forward(c, weights, bias, mask),
-                              head_forward(c, weights, bias, None))
+        assert np.array_equal(head_forward(c, weights, bias, mask), c @ weights.T + bias)
 
     def test_dimension_mismatch_rejected(self):
         weights, bias = np.zeros((2, 3)), np.zeros(2)
         with pytest.raises(ValueError):
-            head_forward(np.zeros((1, 4)), weights, bias, None)
+            head_forward(np.zeros((1, 4)), weights, bias, np.ones((1, 4)))
         with pytest.raises(ValueError):
-            head_forward(np.zeros(3), weights, bias, None)
+            head_forward(np.zeros(3), weights, bias, np.ones(3))
         with pytest.raises(ValueError):
             head_forward(np.zeros((1, 3)), weights, bias, np.ones((1, 4)))
 
 
 class TestFuseAndScore:
-    """forward_sample sums the per-width head logits and softmaxes once."""
+    """forward_sample sums the per-width head logits; softmax scores them."""
 
     def test_single_scale_uniform(self):
         fwd = bias_forward({2: [0.0, 0.0]})
-        assert np.allclose(fwd.probabilities, [[0.5, 0.5]], atol=1e-15)
+        assert np.allclose(softmax(fwd.logits), [[0.5, 0.5]], atol=1e-15)
 
     def test_symmetric_cancellation(self):
         fwd = bias_forward({2: [1.0, 0.0], 3: [0.0, 1.0]})
         assert np.array_equal(fwd.logits, [[1.0, 1.0]])
-        assert np.allclose(fwd.probabilities, [[0.5, 0.5]], atol=1e-15)
+        assert np.allclose(softmax(fwd.logits), [[0.5, 0.5]], atol=1e-15)
 
     def test_27_class_output(self):
         rng = make_rng(2)
-        fwd = bias_forward({h: rng.normal(size=27) for h in (2, 3, 4, 5, 6)}, batch=4)
-        assert fwd.probabilities.shape == (4, 27)
-        assert np.abs(fwd.probabilities.sum(axis=1) - 1.0).max() < 1e-9
+        probabilities = softmax(bias_forward({h: rng.normal(size=27) for h in (2, 3, 4, 5, 6)},
+                                             batch=4).logits)
+        assert probabilities.shape == (4, 27)
+        assert np.abs(probabilities.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_fused_equals_sum(self):
         rng = make_rng(3)
@@ -99,7 +105,7 @@ class TestPredict:
         rng = make_rng(4)
         for _ in range(20):
             fwd = bias_forward({2: rng.normal(size=6), 4: rng.normal(size=6)})
-            assert predict(fwd.probabilities)[0] == int(np.argmax(fwd.logits[0]))
+            assert predict(softmax(fwd.logits))[0] == int(np.argmax(fwd.logits[0]))
 
     def test_invariant_to_constant_shift(self):
         rng = make_rng(5)
@@ -116,9 +122,9 @@ class TestScaleAdditivity:
         for name, arr in tiny_params.tensors.items():
             if name.startswith("head/"):
                 arr[:] = rng.normal(size=arr.shape)
-        fwd = forward_sample(
-            tiny_params, rng.normal(size=(1, TINY_SHAPE.num_frames, TINY_SHAPE.raw_dim)), None, {}
-        )
+        fwd = forward_sample(tiny_params, rng.normal(size=(1, TINY_SHAPE.num_frames,
+                                                           TINY_SHAPE.raw_dim)),
+                             ones_masks(TINY_SHAPE, 1), {})
         tensors = tiny_params.tensors
         big_w = np.hstack([tensors[f"head/h{h}/weights"] for h in widths])
         big_b = sum(tensors[f"head/h{h}/bias"] for h in widths)
@@ -133,11 +139,12 @@ class TestClassifierBackward:
         rng = make_rng(7)
         heads = random_heads(rng, (2,), 3, 2)
         c = rng.normal(size=(1, 3))
-        gw, gb, grad_c = head_backward(c, heads[2][0], None, np.zeros((1, 2)))
+        gw, gb, grad_c = head_backward(c, heads[2][0], np.ones((1, 3)), np.zeros((1, 2)))
         assert not gw.any() and not gb.any() and not grad_c.any()
 
     def test_hand_chain_rule(self):
-        gw, gb, grad_c = head_backward(row([3.0, 1.0]), np.array([[1.0, -1.0]]), None, row([2.0]))
+        gw, gb, grad_c = head_backward(row([3.0, 1.0]), np.array([[1.0, -1.0]]), row([1.0, 1.0]),
+                                       row([2.0]))
         assert np.array_equal(gw, [[6.0, 2.0]])
         assert np.array_equal(gb, [2.0])
         assert np.array_equal(grad_c, [[2.0, -2.0]])
@@ -148,7 +155,8 @@ class TestClassifierBackward:
         c = {h: rng.normal(size=(1, 4)) for h in heads}
         upstream = rng.normal(size=(1, 3))
         for h in heads:
-            assert np.array_equal(head_backward(c[h], heads[h][0], None, upstream)[1], upstream[0])
+            ones = np.ones((1, 4))
+            assert np.array_equal(head_backward(c[h], heads[h][0], ones, upstream)[1], upstream[0])
 
     def test_matches_finite_differences_two_scales(self):
         rng = make_rng(9)
@@ -177,15 +185,18 @@ class TestClassifierBackward:
         rng = make_rng(10)
         weights = random_heads(rng, (2,), 3, 2)[2][0]
         with pytest.raises(ValueError):
-            head_backward(np.zeros((1, 3)), weights, None, np.zeros((1, 5)))
+            head_backward(np.zeros((1, 3)), weights, np.ones((1, 3)), np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            head_backward(np.zeros((2, 3)), weights, None, np.zeros((1, 2)))
+            head_backward(np.zeros((2, 3)), weights, np.ones((2, 3)), np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            head_backward(np.zeros((1, 4)), weights, None, np.zeros((1, 2)))
+            head_backward(np.zeros((1, 4)), weights, np.ones((1, 4)), np.zeros((1, 2)))
 
 
 class TestClassScores:
-    def test_probabilities_consistent_with_softmax(self):
-        rng = make_rng(11)
-        fwd = bias_forward({2: rng.normal(size=9)}, batch=3)
-        assert np.array_equal(fwd.probabilities, softmax(fwd.logits))
+    def test_probabilities_consistent_with_softmax(self, tiny_params):
+        # The one-video API scores the forward's logits with softmax.
+        features = make_rng(11).normal(size=(6, TINY_SHAPE.raw_dim))
+        _, probabilities = predict_sample(tiny_params, features)
+        rows, masks = sample_batch(TINY_SHAPE, [features], {})
+        assert np.array_equal(probabilities, softmax(forward_sample(tiny_params, rows, masks,
+                                                                    {}).logits[0]))

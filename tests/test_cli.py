@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import glob
 import io
 import json
@@ -288,6 +289,28 @@ class TestTrain:
                                 f"(only max_epochs may change): {diffs}\n")
         assert not out_dir.exists() and ckpt.read_bytes() == before
 
+    def test_resume_to_fewer_epochs_than_completed_is_validation_error(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)  # 2 epochs
+        ckpt = run_dir / "checkpoint.ckpt"
+        out_dir = tmp_path / "new" / "resumed"
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir), "--max-epochs", "1", "--resume", str(ckpt)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ckpt}: max_epochs 1 is below its 2 completed epochs\n"
+        assert not (tmp_path / "new").exists()
+
+    def test_resume_to_the_epochs_completed_saves_the_same_run(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)  # 2 epochs
+        out_dir = tmp_path / "resaved"
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir), "--max-epochs", "2",
+                   "--resume", str(run_dir / "checkpoint.ckpt")])
+        assert rc == 0
+        for name in ("checkpoint.ckpt", "history.json", "config.json"):
+            assert (out_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
     @pytest.mark.parametrize("broken", ["missing-manifest", "class-count"])
     def test_failed_train_leaves_no_out_dir(self, tmp_path, capsys, broken):
         cfg, data_dir, _ = synth_and_train(tmp_path, capsys)
@@ -460,17 +483,17 @@ class TestBestSnapshotFile:
         }))
         assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
         train = ["train", "--config", str(cfg), "--manifest", str(tmp_path / "data/manifest.json")]
-        # One untraced run measures the largest scratch a call's batches fill.
-        real_batches, scratch_bytes = trainer.batches, []
+        # One untraced run measures the run's scratch after each validation pass.
+        real_evaluate, scratch_bytes = trainer.evaluate, []
 
-        def measured_batches(*args, **kwargs):
-            for item in real_batches(*args, **kwargs):
-                yield item
-                scratch_bytes.append(sum(a.nbytes for a in item[3].values()))
+        def measured_evaluate(params, samples, scratch):
+            result = real_evaluate(params, samples, scratch)
+            scratch_bytes.append(sum(a.nbytes for a in scratch.values()))
+            return result
 
-        monkeypatch.setattr(trainer, "batches", measured_batches)
+        monkeypatch.setattr(trainer, "evaluate", measured_evaluate)
         assert main([*train, "--out-dir", str(tmp_path / "measure")]) == 0
-        monkeypatch.setattr(trainer, "batches", real_batches)
+        monkeypatch.setattr(trainer, "evaluate", real_evaluate)
         tracemalloc.start()
         try:
             assert main([*train, "--out-dir", str(tmp_path / "run")]) == 0
@@ -714,7 +737,7 @@ class TestBatchedInference:
                                        rtol=0, atol=1e-14)
 
         samples = load_split(load_manifest(manifest), "test", TINY_SHAPE.raw_dim)
-        loss, accuracy, _ = trainer.evaluate(params, samples)
+        loss, accuracy, _ = trainer.evaluate(params, samples, {})
         assert eval_line == f"split=test samples={len(samples)} loss={loss!r} accuracy={accuracy!r}"
 
 
@@ -783,11 +806,11 @@ class TestChangedTrainingFiles:
         path = data_dir / next(r for r in doc["samples"] if r["split"] == split)["feature_path"]
         real = trainer.evaluate
 
-        def evaluate(params, samples):  # runs after each epoch's training
+        def evaluate(params, samples, scratch):  # runs after each epoch's training
             first = not changed
             if first and split == "train":
                 change_feature_file(path, change)
-            result = real(params, samples)
+            result = real(params, samples, scratch)
             if first and split == "val":
                 change_feature_file(path, change)
             changed.append(True)
@@ -871,6 +894,37 @@ class TestExports:
             assert rc == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestFailedOutWrites:
+    """An --out that cannot be written is an exit-2 error whose one line
+    names the --out path and the reason, the same in every run (not the
+    temporary file's random name), and no temporary file is left."""
+
+    @pytest.mark.parametrize("command", [["predict"], ["export-features"],
+                                         ["export-responses", "--width", "2"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_error_names_the_out_path(self, tmp_path, capsys, command, target):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        outs = tmp_path / "outs"
+        outs.mkdir()
+        if target == "missing-dir":
+            out, code = outs / "nodir" / "p.csv", errno.ENOENT
+        else:
+            out, code = outs / "ro", errno.EISDIR
+            out.mkdir()
+        argv = [*command, "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                "--manifest", str(data_dir / "manifest.json"), "--split", "val", "--out", str(out)]
+        errors = []
+        for _ in range(2):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors == [f"error: {out}: {os.strerror(code)}\n"] * 2
+        assert ".tmp" not in errors[0]
+        assert [p.name for p in outs.rglob("*")] == ([] if target == "missing-dir" else ["ro"])
 
 
 class TestInspectParams:

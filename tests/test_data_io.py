@@ -242,6 +242,13 @@ class TestAtomicWrite:
         assert info.value.errno == errno.ENOSPC
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_names_the_target_not_the_temporary_file(self, tmp_path, full_disk):
+        path = tmp_path / "history.json"
+        with pytest.raises(OSError) as info:
+            atomic_write_bytes(path, b"new")
+        assert str(info.value) == f"{path}: No space left on device"
+        assert info.value.errno == errno.ENOSPC
+
     def test_failed_write_keeps_the_old_file(self, tmp_path, full_disk):
         path = tmp_path / "history.json"
         path.write_bytes(b"old")
@@ -1164,9 +1171,9 @@ class TestTrainingRowReads:
         samples = load_split(manifest, "train", self.D)
         params = init_model(self.SHAPE, init_rng(1))
         cfg = TrainConfig(batch_size=2, seed=1)
-        state = OptimizerState.init(params, cfg)
+        state, scratch = OptimizerState.init(params, cfg), {}
         for epoch in range(epochs):
-            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, epoch))
+            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, epoch), scratch)
         return samples, params, cfg, state
 
     @given(T=st.integers(1, 2 * READ_BLOCK_FRAMES + 3), n=st.integers(1, 12),
@@ -1213,7 +1220,7 @@ class TestTrainingRowReads:
         path = samples[1].features.path
         change_feature_file(path, change)
         with pytest.raises((FormatError, FileNotFoundError), match=re.escape(str(path))):
-            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 1))
+            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 1), {})
 
     def test_nonfinite_drawn_row_fails_naming_the_file(self, tmp_path):
         # Written in place after the scan, with the file's stamp kept.

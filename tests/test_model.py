@@ -19,7 +19,7 @@ from din.model import (
     sample_batch,
     sample_loss_and_grads,
 )
-from din.numerics import cross_entropy_from_logits, dropout_scales, make_rng
+from din.numerics import cross_entropy_from_logits, dropout_scales, make_rng, softmax
 from din.selftest import kink_free
 from din.temporal_conv import pool_argmax
 from din.trainer import OptimizerState, TrainConfig, sgd_momentum_step
@@ -130,31 +130,47 @@ class TestParams:
             ModelParams(TINY_SHAPE, tensors)
 
 
-def eval_rows(features):
-    """The B x n x D center-sampled rows of a list of videos."""
-    return sample_batch(TINY_SHAPE, features, {})[0]
+def eval_batch(features):
+    """The B x n x D center-sampled rows of a list of videos and their
+    width -> B x M keep-all (ones) masks."""
+    return sample_batch(TINY_SHAPE, features, {})
 
 
 class TestForward:
     def test_probabilities_normalized(self, tiny_params):
-        rng = make_rng(2)
-        fwd = forward_sample(tiny_params, eval_rows([rng.normal(size=(9, 4))]), None, {})
-        assert abs(fwd.probabilities.sum() - 1.0) < 1e-9
+        _, probabilities = predict_sample(tiny_params, make_rng(2).normal(size=(9, 4)))
+        assert abs(probabilities.sum() - 1.0) < 1e-9
 
     def test_eval_forward_is_deterministic(self, tiny_params):
         rng = make_rng(3)
-        rows = eval_rows([rng.normal(size=(11, 4))])
-        a = forward_sample(tiny_params, rows, None, {})
-        b = forward_sample(tiny_params, rows, None, {})
+        rows, masks = eval_batch([rng.normal(size=(11, 4))])
+        a = forward_sample(tiny_params, rows, masks, {})
+        b = forward_sample(tiny_params, rows, masks, {})
         assert np.array_equal(a.logits, b.logits)
 
     def test_predict_sample_matches_forward(self, tiny_params):
         rng = make_rng(4)
         features = rng.normal(size=(7, 4))
         label, probs = predict_sample(tiny_params, features)
-        fwd = forward_sample(tiny_params, eval_rows([features]), None, {})
-        assert label == int(np.argmax(fwd.probabilities[0]))
-        assert np.array_equal(probs, fwd.probabilities[0])
+        probabilities = softmax(forward_sample(tiny_params, *eval_batch([features]), {}).logits)
+        assert label == int(np.argmax(probabilities[0]))
+        assert np.array_equal(probs, probabilities[0])
+
+    def test_ones_masks_give_the_mask_free_logits(self):
+        # Evaluation multiplies each head's input by ones, which is exact:
+        # the fused logits equal the sum of c_h @ W.T + b bit for bit.
+        shape = ModelShapeSpec()
+        params = init_model(shape, make_rng(5))
+        rng = make_rng(6)
+        rows, masks = sample_batch(shape, [rng.normal(size=(int(T), shape.raw_dim))
+                                           for T in rng.integers(3, 30, size=5)], {})
+        fwd = forward_sample(params, rows, masks, {})
+        want = np.zeros_like(fwd.logits)
+        for h in shape.widths:
+            want += (fwd.pooled[h][0] @ params.tensors[f"head/h{h}/weights"].T
+                     + params.tensors[f"head/h{h}/bias"])
+        assert all(np.array_equal(m, np.ones((5, shape.num_filters))) for m in masks.values())
+        assert np.array_equal(fwd.logits, want)
 
     def test_wrong_feature_dim_rejected(self, tiny_params):
         # sample_batch widens each video's rows into a B x n x D batch of
@@ -162,8 +178,9 @@ class TestForward:
         for videos in ([np.ones((6, 4)), np.ones((6, 3))], [np.ones((6, 3))]):
             with pytest.raises(ValueError, match="reduction input 4"):
                 sample_batch(TINY_SHAPE, videos, {})
+        ones = {h: np.ones((1, TINY_SHAPE.num_filters)) for h in TINY_SHAPE.widths}
         with pytest.raises(ValueError, match="reduction input 4"):
-            forward_sample(tiny_params, np.ones((1, TINY_SHAPE.num_frames, 3)), None, {})
+            forward_sample(tiny_params, np.ones((1, TINY_SHAPE.num_frames, 3)), ones, {})
 
 
 class TestSampleBatch:
@@ -171,7 +188,8 @@ class TestSampleBatch:
         rng = make_rng(30)
         videos = [rng.normal(size=(T, 4)) for T in (2, 5, 13)]
         rows, masks = sample_batch(TINY_SHAPE, videos, {})
-        assert masks is None
+        assert list(masks) == list(TINY_SHAPE.widths)
+        assert all(np.array_equal(m, np.ones((3, TINY_SHAPE.num_filters))) for m in masks.values())
         for b, video in enumerate(videos):
             assert np.array_equal(rows[b], gathered(video, TINY_SHAPE.num_frames))
 
@@ -210,7 +228,7 @@ class TestSampleBatch:
         _, masks = sample_batch(TINY_SHAPE, videos, {}, rng, 1.0)
         ref = make_rng(33)
         gathered(videos[0], TINY_SHAPE.num_frames, ref)
-        assert masks is None
+        assert all(np.array_equal(m, np.ones((1, TINY_SHAPE.num_filters))) for m in masks.values())
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -263,14 +281,14 @@ class TestEndToEndGradients:
 
     def test_backward_consistent_with_split_calls(self, tiny_params):
         rng = make_rng(6)
-        rows = eval_rows([rng.normal(size=(5, 4)), rng.normal(size=(8, 4))])
+        rows, masks = eval_batch([rng.normal(size=(5, 4)), rng.normal(size=(8, 4))])
         labels = [1, 2]
         scratch = {}
-        fwd = forward_sample(tiny_params, rows, None, scratch)
+        fwd = forward_sample(tiny_params, rows, masks, scratch)
         loss, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
         pairs = backward_sample(tiny_params, fwd, grad_fused, scratch)
         grads = {name: g.copy() for name, g in pairs}
-        loss2, grads2 = sample_loss_and_grads(tiny_params, rows, labels)
+        loss2, grads2 = sample_loss_and_grads(tiny_params, rows, labels, masks)
         assert loss.sum() == loss2
         for name in grads:
             assert np.array_equal(grads[name], grads2[name])
@@ -282,17 +300,17 @@ class TestGradientStream:
     must give the values a new scratch for each batch gives."""
 
     def _batch(self, params, rng, B):
-        rows = eval_rows([rng.normal(size=(6, 4)) for _ in range(B)])
-        fwd = forward_sample(params, rows, None, {})
+        fwd = forward_sample(params, *eval_batch([rng.normal(size=(6, 4)) for _ in range(B)]), {})
         _, grad_fused = cross_entropy_from_logits(fwd.logits, rng.integers(3, size=B))
         return fwd, grad_fused
 
     def test_consecutive_calls_leave_the_first_gradients_unchanged(self, tiny_params):
         rng = make_rng(42)
-        rows = [eval_rows([rng.normal(size=(6, 4)), rng.normal(size=(7, 4))]) for _ in range(2)]
-        _, first = sample_loss_and_grads(tiny_params, rows[0], [0, 1])
+        (rows, masks), (rows2, masks2) = (
+            eval_batch([rng.normal(size=(6, 4)), rng.normal(size=(7, 4))]) for _ in range(2))
+        _, first = sample_loss_and_grads(tiny_params, rows, [0, 1], masks)
         kept = {name: g.copy() for name, g in first.items()}
-        _, second = sample_loss_and_grads(tiny_params, rows[1], [2, 0])
+        _, second = sample_loss_and_grads(tiny_params, rows2, [2, 0], masks2)
         for name, g in first.items():
             assert np.array_equal(g, kept[name]), name
             assert not np.shares_memory(g, second[name]), name
@@ -358,7 +376,7 @@ class TestGradientStream:
             for h in shape.widths:
                 for got, expected in zip(fwd.pooled[h], want.pooled[h]):  # values, map
                     assert np.array_equal(got, expected), h
-                assert masks is None or np.array_equal(masks[h], want_masks[h]), h
+                assert np.array_equal(masks[h], want_masks[h]), h
             _, grad_fused = cross_entropy_from_logits(fwd.logits, labels)
             got_pairs = []
 
@@ -402,8 +420,7 @@ def separate_buffer_pairs(params, fwd, grad_fused):
     grad_X, pairs = np.zeros_like(X), []
     for h in params.shape.widths:
         values, fmap = fwd.pooled[h]
-        mask = fwd.masks[h] if fwd.masks else None
-        *head_grads, grad_c = head_backward(values, tensors[f"head/h{h}/weights"], mask,
+        *head_grads, grad_c = head_backward(values, tensors[f"head/h{h}/weights"], fwd.masks[h],
                                             grad_fused)
         W_h, num_windows = tensors[f"conv/h{h}/weights"], n - h + 1
         routed = grad_c * (values > 0.0)

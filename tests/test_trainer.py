@@ -3,7 +3,9 @@ import dataclasses
 import math
 import re
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ import din.trainer as trainer_mod
 from din.data_io import (
     FormatError,
     Sample,
+    SnapshotFile,
     SyntheticTaskConfig,
     load_manifest,
     load_split,
     synth_order_task,
     write_synth_dataset,
 )
-from din.model import ModelShapeSpec, init_model, sample_batch, sample_loss_and_grads
+from din.model import EVAL_BATCH, ModelShapeSpec, init_model, sample_batch, sample_loss_and_grads
 from din.denseimage import sample_segments
 from din.numerics import dropout_scales, from_fields, make_rng, scratch_view
 from din.trainer import (
@@ -307,7 +310,7 @@ class TestTrainEpoch:
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         state = OptimizerState.init(params, cfg)
         losses = [
-            train_epoch(params, splits["train"][:1], cfg, state, epoch_rng(cfg.seed, e))
+            train_epoch(params, splits["train"][:1], cfg, state, epoch_rng(cfg.seed, e), {})
             for e in range(3)
         ]
         assert losses[0] == losses[1] == losses[2]
@@ -325,7 +328,7 @@ class TestTrainEpoch:
             "sgd_momentum_step",
             lambda *args, **kw: (calls.append(1), real(*args, **kw))[1],
         )
-        train_epoch(params, splits["train"], cfg, state, epoch_rng(cfg.seed, 0))
+        train_epoch(params, splits["train"], cfg, state, epoch_rng(cfg.seed, 0), {})
         assert len(calls) == 3  # 32 + 32 + 6
 
     def test_same_seed_gives_bit_identical_loss(self):
@@ -335,7 +338,8 @@ class TestTrainEpoch:
         for _ in range(2):
             params = init_model(TINY_SHAPE, init_rng(cfg.seed))
             state = OptimizerState.init(params, cfg)
-            losses.append(train_epoch(params, splits["train"], cfg, state, epoch_rng(cfg.seed, 0)))
+            losses.append(train_epoch(params, splits["train"], cfg, state,
+                                      epoch_rng(cfg.seed, 0), {}))
         assert losses[0] == losses[1]
 
     def test_step_uses_mean_of_per_sample_gradients(self):
@@ -351,13 +355,12 @@ class TestTrainEpoch:
         before = snapshot(params)
         # T == n and no dropout, so per-sample gradients are reproducible
         # outside the epoch loop regardless of its rng draws.
-        per_sample = [
-            sample_loss_and_grads(params, sample_batch(TINY_SHAPE, [s.features], {})[0],
-                                  [s.label])[1]
-            for s in batch
-        ]
+        per_sample = []
+        for s in batch:
+            rows, masks = sample_batch(TINY_SHAPE, [s.features], {})
+            per_sample.append(sample_loss_and_grads(params, rows, [s.label], masks)[1])
         state = OptimizerState.init(params, cfg)
-        train_epoch(params, batch, cfg, state, epoch_rng(cfg.seed, 0))
+        train_epoch(params, batch, cfg, state, epoch_rng(cfg.seed, 0), {})
         for name, arr in params.tensors.items():
             step = before[name] - arr  # lr == 1, momentum == 0
             mean = sum(g[name] for g in per_sample) / 3.0
@@ -367,7 +370,7 @@ class TestTrainEpoch:
         cfg = TrainConfig()
         state = OptimizerState.init(tiny_params, cfg)
         with pytest.raises(ValueError):
-            train_epoch(tiny_params, [], cfg, state, epoch_rng(0, 0))
+            train_epoch(tiny_params, [], cfg, state, epoch_rng(0, 0), {})
 
     @pytest.mark.parametrize("keep", [0.8, 1.0])
     def test_epoch_draws_in_the_per_sample_order(self, keep):
@@ -380,7 +383,7 @@ class TestTrainEpoch:
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         replay = copy_params(params)
         rng = epoch_rng(cfg.seed, 0)
-        train_epoch(params, samples, cfg, OptimizerState.init(params, cfg), rng)
+        train_epoch(params, samples, cfg, OptimizerState.init(params, cfg), rng, {})
         ref = epoch_rng(cfg.seed, 0)
         order = ref.permutation(len(samples))
         state = OptimizerState.init(replay, cfg)
@@ -393,7 +396,8 @@ class TestTrainEpoch:
                     masks[h].append(dropout_scales(ref.random(TINY_SHAPE.num_filters), keep))
                 rows.append(sample_segments(len(sample.features), TINY_SHAPE.num_frames, ref))
             rows = np.stack([s.features[idx] for s, idx in zip(batch, rows)])
-            masks = {h: np.stack(m) for h, m in masks.items()} if keep < 1.0 else None
+            ones = np.ones((len(batch), TINY_SHAPE.num_filters))
+            masks = {h: np.stack(m) if keep < 1.0 else ones for h, m in masks.items()}
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
             mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
             sgd_momentum_step(replay.tensors, mean.items(), state, cfg, 1.0, {})
@@ -411,7 +415,7 @@ class TestTrainEpoch:
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         replay = copy_params(params)
         train_epoch(params, samples, cfg, OptimizerState.init(params, cfg),
-                    epoch_rng(cfg.seed, 0))
+                    epoch_rng(cfg.seed, 0), {})
         ref = epoch_rng(cfg.seed, 0)
         order = ref.permutation(len(samples))
         state = OptimizerState.init(replay, cfg)
@@ -436,10 +440,10 @@ class TestTrainEpoch:
         samples = [Sample(str(i), rng.normal(size=(8, 64)), i % 10) for i in range(8)]
         cfg = TrainConfig(batch_size=4)
         state = OptimizerState.init(params, cfg)
-        train_epoch(params, samples, cfg, state, epoch_rng(0, 0))
+        train_epoch(params, samples, cfg, state, epoch_rng(0, 0), {})
         tracemalloc.start()
         try:
-            train_epoch(params, samples, cfg, state, epoch_rng(0, 1))
+            train_epoch(params, samples, cfg, state, epoch_rng(0, 1), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -455,33 +459,33 @@ class TestEvaluate:
             if name.startswith("head/"):
                 arr[:] = 0.0
         # 3-class model on 2-class balanced data predicting class 0 always.
-        loss, acc, _ = evaluate(params, splits["val"])
+        loss, acc, _ = evaluate(params, splits["val"], {})
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
         assert acc == 0.5
 
     def test_repeat_evaluation_identical(self):
         splits = tiny_dataset()
         params = init_model(TINY_SHAPE, make_rng(8))
-        loss, acc, probabilities = evaluate(params, splits["val"])
-        again = evaluate(params, splits["val"])
+        loss, acc, probabilities = evaluate(params, splits["val"], {})
+        again = evaluate(params, splits["val"], {})
         assert (loss, acc) == again[:2]
         np.testing.assert_array_equal(probabilities, again[2])
 
     def test_empty_split_rejected(self, tiny_params):
         with pytest.raises(ValueError):
-            evaluate(tiny_params, [])
+            evaluate(tiny_params, [], {})
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
     def test_file_changed_after_the_load_fails_naming_it(self, tmp_path, tiny_params, change):
         _, manifest = write_test_split(tmp_path, 5)
         samples = load_split(load_manifest(manifest), "test", TINY_SHAPE.raw_dim)
-        loss, accuracy, probabilities = evaluate(tiny_params, samples)
-        want = evaluate(tiny_params, in_memory(samples))
+        loss, accuracy, probabilities = evaluate(tiny_params, samples, {})
+        want = evaluate(tiny_params, in_memory(samples), {})
         assert (loss, accuracy) == want[:2] and np.array_equal(probabilities, want[2])
         path = samples[3].features.path
         change_feature_file(path, change)
         with pytest.raises((FormatError, FileNotFoundError), match=re.escape(str(path))):
-            evaluate(tiny_params, samples)
+            evaluate(tiny_params, samples, {})
 
 
 def largest_line_growth_after_the_first_batch(call) -> tuple[int, int, str]:
@@ -522,27 +526,42 @@ def largest_line_growth_after_the_first_batch(call) -> tuple[int, int, str]:
     return batches, largest, where
 
 
+def paper_samples(rng, count):
+    """`count` paper-shape float32 videos of 5..39 frames, labels cycling."""
+    shape = ModelShapeSpec()
+    return [Sample(str(i), rng.normal(size=(int(rng.integers(5, 40)), shape.raw_dim))
+                   .astype(np.float32), i % shape.num_classes) for i in range(count)]
+
+
 class TestBatchAllocations:
-    """Every batch-sized intermediate of the engine lives in one scratch per
-    call: after a call's first batch, evaluate and train_epoch allocate no
-    array of 128 KiB or more. At the paper shape with B=32 that covers the
-    sampled rows, the DenseImages, each width's map, offset rows and GEMM
-    products, the dropout masks, the backward's buffers and the optimizer's
-    block buffer; B x M arrays (64 KiB) are allowed."""
+    """Every batch-sized intermediate of the engine lives in the scratch its
+    caller passes: after a call's first batch, evaluate and train_epoch
+    allocate no array of 128 KiB or more, nor does a training run after its
+    first batch, since fit runs every epoch and validation pass in one
+    scratch. At the paper shape with B=32 that covers the sampled rows, the
+    DenseImages, each width's map, offset rows and GEMM products, the
+    dropout masks, the backward's buffers and the optimizer's block buffer;
+    B x M arrays (64 KiB) are allowed."""
 
     @pytest.fixture(scope="class")
     def paper(self):
-        shape = ModelShapeSpec()
-        rng = make_rng(21)
-        samples = [Sample(str(i), rng.normal(size=(int(rng.integers(5, 40)), shape.raw_dim))
-                          .astype(np.float32), i % shape.num_classes) for i in range(80)]
-        return init_model(shape, make_rng(22)), samples
+        return init_model(ModelShapeSpec(), make_rng(22)), paper_samples(make_rng(21), 80)
 
     def test_evaluate(self, paper):
         params, samples = paper
         batches, largest, where = largest_line_growth_after_the_first_batch(
-            lambda: evaluate(params, samples))
+            lambda: evaluate(params, samples, {}))
         assert batches == 3
+        assert largest < 128 * 1024, (largest, where)
+
+    def test_fit(self, paper, best_file):
+        params, samples = paper
+        params = copy_params(params)
+        cfg = TrainConfig(batch_size=32, dropout_keep=0.5, max_epochs=2)
+        state, best = TrainState.fresh(params, cfg), best_file(params)
+        batches, largest, where = largest_line_growth_after_the_first_batch(
+            lambda: fit(params, samples, samples, cfg, state, best))
+        assert batches == 12  # two epochs and two validation passes of 3 batches each
         assert largest < 128 * 1024, (largest, where)
 
     def test_train_epoch(self, paper):
@@ -551,7 +570,7 @@ class TestBatchAllocations:
         cfg = TrainConfig(batch_size=32, dropout_keep=0.5)
         state = OptimizerState.init(params, cfg)
         batches, largest, where = largest_line_growth_after_the_first_batch(
-            lambda: train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0)))
+            lambda: train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0), {}))
         assert batches == 3
         assert largest < 128 * 1024, (largest, where)
 
@@ -588,21 +607,35 @@ def scratch_creations():
 
 
 class TestScratchRoles:
-    """A call runs all its batches in one scratch and creates each role's
-    buffer once, at the size of its largest request: the first batch is
-    the largest, and "grad", which every width's window and filter
+    """A call runs all its batches in the scratch it is passed and creates
+    each role's buffer once, at the size of its largest request: the first
+    batch is the largest, and "grad", which every width's window and filter
     gradients and then the reduction gradient take turns in, is asked for
-    at the largest of them all at once. A buffer replaced mid-call would be
-    garbage, and freeing it can raise the peak RSS."""
+    at the largest of them all at once. A training run keeps one scratch
+    for all its epochs and validation passes, so at batch_size >= EVAL_BATCH
+    its first batch creates every role it will use. A buffer replaced
+    mid-call would be garbage, and freeing it can raise the peak RSS."""
 
     @staticmethod
     def run_both(params, samples, cfg):
+        """Per scratch, its role creations: one epoch and one evaluation,
+        each in a new scratch."""
         state = OptimizerState.init(params, cfg)
         with scratch_creations() as trained:
-            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0))
+            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0), {})
         with scratch_creations() as evaluated:
-            evaluate(params, samples)
+            evaluate(params, samples, {})
         return list(trained.values()), list(evaluated.values())
+
+    @staticmethod
+    def run_fit(params, samples, cfg):
+        """Per scratch, its role creations over a fit with `samples` as
+        both splits."""
+        with tempfile.TemporaryDirectory() as tmp, SnapshotFile(params.shape, Path(tmp)) as best:
+            best.capture(params)
+            with scratch_creations() as created:
+                fit(params, samples, samples, cfg, TrainState.fresh(params, cfg), best)
+        return list(created.values())
 
     def test_paper_shape_epoch_and_evaluation(self):
         # Each role's size and the order of first use are pinned too: either
@@ -620,15 +653,27 @@ class TestScratchRoles:
         # The widest filter gradient, M*6*k, is the largest of the three.
         assert max(D, *(max(B * (n - h + 1), M) * h for h in shape.widths)) * k == 393_216
         backward = [("grad_X", [B * n * k]), ("grad", [393_216]), ("block", [OPT_BLOCK])]
-        epoch = [forward[0], ("masks", [B * len(shape.widths) * M]), *forward[1:], *backward]
+        # Evaluation carries keep-all (ones) masks in the same role.
+        forward.insert(1, ("masks", [B * len(shape.widths) * M]))
+        epoch = [*forward, *backward]
         assert [list(roles.items()) for roles in trained] == [epoch]
         assert [list(roles.items()) for roles in evaluated] == [forward]
+
+    def test_paper_shape_fit(self):
+        # Two epochs and their validation passes in one scratch: its roles
+        # are the epoch's, created once and in the same order.
+        shape = ModelShapeSpec()
+        samples = paper_samples(make_rng(23), 40)
+        cfg = TrainConfig(batch_size=32, dropout_keep=0.5, max_epochs=2)
+        run = self.run_fit(init_model(shape, make_rng(24)), samples, cfg)
+        trained, _ = self.run_both(init_model(shape, make_rng(24)), samples, cfg)
+        assert [list(roles.items()) for roles in run] == [list(trained[0].items())]
 
     @given(n=st.integers(2, 8), data=st.data())
     @settings(max_examples=40, derandomize=True, deadline=None)
     def test_drawn_widths(self, n, data):
         widths = data.draw(st.sets(st.integers(2, n), min_size=1), "widths")
-        batch_size = data.draw(st.integers(1, 4), "batch size")
+        batch_size = data.draw(st.integers(1, 4) | st.just(EVAL_BATCH), "batch size")
         N = data.draw(st.integers(1, 9), "N")
         B = min(batch_size, N)
         # Up to twice the smallest width's windows, so some widths' window
@@ -638,15 +683,63 @@ class TestScratchRoles:
         rng = make_rng(data.draw(st.integers(0, 2**16), "seed"))
         samples = [Sample(str(i), rng.normal(size=(int(rng.integers(1, 2 * n)), 5)), i % 3)
                    for i in range(N)]
-        cfg = TrainConfig(batch_size=batch_size,
+        cfg = TrainConfig(batch_size=batch_size, max_epochs=2,
                           dropout_keep=data.draw(st.sampled_from([1.0, 0.5]), "keep"))
-        trained, evaluated = self.run_both(init_model(shape, rng), samples, cfg)
+        params = init_model(shape, rng)
+        run = self.run_fit(copy_params(params), samples, cfg)
+        trained, evaluated = self.run_both(params, samples, cfg)
         for roles in trained + evaluated:
             assert all(len(sizes) == 1 for sizes in roles.values()), roles
-        assert len(trained) == len(evaluated) == 1
+        assert len(trained) == len(evaluated) == len(run) == 1
         assert {"grad", "block"} <= set(trained[0])
         largest = max(5, *(max(B * (n - h + 1), M) * h for h in widths)) * 3
         assert trained[0]["grad"] == [largest]
+        # The run's validation passes replace only the batch-sized forward
+        # roles, once, and only when their batch outgrows the training one.
+        assert list(run[0]) == list(trained[0])
+        grown = {role for role, sizes in run[0].items() if sizes != trained[0][role]}
+        assert grown == (set(evaluated[0]) if B < min(EVAL_BATCH, N) else set())
+        for role, sizes in run[0].items():
+            assert sizes == trained[0][role] + (evaluated[0][role] if role in grown else []), role
+
+
+class TestSharedScratch:
+    """fit runs train_epoch and evaluate in one scratch, so neither may read
+    what the other left there: at batch sizes below, at and above
+    EVAL_BATCH, both give bit for bit what they give in a new scratch."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        return init_model(ModelShapeSpec(), make_rng(25)), paper_samples(make_rng(26), 50)
+
+    @pytest.mark.parametrize("batch_size", [5, 32, 48])
+    def test_evaluate_after_train_epoch(self, paper, batch_size):
+        params, samples = paper
+        params = copy_params(params)
+        cfg = TrainConfig(batch_size=batch_size, dropout_keep=0.5)
+        scratch = {}
+        train_epoch(params, samples, cfg, OptimizerState.init(params, cfg), epoch_rng(0, 0),
+                    scratch)
+        loss, accuracy, probabilities = evaluate(params, samples, scratch)
+        want = evaluate(params, samples, {})
+        assert (loss, accuracy) == want[:2] and np.array_equal(probabilities, want[2])
+
+    @pytest.mark.parametrize("batch_size", [5, 32, 48])
+    def test_train_epoch_after_evaluate(self, paper, batch_size):
+        cfg = TrainConfig(batch_size=batch_size, dropout_keep=0.5)
+        runs = []
+        for evaluated_first in (False, True):
+            params, scratch = copy_params(paper[0]), {}
+            state = OptimizerState.init(params, cfg)
+            if evaluated_first:
+                evaluate(params, paper[1], scratch)
+            loss = train_epoch(params, paper[1], cfg, state, epoch_rng(0, 0), scratch)
+            runs.append((loss, params.tensors, state.velocity))
+        (loss, tensors, velocity), (want_loss, want_tensors, want_velocity) = runs
+        assert loss == want_loss
+        for name in tensors:
+            assert np.array_equal(tensors[name], want_tensors[name]), name
+            assert np.array_equal(velocity[name], want_velocity[name]), name
 
 
 class TestFit:
