@@ -171,6 +171,38 @@ def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
         raise ValueError(f"{path}: max_epochs {wanted} is below its {done} completed epochs")
 
 
+def train_to_checkpoint(path, params, train_split, val_split, config, state, best,
+                        echo) -> trainer.TrainState:
+    """trainer.fit, rewriting the checkpoint at `path` after every epoch,
+    then calling echo(report); once after fit only when no epoch ran. Its
+    best/ group is the parameters after an improving epoch, else copied
+    from `best` (the initial parameters, or the open checkpoint file the
+    run resumes) until the first save, and after it from the checkpoint
+    last written, kept open so that the next save's rename cannot take it."""
+    with contextlib.ExitStack() as stack:
+        def save(source) -> None:
+            nonlocal best
+            data_io.save_checkpoint(path, params, state, config, source)
+            stack.close()  # the previous checkpoint, once opened here
+            best = stack.enter_context(open(path, "rb"))
+
+        def on_epoch(report, improved) -> None:
+            save(params if improved else best)
+            echo(report)
+
+        done = state.optimizer.epochs_completed
+        trainer.fit(params, train_split, val_split, config, state, on_epoch)
+        if state.optimizer.epochs_completed == done:
+            save(best)
+    return state
+
+
+def _echo_epoch(report: trainer.EpochReport) -> None:
+    print(f"epoch {report.epoch}: train_loss={report.train_loss:.6f} "
+          f"val_loss={report.val_loss:.6f} val_acc={report.val_accuracy:.4f} "
+          f"lr={report.current_lr:g}", flush=True)
+
+
 def cmd_train(args) -> int:
     cfg = build_run_config(args)
     if not args.out_dir:
@@ -180,36 +212,30 @@ def cmd_train(args) -> int:
     if not val_split:
         raise ValueError("validation split is empty")
     started = time.time()
-    ckpt = data_io.load_checkpoint(args.resume) if args.resume else None
-    if ckpt is None:
-        params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
-        state = trainer.TrainState.fresh(params, cfg.train)
-    else:
-        _check_resume(args.resume, cfg, ckpt)
-        params, state = ckpt.model, ckpt.state
     out_dir = Path(args.out_dir)
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = out_dir / "checkpoint.ckpt"
     with contextlib.ExitStack() as stack:
+        if args.resume:  # its best/ group stays in the file until the first save copies it
+            best = stack.enter_context(open(args.resume, "rb"))
+            ckpt = data_io.load_checkpoint(best, groups=("param", "velocity"))
+            _check_resume(args.resume, cfg, ckpt)
+            params, state = ckpt.model, ckpt.state
+        else:
+            params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
+            state, best = trainer.TrainState.fresh(params, cfg.train), params
+        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for report in state.history:  # the epochs before a resume
+            _echo_epoch(report)
         try:
-            # The best snapshot lives in an unlinked file in out_dir, not in memory.
-            best = stack.enter_context(data_io.SnapshotFile(cfg.shape, out_dir))
-            best.capture(params if ckpt is None else ckpt.best)
-            ckpt = None  # frees the loaded best/ group
-            state = trainer.fit(params, train_split, val_split, cfg.train, state, best)
+            state = train_to_checkpoint(ckpt_path, params, train_split, val_split, cfg.train,
+                                        state, best, _echo_epoch)
         except BaseException:
-            for d in created:  # deepest first; rmdir leaves one that is not empty
+            # Deepest first; rmdir leaves a directory that holds a checkpoint.
+            for d in created:
                 with contextlib.suppress(OSError):
                     d.rmdir()
             raise
-        for report in state.history:
-            print(
-                f"epoch {report.epoch}: train_loss={report.train_loss:.6f} "
-                f"val_loss={report.val_loss:.6f} val_acc={report.val_accuracy:.4f} "
-                f"lr={report.current_lr:g}"
-            )
-        ckpt_path = out_dir / "checkpoint.ckpt"
-        data_io.save_checkpoint(ckpt_path, params, state, cfg.train, best)
     history_doc = {
         "reports": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,
@@ -375,7 +401,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

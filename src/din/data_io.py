@@ -21,10 +21,10 @@ Checkpoint ("DICK", little-endian):
     tensor namespaces: "param/" current model, "velocity/" optimizer
     buffers, "best/" best-validation snapshot (required; "has_best": true)
 
-Writers go through a temporary file plus atomic rename, so readers never
-observe a partial file. Features are quantized to float32 on disk; a write
-whose float32 values are not all finite is refused before anything is
-written. A load (`read_feature_file`) scans every value of the file once
+Writers go through a file that gets its name only as it is renamed into
+place, so readers never observe a partial file. Features are quantized to
+float32 on disk; a write whose float32 values are not all finite is
+refused before anything is written. A load (`read_feature_file`) scans every value of the file once
 for non-finite values, in blocks of READ_BLOCK_FRAMES frames, and keeps no
 frames: it returns a `FeatureRows` reader of the file. Training, evaluation
 and every export read through `denseimage.gather` just the n rows segment
@@ -34,28 +34,29 @@ round-trip float64 exactly.
 
 Checkpoint I/O moves each tensor's bytes once, between the file and the
 array that owns them. A save writes every payload straight from its
-array's buffer, but the best snapshot's: a `SnapshotFile` holds the "best/"
-group in this layout, and a save appends its bytes through one buffer of at
-most SNAPSHOT_BLOCK bytes. A load reads each payload it keeps into a fresh
+array's buffer; a "best/" group it copies from an open checkpoint file
+(`din train` copies the one it wrote last) goes through one buffer of the
+largest tensor's size. A load reads each payload it keeps into a fresh
 aligned float64 array (readinto) and seeks over the tensors of the groups
 it was not asked for; inference reads only "param/" or "best/". Either way
 the whole tensor directory is walked and checked: names, dims (none of 0),
 each payload's end against the file size before anything is allocated,
-duplicates and trailing bytes; each payload it reads must be finite.
+duplicates and trailing bytes; each payload it reads or copies must be
+finite.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
 import struct
-import tempfile
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Collection
+from typing import BinaryIO, Collection
 
 import numpy as np
 
@@ -127,19 +128,32 @@ class Sample:
 
 
 def atomic_write_bytes(path: Path, *parts) -> None:
-    """Write the parts one after the other to a new temporary file beside
-    `path`, then rename it over `path`. A part is bytes or any C-contiguous
-    buffer, or a streamed part: an iterator of such buffers, each written
-    before the next is asked for (so it may reuse one buffer). The temporary
-    file has a short random name and is created exclusively ("x": O_CREAT |
-    O_EXCL, mode 0o666 less the umask). If anything fails, it is removed,
-    `path` is left as it was, and an OSError names `path`, not that file."""
+    """Write the parts one after the other to a new file beside `path`,
+    then rename it over `path`. A part is bytes or any C-contiguous buffer,
+    or a streamed part: an iterator of such buffers, each written before
+    the next is asked for (so it may reuse one buffer). The file has no
+    name while it is written (O_TMPFILE, mode 0o666 less the umask): it is
+    linked to a short random name just before the rename, so a kill leaves
+    it behind only between the two. A directory that refuses an unnamed
+    file gets that name at once (O_CREAT | O_EXCL). If anything fails, the
+    name is removed, `path` is left as it was, and an OSError names `path`."""
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "xb") as f:
+        try:
+            fd, unnamed = os.open(path.parent, os.O_TMPFILE | os.O_WRONLY, 0o666), True
+        except OSError as exc:
+            if exc.errno not in (errno.EISDIR, errno.EOPNOTSUPP):
+                raise
+            fd, unnamed = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), False
+        with open(fd, "wb") as f:
             for part in parts:
                 for buffer in part if isinstance(part, Iterator) else (part,):
                     f.write(buffer)
+            f.flush()
+            if unnamed:  # link(2) of /proc/self/fd/N fails (EXDEV). With a src_dir_fd,
+                # which linkat(2) ignores for an absolute path, CPython calls
+                # linkat(..., AT_SYMLINK_FOLLOW), which links the file itself.
+                os.link(f"/proc/self/fd/{fd}", tmp, src_dir_fd=fd)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -373,55 +387,6 @@ def write_synth_dataset(config: SyntheticTaskConfig, out_dir: str | Path) -> Pat
     return manifest_path
 
 
-# Bytes per read when a save streams a snapshot file.
-SNAPSHOT_BLOCK = 1 << 16
-
-
-class SnapshotFile:
-    """A best-epoch snapshot kept in an unlinked temporary file inside a
-    directory: a model's parameters as a checkpoint's "best/" group, each
-    tensor's directory entry then its float64 payload, in parameter-table
-    order. The file has no name from its creation on (O_TMPFILE, or an
-    unlink right after it where the file system lacks that), so it leaves
-    nothing behind, even after a kill. Its pages are file cache that the
-    kernel can write back and evict, not the process's anonymous memory.
-    Its owner fills it first, then `fit` captures each best epoch into it
-    and `save_checkpoint` copies it. Use it as a context manager: leaving
-    it closes the file."""
-
-    def __init__(self, shape: ModelShapeSpec, directory: str | Path):
-        self.shape = shape
-        self._file = tempfile.TemporaryFile(dir=directory)
-
-    def __enter__(self) -> "SnapshotFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._file.close()
-
-    def capture(self, params: ModelParams) -> None:
-        """Overwrite the snapshot with the parameters' values."""
-        if params.shape != self.shape:
-            raise ValueError("the parameters' shape differs from the snapshot's")
-        self._file.seek(0)
-        for name, arr in params.tensors.items():
-            self._file.write(_tensor_entry(f"best/{name}", arr.shape))
-            self._file.write(np.ascontiguousarray(arr, dtype="<f8"))
-        self._file.flush()
-
-    def chunks(self) -> Iterator[memoryview]:
-        """The file's bytes as a streamed part, read through one buffer of
-        at most SNAPSHOT_BLOCK bytes and at most the largest tensor's: a
-        chunk is valid until the next one is read."""
-        if os.fstat(self._file.fileno()).st_size == 0:
-            raise ValueError("nothing has been captured into the snapshot file")
-        largest = max(8 * math.prod(d) for d in parameter_shapes(self.shape).values())
-        buffer = memoryview(bytearray(min(SNAPSHOT_BLOCK, largest)))
-        self._file.seek(0)
-        while read := self._file.readinto(buffer):
-            yield buffer[:read]
-
-
 @dataclass
 class CheckpointData:
     """A loaded checkpoint. A tensor group the load did not ask for is None:
@@ -444,11 +409,13 @@ def save_checkpoint(
     model: ModelParams,
     state: TrainState,
     config: TrainConfig,
-    best: SnapshotFile,
+    best: ModelParams | BinaryIO,
 ) -> None:
     """Serialize model, optimizer, training bookkeeping and the best
     snapshot, atomically. Each tensor is written from its array's own
-    buffer, not copied; the best snapshot's file is appended as it is."""
+    buffer, not copied. The best snapshot is parameters of the model's
+    shape, or a checkpoint file open for binary reading whose "best/"
+    group is copied."""
     opt = state.optimizer
     meta = {
         "config": asdict(config),
@@ -466,87 +433,121 @@ def save_checkpoint(
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     groups = {"param": model.tensors, "velocity": opt.velocity}
+    if isinstance(best, ModelParams):
+        if best.shape != model.shape:
+            raise ValueError("the best snapshot's shape differs from the model's")
+        groups["best"] = best.tensors
+    copied = [] if "best" in groups else [_copy_best(model.shape, best)]
     tensors = {f"{g}/{name}": arr for g, named in groups.items() for name, arr in named.items()}
-    count = len(tensors) + len(parameter_shapes(best.shape))
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)),
         meta_bytes,
-        struct.pack("<I", count),
+        struct.pack("<I", len(tensors) + len(copied) * len(model.tensors)),
     ]
     for name, arr in tensors.items():  # no copy for live float64 tensors
         parts += [_tensor_entry(name, arr.shape), np.ascontiguousarray(arr, dtype="<f8")]
-    atomic_write_bytes(Path(path), *parts, best.chunks())
+    atomic_write_bytes(Path(path), *parts, *copied)
+
+
+def _copy_best(shape: ModelShapeSpec, f: BinaryIO) -> Iterator:
+    """The "best/" group of a checkpoint file open for binary reading as a
+    streamed part, in parameter-table order: each tensor's entry, then its
+    payload, read at the offset the directory walk found into one buffer
+    of the largest tensor's size and checked finite. Its dims must be
+    those of `shape`."""
+    _, directory, _ = _read_checkpoint(f, groups=())
+    table = parameter_shapes(shape)
+    buffer = np.empty(max(math.prod(dims) for dims in table.values()), dtype="<f8")
+    for name, dims in table.items():
+        found, offset = directory.get(f"best/{name}", (None, 0))
+        if found != dims:
+            raise FormatError(f"{f.name}: tensor 'best/{name}' has dims {found}, expected {dims}")
+        payload = buffer[: math.prod(dims)]
+        if os.preadv(f.fileno(), [payload], offset) != payload.nbytes:
+            raise FormatError(f"{f.name}: truncated payload for tensor 'best/{name}'")
+        if not np.isfinite(payload).all():
+            raise FormatError(f"{f.name}: non-finite values in tensor 'best/{name}'")
+        yield _tensor_entry(f"best/{name}", dims)
+        yield payload
 
 
 def _read_checkpoint(
-    path: str | Path, groups: Collection[str] | None
-) -> tuple[dict, dict[str, tuple[int, ...]], dict[str, Array]]:
-    """(meta, name -> dims of every tensor, name -> finite array of the
-    tensors whose group is in `groups`, or of all when it is None)."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(10)
-        if len(head) < 10 or head[:4] != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
-        version, meta_len = struct.unpack_from("<HI", head, 4)
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        if 10 + meta_len > size:
-            raise FormatError(f"{path}: truncated meta block")
-        try:
-            meta = json.loads(f.read(meta_len).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: bad meta block: {exc}") from exc
-        dims: dict[str, tuple[int, ...]] = {}
-        tensors: dict[str, Array] = {}
-        try:
-            (count,) = struct.unpack("<I", f.read(4))
-            for _ in range(count):
-                (name_len,) = struct.unpack("<H", f.read(2))
-                encoded = f.read(name_len)
-                if len(encoded) != name_len:
-                    raise FormatError(f"{path}: truncated tensor directory")
-                name = encoded.decode()
-                if name in dims:
-                    raise FormatError(f"{path}: duplicate tensor {name!r}")
-                (ndim,) = struct.unpack("<B", f.read(1))
-                dims[name] = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-                nbytes = 8 * math.prod(dims[name])
-                # Checked before allocating: absurd dims, or a 0 among them, cannot exhaust memory.
-                if 0 in dims[name]:
-                    raise FormatError(f"{path}: tensor {name!r} has a dim of 0")
-                if f.tell() + nbytes > size:
+    f: BinaryIO, groups: Collection[str] | None
+) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]], dict[str, Array]]:
+    """(meta, name -> (dims, payload offset) of every tensor, name -> finite
+    array of the tensors whose group is in `groups`, or of all when it is
+    None), read from the start of a checkpoint file open for binary reading."""
+    path = f.name
+    f.seek(0)
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(10)
+    if len(head) < 10 or head[:4] != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: not a checkpoint file")
+    version, meta_len = struct.unpack_from("<HI", head, 4)
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    if 10 + meta_len > size:
+        raise FormatError(f"{path}: truncated meta block")
+    try:
+        meta = json.loads(f.read(meta_len).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: bad meta block: {exc}") from exc
+    directory: dict[str, tuple[tuple[int, ...], int]] = {}
+    tensors: dict[str, Array] = {}
+    try:
+        (count,) = struct.unpack("<I", f.read(4))
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", f.read(2))
+            encoded = f.read(name_len)
+            if len(encoded) != name_len:
+                raise FormatError(f"{path}: truncated tensor directory")
+            name = encoded.decode()
+            if name in directory:
+                raise FormatError(f"{path}: duplicate tensor {name!r}")
+            (ndim,) = struct.unpack("<B", f.read(1))
+            dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            directory[name] = dims, f.tell()
+            nbytes = 8 * math.prod(dims)
+            # Checked before allocating: absurd dims, or a 0 among them, cannot exhaust memory.
+            if 0 in dims:
+                raise FormatError(f"{path}: tensor {name!r} has a dim of 0")
+            if f.tell() + nbytes > size:
+                raise FormatError(f"{path}: truncated payload for tensor {name!r}")
+            if groups is None or name.partition("/")[0] in groups:
+                tensors[name] = np.empty(dims, dtype="<f8")
+                if f.readinto(tensors[name]) != nbytes:
                     raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-                if groups is None or name.partition("/")[0] in groups:
-                    tensors[name] = np.empty(dims[name], dtype="<f8")
-                    if f.readinto(tensors[name]) != nbytes:
-                        raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-                    if not np.isfinite(tensors[name]).all():
-                        raise FormatError(f"{path}: non-finite values in tensor {name!r}")
-                else:
-                    f.seek(nbytes, os.SEEK_CUR)
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: corrupt tensor directory: {exc}") from exc
-        if f.tell() != size:
-            raise FormatError(f"{path}: {size - f.tell()} trailing bytes")
-    return meta, dims, tensors
+                if not np.isfinite(tensors[name]).all():
+                    raise FormatError(f"{path}: non-finite values in tensor {name!r}")
+            else:
+                f.seek(nbytes, os.SEEK_CUR)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: corrupt tensor directory: {exc}") from exc
+    if f.tell() != size:
+        raise FormatError(f"{path}: {size - f.tell()} trailing bytes")
+    return meta, directory, tensors
 
 
 def read_checkpoint_tensors(path: str | Path) -> tuple[dict, dict[str, Array]]:
     """Low-level read: (meta dict, name -> float64 array). Validates framing."""
-    meta, _, tensors = _read_checkpoint(path, None)
+    with open(path, "rb") as f:
+        meta, _, tensors = _read_checkpoint(f, None)
     return meta, tensors
 
 
 def load_checkpoint(
-    path: str | Path, groups: Collection[str] | None = None
+    source: str | Path | BinaryIO, groups: Collection[str] | None = None
 ) -> CheckpointData:
-    """Restore a checkpoint, reading only the tensor groups in `groups`
-    (all of them when it is None). Every tensor's name and dims, read or
-    not, is validated against the embedded shape spec. Each meta record
-    holds exactly its fields and checks itself (numbers are kept as read)."""
-    meta, dims, tensors = _read_checkpoint(path, groups)
+    """Restore a checkpoint from a path or an open file, reading only the
+    tensor groups in `groups` (all of them when it is None). Every tensor's
+    name and dims, read or not, is validated against the embedded shape
+    spec. Each meta record holds exactly its fields and checks itself
+    (numbers are kept as read)."""
+    opened = isinstance(source, (str, os.PathLike))
+    with open(source, "rb") if opened else contextlib.nullcontext(source) as f:
+        meta, directory, tensors = _read_checkpoint(f, groups)
+    path = f.name
     try:
         shape = ModelShapeSpec.from_dict(meta["shape"])
         config = from_fields(TrainConfig, meta["config"])
@@ -558,7 +559,7 @@ def load_checkpoint(
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid meta block: {exc}") from exc
     present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}, "best": {}}
-    for key, key_dims in dims.items():
+    for key, (key_dims, _) in directory.items():
         prefix, _, name = key.partition("/")
         if prefix not in present:
             raise FormatError(f"{path}: unexpected tensor {key!r}")

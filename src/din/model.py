@@ -165,21 +165,22 @@ def sample_batch(
     video in turn draws its masks, all widths' in one draw of H*M uniforms,
     widths ascending (only when dropout_keep < 1), then its random segment
     indices; reruns and resumed runs are bit-exact because that order is
-    fixed. A batch that draws no masks gets ones, which draw nothing. The
-    rows and scales are views into the scratch's "rows" and "masks" roles.
+    fixed. A batch that draws no masks gets one read-only ones view, which
+    draws nothing and holds no memory. The rows and drawn scales are views
+    into the scratch's "rows" and "masks" roles.
     """
     M = shape.num_filters
     rows = scratch_view(scratch, "rows", (len(videos), shape.num_frames, shape.raw_dim))
-    scales = scratch_view(scratch, "masks", (len(videos), len(shape.widths) * M))
     draw = rng is not None and dropout_keep < 1.0
-    if not draw:
-        scales.fill(1.0)
+    if draw:
+        scales = scratch_view(scratch, "masks", (len(videos), len(shape.widths) * M))
     for b, features in enumerate(videos):
         if draw:
             rng.random(out=scales[b])
         di.gather(features, shape.num_frames, rng, out=rows[b])
-    if draw:
-        dropout_scales(scales, dropout_keep)
+    if not draw:
+        return rows, dict.fromkeys(shape.widths, np.broadcast_to(1.0, (len(videos), M)))
+    dropout_scales(scales, dropout_keep)
     return rows, {h: scales[:, i * M : (i + 1) * M] for i, h in enumerate(shape.widths)}
 
 

@@ -188,8 +188,12 @@ def check_softmax_law(rng, count: int) -> None:
 
 
 def check_cross_entropy(rng, count: int) -> None:
-    """The batch-summed cross-entropy gradient against central differences
-    on `count` drawn 2 x C logit matrices (C in 2..10) and labels."""
+    """The exact loss and gradient at logits (1000, 0, -1000), where an
+    unshifted exp overflows, then the batch-summed gradient against central
+    differences on `count` drawn 2 x C logit matrices (C in 2..10) and labels."""
+    losses, grad = cross_entropy_from_logits(np.array([[1000.0, 0.0, -1000.0]]), [1])
+    if losses.tolist() != [1000.0] or grad.tolist() != [[1.0, -1.0, 0.0]]:
+        raise AssertionError(f"cross-entropy at magnitude 1000: {losses} {grad.tolist()}")
     for _ in range(count):
         logits = rng.normal(size=(2, int(rng.integers(2, 11)))) * 2.0
         labels = rng.integers(logits.shape[1], size=2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .numerics import (Array, cross_entropy_from_logits, make_rng, require_field
                        softmax)
 
 if TYPE_CHECKING:
-    from .data_io import Sample, SnapshotFile
+    from .data_io import Sample
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class EpochReport:
 @dataclass
 class TrainState:
     """Everything fit() accumulates but the best snapshot, which fit's
-    caller keeps in a file (data_io.SnapshotFile); checkpointing both
-    resumes a run exactly. The history holds one report per completed
+    caller keeps (`din train` in its checkpoint's best/ group); checkpointing
+    both resumes a run exactly. The history holds one report per completed
     epoch, in order."""
 
     optimizer: OptimizerState
@@ -263,15 +263,15 @@ def fit(
     val_split: Sequence["Sample"],
     config: TrainConfig,
     state: TrainState,
-    best: SnapshotFile,
+    on_epoch: Callable[[EpochReport, bool], None],
 ) -> TrainState:
-    """Train up to config.max_epochs, capturing each best validation epoch
-    into `best`. Start from TrainState.fresh with `best` holding the
-    initial parameters, or resume from a checkpoint's state with `best`
-    holding its best/ group: epochs already completed are skipped and the
+    """Train up to config.max_epochs. Start from TrainState.fresh, or resume
+    from a checkpoint's state: epochs already completed are skipped and the
     remaining ones reproduce an uninterrupted run bit-exactly. Every epoch
-    and validation pass runs in one scratch. Mutates `params`, `state` and
-    `best` in place and returns the state.
+    and validation pass runs in one scratch. After each epoch's bookkeeping,
+    on_epoch(report, improved) is called; `improved` says that the epoch is
+    the new best, so `params` are now the best snapshot, which the caller
+    keeps. Mutates `params` and `state` in place and returns the state.
     """
     opt, scratch = state.optimizer, {}
     for epoch in range(opt.epochs_completed, config.max_epochs):
@@ -287,13 +287,13 @@ def fit(
             _check_finite(opt.velocity, "velocity")
         except ArithmeticError as exc:
             raise ArithmeticError(f"training diverged in epoch {epoch}: {exc}") from exc
-        if val_accuracy > state.best_val_accuracy:
-            best.capture(params)
+        improved = val_accuracy > state.best_val_accuracy
+        if improved:
             state.best_epoch = epoch
             state.best_val_accuracy = val_accuracy
         plateau_update(opt, 1.0 - val_accuracy, config)
         opt.epochs_completed = epoch + 1
-        state.history.append(
-            EpochReport(epoch, train_loss, val_loss, val_accuracy, lr_used)
-        )
+        report = EpochReport(epoch, train_loss, val_loss, val_accuracy, lr_used)
+        state.history.append(report)
+        on_epoch(report, improved)
     return state

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import math
@@ -12,7 +11,6 @@ import pytest
 import din
 from din.data_io import (
     ManifestEntry,
-    SnapshotFile,
     save_checkpoint,
     save_manifest,
     write_feature_file,
@@ -32,26 +30,14 @@ def tiny_params():
     return init_model(TINY_SHAPE, make_rng(123))
 
 
-@pytest.fixture
-def best_file(tmp_path):
-    """best_file(params): a new SnapshotFile in tmp_path holding `params`,
-    as `din train` fills it before its first epoch (with the initial
-    parameters, or with a resumed checkpoint's best/ group). The files
-    close after the test."""
-    with contextlib.ExitStack() as stack:
-        def new(params):
-            best = stack.enter_context(SnapshotFile(params.shape, tmp_path))
-            best.capture(params)
-            return best
-        yield new
+def ignore_epoch(report, improved):
+    """A `fit` callback for runs whose best snapshot the test does not need."""
 
 
 def save_fresh_checkpoint(path, params, config):
-    """Save the state before the first epoch, its best snapshot in a
-    SnapshotFile beside `path`, as a fresh `din train` run with no epochs does."""
-    with SnapshotFile(params.shape, path.parent) as best:
-        best.capture(params)
-        save_checkpoint(path, params, TrainState.fresh(params, config), config, best)
+    """Save the state before the first epoch, with `params` as its best
+    snapshot, as a fresh `din train` run with no epochs does."""
+    save_checkpoint(path, params, TrainState.fresh(params, config), config, params)
 
 
 def copy_params(params):

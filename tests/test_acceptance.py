@@ -10,11 +10,11 @@ import time
 import numpy as np
 
 from din.analysis import count_parameters
+from din.cli import train_to_checkpoint
 from din.data_io import (
     SyntheticTaskConfig,
     load_checkpoint,
     read_checkpoint_tensors,
-    save_checkpoint,
     synth_order_task,
 )
 from din.model import ModelShapeSpec, init_model
@@ -28,7 +28,7 @@ from din.selftest import (
 from din.temporal_conv import conv_scale_forward
 from din.trainer import TrainConfig, TrainState, fit, init_rng
 
-from conftest import save_fresh_checkpoint
+from conftest import ignore_epoch, save_fresh_checkpoint
 from mean_pool_baseline import train_baseline
 
 
@@ -70,7 +70,7 @@ def test_shape_law():
 
 
 @criterion(4, "temporal-order task: head >= 98% accuracy, mean-pool baseline <= 60%")
-def test_temporal_order_sensitivity(best_file):
+def test_temporal_order_sensitivity():
     started = time.perf_counter()
     synth = SyntheticTaskConfig(
         num_prototypes=4, feature_dim=16, noise_sigma=0.1, sequence_length=8,
@@ -89,7 +89,7 @@ def test_temporal_order_sensitivity(best_file):
     )
     params = init_model(shape, init_rng(config.seed))
     state = fit(params, splits["train"], splits["val"], config, TrainState.fresh(params, config),
-                best_file(params))
+                ignore_epoch)
     best_acc = max(r.val_accuracy for r in state.history)
     assert best_acc >= 0.98, f"temporal head reached only {best_acc:.4f}"
 
@@ -120,7 +120,7 @@ def test_parameter_accounting(tmp_path):
 
 
 @criterion(6, "bit-exact reruns and bit-exact resume")
-def test_determinism_and_resume(tmp_path, best_file):
+def test_determinism_and_resume(tmp_path):
     synth = SyntheticTaskConfig(
         num_prototypes=4, feature_dim=8, noise_sigma=0.1, sequence_length=8,
         samples_per_class=16, val_samples_per_class=8, seed=11,
@@ -133,13 +133,15 @@ def test_determinism_and_resume(tmp_path, best_file):
     config = TrainConfig(batch_size=8, initial_lr=0.05, dropout_keep=0.8,
                          max_epochs=4, seed=13)
 
+    def train(path, config, params, state, best):
+        """A run as `din train` makes it, its checkpoint rewritten every epoch."""
+        return train_to_checkpoint(path, params, splits["train"], splits["val"], config, state,
+                                   best, lambda report: None)
+
     def full_run(tag):
         params = init_model(shape, init_rng(config.seed))
-        best = best_file(params)
-        state = fit(params, splits["train"], splits["val"], config,
-                    TrainState.fresh(params, config), best)
         path = tmp_path / f"{tag}.ckpt"
-        save_checkpoint(path, params, state, config, best)
+        state = train(path, config, params, TrainState.fresh(params, config), params)
         return state.history, path.read_bytes()
 
     history_a, blob_a = full_run("a")
@@ -149,17 +151,13 @@ def test_determinism_and_resume(tmp_path, best_file):
 
     params_c = init_model(shape, init_rng(config.seed))
     half = dataclasses.replace(config, max_epochs=2)
-    best_c = best_file(params_c)
-    state_c = fit(params_c, splits["train"], splits["val"], half,
-                  TrainState.fresh(params_c, half), best_c)
     half_path = tmp_path / "half.ckpt"
-    save_checkpoint(half_path, params_c, state_c, half, best_c)
-    loaded = load_checkpoint(half_path)
-    best = best_file(loaded.best)
-    resumed = fit(loaded.model, splits["train"], splits["val"], config, loaded.state, best)
-    assert resumed.history == history_a
+    train(half_path, half, params_c, TrainState.fresh(params_c, half), params_c)
     resumed_path = tmp_path / "resumed.ckpt"
-    save_checkpoint(resumed_path, loaded.model, resumed, config, best)
+    with open(half_path, "rb") as half_file:  # resumed as `din train --resume` does
+        loaded = load_checkpoint(half_file, groups=("param", "velocity"))
+        resumed = train(resumed_path, config, loaded.model, loaded.state, half_file)
+    assert resumed.history == history_a
     assert resumed_path.read_bytes() == blob_a
 
 

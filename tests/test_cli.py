@@ -1,14 +1,14 @@
 import argparse
 import contextlib
 import errno
-import glob
 import io
 import json
 import math
 import os
+import resource
+import signal
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import fields
 
@@ -454,18 +454,75 @@ def add_third_class(data_dir):
     return path
 
 
-def open_files(pid):
-    """The paths a process has open, as /proc/<pid>/fd shows them."""
-    paths = []
-    for fd in glob.glob(f"/proc/{pid}/fd/*"):
-        with contextlib.suppress(OSError):  # closed since the glob
-            paths.append(os.readlink(fd))
-    return paths
+# `python -c` this, then the count k, then din's argv: din killed by SIGKILL
+# right after it prints its k-th "epoch " line.
+KILL_AFTER_EPOCH_LINE = """
+import os, signal, sys
+import din.cli
+
+kill_after, lines = int(sys.argv[1]), 0
+
+
+def print_then_die(*args, **kwargs):
+    global lines
+    print(*args, **kwargs)
+    lines += str(args[0]).startswith("epoch ")
+    if lines == kill_after:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+din.cli.print = print_then_die
+sys.exit(din.cli.main(sys.argv[2:]))
+"""
+
+
+# `python -c` this, then din's argv: din killed by SIGKILL in the middle of
+# its first write of a file opened for writing, once its first bytes are
+# in the file.
+KILL_IN_FIRST_WRITE = """
+import os, signal, sys
+import din.cli
+import din.data_io
+
+real_open, writes = open, 0
+
+
+class DyingFile:
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def flush(self):
+        self.f.flush()
+
+    def write(self, data):
+        global writes
+        self.f.write(data)
+        writes += 1
+        if writes == 5:  # the magic, header, meta and count, then a tensor entry
+            self.f.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+def open_dying(file, mode="r", *args, **kwargs):
+    f = real_open(file, mode, *args, **kwargs)
+    return DyingFile(f) if "w" in mode or "x" in mode else f
+
+
+din.data_io.open = open_dying
+sys.exit(din.cli.main(sys.argv[1:]))
+"""
 
 
 class TestBestSnapshotFile:
-    """`din train` keeps its best snapshot in an unlinked file in --out-dir,
-    so it holds the model twice (parameters and velocity), not three times."""
+    """`din train` keeps its best snapshot in the checkpoint file it rewrites
+    after every epoch, so it holds the model twice (parameters and
+    velocity), not three times, and a killed run leaves no partial file."""
 
     SHAPE = {"raw_dim": 512, "feat_dim": 128, "num_frames": 8, "widths": [2, 3, 4, 5, 6],
              "num_filters": 128, "num_classes": 2}
@@ -508,25 +565,104 @@ class TestBestSnapshotFile:
         assert ((tmp_path / "run/checkpoint.ckpt").read_bytes()
                 == (tmp_path / "measure/checkpoint.ckpt").read_bytes())
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd")
     def test_killed_run_leaves_no_snapshot_file(self, tmp_path, capsys):
+        # Killed halfway through writing its first checkpoint, after epoch
+        # 0: the file had no name yet, so the out-dir it made stays empty.
         cfg = base_config(tmp_path)
         data_dir, out_dir = tmp_path / "data", tmp_path / "run"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "din.cli", "train", "--config", str(cfg), "--manifest",
-             str(data_dir / "manifest.json"), "--out-dir", str(out_dir), "--max-epochs", "1000000"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env())
-        try:  # kill it once it has its snapshot file open
-            deadline = time.monotonic() + 60
-            while not any(path.startswith(f"{out_dir.resolve()}/")
-                          for path in open_files(proc.pid)):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-        finally:
-            proc.kill()
-            proc.wait()
+        proc = subprocess.run(
+            [sys.executable, "-c", KILL_IN_FIRST_WRITE, "train", "--config", str(cfg),
+             "--manifest", str(data_dir / "manifest.json"), "--out-dir", str(out_dir)],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert proc.stdout == ""
         assert list(out_dir.iterdir()) == []
+
+
+class TestCheckpointEveryEpoch:
+    """`din train` rewrites its checkpoint after every epoch, so a killed run
+    resumes from its last finished epoch, and a failed one keeps the
+    checkpoint of its last finished epoch."""
+
+    @pytest.mark.parametrize("lr, best_epoch", [("0.05", 3), ("0.2", 1)],
+                             ids=["last-epoch-improves", "later-epochs-do-not-improve"])
+    def test_killed_run_resumes_to_the_uninterrupted_bytes(self, tmp_path, capsys, lr, best_epoch):
+        # An epoch that does not improve copies best/ from the checkpoint
+        # before it: the one this run wrote, or the one it resumed.
+        cfg = base_config(tmp_path, max_epochs=4, initial_lr=float(lr))
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        train = ["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json")]
+        assert main([*train, "--out-dir", str(tmp_path / "whole")]) == 0
+        artifacts = ("checkpoint.ckpt", "history.json")
+        whole = [(tmp_path / "whole" / name).read_bytes() for name in artifacts]
+        assert json.loads(whole[1])["best_epoch"] == best_epoch
+        for k in (1, 2, 3):
+            killed = tmp_path / f"killed{k}"
+            proc = subprocess.run(
+                [sys.executable, "-c", KILL_AFTER_EPOCH_LINE, str(k), *train,
+                 "--out-dir", str(killed)], capture_output=True, text=True, env=child_env())
+            assert proc.returncode == -signal.SIGKILL, proc.stderr
+            assert [line[:8] for line in proc.stdout.splitlines()] == [
+                f"epoch {epoch}:" for epoch in range(k)]
+            assert [p.name for p in killed.iterdir()] == ["checkpoint.ckpt"]
+            assert load_checkpoint(killed / "checkpoint.ckpt").state.optimizer.epochs_completed == k
+            out_dir = killed if k == 2 else tmp_path / f"resumed{k}"  # k = 2 into its own dir
+            assert main([*train, "--out-dir", str(out_dir),
+                         "--resume", str(killed / "checkpoint.ckpt")]) == 0
+            assert [(out_dir / name).read_bytes() for name in artifacts] == whole
+
+    def test_run_failing_after_its_first_epoch_keeps_that_epochs_checkpoint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        real_evaluate, calls = trainer.evaluate, []
+
+        def evaluate_failing_in_epoch_1(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ArithmeticError("injected")
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(trainer, "evaluate", evaluate_failing_in_epoch_1)
+        out_dir = tmp_path / "new" / "run"
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--manifest", str(data_dir / "manifest.json"),
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: training diverged in epoch 1: injected\n"
+        assert [line[:8] for line in captured.out.splitlines()] == ["epoch 0:"]
+        assert [p.name for p in out_dir.iterdir()] == ["checkpoint.ckpt"]
+        assert load_checkpoint(out_dir / "checkpoint.ckpt").state.optimizer.epochs_completed == 1
+
+
+class TestOutOfMemory:
+    """Running out of memory is a validation error: exit 2 and one line."""
+
+    @pytest.mark.parametrize("flags, where", [
+        (["--num-filters", "200000000"], "init_model"),
+        (["--num-frames", "300000000"], "fit"),
+    ])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, flags, where):
+        cfg = base_config(tmp_path)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        out_dir = tmp_path / "new" / "run"
+        limit = 3 << 30  # the child's address space only; this process keeps its own
+        proc = subprocess.run(
+            [sys.executable, "-m", "din.cli", "train", "--config", str(cfg),
+             "--manifest", str(data_dir / "manifest.json"), "--out-dir", str(out_dir), *flags],
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "new").exists()  # also when fit created it
 
 
 class TestEvalPredict:
@@ -798,7 +934,8 @@ class TestChangedTrainingFiles:
         """Run a two-epoch `din train` into a new nested --out-dir, changing
         the first `split` file of the manifest once, after epoch 0 has used
         it: a train file before epoch 0's evaluation, a val file after it.
-        Epoch 1 then reads it again and must fail, naming it."""
+        Epoch 1 then reads it again and must fail, naming it. The run removes
+        of its out-dir all but epoch 0's checkpoint, which it keeps."""
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
@@ -824,10 +961,11 @@ class TestChangedTrainingFiles:
                    "--out-dir", str(out)])
         assert changed and rc == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert [line[:8] for line in captured.out.splitlines()] == ["epoch 0:"]
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err and "Traceback" not in captured.err
-        assert not (tmp_path / "new").exists()
+        assert [p.name for p in out.iterdir()] == ["checkpoint.ckpt"]
+        assert load_checkpoint(out / "checkpoint.ckpt").state.optimizer.epochs_completed == 1
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
     def test_train_exits_2_and_removes_its_out_dir(self, tmp_path, capsys, monkeypatch, change):

@@ -8,7 +8,6 @@ import re
 import stat
 import struct
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from din.data_io import (
     FormatError,
     ManifestError,
     ManifestEntry,
-    SnapshotFile,
     SyntheticTaskConfig,
     atomic_write_bytes,
     load_checkpoint,
@@ -37,6 +35,7 @@ from din.data_io import (
     write_synth_dataset,
 )
 import din.data_io as data_io_mod
+from din.cli import train_to_checkpoint
 from din.denseimage import sample_segments
 from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
@@ -57,6 +56,7 @@ from conftest import (
     decode_feature_file,
     edit_checkpoint_meta,
     gathered,
+    ignore_epoch,
     in_memory,
     poison_tensor,
     save_fresh_checkpoint,
@@ -565,6 +565,14 @@ def small_training_setup(seed=21):
     return splits, cfg, params
 
 
+def train(path, params, splits, config, state, best):
+    """Train as `din train` does, rewriting the checkpoint at `path` after
+    every epoch; `best` is the initial parameters or the open checkpoint
+    the run resumes. Returns the final state."""
+    return train_to_checkpoint(path, params, splits["train"], splits["val"], config, state, best,
+                               lambda report: None)
+
+
 def append_tensor(blob, name, arr):
     """Checkpoint bytes with one more tensor at the end of the directory."""
     (meta_len,) = struct.unpack_from("<I", blob, 6)
@@ -580,13 +588,10 @@ DROP = "<drop>"  # marks a meta field the test deletes
 
 
 class TestCheckpoints:
-    def test_round_trip_is_bit_exact(self, tmp_path, best_file):
+    def test_round_trip_is_bit_exact(self, tmp_path):
         splits, cfg, params = small_training_setup()
-        snapshot = best_file(params)
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
-                    snapshot)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, state, cfg, snapshot)
+        state = train(path, params, splits, cfg, TrainState.fresh(params, cfg), params)
         loaded = load_checkpoint(path)
         assert isinstance(loaded, CheckpointData)
         assert loaded.config == cfg
@@ -594,7 +599,7 @@ class TestCheckpoints:
         best = init_model(TINY_SHAPE, init_rng(cfg.seed))
         stopped = dataclasses.replace(cfg, max_epochs=state.best_epoch + 1)
         fit(best, splits["train"], splits["val"], stopped, TrainState.fresh(best, stopped),
-            best_file(best))
+            ignore_epoch)
         for name, arr in params.tensors.items():
             assert arr.tobytes() == loaded.model.tensors[name].tobytes()
             assert (state.optimizer.velocity[name].tobytes()
@@ -650,13 +655,13 @@ class TestCheckpoints:
         ("optimizer.epochs_completed", 2), ("optimizer.epochs_completed", 0),
         ("history.0.epoch", 1), ("best_epoch", 3), ("best_epoch", -2),
     ])
-    def test_bad_meta_field_names_the_file(self, tmp_path, best_file, field, value):
+    def test_bad_meta_field_names_the_file(self, tmp_path, field, value):
         splits, cfg, params = small_training_setup()
         path = tmp_path / "model.ckpt"
         state = TrainState.fresh(params, cfg)
         state.history.append(EpochReport(0, 1.0, 1.0, 0.5, cfg.initial_lr))
         state.optimizer.epochs_completed = 1
-        save_checkpoint(path, params, state, cfg, best_file(params))
+        save_checkpoint(path, params, state, cfg, params)
         load_checkpoint(path)  # unedited, with best_val_error still Infinity
 
         def edit(meta):
@@ -673,12 +678,12 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{key}"):
             load_checkpoint(path)
 
-    def test_tensor_errors_name_the_group_and_tensor(self, tmp_path, best_file):
+    def test_tensor_errors_name_the_group_and_tensor(self, tmp_path):
         splits, cfg, params = small_training_setup()
         state = TrainState.fresh(params, cfg)
         state.optimizer.velocity["conv/h3/bias"] = np.zeros(2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, state, cfg, best_file(params))
+        save_checkpoint(path, params, state, cfg, params)
         with pytest.raises(FormatError, match=r"velocity/conv/h3/bias: shape \(2,\)"):
             load_checkpoint(path)
         blob = append_tensor(path.read_bytes(), "param/reduction/bias", np.zeros(3))
@@ -686,25 +691,20 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="duplicate tensor 'param/reduction/bias'"):
             load_checkpoint(path)
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path, best_file):
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         splits, cfg, params_a = small_training_setup(seed=22)
         four = dataclasses.replace(cfg, max_epochs=4)
-        best_a = best_file(params_a)
-        state_a = fit(params_a, splits["train"], splits["val"], four,
-                      TrainState.fresh(params_a, four), best_a)
-        save_checkpoint(tmp_path / "whole.ckpt", params_a, state_a, four, best_a)
+        state_a = train(tmp_path / "whole.ckpt", params_a, splits, four,
+                        TrainState.fresh(params_a, four), params_a)
 
         params_b = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        best_b = best_file(params_b)
-        state_b = fit(params_b, splits["train"], splits["val"], cfg,
-                      TrainState.fresh(params_b, cfg), best_b)  # 2 epochs
         path = tmp_path / "halfway.ckpt"
-        save_checkpoint(path, params_b, state_b, cfg, best_b)
-        loaded = load_checkpoint(path)
-        assert loaded.state.optimizer.epochs_completed == 2
-        best = best_file(loaded.best)
-        resumed = fit(loaded.model, splits["train"], splits["val"], four, loaded.state, best)
-        save_checkpoint(tmp_path / "resumed.ckpt", loaded.model, resumed, four, best)
+        train(path, params_b, splits, cfg, TrainState.fresh(params_b, cfg), params_b)  # 2 epochs
+        with open(path, "rb") as halfway:
+            loaded = load_checkpoint(halfway, groups=("param", "velocity"))
+            assert loaded.state.optimizer.epochs_completed == 2
+            resumed = train(tmp_path / "resumed.ckpt", loaded.model, splits, four, loaded.state,
+                            halfway)
         assert resumed.history == state_a.history
         for name, arr in params_a.tensors.items():
             assert np.array_equal(arr, loaded.model.tensors[name])
@@ -914,16 +914,14 @@ class TestStreamedCheckpoints:
     def big(self, tmp_path_factory):
         params = init_model(MEMORY_SHAPE, make_rng(4))
         path = tmp_path_factory.mktemp("big") / "big.ckpt"
-        with SnapshotFile(MEMORY_SHAPE, path.parent) as best:
-            best.capture(params)
-            state = TrainState.fresh(params, TrainConfig())
-            save_checkpoint(path, params, state, TrainConfig(), best)
-            assert path.stat().st_size >= 1 << 20
-            yield path, params, state, best
+        state = TrainState.fresh(params, TrainConfig())
+        save_checkpoint(path, params, state, TrainConfig(), params)
+        assert path.stat().st_size >= 1 << 20
+        return path, params, state
 
     def test_save_does_not_copy_the_payloads(self, big):
-        path, params, state, best = big
-        peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig(), best))
+        path, params, state = big
+        peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig(), params))
         assert peak <= 0.1 * path.stat().st_size
 
     @pytest.mark.parametrize("groups, bound", [(None, 1.1), (("param",), 0.4)])
@@ -999,10 +997,9 @@ class TestStreamedCheckpoints:
 
 
 @st.composite
-def snapshot_runs(draw):
-    """(shape, config, synth task, resume_at, block): a small model and
-    training run, the epoch it is resumed at (None: not resumed) and a
-    snapshot read block of a few bytes."""
+def training_runs(draw):
+    """(shape, config, synth task, resume_at): a small model and training
+    run, and the epoch it is resumed at (None: not resumed)."""
     n = draw(st.integers(2, 6))
     raw_dim = draw(st.integers(1, 5))
     shape = ModelShapeSpec(raw_dim, draw(st.integers(1, raw_dim)), n,
@@ -1018,32 +1015,21 @@ def snapshot_runs(draw):
                                samples_per_class=draw(st.integers(1, 3)),
                                val_samples_per_class=draw(st.integers(1, 3)),
                                seed=config.seed)
-    resume_at = draw(st.none() | st.integers(0, config.max_epochs))
-    return shape, config, task, resume_at, draw(st.integers(1, 64))
+    return shape, config, task, draw(st.none() | st.integers(0, config.max_epochs))
 
 
 def train_and_save(path, shape, config, splits, resume_at):
-    """Train as `din train` does and save the checkpoint to `path`: from
-    fresh parameters, or resumed from a checkpoint of the first `resume_at`
-    epochs (None: not resumed). The best snapshot is kept in a SnapshotFile
-    beside `path`. Returns the final state."""
+    """Train as `din train` does, into the checkpoint at `path`: from fresh
+    parameters, or resumed from a checkpoint of the first `resume_at`
+    epochs (None: not resumed). Returns the final state."""
     params = init_model(shape, init_rng(config.seed))
-    if resume_at is not None:
-        halfway = path.with_suffix(".halfway")
-        train_and_save(halfway, shape, dataclasses.replace(config, max_epochs=resume_at),
-                       splits, None)
-        loaded = load_checkpoint(halfway)
-        params = loaded.model
-    with SnapshotFile(shape, path.parent) as best:
-        if resume_at is None:
-            best.capture(params)
-            state = TrainState.fresh(params, config)
-        else:
-            best.capture(loaded.best)
-            state = loaded.state
-        state = fit(params, splits["train"], splits["val"], config, state, best)
-        save_checkpoint(path, params, state, config, best)
-    return state
+    if resume_at is None:
+        return train(path, params, splits, config, TrainState.fresh(params, config), params)
+    halfway = path.with_suffix(".halfway")
+    train_and_save(halfway, shape, dataclasses.replace(config, max_epochs=resume_at), splits, None)
+    with open(halfway, "rb") as source:
+        loaded = load_checkpoint(source, groups=("param", "velocity"))
+        return train(path, loaded.model, splits, config, loaded.state, source)
 
 
 # Three epochs whose validation accuracy rises every epoch (0.5, 0.75, 0.875).
@@ -1052,33 +1038,35 @@ IMPROVING_TASK = SyntheticTaskConfig(feature_dim=4, samples_per_class=4,
                                      val_samples_per_class=4, seed=0)
 
 
-class TestSnapshotFile:
-    """A best snapshot kept in an unlinked file saves as the best epoch's parameters."""
+class TestBestCopy:
+    """A checkpoint's best/ group is the best epoch's parameters: saved from
+    the live ones after an improving epoch, copied from the checkpoint
+    written before otherwise."""
 
-    @given(run=snapshot_runs())
+    @given(run=training_runs())
     @example(run=(TINY_SHAPE, TrainConfig(max_epochs=0), SyntheticTaskConfig(feature_dim=4),
-                  None, 8))
-    @example(run=(TINY_SHAPE, IMPROVING, IMPROVING_TASK, None, 24))
+                  None))
+    @example(run=(TINY_SHAPE, IMPROVING, IMPROVING_TASK, None))
     @example(run=(TINY_SHAPE, TrainConfig(max_epochs=2, initial_lr=0.0),
-                  SyntheticTaskConfig(feature_dim=4, samples_per_class=2), None, 7))
-    @example(run=(TINY_SHAPE, IMPROVING, IMPROVING_TASK, 1, 5))
+                  SyntheticTaskConfig(feature_dim=4, samples_per_class=2), None))
+    @example(run=(TINY_SHAPE, IMPROVING, IMPROVING_TASK, 1))
+    @example(run=(TINY_SHAPE, TrainConfig(max_epochs=2, initial_lr=0.0),
+                  SyntheticTaskConfig(feature_dim=4, samples_per_class=2), 1))
     @settings(max_examples=80, derandomize=True, deadline=None)
     def test_best_group_is_the_best_epochs_parameters(self, tmp_path_factory, run):
         # The examples pin the cases: no epochs, a last epoch that improves
         # (every epoch of IMPROVING does), a last epoch that does not (lr 0
-        # keeps the validation accuracy), and a resumed run.
-        shape, config, task, resume_at, block = run
+        # keeps the validation accuracy), and resumed runs, one of whose
+        # epochs copies best/ from the checkpoint it resumes.
+        shape, config, task, resume_at = run
         splits = synth_order_task(dataclasses.replace(task, sequence_length=shape.num_frames))
         root = tmp_path_factory.mktemp("snapshot")
-        with mock.patch.object(data_io_mod, "SNAPSHOT_BLOCK", block):
-            state = train_and_save(root / "run.ckpt", shape, config, splits, resume_at)
+        state = train_and_save(root / "run.ckpt", shape, config, splits, resume_at)
         # The reference: an identical fresh run stopped after the best epoch.
         stopped = dataclasses.replace(config, max_epochs=state.best_epoch + 1)
         reference = init_model(shape, init_rng(config.seed))
-        with SnapshotFile(shape, root) as best_file:
-            best_file.capture(reference)
-            fit(reference, splits["train"], splits["val"], stopped,
-                TrainState.fresh(reference, stopped), best_file)
+        fit(reference, splits["train"], splits["val"], stopped,
+            TrainState.fresh(reference, stopped), ignore_epoch)
         best = load_checkpoint(root / "run.ckpt", groups=("best",)).best
         for name, arr in reference.tensors.items():
             assert best.tensors[name].tobytes() == arr.tobytes(), name
@@ -1094,45 +1082,67 @@ class TestSnapshotFile:
         event(f"epochs {config.max_epochs}, last improves {improved}, "
               f"resumed {resume_at is not None}")
 
-    def test_save_streams_through_one_block(self, tmp_path):
+    def test_copy_reads_through_one_tensor_sized_buffer(self, tmp_path):
         params = init_model(MEMORY_SHAPE, make_rng(4))
         largest = max(arr.nbytes for arr in params.tensors.values())
-        for block in (largest // 3, 4 * largest):
-            with mock.patch.object(data_io_mod, "SNAPSHOT_BLOCK", block), \
-                    SnapshotFile(MEMORY_SHAPE, tmp_path) as best_file:
-                best_file.capture(params)
-                state = TrainState.fresh(params, TrainConfig())
-                path = tmp_path / "big.ckpt"
-                peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig(),
-                                                           best_file))
-            assert peak <= min(block, largest) + 64 * 1024
-            loaded = load_checkpoint(path, groups=("best",)).best
-            for name, arr in params.tensors.items():
-                assert np.array_equal(loaded.tensors[name], arr)
+        state = TrainState.fresh(params, TrainConfig())
+        save_checkpoint(tmp_path / "source.ckpt", params, state, TrainConfig(), params)
+        path = tmp_path / "big.ckpt"
+        with open(tmp_path / "source.ckpt", "rb") as source:
+            peak = traced_peak(lambda: save_checkpoint(path, params, state, TrainConfig(), source))
+        # The buffer, and the finiteness check's boolean mask of one tensor.
+        assert peak <= largest + largest // 8 + 64 * 1024
+        loaded = load_checkpoint(path, groups=("best",)).best
+        for name, arr in params.tensors.items():
+            assert np.array_equal(loaded.tensors[name], arr)
 
-    def test_file_has_no_name_and_recaptures_in_place(self, tmp_path):
+    def test_copy_over_its_source_equals_a_save_of_the_parameters(self, tmp_path):
+        # The source stays readable after the save's rename replaces its
+        # name: `din train --resume run/checkpoint.ckpt --out-dir run`.
         params = init_model(TINY_SHAPE, make_rng(123))
-        with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
-            assert list(tmp_path.iterdir()) == []
-            best_file.capture(init_model(TINY_SHAPE, make_rng(5)))
-            best_file.capture(params)
-            save_checkpoint(tmp_path / "a.ckpt", params, TrainState.fresh(params, TrainConfig()),
-                            TrainConfig(), best_file)
-            assert list(tmp_path.iterdir()) == [tmp_path / "a.ckpt"]
-        assert (tmp_path / "a.ckpt").read_bytes() == pinned_checkpoint(tmp_path / "pin.ckpt")
+        pinned = pinned_checkpoint(tmp_path / "pin.ckpt")
+        path = tmp_path / "a.ckpt"
+        save_fresh_checkpoint(path, params, TrainConfig())
+        with open(path, "rb") as source:
+            for _ in range(2):
+                save_checkpoint(path, params, TrainState.fresh(params, TrainConfig()),
+                                TrainConfig(), source)
+                assert path.read_bytes() == pinned
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt", "pin.ckpt"]
 
-    def test_save_of_an_uncaptured_file_fails_and_writes_nothing(self, tmp_path):
+    @pytest.mark.parametrize("source, error", [
+        ("empty", "not a checkpoint file"),
+        ("poisoned", "non-finite values in tensor 'best/conv/h2/weights'"),
+        ("truncated", "truncated payload for tensor 'best/head/h3/bias'"),
+    ], ids=["empty", "poisoned", "truncated"])
+    def test_copy_from_a_bad_source_fails_naming_it_and_writes_nothing(
+        self, tmp_path, source, error
+    ):
         params = init_model(TINY_SHAPE, make_rng(123))
-        with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
-            with pytest.raises(ValueError, match="nothing has been captured"):
+        blob = pinned_checkpoint(tmp_path / "pin.ckpt")
+        path = tmp_path / f"{source}.ckpt"
+        path.write_bytes({"empty": b"", "truncated": blob[:-1],
+                          "poisoned": poison_tensor(blob, "best/conv/h2/weights", math.nan)}[source])
+        with open(path, "rb") as f:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {re.escape(error)}$"):
                 save_checkpoint(tmp_path / "a.ckpt", params,
-                                TrainState.fresh(params, TrainConfig()), TrainConfig(), best_file)
-        assert list(tmp_path.iterdir()) == []
+                                TrainState.fresh(params, TrainConfig()), TrainConfig(), f)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "pin.ckpt"])
 
     def test_rejects_another_shape(self, tmp_path):
-        with SnapshotFile(TINY_SHAPE, tmp_path) as best_file:
-            with pytest.raises(ValueError, match="shape"):
-                best_file.capture(init_model(MEMORY_SHAPE, make_rng(4)))
+        params = init_model(TINY_SHAPE, make_rng(123))
+        state = TrainState.fresh(params, TrainConfig())
+        with pytest.raises(ValueError, match="shape"):
+            save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig(),
+                            init_model(MEMORY_SHAPE, make_rng(4)))
+        other = tmp_path / "other.ckpt"
+        save_fresh_checkpoint(other, init_model(MEMORY_SHAPE, make_rng(4)), TrainConfig())
+        with open(other, "rb") as source:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(other))}: tensor 'best/"
+                                                  r"reduction/weights' has dims \(256, 128\), "
+                                                  r"expected \(4, 3\)$"):
+                save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig(), source)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.ckpt"]
 
 
 class TestCenterRowMemory:
@@ -1200,7 +1210,7 @@ class TestTrainingRowReads:
         assert peaks[2000] <= peaks[READ_BLOCK_FRAMES] + 16 * 1024
         assert peaks[2000] < 2000 * 4 * self.D
 
-    def test_two_epochs_read_each_file_once(self, tmp_path, monkeypatch, best_file):
+    def test_two_epochs_read_each_file_once(self, tmp_path, monkeypatch):
         manifest = self.write_split(tmp_path / "data", 100)
         real = data_io_mod.read_feature_file
         reads = []
@@ -1210,7 +1220,7 @@ class TestTrainingRowReads:
         val = load_split(manifest, "val", self.D)
         params = init_model(self.SHAPE, init_rng(1))
         cfg = TrainConfig(batch_size=2, max_epochs=2, seed=1)
-        fit(params, train, val, cfg, TrainState.fresh(params, cfg), best_file(params))
+        fit(params, train, val, cfg, TrainState.fresh(params, cfg), ignore_epoch)
         assert sorted(reads) == sorted(manifest.root / e.feature_path for e in manifest.entries)
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])

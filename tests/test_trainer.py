@@ -3,9 +3,7 @@ import dataclasses
 import math
 import re
 import sys
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ import din.trainer as trainer_mod
 from din.data_io import (
     FormatError,
     Sample,
-    SnapshotFile,
     SyntheticTaskConfig,
     load_manifest,
     load_split,
@@ -41,7 +38,8 @@ from din.trainer import (
     train_epoch,
 )
 
-from conftest import TINY_SHAPE, change_feature_file, copy_params, in_memory, write_test_split
+from conftest import (TINY_SHAPE, change_feature_file, copy_params, ignore_epoch, in_memory,
+                      write_test_split)
 from mean_pool_baseline import train_baseline
 
 
@@ -554,13 +552,13 @@ class TestBatchAllocations:
         assert batches == 3
         assert largest < 128 * 1024, (largest, where)
 
-    def test_fit(self, paper, best_file):
+    def test_fit(self, paper):
         params, samples = paper
         params = copy_params(params)
         cfg = TrainConfig(batch_size=32, dropout_keep=0.5, max_epochs=2)
-        state, best = TrainState.fresh(params, cfg), best_file(params)
+        state = TrainState.fresh(params, cfg)
         batches, largest, where = largest_line_growth_after_the_first_batch(
-            lambda: fit(params, samples, samples, cfg, state, best))
+            lambda: fit(params, samples, samples, cfg, state, ignore_epoch))
         assert batches == 12  # two epochs and two validation passes of 3 batches each
         assert largest < 128 * 1024, (largest, where)
 
@@ -631,10 +629,8 @@ class TestScratchRoles:
     def run_fit(params, samples, cfg):
         """Per scratch, its role creations over a fit with `samples` as
         both splits."""
-        with tempfile.TemporaryDirectory() as tmp, SnapshotFile(params.shape, Path(tmp)) as best:
-            best.capture(params)
-            with scratch_creations() as created:
-                fit(params, samples, samples, cfg, TrainState.fresh(params, cfg), best)
+        with scratch_creations() as created:
+            fit(params, samples, samples, cfg, TrainState.fresh(params, cfg), ignore_epoch)
         return list(created.values())
 
     def test_paper_shape_epoch_and_evaluation(self):
@@ -653,9 +649,10 @@ class TestScratchRoles:
         # The widest filter gradient, M*6*k, is the largest of the three.
         assert max(D, *(max(B * (n - h + 1), M) * h for h in shape.widths)) * k == 393_216
         backward = [("grad_X", [B * n * k]), ("grad", [393_216]), ("block", [OPT_BLOCK])]
-        # Evaluation carries keep-all (ones) masks in the same role.
-        forward.insert(1, ("masks", [B * len(shape.widths) * M]))
-        epoch = [*forward, *backward]
+        # Training at keep < 1 draws its masks into a role; evaluation's
+        # keep-all masks are a ones view and take none.
+        masks = ("masks", [B * len(shape.widths) * M])
+        epoch = [forward[0], masks, *forward[1:], *backward]
         assert [list(roles.items()) for roles in trained] == [epoch]
         assert [list(roles.items()) for roles in evaluated] == [forward]
 
@@ -692,6 +689,9 @@ class TestScratchRoles:
             assert all(len(sizes) == 1 for sizes in roles.values()), roles
         assert len(trained) == len(evaluated) == len(run) == 1
         assert {"grad", "block"} <= set(trained[0])
+        # Only drawn masks take a role: keep-all masks are a ones view.
+        assert ("masks" in trained[0]) == (cfg.dropout_keep < 1.0)
+        assert "masks" not in evaluated[0]
         largest = max(5, *(max(B * (n - h + 1), M) * h for h in widths)) * 3
         assert trained[0]["grad"] == [largest]
         # The run's validation passes replace only the batch-sized forward
@@ -743,25 +743,23 @@ class TestSharedScratch:
 
 
 class TestFit:
-    def test_zero_epochs_returns_initial_state(self, best_file):
+    def test_zero_epochs_returns_initial_state(self):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=0, seed=9)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
-                    best_file(params))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
         assert state.history == []
         assert state.best_epoch == -1
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
 
-    def test_lr_zero_keeps_params_bit_identical(self, best_file):
+    def test_lr_zero_keeps_params_bit_identical(self):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, initial_lr=0.0, dropout_keep=1.0, seed=10)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
-                    best_file(params))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
         # Validation losses are bit-identical (fixed eval order); train
@@ -772,7 +770,7 @@ class TestFit:
         train_losses = [r.train_loss for r in state.history]
         assert max(train_losses) - min(train_losses) < 1e-12
 
-    def test_two_runs_are_bit_identical(self, best_file):
+    def test_two_runs_are_bit_identical(self):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.05,
                           dropout_keep=0.8, seed=11)
@@ -780,27 +778,26 @@ class TestFit:
         for _ in range(2):
             params = init_model(TINY_SHAPE, init_rng(cfg.seed))
             state = fit(params, splits["train"], splits["val"], cfg,
-                        TrainState.fresh(params, cfg), best_file(params))
+                        TrainState.fresh(params, cfg), ignore_epoch)
             results.append((snapshot(params), state.history))
         assert results[0][1] == results[1][1]
         for name in results[0][0]:
             assert np.array_equal(results[0][0][name], results[1][0][name])
 
-    def test_interrupted_run_matches_uninterrupted(self, best_file):
+    def test_interrupted_run_matches_uninterrupted(self):
         splits = tiny_dataset()
         base = TrainConfig(max_epochs=4, batch_size=4, initial_lr=0.05,
                            dropout_keep=0.8, seed=12)
         params_a = init_model(TINY_SHAPE, init_rng(base.seed))
         state_a = fit(params_a, splits["train"], splits["val"], base,
-                      TrainState.fresh(params_a, base), best_file(params_a))
+                      TrainState.fresh(params_a, base), ignore_epoch)
 
         two = dataclasses.replace(base, max_epochs=2)
         params_b = init_model(TINY_SHAPE, init_rng(base.seed))
-        best_b = best_file(params_b)
         state_b = fit(params_b, splits["train"], splits["val"], two,
-                      TrainState.fresh(params_b, two), best_b)
+                      TrainState.fresh(params_b, two), ignore_epoch)
         assert state_b.optimizer.epochs_completed == 2
-        state_b = fit(params_b, splits["train"], splits["val"], base, state_b, best_b)
+        state_b = fit(params_b, splits["train"], splits["val"], base, state_b, ignore_epoch)
 
         assert state_a.history == state_b.history
         for name, arr in params_a.tensors.items():
@@ -808,12 +805,11 @@ class TestFit:
         for name, arr in state_a.optimizer.velocity.items():
             assert np.array_equal(arr, state_b.optimizer.velocity[name])
 
-    def test_everything_finite_after_training(self, best_file):
+    def test_everything_finite_after_training(self):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.1, seed=13)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
-                    best_file(params))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
         for arr in params.tensors.values():
             assert np.isfinite(arr).all()
         for arr in state.optimizer.velocity.values():
@@ -823,16 +819,38 @@ class TestFit:
         with pytest.raises(ArithmeticError):
             trainer_mod._check_finite({"w": np.array([np.nan])}, "parameter")
 
-    def test_best_epoch_ties_to_earliest(self, best_file):
+    def test_best_epoch_ties_to_earliest(self):
         splits = tiny_dataset(num_per_class=16, sigma=0.0)
         cfg = TrainConfig(max_epochs=8, batch_size=8, initial_lr=0.1,
                           dropout_keep=1.0, seed=14)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg),
-                    best_file(params))
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
         accs = [r.val_accuracy for r in state.history]
         assert state.best_val_accuracy == max(accs)
         assert state.best_epoch == accs.index(max(accs))
+
+
+    def test_on_epoch_follows_each_epochs_bookkeeping(self):
+        # Epoch 0 improves on no epoch at all; a tie with the best so far
+        # does not improve.
+        splits = tiny_dataset(num_per_class=16, sigma=0.0)
+        cfg = TrainConfig(max_epochs=8, batch_size=8, initial_lr=0.1,
+                          dropout_keep=1.0, seed=14)
+        params = init_model(TINY_SHAPE, init_rng(cfg.seed))
+        state, calls = TrainState.fresh(params, cfg), []
+
+        def on_epoch(report, improved):
+            assert state.history[-1] is report
+            assert state.optimizer.epochs_completed == report.epoch + 1
+            assert (state.best_epoch == report.epoch) == improved
+            calls.append((report, improved))
+
+        fit(params, splits["train"], splits["val"], cfg, state, on_epoch)
+        assert [report for report, _ in calls] == state.history
+        accs = [r.val_accuracy for r in state.history]
+        assert [improved for _, improved in calls] == [
+            acc > max(accs[:i], default=-1.0) for i, acc in enumerate(accs)]
+        assert sum(improved for _, improved in calls) < len(calls)
 
 
 class TestBaseline:
