@@ -33,16 +33,17 @@ of a split. Only those rows are widened to float64 (exactly). Checkpoints
 round-trip float64 exactly.
 
 Checkpoint I/O moves each tensor's bytes once, between the file and the
-array that owns them. A save writes every payload straight from its
-array's buffer; a "best/" group it copies from an open checkpoint file
-(`din train` copies the one it wrote last) goes through one buffer of the
-largest tensor's size. A load reads each payload it keeps into a fresh
-aligned float64 array (readinto) and seeks over the tensors of the groups
-it was not asked for; inference reads only "param/" or "best/". Either way
-the whole tensor directory is walked and checked: names, dims (none of 0),
-each payload's end against the file size before anything is allocated,
-duplicates and trailing bytes; each payload it reads or copies must be
-finite.
+array that owns them, along one path. A load first walks the header, the
+meta block and the whole tensor directory without reading a payload, and
+checks names, dims (none of 0), each payload's end against the file size,
+duplicates and trailing bytes; then it checks the meta and every group's
+names and dims against the shape, and only then reads, with one pread
+each, the payloads it keeps into fresh aligned float64 arrays, each
+checked finite. Inference reads only "param/" or "best/". A save writes
+each group as a streamed part of entries and payloads, every payload from
+its array's own buffer; a "best/" group it copies from an open checkpoint
+file (`din train` copies the one it wrote last) is read the same way into
+one buffer of the largest tensor's size.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import json
 import math
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, Collection
@@ -331,8 +332,8 @@ class SyntheticTaskConfig:
             raise ValueError("sequence_length must be >= 2")
         if self.feature_dim < 1 or self.samples_per_class < 1:
             raise ValueError("feature_dim and samples_per_class must be >= 1")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if min(self.noise_sigma, self.seed) < 0:
+            raise ValueError("noise_sigma and seed must be >= 0")
         if self.val_samples_per_class is not None and self.val_samples_per_class < 1:
             raise ValueError("val_samples_per_class must be >= 1")
 
@@ -398,12 +399,6 @@ class CheckpointData:
     best: ModelParams | None
 
 
-def _tensor_entry(name: str, dims: tuple[int, ...]) -> bytes:
-    """A tensor's directory entry: everything that precedes its payload."""
-    encoded = name.encode()
-    return struct.pack(f"<H{len(encoded)}sB{len(dims)}I", len(encoded), encoded, len(dims), *dims)
-
-
 def save_checkpoint(
     path: str | Path,
     model: ModelParams,
@@ -432,52 +427,43 @@ def save_checkpoint(
         "has_best": True,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    groups = {"param": model.tensors, "velocity": opt.velocity}
-    if isinstance(best, ModelParams):
-        if best.shape != model.shape:
-            raise ValueError("the best snapshot's shape differs from the model's")
-        groups["best"] = best.tensors
-    copied = [] if "best" in groups else [_copy_best(model.shape, best)]
-    tensors = {f"{g}/{name}": arr for g, named in groups.items() for name, arr in named.items()}
-    parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<HI", CHECKPOINT_VERSION, len(meta_bytes)),
-        meta_bytes,
-        struct.pack("<I", len(tensors) + len(copied) * len(model.tensors)),
-    ]
-    for name, arr in tensors.items():  # no copy for live float64 tensors
-        parts += [_tensor_entry(name, arr.shape), np.ascontiguousarray(arr, dtype="<f8")]
-    atomic_write_bytes(Path(path), *parts, *copied)
+    if isinstance(best, ModelParams) and best.shape != model.shape:
+        raise ValueError("the best snapshot's shape differs from the model's")
+    saved = best.tensors.items() if isinstance(best, ModelParams) else _copy_best(model.shape, best)
+    head = struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(meta_bytes))
+    count = struct.pack("<I", 2 * len(model.tensors) + len(opt.velocity))
+    atomic_write_bytes(Path(path), head, meta_bytes, count, _group("param", model.tensors.items()),
+                       _group("velocity", opt.velocity.items()), _group("best", saved))
 
 
-def _copy_best(shape: ModelShapeSpec, f: BinaryIO) -> Iterator:
-    """The "best/" group of a checkpoint file open for binary reading as a
-    streamed part, in parameter-table order: each tensor's entry, then its
-    payload, read at the offset the directory walk found into one buffer
-    of the largest tensor's size and checked finite. Its dims must be
-    those of `shape`."""
-    _, directory, _ = _read_checkpoint(f, groups=())
+def _group(prefix: str, tensors: Iterable[tuple[str, Array]]) -> Iterator:
+    """A tensor group as a streamed part: each (name, array) pair's
+    directory entry, then its payload from the array's own buffer."""
+    for name, arr in tensors:
+        encoded = f"{prefix}/{name}".encode()
+        yield struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
+                          *arr.shape)
+        yield np.ascontiguousarray(arr, dtype="<f8")
+
+
+def _copy_best(shape: ModelShapeSpec, f: BinaryIO) -> Iterator[tuple[str, Array]]:
+    """The "best/" tensors of a checkpoint file open for binary reading, in
+    parameter-table order, each read into one buffer of the largest
+    tensor's size. Their dims must be those of `shape`."""
+    _, directory = _read_checkpoint(f)
     table = parameter_shapes(shape)
     buffer = np.empty(max(math.prod(dims) for dims in table.values()), dtype="<f8")
     for name, dims in table.items():
-        found, offset = directory.get(f"best/{name}", (None, 0))
+        found = directory.get(f"best/{name}", (None,))[0]
         if found != dims:
             raise FormatError(f"{f.name}: tensor 'best/{name}' has dims {found}, expected {dims}")
-        payload = buffer[: math.prod(dims)]
-        if os.preadv(f.fileno(), [payload], offset) != payload.nbytes:
-            raise FormatError(f"{f.name}: truncated payload for tensor 'best/{name}'")
-        if not np.isfinite(payload).all():
-            raise FormatError(f"{f.name}: non-finite values in tensor 'best/{name}'")
-        yield _tensor_entry(f"best/{name}", dims)
-        yield payload
+        yield name, _read_tensor(f, directory, f"best/{name}", buffer)
 
 
-def _read_checkpoint(
-    f: BinaryIO, groups: Collection[str] | None
-) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]], dict[str, Array]]:
-    """(meta, name -> (dims, payload offset) of every tensor, name -> finite
-    array of the tensors whose group is in `groups`, or of all when it is
-    None), read from the start of a checkpoint file open for binary reading."""
+def _read_checkpoint(f: BinaryIO) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]]]:
+    """(meta, name -> (dims, payload offset) of every tensor), walked from
+    the start of a checkpoint file open for binary reading; no payload is
+    read."""
     path = f.name
     f.seek(0)
     size = os.fstat(f.fileno()).st_size
@@ -494,7 +480,6 @@ def _read_checkpoint(
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad meta block: {exc}") from exc
     directory: dict[str, tuple[tuple[int, ...], int]] = {}
-    tensors: dict[str, Array] = {}
     try:
         (count,) = struct.unpack("<I", f.read(4))
         for _ in range(count):
@@ -508,70 +493,73 @@ def _read_checkpoint(
             (ndim,) = struct.unpack("<B", f.read(1))
             dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
             directory[name] = dims, f.tell()
-            nbytes = 8 * math.prod(dims)
-            # Checked before allocating: absurd dims, or a 0 among them, cannot exhaust memory.
-            if 0 in dims:
+            if 0 in dims:  # absurd dims, or a 0 among them, fail before any allocation
                 raise FormatError(f"{path}: tensor {name!r} has a dim of 0")
-            if f.tell() + nbytes > size:
+            if f.tell() + 8 * math.prod(dims) > size:
                 raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-            if groups is None or name.partition("/")[0] in groups:
-                tensors[name] = np.empty(dims, dtype="<f8")
-                if f.readinto(tensors[name]) != nbytes:
-                    raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-                if not np.isfinite(tensors[name]).all():
-                    raise FormatError(f"{path}: non-finite values in tensor {name!r}")
-            else:
-                f.seek(nbytes, os.SEEK_CUR)
+            f.seek(8 * math.prod(dims), os.SEEK_CUR)
     except (struct.error, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: corrupt tensor directory: {exc}") from exc
     if f.tell() != size:
         raise FormatError(f"{path}: {size - f.tell()} trailing bytes")
-    return meta, directory, tensors
+    return meta, directory
+
+
+def _read_tensor(f: BinaryIO, directory: dict, name: str, out: Array | None) -> Array:
+    """Tensor `name`'s payload, read with one pread at the offset the walk
+    found into a fresh aligned float64 array, or into the front of the flat
+    float64 buffer `out`, and checked finite."""
+    dims, offset = directory[name]
+    arr = np.empty(dims, dtype="<f8") if out is None else out[: math.prod(dims)].reshape(dims)
+    if os.preadv(f.fileno(), [arr], offset) != arr.nbytes:  # the file shrank since the walk
+        raise FormatError(f"{f.name}: truncated payload for tensor {name!r}")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{f.name}: non-finite values in tensor {name!r}")
+    return arr
 
 
 def read_checkpoint_tensors(path: str | Path) -> tuple[dict, dict[str, Array]]:
     """Low-level read: (meta dict, name -> float64 array). Validates framing."""
     with open(path, "rb") as f:
-        meta, _, tensors = _read_checkpoint(f, None)
-    return meta, tensors
+        meta, directory = _read_checkpoint(f)
+        return meta, {name: _read_tensor(f, directory, name, None) for name in directory}
 
 
 def load_checkpoint(
     source: str | Path | BinaryIO, groups: Collection[str] | None = None
 ) -> CheckpointData:
     """Restore a checkpoint from a path or an open file, reading only the
-    tensor groups in `groups` (all of them when it is None). Every tensor's
-    name and dims, read or not, is validated against the embedded shape
-    spec. Each meta record holds exactly its fields and checks itself
-    (numbers are kept as read)."""
+    tensor groups in `groups` (all of them when it is None). The meta, and
+    every tensor's name and dims (read or not) against the embedded shape
+    spec, are checked before any payload is read. Each meta record holds
+    exactly its fields and checks itself (numbers are kept as read)."""
     opened = isinstance(source, (str, os.PathLike))
     with open(source, "rb") if opened else contextlib.nullcontext(source) as f:
-        meta, directory, tensors = _read_checkpoint(f, groups)
-    path = f.name
-    try:
-        shape = ModelShapeSpec.from_dict(meta["shape"])
-        config = from_fields(TrainConfig, meta["config"])
-        state = TrainState(from_fields(OptimizerState, meta["optimizer"], velocity=None),
-                           [from_fields(EpochReport, r) for r in meta["history"]],
-                           meta["best_epoch"], meta["best_val_accuracy"])
-        if meta["has_best"] is not True:  # every checkpoint has a best/ group
-            raise ValueError(f"has_best must be true, got {meta['has_best']!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid meta block: {exc}") from exc
-    present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}, "best": {}}
-    for key, (key_dims, _) in directory.items():
-        prefix, _, name = key.partition("/")
-        if prefix not in present:
-            raise FormatError(f"{path}: unexpected tensor {key!r}")
-        present[prefix][name] = key_dims
-    loaded: dict[str, ModelParams] = {}
-    for prefix, group in present.items():
+        meta, directory = _read_checkpoint(f)
+        path = f.name
         try:
-            if groups is None or prefix in groups:
-                loaded[prefix] = ModelParams(shape, {n: tensors[f"{prefix}/{n}"] for n in group})
-            else:
+            shape = ModelShapeSpec.from_dict(meta["shape"])
+            config = from_fields(TrainConfig, meta["config"])
+            state = TrainState(from_fields(OptimizerState, meta["optimizer"], velocity=None),
+                               [from_fields(EpochReport, r) for r in meta["history"]],
+                               meta["best_epoch"], meta["best_val_accuracy"])
+            if meta["has_best"] is not True:  # every checkpoint has a best/ group
+                raise ValueError(f"has_best must be true, got {meta['has_best']!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: invalid meta block: {exc}") from exc
+        present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}, "best": {}}
+        for key, (key_dims, _) in directory.items():
+            prefix, _, name = key.partition("/")
+            if prefix not in present:
+                raise FormatError(f"{path}: unexpected tensor {key!r}")
+            present[prefix][name] = key_dims
+        for prefix, group in present.items():
+            try:
                 check_parameter_shapes(shape, group)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {prefix}/{exc}") from exc
+            except ValueError as exc:
+                raise FormatError(f"{path}: {prefix}/{exc}") from exc
+        loaded = {prefix: ModelParams(shape, {n: _read_tensor(f, directory, f"{prefix}/{n}", None)
+                                              for n in group})
+                  for prefix, group in present.items() if groups is None or prefix in groups}
     state.optimizer.velocity = loaded["velocity"].tensors if "velocity" in loaded else None
     return CheckpointData(loaded.get("param"), state, config, loaded.get("best"))

@@ -47,8 +47,8 @@ class TrainConfig:
             raise ValueError("lr_decay_factor must be in (0, 1)")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError("dropout_keep must be in (0, 1]")
-        if self.weight_decay < 0.0 or self.initial_lr < 0.0:
-            raise ValueError("weight_decay and initial_lr must be >= 0")
+        if min(self.weight_decay, self.initial_lr, self.seed) < 0:
+            raise ValueError("weight_decay, initial_lr and seed must be >= 0")
         if self.plateau_patience < 1 or self.max_epochs < 0:
             raise ValueError("plateau_patience >= 1 and max_epochs >= 0 required")
 
@@ -77,6 +77,10 @@ class OptimizerState:
         require_fields(self)
         if min(self.epochs_since_improvement, self.epochs_completed) < 0:
             raise ValueError("epochs_since_improvement and epochs_completed must be >= 0")
+        if not 0.0 <= self.current_lr < math.inf:
+            raise ValueError(f"current_lr must be finite and >= 0, got {self.current_lr!r}")
+        if not (0.0 <= self.best_val_error <= 1.0 or self.best_val_error == math.inf):
+            raise ValueError(f"best_val_error {self.best_val_error!r} is neither inf nor in [0, 1]")
 
     @classmethod
     def init(cls, params: ModelParams, config: TrainConfig) -> "OptimizerState":
@@ -94,6 +98,10 @@ class EpochReport:
 
     def __post_init__(self):
         require_fields(self)
+        if not 0.0 <= self.val_accuracy <= 1.0:
+            raise ValueError(f"val_accuracy must be in [0, 1], got {self.val_accuracy!r}")
+        if not 0.0 <= self.current_lr < math.inf:
+            raise ValueError(f"current_lr must be finite and >= 0, got {self.current_lr!r}")
 
 
 @dataclass
@@ -116,6 +124,10 @@ class TrainState:
             raise ValueError(f"history epochs {epochs} do not match epochs_completed = {done}")
         if not -1 <= self.best_epoch < done:
             raise ValueError(f"best_epoch {self.best_epoch} is neither -1 nor a completed epoch")
+        best = self.history[self.best_epoch].val_accuracy if self.best_epoch >= 0 else -1.0
+        if self.best_val_accuracy != best:
+            raise ValueError(f"best_val_accuracy {self.best_val_accuracy!r} must be {best!r} "
+                             f"with best_epoch {self.best_epoch}")
 
     @classmethod
     def fresh(cls, params: ModelParams, config: TrainConfig) -> "TrainState":

@@ -166,6 +166,16 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: noise_sigma must be finite, got {value}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv, error", [
+        (["synth", "--synth-seed", "-1"], "noise_sigma and seed must be >= 0"),
+        (["train", "--seed", "-1", "--manifest", "m.json"],
+         "weight_decay, initial_lr and seed must be >= 0"),
+    ], ids=["synth", "train"])
+    def test_negative_seed_fails_before_anything_is_created(self, tmp_path, capsys, argv, error):
+        assert main([*argv, "--out-dir", str(tmp_path / "a" / "b")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, capsys):
@@ -230,7 +240,11 @@ class TestTrain:
         (lambda m: m["optimizer"].update(epochs_completed=1), "history epochs [0, 1]"),
         (lambda m: m["history"].pop(0), "history epochs [1]"),
         (lambda m: m.update(best_epoch=2), "best_epoch 2"),
-    ], ids=["negative-epochs", "negative-patience", "history-ahead", "history-gap", "best"])
+        (lambda m: (m["optimizer"].update(current_lr=-0.5), m.update(best_val_accuracy=7.0)),
+         "current_lr must be finite and >= 0, got -0.5"),
+        (lambda m: m.update(best_val_accuracy=7.0), "best_val_accuracy 7.0 must be"),
+    ], ids=["negative-epochs", "negative-patience", "history-ahead", "history-gap", "best",
+            "negative-lr", "best-accuracy"])
     def test_resume_from_inconsistent_bookkeeping_is_validation_error(
         self, tmp_path, capsys, edit, field
     ):
@@ -968,11 +982,11 @@ class TestChangedTrainingFiles:
         assert load_checkpoint(out / "checkpoint.ckpt").state.optimizer.epochs_completed == 1
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
-    def test_train_exits_2_and_removes_its_out_dir(self, tmp_path, capsys, monkeypatch, change):
+    def test_train_keeps_epoch_0s_checkpoint(self, tmp_path, capsys, monkeypatch, change):
         self.train_with_a_changed_file(tmp_path, capsys, monkeypatch, "train", change)
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
-    def test_changed_val_file_exits_2_and_removes_its_out_dir(
+    def test_changed_val_file_keeps_epoch_0s_checkpoint(
         self, tmp_path, capsys, monkeypatch, change
     ):
         self.train_with_a_changed_file(tmp_path, capsys, monkeypatch, "val", change)

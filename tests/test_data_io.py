@@ -654,6 +654,13 @@ class TestCheckpoints:
         ("optimizer.epochs_completed", -2), ("optimizer.epochs_since_improvement", -1),
         ("optimizer.epochs_completed", 2), ("optimizer.epochs_completed", 0),
         ("history.0.epoch", 1), ("best_epoch", 3), ("best_epoch", -2),
+        # The numbers' ranges: a rate, an error rate and accuracies.
+        ("optimizer.current_lr", -0.5), ("optimizer.current_lr", math.nan),
+        ("optimizer.current_lr", math.inf), ("optimizer.best_val_error", 1.5),
+        ("optimizer.best_val_error", -math.inf), ("optimizer.best_val_error", math.nan),
+        ("history.0.val_accuracy", 7.0), ("history.0.val_accuracy", math.nan),
+        ("history.0.current_lr", -0.5), ("history.0.current_lr", math.inf),
+        ("best_val_accuracy", 7.0), ("best_val_accuracy", math.nan), ("best_epoch", 0),
     ])
     def test_bad_meta_field_names_the_file(self, tmp_path, field, value):
         splits, cfg, params = small_training_setup()

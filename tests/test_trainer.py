@@ -124,8 +124,8 @@ class TestRecords:
     def test_bookkeeping_of_a_finished_run_is_accepted(self):
         reports = [EpochReport(e, 1.0, 1.0, 0.5, 0.1) for e in range(3)]
         opt = OptimizerState(None, 0.1, math.inf, 2, 3)
-        for best_epoch in (-1, 0, 2):
-            TrainState(opt, reports, best_epoch, 0.5)
+        for best_epoch, best_val_accuracy in ((-1, -1.0), (0, 0.5), (2, 0.5)):
+            TrainState(opt, reports, best_epoch, best_val_accuracy)
         with pytest.raises(ValueError, match="best_epoch 3"):
             TrainState(opt, reports, 3, 0.5)
 
