@@ -166,7 +166,7 @@ def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
     if diffs:
         raise ValueError(f"{path}: cannot resume with a different configuration "
                          f"(only max_epochs may change): {', '.join(diffs)}")
-    wanted, done = cfg.train.max_epochs, ckpt.state.optimizer.epochs_completed
+    wanted, done = cfg.train.max_epochs, len(ckpt.state.history)
     if wanted < done:
         raise ValueError(f"{path}: max_epochs {wanted} is below its {done} completed epochs")
 
@@ -190,9 +190,9 @@ def train_to_checkpoint(path, params, train_split, val_split, config, state, bes
             save(params if improved else best)
             echo(report)
 
-        done = state.optimizer.epochs_completed
+        done = len(state.history)
         trainer.fit(params, train_split, val_split, config, state, on_epoch)
-        if state.optimizer.epochs_completed == done:
+        if len(state.history) == done:
             save(best)
     return state
 
@@ -222,7 +222,7 @@ def cmd_train(args) -> int:
             params, state = ckpt.model, ckpt.state
         else:
             params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
-            state, best = trainer.TrainState.fresh(params, cfg.train), params
+            state, best = trainer.TrainState.fresh(params), params
         created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         for report in state.history:  # the epochs before a resume

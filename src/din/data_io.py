@@ -12,9 +12,9 @@ Checkpoint ("DICK", little-endian):
     magic      4 bytes  b"DICK"
     version    u16      1
     meta_len   u32      length of the UTF-8 JSON meta block
-    meta       JSON: config echo, model shape, optimizer scalars,
-               epoch history, best-epoch bookkeeping (sorted keys,
-               so identical state -> identical bytes)
+    meta       JSON: config echo, model shape, epoch history, and the
+               optimizer scalars and best-epoch bookkeeping they fix
+               (sorted keys, so identical state -> identical bytes)
     count      u32      number of named tensors
     per tensor: name_len u16, name UTF-8, ndim u8, ndim * u32 dims,
                float64 payload
@@ -63,7 +63,7 @@ import numpy as np
 
 from .model import ModelParams, ModelShapeSpec, check_parameter_shapes, parameter_shapes
 from .numerics import Array, from_fields, make_rng, require_fields
-from .trainer import EpochReport, OptimizerState, TrainConfig, TrainState
+from .trainer import EpochReport, TrainConfig, TrainState, schedule
 
 FEATURE_MAGIC = b"DIFX"
 FEATURE_VERSION = 1
@@ -391,7 +391,7 @@ def write_synth_dataset(config: SyntheticTaskConfig, out_dir: str | Path) -> Pat
 @dataclass
 class CheckpointData:
     """A loaded checkpoint. A tensor group the load did not ask for is None:
-    `model` (param/), `state.optimizer.velocity` (velocity/) and `best` (best/)."""
+    `model` (param/), `state.velocity` (velocity/) and `best` (best/)."""
 
     model: ModelParams | None
     state: TrainState
@@ -411,29 +411,55 @@ def save_checkpoint(
     buffer, not copied. The best snapshot is parameters of the model's
     shape, or a checkpoint file open for binary reading whose "best/"
     group is copied."""
-    opt = state.optimizer
-    meta = {
+    meta_bytes = json.dumps(_meta(config, model.shape, state), sort_keys=True).encode()
+    if isinstance(best, ModelParams) and best.shape != model.shape:
+        raise ValueError("the best snapshot's shape differs from the model's")
+    saved = best.tensors.items() if isinstance(best, ModelParams) else _copy_best(model.shape, best)
+    head = struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(meta_bytes))
+    count = struct.pack("<I", 2 * len(model.tensors) + len(state.velocity))
+    atomic_write_bytes(Path(path), head, meta_bytes, count, _group("param", model.tensors.items()),
+                       _group("velocity", state.velocity.items()), _group("best", saved))
+
+
+def _meta(config: TrainConfig, shape: ModelShapeSpec, state: TrainState) -> dict:
+    """The meta block of a checkpoint: the config, the shape and the history,
+    and the bookkeeping they determine."""
+    lr, best_val_error, since = schedule(state.history, config)
+    return {
         "config": asdict(config),
-        "shape": asdict(model.shape),
-        "optimizer": {
-            "current_lr": opt.current_lr,
-            "best_val_error": opt.best_val_error,
-            "epochs_since_improvement": opt.epochs_since_improvement,
-            "epochs_completed": opt.epochs_completed,
-        },
+        "shape": asdict(shape),
+        "optimizer": {"current_lr": lr, "best_val_error": best_val_error,
+                      "epochs_since_improvement": since, "epochs_completed": len(state.history)},
         "history": [asdict(r) for r in state.history],
         "best_epoch": state.best_epoch,
         "best_val_accuracy": state.best_val_accuracy,
         "has_best": True,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    if isinstance(best, ModelParams) and best.shape != model.shape:
-        raise ValueError("the best snapshot's shape differs from the model's")
-    saved = best.tensors.items() if isinstance(best, ModelParams) else _copy_best(model.shape, best)
-    head = struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(meta_bytes))
-    count = struct.pack("<I", 2 * len(model.tensors) + len(opt.velocity))
-    atomic_write_bytes(Path(path), head, meta_bytes, count, _group("param", model.tensors.items()),
-                       _group("velocity", opt.velocity.items()), _group("best", saved))
+
+
+def _parse_meta(meta: dict) -> tuple[ModelShapeSpec, TrainConfig, TrainState]:
+    """The shape, config and state (velocity None) of a meta block. Their
+    records hold exactly their fields and check themselves (numbers are
+    kept as read); every other field must have the JSON text of the one
+    they determine. An error names the field."""
+    shape = ModelShapeSpec.from_dict(meta["shape"])
+    config = from_fields(TrainConfig, meta["config"])
+    state = TrainState(None, [from_fields(EpochReport, r) for r in meta["history"]])
+    stored, rebuilt = _fields(meta), _fields(_meta(config, shape, state))
+    for name in [*rebuilt, *sorted(stored.keys() - rebuilt.keys())]:
+        if name not in stored or name not in rebuilt:
+            raise ValueError(f"{'missing' if name in rebuilt else 'unknown'} key {name!r}")
+        text = json.dumps(rebuilt[name], sort_keys=True)
+        if json.dumps(stored[name], sort_keys=True) != text:
+            raise ValueError(f"{name} must be {text}, got {stored[name]!r}")
+    return shape, config, state
+
+
+def _fields(meta: dict) -> dict:
+    """Dotted name -> value of each meta field, a dict's fields one level down."""
+    return dict(pair for key, value in meta.items()
+                for pair in ([(f"{key}.{k}", v) for k, v in value.items()]
+                             if isinstance(value, dict) else [(key, value)]))
 
 
 def _group(prefix: str, tensors: Iterable[tuple[str, Array]]) -> Iterator:
@@ -531,20 +557,13 @@ def load_checkpoint(
     """Restore a checkpoint from a path or an open file, reading only the
     tensor groups in `groups` (all of them when it is None). The meta, and
     every tensor's name and dims (read or not) against the embedded shape
-    spec, are checked before any payload is read. Each meta record holds
-    exactly its fields and checks itself (numbers are kept as read)."""
+    spec, are checked before any payload is read."""
     opened = isinstance(source, (str, os.PathLike))
     with open(source, "rb") if opened else contextlib.nullcontext(source) as f:
         meta, directory = _read_checkpoint(f)
         path = f.name
         try:
-            shape = ModelShapeSpec.from_dict(meta["shape"])
-            config = from_fields(TrainConfig, meta["config"])
-            state = TrainState(from_fields(OptimizerState, meta["optimizer"], velocity=None),
-                               [from_fields(EpochReport, r) for r in meta["history"]],
-                               meta["best_epoch"], meta["best_val_accuracy"])
-            if meta["has_best"] is not True:  # every checkpoint has a best/ group
-                raise ValueError(f"has_best must be true, got {meta['has_best']!r}")
+            shape, config, state = _parse_meta(meta)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: invalid meta block: {exc}") from exc
         present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}, "best": {}}
@@ -561,5 +580,5 @@ def load_checkpoint(
         loaded = {prefix: ModelParams(shape, {n: _read_tensor(f, directory, f"{prefix}/{n}", None)
                                               for n in group})
                   for prefix, group in present.items() if groups is None or prefix in groups}
-    state.optimizer.velocity = loaded["velocity"].tensors if "velocity" in loaded else None
+    state.velocity = loaded["velocity"].tensors if "velocity" in loaded else None
     return CheckpointData(loaded.get("param"), state, config, loaded.get("best"))

@@ -63,31 +63,6 @@ def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return make_rng(seed, 1, epoch)
 
 
-@dataclass
-class OptimizerState:
-    """Velocity buffers (None if a load skipped them) plus the plateau-schedule bookkeeping."""
-
-    velocity: dict[str, Array] | None
-    current_lr: float
-    best_val_error: float = math.inf
-    epochs_since_improvement: int = 0
-    epochs_completed: int = 0
-
-    def __post_init__(self):
-        require_fields(self)
-        if min(self.epochs_since_improvement, self.epochs_completed) < 0:
-            raise ValueError("epochs_since_improvement and epochs_completed must be >= 0")
-        if not 0.0 <= self.current_lr < math.inf:
-            raise ValueError(f"current_lr must be finite and >= 0, got {self.current_lr!r}")
-        if not (0.0 <= self.best_val_error <= 1.0 or self.best_val_error == math.inf):
-            raise ValueError(f"best_val_error {self.best_val_error!r} is neither inf nor in [0, 1]")
-
-    @classmethod
-    def init(cls, params: ModelParams, config: TrainConfig) -> "OptimizerState":
-        velocity = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-        return cls(velocity, config.initial_lr)
-
-
 @dataclass(frozen=True)
 class EpochReport:
     epoch: int
@@ -100,39 +75,57 @@ class EpochReport:
         require_fields(self)
         if not 0.0 <= self.val_accuracy <= 1.0:
             raise ValueError(f"val_accuracy must be in [0, 1], got {self.val_accuracy!r}")
-        if not 0.0 <= self.current_lr < math.inf:
-            raise ValueError(f"current_lr must be finite and >= 0, got {self.current_lr!r}")
 
 
 @dataclass
 class TrainState:
     """Everything fit() accumulates but the best snapshot, which fit's
     caller keeps (`din train` in its checkpoint's best/ group); checkpointing
-    both resumes a run exactly. The history holds one report per completed
-    epoch, in order."""
+    both resumes a run exactly. The velocity buffers (None if a load skipped
+    them) and one report per completed epoch, in order; the best epoch and
+    the learning-rate schedule are functions of the history."""
 
-    optimizer: OptimizerState
+    velocity: dict[str, Array] | None
     history: list[EpochReport] = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_accuracy: float = -1.0
-
-    def __post_init__(self):
-        require_fields(self)
-        done = self.optimizer.epochs_completed
-        epochs = [r.epoch for r in self.history]
-        if epochs != list(range(done)):
-            raise ValueError(f"history epochs {epochs} do not match epochs_completed = {done}")
-        if not -1 <= self.best_epoch < done:
-            raise ValueError(f"best_epoch {self.best_epoch} is neither -1 nor a completed epoch")
-        best = self.history[self.best_epoch].val_accuracy if self.best_epoch >= 0 else -1.0
-        if self.best_val_accuracy != best:
-            raise ValueError(f"best_val_accuracy {self.best_val_accuracy!r} must be {best!r} "
-                             f"with best_epoch {self.best_epoch}")
 
     @classmethod
-    def fresh(cls, params: ModelParams, config: TrainConfig) -> "TrainState":
+    def fresh(cls, params: ModelParams) -> "TrainState":
         """The state before the first epoch."""
-        return cls(OptimizerState.init(params, config))
+        return cls({name: np.zeros_like(arr) for name, arr in params.tensors.items()})
+
+    @property
+    def best_epoch(self) -> int:
+        """The first epoch of the highest validation accuracy; -1 before any."""
+        accuracies = [r.val_accuracy for r in self.history]
+        return accuracies.index(max(accuracies)) if accuracies else -1
+
+    @property
+    def best_val_accuracy(self) -> float:
+        return self.history[self.best_epoch].val_accuracy if self.history else -1.0
+
+
+def schedule(history: Sequence[EpochReport], config: TrainConfig) -> tuple[float, float, int]:
+    """(learning rate of the next epoch, best validation error, epochs since
+    it improved), replayed from the first epoch: the rate decays by
+    lr_decay_factor after `plateau_patience` epochs without a strict
+    improvement of the validation error. History epochs other than 0, 1, ...
+    or a report whose rate is not the one the replay gives it (1.0 is not 1)
+    are a ValueError."""
+    epochs = [r.epoch for r in history]
+    if epochs != list(range(len(history))):
+        raise ValueError(f"history epochs {epochs} are not 0 to {len(history) - 1}")
+    lr, best, since = config.initial_lr, math.inf, 0
+    for i, report in enumerate(history):
+        if repr(report.current_lr) != repr(lr):
+            raise ValueError(f"history.{i}.current_lr must be {lr!r}, got {report.current_lr!r}")
+        val_error = 1.0 - report.val_accuracy
+        if val_error < best - 1e-12:
+            best, since = val_error, 0
+        else:
+            since += 1
+            if since >= config.plateau_patience:
+                lr, since = lr * config.lr_decay_factor, 0
+    return lr, best, since
 
 
 # Elements per optimizer block: a block's parameter, velocity, gradient and
@@ -143,13 +136,14 @@ OPT_BLOCK = 32768
 def sgd_momentum_step(
     named: dict[str, Array],
     grads: Iterable[tuple[str, Array]],
-    state: OptimizerState,
+    velocity: dict[str, Array],
     config: TrainConfig,
+    lr: float,
     scale: float,
     scratch: dict[str, Array],
 ) -> None:
-    """One in-place update of every array in `named`:
-    g <- grad*scale; v <- momentum*v + (g + wd*param); param -= lr*v.
+    """One in-place update of every array in `named` and its `velocity`
+    buffer: g <- grad*scale; v <- momentum*v + (g + wd*param); param -= lr*v.
 
     `grads` is a stream of (name, gradient) pairs, such as
     model.backward_sample yields. Each tensor is updated as its pair
@@ -169,7 +163,7 @@ def sgd_momentum_step(
         if name not in named or name in done:
             raise ValueError("gradient names do not match the parameters")
         done.add(name)
-        param, vel = named[name], state.velocity[name]
+        param, vel = named[name], velocity[name]
         if grad.shape != param.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         decay = 0.0 if name.endswith("/bias") else config.weight_decay
@@ -187,25 +181,10 @@ def sgd_momentum_step(
                 v += term
             else:
                 v += g
-            np.multiply(state.current_lr, v, out=term)
+            np.multiply(lr, v, out=term)
             p -= term
     if len(done) != len(named):
         raise ValueError("gradient names do not match the parameters")
-
-
-def plateau_update(state: OptimizerState, val_error: float, config: TrainConfig) -> None:
-    """Decay the learning rate after `plateau_patience` epochs without a
-    strict improvement of the validation error."""
-    if not 0.0 <= val_error <= 1.0:
-        raise ValueError("val_error must be in [0, 1]")
-    if val_error < state.best_val_error - 1e-12:
-        state.best_val_error = val_error
-        state.epochs_since_improvement = 0
-    else:
-        state.epochs_since_improvement += 1
-        if state.epochs_since_improvement >= config.plateau_patience:
-            state.current_lr *= config.lr_decay_factor
-            state.epochs_since_improvement = 0
 
 
 def _check_finite(named: dict[str, Array], what: str) -> None:
@@ -223,12 +202,13 @@ def train_epoch(
     params: ModelParams,
     samples: Sequence["Sample"],
     config: TrainConfig,
-    state: OptimizerState,
+    velocity: dict[str, Array],
+    lr: float,
     rng: np.random.Generator,
     scratch: dict[str, Array],
 ) -> float:
-    """One pass over the split in a fresh shuffled order, in the scratch;
-    one batched forward/backward and one momentum step per mini-batch with
+    """One pass over the split in a fresh shuffled order at rate `lr`, in the
+    scratch; one batched forward/backward and one momentum step per mini-batch with
     the batch-mean gradient, applied tensor by tensor as backward yields it,
     so no whole gradient set is ever held. Returns the mean loss."""
     if len(samples) == 0:
@@ -244,7 +224,7 @@ def train_epoch(
         # Each gradient is scaled to the batch mean and applied before
         # backward computes the next one into the same scratch.
         sgd_momentum_step(params.tensors, backward_sample(params, fwd, grad_fused, scratch),
-                          state, config, 1.0 / len(batch), scratch)
+                          velocity, config, lr, 1.0 / len(batch), scratch)
     return total_loss / len(samples)
 
 
@@ -277,35 +257,30 @@ def fit(
     state: TrainState,
     on_epoch: Callable[[EpochReport, bool], None],
 ) -> TrainState:
-    """Train up to config.max_epochs. Start from TrainState.fresh, or resume
-    from a checkpoint's state: epochs already completed are skipped and the
-    remaining ones reproduce an uninterrupted run bit-exactly. Every epoch
-    and validation pass runs in one scratch. After each epoch's bookkeeping,
+    """Train up to config.max_epochs, each epoch at the rate `schedule`
+    gives. Start from TrainState.fresh, or resume from a checkpoint's state:
+    epochs already in the history are skipped and the remaining ones
+    reproduce an uninterrupted run bit-exactly. Every epoch and validation
+    pass runs in one scratch. After each epoch's report joins the history,
     on_epoch(report, improved) is called; `improved` says that the epoch is
     the new best, so `params` are now the best snapshot, which the caller
     keeps. Mutates `params` and `state` in place and returns the state.
     """
-    opt, scratch = state.optimizer, {}
-    for epoch in range(opt.epochs_completed, config.max_epochs):
-        lr_used = opt.current_lr
+    scratch: dict[str, Array] = {}
+    for epoch in range(len(state.history), config.max_epochs):
+        lr = schedule(state.history, config)[0]
         rng = epoch_rng(config.seed, epoch)
         # A diverging epoch overflows long before its logits stop being
         # finite; report it once, as an ArithmeticError, not as warnings.
         try:
             with np.errstate(all="ignore"):
-                train_loss = train_epoch(params, train_split, config, opt, rng, scratch)
+                train_loss = train_epoch(params, train_split, config, state.velocity, lr, rng,
+                                         scratch)
                 val_loss, val_accuracy, _ = evaluate(params, val_split, scratch)
             _check_finite(params.tensors, "parameter")
-            _check_finite(opt.velocity, "velocity")
+            _check_finite(state.velocity, "velocity")
         except ArithmeticError as exc:
             raise ArithmeticError(f"training diverged in epoch {epoch}: {exc}") from exc
-        improved = val_accuracy > state.best_val_accuracy
-        if improved:
-            state.best_epoch = epoch
-            state.best_val_accuracy = val_accuracy
-        plateau_update(opt, 1.0 - val_accuracy, config)
-        opt.epochs_completed = epoch + 1
-        report = EpochReport(epoch, train_loss, val_loss, val_accuracy, lr_used)
-        state.history.append(report)
-        on_epoch(report, improved)
+        state.history.append(EpochReport(epoch, train_loss, val_loss, val_accuracy, lr))
+        on_epoch(state.history[-1], state.best_epoch == epoch)
     return state

@@ -28,7 +28,9 @@ they agree). The last line is ``identical``, or ``<n> lines differ``
 counting the diff's removed and added lines; the exit code is 0 or 1.
 
 ``--write-tiny INPUTS`` writes a small dataset whose videos have fewer,
-as many and more frames than the model samples (T = 3, 8, 13, 70).
+as many and more frames than the model samples (T = 3, 8, 13, 70), and a
+config with plateau_patience 1, so the learning rate can decay before and
+after the resume.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ def write_tiny(out: Path) -> None:
     (out / "manifest.json").write_text(json.dumps({"classes": ["a", "b"], "samples": samples}))
     shape = {"raw_dim": 6, "feat_dim": 4, "num_frames": 8, "widths": [2, 3], "num_filters": 4,
              "num_classes": 2}
+    # At patience 1 the rate decays within the resumed run's three epochs.
     train = {"batch_size": 4, "initial_lr": 0.05, "dropout_keep": 0.8, "max_epochs": 2,
-             "seed": 1}
+             "plateau_patience": 1, "seed": 1}
     synth = {"feature_dim": 6, "samples_per_class": 8, "seed": 1}
     (out / "config.json").write_text(json.dumps({"shape": shape, "train": train,
                                                  "synth": synth}))

@@ -37,7 +37,7 @@ def ignore_epoch(report, improved):
 def save_fresh_checkpoint(path, params, config):
     """Save the state before the first epoch, with `params` as its best
     snapshot, as a fresh `din train` run with no epochs does."""
-    save_checkpoint(path, params, TrainState.fresh(params, config), config, params)
+    save_checkpoint(path, params, TrainState.fresh(params), config, params)
 
 
 def copy_params(params):

@@ -17,12 +17,11 @@ from din.data_io import Sample
 from din.numerics import Array, cross_entropy_from_logits, glorot_uniform
 from din.trainer import (
     EpochReport,
-    OptimizerState,
     TrainConfig,
     _labels,
     epoch_rng,
     init_rng,
-    plateau_update,
+    schedule,
     sgd_momentum_step,
 )
 
@@ -63,16 +62,15 @@ def train_baseline(
     num_classes: int,
     config: TrainConfig,
 ) -> tuple[MeanPoolBaseline, list[EpochReport]]:
-    """Train the mean-pool control with the same optimizer and budget."""
+    """Train the mean-pool control with the same optimizer, learning-rate
+    schedule and budget."""
     model = init_baseline(init_rng(config.seed), raw_dim, num_classes)
     named = {"baseline/weights": model.weights, "baseline/bias": model.bias}
-    opt = OptimizerState(
-        {name: np.zeros_like(arr) for name, arr in named.items()}, config.initial_lr
-    )
+    velocity = {name: np.zeros_like(arr) for name, arr in named.items()}
     history: list[EpochReport] = []
     scratch: dict[str, Array] = {}
     for epoch in range(config.max_epochs):
-        lr_used = opt.current_lr
+        lr = schedule(history, config)[0]
         rng = epoch_rng(config.seed, epoch)
         order = rng.permutation(len(train_split))
         total_loss = 0.0
@@ -87,14 +85,14 @@ def train_baseline(
                 named,
                 {"baseline/weights": grad_logits.T @ means * scale,
                  "baseline/bias": grad_logits.sum(axis=0) * scale}.items(),
-                opt,
+                velocity,
                 config,
+                lr,
                 1.0,
                 scratch,
             )
         val_loss, val_accuracy = evaluate_baseline(model, val_split)
-        plateau_update(opt, 1.0 - val_accuracy, config)
         history.append(
-            EpochReport(epoch, total_loss / len(train_split), val_loss, val_accuracy, lr_used)
+            EpochReport(epoch, total_loss / len(train_split), val_loss, val_accuracy, lr)
         )
     return model, history

@@ -88,7 +88,7 @@ def test_temporal_order_sensitivity():
         seed=3,
     )
     params = init_model(shape, init_rng(config.seed))
-    state = fit(params, splits["train"], splits["val"], config, TrainState.fresh(params, config),
+    state = fit(params, splits["train"], splits["val"], config, TrainState.fresh(params),
                 ignore_epoch)
     best_acc = max(r.val_accuracy for r in state.history)
     assert best_acc >= 0.98, f"temporal head reached only {best_acc:.4f}"
@@ -141,7 +141,7 @@ def test_determinism_and_resume(tmp_path):
     def full_run(tag):
         params = init_model(shape, init_rng(config.seed))
         path = tmp_path / f"{tag}.ckpt"
-        state = train(path, config, params, TrainState.fresh(params, config), params)
+        state = train(path, config, params, TrainState.fresh(params), params)
         return state.history, path.read_bytes()
 
     history_a, blob_a = full_run("a")
@@ -152,7 +152,7 @@ def test_determinism_and_resume(tmp_path):
     params_c = init_model(shape, init_rng(config.seed))
     half = dataclasses.replace(config, max_epochs=2)
     half_path = tmp_path / "half.ckpt"
-    train(half_path, half, params_c, TrainState.fresh(params_c, half), params_c)
+    train(half_path, half, params_c, TrainState.fresh(params_c), params_c)
     resumed_path = tmp_path / "resumed.ckpt"
     with open(half_path, "rb") as half_file:  # resumed as `din train --resume` does
         loaded = load_checkpoint(half_file, groups=("param", "velocity"))

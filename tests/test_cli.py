@@ -225,26 +225,47 @@ class TestTrain:
         for name in ("history.json", "checkpoint.ckpt"):
             assert (dir_4 / name).read_bytes() == (dir_resumed / name).read_bytes()
 
+    def test_resume_matches_uninterrupted_across_rate_decays(self, tmp_path, capsys):
+        # At patience 1 the rate decays before the resume point and after it.
+        cfg = base_config(tmp_path, plateau_patience=1)
+        dir_4, dir_resumed = four_epochs_two_ways(tmp_path, cfg)
+        for name in ("history.json", "checkpoint.ckpt"):
+            assert (dir_4 / name).read_bytes() == (dir_resumed / name).read_bytes()
+        reports = json.loads((dir_4 / "history.json").read_text())["reports"]
+        rates = [r["current_lr"] for r in reports]
+        assert rates[0] > rates[2] > rates[3], rates
+
     def test_written_checkpoints_keep_their_bookkeeping_consistent(self, tmp_path, capsys):
         dir_4, dir_resumed = four_epochs_two_ways(tmp_path, base_config(tmp_path))
         for run_dir in (dir_4, tmp_path / "two", dir_resumed):
-            state = load_checkpoint(run_dir / "checkpoint.ckpt").state
-            done = state.optimizer.epochs_completed
-            assert [r.epoch for r in state.history] == list(range(done))
-            assert 0 <= state.best_epoch < done
-            assert 0 <= state.optimizer.epochs_since_improvement <= done
+            ckpt = load_checkpoint(run_dir / "checkpoint.ckpt")
+            done = len(ckpt.state.history)
+            assert [r.epoch for r in ckpt.state.history] == list(range(done))
+            assert 0 <= ckpt.state.best_epoch < done
+            assert 0 <= trainer.schedule(ckpt.state.history, ckpt.config)[2] <= done
 
     @pytest.mark.parametrize("edit, field", [
         (lambda m: m["optimizer"].update(epochs_completed=-2), "epochs_completed"),
         (lambda m: m["optimizer"].update(epochs_since_improvement=-1), "epochs_since_improvement"),
-        (lambda m: m["optimizer"].update(epochs_completed=1), "history epochs [0, 1]"),
+        (lambda m: m["optimizer"].update(epochs_completed=1),
+         "optimizer.epochs_completed must be 2, got 1"),
         (lambda m: m["history"].pop(0), "history epochs [1]"),
-        (lambda m: m.update(best_epoch=2), "best_epoch 2"),
+        (lambda m: m.update(best_epoch=2), "best_epoch must be 0, got 2"),
         (lambda m: (m["optimizer"].update(current_lr=-0.5), m.update(best_val_accuracy=7.0)),
-         "current_lr must be finite and >= 0, got -0.5"),
-        (lambda m: m.update(best_val_accuracy=7.0), "best_val_accuracy 7.0 must be"),
+         "optimizer.current_lr must be 0.05, got -0.5"),
+        (lambda m: m.update(best_val_accuracy=7.0), "best_val_accuracy must be 0.625, got 7.0"),
+        # In range, but not what the history gives: each used to resume on
+        # another schedule, at another rate or with another history.
+        (lambda m: m["optimizer"].update(best_val_error=0.0),
+         "optimizer.best_val_error must be 0.375, got 0.0"),
+        (lambda m: m["optimizer"].update(current_lr=0.5),
+         "optimizer.current_lr must be 0.05, got 0.5"),
+        (lambda m: m["optimizer"].update(epochs_since_improvement=40),
+         "optimizer.epochs_since_improvement must be 1, got 40"),
+        (lambda m: m["history"][1].update(current_lr=7.0),
+         "history.1.current_lr must be 0.05, got 7.0"),
     ], ids=["negative-epochs", "negative-patience", "history-ahead", "history-gap", "best",
-            "negative-lr", "best-accuracy"])
+            "negative-lr", "best-accuracy", "best-error", "lr", "patience", "history-lr"])
     def test_resume_from_inconsistent_bookkeeping_is_validation_error(
         self, tmp_path, capsys, edit, field
     ):
@@ -621,7 +642,7 @@ class TestCheckpointEveryEpoch:
             assert [line[:8] for line in proc.stdout.splitlines()] == [
                 f"epoch {epoch}:" for epoch in range(k)]
             assert [p.name for p in killed.iterdir()] == ["checkpoint.ckpt"]
-            assert load_checkpoint(killed / "checkpoint.ckpt").state.optimizer.epochs_completed == k
+            assert len(load_checkpoint(killed / "checkpoint.ckpt").state.history) == k
             out_dir = killed if k == 2 else tmp_path / f"resumed{k}"  # k = 2 into its own dir
             assert main([*train, "--out-dir", str(out_dir),
                          "--resume", str(killed / "checkpoint.ckpt")]) == 0
@@ -651,7 +672,7 @@ class TestCheckpointEveryEpoch:
         assert captured.err == "error: training diverged in epoch 1: injected\n"
         assert [line[:8] for line in captured.out.splitlines()] == ["epoch 0:"]
         assert [p.name for p in out_dir.iterdir()] == ["checkpoint.ckpt"]
-        assert load_checkpoint(out_dir / "checkpoint.ckpt").state.optimizer.epochs_completed == 1
+        assert len(load_checkpoint(out_dir / "checkpoint.ckpt").state.history) == 1
 
 
 class TestOutOfMemory:
@@ -979,7 +1000,7 @@ class TestChangedTrainingFiles:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err and "Traceback" not in captured.err
         assert [p.name for p in out.iterdir()] == ["checkpoint.ckpt"]
-        assert load_checkpoint(out / "checkpoint.ckpt").state.optimizer.epochs_completed == 1
+        assert len(load_checkpoint(out / "checkpoint.ckpt").state.history) == 1
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
     def test_train_keeps_epoch_0s_checkpoint(self, tmp_path, capsys, monkeypatch, change):

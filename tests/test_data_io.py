@@ -41,7 +41,6 @@ from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
 from din.trainer import (
     EpochReport,
-    OptimizerState,
     TrainConfig,
     TrainState,
     epoch_rng,
@@ -591,23 +590,21 @@ class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path):
         splits, cfg, params = small_training_setup()
         path = tmp_path / "model.ckpt"
-        state = train(path, params, splits, cfg, TrainState.fresh(params, cfg), params)
+        state = train(path, params, splits, cfg, TrainState.fresh(params), params)
         loaded = load_checkpoint(path)
         assert isinstance(loaded, CheckpointData)
         assert loaded.config == cfg
         # The best snapshot: an identical run stopped after the best epoch.
         best = init_model(TINY_SHAPE, init_rng(cfg.seed))
         stopped = dataclasses.replace(cfg, max_epochs=state.best_epoch + 1)
-        fit(best, splits["train"], splits["val"], stopped, TrainState.fresh(best, stopped),
+        fit(best, splits["train"], splits["val"], stopped, TrainState.fresh(best),
             ignore_epoch)
         for name, arr in params.tensors.items():
             assert arr.tobytes() == loaded.model.tensors[name].tobytes()
-            assert (state.optimizer.velocity[name].tobytes()
-                    == loaded.state.optimizer.velocity[name].tobytes())
+            assert state.velocity[name].tobytes() == loaded.state.velocity[name].tobytes()
             assert best.tensors[name].tobytes() == loaded.best.tensors[name].tobytes()
         assert loaded.state.history == state.history
         assert loaded.state.best_epoch == state.best_epoch
-        assert loaded.state.optimizer.best_val_error == state.optimizer.best_val_error
 
     def test_corrupt_files_rejected(self, tmp_path):
         splits, cfg, params = small_training_setup()
@@ -661,15 +658,21 @@ class TestCheckpoints:
         ("history.0.val_accuracy", 7.0), ("history.0.val_accuracy", math.nan),
         ("history.0.current_lr", -0.5), ("history.0.current_lr", math.inf),
         ("best_val_accuracy", 7.0), ("best_val_accuracy", math.nan), ("best_epoch", 0),
+        # In range, but not what the history gives: each used to load and
+        # change the resumed run's schedule, its rate or its output.
+        ("optimizer.best_val_error", 0.0), ("optimizer.current_lr", 0.5),
+        ("optimizer.epochs_since_improvement", 40), ("history.1.current_lr", 7.0),
     ])
     def test_bad_meta_field_names_the_file(self, tmp_path, field, value):
         splits, cfg, params = small_training_setup()
         path = tmp_path / "model.ckpt"
-        state = TrainState.fresh(params, cfg)
-        state.history.append(EpochReport(0, 1.0, 1.0, 0.5, cfg.initial_lr))
-        state.optimizer.epochs_completed = 1
+        # Three epochs as fit runs them: epoch 1 is the best, epoch 2 does
+        # not improve on it, and the rate stays at 0.05.
+        state = TrainState.fresh(params)
+        for epoch, accuracy in enumerate((0.25, 0.5, 0.5)):
+            state.history.append(EpochReport(epoch, 1.0, 1.0, accuracy, cfg.initial_lr))
         save_checkpoint(path, params, state, cfg, params)
-        load_checkpoint(path)  # unedited, with best_val_error still Infinity
+        load_checkpoint(path)  # unedited
 
         def edit(meta):
             *parents, key = field.split(".")
@@ -685,10 +688,18 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{key}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("optimizer.epochs_completed", 3.0), ("optimizer.epochs_since_improvement", True),
+        ("best_epoch", 1.0),
+    ])
+    def test_derived_value_of_another_type_names_the_file(self, tmp_path, field, value):
+        # Compared by JSON text, 3.0 is not 3 and true is not 1.
+        self.test_bad_meta_field_names_the_file(tmp_path, field, value)
+
     def test_tensor_errors_name_the_group_and_tensor(self, tmp_path):
         splits, cfg, params = small_training_setup()
-        state = TrainState.fresh(params, cfg)
-        state.optimizer.velocity["conv/h3/bias"] = np.zeros(2)
+        state = TrainState.fresh(params)
+        state.velocity["conv/h3/bias"] = np.zeros(2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, state, cfg, params)
         with pytest.raises(FormatError, match=r"velocity/conv/h3/bias: shape \(2,\)"):
@@ -702,14 +713,14 @@ class TestCheckpoints:
         splits, cfg, params_a = small_training_setup(seed=22)
         four = dataclasses.replace(cfg, max_epochs=4)
         state_a = train(tmp_path / "whole.ckpt", params_a, splits, four,
-                        TrainState.fresh(params_a, four), params_a)
+                        TrainState.fresh(params_a), params_a)
 
         params_b = init_model(TINY_SHAPE, init_rng(cfg.seed))
         path = tmp_path / "halfway.ckpt"
-        train(path, params_b, splits, cfg, TrainState.fresh(params_b, cfg), params_b)  # 2 epochs
+        train(path, params_b, splits, cfg, TrainState.fresh(params_b), params_b)  # 2 epochs
         with open(path, "rb") as halfway:
             loaded = load_checkpoint(halfway, groups=("param", "velocity"))
-            assert loaded.state.optimizer.epochs_completed == 2
+            assert len(loaded.state.history) == 2
             resumed = train(tmp_path / "resumed.ckpt", loaded.model, splits, four, loaded.state,
                             halfway)
         assert resumed.history == state_a.history
@@ -888,8 +899,8 @@ def check_group_loads_agree(path, blob):
     assert (param_only is None) == (best_only is None) == (full is None)
     if full is None:
         return
-    assert param_only.state.optimizer.velocity is None and param_only.best is None
-    assert best_only.model is None and best_only.state.optimizer.velocity is None
+    assert param_only.state.velocity is None and param_only.best is None
+    assert best_only.model is None and best_only.state.velocity is None
     for got, want in ((param_only.model, full.model), (best_only.best, full.best)):
         assert (got is None) == (want is None)
         if want is None:
@@ -921,7 +932,7 @@ class TestStreamedCheckpoints:
     def big(self, tmp_path_factory):
         params = init_model(MEMORY_SHAPE, make_rng(4))
         path = tmp_path_factory.mktemp("big") / "big.ckpt"
-        state = TrainState.fresh(params, TrainConfig())
+        state = TrainState.fresh(params)
         save_checkpoint(path, params, state, TrainConfig(), params)
         assert path.stat().st_size >= 1 << 20
         return path, params, state
@@ -944,7 +955,7 @@ class TestStreamedCheckpoints:
             assert_fresh_arrays(group)
             for name, arr in want.tensors.items():
                 assert np.array_equal(group.tensors[name], arr)
-        assert_fresh_arrays(ModelParams(MEMORY_SHAPE, loaded.state.optimizer.velocity))
+        assert_fresh_arrays(ModelParams(MEMORY_SHAPE, loaded.state.velocity))
 
     @pytest.mark.parametrize("corrupt", ["param", "velocity", "best"])
     @pytest.mark.parametrize("groups", [None, ("param",), ("velocity",), ("best",)])
@@ -983,7 +994,7 @@ class TestStreamedCheckpoints:
         # single-byte flip can make it all ones: every payload stays finite.
         path.write_bytes(blob)
         valid = load_checkpoint(path)
-        for named in (valid.model.tensors, valid.state.optimizer.velocity, valid.best.tensors):
+        for named in (valid.model.tensors, valid.state.velocity, valid.best.tensors):
             assert all(np.abs(arr).max() < 1.0 for arr in named.values())
         flipped = bytearray(blob)
         flipped[at] ^= mask
@@ -1031,7 +1042,7 @@ def train_and_save(path, shape, config, splits, resume_at):
     epochs (None: not resumed). Returns the final state."""
     params = init_model(shape, init_rng(config.seed))
     if resume_at is None:
-        return train(path, params, splits, config, TrainState.fresh(params, config), params)
+        return train(path, params, splits, config, TrainState.fresh(params), params)
     halfway = path.with_suffix(".halfway")
     train_and_save(halfway, shape, dataclasses.replace(config, max_epochs=resume_at), splits, None)
     with open(halfway, "rb") as source:
@@ -1073,7 +1084,7 @@ class TestBestCopy:
         stopped = dataclasses.replace(config, max_epochs=state.best_epoch + 1)
         reference = init_model(shape, init_rng(config.seed))
         fit(reference, splits["train"], splits["val"], stopped,
-            TrainState.fresh(reference, stopped), ignore_epoch)
+            TrainState.fresh(reference), ignore_epoch)
         best = load_checkpoint(root / "run.ckpt", groups=("best",)).best
         for name, arr in reference.tensors.items():
             assert best.tensors[name].tobytes() == arr.tobytes(), name
@@ -1092,7 +1103,7 @@ class TestBestCopy:
     def test_copy_reads_through_one_tensor_sized_buffer(self, tmp_path):
         params = init_model(MEMORY_SHAPE, make_rng(4))
         largest = max(arr.nbytes for arr in params.tensors.values())
-        state = TrainState.fresh(params, TrainConfig())
+        state = TrainState.fresh(params)
         save_checkpoint(tmp_path / "source.ckpt", params, state, TrainConfig(), params)
         path = tmp_path / "big.ckpt"
         with open(tmp_path / "source.ckpt", "rb") as source:
@@ -1112,7 +1123,7 @@ class TestBestCopy:
         save_fresh_checkpoint(path, params, TrainConfig())
         with open(path, "rb") as source:
             for _ in range(2):
-                save_checkpoint(path, params, TrainState.fresh(params, TrainConfig()),
+                save_checkpoint(path, params, TrainState.fresh(params),
                                 TrainConfig(), source)
                 assert path.read_bytes() == pinned
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt", "pin.ckpt"]
@@ -1133,12 +1144,12 @@ class TestBestCopy:
         with open(path, "rb") as f:
             with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {re.escape(error)}$"):
                 save_checkpoint(tmp_path / "a.ckpt", params,
-                                TrainState.fresh(params, TrainConfig()), TrainConfig(), f)
+                                TrainState.fresh(params), TrainConfig(), f)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, "pin.ckpt"])
 
     def test_rejects_another_shape(self, tmp_path):
         params = init_model(TINY_SHAPE, make_rng(123))
-        state = TrainState.fresh(params, TrainConfig())
+        state = TrainState.fresh(params)
         with pytest.raises(ValueError, match="shape"):
             save_checkpoint(tmp_path / "a.ckpt", params, state, TrainConfig(),
                             init_model(MEMORY_SHAPE, make_rng(4)))
@@ -1188,10 +1199,11 @@ class TestTrainingRowReads:
         samples = load_split(manifest, "train", self.D)
         params = init_model(self.SHAPE, init_rng(1))
         cfg = TrainConfig(batch_size=2, seed=1)
-        state, scratch = OptimizerState.init(params, cfg), {}
+        velocity, scratch = TrainState.fresh(params).velocity, {}
         for epoch in range(epochs):
-            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, epoch), scratch)
-        return samples, params, cfg, state
+            train_epoch(params, samples, cfg, velocity, cfg.initial_lr, epoch_rng(cfg.seed, epoch),
+                        scratch)
+        return samples, params, cfg, velocity
 
     @given(T=st.integers(1, 2 * READ_BLOCK_FRAMES + 3), n=st.integers(1, 12),
            D=st.integers(1, 5), seed=st.integers(0, 10**6))
@@ -1227,17 +1239,17 @@ class TestTrainingRowReads:
         val = load_split(manifest, "val", self.D)
         params = init_model(self.SHAPE, init_rng(1))
         cfg = TrainConfig(batch_size=2, max_epochs=2, seed=1)
-        fit(params, train, val, cfg, TrainState.fresh(params, cfg), ignore_epoch)
+        fit(params, train, val, cfg, TrainState.fresh(params), ignore_epoch)
         assert sorted(reads) == sorted(manifest.root / e.feature_path for e in manifest.entries)
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
     def test_changed_file_fails_the_next_epoch_naming_it(self, tmp_path, change):
         manifest = self.write_split(tmp_path / "data", 20)
-        samples, params, cfg, state = self.train(manifest, epochs=1)
+        samples, params, cfg, velocity = self.train(manifest, epochs=1)
         path = samples[1].features.path
         change_feature_file(path, change)
         with pytest.raises((FormatError, FileNotFoundError), match=re.escape(str(path))):
-            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 1), {})
+            train_epoch(params, samples, cfg, velocity, cfg.initial_lr, epoch_rng(cfg.seed, 1), {})
 
     def test_nonfinite_drawn_row_fails_naming_the_file(self, tmp_path):
         # Written in place after the scan, with the file's stamp kept.

@@ -22,7 +22,7 @@ from din.model import (
 from din.numerics import cross_entropy_from_logits, dropout_scales, make_rng, softmax
 from din.selftest import kink_free
 from din.temporal_conv import pool_argmax
-from din.trainer import OptimizerState, TrainConfig, sgd_momentum_step
+from din.trainer import TrainConfig, TrainState, sgd_momentum_step
 
 from conftest import TINY_SHAPE, copy_params, gathered
 
@@ -354,7 +354,8 @@ class TestGradientStream:
         params = init_model(shape, make_rng(seed))
         fresh = copy_params(params)
         config = TrainConfig(weight_decay=1e-3, initial_lr=0.05)
-        state, fresh_state = OptimizerState.init(params, config), OptimizerState.init(fresh, config)
+        velocity = TrainState.fresh(params).velocity
+        fresh_velocity = TrainState.fresh(fresh).velocity
         scratch = {}
         for B in sizes:
             videos = [data_rng.normal(size=(int(data_rng.integers(1, 2 * n + 2)), raw_dim))
@@ -367,7 +368,7 @@ class TestGradientStream:
             want_pairs = [(name, g.copy())
                           for name, g in backward_sample(fresh, want, want_grad, new_scratch)]
             sgd_momentum_step(fresh.tensors, ((name, g * (1.0 / B)) for name, g in want_pairs),
-                              fresh_state, config, 1.0, new_scratch)
+                              fresh_velocity, config, config.initial_lr, 1.0, new_scratch)
 
             rows, masks = sample_batch(shape, videos, scratch, rng, keep)
             fwd = forward_sample(params, rows, masks, scratch)
@@ -386,13 +387,14 @@ class TestGradientStream:
                     yield name, g
 
             sgd_momentum_step(params.tensors, recorded(backward_sample(
-                params, fwd, grad_fused, scratch)), state, config, 1.0 / B, scratch)
+                params, fwd, grad_fused, scratch)), velocity, config, config.initial_lr, 1.0 / B,
+                scratch)
             assert [name for name, _ in got_pairs] == [name for name, _ in want_pairs]
             for (name, got), (_, expected) in zip(got_pairs, want_pairs):
                 assert np.array_equal(got, expected), name
             for name, arr in params.tensors.items():
                 assert np.array_equal(arr, fresh.tensors[name]), name
-                assert np.array_equal(state.velocity[name], fresh_state.velocity[name]), name
+                assert np.array_equal(velocity[name], fresh_velocity[name]), name
         assert rng.bit_generator.state == rng_fresh.bit_generator.state
 
     def test_no_parameter_is_read_after_its_gradient_is_yielded(self, tiny_params):

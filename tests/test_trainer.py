@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import din.data_io as data_io_mod
 import din.trainer as trainer_mod
 from din.data_io import (
     FormatError,
@@ -26,14 +27,13 @@ from din.numerics import dropout_scales, from_fields, make_rng, scratch_view
 from din.trainer import (
     OPT_BLOCK,
     EpochReport,
-    OptimizerState,
     TrainConfig,
     TrainState,
     epoch_rng,
     evaluate,
     fit,
     init_rng,
-    plateau_update,
+    schedule,
     sgd_momentum_step,
     train_epoch,
 )
@@ -97,24 +97,35 @@ class TestTrainConfig:
         assert cfg.momentum == 0
 
 
+def parse_edited_meta(**fields):
+    """Check the meta block of a one-epoch run's checkpoint with `fields`
+    replaced: the optimizer's when it has them, else top-level ones."""
+    config = TrainConfig()
+    state = TrainState(None, [EpochReport(0, 1.0, 1.0, 0.5, config.initial_lr)])
+    meta = data_io_mod._meta(config, TINY_SHAPE, state)
+    for name, value in fields.items():
+        (meta["optimizer"] if name in meta["optimizer"] else meta)[name] = value
+    data_io_mod._parse_meta(meta)
+
+
 class TestRecords:
-    """The training bookkeeping records check their own fields."""
+    """An epoch report checks its own fields, the schedule the history's
+    epochs, and a checkpoint's meta check every bookkeeping field against
+    the history, naming the field."""
 
     @pytest.mark.parametrize("make, field", [
         (lambda: EpochReport(0.0, 1.0, 1.0, 0.5, 0.1), "epoch"),
         (lambda: EpochReport(0, "1", 1.0, 0.5, 0.1), "train_loss"),
-        (lambda: OptimizerState(None, True), "current_lr"),
-        (lambda: OptimizerState(None, 0.1, best_val_error=None), "best_val_error"),
-        (lambda: OptimizerState(None, 0.1, epochs_completed=1.0), "epochs_completed"),
-        (lambda: OptimizerState(None, 0.1, epochs_completed=-1), "epochs_completed"),
-        (lambda: OptimizerState(None, 0.1, epochs_since_improvement=-2),
-         "epochs_since_improvement"),
-        (lambda: TrainState(OptimizerState(None, 0.1), best_epoch="0"), "best_epoch"),
-        (lambda: TrainState(OptimizerState(None, 0.1), best_val_accuracy=None),
-         "best_val_accuracy"),
-        (lambda: TrainState(OptimizerState(None, 0.1), best_epoch=0), "best_epoch"),
-        (lambda: TrainState(OptimizerState(None, 0.1, epochs_completed=1)), "history epochs"),
-        (lambda: TrainState(OptimizerState(None, 0.1), [EpochReport(0, 1.0, 1.0, 0.5, 0.1)]),
+        (lambda: parse_edited_meta(current_lr=True), "current_lr"),
+        (lambda: parse_edited_meta(best_val_error=None), "best_val_error"),
+        (lambda: parse_edited_meta(epochs_completed=1.0), "epochs_completed"),
+        (lambda: parse_edited_meta(epochs_completed=-1), "epochs_completed"),
+        (lambda: parse_edited_meta(epochs_since_improvement=-2), "epochs_since_improvement"),
+        (lambda: parse_edited_meta(best_epoch="0"), "best_epoch"),
+        (lambda: parse_edited_meta(best_val_accuracy=None), "best_val_accuracy"),
+        (lambda: parse_edited_meta(best_epoch=1), "best_epoch"),
+        (lambda: schedule([EpochReport(1, 1.0, 1.0, 0.5, 0.1)], TrainConfig()), "history epochs"),
+        (lambda: schedule([EpochReport(0, 1.0, 1.0, 0.5, 0.1)] * 2, TrainConfig()),
          "history epochs"),
     ])
     def test_bad_fields_rejected_by_name(self, make, field):
@@ -122,31 +133,37 @@ class TestRecords:
             make()
 
     def test_bookkeeping_of_a_finished_run_is_accepted(self):
-        reports = [EpochReport(e, 1.0, 1.0, 0.5, 0.1) for e in range(3)]
-        opt = OptimizerState(None, 0.1, math.inf, 2, 3)
-        for best_epoch, best_val_accuracy in ((-1, -1.0), (0, 0.5), (2, 0.5)):
-            TrainState(opt, reports, best_epoch, best_val_accuracy)
-        with pytest.raises(ValueError, match="best_epoch 3"):
-            TrainState(opt, reports, 3, 0.5)
+        # The best epoch is the first of the highest accuracy, -1 before any.
+        state = TrainState(None)
+        assert (state.best_epoch, state.best_val_accuracy) == (-1, -1.0)
+        cfg = TrainConfig(plateau_patience=1)
+        state.history = run_history((0.5, 0.75, 0.25, 0.75), cfg)
+        assert (state.best_epoch, state.best_val_accuracy) == (1, 0.75)
+        meta = data_io_mod._meta(cfg, TINY_SHAPE, state)
+        assert meta["optimizer"] == {"current_lr": cfg.initial_lr * 0.1 * 0.1,
+                                     "best_val_error": 0.25, "epochs_since_improvement": 0,
+                                     "epochs_completed": 4}
+        data_io_mod._parse_meta(meta)
 
 
 class TestSgdStep:
     def test_zero_grads_zero_velocity_is_fixed_point(self, tiny_params):
         cfg = TrainConfig(weight_decay=0.0)
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         before = snapshot(tiny_params)
         zero = {name: np.zeros_like(arr) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg, 1.0, {})
+        sgd_momentum_step(tiny_params.tensors, zero.items(), velocity, cfg, cfg.initial_lr, 1.0, {})
         for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name])
 
     def test_momentum_zero_equals_vanilla_descent(self, tiny_params):
         cfg = TrainConfig(momentum=0.0, weight_decay=0.0, initial_lr=1.0)
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         before = snapshot(tiny_params)
         rng = make_rng(1)
         grads = {name: rng.normal(size=arr.shape) for name, arr in before.items()}
-        sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg, 1.0, {})
+        sgd_momentum_step(tiny_params.tensors, grads.items(), velocity, cfg, cfg.initial_lr,
+                          1.0, {})
         for name, arr in tiny_params.tensors.items():
             assert np.array_equal(arr, before[name] - grads[name])
 
@@ -154,35 +171,36 @@ class TestSgdStep:
         # param 1.0, grad 0, wd 5e-4, momentum 0, lr 5e-4
         # -> param = 1 - 5e-4 * 5e-4 = 0.99999975
         cfg = TrainConfig(momentum=0.0, weight_decay=5e-4, initial_lr=5e-4)
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         tiny_params.tensors["reduction/weights"][0, 0] = 1.0
         zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
-        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg, 1.0, {})
+        sgd_momentum_step(tiny_params.tensors, zero.items(), velocity, cfg, cfg.initial_lr, 1.0, {})
         assert abs(tiny_params.tensors["reduction/weights"][0, 0] - 0.99999975) < 1e-15
 
     def test_weight_decay_skips_biases(self, tiny_params):
         cfg = TrainConfig(momentum=0.0, weight_decay=0.1, initial_lr=1.0)
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         tiny_params.tensors["reduction/bias"][:] = 3.0
         zero = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
-        sgd_momentum_step(tiny_params.tensors, zero.items(), state, cfg, 1.0, {})
+        sgd_momentum_step(tiny_params.tensors, zero.items(), velocity, cfg, cfg.initial_lr, 1.0, {})
         assert np.array_equal(tiny_params.tensors["reduction/bias"], np.full(3, 3.0))
 
     def test_shape_mismatch_rejected(self, tiny_params):
         cfg = TrainConfig()
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         grads = {name: np.zeros_like(arr) for name, arr in tiny_params.tensors.items()}
         grads["reduction/bias"] = np.zeros(99)
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params.tensors, grads.items(), state, cfg, 1.0, {})
+            sgd_momentum_step(tiny_params.tensors, grads.items(), velocity, cfg, cfg.initial_lr,
+                              1.0, {})
         with pytest.raises(ValueError):
-            sgd_momentum_step(tiny_params.tensors, iter(()), state, cfg, 1.0, {})
+            sgd_momentum_step(tiny_params.tensors, iter(()), velocity, cfg, cfg.initial_lr, 1.0, {})
 
 
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
     def test_equals_the_formula_with_temporaries(self, tiny_params, weight_decay):
         cfg = TrainConfig(momentum=0.9, weight_decay=weight_decay, initial_lr=0.05)
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         want_p = snapshot(tiny_params)
         want_v = {name: np.zeros_like(arr) for name, arr in want_p.items()}
         rng = make_rng(31)
@@ -193,12 +211,13 @@ class TestSgdStep:
                 if weight_decay and not name.endswith("/bias"):
                     g = g + weight_decay * want_p[name]
                 want_v[name] = cfg.momentum * want_v[name] + g
-                want_p[name] = want_p[name] - state.current_lr * want_v[name]
-            sgd_momentum_step(tiny_params.tensors, passed.items(), state, cfg, 1.0, {})
+                want_p[name] = want_p[name] - cfg.initial_lr * want_v[name]
+            sgd_momentum_step(tiny_params.tensors, passed.items(), velocity, cfg, cfg.initial_lr,
+                              1.0, {})
             for name in grads:
                 assert np.array_equal(passed[name], grads[name])  # inputs untouched
                 assert np.array_equal(tiny_params.tensors[name], want_p[name])
-                assert np.array_equal(state.velocity[name], want_v[name])
+                assert np.array_equal(velocity[name], want_v[name])
 
 
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0])
@@ -209,19 +228,18 @@ class TestSgdStep:
         rng = make_rng(32)
         named = {name: rng.normal(size=dims) for name, dims in shapes.items()}
         cfg = TrainConfig(momentum=0.9, weight_decay=weight_decay, initial_lr=0.05)
-        state = OptimizerState({name: rng.normal(size=dims) for name, dims in shapes.items()},
-                               cfg.initial_lr)
+        velocity = {name: rng.normal(size=dims) for name, dims in shapes.items()}
         grads = {name: rng.normal(size=dims) for name, dims in shapes.items()}
         want_p, want_v = {}, {}
         for name, g in grads.items():
             if weight_decay and not name.endswith("/bias"):
                 g = g + weight_decay * named[name]
-            want_v[name] = cfg.momentum * state.velocity[name] + g
-            want_p[name] = named[name] - state.current_lr * want_v[name]
-        sgd_momentum_step(named, grads.items(), state, cfg, 1.0, {})
+            want_v[name] = cfg.momentum * velocity[name] + g
+            want_p[name] = named[name] - cfg.initial_lr * want_v[name]
+        sgd_momentum_step(named, grads.items(), velocity, cfg, cfg.initial_lr, 1.0, {})
         for name in shapes:
             assert np.array_equal(named[name], want_p[name]), name
-            assert np.array_equal(state.velocity[name], want_v[name]), name
+            assert np.array_equal(velocity[name], want_v[name]), name
 
     @pytest.mark.parametrize("scale", [1.0 / 6, 1.0 / 3, 0.25])
     def test_scale_in_the_blocks_equals_a_scaled_copy(self, scale):
@@ -234,17 +252,15 @@ class TestSgdStep:
         named = {name: rng.normal(size=dims) for name, dims in shapes.items()}
         want = {name: arr.copy() for name, arr in named.items()}
         cfg = TrainConfig(momentum=0.9, weight_decay=5e-4, initial_lr=0.05)
-        state = OptimizerState({name: rng.normal(size=dims) for name, dims in shapes.items()},
-                               cfg.initial_lr)
-        want_state = OptimizerState({name: v.copy() for name, v in state.velocity.items()},
-                                    cfg.initial_lr)
+        velocity = {name: rng.normal(size=dims) for name, dims in shapes.items()}
+        want_velocity = {name: v.copy() for name, v in velocity.items()}
         grads = {name: rng.normal(size=dims) for name, dims in shapes.items()}
-        sgd_momentum_step(want, ((name, g * scale) for name, g in grads.items()), want_state, cfg,
-                          1.0, {})
-        sgd_momentum_step(named, grads.items(), state, cfg, scale, {})
+        sgd_momentum_step(want, ((name, g * scale) for name, g in grads.items()), want_velocity,
+                          cfg, cfg.initial_lr, 1.0, {})
+        sgd_momentum_step(named, grads.items(), velocity, cfg, cfg.initial_lr, scale, {})
         for name in shapes:
             assert np.array_equal(named[name], want[name]), name
-            assert np.array_equal(state.velocity[name], want_state.velocity[name]), name
+            assert np.array_equal(velocity[name], want_velocity[name]), name
 
     @pytest.mark.parametrize("fault, message", [
         ("unknown", "gradient names do not match the parameters"),
@@ -254,7 +270,7 @@ class TestSgdStep:
     ])
     def test_bad_streamed_names_rejected(self, tiny_params, fault, message):
         cfg = TrainConfig()
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         pairs = [(name, np.zeros_like(arr)) for name, arr in tiny_params.tensors.items()]
         if fault == "unknown":
             pairs.insert(1, ("extra/bias", np.zeros(3)))
@@ -265,40 +281,61 @@ class TestSgdStep:
         else:
             pairs[-1] = (pairs[-1][0], np.zeros(99))
         with pytest.raises(ValueError, match=message):
-            sgd_momentum_step(tiny_params.tensors, iter(pairs), state, cfg, 1.0, {})
+            sgd_momentum_step(tiny_params.tensors, iter(pairs), velocity, cfg, cfg.initial_lr,
+                              1.0, {})
+
+
+def run_history(accuracies, config):
+    """The history of epochs with these validation accuracies, each at the
+    rate the schedule gives it."""
+    history = []
+    for epoch, accuracy in enumerate(accuracies):
+        history.append(EpochReport(epoch, 1.0, 1.0, accuracy, schedule(history, config)[0]))
+    return history
 
 
 class TestPlateau:
     def test_decreasing_errors_keep_lr(self):
         cfg = TrainConfig(plateau_patience=2)
-        state = OptimizerState({}, cfg.initial_lr)
-        for err in (0.5, 0.4, 0.3, 0.2):
-            plateau_update(state, err, cfg)
-        assert state.current_lr == cfg.initial_lr
+        history = run_history((0.5, 0.6, 0.7, 0.8), cfg)
+        assert [r.current_lr for r in history] == [cfg.initial_lr] * 4
+        assert schedule(history, cfg) == (cfg.initial_lr, 1.0 - 0.8, 0)
 
     def test_flat_errors_decay_after_patience(self):
         cfg = TrainConfig(plateau_patience=2, initial_lr=1.0)
-        state = OptimizerState({}, cfg.initial_lr)
-        plateau_update(state, 0.5, cfg)
-        assert state.current_lr == 1.0
-        plateau_update(state, 0.5, cfg)
-        assert state.current_lr == 1.0
-        plateau_update(state, 0.5, cfg)
-        assert state.current_lr == 0.1
-        assert state.epochs_since_improvement == 0
+        history = run_history((0.5, 0.5, 0.5), cfg)
+        assert [schedule(history[:i], cfg)[0] for i in (1, 2, 3)] == [1.0, 1.0, 0.1]
+        assert schedule(history, cfg) == (0.1, 0.5, 0)
 
     def test_decay_from_5em4_is_exact(self):
         cfg = TrainConfig(plateau_patience=1, initial_lr=5e-4)
-        state = OptimizerState({}, cfg.initial_lr)
-        plateau_update(state, 0.5, cfg)  # establishes the best error
-        plateau_update(state, 0.5, cfg)  # plateau -> decay
-        assert state.current_lr == 5e-5
+        # The first epoch establishes the best error, the second plateaus.
+        assert schedule(run_history((0.5, 0.5), cfg), cfg)[0] == 5e-5
+
+    def test_improvement_within_1e_12_is_a_plateau(self):
+        cfg = TrainConfig(plateau_patience=1, initial_lr=1.0)
+        assert schedule(run_history((0.5, 0.5 + 1e-13), cfg), cfg)[0] == 0.1
+        assert schedule(run_history((0.5, 0.5 + 1e-11), cfg), cfg)[0] == 1.0
+
+    def test_no_history_gives_the_initial_rate(self):
+        cfg = TrainConfig(initial_lr=0.05)
+        assert schedule([], cfg) == (0.05, math.inf, 0)
 
     def test_out_of_range_error_rejected(self):
-        cfg = TrainConfig()
-        state = OptimizerState({}, cfg.initial_lr)
-        with pytest.raises(ValueError):
-            plateau_update(state, 1.5, cfg)
+        with pytest.raises(ValueError, match="val_accuracy"):
+            EpochReport(0, 1.0, 1.0, -0.5, 0.1)  # a validation error of 1.5
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("current_lr", 0.5, "history.1.current_lr must be 1.0, got 0.5"),
+        ("current_lr", 1, "history.1.current_lr must be 1.0, got 1"),
+        ("epoch", 2, "history epochs [0, 2, 2] are not 0 to 2"),
+    ])
+    def test_a_report_off_the_schedule_is_rejected_by_name(self, field, value, message):
+        cfg = TrainConfig(plateau_patience=1, initial_lr=1.0)
+        history = run_history((0.5, 0.5, 0.5), cfg)
+        history[1] = dataclasses.replace(history[1], **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            schedule(history, cfg)
 
 
 class TestTrainEpoch:
@@ -306,9 +343,10 @@ class TestTrainEpoch:
         splits = tiny_dataset()
         cfg = TrainConfig(initial_lr=0.0, dropout_keep=1.0, batch_size=4, seed=1)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = OptimizerState.init(params, cfg)
+        velocity = TrainState.fresh(params).velocity
         losses = [
-            train_epoch(params, splits["train"][:1], cfg, state, epoch_rng(cfg.seed, e), {})
+            train_epoch(params, splits["train"][:1], cfg, velocity, cfg.initial_lr,
+                        epoch_rng(cfg.seed, e), {})
             for e in range(3)
         ]
         assert losses[0] == losses[1] == losses[2]
@@ -318,7 +356,7 @@ class TestTrainEpoch:
         assert len(splits["train"]) == 70
         cfg = TrainConfig(batch_size=32, dropout_keep=1.0, seed=2)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = OptimizerState.init(params, cfg)
+        velocity = TrainState.fresh(params).velocity
         calls = []
         real = trainer_mod.sgd_momentum_step
         monkeypatch.setattr(
@@ -326,7 +364,8 @@ class TestTrainEpoch:
             "sgd_momentum_step",
             lambda *args, **kw: (calls.append(1), real(*args, **kw))[1],
         )
-        train_epoch(params, splits["train"], cfg, state, epoch_rng(cfg.seed, 0), {})
+        train_epoch(params, splits["train"], cfg, velocity, cfg.initial_lr,
+                    epoch_rng(cfg.seed, 0), {})
         assert len(calls) == 3  # 32 + 32 + 6
 
     def test_same_seed_gives_bit_identical_loss(self):
@@ -335,8 +374,8 @@ class TestTrainEpoch:
         losses = []
         for _ in range(2):
             params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-            state = OptimizerState.init(params, cfg)
-            losses.append(train_epoch(params, splits["train"], cfg, state,
+            velocity = TrainState.fresh(params).velocity
+            losses.append(train_epoch(params, splits["train"], cfg, velocity, cfg.initial_lr,
                                       epoch_rng(cfg.seed, 0), {}))
         assert losses[0] == losses[1]
 
@@ -357,8 +396,8 @@ class TestTrainEpoch:
         for s in batch:
             rows, masks = sample_batch(TINY_SHAPE, [s.features], {})
             per_sample.append(sample_loss_and_grads(params, rows, [s.label], masks)[1])
-        state = OptimizerState.init(params, cfg)
-        train_epoch(params, batch, cfg, state, epoch_rng(cfg.seed, 0), {})
+        velocity = TrainState.fresh(params).velocity
+        train_epoch(params, batch, cfg, velocity, cfg.initial_lr, epoch_rng(cfg.seed, 0), {})
         for name, arr in params.tensors.items():
             step = before[name] - arr  # lr == 1, momentum == 0
             mean = sum(g[name] for g in per_sample) / 3.0
@@ -366,9 +405,9 @@ class TestTrainEpoch:
 
     def test_empty_split_rejected(self, tiny_params):
         cfg = TrainConfig()
-        state = OptimizerState.init(tiny_params, cfg)
+        velocity = TrainState.fresh(tiny_params).velocity
         with pytest.raises(ValueError):
-            train_epoch(tiny_params, [], cfg, state, epoch_rng(0, 0), {})
+            train_epoch(tiny_params, [], cfg, velocity, cfg.initial_lr, epoch_rng(0, 0), {})
 
     @pytest.mark.parametrize("keep", [0.8, 1.0])
     def test_epoch_draws_in_the_per_sample_order(self, keep):
@@ -381,10 +420,11 @@ class TestTrainEpoch:
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         replay = copy_params(params)
         rng = epoch_rng(cfg.seed, 0)
-        train_epoch(params, samples, cfg, OptimizerState.init(params, cfg), rng, {})
+        train_epoch(params, samples, cfg, TrainState.fresh(params).velocity, cfg.initial_lr, rng,
+                    {})
         ref = epoch_rng(cfg.seed, 0)
         order = ref.permutation(len(samples))
-        state = OptimizerState.init(replay, cfg)
+        velocity = TrainState.fresh(replay).velocity
         for start in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             masks = {h: [] for h in TINY_SHAPE.widths}
@@ -398,7 +438,7 @@ class TestTrainEpoch:
             masks = {h: np.stack(m) if keep < 1.0 else ones for h, m in masks.items()}
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
             mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
-            sgd_momentum_step(replay.tensors, mean.items(), state, cfg, 1.0, {})
+            sgd_momentum_step(replay.tensors, mean.items(), velocity, cfg, cfg.initial_lr, 1.0, {})
         assert rng.bit_generator.state == ref.bit_generator.state
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, replay.tensors[name]), name
@@ -412,18 +452,18 @@ class TestTrainEpoch:
                           seed=6)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         replay = copy_params(params)
-        train_epoch(params, samples, cfg, OptimizerState.init(params, cfg),
+        train_epoch(params, samples, cfg, TrainState.fresh(params).velocity, cfg.initial_lr,
                     epoch_rng(cfg.seed, 0), {})
         ref = epoch_rng(cfg.seed, 0)
         order = ref.permutation(len(samples))
-        state = OptimizerState.init(replay, cfg)
+        velocity = TrainState.fresh(replay).velocity
         for start in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             rows, masks = sample_batch(TINY_SHAPE, [s.features for s in batch], {}, ref,
                                        cfg.dropout_keep)
             _, grads = sample_loss_and_grads(replay, rows, [s.label for s in batch], masks)
             mean = {name: g * (1.0 / len(batch)) for name, g in grads.items()}
-            sgd_momentum_step(replay.tensors, mean.items(), state, cfg, 1.0, {})
+            sgd_momentum_step(replay.tensors, mean.items(), velocity, cfg, cfg.initial_lr, 1.0, {})
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, replay.tensors[name]), name
 
@@ -437,11 +477,11 @@ class TestTrainEpoch:
         rng = make_rng(9)
         samples = [Sample(str(i), rng.normal(size=(8, 64)), i % 10) for i in range(8)]
         cfg = TrainConfig(batch_size=4)
-        state = OptimizerState.init(params, cfg)
-        train_epoch(params, samples, cfg, state, epoch_rng(0, 0), {})
+        velocity = TrainState.fresh(params).velocity
+        train_epoch(params, samples, cfg, velocity, cfg.initial_lr, epoch_rng(0, 0), {})
         tracemalloc.start()
         try:
-            train_epoch(params, samples, cfg, state, epoch_rng(0, 1), {})
+            train_epoch(params, samples, cfg, velocity, cfg.initial_lr, epoch_rng(0, 1), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,7 +596,7 @@ class TestBatchAllocations:
         params, samples = paper
         params = copy_params(params)
         cfg = TrainConfig(batch_size=32, dropout_keep=0.5, max_epochs=2)
-        state = TrainState.fresh(params, cfg)
+        state = TrainState.fresh(params)
         batches, largest, where = largest_line_growth_after_the_first_batch(
             lambda: fit(params, samples, samples, cfg, state, ignore_epoch))
         assert batches == 12  # two epochs and two validation passes of 3 batches each
@@ -566,9 +606,10 @@ class TestBatchAllocations:
         params, samples = paper
         params = copy_params(params)
         cfg = TrainConfig(batch_size=32, dropout_keep=0.5)
-        state = OptimizerState.init(params, cfg)
+        velocity = TrainState.fresh(params).velocity
         batches, largest, where = largest_line_growth_after_the_first_batch(
-            lambda: train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0), {}))
+            lambda: train_epoch(params, samples, cfg, velocity, cfg.initial_lr,
+                                epoch_rng(cfg.seed, 0), {}))
         assert batches == 3
         assert largest < 128 * 1024, (largest, where)
 
@@ -618,9 +659,10 @@ class TestScratchRoles:
     def run_both(params, samples, cfg):
         """Per scratch, its role creations: one epoch and one evaluation,
         each in a new scratch."""
-        state = OptimizerState.init(params, cfg)
+        velocity = TrainState.fresh(params).velocity
         with scratch_creations() as trained:
-            train_epoch(params, samples, cfg, state, epoch_rng(cfg.seed, 0), {})
+            train_epoch(params, samples, cfg, velocity, cfg.initial_lr, epoch_rng(cfg.seed, 0),
+                        {})
         with scratch_creations() as evaluated:
             evaluate(params, samples, {})
         return list(trained.values()), list(evaluated.values())
@@ -630,7 +672,7 @@ class TestScratchRoles:
         """Per scratch, its role creations over a fit with `samples` as
         both splits."""
         with scratch_creations() as created:
-            fit(params, samples, samples, cfg, TrainState.fresh(params, cfg), ignore_epoch)
+            fit(params, samples, samples, cfg, TrainState.fresh(params), ignore_epoch)
         return list(created.values())
 
     def test_paper_shape_epoch_and_evaluation(self):
@@ -718,8 +760,8 @@ class TestSharedScratch:
         params = copy_params(params)
         cfg = TrainConfig(batch_size=batch_size, dropout_keep=0.5)
         scratch = {}
-        train_epoch(params, samples, cfg, OptimizerState.init(params, cfg), epoch_rng(0, 0),
-                    scratch)
+        train_epoch(params, samples, cfg, TrainState.fresh(params).velocity, cfg.initial_lr,
+                    epoch_rng(0, 0), scratch)
         loss, accuracy, probabilities = evaluate(params, samples, scratch)
         want = evaluate(params, samples, {})
         assert (loss, accuracy) == want[:2] and np.array_equal(probabilities, want[2])
@@ -730,11 +772,12 @@ class TestSharedScratch:
         runs = []
         for evaluated_first in (False, True):
             params, scratch = copy_params(paper[0]), {}
-            state = OptimizerState.init(params, cfg)
+            velocity = TrainState.fresh(params).velocity
             if evaluated_first:
                 evaluate(params, paper[1], scratch)
-            loss = train_epoch(params, paper[1], cfg, state, epoch_rng(0, 0), scratch)
-            runs.append((loss, params.tensors, state.velocity))
+            loss = train_epoch(params, paper[1], cfg, velocity, cfg.initial_lr, epoch_rng(0, 0),
+                               scratch)
+            runs.append((loss, params.tensors, velocity))
         (loss, tensors, velocity), (want_loss, want_tensors, want_velocity) = runs
         assert loss == want_loss
         for name in tensors:
@@ -748,7 +791,7 @@ class TestFit:
         cfg = TrainConfig(max_epochs=0, seed=9)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params), ignore_epoch)
         assert state.history == []
         assert state.best_epoch == -1
         for name, arr in params.tensors.items():
@@ -759,7 +802,7 @@ class TestFit:
         cfg = TrainConfig(max_epochs=3, initial_lr=0.0, dropout_keep=1.0, seed=10)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
         before = snapshot(params)
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params), ignore_epoch)
         for name, arr in params.tensors.items():
             assert np.array_equal(arr, before[name])
         # Validation losses are bit-identical (fixed eval order); train
@@ -778,7 +821,7 @@ class TestFit:
         for _ in range(2):
             params = init_model(TINY_SHAPE, init_rng(cfg.seed))
             state = fit(params, splits["train"], splits["val"], cfg,
-                        TrainState.fresh(params, cfg), ignore_epoch)
+                        TrainState.fresh(params), ignore_epoch)
             results.append((snapshot(params), state.history))
         assert results[0][1] == results[1][1]
         for name in results[0][0]:
@@ -790,29 +833,29 @@ class TestFit:
                            dropout_keep=0.8, seed=12)
         params_a = init_model(TINY_SHAPE, init_rng(base.seed))
         state_a = fit(params_a, splits["train"], splits["val"], base,
-                      TrainState.fresh(params_a, base), ignore_epoch)
+                      TrainState.fresh(params_a), ignore_epoch)
 
         two = dataclasses.replace(base, max_epochs=2)
         params_b = init_model(TINY_SHAPE, init_rng(base.seed))
         state_b = fit(params_b, splits["train"], splits["val"], two,
-                      TrainState.fresh(params_b, two), ignore_epoch)
-        assert state_b.optimizer.epochs_completed == 2
+                      TrainState.fresh(params_b), ignore_epoch)
+        assert len(state_b.history) == 2
         state_b = fit(params_b, splits["train"], splits["val"], base, state_b, ignore_epoch)
 
         assert state_a.history == state_b.history
         for name, arr in params_a.tensors.items():
             assert np.array_equal(arr, params_b.tensors[name])
-        for name, arr in state_a.optimizer.velocity.items():
-            assert np.array_equal(arr, state_b.optimizer.velocity[name])
+        for name, arr in state_a.velocity.items():
+            assert np.array_equal(arr, state_b.velocity[name])
 
     def test_everything_finite_after_training(self):
         splits = tiny_dataset()
         cfg = TrainConfig(max_epochs=3, batch_size=4, initial_lr=0.1, seed=13)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params), ignore_epoch)
         for arr in params.tensors.values():
             assert np.isfinite(arr).all()
-        for arr in state.optimizer.velocity.values():
+        for arr in state.velocity.values():
             assert np.isfinite(arr).all()
 
     def test_finite_guard_raises(self, tiny_params):
@@ -824,7 +867,7 @@ class TestFit:
         cfg = TrainConfig(max_epochs=8, batch_size=8, initial_lr=0.1,
                           dropout_keep=1.0, seed=14)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params, cfg), ignore_epoch)
+        state = fit(params, splits["train"], splits["val"], cfg, TrainState.fresh(params), ignore_epoch)
         accs = [r.val_accuracy for r in state.history]
         assert state.best_val_accuracy == max(accs)
         assert state.best_epoch == accs.index(max(accs))
@@ -837,11 +880,11 @@ class TestFit:
         cfg = TrainConfig(max_epochs=8, batch_size=8, initial_lr=0.1,
                           dropout_keep=1.0, seed=14)
         params = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        state, calls = TrainState.fresh(params, cfg), []
+        state, calls = TrainState.fresh(params), []
 
         def on_epoch(report, improved):
             assert state.history[-1] is report
-            assert state.optimizer.epochs_completed == report.epoch + 1
+            assert len(state.history) == report.epoch + 1
             assert (state.best_epoch == report.epoch) == improved
             calls.append((report, improved))
 
