@@ -81,7 +81,7 @@ def build_run_config(args) -> RunConfig:
         path = Path(args.config)
         try:
             file_doc = json.loads(path.read_text())
-        except ValueError as exc:  # JSON syntax or text decoding
+        except (ValueError, RecursionError) as exc:  # JSON syntax, text decoding or nesting
             raise ValueError(f"{path}: cannot parse config: {exc}") from exc
         if not (isinstance(file_doc, dict) and all(isinstance(v, dict) for v in file_doc.values())):
             raise ValueError(f"{path}: config must be an object of section objects")
@@ -282,35 +282,14 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_reference(path: Path) -> dict[str, dict]:
-    """An object of name -> {"parameters": int, "flops": int}."""
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # JSON syntax or text decoding
-        raise ValueError(f"{path}: cannot parse reference costs: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: reference costs must be an object of name -> costs")
-    for name, costs in doc.items():
-        if not (isinstance(costs, dict) and set(costs) == {"parameters", "flops"}
-                and all(type(v) is int for v in costs.values())):
-            raise ValueError(f'{path}: reference {name!r} must be {{"parameters": int, '
-                             f'"flops": int}}, got {costs!r}')
-    return doc
-
-
 def cmd_inspect_params(args) -> int:
     cfg = build_run_config(args)
-    reference = _load_reference(Path(args.reference)) if args.reference else {}
     for title, costs in (("parameters", analysis.count_parameters(cfg.shape)),
                          ("flops per video", analysis.estimate_flops(cfg.shape))):
         print(f"{title}:")
         for name, value in costs.lines.items():
             print(f"  {name:<12} {value:>12,}")
         print(f"total {title}: {costs.total:,}")
-    # External costs, echoed for side-by-side display only.
-    for name, costs in reference.items():
-        print(f"reference {name}: parameters={costs['parameters']:,} "
-              f"flops={costs['flops']:,}")
     return 0
 
 
@@ -374,10 +353,8 @@ def build_parser() -> _Parser:
     p = checkpoint_command("predict", cmd_predict, "predict a checkpoint on one split")
     p.add_argument("--out", help="write CSV here instead of stdout")
 
-    p = command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting",
-                sections=("shape",))
-    p.add_argument("--reference",
-                   help="JSON file of external model costs to echo alongside")
+    command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting",
+            sections=("shape",))
 
     p = checkpoint_command("export-responses", cmd_export_responses,
                            "export per-window filter responses for one width")

@@ -184,11 +184,11 @@ def write_feature_file(path: str | Path, features: Array) -> None:
     atomic_write_bytes(Path(path), header, payload)
 
 
-def read_feature_file(path: str | Path, raw_dim: int | None = None) -> FeatureRows:
+def read_feature_file(path: str | Path, raw_dim: int) -> FeatureRows:
     """Scan every value of a feature file for finiteness, one block of
     READ_BLOCK_FRAMES frames at a time, and return a `FeatureRows` reader
-    of it; no frame is kept. When `raw_dim` is given, a file of another
-    feature dim fails before its payload is read."""
+    of it; no frame is kept. A file whose feature dim is not `raw_dim`
+    fails before its payload is read."""
     with open(path, "rb") as f:
         st = os.fstat(f.fileno())
         size = st.st_size
@@ -205,7 +205,7 @@ def read_feature_file(path: str | Path, raw_dim: int | None = None) -> FeatureRo
         expected = _FEATURE_HEADER.size + 4 * T * D
         if size != expected:
             raise FormatError(f"{path}: size {size} != expected {expected}")
-        if raw_dim is not None and D != raw_dim:
+        if D != raw_dim:
             raise ManifestError(f"{path}: feature dim {D}, the model's raw_dim is {raw_dim}")
         buffer = np.empty((min(T, READ_BLOCK_FRAMES), D), dtype="<f4")
         for lo in range(0, T, READ_BLOCK_FRAMES):
@@ -253,7 +253,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 JSON, too deep
         raise ManifestError(f"{path}: cannot parse manifest: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
@@ -503,7 +503,7 @@ def _read_checkpoint(f: BinaryIO) -> tuple[dict, dict[str, tuple[tuple[int, ...]
         raise FormatError(f"{path}: truncated meta block")
     try:
         meta = json.loads(f.read(meta_len).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad meta block: {exc}") from exc
     directory: dict[str, tuple[tuple[int, ...], int]] = {}
     try:

@@ -63,7 +63,12 @@ def edit_checkpoint_meta(blob, edit):
     (meta_len,) = struct.unpack_from("<I", blob, 6)
     meta = json.loads(blob[10 : 10 + meta_len])
     edit(meta)
-    encoded = json.dumps(meta, sort_keys=True).encode()
+    return with_meta_block(blob, json.dumps(meta, sort_keys=True).encode())
+
+
+def with_meta_block(blob, encoded):
+    """Checkpoint bytes whose meta block is the bytes `encoded`."""
+    (meta_len,) = struct.unpack_from("<I", blob, 6)
     return blob[:6] + struct.pack("<I", len(encoded)) + encoded + blob[10 + meta_len :]
 
 

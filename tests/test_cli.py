@@ -37,6 +37,7 @@ from conftest import (
     edit_checkpoint_meta,
     in_memory,
     poison_tensor,
+    with_meta_block,
     write_test_split,
 )
 
@@ -98,6 +99,9 @@ def four_epochs_two_ways(tmp_path, cfg):
                  "--resume", str(dir_2 / "checkpoint.ckpt")]) == 0
     return dir_4, dir_resumed
 
+
+# A JSON document nested deeper than the parser's recursion limit.
+DEEP_JSON = "[" * 100_000 + "\n"
 
 NO_BEST_ERROR = "invalid meta block: has_best must be true, got False"
 
@@ -842,6 +846,28 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert str(ckpt) in err and field in err
 
+    def test_deeply_nested_manifest_names_the_file(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        manifest = tmp_path / "deep.json"
+        manifest.write_text(DEEP_JSON)
+        rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                   "--manifest", str(manifest)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: cannot parse manifest: ")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_checkpoint_meta_names_the_file(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        ckpt = tmp_path / "deep.ckpt"
+        ckpt.write_bytes(with_meta_block((run_dir / "checkpoint.ckpt").read_bytes(),
+                                         DEEP_JSON.encode()))
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--manifest", str(data_dir / "manifest.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: bad meta block: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
     def test_manifest_that_is_not_an_object_is_validation_error(self, tmp_path, capsys, text):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
@@ -1120,30 +1146,11 @@ class TestInspectParams:
         assert captured.out == ""
         assert captured.err.startswith("error: widths must be distinct")
 
-    def test_reference_costs_are_echoed(self, tmp_path, capsys):
-        ref = tmp_path / "ref.json"
-        ref.write_text(json.dumps({"bignet": {"parameters": 25000000, "flops": 10**10}}))
-        assert main(["inspect-params", "--reference", str(ref)]) == 0
-        out = capsys.readouterr().out
-        assert "reference bignet: parameters=25,000,000" in out
-
-
-    @pytest.mark.parametrize("text, cited", [
-        ('{"bignet": {"flops": 10}}', "'bignet'"),
-        ('{"bignet": {"parameters": "many", "flops": 10}}', "'bignet'"),
-        ('{"ok": {"parameters": 1, "flops": 2}, "bad": {"parameters": true, "flops": 2}}',
-         "'bad'"),
-        ('{"bignet": 5}', "'bignet'"),
-        ('[["bignet", {"parameters": 1, "flops": 2}]]', "must be an object"),
-        ('{bignet', "cannot parse"),
-        (b'\xff{"bignet": {"parameters": 1, "flops": 2}}', "cannot parse"),  # not UTF-8
-    ])
-    def test_malformed_reference_is_validation_error(self, tmp_path, capsys, text, cited):
-        ref = tmp_path / "ref.json"
-        ref.write_bytes(text if isinstance(text, bytes) else text.encode())
-        assert main(["inspect-params", "--reference", str(ref)]) == 2
-        err = capsys.readouterr().err
-        assert str(ref) in err and cited in err
+    def test_reference_is_usage_error(self, capsys):
+        assert main(["inspect-params", "--reference", "x.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
 
 
 class TestUsageAndConfig:
@@ -1181,6 +1188,13 @@ class TestUsageAndConfig:
             assert main([command, "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert str(path) in err and "cannot parse config" in err
+
+    def test_deeply_nested_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        assert main(["inspect-params", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot parse config: ") and err.count("\n") == 1
 
     def test_config_that_is_not_an_object_of_sections(self, tmp_path, capsys):
         path = tmp_path / "list.json"

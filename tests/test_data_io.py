@@ -63,10 +63,10 @@ from conftest import (
 from mean_pool_baseline import train_baseline
 
 
-def every_frame(path):
-    """All T x D frames of a feature file through its reader, which must
-    agree with the independent `decode_feature_file`."""
-    reader = read_feature_file(path)
+def every_frame(path, dim):
+    """All T x D frames of a feature file of feature dim `dim` through its
+    reader, which must agree with the independent `decode_feature_file`."""
+    reader = read_feature_file(path, dim)
     frames = reader.read_rows(np.arange(reader.shape[0]))
     assert frames.dtype == np.float32 and np.array_equal(frames, decode_feature_file(path))
     return frames
@@ -77,7 +77,7 @@ class TestFeatureFiles:
         path = tmp_path / "one.difx"
         write_feature_file(path, np.array([[1.0]]))
         assert path.stat().st_size == 16
-        assert np.array_equal(every_frame(path), [[1.0]])
+        assert np.array_equal(every_frame(path, 1), [[1.0]])
 
     def test_size_formula(self, tmp_path):
         path = tmp_path / "f.difx"
@@ -91,7 +91,7 @@ class TestFeatureFiles:
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            read_feature_file(path)
+            read_feature_file(path, 2)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "bad.difx"
@@ -100,21 +100,21 @@ class TestFeatureFiles:
         struct.pack_into("<H", blob, 4, 9)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            read_feature_file(path)
+            read_feature_file(path, 2)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.difx"
         write_feature_file(path, np.ones((3, 3)))
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
-            read_feature_file(path)
+            read_feature_file(path, 3)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.difx"
         write_feature_file(path, np.ones((3, 3)))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
-            read_feature_file(path)
+            read_feature_file(path, 3)
 
     def test_zero_shape_rejected(self, tmp_path):
         path = tmp_path / "zero.difx"
@@ -123,7 +123,7 @@ class TestFeatureFiles:
         blob = struct.pack("<4sHIH", FEATURE_MAGIC, 1, 0, 4)
         path.write_bytes(blob)
         with pytest.raises(FormatError):
-            read_feature_file(path)
+            read_feature_file(path, 4)
 
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(FormatError):
@@ -141,7 +141,7 @@ class TestFeatureFiles:
         path = tmp_path / "max.difx"
         top = float(np.finfo(np.float32).max)
         write_feature_file(path, np.array([[top, -top, 1.0]]))
-        assert np.array_equal(every_frame(path), [[top, -top, 1.0]])
+        assert np.array_equal(every_frame(path, 3), [[top, -top, 1.0]])
 
     def test_nonfinite_payload_names_the_file(self, tmp_path):
         path = tmp_path / "nan.difx"
@@ -150,7 +150,7 @@ class TestFeatureFiles:
         blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=re.escape(str(path))):
-            read_feature_file(path)
+            read_feature_file(path, 3)
 
     def test_oversized_dim_rejected(self, tmp_path):
         with pytest.raises(FormatError):
@@ -161,7 +161,7 @@ class TestFeatureFiles:
         features = rng.normal(size=(8, 1024))
         path = tmp_path / "big.difx"
         write_feature_file(path, features)
-        got = every_frame(path)
+        got = every_frame(path, 1024)
         assert np.array_equal(got, features.astype(np.float32).astype(np.float64))
 
     def test_header_represents_large_frame_counts(self):
@@ -179,7 +179,7 @@ class TestFeatureFiles:
         path = tmp_path_factory.mktemp("difx") / "x.difx"
         features = make_rng(seed).normal(size=(T, D)) * 100.0
         write_feature_file(path, features)
-        got = every_frame(path)
+        got = every_frame(path, D)
         assert got.shape == (T, D)
         assert np.array_equal(got, features.astype(np.float32).astype(np.float64))
 
@@ -194,7 +194,7 @@ class TestFeatureFiles:
     def test_center_rows_are_the_full_reads_sampled_rows(self, tmp_path_factory, T, n, D, seed):
         path = tmp_path_factory.mktemp("difx") / "x.difx"
         write_feature_file(path, make_rng(seed).normal(size=(T, D)))
-        got = gathered(read_feature_file(path), n)
+        got = gathered(read_feature_file(path, D), n)
         assert got.dtype == np.float64 and got.shape == (n, D)
         assert np.array_equal(got, decode_feature_file(path)[sample_segments(T, n)])
 
@@ -210,7 +210,7 @@ class TestFeatureFiles:
         blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=re.escape(f"{path}: non-finite feature values")):
-            read_feature_file(path)
+            read_feature_file(path, 3)
 
 
 class TestAtomicWrite:
@@ -307,7 +307,7 @@ class TestLoadContract:
     def test_loaded_videos_hold_four_bytes_per_value(self, tmp_path):
         path = tmp_path / "v.difx"
         write_feature_file(path, make_rng(3).normal(size=(7, 5)))
-        reader = read_feature_file(path)
+        reader = read_feature_file(path, 5)
         assert reader.shape == (7, 5)
         rows = reader.read_rows(np.arange(7))
         assert rows.dtype == np.float32 and rows.nbytes == 4 * 7 * 5
@@ -794,7 +794,7 @@ def format_error_or_valid_load(load, path, blob):
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
 
-def check_center_read_agrees(path, blob, n):
+def check_center_read_agrees(path, blob, n, dim):
     """A load fails exactly when an independent check of the blob's header,
     size and values finds it invalid. Otherwise the reader reads every
     frame, and its center gather the sampled rows, of the file as
@@ -804,7 +804,7 @@ def check_center_read_agrees(path, blob, n):
     valid = (magic == FEATURE_MAGIC and version == 1 and T * D > 0 and len(blob) == 12 + 4 * T * D
              and np.all(np.isfinite(np.frombuffer(blob, "<f4", offset=12))))
     try:
-        reader = read_feature_file(path)
+        reader = read_feature_file(path, dim)
     except FormatError:
         assert not valid
         return
@@ -823,7 +823,8 @@ class TestFuzz:
         root = tmp_path_factory.mktemp("fuzz")
         write_feature_file(root / "valid.difx", make_rng(3).uniform(-2.0, 2.0, size=(3, 4)))
         return {
-            "difx": (root / "fuzz.difx", (root / "valid.difx").read_bytes(), read_feature_file),
+            "difx": (root / "fuzz.difx", (root / "valid.difx").read_bytes(),
+                     lambda path: read_feature_file(path, 4)),
             "ckpt": (root / "fuzz.ckpt", pinned_checkpoint(root / "valid.ckpt"), load_checkpoint),
         }
 
@@ -853,25 +854,26 @@ class TestFuzz:
         # One block, and three blocks of which the last is partial.
         for T, D in ((3, 4), (2 * READ_BLOCK_FRAMES + 6, 2)):
             write_feature_file(root / "valid.difx", make_rng(T).uniform(-2.0, 2.0, size=(T, D)))
-            blobs.append((root / "valid.difx").read_bytes())
+            blobs.append(((root / "valid.difx").read_bytes(), D))
         return root / "fuzz.difx", blobs
 
     @given(data=st.data())
     @FUZZ
     def test_center_read_truncation(self, videos, data):
         path, blobs = videos
-        blob = data.draw(st.sampled_from(blobs))
+        blob, dim = data.draw(st.sampled_from(blobs))
         cut = data.draw(st.integers(0, len(blob)))
-        check_center_read_agrees(path, blob[:cut], data.draw(st.integers(1, 10)))
+        check_center_read_agrees(path, blob[:cut], data.draw(st.integers(1, 10)), dim)
 
     @given(data=st.data())
     @FUZZ
     def test_center_read_single_byte_flip(self, videos, data):
         path, blobs = videos
-        flipped = bytearray(data.draw(st.sampled_from(blobs)))
+        blob, dim = data.draw(st.sampled_from(blobs))
+        flipped = bytearray(blob)
         at = data.draw(st.integers(0, len(flipped) - 1))
         flipped[at] ^= data.draw(st.sampled_from([1 << b for b in range(8)]) | st.integers(1, 255))
-        check_center_read_agrees(path, bytes(flipped), data.draw(st.integers(1, 10)))
+        check_center_read_agrees(path, bytes(flipped), data.draw(st.integers(1, 10)), dim)
 
 
 def load_or_none(path, groups=None):
@@ -1173,7 +1175,7 @@ class TestCenterRowMemory:
         return path
 
     def test_row_reader_load_holds_one_block(self, long_video):
-        peak = traced_peak(lambda: read_feature_file(long_video))
+        peak = traced_peak(lambda: read_feature_file(long_video, self.D))
         assert peak <= READ_BLOCK_FRAMES * 4 * self.D + 32 * 1024
 
 
@@ -1211,7 +1213,7 @@ class TestTrainingRowReads:
     def test_gather_draws_and_reads_like_an_array_gather(self, tmp_path_factory, T, n, D, seed):
         path = tmp_path_factory.mktemp("rows") / "x.difx"
         write_feature_file(path, make_rng(seed).normal(size=(T, D)))
-        reader = read_feature_file(path)
+        reader = read_feature_file(path, D)
         full = decode_feature_file(path)
         assert reader.shape == (T, D)
         assert np.array_equal(gathered(reader, n), gathered(full, n))
@@ -1255,7 +1257,7 @@ class TestTrainingRowReads:
         # Written in place after the scan, with the file's stamp kept.
         path = tmp_path / "v.difx"
         write_feature_file(path, np.ones((4, 3)))
-        reader = read_feature_file(path)
+        reader = read_feature_file(path, 3)
         st = path.stat()
         with open(path, "r+b") as f:
             f.seek(12 + 4 * 3 * 2)

@@ -177,6 +177,11 @@ class TestEncode:
             gathered(np.array([[np.nan, 1.0]]), 1)
 
 
+    def test_zero_frame_video_rejected(self):
+        with pytest.raises(ValueError, match="T >= 1"):
+            check_features(np.zeros((0, 3)))
+
+
 class TestGather:
     @pytest.mark.parametrize("seed", [None, 24], ids=["center", "random"])
     def test_float32_video_gathers_like_its_float64_widening(self, seed):

@@ -65,6 +65,14 @@ class TestConvForward:
         got = conv_map(X, W, b)
         assert np.abs(got - naive_scale_responses(X, W, b)).max() < 1e-12
 
+    def test_width_one_matches_naive_oracle(self):
+        # h = 1 is one offset, no shift and add: the smallest width the check allows.
+        rng = make_rng(5)
+        X = rng.normal(size=(4, 3))
+        W = rng.normal(size=(2, 3))
+        b = rng.normal(size=2)
+        assert np.abs(conv_map(X, W, b) - naive_scale_responses(X, W, b)).max() < 1e-12
+
     def test_width_larger_than_frames_rejected(self):
         with pytest.raises(ValueError):
             conv_map(np.ones((3, 2)), np.zeros((1, 4 * 2)), np.zeros(1))
@@ -92,7 +100,7 @@ class TestMaxPool:
         assert argmax[0, 0] == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one window"):
             temporal_max_pool(np.zeros((1, 0, 3)))
 
     def test_pool_dominance(self):
