@@ -1,14 +1,14 @@
 """Command-line entry point.
 
-One JSON configuration file drives the commands that build a dataset or a
-model; each takes override flags only for the sections it uses: synth
-the synth section, train the shape and train sections, inspect-params
-the shape section. The commands that read a checkpoint take the model
-from it; a resumed train run keeps the checkpoint's shape and train
-config, except max_epochs. Primary artifacts (datasets, checkpoints,
-history, exports) are byte-deterministic given (config, seed);
-wall-clock metadata is quarantined into a separate run_meta.json that no
-result depends on.
+One JSON file, passed with --config, sets a run's values; a value it does
+not set is its record's default. synth reads the synth section, train the
+shape and train sections, inspect-params the shape section. The commands
+that read a checkpoint take the model from it; a resumed train run keeps
+the checkpoint's shape and train config but for max_epochs, so a copy of
+its config.json with more max_epochs extends it. Primary artifacts
+(datasets, checkpoints, history, exports) are byte-deterministic given
+(config, seed); wall-clock metadata is quarantined into a separate
+run_meta.json that no result depends on.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (or diverged
 training), 3 selftest failure.
@@ -44,19 +44,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
-    # argparse takes only -<digits> and -<digits>.<digits> for negative
-    # numbers. No din option starts with "-" and a digit or ".", so such an
-    # argument is a value (-1e-3, -.5, the widths -2,3), and so is any other
-    # float literal (-inf, -nan): "--flag -2,3" reads like "--flag=-2,3".
-    def _parse_optional(self, arg_string):
-        if arg_string.startswith("-"):
-            if arg_string[1:2].isdigit() or arg_string[1:2] == ".":
-                return None
-            with contextlib.suppress(ValueError):
-                float(arg_string)
-                return None
-        return super()._parse_optional(arg_string)
-
 
 @dataclass
 class RunConfig:
@@ -65,56 +52,25 @@ class RunConfig:
     synth: data_io.SyntheticTaskConfig
 
 
-def _merge_section(section: str, file_doc: dict, args):
-    """The section's record from its defaults, then the config file's
-    values, then the command's override flags; an unknown key fails."""
-    record = SECTIONS[section]
-    flags = {f.name: getattr(args, f"{section}.{f.name}", None) for f in fields(record)}
-    merged = {**asdict(record()), **file_doc.get(section, {})}
-    merged.update((name, value) for name, value in flags.items() if value is not None)
-    return from_fields(record, merged)
-
-
 def build_run_config(args) -> RunConfig:
-    file_doc = {}
-    if args.config:
-        path = Path(args.config)
+    """Each section's record from its defaults, then the --config file's
+    values; every error in the file starts with its path."""
+    path, doc = args.config, {}
+    if path:
         try:
-            file_doc = json.loads(path.read_text())
+            doc = json.loads(Path(path).read_text())
         except (ValueError, RecursionError) as exc:  # JSON syntax, text decoding or nesting
             raise ValueError(f"{path}: cannot parse config: {exc}") from exc
-        if not (isinstance(file_doc, dict) and all(isinstance(v, dict) for v in file_doc.values())):
+        if not (isinstance(doc, dict) and all(isinstance(v, dict) for v in doc.values())):
             raise ValueError(f"{path}: config must be an object of section objects")
-        unknown = set(file_doc) - set(SECTIONS)
+        unknown = set(doc) - set(SECTIONS)
         if unknown:
-            raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    return RunConfig(**{section: _merge_section(section, file_doc, args) for section in SECTIONS})
-
-
-def _parse_widths(text: str) -> list[int]:
+            raise ValueError(f"{path}: unknown config sections: {sorted(unknown)}")
     try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise UsageError(f"bad widths {text!r}: {exc}") from exc
-
-
-# The synth fields whose flag is not --synth-<field>.
-_SYNTH_FLAGS = {"num_prototypes": "prototypes", "feature_dim": "dim", "noise_sigma": "sigma",
-                "sequence_length": "length"}
-
-
-def _add_config_flags(p: argparse.ArgumentParser, sections: tuple[str, ...]) -> None:
-    """--config plus one override flag per field of each config section the
-    command uses, stored as "<section>.<field>"; a synth field's flag
-    carries a "synth" prefix."""
-    p.add_argument("--config", help="JSON configuration file")
-    for section in sections:
-        group = p.add_argument_group(f"{section} overrides")
-        for f in fields(SECTIONS[section]):
-            flag = f"synth_{_SYNTH_FLAGS.get(f.name, f.name)}" if section == "synth" else f.name
-            kind = _parse_widths if f.name == "widths" else float if f.type == "float" else int
-            group.add_argument(f"--{flag.replace('_', '-')}", dest=f"{section}.{f.name}", type=kind,
-                               metavar="H1,H2,..." if kind is _parse_widths else f.name.upper())
+        return RunConfig(**{section: from_fields(record, {**asdict(record()), **doc.get(section, {})})
+                            for section, record in SECTIONS.items()})
+    except ValueError as exc:  # an unknown key or a field check; the defaults pass
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_model_for_inference(args):
@@ -323,11 +279,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="din", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help_text, sections=()):
+    def command(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        if sections:
-            _add_config_flags(p, sections)
+        return p
+
+    def config_command(name, fn, help_text):
+        p = command(name, fn, help_text)
+        p.add_argument("--config", help="JSON configuration file")
         return p
 
     def checkpoint_command(name, fn, help_text):
@@ -339,12 +298,10 @@ def build_parser() -> _Parser:
                        help="use the best-validation snapshot instead of the final model")
         return p
 
-    p = command("synth", cmd_synth, "generate the synthetic temporal-order dataset",
-                sections=("synth",))
+    p = config_command("synth", cmd_synth, "generate the synthetic temporal-order dataset")
     p.add_argument("--out-dir", dest="out_dir")
 
-    p = command("train", cmd_train, "train a model on a manifest dataset",
-                sections=("shape", "train"))
+    p = config_command("train", cmd_train, "train a model on a manifest dataset")
     p.add_argument("--manifest")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--resume", help="checkpoint to resume from")
@@ -353,8 +310,7 @@ def build_parser() -> _Parser:
     p = checkpoint_command("predict", cmd_predict, "predict a checkpoint on one split")
     p.add_argument("--out", help="write CSV here instead of stdout")
 
-    command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting",
-            sections=("shape",))
+    config_command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting")
 
     p = checkpoint_command("export-responses", cmd_export_responses,
                            "export per-window filter responses for one width")

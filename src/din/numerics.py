@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import fields
 
 import numpy as np
 
 Array = np.ndarray
+
+# A bad value as the field checks show it: reprlib's bounded form, one
+# container level deep, so that any value, however deep, is one short line.
+SHOWN = reprlib.Repr()
+SHOWN.maxlevel = 1
 
 
 def require_fields(record, finite: bool = False) -> None:
@@ -28,14 +34,14 @@ def require_fields(record, finite: bool = False) -> None:
         if kind not in ("int", "float", "tuple[int, ...]") or value is None and kind != f.type:
             continue
         if kind == "tuple[int, ...]" and not isinstance(value, (list, tuple)):
-            raise ValueError(f"{f.name} must be a list of integers, got {value!r}")
+            raise ValueError(f"{f.name} must be a list of integers, got {SHOWN.repr(value)}")
         number, what = ((numbers.Real, "a number") if kind == "float"
                         else (numbers.Integral, "an integer"))
         for v in value if kind == "tuple[int, ...]" else [value]:
             if isinstance(v, bool) or not isinstance(v, number):
-                raise ValueError(f"{f.name} must be {what}, got {v!r}")
+                raise ValueError(f"{f.name} must be {what}, got {SHOWN.repr(v)}")
             if finite and not -math.inf < v < math.inf:
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
+                raise ValueError(f"{f.name} must be finite, got {SHOWN.repr(v)}")
 
 
 def from_fields(cls, d: dict, **given):

@@ -9,10 +9,13 @@ a manifest.json, as perfbench writes them under
 (``python -m din.cli`` with CHECKOUT/src first on PYTHONPATH and one BLAS
 thread) in a temporary directory:
 
-    synth; train; train --max-epochs 2, then --resume it with --max-epochs 3;
-    eval and eval --use-best; predict to a file and to stdout;
-    export-features; export-responses at the smallest width; inspect-params;
-    selftest
+    synth; train; train with max_epochs 2, then --resume it with
+    max_epochs 3; eval and eval --use-best; predict to a file and to
+    stdout; export-features; export-responses at the smallest width;
+    inspect-params; selftest
+
+The two shorter runs take copies of the config with that max_epochs,
+written into the temporary directory as two.json and three.json.
 
 Inference commands use the test split when the manifest has one, else
 val. For each command it prints the exit code and the sha256 of stdout and
@@ -53,20 +56,32 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def with_max_epochs(config: dict, epochs: int, path: Path) -> list[str]:
+    """--config of a copy of `config`, written to `path`, whose max_epochs
+    is `epochs`."""
+    path.write_text(json.dumps({**config, "train": {**config.get("train", {}),
+                                                    "max_epochs": epochs}}))
+    return ["--config", str(path)]
+
+
 def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of each command; writes the derived configs into `work`."""
     config = json.loads((inputs / "config.json").read_text())
     manifest = json.loads((inputs / "manifest.json").read_text())
     split = "test" if any(s["split"] == "test" for s in manifest["samples"]) else "val"
     width = min(config.get("shape", {}).get("widths", [2]))
     cfg = ["--config", str(inputs / "config.json")]
-    data = [*cfg, "--manifest", str(inputs / "manifest.json")]
+    manifest_args = ["--manifest", str(inputs / "manifest.json")]
+    data = [*cfg, *manifest_args]
     model = ["--checkpoint", str(work / "train" / "checkpoint.ckpt"),
              "--manifest", str(inputs / "manifest.json"), "--split", split]
     return [
         ("synth", ["synth", *cfg, "--out-dir", str(work / "synth")]),
         ("train", ["train", *data, "--out-dir", str(work / "train")]),
-        ("train-2", ["train", *data, "--out-dir", str(work / "two"), "--max-epochs", "2"]),
-        ("resume", ["train", *data, "--out-dir", str(work / "resumed"), "--max-epochs", "3",
+        ("train-2", ["train", *with_max_epochs(config, 2, work / "two.json"), *manifest_args,
+                     "--out-dir", str(work / "two")]),
+        ("resume", ["train", *with_max_epochs(config, 3, work / "three.json"), *manifest_args,
+                    "--out-dir", str(work / "resumed"),
                     "--resume", str(work / "two" / "checkpoint.ckpt")]),
         ("eval", ["eval", *model]),
         ("eval-best", ["eval", *model, "--use-best"]),

@@ -8,9 +8,9 @@ and model/checkpoint.ckpt) runs the workload's four commands on the test
 split, one after another: eval, predict to a file, export-features and
 export-responses at width 3. A ``paper_train`` one (config.json and
 manifest.json, no model/) runs ``din train`` on that config and manifest,
-then ``din train --resume`` of its checkpoint with one epoch more than the
-config's max_epochs, each into an output directory of its own, new each
-run. Each command is ``python -m din.cli`` in a new process, with
+then ``din train --resume`` of its checkpoint with a copy of the config
+whose max_epochs is one more (resume.json, written beside the two runs),
+each into an output directory of its own, new each run. Each command is ``python -m din.cli`` in a new process, with
 CHECKOUT/src first on PYTHONPATH and one BLAS thread, writing into a
 temporary directory.
 
@@ -42,7 +42,8 @@ can show.
 
 Each side writes its artifacts into a directory of its own per run. After
 every run it prints the sha256 of each artifact, side by side (the
-checkpoint, history.json and config.json of both ``din train`` runs, or
+checkpoint, history.json and config.json of both ``din train`` runs and
+resume.json, or
 the three CSVs of the inference commands; run_meta.json holds wall-clock
 times and is skipped), marks each ``same`` or ``MISMATCH`` with
 ``--against``, and removes them. The last line says in how many runs the
@@ -65,14 +66,17 @@ from pathlib import Path
 
 
 def commands(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
-    """(name, argv) of each command, writing its artifacts under `out`."""
+    """(name, argv) of each command, writing its artifacts under `out`; for
+    paper_train inputs, writes the resumed run's config there first."""
     if not (inputs / "model").exists():  # paper_train inputs
-        train = ["train", "--config", str(inputs / "config.json"),
-                 "--manifest", str(inputs / "manifest.json")]
-        epochs = json.loads((inputs / "config.json").read_text())["train"]["max_epochs"]
-        return [("train", [*train, "--out-dir", str(out / "run")]),
-                ("train-resume", [*train, "--resume", str(out / "run" / "checkpoint.ckpt"),
-                                  "--max-epochs", str(epochs + 1),
+        manifest = ["--manifest", str(inputs / "manifest.json")]
+        config = json.loads((inputs / "config.json").read_text())
+        config["train"]["max_epochs"] += 1
+        (out / "resume.json").write_text(json.dumps(config))
+        return [("train", ["train", "--config", str(inputs / "config.json"), *manifest,
+                           "--out-dir", str(out / "run")]),
+                ("train-resume", ["train", "--config", str(out / "resume.json"), *manifest,
+                                  "--resume", str(out / "run" / "checkpoint.ckpt"),
                                   "--out-dir", str(out / "resumed")])]
     model = ["--checkpoint", str(inputs / "model" / "checkpoint.ckpt"),
              "--manifest", str(inputs / "manifest.json"), "--split", "test"]

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -92,10 +95,10 @@ class TestEstimateFlops:
         report = estimate_flops(PAPER_SHAPE)
         assert sum(report.lines.values()) == report.total
 
-    def test_report_ends_with_the_flop_total(self, capsys):
-        flags = ["--raw-dim", "4", "--feat-dim", "3", "--num-frames", "5", "--widths", "2,3",
-                 "--num-filters", "4", "--num-classes", "3"]  # TINY_SHAPE
-        assert main(["inspect-params", *flags]) == 0
+    def test_report_ends_with_the_flop_total(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"shape": dataclasses.asdict(TINY_SHAPE)}))
+        assert main(["inspect-params", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == f"total flops per video: {estimate_flops(TINY_SHAPE).total:,}"
         assert f"total parameters: {count_parameters(TINY_SHAPE).total:,}" in out

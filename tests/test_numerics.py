@@ -54,6 +54,20 @@ class TestRecordChecks:
     def test_huge_integers_are_finite(self):
         require_fields(Record(10**400, 10**400, [10**400]), finite=True)
 
+    @pytest.mark.parametrize("field", ["count", "rate", "sizes"])
+    def test_bad_value_shows_in_one_short_line_however_deep(self, field):
+        deep, wide, long = [], [], "x" * 10_000
+        for _ in range(10_000):  # far deeper than repr() can recurse
+            deep = [deep]
+        for _ in range(7):  # 6**7 leaves: reprlib's default form is 345 KB
+            wide = [wide] * 6
+        for value in (deep, wide, [long], long, {long: long}):
+            record = Record(1, 0.5)
+            setattr(record, field, value)
+            with pytest.raises(ValueError, match=f"^{field} must be") as raised:
+                require_fields(record)
+            assert len(str(raised.value)) < 300 and "\n" not in str(raised.value)
+
     def test_from_fields_takes_exactly_the_fields(self):
         d = {"count": 1, "rate": 0.5, "sizes": [2], "limit": 3, "label": "x"}
         assert from_fields(Record, d) == Record(1, 0.5, [2], 3, "x")
