@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _path(value: str) -> str:
+    """The argparse type of every path option: any string but the empty one."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return value
+
+
 @dataclass
 class RunConfig:
     shape: ModelShapeSpec
@@ -76,22 +83,17 @@ def build_run_config(args) -> RunConfig:
 def _load_model_for_inference(args):
     """The final model, or the best snapshot with --use-best; only that
     tensor group is read from the checkpoint."""
-    if not args.checkpoint:
-        raise ValueError("--checkpoint is required")
     if not args.use_best:
         return data_io.load_checkpoint(args.checkpoint, groups=("param",)).model
     return data_io.load_checkpoint(args.checkpoint, groups=("best",)).best
 
 
-def _load_samples(args, shape: ModelShapeSpec, split=None):
+def _load_samples(args, shape: ModelShapeSpec, split):
     """(manifest, samples of the split), each a row reader of its file."""
-    if not args.manifest:
-        raise ValueError("--manifest is required")
     manifest = data_io.load_manifest(args.manifest)
     if len(manifest.classes) != shape.num_classes:
         raise ValueError(f"{args.manifest}: manifest has {len(manifest.classes)} classes, "
                          f"the model has {shape.num_classes}")
-    split = split or args.split
     samples = data_io.load_split(manifest, split, shape.raw_dim)
     if not samples:
         raise ValueError(f"split {split!r} is empty in {args.manifest}")
@@ -100,8 +102,6 @@ def _load_samples(args, shape: ModelShapeSpec, split=None):
 
 def cmd_synth(args) -> int:
     cfg = build_run_config(args)
-    if not args.out_dir:
-        raise ValueError("--out-dir is required")
     manifest_path = data_io.write_synth_dataset(cfg.synth, args.out_dir)
     classes = len(data_io.SYNTH_CLASSES)
     print(f"wrote {manifest_path} ({classes * cfg.synth.samples_per_class} train / "
@@ -127,18 +127,30 @@ def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
         raise ValueError(f"{path}: max_epochs {wanted} is below its {done} completed epochs")
 
 
+def _json_bytes(doc) -> bytes:
+    return json.dumps(doc, indent=2, sort_keys=True).encode()
+
+
 def train_to_checkpoint(path, params, train_split, val_split, config, state, best,
                         echo) -> trainer.TrainState:
-    """trainer.fit, rewriting the checkpoint at `path` after every epoch,
-    then calling echo(report); once after fit only when no epoch ran. Its
-    best/ group is the parameters after an improving epoch, else copied
+    """trainer.fit, rewriting the checkpoint at `path` and then history.json
+    beside it after every epoch, then calling echo(report); once after fit
+    only when no epoch ran. A kill between the two writes can leave
+    history.json one epoch behind: the checkpoint is the record of the run.
+    Its best/ group is the parameters after an improving epoch, else copied
     from `best` (the initial parameters, or the open checkpoint file the
     run resumes) until the first save, and after it from the checkpoint
     last written, kept open so that the next save's rename cannot take it."""
+    history = Path(path).with_name("history.json")
     with contextlib.ExitStack() as stack:
         def save(source) -> None:
             nonlocal best
             data_io.save_checkpoint(path, params, state, config, source)
+            data_io.atomic_write_bytes(history, _json_bytes({
+                "reports": [asdict(r) for r in state.history],
+                "best_epoch": state.best_epoch,
+                "best_val_accuracy": state.best_val_accuracy,
+            }))
             stack.close()  # the previous checkpoint, once opened here
             best = stack.enter_context(open(path, "rb"))
 
@@ -160,9 +172,10 @@ def _echo_epoch(report: trainer.EpochReport) -> None:
 
 
 def cmd_train(args) -> int:
+    """--out-dir is made once the inputs are read and checked, and never
+    removed: it holds config.json from the start, and a checkpoint with its
+    history.json after every epoch; run_meta.json is written at the end."""
     cfg = build_run_config(args)
-    if not args.out_dir:
-        raise ValueError("--out-dir is required")
     manifest, train_split = _load_samples(args, cfg.shape, "train")
     val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim)
     if not val_split:
@@ -179,33 +192,15 @@ def cmd_train(args) -> int:
         else:
             params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
             state, best = trainer.TrainState.fresh(params), params
-        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
+        data_io.atomic_write_bytes(out_dir / "config.json", _json_bytes(asdict(cfg)))
         for report in state.history:  # the epochs before a resume
             _echo_epoch(report)
-        try:
-            state = train_to_checkpoint(ckpt_path, params, train_split, val_split, cfg.train,
-                                        state, best, _echo_epoch)
-        except BaseException:
-            # Deepest first; rmdir leaves a directory that holds a checkpoint.
-            for d in created:
-                with contextlib.suppress(OSError):
-                    d.rmdir()
-            raise
-    history_doc = {
-        "reports": [asdict(r) for r in state.history],
-        "best_epoch": state.best_epoch,
-        "best_val_accuracy": state.best_val_accuracy,
-    }
-    data_io.atomic_write_bytes(
-        out_dir / "history.json", json.dumps(history_doc, indent=2, sort_keys=True).encode()
-    )
-    data_io.atomic_write_bytes(
-        out_dir / "config.json", json.dumps(asdict(cfg), indent=2, sort_keys=True).encode()
-    )
+        state = train_to_checkpoint(ckpt_path, params, train_split, val_split, cfg.train,
+                                    state, best, _echo_epoch)
     # Wall-clock data stays out of the deterministic artifacts.
     meta = {"elapsed_seconds": time.time() - started, "finished_unix": time.time()}
-    data_io.atomic_write_bytes(out_dir / "run_meta.json", json.dumps(meta, indent=2).encode())
+    data_io.atomic_write_bytes(out_dir / "run_meta.json", _json_bytes(meta))
     print(f"saved {ckpt_path} (best epoch {state.best_epoch}, "
           f"best val acc {state.best_val_accuracy:.4f})")
     return 0
@@ -213,7 +208,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape)
+    _, samples = _load_samples(args, params.shape, args.split)
     loss, accuracy, _ = trainer.evaluate(params, samples, {})
     print(f"split={args.split} samples={len(samples)} loss={loss!r} accuracy={accuracy!r}")
     return 0
@@ -221,7 +216,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape)
+    _, samples = _load_samples(args, params.shape, args.split)
     samples = sorted(samples, key=lambda s: s.id)
     _, _, probabilities = trainer.evaluate(params, samples, {})
     lines = ["id,label,predicted," + ",".join(f"p_{c}" for c in range(params.shape.num_classes))]
@@ -251,10 +246,8 @@ def cmd_inspect_params(args) -> int:
 
 def cmd_export_responses(args) -> int:
     params = _load_model_for_inference(args)
-    if not args.out:
-        raise ValueError("--out is required")
     analysis.check_width(params.shape, args.width)
-    _, samples = _load_samples(args, params.shape)
+    _, samples = _load_samples(args, params.shape, args.split)
     path = analysis.export_responses(params, samples, args.width, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0
@@ -262,9 +255,7 @@ def cmd_export_responses(args) -> int:
 
 def cmd_export_features(args) -> int:
     params = _load_model_for_inference(args)
-    if not args.out:
-        raise ValueError("--out is required")
-    _, samples = _load_samples(args, params.shape)
+    _, samples = _load_samples(args, params.shape, args.split)
     path = analysis.export_pooled_features(params, samples, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0
@@ -286,40 +277,40 @@ def build_parser() -> _Parser:
 
     def config_command(name, fn, help_text):
         p = command(name, fn, help_text)
-        p.add_argument("--config", help="JSON configuration file")
+        p.add_argument("--config", type=_path, help="JSON configuration file")
         return p
 
     def checkpoint_command(name, fn, help_text):
         p = command(name, fn, help_text)
-        p.add_argument("--checkpoint")
-        p.add_argument("--manifest")
+        p.add_argument("--checkpoint", type=_path, required=True)
+        p.add_argument("--manifest", type=_path, required=True)
         p.add_argument("--split", default="val", choices=data_io.SPLITS)
         p.add_argument("--use-best", dest="use_best", action="store_true",
                        help="use the best-validation snapshot instead of the final model")
         return p
 
     p = config_command("synth", cmd_synth, "generate the synthetic temporal-order dataset")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--out-dir", dest="out_dir", type=_path, required=True)
 
     p = config_command("train", cmd_train, "train a model on a manifest dataset")
-    p.add_argument("--manifest")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--resume", help="checkpoint to resume from")
+    p.add_argument("--manifest", type=_path, required=True)
+    p.add_argument("--out-dir", dest="out_dir", type=_path, required=True)
+    p.add_argument("--resume", type=_path, help="checkpoint to resume from")
 
     checkpoint_command("eval", cmd_eval, "eval a checkpoint on one split")
     p = checkpoint_command("predict", cmd_predict, "predict a checkpoint on one split")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--out", type=_path, help="write CSV here instead of stdout")
 
     config_command("inspect-params", cmd_inspect_params, "print parameter/FLOP accounting")
 
     p = checkpoint_command("export-responses", cmd_export_responses,
                            "export per-window filter responses for one width")
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path, required=True)
 
     p = checkpoint_command("export-features", cmd_export_features,
                            "export pooled feature vectors plus the mean-frame baseline")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path, required=True)
 
     command("selftest", cmd_selftest, "run the built-in oracle and gradient checks")
     return parser

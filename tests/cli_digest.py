@@ -12,10 +12,16 @@ thread) in a temporary directory:
     synth; train; train with max_epochs 2, then --resume it with
     max_epochs 3; eval and eval --use-best; predict to a file and to
     stdout; export-features; export-responses at the smallest width;
-    inspect-params; selftest
+    inspect-params; selftest; then the argv errors: synth without
+    --out-dir, train without --manifest, eval, predict,
+    export-responses and export-features without --checkpoint, and
+    train with --resume ""
 
 The two shorter runs take copies of the config with that max_epochs,
-written into the temporary directory as two.json and three.json.
+written into the temporary directory as two.json and three.json. Each
+argv error is given the other options of its command, its outputs under
+new names, so a change to the exit codes of the argv contract, or a file
+an argv error writes, shows in the digest.
 
 Inference commands use the test split when the manifest has one, else
 val. For each command it prints the exit code and the sha256 of stdout and
@@ -73,8 +79,8 @@ def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
     cfg = ["--config", str(inputs / "config.json")]
     manifest_args = ["--manifest", str(inputs / "manifest.json")]
     data = [*cfg, *manifest_args]
-    model = ["--checkpoint", str(work / "train" / "checkpoint.ckpt"),
-             "--manifest", str(inputs / "manifest.json"), "--split", split]
+    samples = [*manifest_args, "--split", split]
+    model = ["--checkpoint", str(work / "train" / "checkpoint.ckpt"), *samples]
     return [
         ("synth", ["synth", *cfg, "--out-dir", str(work / "synth")]),
         ("train", ["train", *data, "--out-dir", str(work / "train")]),
@@ -92,6 +98,16 @@ def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
                               "--out", str(work / "responses.csv")]),
         ("inspect-params", ["inspect-params", *cfg]),
         ("selftest", ["selftest"]),
+        ("synth-no-out-dir", ["synth", *cfg]),
+        ("train-no-manifest", ["train", *cfg, "--out-dir", str(work / "no-manifest")]),
+        ("eval-no-checkpoint", ["eval", *samples]),
+        ("predict-no-checkpoint", ["predict", *samples, "--out", str(work / "no-checkpoint.csv")]),
+        ("export-responses-no-checkpoint", ["export-responses", *samples, "--width", str(width),
+                                            "--out", str(work / "no-checkpoint-responses.csv")]),
+        ("export-features-no-checkpoint", ["export-features", *samples,
+                                           "--out", str(work / "no-checkpoint-features.csv")]),
+        ("resume-empty", ["train", *data, "--out-dir", str(work / "resume-empty"),
+                          "--resume", ""]),
     ]
 
 

@@ -164,8 +164,9 @@ class TestSynth:
 
     def test_missing_out_dir_is_validation_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
-        assert main(["synth", "--config", str(cfg)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert main(["synth", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: --out-dir\n")
 
     def test_noise_beyond_float32_is_validation_error(self, tmp_path, capsys):
         out_dir = tmp_path / "huge"
@@ -465,7 +466,7 @@ class TestTrain:
         assert lines[0].startswith("error: training diverged in epoch 0: ")
 
     @pytest.mark.parametrize("existed", [False, True])
-    def test_diverging_run_removes_only_an_out_dir_it_created(self, tmp_path, capsys, existed):
+    def test_diverging_run_keeps_its_out_dir(self, tmp_path, capsys, existed):
         cfg = base_config(tmp_path, initial_lr=1e200)
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
@@ -479,10 +480,8 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged in epoch 0: ")
-        if existed:
-            assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
-        else:
-            assert not (tmp_path / "new").exists()
+        expected = ["config.json", "notes.txt"] if existed else ["config.json"]
+        assert sorted(p.name for p in out_dir.iterdir()) == expected
 
     def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         # Big enough that OpenBLAS threads the batched GEMMs (m*n*k above
@@ -522,6 +521,11 @@ def add_third_class(data_dir):
     return path
 
 
+# What a `din train` that stops after an epoch (killed, or failing in a
+# later one) leaves in its out-dir: all but the end-of-run run_meta.json.
+RUN_FILES = ["checkpoint.ckpt", "config.json", "history.json"]
+
+
 # `python -c` this, then the count k, then din's argv: din killed by SIGKILL
 # right after it prints its k-th "epoch " line.
 KILL_AFTER_EPOCH_LINE = """
@@ -545,19 +549,19 @@ sys.exit(din.cli.main(sys.argv[2:]))
 
 
 # `python -c` this, then din's argv: din killed by SIGKILL in the middle of
-# its first write of a file opened for writing, once its first bytes are
-# in the file.
+# writing the first file it writes in five or more parts (the first
+# checkpoint), once its first bytes are in the file.
 KILL_IN_FIRST_WRITE = """
 import os, signal, sys
 import din.cli
 import din.data_io
 
-real_open, writes = open, 0
+real_open = open
 
 
 class DyingFile:
     def __init__(self, f):
-        self.f = f
+        self.f, self.writes = f, 0
 
     def __enter__(self):
         return self
@@ -569,10 +573,9 @@ class DyingFile:
         self.f.flush()
 
     def write(self, data):
-        global writes
         self.f.write(data)
-        writes += 1
-        if writes == 5:  # the magic, header, meta and count, then a tensor entry
+        self.writes += 1
+        if self.writes == 5:  # the magic, header, meta and count, then a tensor entry
             self.f.flush()
             os.kill(os.getpid(), signal.SIGKILL)
 
@@ -635,7 +638,7 @@ class TestBestSnapshotFile:
 
     def test_killed_run_leaves_no_snapshot_file(self, tmp_path, capsys):
         # Killed halfway through writing its first checkpoint, after epoch
-        # 0: the file had no name yet, so the out-dir it made stays empty.
+        # 0: the file had no name yet, so the out-dir holds only config.json.
         cfg = base_config(tmp_path)
         data_dir, out_dir = tmp_path / "data", tmp_path / "run"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
@@ -645,7 +648,7 @@ class TestBestSnapshotFile:
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert proc.stdout == ""
-        assert list(out_dir.iterdir()) == []
+        assert [p.name for p in out_dir.iterdir()] == ["config.json"]
 
 
 class TestCheckpointEveryEpoch:
@@ -674,12 +677,39 @@ class TestCheckpointEveryEpoch:
             assert proc.returncode == -signal.SIGKILL, proc.stderr
             assert [line[:8] for line in proc.stdout.splitlines()] == [
                 f"epoch {epoch}:" for epoch in range(k)]
-            assert [p.name for p in killed.iterdir()] == ["checkpoint.ckpt"]
+            assert sorted(p.name for p in killed.iterdir()) == RUN_FILES
             assert len(load_checkpoint(killed / "checkpoint.ckpt").state.history) == k
             out_dir = killed if k == 2 else tmp_path / f"resumed{k}"  # k = 2 into its own dir
             assert main([*train, "--out-dir", str(out_dir),
                          "--resume", str(killed / "checkpoint.ckpt")]) == 0
             assert [(out_dir / name).read_bytes() for name in artifacts] == whole
+
+    def test_killed_run_resumes_from_its_own_directory(self, tmp_path, capsys):
+        # Killed after epoch 1 of 3: its out-dir holds the config and the
+        # history of the epochs its checkpoint holds, and a copy of its own
+        # config.json with a larger max_epochs extends it.
+        cfg = base_config(tmp_path, max_epochs=3)
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
+        manifest = ["--manifest", str(data_dir / "manifest.json")]
+        killed = tmp_path / "killed"
+        proc = subprocess.run(
+            [sys.executable, "-c", KILL_AFTER_EPOCH_LINE, "2", "train", "--config", str(cfg),
+             *manifest, "--out-dir", str(killed)], capture_output=True, text=True, env=child_env())
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert sorted(p.name for p in killed.iterdir()) == RUN_FILES
+        reports = json.loads((killed / "history.json").read_text())["reports"]
+        history = load_checkpoint(killed / "checkpoint.ckpt").state.history
+        assert [trainer.EpochReport(**r) for r in reports] == history and len(history) == 2
+        four = derived_config(killed / "config.json", tmp_path / "four.json",
+                              train={"max_epochs": 4})
+        assert main(["train", "--config", str(four), *manifest, "--out-dir", str(killed),
+                     "--resume", str(killed / "checkpoint.ckpt")]) == 0
+        whole, whole_cfg = tmp_path / "whole", tmp_path / "whole.json"
+        derived_config(cfg, whole_cfg, train={"max_epochs": 4})
+        assert main(["train", "--config", str(whole_cfg), *manifest, "--out-dir", str(whole)]) == 0
+        for name in ("checkpoint.ckpt", "history.json", "config.json"):
+            assert (killed / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_run_failing_after_its_first_epoch_keeps_that_epochs_checkpoint(
         self, tmp_path, capsys, monkeypatch
@@ -704,7 +734,7 @@ class TestCheckpointEveryEpoch:
         captured = capsys.readouterr()
         assert captured.err == "error: training diverged in epoch 1: injected\n"
         assert [line[:8] for line in captured.out.splitlines()] == ["epoch 0:"]
-        assert [p.name for p in out_dir.iterdir()] == ["checkpoint.ckpt"]
+        assert sorted(p.name for p in out_dir.iterdir()) == RUN_FILES
         assert len(load_checkpoint(out_dir / "checkpoint.ckpt").state.history) == 1
 
 
@@ -732,7 +762,10 @@ class TestOutOfMemory:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: Unable to allocate ")
         assert proc.stderr.count("\n") == 1
-        assert not (tmp_path / "new").exists()  # also when fit created it
+        if where == "fit":  # the out-dir was made before fit, and is kept
+            assert [p.name for p in out_dir.iterdir()] == ["config.json"]
+        else:
+            assert not (tmp_path / "new").exists()
 
 
 class TestEvalPredict:
@@ -1031,8 +1064,8 @@ class TestChangedTrainingFiles:
         """Run a two-epoch `din train` into a new nested --out-dir, changing
         the first `split` file of the manifest once, after epoch 0 has used
         it: a train file before epoch 0's evaluation, a val file after it.
-        Epoch 1 then reads it again and must fail, naming it. The run removes
-        of its out-dir all but epoch 0's checkpoint, which it keeps."""
+        Epoch 1 then reads it again and must fail, naming it. The run keeps
+        its out-dir with epoch 0's checkpoint and history.json."""
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
@@ -1061,7 +1094,7 @@ class TestChangedTrainingFiles:
         assert [line[:8] for line in captured.out.splitlines()] == ["epoch 0:"]
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(path) in captured.err and "Traceback" not in captured.err
-        assert [p.name for p in out.iterdir()] == ["checkpoint.ckpt"]
+        assert sorted(p.name for p in out.iterdir()) == RUN_FILES
         assert len(load_checkpoint(out / "checkpoint.ckpt").state.history) == 1
 
     @pytest.mark.parametrize("change", ["size", "rewrite", "delete"])
@@ -1099,8 +1132,12 @@ class TestExports:
         assert rc == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["export-features"], "error: --out is required\n"),
-        (["export-responses", "--width", "2"], "error: --out is required\n"),
+        pytest.param(["export-features"],
+                     "usage error: the following arguments are required: --out\n",
+                     id="features-no-out"),
+        pytest.param(["export-responses", "--width", "2"],
+                     "usage error: the following arguments are required: --out\n",
+                     id="responses-no-out"),
         (["export-responses", "--width", "7", "--out", "x.csv"],
          "error: width 7 not in the model (widths (2, 3))\n"),
     ])
@@ -1115,7 +1152,7 @@ class TestExports:
         monkeypatch.setattr("din.data_io.load_split", load_split)
         rc = main([*argv, "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                    "--manifest", str(data_dir / "manifest.json")])
-        assert rc == 2
+        assert rc == (1 if message.startswith("usage error: ") else 2)
         assert capsys.readouterr().err == message
 
     def test_repeated_exports_are_byte_identical(self, tmp_path, capsys):
@@ -1223,8 +1260,10 @@ class TestUsageAndConfig:
     def test_unparseable_config_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"train": {\n}')
-        for command in ("synth", "train", "inspect-params"):
-            assert main([command, "--config", str(path)]) == 2
+        out_dir = ["--out-dir", str(tmp_path / "out")]
+        manifest = ["--manifest", str(tmp_path / "m.json")]
+        for argv in (["synth", *out_dir], ["train", *manifest, *out_dir], ["inspect-params"]):
+            assert main([*argv, "--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert str(path) in err and "cannot parse config" in err
 
@@ -1378,6 +1417,76 @@ class TestOptions:
         rc, err = run_main([command, flag, "3"])
         assert rc == 1
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+# Each command's path options: whether each is required.
+PATH_OPTIONS = {
+    "synth": {"--config": False, "--out-dir": True},
+    "train": {"--config": False, "--manifest": True, "--out-dir": True, "--resume": False},
+    "eval": {"--checkpoint": True, "--manifest": True},
+    "predict": {"--checkpoint": True, "--manifest": True, "--out": False},
+    "inspect-params": {"--config": False},
+    "export-responses": {"--checkpoint": True, "--manifest": True, "--out": True},
+    "export-features": {"--checkpoint": True, "--manifest": True, "--out": True},
+}
+ARGV_ERRORS = [
+    *(pytest.param(command, option, None, id=f"{command}{option}-missing")
+      for command, options in PATH_OPTIONS.items()
+      for option, required in options.items() if required),
+    *(pytest.param(command, option, "", id=f"{command}{option}-empty")
+      for command, options in PATH_OPTIONS.items() for option in options),
+]
+
+
+class TestArgvContract:
+    """A missing required path option, or any path option given as the
+    empty string, is a usage error: exit 1, one stderr line naming the
+    option, and nothing created. The other options name a run's real
+    inputs, with which each command succeeds."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Path option -> a value that works: a config, manifest and
+        checkpoint of a finished 2-epoch run (resuming it trains nothing)."""
+        root = tmp_path_factory.mktemp("argv_inputs")
+        cfg = base_config(root)
+        data = root / "data"
+        manifest = str(data / "manifest.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--config", str(cfg), "--out-dir", str(data)]) == 0
+            assert main(["train", "--config", str(cfg), "--manifest", manifest,
+                         "--out-dir", str(root / "run")]) == 0
+        checkpoint = str(root / "run" / "checkpoint.ckpt")
+        return {"--config": str(cfg), "--manifest": manifest, "--checkpoint": checkpoint,
+                "--resume": checkpoint}
+
+    @staticmethod
+    def argv(command, inputs, out, option=None, value=None):
+        """`command` with every path option set, --out-dir and --out under
+        `out`; `option` is left out (value None) or given `value`."""
+        argv = [command, *(["--width", "2"] if command == "export-responses" else [])]
+        for name in PATH_OPTIONS[command]:
+            if name == option:
+                argv += [] if value is None else [name, value]
+            else:
+                argv += [name, inputs.get(name, str(out / name.lstrip("-")))]
+        return argv
+
+    @pytest.mark.parametrize("command", PATH_OPTIONS)
+    def test_every_option_set_succeeds(self, tmp_path, capsys, inputs, command):
+        assert main(self.argv(command, inputs, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, option, value", ARGV_ERRORS)
+    def test_is_a_usage_error_that_creates_nothing(
+        self, tmp_path, capsys, inputs, command, option, value
+    ):
+        assert main(self.argv(command, inputs, tmp_path, option, value)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+        assert option in captured.err, captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 PAPER_SHAPE = {"raw_dim": 1024, "feat_dim": 256, "num_frames": 8, "widths": [2, 3, 4, 5, 6],

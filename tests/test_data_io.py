@@ -1090,7 +1090,7 @@ class TestBestCopy:
         best = load_checkpoint(root / "run.ckpt", groups=("best",)).best
         for name, arr in reference.tensors.items():
             assert best.tensors[name].tobytes() == arr.tobytes(), name
-        names = ["run.ckpt"]
+        names = ["history.json", "run.ckpt"]
         if resume_at is not None:
             train_and_save(root / "whole.ckpt", shape, config, splits, None)
             assert (root / "run.ckpt").read_bytes() == (root / "whole.ckpt").read_bytes()
