@@ -32,6 +32,8 @@ from .numerics import from_fields
 # The configuration file's sections and the record each one builds.
 SECTIONS = {"shape": ModelShapeSpec, "train": trainer.TrainConfig,
             "synth": data_io.SyntheticTaskConfig}
+# The files train_to_checkpoint keeps in a run directory.
+CHECKPOINT_FILE, HISTORY_FILE = "checkpoint.ckpt", "history.json"
 
 
 class UsageError(Exception):
@@ -131,17 +133,18 @@ def _json_bytes(doc) -> bytes:
     return json.dumps(doc, indent=2, sort_keys=True).encode()
 
 
-def train_to_checkpoint(path, params, train_split, val_split, config, state, best,
+def train_to_checkpoint(run_dir, params, train_split, val_split, config, state, best,
                         echo) -> trainer.TrainState:
-    """trainer.fit, rewriting the checkpoint at `path` and then history.json
-    beside it after every epoch, then calling echo(report); once after fit
-    only when no epoch ran. A kill between the two writes can leave
-    history.json one epoch behind: the checkpoint is the record of the run.
-    Its best/ group is the parameters after an improving epoch, else copied
-    from `best` (the initial parameters, or the open checkpoint file the
-    run resumes) until the first save, and after it from the checkpoint
-    last written, kept open so that the next save's rename cannot take it."""
-    history = Path(path).with_name("history.json")
+    """trainer.fit, rewriting CHECKPOINT_FILE and then HISTORY_FILE in the
+    existing directory `run_dir` after every epoch, then calling
+    echo(report); once after fit only when no epoch ran. A kill between the
+    two writes can leave the history one epoch behind: the checkpoint is
+    the record of the run. Its best/ group is the parameters after an
+    improving epoch, else copied from `best` (the initial parameters, or
+    the open checkpoint file the run resumes) until the first save, and
+    after it from the checkpoint last written, kept open so that the next
+    save's rename cannot take it."""
+    path, history = Path(run_dir) / CHECKPOINT_FILE, Path(run_dir) / HISTORY_FILE
     with contextlib.ExitStack() as stack:
         def save(source) -> None:
             nonlocal best
@@ -182,7 +185,6 @@ def cmd_train(args) -> int:
         raise ValueError("validation split is empty")
     started = time.time()
     out_dir = Path(args.out_dir)
-    ckpt_path = out_dir / "checkpoint.ckpt"
     with contextlib.ExitStack() as stack:
         if args.resume:  # its best/ group stays in the file until the first save copies it
             best = stack.enter_context(open(args.resume, "rb"))
@@ -196,12 +198,12 @@ def cmd_train(args) -> int:
         data_io.atomic_write_bytes(out_dir / "config.json", _json_bytes(asdict(cfg)))
         for report in state.history:  # the epochs before a resume
             _echo_epoch(report)
-        state = train_to_checkpoint(ckpt_path, params, train_split, val_split, cfg.train,
+        state = train_to_checkpoint(out_dir, params, train_split, val_split, cfg.train,
                                     state, best, _echo_epoch)
     # Wall-clock data stays out of the deterministic artifacts.
     meta = {"elapsed_seconds": time.time() - started, "finished_unix": time.time()}
     data_io.atomic_write_bytes(out_dir / "run_meta.json", _json_bytes(meta))
-    print(f"saved {ckpt_path} (best epoch {state.best_epoch}, "
+    print(f"saved {out_dir / CHECKPOINT_FILE} (best epoch {state.best_epoch}, "
           f"best val acc {state.best_val_accuracy:.4f})")
     return 0
 

@@ -39,7 +39,10 @@ counting the diff's removed and added lines; the exit code is 0 or 1.
 ``--write-tiny INPUTS`` writes a small dataset whose videos have fewer,
 as many and more frames than the model samples (T = 3, 8, 13, 70), and a
 config with plateau_patience 1, so the learning rate can decay before and
-after the resume.
+after the resume. Its six test videos are scaled by 1e-8, 1e-2, 1, 1e2,
+1e3 and 1e20 (all finite in float32; training reads only train and val),
+so the inference commands' CSVs hold floats in both of repr's notations:
+probabilities below 1e-4, and features and responses from 1e16.
 """
 
 from __future__ import annotations
@@ -135,6 +138,11 @@ def digest(checkout: Path, inputs: Path) -> list[str]:
     return lines
 
 
+# The test videos' scales, so that the exports of the inference commands
+# print floats below 1e-4 and from 1e16, where repr writes exponent form.
+TEST_SCALES = (1e-8, 1e-2, 1.0, 1e2, 1e3, 1e20)
+
+
 def write_tiny(out: Path) -> None:
     """A 6-dim, 2-class dataset with train, val and test videos of 3 to 70 frames."""
     rng = np.random.default_rng(0)
@@ -144,7 +152,8 @@ def write_tiny(out: Path) -> None:
         for i in range(count):
             T = (3, 8, 13, 70)[i % 4]
             rel = f"features/{split}-{i:02d}.difx"
-            frames = rng.normal(size=(T, 6)).astype("<f4")
+            scale = TEST_SCALES[i] if split == "test" else 1.0
+            frames = (rng.normal(size=(T, 6)) * scale).astype("<f4")
             (out / rel).write_bytes(struct.pack("<4sHIH", b"DIFX", 1, T, 6) + frames.tobytes())
             samples.append({"id": f"{split}-{i:02d}", "feature_path": rel, "label": i % 2,
                             "split": split})

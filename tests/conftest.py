@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import din
+from din.cli import CHECKPOINT_FILE, HISTORY_FILE
 from din.data_io import (
     ManifestEntry,
+    load_checkpoint,
     save_checkpoint,
     save_manifest,
     write_feature_file,
@@ -38,6 +40,13 @@ def save_fresh_checkpoint(path, params, config):
     """Save the state before the first epoch, with `params` as its best
     snapshot, as a fresh `din train` run with no epochs does."""
     save_checkpoint(path, params, TrainState.fresh(params), config, params)
+
+
+def assert_history_is_the_checkpoints(run_dir):
+    """The reports of `run_dir`'s history file are its checkpoint's history."""
+    reports = json.loads((run_dir / HISTORY_FILE).read_text())["reports"]
+    state = load_checkpoint(run_dir / CHECKPOINT_FILE, groups=()).state
+    assert reports == [dataclasses.asdict(r) for r in state.history], run_dir
 
 
 def copy_params(params):

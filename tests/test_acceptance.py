@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from din.analysis import count_parameters
-from din.cli import train_to_checkpoint
+from din.cli import CHECKPOINT_FILE, train_to_checkpoint
 from din.data_io import (
     SyntheticTaskConfig,
     load_checkpoint,
@@ -28,7 +28,7 @@ from din.selftest import (
 from din.temporal_conv import conv_scale_forward
 from din.trainer import TrainConfig, TrainState, fit, init_rng
 
-from conftest import ignore_epoch, save_fresh_checkpoint
+from conftest import assert_history_is_the_checkpoints, ignore_epoch, save_fresh_checkpoint
 from mean_pool_baseline import train_baseline
 
 
@@ -133,16 +133,17 @@ def test_determinism_and_resume(tmp_path):
     config = TrainConfig(batch_size=8, initial_lr=0.05, dropout_keep=0.8,
                          max_epochs=4, seed=13)
 
-    def train(path, config, params, state, best):
-        """A run as `din train` makes it, its checkpoint rewritten every epoch."""
-        return train_to_checkpoint(path, params, splits["train"], splits["val"], config, state,
-                                   best, lambda report: None)
+    def train(run_dir, config, params, state, best):
+        """A run as `din train` makes it in the new directory `run_dir`, its
+        checkpoint and history rewritten every epoch."""
+        run_dir.mkdir()
+        return train_to_checkpoint(run_dir, params, splits["train"], splits["val"], config,
+                                   state, best, lambda report: None)
 
     def full_run(tag):
         params = init_model(shape, init_rng(config.seed))
-        path = tmp_path / f"{tag}.ckpt"
-        state = train(path, config, params, TrainState.fresh(params), params)
-        return state.history, path.read_bytes()
+        state = train(tmp_path / tag, config, params, TrainState.fresh(params), params)
+        return state.history, (tmp_path / tag / CHECKPOINT_FILE).read_bytes()
 
     history_a, blob_a = full_run("a")
     history_b, blob_b = full_run("b")
@@ -151,14 +152,15 @@ def test_determinism_and_resume(tmp_path):
 
     params_c = init_model(shape, init_rng(config.seed))
     half = dataclasses.replace(config, max_epochs=2)
-    half_path = tmp_path / "half.ckpt"
-    train(half_path, half, params_c, TrainState.fresh(params_c), params_c)
-    resumed_path = tmp_path / "resumed.ckpt"
-    with open(half_path, "rb") as half_file:  # resumed as `din train --resume` does
+    train(tmp_path / "half", half, params_c, TrainState.fresh(params_c), params_c)
+    # resumed as `din train --resume` does
+    with open(tmp_path / "half" / CHECKPOINT_FILE, "rb") as half_file:
         loaded = load_checkpoint(half_file, groups=("param", "velocity"))
-        resumed = train(resumed_path, config, loaded.model, loaded.state, half_file)
+        resumed = train(tmp_path / "resumed", config, loaded.model, loaded.state, half_file)
     assert resumed.history == history_a
-    assert resumed_path.read_bytes() == blob_a
+    assert (tmp_path / "resumed" / CHECKPOINT_FILE).read_bytes() == blob_a
+    for tag in ("a", "b", "half", "resumed"):
+        assert_history_is_the_checkpoints(tmp_path / tag)
 
 
 @criterion(7, "softmax sums to one within 1e-9, including magnitude-1000 logits")

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from din.analysis import (
     count_parameters,
@@ -20,6 +24,21 @@ from din.temporal_conv import conv_scale_forward, response_profiles
 from din.trainer import TrainConfig
 
 from conftest import TINY_SHAPE, save_fresh_checkpoint
+
+# Where repr changes notation: every power of ten from 1e-6 to 1e17 with
+# both neighbours, one per row, then signed zeros, 2**53 + 2 and non-finites.
+NOTATION_EDGES = np.array(
+    [[np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)] for p in 10.0 ** np.arange(-6, 18)]
+    + [[0.0, -0.0, 2.0**53 + 2], [np.nan, np.inf, -np.inf]]
+)
+# Random bit patterns (any double) and log-uniform magnitudes 1e-6 to 1e18.
+_rng = np.random.default_rng(32)
+SEEDED_DOUBLES = np.concatenate([
+    _rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64),
+    _rng.choice([-1.0, 1.0], 100_000) * 10.0 ** _rng.uniform(-6, 18, 100_000),
+]).reshape(-1, 40)
+FLOAT_BLOCKS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                       max_side=6))
 
 PAPER_SHAPE = ModelShapeSpec(
     raw_dim=1024, feat_dim=256, num_frames=8, widths=(2, 3, 4, 5, 6),
@@ -112,10 +131,29 @@ def make_samples(rng, count, frames, dim):
 
 
 class TestExports:
-    def test_float_rows_format_as_repr_of_each_numpy_scalar(self):
-        values = np.array([[0.0, -0.0, 5e-324, 1e-5, 1e16, 1 / 3]])
-        values = np.concatenate([values, -values])
-        assert float_rows(values) == [",".join(repr(float(v)) for v in row) for row in values]
+    @pytest.mark.parametrize("formatter", ["orjson", "repr"])
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.one_of(
+        FLOAT_BLOCKS,
+        FLOAT_BLOCKS.map(np.asfortranarray),
+        FLOAT_BLOCKS.map(lambda a: a[::2, ::-1]),
+        FLOAT_BLOCKS.map(lambda a: a.T),
+    ))
+    @example(values=np.concatenate([NOTATION_EDGES, -NOTATION_EDGES]))
+    @example(values=SEEDED_DOUBLES)
+    @example(values=SEEDED_DOUBLES[:, :1])
+    @example(values=np.zeros((0, 3)))
+    @example(values=np.zeros((3, 0)))
+    def test_float_rows_format_as_repr_of_each_numpy_scalar(self, formatter, values,
+                                                            monkeypatch):
+        # The monkeypatch holds for the whole test, so sharing it across
+        # Hypothesis examples is what is wanted.
+        if formatter == "orjson":
+            pytest.importorskip("orjson")
+        else:
+            monkeypatch.setitem(sys.modules, "orjson", None)
+        assert float_rows(values) == [",".join(map(repr, row)) for row in values.tolist()]
 
     def test_response_rows_have_window_counts(self, tmp_path, tiny_params):
         rng = make_rng(2)

@@ -162,7 +162,7 @@ class TestSynth:
             twin = out_b / "features" / feature.name
             assert feature.read_bytes() == twin.read_bytes()
 
-    def test_missing_out_dir_is_validation_error(self, tmp_path, capsys):
+    def test_missing_out_dir_is_usage_error(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["synth", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
@@ -435,12 +435,11 @@ class TestTrain:
         assert "epoch" not in captured.out
         assert not (run_dir / "checkpoint.ckpt").exists()
 
-    # The case ids name the flags these values were once given by.
     @pytest.mark.parametrize("value, field", [
-        pytest.param("nan", "initial_lr", id="--initial-lr-nan-initial_lr"),
-        pytest.param("inf", "weight_decay", id="--weight-decay-inf-weight_decay"),
+        pytest.param("nan", "initial_lr", id="initial_lr"),
+        pytest.param("inf", "weight_decay", id="weight_decay"),
     ])
-    def test_non_finite_flag_is_a_config_error(self, tmp_path, capsys, value, field):
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys, value, field):
         cfg = base_config(tmp_path)
         data_dir = tmp_path / "data"
         assert main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)]) == 0
@@ -741,10 +740,9 @@ class TestCheckpointEveryEpoch:
 class TestOutOfMemory:
     """Running out of memory is a validation error: exit 2 and one line."""
 
-    # The case ids name the flags these shapes were once given by.
     @pytest.mark.parametrize("shape, where", [
-        pytest.param({"num_filters": 200_000_000}, "init_model", id="flags0-init_model"),
-        pytest.param({"num_frames": 300_000_000}, "fit", id="flags1-fit"),
+        pytest.param({"num_filters": 200_000_000}, "init_model", id="init_model"),
+        pytest.param({"num_frames": 300_000_000}, "fit", id="fit"),
     ])
     def test_exits_2_with_one_line(self, tmp_path, capsys, shape, where):
         cfg = base_config(tmp_path)

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from din.data_io import (
@@ -35,7 +35,7 @@ from din.data_io import (
     write_synth_dataset,
 )
 import din.data_io as data_io_mod
-from din.cli import train_to_checkpoint
+from din.cli import CHECKPOINT_FILE, HISTORY_FILE, train_to_checkpoint
 from din.denseimage import sample_segments
 from din.model import ModelParams, ModelShapeSpec, init_model
 from din.numerics import make_rng
@@ -51,6 +51,7 @@ from din.trainer import (
 
 from conftest import (
     TINY_SHAPE,
+    assert_history_is_the_checkpoints,
     change_feature_file,
     decode_feature_file,
     edit_checkpoint_meta,
@@ -564,12 +565,14 @@ def small_training_setup(seed=21):
     return splits, cfg, params
 
 
-def train(path, params, splits, config, state, best):
-    """Train as `din train` does, rewriting the checkpoint at `path` after
-    every epoch; `best` is the initial parameters or the open checkpoint
-    the run resumes. Returns the final state."""
-    return train_to_checkpoint(path, params, splits["train"], splits["val"], config, state, best,
-                               lambda report: None)
+def train(run_dir, params, splits, config, state, best):
+    """Train as `din train` does in the new directory `run_dir`, rewriting
+    its checkpoint and history after every epoch; `best` is the initial
+    parameters or the open checkpoint the run resumes. Returns the final
+    state."""
+    run_dir.mkdir()
+    return train_to_checkpoint(run_dir, params, splits["train"], splits["val"], config, state,
+                               best, lambda report: None)
 
 
 def append_tensor(blob, name, arr):
@@ -589,9 +592,8 @@ DROP = "<drop>"  # marks a meta field the test deletes
 class TestCheckpoints:
     def test_round_trip_is_bit_exact(self, tmp_path):
         splits, cfg, params = small_training_setup()
-        path = tmp_path / "model.ckpt"
-        state = train(path, params, splits, cfg, TrainState.fresh(params), params)
-        loaded = load_checkpoint(path)
+        state = train(tmp_path / "run", params, splits, cfg, TrainState.fresh(params), params)
+        loaded = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
         assert isinstance(loaded, CheckpointData)
         assert loaded.config == cfg
         # The best snapshot: an identical run stopped after the best epoch.
@@ -712,21 +714,24 @@ class TestCheckpoints:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         splits, cfg, params_a = small_training_setup(seed=22)
         four = dataclasses.replace(cfg, max_epochs=4)
-        state_a = train(tmp_path / "whole.ckpt", params_a, splits, four,
+        state_a = train(tmp_path / "whole", params_a, splits, four,
                         TrainState.fresh(params_a), params_a)
 
         params_b = init_model(TINY_SHAPE, init_rng(cfg.seed))
-        path = tmp_path / "halfway.ckpt"
-        train(path, params_b, splits, cfg, TrainState.fresh(params_b), params_b)  # 2 epochs
-        with open(path, "rb") as halfway:
+        train(tmp_path / "halfway", params_b, splits, cfg, TrainState.fresh(params_b),
+              params_b)  # 2 epochs
+        with open(tmp_path / "halfway" / CHECKPOINT_FILE, "rb") as halfway:
             loaded = load_checkpoint(halfway, groups=("param", "velocity"))
             assert len(loaded.state.history) == 2
-            resumed = train(tmp_path / "resumed.ckpt", loaded.model, splits, four, loaded.state,
+            resumed = train(tmp_path / "resumed", loaded.model, splits, four, loaded.state,
                             halfway)
         assert resumed.history == state_a.history
         for name, arr in params_a.tensors.items():
             assert np.array_equal(arr, loaded.model.tensors[name])
-        assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+        assert ((tmp_path / "resumed" / CHECKPOINT_FILE).read_bytes()
+                == (tmp_path / "whole" / CHECKPOINT_FILE).read_bytes())
+        for run in ("whole", "halfway", "resumed"):
+            assert_history_is_the_checkpoints(tmp_path / run)
 
     @pytest.mark.parametrize("cut_group", [False, True], ids=["meta", "meta-and-group"])
     @pytest.mark.parametrize("groups", [None, ("param",), ("velocity",), ("best",)])
@@ -1038,18 +1043,19 @@ def training_runs(draw):
     return shape, config, task, draw(st.none() | st.integers(0, config.max_epochs))
 
 
-def train_and_save(path, shape, config, splits, resume_at):
-    """Train as `din train` does, into the checkpoint at `path`: from fresh
-    parameters, or resumed from a checkpoint of the first `resume_at`
-    epochs (None: not resumed). Returns the final state."""
+def train_and_save(run_dir, shape, config, splits, resume_at):
+    """Train as `din train` does, into the new directory `run_dir`: from
+    fresh parameters, or resumed from the checkpoint of a run of the first
+    `resume_at` epochs (None: not resumed) in `<run_dir>-halfway`. Returns
+    the final state."""
     params = init_model(shape, init_rng(config.seed))
     if resume_at is None:
-        return train(path, params, splits, config, TrainState.fresh(params), params)
-    halfway = path.with_suffix(".halfway")
+        return train(run_dir, params, splits, config, TrainState.fresh(params), params)
+    halfway = run_dir.with_name(f"{run_dir.name}-halfway")
     train_and_save(halfway, shape, dataclasses.replace(config, max_epochs=resume_at), splits, None)
-    with open(halfway, "rb") as source:
+    with open(halfway / CHECKPOINT_FILE, "rb") as source:
         loaded = load_checkpoint(source, groups=("param", "velocity"))
-        return train(path, loaded.model, splits, config, loaded.state, source)
+        return train(run_dir, loaded.model, splits, config, loaded.state, source)
 
 
 # Three epochs whose validation accuracy rises every epoch (0.5, 0.75, 0.875).
@@ -1081,21 +1087,28 @@ class TestBestCopy:
         shape, config, task, resume_at = run
         splits = synth_order_task(dataclasses.replace(task, sequence_length=shape.num_frames))
         root = tmp_path_factory.mktemp("snapshot")
-        state = train_and_save(root / "run.ckpt", shape, config, splits, resume_at)
+        try:
+            state = train_and_save(root / "run", shape, config, splits, resume_at)
+        except ArithmeticError:  # lr 0.5 can diverge, leaving no finished run to check
+            reject()
         # The reference: an identical fresh run stopped after the best epoch.
         stopped = dataclasses.replace(config, max_epochs=state.best_epoch + 1)
         reference = init_model(shape, init_rng(config.seed))
         fit(reference, splits["train"], splits["val"], stopped,
             TrainState.fresh(reference), ignore_epoch)
-        best = load_checkpoint(root / "run.ckpt", groups=("best",)).best
+        best = load_checkpoint(root / "run" / CHECKPOINT_FILE, groups=("best",)).best
         for name, arr in reference.tensors.items():
             assert best.tensors[name].tobytes() == arr.tobytes(), name
-        names = ["history.json", "run.ckpt"]
+        runs = ["run"]
         if resume_at is not None:
-            train_and_save(root / "whole.ckpt", shape, config, splits, None)
-            assert (root / "run.ckpt").read_bytes() == (root / "whole.ckpt").read_bytes()
-            names += ["run.halfway", "whole.ckpt"]
-        assert sorted(p.name for p in root.iterdir()) == names
+            train_and_save(root / "whole", shape, config, splits, None)
+            assert ((root / "run" / CHECKPOINT_FILE).read_bytes()
+                    == (root / "whole" / CHECKPOINT_FILE).read_bytes())
+            runs += ["run-halfway", "whole"]
+        files = [f"{run}/{name}" for run in runs for name in (CHECKPOINT_FILE, HISTORY_FILE)]
+        assert sorted(str(p.relative_to(root)) for p in root.rglob("*")) == sorted(runs + files)
+        for run in runs:
+            assert_history_is_the_checkpoints(root / run)
         if config == IMPROVING:
             assert state.best_epoch == 2 and state.history[1].val_accuracy < state.best_val_accuracy
         improved = config.max_epochs > 0 and state.best_epoch == config.max_epochs - 1
