@@ -90,16 +90,19 @@ def _load_model_for_inference(args):
     return data_io.load_checkpoint(args.checkpoint, groups=("best",)).best
 
 
-def _load_samples(args, shape: ModelShapeSpec, split):
-    """(manifest, samples of the split), each a row reader of its file."""
+def _load_samples(args, shape: ModelShapeSpec, *splits) -> list[list[data_io.Sample]]:
+    """The samples of each split of --manifest, in turn, each a row reader
+    of its file; an empty split is an error naming the manifest."""
     manifest = data_io.load_manifest(args.manifest)
     if len(manifest.classes) != shape.num_classes:
         raise ValueError(f"{args.manifest}: manifest has {len(manifest.classes)} classes, "
                          f"the model has {shape.num_classes}")
-    samples = data_io.load_split(manifest, split, shape.raw_dim)
-    if not samples:
-        raise ValueError(f"split {split!r} is empty in {args.manifest}")
-    return manifest, samples
+    loaded = []
+    for split in splits:
+        loaded.append(data_io.load_split(manifest, split, shape.raw_dim))
+        if not loaded[-1]:
+            raise ValueError(f"split {split!r} is empty in {args.manifest}")
+    return loaded
 
 
 def cmd_synth(args) -> int:
@@ -179,10 +182,7 @@ def cmd_train(args) -> int:
     removed: it holds config.json from the start, and a checkpoint with its
     history.json after every epoch; run_meta.json is written at the end."""
     cfg = build_run_config(args)
-    manifest, train_split = _load_samples(args, cfg.shape, "train")
-    val_split = data_io.load_split(manifest, "val", cfg.shape.raw_dim)
-    if not val_split:
-        raise ValueError("validation split is empty")
+    train_split, val_split = _load_samples(args, cfg.shape, "train", "val")
     started = time.time()
     out_dir = Path(args.out_dir)
     with contextlib.ExitStack() as stack:
@@ -210,7 +210,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape, args.split)
+    (samples,) = _load_samples(args, params.shape, args.split)
     loss, accuracy, _ = trainer.evaluate(params, samples, {})
     print(f"split={args.split} samples={len(samples)} loss={loss!r} accuracy={accuracy!r}")
     return 0
@@ -218,7 +218,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape, args.split)
+    (samples,) = _load_samples(args, params.shape, args.split)
     samples = sorted(samples, key=lambda s: s.id)
     _, _, probabilities = trainer.evaluate(params, samples, {})
     lines = ["id,label,predicted," + ",".join(f"p_{c}" for c in range(params.shape.num_classes))]
@@ -249,7 +249,7 @@ def cmd_inspect_params(args) -> int:
 def cmd_export_responses(args) -> int:
     params = _load_model_for_inference(args)
     analysis.check_width(params.shape, args.width)
-    _, samples = _load_samples(args, params.shape, args.split)
+    (samples,) = _load_samples(args, params.shape, args.split)
     path = analysis.export_responses(params, samples, args.width, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0
@@ -257,7 +257,7 @@ def cmd_export_responses(args) -> int:
 
 def cmd_export_features(args) -> int:
     params = _load_model_for_inference(args)
-    _, samples = _load_samples(args, params.shape, args.split)
+    (samples,) = _load_samples(args, params.shape, args.split)
     path = analysis.export_pooled_features(params, samples, args.out)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0

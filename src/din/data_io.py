@@ -18,8 +18,9 @@ Checkpoint ("DICK", little-endian):
     count      u32      number of named tensors
     per tensor: name_len u16, name UTF-8, ndim u8, ndim * u32 dims,
                float64 payload
-    tensor namespaces: "param/" current model, "velocity/" optimizer
-    buffers, "best/" best-validation snapshot (required; "has_best": true)
+    layout: the groups "param/" (current model), "velocity/" (optimizer
+    buffers) and "best/" (best-validation snapshot), in that order, each
+    holding the meta shape's parameter table in table order
 
 Writers go through a file that gets its name only as it is renamed into
 place, so readers never observe a partial file. Features are quantized to
@@ -33,17 +34,18 @@ of a split. Only those rows are widened to float64 (exactly). Checkpoints
 round-trip float64 exactly.
 
 Checkpoint I/O moves each tensor's bytes once, between the file and the
-array that owns them, along one path. A load first walks the header, the
-meta block and the whole tensor directory without reading a payload, and
-checks names, dims (none of 0), each payload's end against the file size,
-duplicates and trailing bytes; then it checks the meta and every group's
-names and dims against the shape, and only then reads, with one pread
-each, the payloads it keeps into fresh aligned float64 arrays, each
-checked finite. Inference reads only "param/" or "best/". A save writes
-each group as a streamed part of entries and payloads, every payload from
-its array's own buffer; a "best/" group it copies from an open checkpoint
-file (`din train` copies the one it wrote last) is read the same way into
-one buffer of the largest tensor's size.
+array that owns them, along one path. A load first checks the header and
+the meta block; the meta's shape then fixes the layout, so the load walks
+it without reading a payload: each directory entry must be the bytes that
+`_entry` writes for the layout's next tensor, each payload must end
+within the file, the file must end at the last payload and the count
+must be the layout's. Only then does it read, with one pread each, the
+payloads it keeps into fresh aligned float64 arrays, each checked finite.
+Inference reads only "param/" or "best/". A save writes each group as a
+streamed part of entries and payloads, every payload from its array's
+own buffer; a "best/" group it copies from an open checkpoint file (`din
+train` copies the one it wrote last) is walked the same way and read
+into one buffer of the largest tensor's size.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import BinaryIO, Collection
 
 import numpy as np
 
-from .model import ModelParams, ModelShapeSpec, check_parameter_shapes, parameter_shapes
+from .model import ModelParams, ModelShapeSpec, parameter_shapes
 from .numerics import Array, from_fields, make_rng, require_fields
 from .trainer import EpochReport, TrainConfig, TrainState, schedule
 
@@ -73,6 +75,8 @@ READ_BLOCK_FRAMES = 64
 
 CHECKPOINT_MAGIC = b"DICK"
 CHECKPOINT_VERSION = 1
+# A checkpoint's tensor groups, in file order.
+GROUPS = ("param", "velocity", "best")
 
 SPLITS = ("train", "val", "test")
 
@@ -462,13 +466,18 @@ def _fields(meta: dict) -> dict:
                              if isinstance(value, dict) else [(key, value)]))
 
 
+def _entry(key: str, dims: tuple[int, ...]) -> bytes:
+    """The directory entry of tensor `key` of shape `dims`: name_len u16,
+    the UTF-8 name, ndim u8 and the dims, u32 each."""
+    encoded = key.encode()
+    return struct.pack(f"<H{len(encoded)}sB{len(dims)}I", len(encoded), encoded, len(dims), *dims)
+
+
 def _group(prefix: str, tensors: Iterable[tuple[str, Array]]) -> Iterator:
     """A tensor group as a streamed part: each (name, array) pair's
     directory entry, then its payload from the array's own buffer."""
     for name, arr in tensors:
-        encoded = f"{prefix}/{name}".encode()
-        yield struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
-                          *arr.shape)
+        yield _entry(f"{prefix}/{name}", arr.shape)
         yield np.ascontiguousarray(arr, dtype="<f8")
 
 
@@ -476,7 +485,7 @@ def _copy_best(shape: ModelShapeSpec, f: BinaryIO) -> Iterator[tuple[str, Array]
     """The "best/" tensors of a checkpoint file open for binary reading, in
     parameter-table order, each read into one buffer of the largest
     tensor's size. Their dims must be those of `shape`."""
-    _, directory = _read_checkpoint(f)
+    _, _, directory = _read_checkpoint(f)
     table = parameter_shapes(shape)
     buffer = np.empty(max(math.prod(dims) for dims in table.values()), dtype="<f8")
     for name, dims in table.items():
@@ -486,14 +495,29 @@ def _copy_best(shape: ModelShapeSpec, f: BinaryIO) -> Iterator[tuple[str, Array]
         yield name, _read_tensor(f, directory, f"best/{name}", buffer)
 
 
-def _read_checkpoint(f: BinaryIO) -> tuple[dict, dict[str, tuple[tuple[int, ...], int]]]:
-    """(meta, name -> (dims, payload offset) of every tensor), walked from
-    the start of a checkpoint file open for binary reading; no payload is
-    read."""
-    path = f.name
-    f.seek(0)
-    size = os.fstat(f.fileno()).st_size
-    head = f.read(10)
+def _found_entry(fd: int, at: int) -> tuple[str, tuple[int, ...]]:
+    """(name, dims) of the directory entry at offset `at`, or ("", ()) where
+    the bytes there are not one."""
+    raw = os.pread(fd, 3 + 0xFFFF + 4 * 0xFF, at)  # the longest entry
+    try:
+        (name_len,) = struct.unpack_from("<H", raw)
+        (ndim,) = struct.unpack_from("<B", raw, 2 + name_len)
+        return raw[2 : 2 + name_len].decode(), struct.unpack_from(f"<{ndim}I", raw, 3 + name_len)
+    except (struct.error, UnicodeDecodeError):
+        return "", ()
+
+
+def _read_checkpoint(f: BinaryIO) -> tuple[dict, tuple, dict[str, tuple[tuple[int, ...], int]]]:
+    """(meta, its `_parse_meta` shape, config and state, key -> (dims,
+    payload offset) of every tensor) of a checkpoint file open for binary
+    reading; no payload is read. The meta is checked first. Its shape fixes
+    the layout: the parameter table under each of GROUPS. Each directory
+    entry must be the bytes `_entry` gives the layout's next tensor, each
+    payload must fit in the file, the file must end at the last payload
+    and the count must be the layout's."""
+    path, fd = f.name, f.fileno()
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, 10, 0)
     if len(head) < 10 or head[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
     version, meta_len = struct.unpack_from("<HI", head, 4)
@@ -502,33 +526,33 @@ def _read_checkpoint(f: BinaryIO) -> tuple[dict, dict[str, tuple[tuple[int, ...]
     if 10 + meta_len > size:
         raise FormatError(f"{path}: truncated meta block")
     try:
-        meta = json.loads(f.read(meta_len).decode())
+        meta = json.loads(os.pread(fd, meta_len, 10).decode())
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad meta block: {exc}") from exc
-    directory: dict[str, tuple[tuple[int, ...], int]] = {}
     try:
-        (count,) = struct.unpack("<I", f.read(4))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            encoded = f.read(name_len)
-            if len(encoded) != name_len:
-                raise FormatError(f"{path}: truncated tensor directory")
-            name = encoded.decode()
-            if name in directory:
-                raise FormatError(f"{path}: duplicate tensor {name!r}")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            directory[name] = dims, f.tell()
-            if 0 in dims:  # absurd dims, or a 0 among them, fail before any allocation
-                raise FormatError(f"{path}: tensor {name!r} has a dim of 0")
-            if f.tell() + 8 * math.prod(dims) > size:
-                raise FormatError(f"{path}: truncated payload for tensor {name!r}")
-            f.seek(8 * math.prod(dims), os.SEEK_CUR)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt tensor directory: {exc}") from exc
-    if f.tell() != size:
-        raise FormatError(f"{path}: {size - f.tell()} trailing bytes")
-    return meta, directory
+        parsed = _parse_meta(meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: invalid meta block: {exc}") from exc
+    table, directory, at = parameter_shapes(parsed[0]), {}, 14 + meta_len  # after the count
+    for key, dims in [(f"{group}/{name}", dims) for group in GROUPS for name, dims in table.items()]:
+        entry = _entry(key, dims) if max(dims) <= 0xFFFFFFFF else b""  # no entry holds a larger dim
+        if not entry or os.pread(fd, len(entry), at) != entry:
+            name, found = _found_entry(fd, at)
+            what = (f"shape {found}" if name == key else f"tensor {name!r} of shape {found}" if name
+                    else "a corrupt or truncated entry")
+            raise FormatError(f"{path}: {key}: {what}, expected {dims}")
+        directory[key] = dims, at + len(entry)
+        at += len(entry) + 8 * math.prod(dims)
+        if at > size:
+            raise FormatError(f"{path}: truncated payload for tensor {key!r}")
+    if at < size:
+        name, _ = _found_entry(fd, at)
+        raise FormatError(f"{path}: unexpected tensor {name!r}" if name
+                          else f"{path}: {size - at} trailing bytes")
+    (count,) = struct.unpack("<I", os.pread(fd, 4, 10 + meta_len))  # the first entry follows it
+    if count != len(directory):
+        raise FormatError(f"{path}: tensor count {count}, expected {len(directory)}")
+    return meta, parsed, directory
 
 
 def _read_tensor(f: BinaryIO, directory: dict, name: str, out: Array | None) -> Array:
@@ -545,10 +569,11 @@ def _read_tensor(f: BinaryIO, directory: dict, name: str, out: Array | None) -> 
 
 
 def read_checkpoint_tensors(path: str | Path) -> tuple[dict, dict[str, Array]]:
-    """Low-level read: (meta dict, name -> float64 array). Validates framing."""
+    """Low-level read: (meta dict, key -> float64 array) of every tensor, in
+    file order, after the checks of a load."""
     with open(path, "rb") as f:
-        meta, directory = _read_checkpoint(f)
-        return meta, {name: _read_tensor(f, directory, name, None) for name in directory}
+        meta, _, directory = _read_checkpoint(f)
+        return meta, {key: _read_tensor(f, directory, key, None) for key in directory}
 
 
 def load_checkpoint(
@@ -556,29 +581,13 @@ def load_checkpoint(
 ) -> CheckpointData:
     """Restore a checkpoint from a path or an open file, reading only the
     tensor groups in `groups` (all of them when it is None). The meta, and
-    every tensor's name and dims (read or not) against the embedded shape
-    spec, are checked before any payload is read."""
+    every tensor's entry (read or not) against the layout of its shape, are
+    checked before any payload is read."""
     opened = isinstance(source, (str, os.PathLike))
     with open(source, "rb") if opened else contextlib.nullcontext(source) as f:
-        meta, directory = _read_checkpoint(f)
-        path = f.name
-        try:
-            shape, config, state = _parse_meta(meta)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: invalid meta block: {exc}") from exc
-        present: dict[str, dict[str, tuple[int, ...]]] = {"param": {}, "velocity": {}, "best": {}}
-        for key, (key_dims, _) in directory.items():
-            prefix, _, name = key.partition("/")
-            if prefix not in present:
-                raise FormatError(f"{path}: unexpected tensor {key!r}")
-            present[prefix][name] = key_dims
-        for prefix, group in present.items():
-            try:
-                check_parameter_shapes(shape, group)
-            except ValueError as exc:
-                raise FormatError(f"{path}: {prefix}/{exc}") from exc
-        loaded = {prefix: ModelParams(shape, {n: _read_tensor(f, directory, f"{prefix}/{n}", None)
-                                              for n in group})
-                  for prefix, group in present.items() if groups is None or prefix in groups}
+        _, (shape, config, state), directory = _read_checkpoint(f)
+        loaded = {group: ModelParams(shape, {name: _read_tensor(f, directory, f"{group}/{name}", None)
+                                             for name in parameter_shapes(shape)})
+                  for group in GROUPS if groups is None or group in groups}
     state.velocity = loaded["velocity"].tensors if "velocity" in loaded else None
     return CheckpointData(loaded.get("param"), state, config, loaded.get("best"))

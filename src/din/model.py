@@ -94,36 +94,24 @@ def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def check_parameter_shapes(
-    shape: ModelShapeSpec, dims: dict[str, tuple[int, ...]]
-) -> dict[str, tuple[int, ...]]:
-    """Return the parameter table, or raise a ValueError that starts with
-    the tensor name unless `dims` (name -> dims) holds exactly its names
-    and shapes."""
-    expected = parameter_shapes(shape)
-    for name in dims:
-        if name not in expected:
-            raise ValueError(f"{name}: unexpected tensor")
-    for name, want in expected.items():
-        if name not in dims:
-            raise ValueError(f"{name}: missing tensor")
-        if dims[name] != want:
-            raise ValueError(f"{name}: shape {dims[name]}, expected {want}")
-    return expected
-
-
 @dataclass
 class ModelParams:
     """All trainable state: the live name -> array dict of the parameter
-    table, in table order. The optimizer mutates these arrays in place."""
+    table, in table order. The optimizer mutates these arrays in place. A
+    tensor missing from the dict, not in the table or of another shape is a
+    ValueError that starts with its name."""
 
     shape: ModelShapeSpec
     tensors: dict[str, Array]
 
     def __post_init__(self):
-        expected = check_parameter_shapes(
-            self.shape, {n: np.shape(a) for n, a in self.tensors.items()}
-        )
+        expected = parameter_shapes(self.shape)
+        for name in [*(n for n in self.tensors if n not in expected), *expected]:
+            if name not in expected or name not in self.tensors:
+                raise ValueError(f"{name}: {'missing' if name in expected else 'unexpected'} tensor")
+            if np.shape(self.tensors[name]) != expected[name]:
+                raise ValueError(f"{name}: shape {np.shape(self.tensors[name])}, "
+                                 f"expected {expected[name]}")
         self.tensors = {name: self.tensors[name] for name in expected}
 
     def _pair(self, layer: str) -> tuple[Array, Array]:

@@ -271,14 +271,15 @@ def fit(
         lr = schedule(state.history, config)[0]
         rng = epoch_rng(config.seed, epoch)
         # A diverging epoch overflows long before its logits stop being
-        # finite; report it once, as an ArithmeticError, not as warnings.
+        # finite; report it once, as an ArithmeticError, not as warnings,
+        # naming a non-finite tensor before evaluate finds only its logits.
         try:
             with np.errstate(all="ignore"):
                 train_loss = train_epoch(params, train_split, config, state.velocity, lr, rng,
                                          scratch)
+                _check_finite(params.tensors, "parameter")
+                _check_finite(state.velocity, "velocity")
                 val_loss, val_accuracy, _ = evaluate(params, val_split, scratch)
-            _check_finite(params.tensors, "parameter")
-            _check_finite(state.velocity, "velocity")
         except ArithmeticError as exc:
             raise ArithmeticError(f"training diverged in epoch {epoch}: {exc}") from exc
         state.history.append(EpochReport(epoch, train_loss, val_loss, val_accuracy, lr))

@@ -199,6 +199,24 @@ class TestSynth:
         assert list(tmp_path.iterdir()) == [cfg]
 
 
+# Manifest edits that `din train` rejects, each with its error ("%s" is
+# the manifest's path).
+BROKEN_MANIFESTS = {
+    "no-classes": (lambda doc: doc.update(classes=[]), "%s: 'classes' must be a non-empty list"),
+    "samples-not-a-list": (lambda doc: doc.update(samples={}), "%s: 'samples' must be a list"),
+    "record-not-an-object": (lambda doc: doc["samples"].insert(0, 3),
+                             "%s: sample records must be objects: 3"),
+    "record-without-id": (lambda doc: doc["samples"].insert(0, {"id": "", "label": 0}),
+                          "%s: sample without a valid id: {'id': '', 'label': 0}"),
+    "empty-train": (lambda doc: doc.update(samples=[r for r in doc["samples"]
+                                                    if r["split"] != "train"]),
+                    "split 'train' is empty in %s"),
+    "empty-val": (lambda doc: doc.update(samples=[r for r in doc["samples"]
+                                                  if r["split"] != "val"]),
+                  "split 'val' is empty in %s"),
+}
+
+
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         _, _, run_dir = synth_and_train(tmp_path, capsys)
@@ -376,18 +394,26 @@ class TestTrain:
         for name in ("checkpoint.ckpt", "history.json", "config.json"):
             assert (out_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
-    @pytest.mark.parametrize("broken", ["missing-manifest", "class-count"])
+    @pytest.mark.parametrize("broken", ["missing-manifest", "class-count", *BROKEN_MANIFESTS])
     def test_failed_train_leaves_no_out_dir(self, tmp_path, capsys, broken):
         cfg, data_dir, _ = synth_and_train(tmp_path, capsys)
         manifest = data_dir / "manifest.json"
         if broken == "missing-manifest":
             manifest.unlink()
-        else:
+        elif broken == "class-count":
             add_third_class(data_dir)
+        else:
+            doc = json.loads(manifest.read_text())
+            BROKEN_MANIFESTS[broken][0](doc)
+            manifest.write_text(json.dumps(doc))
         out_dir = tmp_path / "failed" / "run"
         rc = main(["train", "--config", str(cfg), "--manifest", str(manifest),
                    "--out-dir", str(out_dir)])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(manifest) in err, err
+        if broken in BROKEN_MANIFESTS:
+            assert err == f"error: {BROKEN_MANIFESTS[broken][1] % manifest}\n"
         assert not (tmp_path / "failed").exists()
 
     def test_class_count_mismatch_is_validation_error(self, tmp_path, capsys):
@@ -834,6 +860,19 @@ class TestEvalPredict:
         for row in lines[1:]:
             cells = row.split(",")
             assert abs(float(cells[3]) + float(cells[4]) - 1.0) < 1e-9
+
+    def test_predict_without_out_writes_the_out_files_bytes_to_stdout(self, tmp_path, capsys):
+        cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
+        argv = ["predict", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                "--manifest", str(data_dir / "manifest.json")]
+        out_csv = tmp_path / "pred.csv"
+        assert main([*argv, "--out", str(out_csv)]) == 0
+        capsys.readouterr()
+        listing = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == out_csv.read_bytes() and captured.err == ""
+        assert sorted(tmp_path.rglob("*")) == listing
 
     def test_predict_writes_an_out_file_with_the_longest_name(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)

@@ -288,6 +288,26 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == [path]
 
 
+class TestAtomicWriteNamed(TestAtomicWrite):
+    """TestAtomicWrite's cases in a directory that refuses an unnamed file,
+    so each write goes through a named temporary file (O_CREAT | O_EXCL)."""
+
+    @pytest.fixture(autouse=True, params=[errno.EOPNOTSUPP, errno.EISDIR],
+                    ids=["EOPNOTSUPP", "EISDIR"])
+    def named_only(self, request, monkeypatch):
+        real_open, named = os.open, []
+
+        def open_(path, flags, *args, **kw):
+            if flags & os.O_TMPFILE == os.O_TMPFILE:
+                raise OSError(request.param, os.strerror(request.param))
+            named.append(flags & os.O_EXCL)
+            return real_open(path, flags, *args, **kw)
+
+        monkeypatch.setattr(os, "open", open_)
+        yield
+        assert any(named), "no write took the named path"
+
+
 def write_dataset(tmp_path, records, classes=("a", "b")):
     entries = []
     for sid, label, split in records:
@@ -586,6 +606,20 @@ def append_tensor(blob, name, arr):
     return blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + extra
 
 
+def swap_tensors(blob, first, second):
+    """Checkpoint bytes with the adjacent tensors `first` and `second`
+    (entry and payload each) in the other order."""
+    spans = []
+    for name in (first, second):
+        start = blob.index(struct.pack("<H", len(name)) + name.encode())
+        at = start + 2 + len(name)
+        dims = struct.unpack_from(f"<{blob[at]}I", blob, at + 1)
+        spans.append((start, at + 1 + 4 * len(dims) + 8 * math.prod(dims)))
+    (a, b), (c, d) = spans
+    assert b == c
+    return blob[:a] + blob[c:d] + blob[a:b] + blob[d:]
+
+
 DROP = "<drop>"  # marks a meta field the test deletes
 
 
@@ -708,7 +742,51 @@ class TestCheckpoints:
             load_checkpoint(path)
         blob = append_tensor(path.read_bytes(), "param/reduction/bias", np.zeros(3))
         path.write_bytes(blob)
-        with pytest.raises(FormatError, match="duplicate tensor 'param/reduction/bias'"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: velocity/conv/h3/bias: "
+                                              r"shape \(2,\), expected \(4,\)$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value, tensor, dims", [
+        ("num_filters", 2**32, "conv/h2/weights", (4, 6)),
+        ("num_filters", 2**33, "conv/h2/weights", (4, 6)),
+        ("raw_dim", 10**30, "reduction/weights", (4, 3)),
+    ])
+    @pytest.mark.parametrize("groups", [None, ("param",), ()])
+    def test_meta_dim_beyond_u32_names_the_file_and_tensor(
+        self, tmp_path, field, value, tensor, dims, groups
+    ):
+        # No directory entry holds such a dim, so the first tensor that has
+        # it is the first that differs from the layout.
+        path = tmp_path / "wide.ckpt"
+        path.write_bytes(edit_checkpoint_meta(pinned_checkpoint(path),
+                                              lambda meta: meta["shape"].update({field: value})))
+        want = tuple(value if d == dims[0] else d for d in dims)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: param/{tensor}: shape {dims}, "
+                                                        f"expected {want}")):
+            load_checkpoint(path, groups=groups)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda blob: swap_tensors(blob, "param/reduction/weights", "param/reduction/bias"),
+         "param/reduction/weights: tensor 'param/reduction/bias' of shape (3,), expected (4, 3)"),
+        (lambda blob: append_tensor(blob, "best/head/h3/bias", np.zeros(3)),
+         "unexpected tensor 'best/head/h3/bias'"),
+    ], ids=["reordered", "duplicated"])
+    def test_tensors_out_of_layout_order_fail(self, tmp_path, edit, error):
+        # A file holds each group's tensors once, in table order.
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(edit(pinned_checkpoint(path)))
+        for groups in (None, ("param",), ("best",)):
+            with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {error}')}$"):
+                load_checkpoint(path, groups=groups)
+
+    def test_tensor_count_must_be_the_layouts(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        blob = bytearray(pinned_checkpoint(path))
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        struct.pack_into("<I", blob, 10 + meta_len, 29)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: tensor count 29, "
+                                              "expected 30$"):
             load_checkpoint(path)
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
@@ -974,7 +1052,8 @@ class TestStreamedCheckpoints:
         struct.pack_into("<2I", blob, at + 1, 2**32 - 1, 2**32 - 1)
         path = tmp_path / "huge.ckpt"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match=f"truncated payload for tensor '{name}'"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {name}: shape "
+                                              r"\(4294967295, 4294967295\), expected \(4, 3\)$"):
             load_checkpoint(path, groups=groups)
 
     @pytest.fixture(scope="class")
@@ -1016,8 +1095,9 @@ class TestStreamedCheckpoints:
         flipped[at] ^= 0x10
         path.write_bytes(bytes(flipped))
         for groups in (None, ("param",), ("velocity",), ("best",)):
-            with pytest.raises(FormatError, match=f"{re.escape(str(path))}: tensor '{name}' "
-                                                  "has a dim of 0"):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {name}: shape "
+                                                  r"\(4, 0, 0, 0, 0, 0, 0, 0, 0, [0-9, ]+\), "
+                                                  r"expected \(4,\)$"):
                 load_checkpoint(path, groups=groups)
 
 
@@ -1114,6 +1194,27 @@ class TestBestCopy:
         improved = config.max_epochs > 0 and state.best_epoch == config.max_epochs - 1
         event(f"epochs {config.max_epochs}, last improves {improved}, "
               f"resumed {resume_at is not None}")
+
+    def test_diverged_run_names_the_tensor_and_keeps_a_checked_best_group(self, tmp_path):
+        # lr 0.5, batch 1 and keep 0.5 grow the reduction weights past
+        # float64 in epoch 2. Epoch 1 did not improve on epoch 0, so the
+        # checkpoint the run keeps copied its best/ group.
+        config = TrainConfig(batch_size=1, initial_lr=0.5, dropout_keep=0.5, max_epochs=4, seed=1)
+        splits = synth_order_task(SyntheticTaskConfig(
+            num_prototypes=2, feature_dim=4, sequence_length=5, samples_per_class=3,
+            val_samples_per_class=2, seed=1))
+        params = init_model(TINY_SHAPE, init_rng(config.seed))
+        with pytest.raises(ArithmeticError, match="^training diverged in epoch 2: non-finite "
+                                                  "values in parameter tensor reduction/weights$"):
+            train(tmp_path / "run", params, splits, config, TrainState.fresh(params), params)
+        kept = load_checkpoint(tmp_path / "run" / CHECKPOINT_FILE)
+        assert len(kept.state.history) == 2 and kept.state.best_epoch == 0
+        reference = init_model(TINY_SHAPE, init_rng(config.seed))
+        fit(reference, splits["train"], splits["val"], dataclasses.replace(config, max_epochs=1),
+            TrainState.fresh(reference), ignore_epoch)
+        for name, arr in reference.tensors.items():
+            assert kept.best.tensors[name].tobytes() == arr.tobytes(), name
+        assert_history_is_the_checkpoints(tmp_path / "run")
 
     def test_copy_reads_through_one_tensor_sized_buffer(self, tmp_path):
         params = init_model(MEMORY_SHAPE, make_rng(4))
