@@ -746,23 +746,21 @@ class TestCheckpoints:
                                               r"shape \(2,\), expected \(4,\)$"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field, value, tensor, dims", [
-        ("num_filters", 2**32, "conv/h2/weights", (4, 6)),
-        ("num_filters", 2**33, "conv/h2/weights", (4, 6)),
-        ("raw_dim", 10**30, "reduction/weights", (4, 3)),
+    @pytest.mark.parametrize("field, value, error", [
+        ("num_filters", 2**32, "conv/h2/weights: shape (4, 6), expected (4294967296, 6)"),
+        ("num_filters", 2**33, "conv/h2/weights: shape (4, 6), expected (8589934592, 6)"),
+        ("raw_dim", 10**30, f"reduction/weights: shape (4, 3), expected ({10**30}, 3)"),
     ])
     @pytest.mark.parametrize("groups", [None, ("param",), ()])
     def test_meta_dim_beyond_u32_names_the_file_and_tensor(
-        self, tmp_path, field, value, tensor, dims, groups
+        self, tmp_path, field, value, error, groups
     ):
         # No directory entry holds such a dim, so the first tensor that has
         # it is the first that differs from the layout.
         path = tmp_path / "wide.ckpt"
         path.write_bytes(edit_checkpoint_meta(pinned_checkpoint(path),
                                               lambda meta: meta["shape"].update({field: value})))
-        want = tuple(value if d == dims[0] else d for d in dims)
-        with pytest.raises(FormatError, match=re.escape(f"{path}: param/{tensor}: shape {dims}, "
-                                                        f"expected {want}")):
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: param/{error}')}$"):
             load_checkpoint(path, groups=groups)
 
     @pytest.mark.parametrize("edit, error", [
