@@ -143,10 +143,10 @@ def train_to_checkpoint(run_dir, params, train_split, val_split, config, state, 
     echo(report); once after fit only when no epoch ran. A kill between the
     two writes can leave the history one epoch behind: the checkpoint is
     the record of the run. Its best/ group is the parameters after an
-    improving epoch, else copied from `best` (the initial parameters, or
-    the open checkpoint file the run resumes) until the first save, and
-    after it from the checkpoint last written, kept open so that the next
-    save's rename cannot take it."""
+    improving epoch, else copied from `best` (None: the initial parameters
+    are their own; or the open checkpoint file the run resumes) until the
+    first save, and after it from the checkpoint last written, kept open so
+    that the next save's rename cannot take it."""
     path, history = Path(run_dir) / CHECKPOINT_FILE, Path(run_dir) / HISTORY_FILE
     with contextlib.ExitStack() as stack:
         def save(source) -> None:
@@ -161,7 +161,7 @@ def train_to_checkpoint(run_dir, params, train_split, val_split, config, state, 
             best = stack.enter_context(open(path, "rb"))
 
         def on_epoch(report, improved) -> None:
-            save(params if improved else best)
+            save(None if improved else best)
             echo(report)
 
         done = len(state.history)
@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
             params, state = ckpt.model, ckpt.state
         else:
             params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
-            state, best = trainer.TrainState.fresh(params), params
+            state, best = trainer.TrainState.fresh(params), None
         out_dir.mkdir(parents=True, exist_ok=True)
         data_io.atomic_write_bytes(out_dir / "config.json", _json_bytes(asdict(cfg)))
         for report in state.history:  # the epochs before a resume

@@ -64,7 +64,7 @@ from typing import BinaryIO, Collection
 import numpy as np
 
 from .model import ModelParams, ModelShapeSpec, parameter_shapes
-from .numerics import Array, from_fields, make_rng, require_fields
+from .numerics import SHOWN, Array, from_fields, make_rng, require_fields
 from .trainer import EpochReport, TrainConfig, TrainState, schedule
 
 FEATURE_MAGIC = b"DIFX"
@@ -403,22 +403,14 @@ class CheckpointData:
     best: ModelParams | None
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: ModelParams,
-    state: TrainState,
-    config: TrainConfig,
-    best: ModelParams | BinaryIO,
-) -> None:
+def save_checkpoint(path: str | Path, model: ModelParams, state: TrainState, config: TrainConfig,
+                    best: BinaryIO | None) -> None:
     """Serialize model, optimizer, training bookkeeping and the best
-    snapshot, atomically. Each tensor is written from its array's own
-    buffer, not copied. The best snapshot is parameters of the model's
-    shape, or a checkpoint file open for binary reading whose "best/"
-    group is copied."""
+    snapshot, atomically, each tensor from its array's own buffer. `best` is
+    None when the model is its own best snapshot, or a checkpoint file of
+    its shape, open for binary reading, whose "best/" group is copied."""
     meta_bytes = json.dumps(_meta(config, model.shape, state), sort_keys=True).encode()
-    if isinstance(best, ModelParams) and best.shape != model.shape:
-        raise ValueError("the best snapshot's shape differs from the model's")
-    saved = best.tensors.items() if isinstance(best, ModelParams) else _copy_best(model.shape, best)
+    saved = model.tensors.items() if best is None else _copy_best(model.shape, best)
     head = struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(meta_bytes))
     count = struct.pack("<I", 2 * len(model.tensors) + len(state.velocity))
     atomic_write_bytes(Path(path), head, meta_bytes, count, _group("param", model.tensors.items()),
@@ -446,17 +438,28 @@ def _parse_meta(meta: dict) -> tuple[ModelShapeSpec, TrainConfig, TrainState]:
     records hold exactly their fields and check themselves (numbers are
     kept as read); every other field must have the JSON text of the one
     they determine. An error names the field."""
-    shape = ModelShapeSpec.from_dict(meta["shape"])
-    config = from_fields(TrainConfig, meta["config"])
-    state = TrainState(None, [from_fields(EpochReport, r) for r in meta["history"]])
+    shape = _record(ModelShapeSpec, "shape", meta["shape"])
+    config = _record(TrainConfig, "config", meta["config"])
+    if not isinstance(meta["history"], list):
+        raise ValueError(f"history must be a list, got {SHOWN.repr(meta['history'])}")
+    state = TrainState(None, [_record(EpochReport, f"history.{i}", r)
+                              for i, r in enumerate(meta["history"])])
     stored, rebuilt = _fields(meta), _fields(_meta(config, shape, state))
     for name in [*rebuilt, *sorted(stored.keys() - rebuilt.keys())]:
         if name not in stored or name not in rebuilt:
             raise ValueError(f"{'missing' if name in rebuilt else 'unknown'} key {name!r}")
         text = json.dumps(rebuilt[name], sort_keys=True)
         if json.dumps(stored[name], sort_keys=True) != text:
-            raise ValueError(f"{name} must be {text}, got {stored[name]!r}")
+            raise ValueError(f"{name} must be {text}, got {SHOWN.repr(stored[name])}")
     return shape, config, state
+
+
+def _record(cls, key: str, d):
+    """from_fields(cls, d) for the meta value at `key`; an error starts with the key."""
+    try:
+        return from_fields(cls, d)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _fields(meta: dict) -> dict:
@@ -482,16 +485,17 @@ def _group(prefix: str, tensors: Iterable[tuple[str, Array]]) -> Iterator:
 
 
 def _copy_best(shape: ModelShapeSpec, f: BinaryIO) -> Iterator[tuple[str, Array]]:
-    """The "best/" tensors of a checkpoint file open for binary reading, in
-    parameter-table order, each read into one buffer of the largest
-    tensor's size. Their dims must be those of `shape`."""
-    _, _, directory = _read_checkpoint(f)
+    """The "best/" tensors, in table order, of a checkpoint file of meta
+    shape `shape` (an error names each field that differs) open for binary
+    reading, each read into one buffer of the largest tensor's size."""
+    _, (found, _, _), directory = _read_checkpoint(f)
+    if found != shape:
+        raise FormatError(f"{f.name}: " + "; ".join(
+            f"shape.{name} {value!r}, expected {getattr(shape, name)!r}"
+            for name, value in asdict(found).items() if value != getattr(shape, name)))
     table = parameter_shapes(shape)
     buffer = np.empty(max(math.prod(dims) for dims in table.values()), dtype="<f8")
-    for name, dims in table.items():
-        found = directory.get(f"best/{name}", (None,))[0]
-        if found != dims:
-            raise FormatError(f"{f.name}: tensor 'best/{name}' has dims {found}, expected {dims}")
+    for name in table:
         yield name, _read_tensor(f, directory, f"best/{name}", buffer)
 
 
@@ -510,11 +514,7 @@ def _found_entry(fd: int, at: int) -> tuple[str, tuple[int, ...]]:
 def _read_checkpoint(f: BinaryIO) -> tuple[dict, tuple, dict[str, tuple[tuple[int, ...], int]]]:
     """(meta, its `_parse_meta` shape, config and state, key -> (dims,
     payload offset) of every tensor) of a checkpoint file open for binary
-    reading; no payload is read. The meta is checked first. Its shape fixes
-    the layout: the parameter table under each of GROUPS. Each directory
-    entry must be the bytes `_entry` gives the layout's next tensor, each
-    payload must fit in the file, the file must end at the last payload
-    and the count must be the layout's."""
+    reading, checked as the module docstring says; no payload is read."""
     path, fd = f.name, f.fileno()
     size = os.fstat(fd).st_size
     head = os.pread(fd, 10, 0)

@@ -44,19 +44,19 @@ def require_fields(record, finite: bool = False) -> None:
                 raise ValueError(f"{f.name} must be finite, got {SHOWN.repr(v)}")
 
 
-def from_fields(cls, d: dict, **given):
-    """cls(**d, **given) for a dataclass `cls`, where the dict `d` holds
-    exactly the fields that `given` does not: a missing or an unknown key
-    is a ValueError naming it."""
-    names = {f.name for f in fields(cls)} - set(given)
+def from_fields(cls, d: dict):
+    """cls(**d) for a dataclass `cls`: a `d` that is not a dict, or that
+    misses or adds a field, is a ValueError naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__}: expected an object, got {SHOWN.repr(d)}")
+    names = {f.name for f in fields(cls)}
     key = min(names ^ set(d), default=None)
     if key is not None:
         raise ValueError(f"{cls.__name__}: {'missing' if key in names else 'unknown'} key {key!r}")
-    return cls(**d, **given)
+    return cls(**d)
 
 
-def scratch_view(scratch: dict[str, Array], role: str, shape: tuple[int, ...],
-                 reserve: int = 0) -> Array:
+def scratch_view(scratch: dict[str, Array], role: str, shape: tuple[int, ...]) -> Array:
     """A C-contiguous float64 array of `shape`: the leading elements of the
     flat buffer scratch[role].
 
@@ -64,21 +64,20 @@ def scratch_view(scratch: dict[str, Array], role: str, shape: tuple[int, ...],
     that every engine call runs in, made by whoever owns the run, never by
     model.batches; trainer.fit keeps one for all its epochs and validation
     passes. A role's buffer is created the first time the role is asked
-    for, with room for `reserve` elements if that is more, and replaced only
-    when a request does not fit; an array from here is valid until the next
-    request for its role. A call's first batch is its largest and the widths
-    run ascending, so a role sized by the batch or by one width's windows is
-    first asked for at its largest; a role whose requests vary by width or
-    by tensor is first asked for at, or reserves, the most it will hold. At
-    a batch_size below model.EVAL_BATCH, fit's first validation pass regrows
-    the batch-sized roles once (about 2.5 MB more peak at the paper shape
-    with batch_size 16). Regrowing a large buffer mid-call frees a mapped
-    block, which raises glibc's mmap threshold (mallopt(3)), moves later
-    buffers onto the heap and raises peak memory.
+    for and replaced only when a request does not fit; an array from here
+    is valid until the next request for its role. A call's first batch is
+    its largest and the widths run ascending, so a role sized by the batch
+    or by one width's windows is first asked for at its largest; a role
+    whose requests vary by width or by tensor is first asked for at the
+    most it will hold. At a batch_size below model.EVAL_BATCH, fit's first
+    validation pass regrows the batch-sized roles once (about 2.5 MB more
+    peak at the paper shape with batch_size 16). Regrowing a large buffer
+    mid-call frees a mapped block, which raises glibc's mmap threshold
+    (mallopt(3)), moves later buffers onto the heap and raises peak memory.
     """
     size = math.prod(shape)
     if role not in scratch or scratch[role].size < size:
-        scratch[role] = np.empty(max(size, reserve))
+        scratch[role] = np.empty(size)
     return scratch[role][:size].reshape(shape)
 
 

@@ -156,7 +156,7 @@ def sgd_momentum_step(
     scales the gradient's block in place, then the terms go through one
     buffer in the formula's order of operations, so the result is
     bit-identical to evaluating it over whole tensors with temporaries.
-    That buffer is the "block" role of `scratch` (numerics.scratch_view).
+    That buffer is `scratch`'s "block" role, of max(OPT_BLOCK, row) elements.
     """
     done: set[str] = set()
     for name, grad in grads:
@@ -167,11 +167,11 @@ def sgd_momentum_step(
         if grad.shape != param.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         decay = 0.0 if name.endswith("/bias") else config.weight_decay
-        rows = max(1, OPT_BLOCK // math.prod(param.shape[1:]))
-        block = scratch_view(scratch, "block", (min(rows, len(param)), *param.shape[1:]), OPT_BLOCK)
+        rows = max(1, OPT_BLOCK // param[0].size)
+        block = scratch_view(scratch, "block", (max(OPT_BLOCK, param[0].size),))
         for lo in range(0, len(param), rows):
             p, v, g = param[lo : lo + rows], vel[lo : lo + rows], grad[lo : lo + rows]
-            term = block[: len(p)]
+            term = block[: p.size].reshape(p.shape)
             if scale != 1.0:
                 g *= scale
             v *= config.momentum

@@ -10,7 +10,8 @@ a manifest.json, as perfbench writes them under
 thread) in a temporary directory:
 
     synth; train; train with max_epochs 2, then --resume it with
-    max_epochs 3; eval and eval --use-best; predict to a file and to
+    max_epochs 3 into a new directory, then --resume it with max_epochs 4
+    into its own directory; eval and eval --use-best; predict to a file and to
     stdout; export-features; export-responses at the smallest width;
     inspect-params; selftest; then the argv errors: synth without
     --out-dir, train without --manifest, eval, predict,
@@ -18,7 +19,11 @@ thread) in a temporary directory:
     train with --resume ""
 
 The two shorter runs take copies of the config with that max_epochs,
-written into the temporary directory as two.json and three.json. Each
+written into the temporary directory as two.json and three.json; the
+resume into its own directory takes a copy of that run's config.json,
+written as four.json once the run has made it. On that path the first
+save renames over the open --resume file, from which it copies best/ when
+the first resumed epoch does not improve (as on the tiny inputs). Each
 argv error is given the other options of its command, its outputs under
 new names, so a change to the exit codes of the argv contract, or a file
 an argv error writes, shows in the digest.
@@ -26,8 +31,8 @@ an argv error writes, shows in the digest.
 Inference commands use the test split when the manifest has one, else
 val. For each command it prints the exit code and the sha256 of stdout and
 stderr (with the temporary and the inputs directory replaced by fixed
-names), then the sha256 of every file written so far that it has not
-printed yet; run_meta.json holds wall-clock times and is skipped. Two
+names), then the sha256 of every file that is new or changed since its
+last line; run_meta.json holds wall-clock times and is skipped. Two
 checkouts leave the CLI's behaviour unchanged when their outputs are
 identical.
 
@@ -56,6 +61,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +79,9 @@ def with_max_epochs(config: dict, epochs: int, path: Path) -> list[str]:
     return ["--config", str(path)]
 
 
-def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
-    """(name, argv) of each command; writes the derived configs into `work`."""
+def sequence(inputs: Path, work: Path) -> Iterator[tuple[str, list[str]]]:
+    """(name, argv) of each command, in turn; writes the derived configs
+    into `work`, each once the commands before it have run."""
     config = json.loads((inputs / "config.json").read_text())
     manifest = json.loads((inputs / "manifest.json").read_text())
     split = "test" if any(s["split"] == "test" for s in manifest["samples"]) else "val"
@@ -84,7 +91,7 @@ def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
     data = [*cfg, *manifest_args]
     samples = [*manifest_args, "--split", split]
     model = ["--checkpoint", str(work / "train" / "checkpoint.ckpt"), *samples]
-    return [
+    yield from [
         ("synth", ["synth", *cfg, "--out-dir", str(work / "synth")]),
         ("train", ["train", *data, "--out-dir", str(work / "train")]),
         ("train-2", ["train", *with_max_epochs(config, 2, work / "two.json"), *manifest_args,
@@ -92,6 +99,12 @@ def sequence(inputs: Path, work: Path) -> list[tuple[str, list[str]]]:
         ("resume", ["train", *with_max_epochs(config, 3, work / "three.json"), *manifest_args,
                     "--out-dir", str(work / "resumed"),
                     "--resume", str(work / "two" / "checkpoint.ckpt")]),
+    ]
+    own = json.loads((work / "two" / "config.json").read_text())
+    yield ("resume-own-dir", ["train", *with_max_epochs(own, 4, work / "four.json"),
+                              *manifest_args, "--out-dir", str(work / "two"),
+                              "--resume", str(work / "two" / "checkpoint.ckpt")])
+    yield from [
         ("eval", ["eval", *model]),
         ("eval-best", ["eval", *model, "--use-best"]),
         ("predict-file", ["predict", *model, "--out", str(work / "predictions.csv")]),
@@ -122,7 +135,7 @@ def digest(checkout: Path, inputs: Path) -> list[str]:
                                                         os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
         work = Path(tmp)
-        seen: set[Path] = set()
+        printed: dict[Path, str] = {}
         for name, argv in sequence(inputs, work):
             proc = subprocess.run([sys.executable, "-m", "din.cli", *argv], cwd=work, env=env,
                                   capture_output=True, check=False)
@@ -131,10 +144,12 @@ def digest(checkout: Path, inputs: Path) -> list[str]:
                 data = data.replace(str(work).encode(), b"WORK")
                 data = data.replace(str(inputs).encode(), b"INPUTS")
                 lines.append(f"sha256 {sha256(data)} {name}.{stream}")
-            for path in sorted(p for p in work.rglob("*") if p.is_file()):
-                if path not in seen and path.name != "run_meta.json":
-                    seen.add(path)
-                    lines.append(f"sha256 {sha256(path.read_bytes())} {path.relative_to(work)}")
+            for path in sorted(p for p in work.rglob("*")
+                               if p.is_file() and p.name != "run_meta.json"):
+                line = f"sha256 {sha256(path.read_bytes())} {path.relative_to(work)}"
+                if printed.get(path) != line:
+                    printed[path] = line
+                    lines.append(line)
     return lines
 
 

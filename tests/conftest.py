@@ -37,9 +37,9 @@ def ignore_epoch(report, improved):
 
 
 def save_fresh_checkpoint(path, params, config):
-    """Save the state before the first epoch, with `params` as its best
+    """Save the state before the first epoch, with `params` their own best
     snapshot, as a fresh `din train` run with no epochs does."""
-    save_checkpoint(path, params, TrainState.fresh(params), config, params)
+    save_checkpoint(path, params, TrainState.fresh(params), config, None)
 
 
 def assert_history_is_the_checkpoints(run_dir):

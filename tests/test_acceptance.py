@@ -142,7 +142,7 @@ def test_determinism_and_resume(tmp_path):
 
     def full_run(tag):
         params = init_model(shape, init_rng(config.seed))
-        state = train(tmp_path / tag, config, params, TrainState.fresh(params), params)
+        state = train(tmp_path / tag, config, params, TrainState.fresh(params), None)
         return state.history, (tmp_path / tag / CHECKPOINT_FILE).read_bytes()
 
     history_a, blob_a = full_run("a")

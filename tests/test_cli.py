@@ -7,6 +7,7 @@ import math
 import os
 import resource
 import signal
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -118,6 +119,19 @@ def four_epochs_two_ways(tmp_path, cfg):
 DEEP_JSON = "[" * 100_000 + "\n"
 
 NO_BEST_ERROR = "invalid meta block: has_best must be true, got False"
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """(manifest, run directory) of one `din train` of base_config's data,
+    for tests that only read them."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    cfg, data_dir, run_dir = base_config(tmp_path), tmp_path / "data", tmp_path / "run"
+    manifest = data_dir / "manifest.json"
+    assert run_main(["synth", "--config", str(cfg), "--out-dir", str(data_dir)])[0] == 0
+    assert run_main(["train", "--config", str(cfg), "--manifest", str(manifest),
+                     "--out-dir", str(run_dir)])[0] == 0
+    return manifest, run_dir
 
 
 def no_best_checkpoint(run_dir, tmp_path):
@@ -948,6 +962,45 @@ class TestEvalPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and field in err
+
+    @pytest.mark.parametrize("value", [5, "x", [], [1], {}, None],
+                             ids=["int", "str", "empty-list", "list", "empty-object", "null"])
+    @pytest.mark.parametrize("key", ["config", "shape", "history", "history.0"])
+    def test_meta_value_of_another_kind_names_its_key(self, tmp_path, trained_run, key, value):
+        manifest, run_dir = trained_run
+        ckpt = tmp_path / "edited.ckpt"
+
+        def edit(meta):
+            if key == "history.0":
+                meta["history"][0] = value
+            else:
+                meta[key] = value
+
+        ckpt.write_bytes(edit_checkpoint_meta((run_dir / "checkpoint.ckpt").read_bytes(), edit))
+        rc, err = run_main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        # An empty history is well formed; the line names the first field
+        # that the run's two epochs determined and it contradicts.
+        named = ("optimizer.best_val_error must be Infinity" if (key, value) == ("history", [])
+                 else key)
+        assert rc == 2 and err.count("\n") == 1, err
+        assert err.startswith(f"error: {ckpt}: invalid meta block: {named}"), err
+
+    @pytest.mark.parametrize("depth", [900, 980])
+    def test_deeply_nested_meta_value_is_shown_bounded(self, tmp_path, trained_run, depth):
+        # Nested this deep, the value parses and prints as JSON only in a
+        # shallow stack: the meta is edited as bytes and read by a command.
+        manifest, run_dir = trained_run
+        ckpt = tmp_path / "deep.ckpt"
+        blob = (run_dir / "checkpoint.ckpt").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        meta = blob[10 : 10 + meta_len].replace(b'"best_epoch": 0',
+                                                b'"best_epoch": ' + b"[" * depth + b"]" * depth)
+        ckpt.write_bytes(with_meta_block(blob, meta))
+        proc = run_din("eval", "--checkpoint", ckpt, "--manifest", manifest)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {ckpt}: invalid meta block: "
+                               "best_epoch must be 0, got [[...]]\n")
+        assert len(proc.stderr) < 200
 
     def test_deeply_nested_manifest_names_the_file(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)

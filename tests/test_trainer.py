@@ -625,9 +625,9 @@ def scratch_creations():
     creations: dict[int, dict[str, list[int]]] = {}
     held = []  # each recorded scratch stays alive, so no id is reused
 
-    def counted(scratch, role, shape, reserve=0):
+    def counted(scratch, role, shape):
         before = None if scratch is None else scratch.get(role)
-        view = scratch_view(scratch, role, shape, reserve)
+        view = scratch_view(scratch, role, shape)
         if scratch is not None and scratch[role] is not before:
             if id(scratch) not in creations:
                 held.append(scratch)
