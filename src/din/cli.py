@@ -27,7 +27,7 @@ from pathlib import Path
 from . import analysis, data_io, selftest, trainer
 from .classifier import predict
 from .model import ModelShapeSpec, init_model
-from .numerics import from_fields
+from .numerics import SHOWN, from_fields
 
 # The configuration file's sections and the record each one builds.
 SECTIONS = {"shape": ModelShapeSpec, "train": trainer.TrainConfig,
@@ -63,7 +63,7 @@ class RunConfig:
 
 def build_run_config(args) -> RunConfig:
     """Each section's record from its defaults, then the --config file's
-    values; every error in the file starts with its path."""
+    values; every error in the file starts with its path, then its section."""
     path, doc = args.config, {}
     if path:
         try:
@@ -74,10 +74,10 @@ def build_run_config(args) -> RunConfig:
             raise ValueError(f"{path}: config must be an object of section objects")
         unknown = set(doc) - set(SECTIONS)
         if unknown:
-            raise ValueError(f"{path}: unknown config sections: {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown config sections: {SHOWN.repr(sorted(unknown))}")
     try:
-        return RunConfig(**{section: from_fields(record, {**asdict(record()), **doc.get(section, {})})
-                            for section, record in SECTIONS.items()})
+        return RunConfig(**{name: from_fields(cls, {**asdict(cls()), **doc.get(name, {})}, name)
+                            for name, cls in SECTIONS.items()})
     except ValueError as exc:  # an unknown key or a field check; the defaults pass
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -118,15 +118,17 @@ def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
     """A resumed run keeps the checkpoint's shape and train config; only
     max_epochs may change, and not to fewer than the epochs completed."""
     diffs = [
-        f"{section}.{f.name} {getattr(theirs, f.name)!r} -> {getattr(ours, f.name)!r}"
+        f"{section}.{f.name} {SHOWN.repr(getattr(theirs, f.name))} -> "
+        f"{SHOWN.repr(getattr(ours, f.name))}"
         for section, ours, theirs in (("shape", cfg.shape, ckpt.model.shape),
                                       ("train", cfg.train, ckpt.config))
         for f in fields(ours)
         if f.name != "max_epochs" and getattr(ours, f.name) != getattr(theirs, f.name)
     ]
     if diffs:
+        more = f" and {len(diffs) - 3} more" if len(diffs) > 3 else ""
         raise ValueError(f"{path}: cannot resume with a different configuration "
-                         f"(only max_epochs may change): {', '.join(diffs)}")
+                         f"(only max_epochs may change): {', '.join(diffs[:3])}{more}")
     wanted, done = cfg.train.max_epochs, len(ckpt.state.history)
     if wanted < done:
         raise ValueError(f"{path}: max_epochs {wanted} is below its {done} completed epochs")
@@ -182,16 +184,16 @@ def cmd_train(args) -> int:
     removed: it holds config.json from the start, and a checkpoint with its
     history.json after every epoch; run_meta.json is written at the end."""
     cfg = build_run_config(args)
-    train_split, val_split = _load_samples(args, cfg.shape, "train", "val")
-    started = time.time()
     out_dir = Path(args.out_dir)
     with contextlib.ExitStack() as stack:
         if args.resume:  # its best/ group stays in the file until the first save copies it
             best = stack.enter_context(open(args.resume, "rb"))
             ckpt = data_io.load_checkpoint(best, groups=("param", "velocity"))
-            _check_resume(args.resume, cfg, ckpt)
+            _check_resume(args.resume, cfg, ckpt)  # before the manifest is held to cfg.shape
             params, state = ckpt.model, ckpt.state
-        else:
+        train_split, val_split = _load_samples(args, cfg.shape, "train", "val")
+        started = time.time()
+        if not args.resume:
             params = init_model(cfg.shape, trainer.init_rng(cfg.train.seed))
             state, best = trainer.TrainState.fresh(params), None
         out_dir.mkdir(parents=True, exist_ok=True)

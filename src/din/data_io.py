@@ -64,7 +64,7 @@ from typing import BinaryIO, Collection
 import numpy as np
 
 from .model import ModelParams, ModelShapeSpec, parameter_shapes
-from .numerics import SHOWN, Array, from_fields, make_rng, require_fields
+from .numerics import SHOWN, Array, from_fields, make_rng, require_fields, require_keys
 from .trainer import EpochReport, TrainConfig, TrainState, schedule
 
 FEATURE_MAGIC = b"DIFX"
@@ -228,6 +228,18 @@ class ManifestEntry:
     label: int
     split: str
 
+    def __post_init__(self):
+        require_fields(self)
+        if not isinstance(self.id, str) or not self.id or any(c in self.id for c in ',"\r\n'):
+            raise ValueError("id must be a non-empty string without ',', '\"', CR or LF, "
+                             f"got {SHOWN.repr(self.id)}")
+        if not isinstance(self.feature_path, str):
+            raise ValueError(f"feature_path must be a string, got {SHOWN.repr(self.feature_path)}")
+        if self.label < 0:
+            raise ValueError(f"label must be >= 0, got {SHOWN.repr(self.label)}")
+        if self.split not in SPLITS:
+            raise ValueError(f"split must be one of {SPLITS}, got {SHOWN.repr(self.split)}")
+
 
 @dataclass
 class DatasetManifest:
@@ -242,71 +254,52 @@ class DatasetManifest:
 
 
 def save_manifest(path: str | Path, classes: list[str], entries: list[ManifestEntry]) -> None:
-    doc = {
-        "classes": list(classes),
-        "samples": [
-            {"id": e.id, "feature_path": e.feature_path, "label": e.label, "split": e.split}
-            for e in entries
-        ],
-    }
+    doc = {"classes": list(classes), "samples": [asdict(e) for e in entries]}
     atomic_write_bytes(Path(path), json.dumps(doc, indent=2, sort_keys=True).encode())
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse and validate a manifest; every feature path must resolve."""
+    """Parse and validate a manifest of exactly `classes` and `samples`; an
+    error starts with its path, then with a sample's key path (`samples.<i>`)."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 JSON, too deep
         raise ManifestError(f"{path}: cannot parse manifest: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
-    classes = doc.get("classes")
-    samples = doc.get("samples")
-    if not isinstance(classes, list) or not classes:
-        raise ManifestError(f"{path}: 'classes' must be a non-empty list")
-    if not isinstance(samples, list):
-        raise ManifestError(f"{path}: 'samples' must be a list")
-    root = path.parent
-    entries: list[ManifestEntry] = []
-    seen: set[str] = set()
-    for record in samples:
-        if not isinstance(record, dict):
-            raise ManifestError(f"{path}: sample records must be objects: {record!r}")
-        sid = record.get("id")
-        if not isinstance(sid, str) or not sid:
-            raise ManifestError(f"{path}: sample without a valid id: {record!r}")
-        if any(c in sid for c in ',"\r\n'):
-            raise ManifestError(f"{path}: sample {sid!r}: an id must not hold ',', '\"', CR or LF")
-        if sid in seen:
-            raise ManifestError(f"{path}: duplicate sample id {sid!r}")
-        seen.add(sid)
-        label = record.get("label")
-        if isinstance(label, bool) or not isinstance(label, int) or not 0 <= label < len(classes):
-            raise ManifestError(f"{path}: sample {sid!r} label {label!r} outside [0, {len(classes)})")
-        split = record.get("split")
-        if split not in SPLITS:
-            raise ManifestError(f"{path}: sample {sid!r} has unknown split {split!r}")
-        feature_path = record.get("feature_path")
-        if not isinstance(feature_path, str) or not (root / feature_path).is_file():
-            raise ManifestError(f"{path}: sample {sid!r} feature file not found: {feature_path!r}")
-        entries.append(ManifestEntry(sid, feature_path, label, split))
-    return DatasetManifest(list(classes), entries, root)
+    entries: dict[str, ManifestEntry] = {}
+    try:
+        require_keys(doc, {"classes", "samples"})
+        classes, samples = doc["classes"], doc["samples"]
+        if not isinstance(classes, list) or not classes:
+            raise ValueError("'classes' must be a non-empty list")
+        if not isinstance(samples, list):
+            raise ValueError("'samples' must be a list")
+        for i, record in enumerate(samples):
+            e = from_fields(ManifestEntry, record, f"samples.{i}")
+            if e.id in entries:
+                raise ValueError(f"samples.{i}: duplicate id {SHOWN.repr(e.id)}")
+            if e.label >= len(classes):
+                raise ValueError(f"samples.{i}: label must be < {len(classes)}, "
+                                 f"got {SHOWN.repr(e.label)}")
+            if not os.path.isfile(path.parent / e.feature_path):  # no OSError on ENAMETOOLONG
+                raise ValueError(f"samples.{i}: feature file not found: {SHOWN.repr(e.feature_path)}")
+            entries[e.id] = e
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
+    return DatasetManifest(classes, list(entries.values()), path.parent)
 
 
 def load_split(manifest: DatasetManifest, split: str, raw_dim: int) -> list[Sample]:
     """Scan every feature file of one split, in manifest order, with one
     `read_feature_file` call each; every sample's feature dim must equal
     the model's raw_dim. Each sample's features are a `FeatureRows` reader
-    of its file."""
-    if split not in SPLITS:
-        raise ManifestError(f"unknown split {split!r}")
+    of its file. A split that no sample has yields none."""
     samples = []
     for e in manifest.split(split):
         try:
             features = read_feature_file(manifest.root / e.feature_path, raw_dim)
         except ManifestError as exc:  # the dim check, which cannot know the sample
-            raise ManifestError(f"sample {e.id!r}: {exc}") from exc
+            raise ManifestError(f"sample {SHOWN.repr(e.id)}: {exc}") from exc
         samples.append(Sample(e.id, features, e.label))
     return samples
 
@@ -433,33 +426,27 @@ def _meta(config: TrainConfig, shape: ModelShapeSpec, state: TrainState) -> dict
     }
 
 
-def _parse_meta(meta: dict) -> tuple[ModelShapeSpec, TrainConfig, TrainState]:
-    """The shape, config and state (velocity None) of a meta block. Their
-    records hold exactly their fields and check themselves (numbers are
-    kept as read); every other field must have the JSON text of the one
-    they determine. An error names the field."""
-    shape = _record(ModelShapeSpec, "shape", meta["shape"])
-    config = _record(TrainConfig, "config", meta["config"])
+def _parse_meta(meta) -> tuple[ModelShapeSpec, TrainConfig, TrainState]:
+    """The shape, config and state (velocity None) of a meta block of
+    exactly the keys _meta writes: its records hold exactly their fields and
+    check themselves (numbers kept as read), and every other field must have
+    the JSON text they determine. An error starts with the key path at fault."""
+    require_keys(meta, _meta(TrainConfig(), ModelShapeSpec(), TrainState(None)).keys())
+    shape = from_fields(ModelShapeSpec, meta["shape"], "shape")
+    config = from_fields(TrainConfig, meta["config"], "config")
     if not isinstance(meta["history"], list):
         raise ValueError(f"history must be a list, got {SHOWN.repr(meta['history'])}")
-    state = TrainState(None, [_record(EpochReport, f"history.{i}", r)
+    if not isinstance(meta["optimizer"], dict):
+        raise ValueError(f"optimizer: expected an object, got {SHOWN.repr(meta['optimizer'])}")
+    state = TrainState(None, [from_fields(EpochReport, r, f"history.{i}")
                               for i, r in enumerate(meta["history"])])
     stored, rebuilt = _fields(meta), _fields(_meta(config, shape, state))
-    for name in [*rebuilt, *sorted(stored.keys() - rebuilt.keys())]:
-        if name not in stored or name not in rebuilt:
-            raise ValueError(f"{'missing' if name in rebuilt else 'unknown'} key {name!r}")
-        text = json.dumps(rebuilt[name], sort_keys=True)
+    require_keys(stored, rebuilt.keys())
+    for name, value in rebuilt.items():
+        text = json.dumps(value, sort_keys=True)
         if json.dumps(stored[name], sort_keys=True) != text:
             raise ValueError(f"{name} must be {text}, got {SHOWN.repr(stored[name])}")
     return shape, config, state
-
-
-def _record(cls, key: str, d):
-    """from_fields(cls, d) for the meta value at `key`; an error starts with the key."""
-    try:
-        return from_fields(cls, d)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _fields(meta: dict) -> dict:
@@ -531,7 +518,7 @@ def _read_checkpoint(f: BinaryIO) -> tuple[dict, tuple, dict[str, tuple[tuple[in
         raise FormatError(f"{path}: bad meta block: {exc}") from exc
     try:
         parsed = _parse_meta(meta)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: invalid meta block: {exc}") from exc
     table, directory, at = parameter_shapes(parsed[0]), {}, 14 + meta_len  # after the count
     for key, dims in [(f"{group}/{name}", dims) for group in GROUPS for name, dims in table.items()]:

@@ -30,6 +30,7 @@ from . import classifier as clf
 from . import denseimage as di
 from . import temporal_conv as tc
 from .numerics import (
+    SHOWN,
     Array,
     cross_entropy_from_logits,
     dropout_scales,
@@ -66,12 +67,12 @@ class ModelShapeSpec:
         if any(not 2 <= h <= self.num_frames for h in self.widths):
             raise ValueError("every width must satisfy 2 <= h <= num_frames")
         if len(set(self.widths)) < len(self.widths):
-            raise ValueError(f"widths must be distinct, got {list(self.widths)}")
+            raise ValueError(f"widths must be distinct, got {SHOWN.repr(list(self.widths))}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelShapeSpec":
-        """from_fields(cls, d), the name perfbench/run.py builds its shapes by."""
-        return from_fields(cls, d)
+        """from_fields(cls, d, "shape"), the name perfbench/run.py builds shapes by."""
+        return from_fields(cls, d, "shape")
 
 
 def parameter_shapes(shape: ModelShapeSpec) -> dict[str, tuple[int, ...]]:

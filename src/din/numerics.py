@@ -1,5 +1,6 @@
 """Dense numeric kernel: activations, losses, initialization, seeded RNG,
-and the field checks every config and checkpoint record runs on itself.
+and the one parser of a JSON object into a config, manifest or checkpoint
+record (from_fields), with the field checks each record runs on itself.
 
 All arrays are float64 numpy arrays in row-major order. Gradient checks
 downstream need the double-precision headroom, so nothing here ever drops
@@ -44,16 +45,24 @@ def require_fields(record, finite: bool = False) -> None:
                 raise ValueError(f"{f.name} must be finite, got {SHOWN.repr(v)}")
 
 
-def from_fields(cls, d: dict):
-    """cls(**d) for a dataclass `cls`: a `d` that is not a dict, or that
-    misses or adds a field, is a ValueError naming it."""
+def require_keys(d, names) -> None:
+    """A ValueError unless the JSON value `d` is an object of exactly the
+    keys `names`; it names a missing key whole, an unknown one bounded."""
     if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__}: expected an object, got {SHOWN.repr(d)}")
-    names = {f.name for f in fields(cls)}
-    key = min(names ^ set(d), default=None)
+        raise ValueError(f"expected an object, got {SHOWN.repr(d)}")
+    key = min(d.keys() ^ names, default=None)
     if key is not None:
-        raise ValueError(f"{cls.__name__}: {'missing' if key in names else 'unknown'} key {key!r}")
-    return cls(**d)
+        raise ValueError(f"missing key {key!r}" if key in names else f"unknown key {SHOWN.repr(key)}")
+
+
+def from_fields(cls, d, key: str):
+    """cls(**d) for a dataclass `cls` from the JSON value `d` at key path `key`
+    (`train`, `samples.3`), which holds exactly cls's fields; errors start with `key`."""
+    try:
+        require_keys(d, {f.name for f in fields(cls)})
+        return cls(**d)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def scratch_view(scratch: dict[str, Array], role: str, shape: tuple[int, ...]) -> Array:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .classifier import predict
 from .model import EVAL_BATCH, ModelParams, backward_sample, batches, forward_sample
-from .numerics import (Array, cross_entropy_from_logits, make_rng, require_fields, scratch_view,
-                       softmax)
+from .numerics import (SHOWN, Array, cross_entropy_from_logits, make_rng, require_fields,
+                       scratch_view, softmax)
 
 if TYPE_CHECKING:
     from .data_io import Sample
@@ -74,7 +74,7 @@ class EpochReport:
     def __post_init__(self):
         require_fields(self)
         if not 0.0 <= self.val_accuracy <= 1.0:
-            raise ValueError(f"val_accuracy must be in [0, 1], got {self.val_accuracy!r}")
+            raise ValueError(f"val_accuracy must be in [0, 1], got {SHOWN.repr(self.val_accuracy)}")
 
 
 @dataclass
@@ -113,11 +113,12 @@ def schedule(history: Sequence[EpochReport], config: TrainConfig) -> tuple[float
     are a ValueError."""
     epochs = [r.epoch for r in history]
     if epochs != list(range(len(history))):
-        raise ValueError(f"history epochs {epochs} are not 0 to {len(history) - 1}")
+        raise ValueError(f"history epochs {SHOWN.repr(epochs)} are not 0 to {len(history) - 1}")
     lr, best, since = config.initial_lr, math.inf, 0
     for i, report in enumerate(history):
         if repr(report.current_lr) != repr(lr):
-            raise ValueError(f"history.{i}.current_lr must be {lr!r}, got {report.current_lr!r}")
+            raise ValueError(f"history.{i}.current_lr must be {SHOWN.repr(lr)}, got "
+                             f"{SHOWN.repr(report.current_lr)}")
         val_error = 1.0 - report.val_accuracy
         if val_error < best - 1e-12:
             best, since = val_error, 0

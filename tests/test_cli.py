@@ -117,6 +117,9 @@ def four_epochs_two_ways(tmp_path, cfg):
 
 # A JSON document nested deeper than the parser's recursion limit.
 DEEP_JSON = "[" * 100_000 + "\n"
+# A key no record has, and the bounded form in which an error names it.
+LONG_KEY = "k" * 100_000
+LONG_KEY_SHOWN = "'kkkkkkkkkkkk...kkkkkkkkkkkkk'"
 
 NO_BEST_ERROR = "invalid meta block: has_best must be true, got False"
 
@@ -198,12 +201,14 @@ class TestSynth:
         cfg = tmp_path / "sigma.json"
         cfg.write_text(json.dumps({"synth": {"noise_sigma": float(value)}}))
         assert main(["synth", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}: noise_sigma must be finite, got {value}\n"
+        assert capsys.readouterr().err == (f"error: {cfg}: synth: noise_sigma must be finite, "
+                                           f"got {value}\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("argv, error", [
-        (["synth"], "noise_sigma and seed must be >= 0"),
-        (["train", "--manifest", "m.json"], "weight_decay, initial_lr and seed must be >= 0"),
+        (["synth"], "synth: noise_sigma and seed must be >= 0"),
+        (["train", "--manifest", "m.json"],
+         "train: weight_decay, initial_lr and seed must be >= 0"),
     ], ids=["synth", "train"])
     def test_negative_seed_fails_before_anything_is_created(self, tmp_path, capsys, argv, error):
         cfg = tmp_path / "seed.json"
@@ -219,9 +224,15 @@ BROKEN_MANIFESTS = {
     "no-classes": (lambda doc: doc.update(classes=[]), "%s: 'classes' must be a non-empty list"),
     "samples-not-a-list": (lambda doc: doc.update(samples={}), "%s: 'samples' must be a list"),
     "record-not-an-object": (lambda doc: doc["samples"].insert(0, 3),
-                             "%s: sample records must be objects: 3"),
+                             "%s: samples.0: expected an object, got 3"),
     "record-without-id": (lambda doc: doc["samples"].insert(0, {"id": "", "label": 0}),
-                          "%s: sample without a valid id: {'id': '', 'label': 0}"),
+                          "%s: samples.0: missing key 'feature_path'"),
+    "document-extra-key": (lambda doc: doc.update(version=1), "%s: unknown key 'version'"),
+    "record-extra-key": (lambda doc: doc["samples"][0].update(note=""),
+                         "%s: samples.0: unknown key 'note'"),
+    "feature-path-too-long": (lambda doc: doc["samples"][0].update(feature_path="p" * 100_000),
+                              "%s: samples.0: feature file not found: "
+                              "'pppppppppppp...ppppppppppppp'"),
     "empty-train": (lambda doc: doc.update(samples=[r for r in doc["samples"]
                                                     if r["split"] != "train"]),
                     "split 'train' is empty in %s"),
@@ -351,6 +362,19 @@ class TestTrain:
         assert captured.out == ""
         assert captured.err == f"error: {ckpt}: {NO_BEST_ERROR}\n"
         assert not (tmp_path / "new").exists()
+
+    def test_resume_without_config_names_the_fields_that_differ(self, tmp_path, trained_run):
+        # The defaulted config is checked against the checkpoint before the
+        # manifest is held to its shape (27 classes, where the data has 2).
+        manifest, run_dir = trained_run
+        ckpt, out_dir = run_dir / "checkpoint.ckpt", tmp_path / "resumed"
+        rc, err = run_main(["train", "--manifest", str(manifest), "--out-dir", str(out_dir),
+                            "--resume", str(ckpt)])
+        assert rc == 2 and not out_dir.exists()
+        assert err == (f"error: {ckpt}: cannot resume with a different configuration "
+                       "(only max_epochs may change): shape.raw_dim 6 -> 1024, "
+                       "shape.feat_dim 4 -> 256, shape.widths (2, 3) -> (2, 3, 4, 5, 6) "
+                       "and 6 more\n")
 
     def test_resume_keeps_integer_floats_as_read(self, tmp_path, capsys):
         # JSON integers in float fields stay integers through the checkpoint.
@@ -489,7 +513,8 @@ class TestTrain:
         rc = main(["train", "--config", str(bad), "--manifest", str(data_dir / "manifest.json"),
                    "--out-dir", str(out_dir)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {bad}: {field} must be finite, got {value}\n"
+        assert capsys.readouterr().err == (f"error: {bad}: train: {field} must be finite, "
+                                           f"got {value}\n")
         assert not out_dir.exists()
 
     def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
@@ -985,6 +1010,26 @@ class TestEvalPredict:
         assert rc == 2 and err.count("\n") == 1, err
         assert err.startswith(f"error: {ckpt}: invalid meta block: {named}"), err
 
+    @pytest.mark.parametrize("edit, error", [
+        (b"[]", "expected an object, got []"),
+        (lambda m: m.pop("shape"), "missing key 'shape'"),
+        (lambda m: m.update({LONG_KEY: 1}), f"unknown key {LONG_KEY_SHOWN}"),
+        (lambda m: m["config"].update({LONG_KEY: 1}), f"config: unknown key {LONG_KEY_SHOWN}"),
+        (lambda m: m.update(optimizer=[]), "optimizer: expected an object, got []"),
+        (lambda m: m["optimizer"].pop("current_lr"), "missing key 'optimizer.current_lr'"),
+        (lambda m: m["optimizer"].update({LONG_KEY: 1}),
+         "unknown key 'optimizer.kk...kkkkkkkkkkkkk'"),
+    ], ids=["list", "no-shape", "long-key", "long-config-key", "optimizer-list",
+            "no-optimizer-key", "long-optimizer-key"])
+    def test_meta_document_names_the_key_path_bounded(self, tmp_path, trained_run, edit, error):
+        # `edit` is the meta block's new bytes, or an edit of its JSON in place.
+        manifest, run_dir = trained_run
+        ckpt, blob = tmp_path / "edited.ckpt", (run_dir / "checkpoint.ckpt").read_bytes()
+        ckpt.write_bytes(with_meta_block(blob, edit) if isinstance(edit, bytes)
+                         else edit_checkpoint_meta(blob, edit))
+        rc, err = run_main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        assert rc == 2 and err == f"error: {ckpt}: invalid meta block: {error}\n"
+
     @pytest.mark.parametrize("depth", [900, 980])
     def test_deeply_nested_meta_value_is_shown_bounded(self, tmp_path, trained_run, depth):
         # Nested this deep, the value parses and prints as JSON only in a
@@ -1001,6 +1046,46 @@ class TestEvalPredict:
         assert proc.stderr == (f"error: {ckpt}: invalid meta block: "
                                "best_epoch must be 0, got [[...]]\n")
         assert len(proc.stderr) < 200
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda doc: doc["samples"].insert(0, "r" * 100_000),
+         "samples.0: expected an object, got 'rrrrrrrrrrrr...rrrrrrrrrrrrr'"),
+        (lambda doc: doc["samples"][0].update({LONG_KEY: 1}),
+         f"samples.0: unknown key {LONG_KEY_SHOWN}"),
+        (lambda doc: [r.update(id="i" * 100_000) for r in doc["samples"][:2]],
+         "samples.1: duplicate id 'iiiiiiiiiiii...iiiiiiiiiiiii'"),
+        (lambda doc: doc["samples"][0].update(id="i" * 100_000 + ","),
+         "samples.0: id must be a non-empty string without ',', '\"', CR or LF, "
+         "got 'iiiiiiiiiiii...iiiiiiiiiiii,'"),
+        (lambda doc: doc["samples"][0].update(label="l" * 100_000),
+         "samples.0: label must be an integer, got 'llllllllllll...lllllllllllll'"),
+        (lambda doc: doc["samples"][0].update(label=10 ** 100),
+         "samples.0: label must be < 2, got 100000000000000000...0000000000000000000"),
+        (lambda doc: doc["samples"][0].update(split="s" * 100_000),
+         "samples.0: split must be one of ('train', 'val', 'test'), "
+         "got 'ssssssssssss...sssssssssssss'"),
+    ], ids=["record", "key", "duplicate-id", "id", "label", "label-number", "split"])
+    def test_long_manifest_value_is_shown_bounded(self, tmp_path, trained_run, edit, error):
+        data, run_dir = trained_run
+        doc = json.loads(data.read_text())
+        edit(doc)
+        manifest = data.parent / f"{tmp_path.name}.json"  # beside the features it lists
+        manifest.write_text(json.dumps(doc))
+        rc, err = run_main(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                            "--manifest", str(manifest)])
+        assert rc == 2 and err == f"error: {manifest}: {error}\n"
+
+    def test_deeply_nested_manifest_label_is_shown_bounded(self, tmp_path, trained_run):
+        # Like the meta value above: nested this deep, the label parses only
+        # in a shallow stack, so a child process reads it.
+        data, run_dir = trained_run
+        manifest = data.parent / f"{tmp_path.name}.json"
+        text = json.dumps(json.loads(data.read_text()))
+        manifest.write_text(text.replace('"label": 0', '"label": ' + "[" * 900 + "]" * 900, 1))
+        proc = run_din("eval", "--checkpoint", run_dir / "checkpoint.ckpt", "--manifest", manifest)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {manifest}: samples.0: label must be an integer, "
+                               "got [[...]]\n")
 
     def test_deeply_nested_manifest_names_the_file(self, tmp_path, capsys):
         cfg, data_dir, run_dir = synth_and_train(tmp_path, capsys)
@@ -1033,7 +1118,7 @@ class TestEvalPredict:
                    "--manifest", str(manifest)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {manifest}: manifest must be a JSON object")
+        assert err.startswith(f"error: {manifest}: expected an object, got ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
@@ -1302,7 +1387,7 @@ class TestInspectParams:
         assert main(["inspect-params", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {cfg}: widths must be distinct")
+        assert captured.err.startswith(f"error: {cfg}: shape: widths must be distinct")
 
     def test_negative_width_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "widths.json"
@@ -1310,7 +1395,8 @@ class TestInspectParams:
         assert main(["inspect-params", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {cfg}: every width must satisfy 2 <= h <= num_frames\n"
+        assert captured.err == (f"error: {cfg}: shape: every width must satisfy "
+                                "2 <= h <= num_frames\n")
 
     def test_reference_is_usage_error(self, capsys):
         assert main(["inspect-params", "--reference", "x.json"]) == 1
@@ -1410,15 +1496,22 @@ class TestUsageAndConfig:
     @pytest.mark.parametrize("command", ["synth", "train", "inspect-params"])
     @pytest.mark.parametrize("text, error", [
         ('{"bogus": {}}', "unknown config sections: ['bogus']"),
-        ('{"train": {"nope": 1}}', "TrainConfig: unknown key 'nope'"),
-        ('{"shape": {"Seed": 1}}', "ModelShapeSpec: unknown key 'Seed'"),
-        ('{"train": {"seed": "3"}}', "seed must be an integer, got '3'"),
-        ('{"train": {"batch_size": 0}}', "batch_size must be >= 1"),
-        ('{"synth": {"seed": -1}}', "noise_sigma and seed must be >= 0"),
+        (json.dumps({LONG_KEY: {}}), f"unknown config sections: [{LONG_KEY_SHOWN}]"),
+        ('{"train": {"nope": 1}}', "train: unknown key 'nope'"),
+        (json.dumps({"train": {LONG_KEY: 1}}), f"train: unknown key {LONG_KEY_SHOWN}"),
+        ('{"shape": {"Seed": 1}}', "shape: unknown key 'Seed'"),
+        ('{"train": {"seed": "3"}}', "train: seed must be an integer, got '3'"),
+        ('{"train": {"batch_size": 0}}', "train: batch_size must be >= 1"),
+        ('{"shape": {"num_filters": 0}}', "shape: all shape constants must be >= 1"),
+        ('{"shape": {"widths": []}}', "shape: need at least one filter width"),
+        ('{"synth": {"seed": -1}}', "synth: noise_sigma and seed must be >= 0"),
+        ('{"synth": {"feature_dim": 0}}', "synth: feature_dim and samples_per_class must be >= 1"),
+        ('{"synth": {"val_samples_per_class": 0}}', "synth: val_samples_per_class must be >= 1"),
         ('{"train": 3}', "config must be an object of section objects"),
         ('{"train": ', "cannot parse config: Expecting value: line 1 column 11 (char 10)"),
-    ], ids=["section", "train-key", "shape-key", "type", "range", "synth-range", "section-type",
-            "syntax"])
+    ], ids=["section", "long-section", "train-key", "long-train-key", "shape-key", "type", "range",
+            "shape-range", "no-widths", "synth-range", "synth-size", "synth-val-size",
+            "section-type", "syntax"])
     def test_every_config_error_names_the_file(self, tmp_path, capsys, command, text, error):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -1443,7 +1536,7 @@ class TestUsageAndConfig:
             rc, err = run_main(["inspect-params", "--config", str(path)])
             assert rc == 2 and err.startswith(f"error: {path}: "), (depth, err[:200])
             assert err.count("\n") == 1, (depth, err[:200])
-            checked += err == f"error: {path}: seed must be an integer, got [[...]]\n"
+            checked += err == f"error: {path}: train: seed must be an integer, got [[...]]\n"
         assert checked > 0
 
     def test_console_entry_point(self):
@@ -1617,16 +1710,35 @@ def config_docs(draw):
         kind = draw(st.sampled_from([EDGE_VALUES, CONFIG_VALUES]))
         doc.setdefault(section, {})[name] = draw(kind)
     if draw(st.sampled_from(range(8))) == 7:
-        section = draw(st.sampled_from([*SECTIONS, "bogus"]))
-        doc.setdefault(section, {})[draw(st.sampled_from(["bogus", "Seed", ""]))] = 1
+        section = draw(st.sampled_from([*SECTIONS, "bogus", LONG_KEY]))
+        doc.setdefault(section, {})[draw(st.sampled_from(["bogus", "Seed", "", LONG_KEY]))] = 1
     return doc
+
+
+def run_bounded(argv, path) -> tuple[int, str]:
+    """(exit code, stdout) of an in-process din run that never raises: it
+    returns 0, 1 or 2, and a failing run prints nothing on stdout and one
+    stderr line, `error: ` (exit 2) or `usage error: ` (exit 1) and at most
+    300 characters plus `path`, the input it reads."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    line = err.getvalue()
+    if rc:
+        assert out.getvalue() == "" and line.count("\n") == 1, line[:400]
+        assert line.startswith("error: " if rc == 2 else "usage error: "), line[:400]
+        assert len(line) <= 300 + len(str(path)), line[:400]
+    else:
+        assert line == ""
+    return rc, out.getvalue()
 
 
 class TestConfigFuzz:
     """inspect-params on drawn --config documents never raises: it returns
-    0, 1 or 2, and a failing run prints one stderr line and nothing else. A
-    run that passes read no NaN or infinite number and prints the parameter
-    total of a shape whose widths are distinct."""
+    0, 1 or 2, and a failing run prints one short stderr line and nothing
+    else (run_bounded). A run that passes read no NaN or infinite number
+    and prints the parameter total of a shape whose widths are distinct."""
 
     @pytest.fixture(scope="class")
     def config_path(self, tmp_path_factory):
@@ -1639,18 +1751,98 @@ class TestConfigFuzz:
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_inspect_params_on_drawn_configs(self, config_path, doc):
         config_path.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["inspect-params", "--config", str(config_path)])
-        assert rc in (0, 1, 2)
+        rc, out = run_bounded(["inspect-params", "--config", str(config_path)], config_path)
         if rc:
-            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
-            assert err.getvalue().startswith("error: " if rc == 2 else "usage error: ")
             return
-        assert err.getvalue() == ""
         values = [v for section in doc.values() for v in section.values()]
         assert not any(isinstance(v, float) and not math.isfinite(v) for v in values)
         shape = {**PAPER_SHAPE, **doc.get("shape", {})}
         assert len(set(shape["widths"])) == len(shape["widths"])
         total = count_parameters(ModelShapeSpec(**shape)).total
-        assert f"total parameters: {total:,}\n" in out.getvalue()
+        assert f"total parameters: {total:,}\n" in out
+
+
+# JSON values of every kind, a few levels deep, with strings too long to
+# print whole and the values a manifest or meta field is most likely to
+# take by mistake.
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+              st.sampled_from([LONG_KEY, "dev", "missing.difx", "", "a,b", 10 ** 30, -1, 2])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.one_of(st.text(max_size=4), st.just(LONG_KEY)),
+                                            inner, max_size=3)),
+    max_leaves=6)
+# One edit at a key path: the integers pick a child at each level (modulo
+# the number of children) until they run out or reach a value that is not
+# a container; there the edit replaces the value with drawn JSON, deletes
+# it, or adds a key (possibly a long one) to an object.
+JSON_EDITS = st.tuples(st.lists(st.integers(0, 99), min_size=1, max_size=4),
+                       st.sampled_from(["replace", "delete", "add"]),
+                       st.sampled_from(["id", "label", "split", "note", LONG_KEY]), JSON_VALUES)
+
+
+def edit_at(doc, steps, op, key, value):
+    """`doc` with one JSON_EDITS edit applied in place; a replaced root is returned."""
+    parent, at, node = None, None, doc
+    for step in steps:
+        children = (sorted(node) if isinstance(node, dict)
+                    else range(len(node)) if isinstance(node, list) else [])
+        if not children:
+            break
+        parent, at = node, children[step % len(children)]
+        node = node[at]
+    if op == "add" and isinstance(node, dict):
+        node[key] = value
+    elif parent is None:
+        return value
+    elif op == "delete":
+        del parent[at]
+    else:
+        parent[at] = value
+    return doc
+
+
+class TestManifestFuzz:
+    """eval on drawn edits of a trained run's manifest (wrong types,
+    missing, extra and long keys and values, duplicate ids, unknown splits,
+    missing feature files) never raises and fails in one short line."""
+
+    @given(edits=st.lists(JSON_EDITS, min_size=1, max_size=3),
+           same_id=st.one_of(st.none(), st.tuples(st.integers(0, 99), st.integers(0, 99))))
+    @example(edits=[([1, 0, 3], "replace", "", "dev")], same_id=None)
+    @example(edits=[([1, 5, 0], "replace", "", "missing.difx")], same_id=None)
+    @example(edits=[], same_id=(0, 1))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_eval_on_drawn_manifests(self, trained_run, edits, same_id):
+        data, run_dir = trained_run
+        doc = json.loads(data.read_text())
+        if same_id:
+            first, second = (doc["samples"][i % len(doc["samples"])] for i in same_id)
+            second["id"] = first["id"]
+        for edit in edits:
+            doc = edit_at(doc, *edit)
+        manifest = data.parent / "fuzz.json"  # beside the features it lists
+        manifest.write_text(json.dumps(doc))
+        run_bounded(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
+                     "--manifest", str(manifest)], manifest)
+
+
+class TestMetaFuzz:
+    """eval on a trained run's checkpoint whose meta block had drawn edits
+    at any key path, the bytes after it as written, never raises and fails
+    in one short line."""
+
+    @given(edits=st.lists(JSON_EDITS, min_size=1, max_size=3))
+    @example(edits=[([], "replace", "", [])])
+    @example(edits=[([5], "delete", "", None)])
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_eval_on_drawn_meta_blocks(self, trained_run, edits):
+        manifest, run_dir = trained_run
+        blob = (run_dir / "checkpoint.ckpt").read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        meta = json.loads(blob[10 : 10 + meta_len])
+        for edit in edits:
+            meta = edit_at(meta, *edit)
+        ckpt = run_dir.parent / "fuzz.ckpt"
+        ckpt.write_bytes(with_meta_block(blob, json.dumps(meta).encode()))
+        run_bounded(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)], ckpt)

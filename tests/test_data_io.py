@@ -405,7 +405,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["samples"][0]["label"] = 5
         path.write_text(json.dumps(doc))
-        with pytest.raises(ManifestError, match="good"):
+        with pytest.raises(ManifestError, match="samples.0: label must be < 2, got 5"):
             load_manifest(path)
 
     def test_bool_label_cites_sample(self, tmp_path):
@@ -413,7 +413,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["samples"][0]["label"] = True
         path.write_text(json.dumps(doc))
-        with pytest.raises(ManifestError, match="flag"):
+        with pytest.raises(ManifestError, match="samples.0: label must be an integer, got True"):
             load_manifest(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -454,7 +454,7 @@ class TestManifest:
     def test_document_that_is_not_an_object_rejected(self, tmp_path, text):
         path = tmp_path / "m.json"
         path.write_text(text)
-        with pytest.raises(ManifestError, match="m.json: manifest must be a JSON object"):
+        with pytest.raises(ManifestError, match="m.json: expected an object, got "):
             load_manifest(path)
 
 

@@ -70,11 +70,11 @@ class TestRecordChecks:
 
     def test_from_fields_takes_exactly_the_fields(self):
         d = {"count": 1, "rate": 0.5, "sizes": [2], "limit": 3, "label": "x"}
-        assert from_fields(Record, d) == Record(1, 0.5, [2], 3, "x")
-        with pytest.raises(ValueError, match="Record: missing key 'limit'"):
-            from_fields(Record, {k: v for k, v in d.items() if k != "limit"})
-        with pytest.raises(ValueError, match="Record: unknown key 'extra'"):
-            from_fields(Record, {**d, "extra": 0})
+        assert from_fields(Record, d, "r") == Record(1, 0.5, [2], 3, "x")
+        with pytest.raises(ValueError, match="^r: missing key 'limit'$"):
+            from_fields(Record, {k: v for k, v in d.items() if k != "limit"}, "r")
+        with pytest.raises(ValueError, match="^r: unknown key 'extra'$"):
+            from_fields(Record, {**d, "extra": 0}, "r")
 
 
 class TestRng:

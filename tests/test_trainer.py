@@ -79,7 +79,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(seed=9, initial_lr=0.01)
-        assert from_fields(TrainConfig, dataclasses.asdict(cfg)) == cfg
+        assert from_fields(TrainConfig, dataclasses.asdict(cfg), "train") == cfg
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 2.5), ("batch_size", 4.0), ("max_epochs", True), ("seed", "3"),
@@ -90,10 +90,11 @@ class TestTrainConfig:
     def test_mistyped_fields_rejected_by_name(self, field, value):
         d = {**dataclasses.asdict(TrainConfig()), field: value}
         with pytest.raises(ValueError, match=field):
-            from_fields(TrainConfig, d)
+            from_fields(TrainConfig, d, "train")
 
     def test_integers_accepted_for_float_fields(self):
-        cfg = from_fields(TrainConfig, {**dataclasses.asdict(TrainConfig()), "momentum": 0})
+        d = {**dataclasses.asdict(TrainConfig()), "momentum": 0}
+        cfg = from_fields(TrainConfig, d, "train")
         assert cfg.momentum == 0
 
 
