@@ -118,17 +118,17 @@ def _check_resume(path, cfg: RunConfig, ckpt: data_io.CheckpointData) -> None:
     """A resumed run keeps the checkpoint's shape and train config; only
     max_epochs may change, and not to fewer than the epochs completed."""
     diffs = [
-        f"{section}.{f.name} {SHOWN.repr(getattr(theirs, f.name))} -> "
-        f"{SHOWN.repr(getattr(ours, f.name))}"
+        (f"{section}.{f.name}", getattr(theirs, f.name), getattr(ours, f.name))
         for section, ours, theirs in (("shape", cfg.shape, ckpt.model.shape),
                                       ("train", cfg.train, ckpt.config))
         for f in fields(ours)
         if f.name != "max_epochs" and getattr(ours, f.name) != getattr(theirs, f.name)
     ]
-    if diffs:
-        more = f" and {len(diffs) - 3} more" if len(diffs) > 3 else ""
+    if diffs:  # every name, but the values of the first three only
+        shown = [f"{name} {SHOWN.repr(was)} -> {SHOWN.repr(now)}" if i < 3 else name
+                 for i, (name, was, now) in enumerate(diffs)]
         raise ValueError(f"{path}: cannot resume with a different configuration "
-                         f"(only max_epochs may change): {', '.join(diffs[:3])}{more}")
+                         f"(only max_epochs may change): {', '.join(shown)}")
     wanted, done = cfg.train.max_epochs, len(ckpt.state.history)
     if wanted < done:
         raise ValueError(f"{path}: max_epochs {wanted} is below its {done} completed epochs")

@@ -225,8 +225,18 @@ BROKEN_MANIFESTS = {
     "samples-not-a-list": (lambda doc: doc.update(samples={}), "%s: 'samples' must be a list"),
     "record-not-an-object": (lambda doc: doc["samples"].insert(0, 3),
                              "%s: samples.0: expected an object, got 3"),
-    "record-without-id": (lambda doc: doc["samples"].insert(0, {"id": "", "label": 0}),
-                          "%s: samples.0: missing key 'feature_path'"),
+    "record-without-id": (lambda doc: doc["samples"].insert(0, {**doc["samples"][0], "id": ""}),
+                          "%s: samples.0: id must be a non-empty string without ',', '\"', "
+                          "CR or LF, got ''"),
+    "id-not-a-string": (lambda doc: doc["samples"][0].update(id=5),
+                        "%s: samples.0: id must be a non-empty string without ',', '\"', "
+                        "CR or LF, got 5"),
+    "record-without-feature-path": (lambda doc: doc["samples"][0].pop("feature_path"),
+                                    "%s: samples.0: missing key 'feature_path'"),
+    "feature-path-not-a-string": (lambda doc: doc["samples"][0].update(feature_path=5),
+                                  "%s: samples.0: feature_path must be a string, got 5"),
+    "negative-label": (lambda doc: doc["samples"][0].update(label=-1),
+                       "%s: samples.0: label must be >= 0, got -1"),
     "document-extra-key": (lambda doc: doc.update(version=1), "%s: unknown key 'version'"),
     "record-extra-key": (lambda doc: doc["samples"][0].update(note=""),
                          "%s: samples.0: unknown key 'note'"),
@@ -373,8 +383,9 @@ class TestTrain:
         assert rc == 2 and not out_dir.exists()
         assert err == (f"error: {ckpt}: cannot resume with a different configuration "
                        "(only max_epochs may change): shape.raw_dim 6 -> 1024, "
-                       "shape.feat_dim 4 -> 256, shape.widths (2, 3) -> (2, 3, 4, 5, 6) "
-                       "and 6 more\n")
+                       "shape.feat_dim 4 -> 256, shape.widths (2, 3) -> (2, 3, 4, 5, 6), "
+                       "shape.num_filters, shape.num_classes, train.batch_size, "
+                       "train.initial_lr, train.dropout_keep, train.seed\n")
 
     def test_resume_keeps_integer_floats_as_read(self, tmp_path, capsys):
         # JSON integers in float fields stay integers through the checkpoint.
